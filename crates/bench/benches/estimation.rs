@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use xtwig_core::construct::{xbuild, BuildOptions, TruthSource};
-use xtwig_core::{EstimateRequest, Estimator, InterpretedEstimator};
+use xtwig_core::{CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig_cst::{estimate_twig, Cst, CstOptions};
 use xtwig_datagen::{imdb, ImdbConfig};
 use xtwig_query::selectivity;
@@ -38,7 +38,7 @@ fn bench_estimation(c: &mut Criterion) {
     let (synopsis, _) = xbuild(&doc, TruthSource::Exact, &build);
     let cst = Cst::build(&doc, CstOptions::default());
 
-    let est = InterpretedEstimator::new(&synopsis);
+    let est = CompiledSynopsis::compile(&synopsis);
     let mut g = c.benchmark_group("estimation");
     g.bench_function("xsketch_estimate_20q", |b| {
         b.iter(|| {

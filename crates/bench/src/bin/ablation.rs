@@ -19,7 +19,7 @@ use xtwig_bench::{pct, row, BenchConfig};
 use xtwig_core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig_core::estimate::EstimateOptions;
 use xtwig_core::synopsis::{DimKind, ScopeDim};
-use xtwig_core::{coarse_synopsis, EstimateRequest, Estimator, InterpretedEstimator};
+use xtwig_core::{coarse_synopsis, CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig_datagen::{imdb, Dataset, ImdbConfig};
 use xtwig_histogram::{MdHistogram, WaveletSummary};
 use xtwig_workload::{avg_relative_error, generate_workload, WorkloadKind, WorkloadSpec};
@@ -75,7 +75,7 @@ fn scope_vs_resolution() {
     ] {
         let mut s = s0.clone();
         s.set_edge_hist(&doc, movie, scope, budget);
-        let est = InterpretedEstimator::new(&s)
+        let est = CompiledSynopsis::compile(&s)
             .estimate(&EstimateRequest::with_options(&q, opts))
             .estimate;
         let err = (est - truth).abs() / truth;
@@ -101,11 +101,12 @@ fn build_and_score(
         ..build
     };
     let (s, _) = xbuild(doc, TruthSource::Exact, &build);
+    let compiled = CompiledSynopsis::compile(&s);
     let est: Vec<f64> = w
         .queries
         .iter()
         .map(|q| {
-            InterpretedEstimator::new(&s)
+            compiled
                 .estimate(&EstimateRequest::with_options(q, build.estimate))
                 .estimate
         })
@@ -215,14 +216,11 @@ fn truth_source(cfg: &BenchConfig) {
         ("exact counts", &exact_built),
         ("reference summary", &ref_built),
     ] {
+        let compiled = CompiledSynopsis::compile(s);
         let est: Vec<f64> = w
             .queries
             .iter()
-            .map(|q| {
-                InterpretedEstimator::new(s)
-                    .estimate(&EstimateRequest::new(q))
-                    .estimate
-            })
+            .map(|q| compiled.estimate(&EstimateRequest::new(q)).estimate)
             .collect();
         let err = avg_relative_error(&est, &truths).avg_rel_error;
         println!(

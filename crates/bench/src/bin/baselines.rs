@@ -9,14 +9,14 @@
 //! (IMDB) and on branching twigs.
 
 use xtwig_bench::{kb, row, BenchConfig};
-use xtwig_core::coarse_synopsis;
 use xtwig_core::construct::{xbuild_from, BuildOptions, TruthSource};
+use xtwig_core::{coarse_synopsis, CompiledSynopsis};
 use xtwig_cst::{Cst, CstOptions};
 use xtwig_datagen::Dataset;
 use xtwig_markov::{MarkovOptions, MarkovPaths};
 use xtwig_workload::{
     avg_relative_error, generate_workload, CstEstimator, MarkovEstimator, SummaryEstimator,
-    WorkloadKind, WorkloadSpec, XsketchEstimator,
+    WorkloadKind, WorkloadSpec,
 };
 
 fn main() {
@@ -72,10 +72,7 @@ fn main() {
                 "{:<10}{:>12}{:>12}{:>12}",
                 "technique", "size (KB)", "avg err", "p90 err"
             );
-            let xs = XsketchEstimator {
-                synopsis: &synopsis,
-                opts: Default::default(),
-            };
+            let xs = CompiledSynopsis::compile(&synopsis);
             let ce = CstEstimator { cst: &cst };
             let me = MarkovEstimator { model: &markov };
             let techniques: [&dyn SummaryEstimator; 3] = [&xs, &ce, &me];

@@ -7,7 +7,7 @@
 use xtwig_bench::row;
 use xtwig_core::estimate::EstimateOptions;
 use xtwig_core::synopsis::{DimKind, ScopeDim};
-use xtwig_core::{coarse_synopsis, EstimateRequest, Estimator, InterpretedEstimator};
+use xtwig_core::{coarse_synopsis, CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig_cst::{estimate_twig, Cst, CstOptions};
 use xtwig_datagen::{figure4_a, figure4_b};
 use xtwig_query::{parse_twig, selectivity};
@@ -29,7 +29,7 @@ fn main() {
         let coarse_scopeless = {
             let mut s0 = s.clone();
             s0.set_edge_hist(&doc, a, vec![], 8);
-            InterpretedEstimator::new(&s0)
+            CompiledSynopsis::compile(&s0)
                 .estimate(&EstimateRequest::with_options(&q, opts))
                 .estimate
         };
@@ -54,7 +54,7 @@ fn main() {
             ],
             4096,
         );
-        let twig_est = InterpretedEstimator::new(&s)
+        let twig_est = CompiledSynopsis::compile(&s)
             .estimate(&EstimateRequest::with_options(&q, opts))
             .estimate;
 

@@ -10,7 +10,7 @@
 
 use xtwig_bench::{kb, row, BenchConfig};
 use xtwig_core::construct::{xbuild_from, BuildOptions, TruthSource};
-use xtwig_core::{coarse_synopsis, EstimateRequest, Estimator, InterpretedEstimator};
+use xtwig_core::{coarse_synopsis, CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig_cst::{estimate_twig, Cst, CstOptions};
 use xtwig_datagen::Dataset;
 use xtwig_workload::{avg_relative_error, generate_workload, WorkloadKind, WorkloadSpec};
@@ -48,14 +48,11 @@ fn main() {
                 let (next, _) = xbuild_from(synopsis, &doc, TruthSource::Exact, &build);
                 synopsis = next;
             }
+            let compiled = CompiledSynopsis::compile(&synopsis);
             let xsk: Vec<f64> = w
                 .queries
                 .iter()
-                .map(|q| {
-                    InterpretedEstimator::new(&synopsis)
-                        .estimate(&EstimateRequest::new(q))
-                        .estimate
-                })
+                .map(|q| compiled.estimate(&EstimateRequest::new(q)).estimate)
                 .collect();
             // CST at the same budget.
             let cst = Cst::build(

@@ -5,7 +5,7 @@
 
 use xtwig_bench::{row, BenchConfig};
 use xtwig_core::construct::{xbuild, BuildOptions, TruthSource};
-use xtwig_core::{EstimateRequest, Estimator, InterpretedEstimator};
+use xtwig_core::{CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig_datagen::Dataset;
 use xtwig_workload::{negative_workload, WorkloadSpec};
 
@@ -32,13 +32,10 @@ fn main() {
             ..Default::default()
         };
         let (synopsis, _) = xbuild(&doc, TruthSource::Exact, &build);
+        let compiled = CompiledSynopsis::compile(&synopsis);
         let estimates: Vec<f64> = neg
             .iter()
-            .map(|q| {
-                InterpretedEstimator::new(&synopsis)
-                    .estimate(&EstimateRequest::new(q))
-                    .estimate
-            })
+            .map(|q| compiled.estimate(&EstimateRequest::new(q)).estimate)
             .collect();
         let avg = estimates.iter().sum::<f64>() / estimates.len().max(1) as f64;
         let max = estimates.iter().cloned().fold(0.0f64, f64::max);

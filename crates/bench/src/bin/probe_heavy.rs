@@ -1,4 +1,4 @@
-//! Batch-serving profiler: where does cold `serve_reports` time go?
+//! Batch-serving profiler: where does cold `BatchServer::serve` time go?
 //!
 //! Ranks the workload's heaviest queries (per-query latency, embedding
 //! count, metered work), then times repeated cold batches and dumps the
@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 use xtwig_core::construct::{xbuild, BuildOptions, TruthSource};
-use xtwig_core::{serve_reports, CompiledSynopsis, EstimateCache, EstimateOptions};
+use xtwig_core::{BatchServer, CompiledSynopsis, EstimateCache, EstimateOptions};
 use xtwig_datagen::{xmark, XMarkConfig};
 use xtwig_workload::{generate_workload, WorkloadKind, WorkloadSpec};
 
@@ -78,7 +78,11 @@ fn main() {
     for trial in 0..3 {
         let cache = EstimateCache::new(4096);
         let t = Instant::now();
-        let _ = serve_reports(&cs, &w.queries, &opts, Some(&cache), threads);
+        let _ = BatchServer::new(&cs)
+            .with_options(opts)
+            .with_cache(&cache)
+            .with_threads(threads)
+            .serve(&w.queries);
         println!(
             "# trial {trial}: batch (warm memo) {}us -> {:.0} qps",
             t.elapsed().as_micros(),

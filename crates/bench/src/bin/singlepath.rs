@@ -5,13 +5,14 @@
 //! paths."
 //!
 //! We compare, on single-path workloads, the twig estimator
-//! (`estimate_selectivity`) against the dedicated single-path estimator
-//! (`single_path::estimate_path_count`) over the same synopsis.
+//! (`CompiledSynopsis` through the `Estimator` trait) against the
+//! dedicated single-path estimator (`single_path::estimate_path_count`)
+//! over the same synopsis.
 
 use xtwig_bench::{pct, row, BenchConfig};
 use xtwig_core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig_core::single_path::estimate_path_count;
-use xtwig_core::{EstimateRequest, Estimator, InterpretedEstimator};
+use xtwig_core::{CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig_datagen::Dataset;
 use xtwig_query::TwigQuery;
 use xtwig_workload::{avg_relative_error, generate_workload, WorkloadKind, WorkloadSpec};
@@ -44,13 +45,10 @@ fn main() {
         };
         let (synopsis, _) = xbuild(&doc, TruthSource::Exact, &build);
         let truths: Vec<f64> = w.truths.iter().map(|&t| t as f64).collect();
+        let compiled = CompiledSynopsis::compile(&synopsis);
         let twig_est: Vec<f64> = chains
             .iter()
-            .map(|q| {
-                InterpretedEstimator::new(&synopsis)
-                    .estimate(&EstimateRequest::new(q))
-                    .estimate
-            })
+            .map(|q| compiled.estimate(&EstimateRequest::new(q)).estimate)
             .collect();
         let sp_est: Vec<f64> = chains
             .iter()

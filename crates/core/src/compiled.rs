@@ -1,13 +1,10 @@
-//! A compiled, serving-oriented lowering of the [`Synopsis`].
+//! The TREEPARSE evaluator (§4) over a compiled, serving-oriented
+//! lowering of the [`Synopsis`].
 //!
-//! The interpreted estimation path re-derives everything per query from
-//! pointer-rich structures: `avg_children` probes a `BTreeMap`, every
-//! histogram access walks `Vec<Bucket>` objects whose per-dimension
-//! vectors live behind separate allocations, and TREEPARSE materializes
-//! a fresh support list per node visit. That is fine for construction,
-//! but the ROADMAP's north star is a *service*: the synopsis is compiled
-//! once and then consulted millions of times.
-//!
+//! The synopsis is built for construction: `avg_children` probes a
+//! `BTreeMap`, and every histogram access walks `Vec<Bucket>` objects
+//! whose per-dimension vectors live behind separate allocations. A
+//! service compiles it once and then consults it millions of times, so
 //! [`CompiledSynopsis`] performs a one-time lowering into flat,
 //! cache-friendly arrays:
 //!
@@ -32,13 +29,35 @@
 //! synopsis is refined and recompiled, the fresh epoch invalidates every
 //! stale entry without any explicit flush protocol.
 //!
-//! The compiled evaluator mirrors the interpreted TREEPARSE
-//! operation-for-operation — same classification, same bucket filtering
-//! and renormalization order, same clamping — so its estimates are
-//! **bit-identical** to [`crate::estimate_selectivity_bounded`]
-//! (property-tested across all three paper generators in
-//! `tests/compiled.rs`). Only the bookkeeping differs: index arithmetic
-//! over flat arrays instead of hashmap probes and per-visit allocations.
+//! ## TREEPARSE
+//!
+//! For each embedding node `t_i` bound to synopsis node `n_i` with edge
+//! histogram `H_i`, the evaluator classifies the information available:
+//!
+//! * `E_i` — forward dimensions of `H_i` that must be **enumerated**:
+//!   those covering a twig child edge of `t_i`, plus those some descendant
+//!   conditions on through a backward dimension (computed by the `needs`
+//!   pre-pass). Dimensions of `H_i` outside `E_i` are marginalized.
+//! * `D_i` — backward dimensions of `H_i` whose edges were enumerated by
+//!   an ancestor: the evaluation **conditions** `H_i` on the enumerated
+//!   values (`F_i(E_i | D_i) = H_i(E_i ∪ D_i)/H_i(D_i)`, the
+//!   Correlation-Scope Independence assumption). Backward dimensions whose
+//!   edges were not enumerated are dropped (`F(E|D) ≈ F(E | E∩D)`).
+//! * `U_i` — twig child edges not covered by any forward dimension: each
+//!   contributes its exact per-edge average `child_count(u→v)/|u|`
+//!   independently (Forward Uniformity + Forward Independence).
+//!
+//! Conditioning context flows through an environment of
+//! `(edge, enumerated value)` pairs maintained along the depth-first
+//! recursion — the paper's global `covered` set restricted to the
+//! ancestor chain, which is the context a depth-first product
+//! evaluation can condition on.
+//!
+//! This is the only evaluator in shipped code. The test suite keeps an
+//! independent interpreted evaluator over the [`Synopsis`] itself
+//! (`tests/support/oracle.rs`) and checks that the two agree to the bit
+//! on all three paper generators, with and without budgets
+//! (`tests/compiled_identity.rs`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +73,7 @@ use crate::estimate::arena::{self, EvalArena};
 use crate::estimate::embedding::{enumerate_embeddings_metered, Embedding};
 use crate::estimate::guard::{EvalStats, Meter};
 use crate::estimate::kernel;
-use crate::estimate::{coarse_count_bound, BoundedEstimate, EstimateOptions};
+use crate::estimate::{coarse_count_bound, EstimateOptions};
 use crate::synopsis::{DimKind, SynId, Synopsis, ValueSource};
 use crate::telemetry::{self, Span, Stage};
 use std::time::Instant;
@@ -241,7 +260,7 @@ impl CompiledHistogram {
 
     /// Mirror of `ValueBuckets::overlap_share` over the flattened bucket
     /// boundaries of value dimension `di` — identical arithmetic, so the
-    /// weighted masses match the interpreted path bit-for-bit.
+    /// weighted masses match the synopsis' own value buckets bit-for-bit.
     fn overlap_share(&self, di: usize, coord_lo: u32, coord_hi: u32, lo: i64, hi: i64) -> f64 {
         let Some(Some((start, len))) = self.vb_span.get(di).copied() else {
             return 1.0;
@@ -308,8 +327,8 @@ impl CompiledHistogram {
         }
     }
 
-    /// Per-bucket weight from matched value predicates — the compiled
-    /// mirror of the `weight` closure in the interpreted evaluator.
+    /// Per-bucket weight from matched value predicates: the share of
+    /// bucket `b`'s elements whose value dimension(s) survive the ranges.
     fn value_weight(&self, b: usize, value_conds: &[(usize, i64, i64)]) -> f64 {
         let row = b * self.dims;
         let mut w = 1.0;
@@ -332,15 +351,13 @@ pub struct ExpandedQuery {
     /// The maximal twig embeddings.
     pub embeddings: Vec<Embedding>,
     /// `needs[e][i]`: sorted, deduplicated backward edges required below
-    /// embedding `e`'s node `i` (membership-equivalent to the
-    /// interpreted path's hash sets).
+    /// embedding `e`'s node `i`.
     pub needs: Vec<Vec<Vec<(SynId, SynId)>>>,
 }
 
-/// Where a compiled synopsis gets its interpreted-path [`Synopsis`]
-/// from: a caller-owned borrow (the `compile` path) or a lazily decoded
-/// copy of a v3 snapshot's `SYNOPSIS` section (the zero-copy load
-/// path). The lazy variant is what lets a v3 load skip payload
+/// Where a compiled synopsis gets its source [`Synopsis`] from: a
+/// caller-owned borrow (the `compile` path) or a lazily decoded copy of
+/// a v3 snapshot's `SYNOPSIS` section (the zero-copy load path). The lazy variant is what lets a v3 load skip payload
 /// decoding entirely until a cold path (expansion, value-summary
 /// fallback, coarse bound) first asks for the graph.
 enum SourceRef<'a> {
@@ -383,7 +400,8 @@ impl LazySource {
 
 /// The compiled synopsis: flat arrays plus a borrow of the source
 /// [`Synopsis`] for the cold paths (expansion walks the synopsis graph;
-/// value-summary fallbacks and the coarse count bound stay interpreted).
+/// value-summary fallbacks and the coarse count bound read the synopsis
+/// directly).
 ///
 /// Two provenances share this one type: [`CompiledSynopsis::compile`]
 /// lowers a live synopsis into owned arrays (`'a` borrows the source),
@@ -457,7 +475,7 @@ impl<'a> CompiledSynopsis<'a> {
     /// Assembles a compiled synopsis from parts decoded out of a v3
     /// snapshot arena: structure arrays are owned (O(nodes + edges)),
     /// histogram bucket columns are zero-copy [`Lane`] views into
-    /// `backing`, and the interpreted-path synopsis decodes lazily from
+    /// `backing`, and the source synopsis decodes lazily from
     /// the arena window `[syn_off, syn_off + syn_len)`. Draws a fresh
     /// epoch, exactly like a recompilation, so downstream caches treat
     /// the load as a new generation.
@@ -542,22 +560,9 @@ impl<'a> CompiledSynopsis<'a> {
         }
     }
 
-    /// Expands `query` through the memo: a hit returns the cached
-    /// embeddings + needs instantly; a miss runs the interpreted
-    /// expansion under `meter` and caches the result only when the
-    /// enumeration ran to completion.
-    pub fn expand(
-        &self,
-        query: &TwigQuery,
-        opts: &EstimateOptions,
-        meter: &mut Meter,
-    ) -> Arc<ExpandedQuery> {
-        arena::with_scratch(|ar| self.expand_inner(query, opts, meter, &mut ar.key_buf).0)
-    }
-
-    /// [`CompiledSynopsis::expand`] plus whether the memo answered —
-    /// the batch scheduler needs the flag to carry accurate `memo_hit`
-    /// provenance through plan reuse and work splitting.
+    /// Expands `query` through the memo and reports whether the memo
+    /// answered — the batch scheduler needs the flag to carry accurate
+    /// `memo_hit` provenance through plan reuse and work splitting.
     pub(crate) fn expand_tracked(
         &self,
         query: &TwigQuery,
@@ -567,7 +572,11 @@ impl<'a> CompiledSynopsis<'a> {
         arena::with_scratch(|ar| self.expand_inner(query, opts, meter, &mut ar.key_buf))
     }
 
-    /// [`CompiledSynopsis::expand`] plus whether the memo answered.
+    /// Expands `query` through the memo: a hit returns the cached
+    /// embeddings + needs instantly; a miss enumerates the embeddings
+    /// over the source synopsis under `meter` and caches the result only
+    /// when the enumeration ran to completion. Also reports whether the
+    /// memo answered.
     ///
     /// `key_buf` is a reusable buffer for the memo key: on the
     /// steady-state hit path the key is formatted into retained capacity
@@ -612,9 +621,13 @@ impl<'a> CompiledSynopsis<'a> {
         (expanded, false)
     }
 
-    /// Sorted-vector mirror of the interpreted `compute_needs` (the sets
-    /// are only ever queried for membership, so a sorted `Vec` is
-    /// semantically identical).
+    /// The `needs` pre-pass: `needs[i]` holds the edges that appear as
+    /// backward dimensions of histograms in the subtree rooted at
+    /// embedding node `i` (including `i` itself) — ancestors must
+    /// enumerate these when they can, so descendants can condition on
+    /// them. Sets are sorted, deduplicated `Vec`s, queried by binary
+    /// search. Children always follow parents in index order, so a
+    /// reverse sweep sees every child before its parent.
     fn compute_needs(&self, emb: &Embedding) -> Vec<Vec<(SynId, SynId)>> {
         let mut needs: Vec<Vec<(SynId, SynId)>> = vec![Vec::new(); emb.nodes.len()];
         for i in (0..emb.nodes.len()).rev() {
@@ -642,10 +655,15 @@ impl<'a> CompiledSynopsis<'a> {
         needs
     }
 
-    /// The compiled estimation pipeline behind the unified [`Estimator`]
-    /// surface: memoized expansion and flat-array TREEPARSE under spans,
-    /// the shared clamping loop, one telemetry flush — numerically the
-    /// historical `estimate_selectivity_bounded`, bit for bit.
+    /// Estimates the selectivity (number of binding tuples) of `query`:
+    /// the sum of the TREEPARSE estimates of its maximal twig embeddings.
+    /// Memoized expansion and flat-array TREEPARSE run under spans and
+    /// one shared [`Meter`] built from the options' deadline/work-limit
+    /// fields, followed by one telemetry flush. The estimate is always
+    /// finite and ≥ 0: NaN/negative per-embedding contributions drop,
+    /// `+∞` ones (and a non-finite total) clamp to
+    /// [`coarse_count_bound`]. This is also what the [`Estimator`] trait
+    /// serves.
     pub fn estimate_report(&self, query: &TwigQuery, opts: &EstimateOptions) -> EstimateReport {
         arena::with_scratch(|ar| {
             let t_total = Instant::now();
@@ -674,13 +692,13 @@ impl<'a> CompiledSynopsis<'a> {
 
     /// Estimates `query` against an already-expanded plan, skipping
     /// expansion and the memo entirely. This is the batch plan-reuse
-    /// entry point: [`crate::serve::serve_reports`] expands each distinct
-    /// twig signature once per batch and evaluates every member of the
-    /// group against the shared plan. Numerically identical to
+    /// entry point: [`crate::BatchServer::serve`] expands each distinct
+    /// twig signature once per batch and evaluates it against the
+    /// expanded plan. Numerically identical to
     /// [`CompiledSynopsis::estimate_report`] on the same plan —
     /// TREEPARSE is deterministic given the plan and options — with
     /// `memo_hit` provenance supplied by the caller.
-    pub fn estimate_report_with_plan(
+    pub(crate) fn estimate_report_with_plan(
         &self,
         query: &TwigQuery,
         opts: &EstimateOptions,
@@ -777,28 +795,15 @@ impl<'a> CompiledSynopsis<'a> {
         }
     }
 
-    /// Compiled mirror of `estimate_selectivity_bounded`: identical
-    /// clamping loop, with expansion served through the memo and
-    /// TREEPARSE running over the flat arrays.
-    ///
-    /// **Deprecated surface**: thin shim over
-    /// [`CompiledSynopsis::estimate_report`] / the [`Estimator`] trait,
-    /// kept for source compatibility.
-    pub fn estimate_selectivity_bounded(
-        &self,
-        query: &TwigQuery,
-        opts: &EstimateOptions,
-    ) -> BoundedEstimate {
-        self.estimate_report(query, opts).bounded()
-    }
-
-    /// Compiled mirror of `estimate_selectivity`.
-    ///
-    /// **Deprecated surface**: thin shim over
-    /// [`CompiledSynopsis::estimate_report`], kept for source
-    /// compatibility.
-    pub fn estimate_selectivity(&self, query: &TwigQuery, opts: &EstimateOptions) -> f64 {
-        self.estimate_report(query, opts).estimate
+    /// Estimates the selectivity of one maximal twig embedding — the
+    /// per-embedding TREEPARSE term of [`CompiledSynopsis::estimate_report`],
+    /// without a budget. The §4 worked example evaluates a hand-built
+    /// embedding through this.
+    pub fn estimate_embedding(&self, emb: &Embedding) -> f64 {
+        let needs = self.compute_needs(emb);
+        arena::with_scratch(|ar| {
+            self.estimate_embedding_metered(emb, &needs, &mut Meter::unlimited(), ar)
+        })
     }
 
     /// Estimates one embedding whose `needs` lists were computed by
@@ -821,7 +826,7 @@ impl<'a> CompiledSynopsis<'a> {
     /// Evaluates a single embedding of an expanded plan under its own
     /// meter — the unit of work the batch scheduler hands out when it
     /// splits a heavy unguarded query across workers (see
-    /// [`crate::serve::serve_reports`]).
+    /// [`crate::BatchServer::serve`]).
     pub(crate) fn eval_one_embedding(
         &self,
         expanded: &ExpandedQuery,
@@ -894,9 +899,14 @@ impl<'a> CompiledSynopsis<'a> {
         }
     }
 
-    /// Compiled TREEPARSE node evaluation — an operation-for-operation
-    /// mirror of the interpreted `eval_node`, iterating the SoA bucket
-    /// rows directly instead of materializing support lists. All
+    /// TREEPARSE node evaluation: the expected number of binding tuples
+    /// for the subtree rooted at embedding node `i`, per element of its
+    /// synopsis node, conditioned on the enumerated-value environment in
+    /// `ar.env`. Value predicates route through the histogram's value
+    /// dimensions when recorded (§3.2's extended `H^v(V, C)`): each
+    /// matched predicate becomes a soft per-bucket weight on the joint
+    /// support; unmatched predicates fall back to an independent
+    /// fraction. The SoA bucket rows are iterated in place. All
     /// per-frame scratch (value conditions, enumerated dimensions,
     /// conditioning pairs, child dimension slots, bucket masks) lives in
     /// the arena's typed lanes; the frame truncates them back on exit,
@@ -980,8 +990,7 @@ impl<'a> CompiledSynopsis<'a> {
         }
         let cd_end = ar.cond.len();
         if cd_end > cd_start {
-            // Correlation-Scope Independence fires — same site as the
-            // interpreted evaluator, so the counts agree. (Observational.)
+            // Correlation-Scope Independence fires. (Observational.)
             meter.note_conditioning();
         }
         let cdim_start = ar.child_dim.len();
@@ -999,14 +1008,13 @@ impl<'a> CompiledSynopsis<'a> {
         };
 
         // --- Evaluation ----------------------------------------------------
-        // The interpreted path materializes a support list
-        // (`conditional_support_weighted`) and loops over it; here the
-        // bucket rows are visited in place with the same masses in the
-        // same order, through `visit_bucket`.
+        // The joint support — `MdHistogram::visit_conditional_support_weighted`
+        // over the lowered rows — is visited in place, bucket order
+        // preserved, one term at a time through `visit_bucket`.
         let mut acc = 0.0;
         let nb = ch.bucket_count();
         if ed_start == ed_end && vc_start == vc_end {
-            // Mirror of the `vec![(1.0, Vec::new())]` special case.
+            // Nothing to enumerate or weigh: one unit-mass term.
             self.visit_bucket(emb, needs, i, frame, 1.0, None, ar, meter, &mut acc);
         } else if cd_start == cd_end {
             if ed_start == ed_end {
@@ -1036,9 +1044,9 @@ impl<'a> CompiledSynopsis<'a> {
         } else {
             // Conditional branch: select compatible buckets with the
             // vectorized whole-column mask (pass one), then emit the
-            // survivors in bucket order (pass two) — same filter and
-            // renormalization as the interpreted path, with the
-            // nearest-bucket first-minimum fallback on holes.
+            // survivors in bucket order, renormalized by their mass (pass
+            // two), with the nearest-bucket first-minimum fallback on
+            // holes.
             let mask_start = ar.mask.len();
             ar.mask.resize(mask_start + nb, 0);
             {
@@ -1076,7 +1084,7 @@ impl<'a> CompiledSynopsis<'a> {
             } else {
                 // Nearest-bucket fallback: vectorized distances, then a
                 // sequential first-minimum scan (ties keep the earliest
-                // bucket, as the interpreted path does).
+                // bucket).
                 let dist_start = ar.scratch.len();
                 ar.scratch.resize(dist_start + nb, 0.0);
                 {
@@ -1111,8 +1119,8 @@ impl<'a> CompiledSynopsis<'a> {
                     let bucket = if ed_start == ed_end { None } else { Some(b) };
                     self.visit_bucket(emb, needs, i, frame, w, bucket, ar, meter, &mut acc);
                 }
-                // An empty selection (no massy bucket at all) yields an
-                // empty support list on the interpreted path: emit nothing.
+                // An empty selection (no massy bucket at all) is an
+                // empty support: emit nothing.
             }
             ar.mask.truncate(mask_start);
         }
@@ -1128,8 +1136,7 @@ impl<'a> CompiledSynopsis<'a> {
     /// One support-list entry of `eval_node`'s frame: charge the meter,
     /// extend the environment with the bucket's enumerated means, recurse
     /// into the children, fold the term. Returns `false` when the meter
-    /// trips, so the bucket loops stop exactly where the interpreted
-    /// support loop breaks.
+    /// trips, so the bucket loops stop at the first uncharged term.
     #[allow(clippy::too_many_arguments)]
     fn visit_bucket(
         &self,
@@ -1223,11 +1230,103 @@ impl std::fmt::Debug for CompiledSynopsis<'_> {
 mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
-    use crate::estimate::estimate_selectivity;
+    use crate::estimate::enumerate_embeddings;
     use crate::synopsis::ScopeDim;
-    use xtwig_query::parse_twig;
+    use xtwig_query::{parse_twig, selectivity};
     use xtwig_xml::{parse, DocumentBuilder};
 
+    fn estimate(s: &Synopsis, text: &str) -> f64 {
+        let q = parse_twig(text).unwrap();
+        CompiledSynopsis::compile(s)
+            .estimate_report(&q, &EstimateOptions::default())
+            .estimate
+    }
+
+    fn fwd(parent: SynId, child: SynId) -> ScopeDim {
+        ScopeDim {
+            parent,
+            child,
+            kind: DimKind::Forward,
+        }
+    }
+
+    fn bwd(parent: SynId, child: SynId) -> ScopeDim {
+        ScopeDim {
+            parent,
+            child,
+            kind: DimKind::Backward,
+        }
+    }
+
+    fn value(parent: SynId, child: SynId) -> ScopeDim {
+        ScopeDim {
+            parent,
+            child,
+            kind: DimKind::Value,
+        }
+    }
+
+    /// Figure 4's two documents: same single-path structure, twig
+    /// selectivities 2000 vs 10100.
+    fn figure4_doc(counts: &[(usize, usize)]) -> xtwig_xml::Document {
+        let mut b = DocumentBuilder::new();
+        b.open("R", None);
+        for &(nb, nc) in counts {
+            b.open("A", None);
+            for _ in 0..nb {
+                b.leaf("B", None);
+            }
+            for _ in 0..nc {
+                b.leaf("C", None);
+            }
+            b.close();
+        }
+        b.close();
+        b.finish()
+    }
+
+    #[test]
+    fn figure4_exact_with_two_dim_histogram() {
+        // With a 2-D histogram f_A(b, c) the estimate is exact — the
+        // paper's motivating computation Σ |A|·f_A(b,c)·b·c.
+        for (counts, truth) in [
+            (vec![(10usize, 100usize), (100, 10)], 2000.0),
+            (vec![(100, 100), (10, 10)], 10100.0),
+        ] {
+            let d = figure4_doc(&counts);
+            let mut s = coarse_synopsis(&d);
+            let a = s.nodes_with_tag("A")[0];
+            let bnode = s.nodes_with_tag("B")[0];
+            let cnode = s.nodes_with_tag("C")[0];
+            s.set_edge_hist(&d, a, vec![fwd(a, bnode), fwd(a, cnode)], 4096);
+            let text = "for $t0 in //A, $t1 in $t0/B, $t2 in $t0/C";
+            let est = estimate(&s, text);
+            assert!((est - truth).abs() < 1e-10, "estimate {est} != {truth}");
+            assert_eq!(selectivity(&d, &parse_twig(text).unwrap()) as f64, truth);
+        }
+    }
+
+    #[test]
+    fn figure4_coarse_histograms_confuse_the_documents() {
+        // Without the joint distribution, both documents get the same
+        // (wrong) AVI-style estimate |A|·E[b]·E[c] = 2·55·55 = 6050.
+        for counts in [
+            vec![(10usize, 100usize), (100, 10)],
+            vec![(100, 100), (10, 10)],
+        ] {
+            let d = figure4_doc(&counts);
+            let mut s = coarse_synopsis(&d);
+            let a = s.nodes_with_tag("A")[0];
+            // Independent 1-D scopes: enumerate b and c separately.
+            s.set_edge_hist(&d, a, vec![], 8);
+            let est = estimate(&s, "for $t0 in //A, $t1 in $t0/B, $t2 in $t0/C");
+            assert!((est - 6050.0).abs() < 1e-6, "estimate {est}");
+        }
+    }
+
+    /// Builds the Example 3.1 / §4 worked-example document: three authors
+    /// (p,n) = (2,1), (1,1), (1,1); papers with (k,y) = (2,1), (1,1),
+    /// (1,1), (1,1); two books.
     fn worked_example_doc() -> xtwig_xml::Document {
         parse(concat!(
             "<bib>",
@@ -1249,7 +1348,69 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matches_interpreted_on_worked_example() {
+    fn example_3_1_histogram_contents() {
+        // The f_P(C_K, C_Y, C_P, C_N) table of Example 3.1.
+        let d = worked_example_doc();
+        let s = coarse_synopsis(&d);
+        let paper = s.nodes_with_tag("paper")[0];
+        let author = s.nodes_with_tag("author")[0];
+        let keyword = s.nodes_with_tag("keyword")[0];
+        let year = s.nodes_with_tag("year")[0];
+        let name = s.nodes_with_tag("name")[0];
+        let scope = vec![
+            fwd(paper, keyword),
+            fwd(paper, year),
+            bwd(author, paper),
+            bwd(author, name),
+        ];
+        let dist = s.edge_distribution(&d, paper, &scope);
+        assert!((dist.fraction(&[2, 1, 2, 1]) - 0.25).abs() < 1e-12);
+        assert!((dist.fraction(&[1, 1, 2, 1]) - 0.25).abs() < 1e-12);
+        assert!((dist.fraction(&[1, 1, 1, 1]) - 0.50).abs() < 1e-12);
+    }
+
+    #[test]
+    fn paper_worked_example_ten_thirds() {
+        // §4's end-to-end example: the embedding A→{B,N,P}, P→{K,Y} with
+        // H_A(P,N) and H_P(K,Y | P) evaluates to 10/3.
+        let d = worked_example_doc();
+        let mut s = coarse_synopsis(&d);
+        let author = s.nodes_with_tag("author")[0];
+        let paper = s.nodes_with_tag("paper")[0];
+        let name = s.nodes_with_tag("name")[0];
+        let keyword = s.nodes_with_tag("keyword")[0];
+        let year = s.nodes_with_tag("year")[0];
+        let book = s.nodes_with_tag("book")[0];
+        s.set_edge_hist(
+            &d,
+            author,
+            vec![fwd(author, paper), fwd(author, name)],
+            4096,
+        );
+        s.set_edge_hist(
+            &d,
+            paper,
+            vec![fwd(paper, keyword), fwd(paper, year), bwd(author, paper)],
+            4096,
+        );
+        // Build the Fig. 6 embedding directly, rooted at A with |A| = 3.
+        let mut emb = Embedding::with_root(author, 3.0);
+        emb.push_node(0, book, None, 1.0); // B
+        emb.push_node(0, name, None, 1.0); // N
+        let p = emb.push_node(0, paper, None, 1.0); // P
+        emb.push_node(p, keyword, None, 1.0); // K
+        emb.push_node(p, year, None, 1.0); // Y
+        let est = CompiledSynopsis::compile(&s).estimate_embedding(&emb);
+        assert!(
+            (est - 10.0 / 3.0).abs() < 1e-10,
+            "worked example: {est} != 10/3"
+        );
+    }
+
+    #[test]
+    fn full_information_is_exact_on_the_worked_example() {
+        // With backward counts linking P to both of A's enumerated dims,
+        // the estimate for the A→{N,P}, P→{K,Y} twig (no book) is exact.
         let d = worked_example_doc();
         let mut s = coarse_synopsis(&d);
         let author = s.nodes_with_tag("author")[0];
@@ -1260,65 +1421,63 @@ mod tests {
         s.set_edge_hist(
             &d,
             author,
-            vec![
-                ScopeDim {
-                    parent: author,
-                    child: paper,
-                    kind: DimKind::Forward,
-                },
-                ScopeDim {
-                    parent: author,
-                    child: name,
-                    kind: DimKind::Forward,
-                },
-            ],
-            4096,
+            vec![fwd(author, paper), fwd(author, name)],
+            1 << 16,
         );
         s.set_edge_hist(
             &d,
             paper,
             vec![
-                ScopeDim {
-                    parent: paper,
-                    child: keyword,
-                    kind: DimKind::Forward,
-                },
-                ScopeDim {
-                    parent: paper,
-                    child: year,
-                    kind: DimKind::Forward,
-                },
-                ScopeDim {
-                    parent: author,
-                    child: paper,
-                    kind: DimKind::Backward,
-                },
+                fwd(paper, keyword),
+                fwd(paper, year),
+                bwd(author, paper),
+                bwd(author, name),
             ],
-            4096,
+            1 << 16,
         );
-        let cs = CompiledSynopsis::compile(&s);
-        let opts = EstimateOptions::default();
-        for text in [
-            "for $t0 in //author, $t1 in $t0/name, $t2 in $t0/paper, $t3 in $t2/keyword, $t4 in $t2/year",
-            "for $t0 in //author[book], $t1 in $t0/paper",
-            "for $t0 in //paper, $t1 in $t0/keyword",
-            "for $t0 in //keyword",
-            "for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/year[. >= 2001]",
-        ] {
-            let q = parse_twig(text).unwrap();
-            let interp = estimate_selectivity(&s, &q, &opts);
-            let compiled = cs.estimate_selectivity(&q, &opts);
-            assert_eq!(
-                interp.to_bits(),
-                compiled.to_bits(),
-                "{text}: interpreted {interp} vs compiled {compiled}"
-            );
-        }
+        let text = "for $t0 in //author, $t1 in $t0/name, $t2 in $t0/paper, \
+                    $t3 in $t2/keyword, $t4 in $t2/year";
+        let est = estimate(&s, text);
+        let truth = selectivity(&d, &parse_twig(text).unwrap()) as f64;
+        assert!((est - truth).abs() < 1e-6, "{est} vs {truth}");
     }
 
     #[test]
-    fn compiled_matches_on_joint_value_summary() {
-        // The §1 movie scenario routed through a value dimension.
+    fn value_predicates_scale_estimates() {
+        let d = worked_example_doc();
+        let s = coarse_synopsis(&d);
+        let est_all = estimate(&s, "for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/year");
+        let some = "for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/year[. >= 2001]";
+        let est_some = estimate(&s, some);
+        assert!(est_some < est_all, "{est_some} !< {est_all}");
+        assert!(est_some > 0.0);
+        // Exact: 2 of 4 years are ≥ 2001.
+        assert_eq!(selectivity(&d, &parse_twig(some).unwrap()), 2);
+    }
+
+    #[test]
+    fn branch_predicate_scales_estimates() {
+        let d = worked_example_doc();
+        let s = coarse_synopsis(&d);
+        let text = "for $t0 in //author[book], $t1 in $t0/paper";
+        let est = estimate(&s, text);
+        // 2 of 3 authors have a book; they hold 2 papers total. The
+        // uniformity assumption spreads papers evenly: 3 × 2/3 × 4/3 ≈ 2.67.
+        let truth = selectivity(&d, &parse_twig(text).unwrap()) as f64;
+        assert_eq!(truth, 2.0);
+        assert!((est - 8.0 / 3.0).abs() < 1e-9, "{est}");
+    }
+
+    #[test]
+    fn leaf_only_queries_count_elements() {
+        let d = worked_example_doc();
+        let s = coarse_synopsis(&d);
+        let est = estimate(&s, "for $t0 in //keyword");
+        assert!((est - 5.0).abs() < 1e-9, "{est}");
+    }
+
+    /// The §1 movie scenario: type=1 movies have 8 actors, type=2 have 1.
+    fn movie_doc() -> xtwig_xml::Document {
         let mut b = DocumentBuilder::new();
         b.open("ms", None);
         for i in 0..40 {
@@ -1331,35 +1490,184 @@ mod tests {
             b.close();
         }
         b.close();
-        let d = b.finish();
-        let mut s = coarse_synopsis(&d);
-        let movie = s.nodes_with_tag("movie")[0];
-        let typ = s.nodes_with_tag("type")[0];
-        let actor = s.nodes_with_tag("actor")[0];
-        let mut scope = s.edge_hist(movie).scope.clone();
-        if s.edge_hist(movie)
+        b.finish()
+    }
+
+    #[test]
+    fn joint_value_summary_captures_genre_correlation() {
+        // A 1-D value histogram + independence gets the per-type actor
+        // join badly wrong; a joint (type-value × actor-count) summary is
+        // near-exact.
+        let d = movie_doc();
+        let text = "for $t0 in //movie[type = 1], $t1 in $t0/actor";
+        let truth = selectivity(&d, &parse_twig(text).unwrap()) as f64; // 20 movies × 8
+        assert_eq!(truth, 160.0);
+
+        let plain = coarse_synopsis(&d);
+        let plain_est = estimate(&plain, text);
+        // Independence: 40 movies × 0.5 (type fraction) × 4.5 avg = 90.
+        assert!((plain_est - 90.0).abs() < 1.0, "{plain_est}");
+
+        let mut joint = plain.clone();
+        let movie = joint.nodes_with_tag("movie")[0];
+        let typ = joint.nodes_with_tag("type")[0];
+        let actor = joint.nodes_with_tag("actor")[0];
+        let mut scope = joint.edge_hist(movie).scope.clone();
+        if joint
+            .edge_hist(movie)
             .dim_of(movie, actor, DimKind::Forward)
             .is_none()
         {
-            scope.push(ScopeDim {
-                parent: movie,
-                child: actor,
-                kind: DimKind::Forward,
-            });
+            scope.push(fwd(movie, actor));
         }
-        scope.push(ScopeDim {
-            parent: movie,
-            child: typ,
-            kind: DimKind::Value,
-        });
-        s.set_edge_hist(&d, movie, scope, 2048);
-        let cs = CompiledSynopsis::compile(&s);
-        let opts = EstimateOptions::default();
-        let q = parse_twig("for $t0 in //movie[type = 1], $t1 in $t0/actor").unwrap();
-        let interp = estimate_selectivity(&s, &q, &opts);
-        let compiled = cs.estimate_selectivity(&q, &opts);
-        assert_eq!(interp.to_bits(), compiled.to_bits());
-        assert!((compiled - 160.0).abs() < 1.0, "{compiled}");
+        scope.push(value(movie, typ));
+        joint.set_edge_hist(&d, movie, scope, 2048);
+        let joint_est = estimate(&joint, text);
+        assert!(
+            (joint_est - truth).abs() < 1.0,
+            "joint estimate {joint_est} vs truth {truth}"
+        );
+    }
+
+    #[test]
+    fn own_value_joint_summary_still_works() {
+        // Elements whose own value correlates with their child count.
+        let mut b = DocumentBuilder::new();
+        b.open("r", None);
+        for i in 0..30 {
+            let v = if i % 3 == 0 { 10 } else { 20 };
+            b.open("x", Some(v));
+            for _ in 0..(if v == 10 { 5 } else { 0 }) {
+                b.leaf("y", None);
+            }
+            b.close();
+        }
+        b.close();
+        let d = b.finish();
+        // Note: x elements carry values AND children in this synthetic
+        // document (values normally live on leaves; the model allows both).
+        let text = "for $t0 in //x[. = 10], $t1 in $t0/y";
+        let truth = selectivity(&d, &parse_twig(text).unwrap()) as f64;
+        assert_eq!(truth, 50.0);
+        let mut s = coarse_synopsis(&d);
+        let x = s.nodes_with_tag("x")[0];
+        let y = s.nodes_with_tag("y")[0];
+        let mut scope = s.edge_hist(x).scope.clone();
+        if s.edge_hist(x).dim_of(x, y, DimKind::Forward).is_none() {
+            scope.push(fwd(x, y));
+        }
+        scope.push(value(x, x));
+        s.set_edge_hist(&d, x, scope, 2048);
+        let est = estimate(&s, text);
+        assert!((est - truth).abs() < 1.0, "{est} vs {truth}");
+    }
+
+    #[test]
+    fn needs_propagate_upward() {
+        let d = worked_example_doc();
+        let mut s = coarse_synopsis(&d);
+        let author = s.nodes_with_tag("author")[0];
+        let paper = s.nodes_with_tag("paper")[0];
+        let keyword = s.nodes_with_tag("keyword")[0];
+        s.set_edge_hist(
+            &d,
+            paper,
+            vec![fwd(paper, keyword), bwd(author, paper)],
+            4096,
+        );
+        let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/keyword").unwrap();
+        let embs = enumerate_embeddings(&s, &q, &EstimateOptions::default());
+        assert_eq!(embs.len(), 1);
+        let needs = CompiledSynopsis::compile(&s).compute_needs(&embs[0]);
+        // The root (bib) must know that (author→paper) is needed below.
+        assert!(needs[0].contains(&(author, paper)));
+    }
+
+    /// Departments with a grade child whose value drives both team size
+    /// and the per-member report count — exercises a value dimension at
+    /// the top node together with backward conditioning below it.
+    fn dept_doc() -> xtwig_xml::Document {
+        let mut b = DocumentBuilder::new();
+        b.open("org", None);
+        for i in 0..24 {
+            b.open("dept", None);
+            let grade = if i % 3 == 0 { 1 } else { 2 };
+            b.leaf("grade", Some(grade));
+            let members = if grade == 1 { 6 } else { 2 };
+            for _ in 0..members {
+                b.open("member", None);
+                let reports = if grade == 1 { 3 } else { 1 };
+                for _ in 0..reports {
+                    b.leaf("report", None);
+                }
+                b.close();
+            }
+            b.close();
+        }
+        b.close();
+        b.finish()
+    }
+
+    #[test]
+    fn value_dim_with_backward_conditioning_is_near_exact() {
+        let d = dept_doc();
+        let mut s = coarse_synopsis(&d);
+        let dept = s.nodes_with_tag("dept")[0];
+        let grade = s.nodes_with_tag("grade")[0];
+        let member = s.nodes_with_tag("member")[0];
+        let report = s.nodes_with_tag("report")[0];
+        s.set_edge_hist(
+            &d,
+            dept,
+            vec![fwd(dept, member), value(dept, grade)],
+            1 << 14,
+        );
+        s.set_edge_hist(
+            &d,
+            member,
+            vec![fwd(member, report), bwd(dept, member)],
+            1 << 14,
+        );
+        let text = "for $t0 in //dept[grade = 1], $t1 in $t0/member, $t2 in $t1/report";
+        let truth = selectivity(&d, &parse_twig(text).unwrap()) as f64; // 8 × 6 × 3
+        assert_eq!(truth, 144.0);
+        let est = estimate(&s, text);
+        assert!(
+            (est - truth).abs() < 1.0,
+            "value dim + backward conditioning: {est} vs {truth}"
+        );
+        // Without the value dimension, independence blurs the two grades.
+        let mut blurred = coarse_synopsis(&d);
+        blurred.set_edge_hist(&d, dept, vec![fwd(dept, member)], 1 << 14);
+        let blurred_est = estimate(&blurred, text);
+        assert!(
+            (blurred_est - truth).abs() > 20.0,
+            "independence should miss: {blurred_est} vs {truth}"
+        );
+    }
+
+    #[test]
+    fn value_dim_on_leaf_node_acts_as_fraction() {
+        // A value predicate on a node with no twig children still routes
+        // through the value dimension (weighted mass, no counts).
+        let d = dept_doc();
+        let mut s = coarse_synopsis(&d);
+        let grade = s.nodes_with_tag("grade")[0];
+        s.set_edge_hist(&d, grade, vec![value(grade, grade)], 1 << 12);
+        let text = "for $t0 in //grade[. = 1]";
+        let truth = selectivity(&d, &parse_twig(text).unwrap()) as f64; // 8
+        let est = estimate(&s, text);
+        assert!((est - truth).abs() < 1e-6, "{est} vs {truth}");
+    }
+
+    #[test]
+    fn unmatched_value_preds_fall_back_to_summaries() {
+        let d = dept_doc();
+        let s = coarse_synopsis(&d); // no value dims anywhere
+        let est = estimate(&s, "for $t0 in //dept[grade = 1], $t1 in $t0/member");
+        // Fallback = fraction × average members: 24 × (1/3) × (8·6+16·2)/24.
+        let expected = 24.0 * (1.0 / 3.0) * ((8.0 * 6.0 + 16.0 * 2.0) / 24.0);
+        assert!((est - expected).abs() < 1.5, "{est} vs expected {expected}");
     }
 
     #[test]
@@ -1369,8 +1677,8 @@ mod tests {
         let cs = CompiledSynopsis::compile(&s);
         let opts = EstimateOptions::default();
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let a = cs.estimate_selectivity(&q, &opts);
-        let b = cs.estimate_selectivity(&q, &opts);
+        let a = cs.estimate_report(&q, &opts).estimate;
+        let b = cs.estimate_report(&q, &opts).estimate;
         assert_eq!(a.to_bits(), b.to_bits());
         let (hits, misses) = cs.expansion_memo_stats();
         assert_eq!(misses, 1);
@@ -1417,13 +1725,15 @@ mod tests {
             ..Default::default()
         };
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/keyword").unwrap();
-        let b = cs.estimate_selectivity_bounded(&q, &opts);
-        assert!(b.exhaustion.is_some());
-        // The exhausted (partial) expansion must not poison later full runs.
-        let full = cs.estimate_selectivity_bounded(&q, &EstimateOptions::default());
-        assert!(full.exhaustion.is_none());
-        let interp =
-            crate::estimate::estimate_selectivity_bounded(&s, &q, &EstimateOptions::default());
-        assert_eq!(full.estimate.to_bits(), interp.estimate.to_bits());
+        let b = cs.estimate_report(&q, &opts);
+        assert!(b.provenance.exhaustion.is_some());
+        // The exhausted (partial) expansion must not poison later full
+        // runs: the full estimate equals a fresh compilation's, whose
+        // memo never saw the partial expansion.
+        let full = cs.estimate_report(&q, &EstimateOptions::default());
+        assert!(full.provenance.exhaustion.is_none());
+        assert_eq!(full.provenance.memo_hit, Some(false));
+        let fresh = CompiledSynopsis::compile(&s).estimate_report(&q, &EstimateOptions::default());
+        assert_eq!(full.estimate.to_bits(), fresh.estimate.to_bits());
     }
 }

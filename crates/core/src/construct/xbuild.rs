@@ -16,7 +16,7 @@ use crate::coarse::coarse_synopsis;
 use crate::compiled::CompiledSynopsis;
 use crate::construct::refine::{best_expand_dim_with, best_value_expand, Refinement};
 use crate::construct::sample::sample_region_workload;
-use crate::estimate::{EstimateOptions, EstimateRequest, Estimator, InterpretedEstimator};
+use crate::estimate::EstimateOptions;
 use crate::synopsis::{SynId, Synopsis};
 use crate::telemetry;
 use rand::rngs::StdRng;
@@ -32,19 +32,6 @@ pub enum TruthSource<'a> {
     Exact,
     /// Estimate over a large reference synopsis, as in the paper.
     Reference(&'a Synopsis),
-}
-
-impl TruthSource<'_> {
-    fn truth(&self, doc: &Document, q: &TwigQuery, opts: &EstimateOptions) -> f64 {
-        match self {
-            TruthSource::Exact => selectivity(doc, q) as f64,
-            TruthSource::Reference(r) => {
-                InterpretedEstimator::new(r)
-                    .estimate(&EstimateRequest::with_options(q, *opts))
-                    .estimate
-            }
-        }
-    }
 }
 
 /// Tunables for XBUILD.
@@ -180,20 +167,16 @@ pub fn xbuild_from_with_workload(
             break;
         }
         // A reference truth source is compiled once per round, not once
-        // per query: the numbers are bit-identical, only the hashmap
-        // probes and per-visit support allocations disappear.
+        // per query.
         let truths: Vec<f64> = match truth {
             TruthSource::Reference(r) => {
                 let cr = CompiledSynopsis::compile(r);
                 queries
                     .iter()
-                    .map(|q| cr.estimate_selectivity(q, &opts.estimate))
+                    .map(|q| cr.estimate_report(q, &opts.estimate).estimate)
                     .collect()
             }
-            TruthSource::Exact => queries
-                .iter()
-                .map(|q| truth.truth(doc, q, &opts.estimate))
-                .collect(),
+            TruthSource::Exact => queries.iter().map(|q| selectivity(doc, q) as f64).collect(),
         };
         let base_err = workload_error(&s, &queries, &truths, &opts.estimate);
         let base_size = s.size_bytes();
@@ -359,9 +342,8 @@ pub fn workload_error(
     workload_error_compiled(&CompiledSynopsis::compile(s), queries, truths, opts)
 }
 
-/// [`workload_error`] over an already-compiled synopsis — bit-identical,
-/// but callers scoring many workloads against one synopsis pay the
-/// lowering once instead of the per-query hashmap tax.
+/// [`workload_error`] over an already-compiled synopsis, so callers
+/// scoring many workloads against one synopsis pay the lowering once.
 pub fn workload_error_compiled(
     cs: &CompiledSynopsis<'_>,
     queries: &[TwigQuery],
@@ -375,7 +357,7 @@ pub fn workload_error_compiled(
     let sanity = percentile10(truths).max(1.0);
     let mut acc = 0.0;
     for (q, &t) in queries.iter().zip(truths) {
-        let est = cs.estimate_selectivity(q, opts);
+        let est = cs.estimate_report(q, opts).estimate;
         acc += (est - t).abs() / t.max(sanity);
     }
     acc / queries.len() as f64
@@ -519,7 +501,6 @@ fn gen_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::estimate_selectivity;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xtwig_xml::DocumentBuilder;
@@ -581,9 +562,13 @@ mod tests {
             xtwig_query::parse_twig("for $t0 in //movie, $t1 in $t0/actor, $t2 in $t0/producer")
                 .unwrap();
         let truth = xtwig_query::selectivity(&doc, &q) as f64;
-        let e_opts = EstimateOptions::default();
-        let coarse_err = (estimate_selectivity(&coarse, &q, &e_opts) - truth).abs() / truth;
-        let built_err = (estimate_selectivity(&built, &q, &e_opts) - truth).abs() / truth;
+        let err = |s: &Synopsis| {
+            let est = CompiledSynopsis::compile(s)
+                .estimate_report(&q, &EstimateOptions::default())
+                .estimate;
+            (est - truth).abs() / truth
+        };
+        let (coarse_err, built_err) = (err(&coarse), err(&built));
         assert!(
             built_err <= coarse_err + 1e-9,
             "built {built_err} vs coarse {coarse_err}"
@@ -664,7 +649,6 @@ mod tests {
 mod workload_aware_tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
-    use crate::estimate::estimate_selectivity;
     use rand::rngs::StdRng;
 
     /// Document where one rare correlated region matters only to the log.
@@ -711,9 +695,13 @@ mod workload_aware_tests {
         let (tuned, _) =
             xbuild_from_with_workload(coarse.clone(), &d, TruthSource::Exact, &opts, &log);
         let (blind, _) = xbuild_from(coarse, &d, TruthSource::Exact, &opts);
-        let e = EstimateOptions::default();
-        let tuned_err = (estimate_selectivity(&tuned, &log[0], &e) - truth).abs() / truth;
-        let blind_err = (estimate_selectivity(&blind, &log[0], &e) - truth).abs() / truth;
+        let err = |s: &Synopsis| {
+            let est = CompiledSynopsis::compile(s)
+                .estimate_report(&log[0], &EstimateOptions::default())
+                .estimate;
+            (est - truth).abs() / truth
+        };
+        let (tuned_err, blind_err) = (err(&tuned), err(&blind));
         assert!(
             tuned_err <= blind_err + 1e-9,
             "tuned {tuned_err:.4} should not lose to blind {blind_err:.4}"

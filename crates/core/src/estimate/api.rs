@@ -1,11 +1,7 @@
-//! The unified estimation API: one request/report surface over the
-//! interpreted, compiled, and guarded estimators.
+//! The estimation API: one request/report surface over the compiled
+//! evaluator and the guarded fallback chain.
 //!
-//! Historically the crate grew five overlapping entry points
-//! (`estimate_selectivity`, `estimate_selectivity_bounded`,
-//! `CompiledSynopsis::estimate_selectivity*`, `estimate_many`,
-//! `GuardedEstimator::estimate_guarded`), each returning a different
-//! shape. This module folds them behind a single [`Estimator`] trait:
+//! Every estimator implements the single [`Estimator`] trait:
 //!
 //! ```text
 //! fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport
@@ -19,18 +15,12 @@
 //! report also carries an [`Explain`]: the per-embedding contributions
 //! that sum to the estimate, and how often each of the paper's
 //! statistical assumptions fired.
-//!
-//! The legacy free functions remain as thin shims over this module so
-//! existing callers keep compiling, bit-identically; `xtask lint`
-//! (rule `legacy-estimate`) denies *new* direct calls outside the shim
-//! modules.
 
-use super::embedding::{enumerate_embeddings_metered, Embedding};
-use super::eval::estimate_embedding_metered;
-use super::guard::{EvalStats, Exhaustion, Meter};
-use super::{coarse_count_bound, BoundedEstimate, EstimateOptions};
+use super::embedding::Embedding;
+use super::guard::{EvalStats, Exhaustion};
+use super::EstimateOptions;
 use crate::synopsis::Synopsis;
-use crate::telemetry::{self, Span, Stage};
+use crate::telemetry;
 use std::time::Instant;
 use xtwig_query::TwigQuery;
 
@@ -62,8 +52,7 @@ impl<'q> EstimateRequest<'q> {
 /// Where an estimate came from and how trustworthy it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Provenance {
-    /// The serving path: `"xsketch-interpreted"`, `"xsketch-compiled"`,
-    /// or `"guarded"`.
+    /// The serving path: `"xsketch-compiled"` or `"guarded"`.
     pub source: &'static str,
     /// Why evaluation stopped early, if it did.
     pub exhaustion: Option<Exhaustion>,
@@ -78,7 +67,7 @@ pub struct Provenance {
     /// computed fresh for this request.
     pub cached: bool,
     /// Whether the expansion was served from the expansion memo
-    /// (`None` when the path has no memo, e.g. interpreted).
+    /// (`None` when the path has no memo, e.g. a non-XSKETCH tier).
     pub memo_hit: Option<bool>,
     /// Which guarded fallback tier answered (`None` outside the guarded
     /// chain): `"xsketch"`, `"markov"`, or `"label-count"`.
@@ -195,54 +184,13 @@ pub struct EstimateReport {
     pub explain: Option<Explain>,
 }
 
-impl EstimateReport {
-    /// Projects the report onto the legacy [`BoundedEstimate`] shape —
-    /// exactly what `estimate_selectivity_bounded` used to return.
-    pub fn bounded(&self) -> BoundedEstimate {
-        BoundedEstimate {
-            estimate: self.estimate,
-            exhaustion: self.provenance.exhaustion,
-            embeddings: self.provenance.embeddings,
-            work: self.provenance.work,
-            clamped: self.provenance.clamped,
-        }
-    }
-}
-
-/// The unified estimation surface: implemented by the interpreted
-/// estimator ([`InterpretedEstimator`]), the compiled synopsis
-/// ([`crate::CompiledSynopsis`]), and the guarded fallback chain
+/// The estimation surface: implemented by the compiled synopsis
+/// ([`crate::CompiledSynopsis`]) and the guarded fallback chain
 /// (`xtwig-workload`'s `GuardedEstimator`).
 pub trait Estimator {
     /// Estimates the selectivity of `req.query` under `req.options`,
     /// reporting value + provenance + telemetry (+ explain on demand).
     fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport;
-}
-
-/// The interpreted XSKETCH estimator behind the unified [`Estimator`]
-/// trait: walks the pointer-rich [`Synopsis`] directly. Prefer the
-/// compiled path for serving; this is the reference implementation.
-#[derive(Debug, Clone, Copy)]
-pub struct InterpretedEstimator<'a> {
-    synopsis: &'a Synopsis,
-}
-
-impl<'a> InterpretedEstimator<'a> {
-    /// Wraps a synopsis.
-    pub fn new(synopsis: &'a Synopsis) -> InterpretedEstimator<'a> {
-        InterpretedEstimator { synopsis }
-    }
-
-    /// The wrapped synopsis.
-    pub fn synopsis(&self) -> &'a Synopsis {
-        self.synopsis
-    }
-}
-
-impl Estimator for InterpretedEstimator<'_> {
-    fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport {
-        run_interpreted(self.synopsis, req.query, &req.options)
-    }
 }
 
 /// Saturating `u128 → u64` nanosecond conversion.
@@ -266,15 +214,16 @@ pub(crate) struct Accumulated {
 }
 
 /// The one canonical evaluation loop over enumerated embeddings, shared
-/// by the interpreted and compiled paths so the clamping semantics can
-/// never drift apart. `eval_one` evaluates embedding `i` and reports
-/// the meter's exhaustion after doing so; `coarse_bound` supplies the
-/// clamp target; `render` labels embedding `i` for explain output.
+/// by the compiled evaluator's single-thread and work-split paths so the
+/// clamping semantics can never drift apart. `eval_one` evaluates
+/// embedding `i` and reports the meter's exhaustion after doing so;
+/// `coarse_bound` supplies the clamp target; `render` labels embedding
+/// `i` for explain output.
 ///
-/// Numerics are exactly the historical loop: finite non-negative values
-/// add; NaN/negative drop (count as clamped); `+∞` adds the coarse
-/// bound; a non-finite total is replaced wholesale by the coarse bound;
-/// the loop breaks as soon as the meter is exhausted.
+/// Finite non-negative values add; NaN/negative drop (count as
+/// clamped); `+∞` adds the coarse bound; a non-finite total is replaced
+/// wholesale by the coarse bound; the loop breaks as soon as the meter
+/// is exhausted.
 pub(crate) fn sum_embeddings(
     n: usize,
     want_explain: bool,
@@ -389,93 +338,12 @@ pub(crate) fn flush_query_telemetry(
     qt
 }
 
-/// The interpreted estimation pipeline, instrumented: expansion +
-/// enumeration under a span, the shared evaluation loop under another,
-/// one telemetry flush at the end. The numeric path is exactly the
-/// historical `estimate_selectivity_bounded`.
-pub(crate) fn run_interpreted(
-    s: &Synopsis,
-    query: &TwigQuery,
-    opts: &EstimateOptions,
-) -> EstimateReport {
-    let t_total = Instant::now();
-    let mut meter = Meter::from_options(opts);
-
-    let mut expand_span = Span::enter(Stage::Expand);
-    let embs = enumerate_embeddings_metered(s, query, opts, &mut meter);
-    let expand_ns = elapsed_ns(t_total);
-    let expand_work = meter.work_done();
-    expand_span.add_work(expand_work);
-    expand_span.exit();
-
-    let t_eval = Instant::now();
-    let mut eval_span = Span::enter(Stage::TreeParse);
-    let acc = sum_embeddings(
-        embs.len(),
-        opts.explain,
-        |i| match embs.get(i) {
-            Some(e) => {
-                let v = estimate_embedding_metered(s, e, &mut meter);
-                (v, meter.exhaustion())
-            }
-            None => (0.0, None),
-        },
-        || coarse_count_bound(s, query),
-        |i| {
-            embs.get(i)
-                .map_or_else(String::new, |e| render_embedding(s, e))
-        },
-    );
-    let eval_ns = elapsed_ns(t_eval);
-    let eval_work = meter.work_done().saturating_sub(expand_work);
-    eval_span.add_work(eval_work);
-    eval_span.exit();
-
-    let exhaustion = meter.exhaustion();
-    let mut provenance = Provenance::new("xsketch-interpreted");
-    provenance.exhaustion = exhaustion;
-    provenance.embeddings = acc.evaluated;
-    provenance.work = meter.work_done();
-    provenance.clamped = acc.clamped;
-    provenance.degraded = exhaustion.is_some() || acc.clamped > 0;
-
-    let telemetry = flush_query_telemetry(
-        meter.stats(),
-        exhaustion,
-        provenance.degraded,
-        QueryTelemetry {
-            expand_ns,
-            eval_ns,
-            total_ns: elapsed_ns(t_total),
-            expand_work,
-            eval_work,
-            buckets_visited: meter.stats().buckets_visited,
-        },
-    );
-
-    let explain = acc.contributions.map(|embeddings| Explain {
-        expanded: embs.len(),
-        embeddings,
-        assumptions: AssumptionCounts {
-            forward_uniformity: meter.stats().uniformity_applications,
-            conditioning: meter.stats().conditioning_applications,
-        },
-        final_clamp: acc.final_clamp,
-        tier_path: Vec::new(),
-    });
-
-    EstimateReport {
-        estimate: acc.total,
-        provenance,
-        telemetry,
-        explain,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
+    use crate::compiled::CompiledSynopsis;
+    use crate::estimate::embedding::enumerate_embeddings;
     use xtwig_query::parse_twig;
     use xtwig_xml::parse;
 
@@ -488,16 +356,17 @@ mod tests {
     }
 
     #[test]
-    fn report_matches_legacy_shim_bit_for_bit() {
+    fn trait_report_matches_the_inherent_report() {
         let d = doc();
         let s = coarse_synopsis(&d);
+        let cs = CompiledSynopsis::compile(&s);
         let q = parse_twig("for $t0 in //paper, $t1 in $t0/kw").unwrap();
         let req = EstimateRequest::new(&q);
-        let rep = InterpretedEstimator::new(&s).estimate(&req);
-        let legacy = super::super::estimate_selectivity_bounded(&s, &q, &req.options);
-        assert_eq!(rep.estimate.to_bits(), legacy.estimate.to_bits());
-        assert_eq!(rep.bounded(), legacy);
-        assert_eq!(rep.provenance.source, "xsketch-interpreted");
+        let rep = cs.estimate(&req);
+        let direct = cs.estimate_report(&q, &req.options);
+        assert_eq!(rep.estimate.to_bits(), direct.estimate.to_bits());
+        assert_eq!(rep.provenance.source, "xsketch-compiled");
+        assert_eq!(rep.provenance.embeddings, direct.provenance.embeddings);
         assert!(!rep.provenance.degraded);
         assert!(rep.explain.is_none());
     }
@@ -506,9 +375,10 @@ mod tests {
     fn explain_contributions_sum_to_estimate() {
         let d = doc();
         let s = coarse_synopsis(&d);
+        let cs = CompiledSynopsis::compile(&s);
         let q = parse_twig("for $t0 in //paper, $t1 in $t0/kw").unwrap();
         let opts = EstimateOptions::builder().explain(true).build();
-        let rep = InterpretedEstimator::new(&s).estimate(&EstimateRequest::with_options(&q, opts));
+        let rep = cs.estimate(&EstimateRequest::with_options(&q, opts));
         let ex = rep.explain.as_ref().unwrap();
         assert_eq!(ex.expanded, 2, "paper reachable under two parents");
         let sum: f64 = ex.embeddings.iter().map(|c| c.contribution).sum();
@@ -520,7 +390,7 @@ mod tests {
         assert!(ex.embeddings.iter().all(|c| !c.rendered.is_empty()));
         assert!(!ex.final_clamp);
         // Explain never changes the number.
-        let plain = InterpretedEstimator::new(&s).estimate(&EstimateRequest::new(&q));
+        let plain = cs.estimate(&EstimateRequest::new(&q));
         assert_eq!(plain.estimate.to_bits(), rep.estimate.to_bits());
     }
 
@@ -528,12 +398,13 @@ mod tests {
     fn degraded_run_reports_exhaustion_provenance() {
         let d = doc();
         let s = coarse_synopsis(&d);
+        let cs = CompiledSynopsis::compile(&s);
         let q = parse_twig("for $t0 in //conf, $t1 in $t0/paper, $t2 in $t1/kw").unwrap();
         let opts = EstimateOptions::builder()
             .work_limit(1)
             .explain(true)
             .build();
-        let rep = InterpretedEstimator::new(&s).estimate(&EstimateRequest::with_options(&q, opts));
+        let rep = cs.estimate(&EstimateRequest::with_options(&q, opts));
         assert_eq!(rep.provenance.exhaustion, Some(Exhaustion::Work));
         assert!(rep.provenance.degraded);
         assert!(rep.telemetry.total_ns >= rep.telemetry.eval_ns);
@@ -544,9 +415,7 @@ mod tests {
         let d = doc();
         let s = coarse_synopsis(&d);
         let q = parse_twig("for $t0 in //conf, $t1 in $t0/paper, $t2 in $t1/kw").unwrap();
-        let opts = EstimateOptions::default();
-        let mut meter = Meter::unlimited();
-        let embs = enumerate_embeddings_metered(&s, &q, &opts, &mut meter);
+        let embs = enumerate_embeddings(&s, &q, &EstimateOptions::default());
         assert!(!embs.is_empty());
         let rendered = render_embedding(&s, &embs[0]);
         assert!(rendered.contains("conf"), "{rendered}");

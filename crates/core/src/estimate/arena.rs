@@ -29,10 +29,10 @@ use std::cell::RefCell;
 
 /// Typed-lane scratch for one thread's TREEPARSE evaluations.
 ///
-/// Lanes are `pub(crate)`: the evaluators in [`crate::compiled`] and
-/// [`super::eval`] push and truncate them directly, which keeps the hot
-/// path free of accessor indirection while the module boundary still
-/// hides the lanes from downstream crates.
+/// Lanes are `pub(crate)`: the evaluator in [`crate::compiled`] pushes
+/// and truncates them directly, which keeps the hot path free of
+/// accessor indirection while the module boundary still hides the lanes
+/// from downstream crates.
 #[derive(Debug, Default)]
 pub struct EvalArena {
     /// Enumerated-value environment: `((parent, child), value)` pairs
@@ -53,42 +53,6 @@ pub struct EvalArena {
     /// Reusable fingerprint/memo-key buffer, so steady-state key lookups
     /// format into retained capacity instead of allocating a `String`.
     pub(crate) key_buf: String,
-    /// Recycled per-frame classification buffers for the interpreted
-    /// evaluator (see [`FrameBufs`]); a LIFO pool, one entry per
-    /// recursion depth reached so far.
-    pub(crate) frame_pool: Vec<FrameBufs>,
-}
-
-/// One interpreted-evaluator frame's classification buffers.
-///
-/// The interpreted TREEPARSE path hands `cond`/`enum_dims` slices to the
-/// histogram's support visitor, which holds them across every bucket
-/// callback — callbacks that recurse and re-borrow the arena mutably. To
-/// satisfy the borrow checker without `unsafe`, a frame *takes* its
-/// buffers out of the arena's pool ([`EvalArena::pop_frame`]) for the
-/// duration of the visit and returns them cleared on exit
-/// ([`EvalArena::push_frame`]). Capacity is recycled, so steady state
-/// allocates nothing once the pool has warmed to the deepest recursion.
-#[derive(Debug, Default)]
-pub(crate) struct FrameBufs {
-    /// Matched value predicates `(dim, lo, hi)`.
-    pub(crate) value_conds: Vec<(usize, i64, i64)>,
-    /// Forward dimensions enumerated by this frame (`E_i`).
-    pub(crate) enum_dims: Vec<usize>,
-    /// Backward conditioning pairs `(dim, value)` (`D_i`).
-    pub(crate) cond: Vec<(usize, f64)>,
-    /// Per-child slot into `enum_dims` (`None` = Forward Uniformity).
-    pub(crate) child_dim: Vec<Option<usize>>,
-}
-
-impl FrameBufs {
-    /// Empties every buffer, keeping capacity for reuse.
-    pub(crate) fn clear(&mut self) {
-        self.value_conds.clear();
-        self.enum_dims.clear();
-        self.cond.clear();
-        self.child_dim.clear();
-    }
 }
 
 impl EvalArena {
@@ -97,8 +61,7 @@ impl EvalArena {
         EvalArena::default()
     }
 
-    /// Clears every lane (between queries; capacity is retained, and the
-    /// frame pool keeps its warmed buffers).
+    /// Clears every lane (between queries; capacity is retained).
     pub(crate) fn reset(&mut self) {
         self.env.clear();
         self.value_conds.clear();
@@ -108,18 +71,6 @@ impl EvalArena {
         self.mask.clear();
         self.scratch.clear();
         self.key_buf.clear();
-    }
-
-    /// Takes a recycled frame buffer off the pool (empty, warmed
-    /// capacity), or a fresh one the first time a depth is reached.
-    pub(crate) fn pop_frame(&mut self) -> FrameBufs {
-        self.frame_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a frame buffer to the pool, cleared for the next frame.
-    pub(crate) fn push_frame(&mut self, mut f: FrameBufs) {
-        f.clear();
-        self.frame_pool.push(f);
     }
 }
 
@@ -147,20 +98,6 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut EvalArena) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_pool_recycles_capacity() {
-        let mut a = EvalArena::new();
-        let mut f = a.pop_frame();
-        f.enum_dims.reserve(64);
-        f.enum_dims.push(3);
-        let cap = f.enum_dims.capacity();
-        a.push_frame(f);
-        let f2 = a.pop_frame();
-        assert!(f2.enum_dims.is_empty(), "pooled buffers come back cleared");
-        assert_eq!(f2.enum_dims.capacity(), cap, "capacity is recycled");
-        a.push_frame(f2);
-    }
 
     #[test]
     fn reset_keeps_capacity() {

@@ -9,9 +9,10 @@
 //!    is split into a chain of single-step twig nodes, and each node is
 //!    bound to a concrete synopsis node — producing the set of *maximal
 //!    twig embeddings* whose selectivities add up to the query's.
-//! 2. **TREEPARSE + evaluation** ([`eval`]): each embedding is walked
-//!    depth-first; at every node the recorded edge histogram supplies the
-//!    joint distribution of the needed forward counts, conditioned on
+//! 2. **TREEPARSE + evaluation** ([`crate::CompiledSynopsis`], the one
+//!    evaluator): each embedding is walked depth-first; at every node
+//!    the recorded edge histogram supplies the joint distribution of
+//!    the needed forward counts, conditioned on
 //!    whatever enumerated ancestor counts appear among its backward
 //!    dimensions (*Correlation-Scope Independence*). Forward counts
 //!    outside the histogram's scope contribute their exact per-edge
@@ -23,18 +24,16 @@
 pub mod api;
 pub mod arena;
 pub mod embedding;
-pub mod eval;
 pub mod expand;
 pub mod guard;
 pub mod kernel;
 
 pub use api::{
     AssumptionCounts, EmbeddingContribution, EstimateReport, EstimateRequest, Estimator, Explain,
-    InterpretedEstimator, Provenance, QueryTelemetry,
+    Provenance, QueryTelemetry,
 };
 pub use arena::EvalArena;
 pub use embedding::{enumerate_embeddings, enumerate_embeddings_metered, EmbNode, Embedding};
-pub use eval::{estimate_embedding, estimate_embedding_metered};
 pub use guard::{earliest_deadline, EvalStats, Exhaustion, Meter};
 
 use crate::synopsis::Synopsis;
@@ -156,69 +155,6 @@ impl EstimateOptionsBuilder {
     }
 }
 
-/// A bounded estimation result: the (sanitized) estimate plus provenance
-/// about how it was produced — whether a budget tripped, how much work
-/// was spent, and whether any non-finite contribution had to be clamped
-/// at the boundary.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedEstimate {
-    /// The estimated number of binding tuples — always finite and ≥ 0.
-    pub estimate: f64,
-    /// Why evaluation stopped early, if it did. `None` means the full
-    /// sum over maximal embeddings was evaluated.
-    pub exhaustion: Option<Exhaustion>,
-    /// Number of embeddings whose contribution entered the sum.
-    pub embeddings: usize,
-    /// Total abstract work units charged.
-    pub work: u64,
-    /// Number of per-embedding contributions that were NaN, negative, or
-    /// infinite and were clamped at the boundary.
-    pub clamped: usize,
-}
-
-impl BoundedEstimate {
-    /// Whether the result is anything less than the full-fidelity sum:
-    /// a budget tripped or a contribution had to be clamped.
-    pub fn is_degraded(&self) -> bool {
-        self.exhaustion.is_some() || self.clamped > 0
-    }
-}
-
-/// Estimates the selectivity (number of binding tuples) of `query` over
-/// the synopsis: the sum of the estimates of all maximal twig embeddings.
-///
-/// This is the guarded variant: expansion, enumeration and evaluation all
-/// charge a shared [`Meter`] built from the options' deadline/work-limit
-/// fields, and the returned value is sanitized — never NaN, negative, or
-/// infinite (non-finite contributions clamp to 0.0 or the coarse
-/// label-count bound). With default options the numeric result is
-/// identical to [`estimate_selectivity`].
-///
-/// **Deprecated surface**: this free function is a thin shim over the
-/// unified [`Estimator`] API — prefer
-/// [`InterpretedEstimator`]`::new(s).estimate(&req)`, which returns the
-/// same number (bit-identical) inside a full [`EstimateReport`]. Kept
-/// for source compatibility; new call sites are denied by `xtask lint`
-/// (rule `legacy-estimate`).
-pub fn estimate_selectivity_bounded(
-    s: &Synopsis,
-    query: &TwigQuery,
-    opts: &EstimateOptions,
-) -> BoundedEstimate {
-    api::run_interpreted(s, query, opts).bounded()
-}
-
-/// Estimates the selectivity (number of binding tuples) of `query` over
-/// the synopsis: the sum of the estimates of all maximal twig embeddings.
-/// Equivalent to [`estimate_selectivity_bounded`] with the estimate
-/// extracted; the result is always finite and non-negative.
-///
-/// **Deprecated surface**: thin shim over the unified [`Estimator`] API —
-/// prefer [`InterpretedEstimator`]; see [`estimate_selectivity_bounded`].
-pub fn estimate_selectivity(s: &Synopsis, query: &TwigQuery, opts: &EstimateOptions) -> f64 {
-    estimate_selectivity_bounded(s, query, opts).estimate
-}
-
 /// A trivially cheap, always-finite upper bound on twig selectivity: the
 /// product over twig nodes of the document-wide element count of the
 /// node's terminal tag. Every binding tuple is an element of that
@@ -245,6 +181,7 @@ pub fn coarse_count_bound(s: &Synopsis, query: &TwigQuery) -> f64 {
 mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
+    use crate::compiled::CompiledSynopsis;
     use xtwig_query::{parse_twig, selectivity};
     use xtwig_xml::parse;
 
@@ -261,8 +198,9 @@ mod tests {
         let q = parse_twig("for $t0 in //paper, $t1 in $t0/kw").unwrap();
         let embs = enumerate_embeddings(&s, &q, &opts);
         assert_eq!(embs.len(), 2);
-        let sum: f64 = embs.iter().map(|e| estimate_embedding(&s, e)).sum();
-        let direct = estimate_selectivity(&s, &q, &opts);
+        let cs = CompiledSynopsis::compile(&s);
+        let sum: f64 = embs.iter().map(|e| cs.estimate_embedding(e)).sum();
+        let direct = cs.estimate_report(&q, &opts).estimate;
         assert!((sum - direct).abs() < 1e-12);
         assert!((direct - selectivity(&doc, &q) as f64).abs() < 1e-9);
     }
@@ -315,10 +253,9 @@ mod tests {
         )
     }
 
-    /// Regression (ISSUE 2 satellite): histogram buckets with zero mass —
-    /// a state refinement can legitimately produce before re-bucketing —
-    /// must never surface as NaN or a negative estimate at the
-    /// `estimate_selectivity` boundary.
+    /// Regression: histogram buckets with zero mass — a state refinement
+    /// can legitimately produce before re-bucketing — must never surface
+    /// as NaN or a negative estimate at the report boundary.
     #[test]
     fn zero_mass_buckets_never_produce_nan() {
         let doc = parse(
@@ -341,9 +278,10 @@ mod tests {
             b.mean = vec![f64::NAN; b.mean.len()];
             b
         });
+        let cz = CompiledSynopsis::compile(&zeroed);
         for q in &queries {
             let q = parse_twig(q).unwrap();
-            let v = estimate_selectivity(&zeroed, &q, &opts);
+            let v = cz.estimate_report(&q, &opts).estimate;
             assert!(v.is_finite() && v >= 0.0, "zero-mass: got {v}");
         }
 
@@ -353,13 +291,14 @@ mod tests {
             b.mean = vec![f64::NAN; b.mean.len()];
             b
         });
+        let cp = CompiledSynopsis::compile(&poisoned);
         for q in &queries {
             let q = parse_twig(q).unwrap();
-            let bounded = estimate_selectivity_bounded(&poisoned, &q, &opts);
+            let rep = cp.estimate_report(&q, &opts);
             assert!(
-                bounded.estimate.is_finite() && bounded.estimate >= 0.0,
+                rep.estimate.is_finite() && rep.estimate >= 0.0,
                 "NaN means: got {}",
-                bounded.estimate
+                rep.estimate
             );
         }
     }

@@ -4,9 +4,9 @@
 //! module writes one to a compact, versioned binary snapshot and reads it
 //! back. Snapshots are **estimation-only** — the element extents (which
 //! the paper's space budget never charges, §5) are construction-time
-//! state and are not stored, so a loaded synopsis can answer
-//! [`estimate_selectivity`](crate::estimate_selectivity) but cannot be
-//! refined further (see [`Synopsis::has_extents`]).
+//! state and are not stored, so a loaded synopsis can be compiled and
+//! answer estimates but cannot be refined further (see
+//! [`Synopsis::has_extents`]).
 //!
 //! Format v2 (little-endian):
 //!
@@ -774,8 +774,9 @@ pub fn write_bytes_atomic_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledSynopsis;
     use crate::construct::{xbuild, BuildOptions, TruthSource};
-    use crate::estimate::{estimate_selectivity, EstimateOptions};
+    use crate::estimate::EstimateOptions;
     use xtwig_query::parse_twig;
     use xtwig_xml::parse;
 
@@ -817,8 +818,12 @@ mod tests {
             "for $t0 in //keyword",
         ] {
             let q = parse_twig(text).unwrap();
-            let a = estimate_selectivity(&s, &q, &opts);
-            let b = estimate_selectivity(&loaded, &q, &opts);
+            let a = CompiledSynopsis::compile(&s)
+                .estimate_report(&q, &opts)
+                .estimate;
+            let b = CompiledSynopsis::compile(&loaded)
+                .estimate_report(&q, &opts)
+                .estimate;
             assert!((a - b).abs() < 1e-12, "{text}: {a} vs {b}");
         }
     }
@@ -956,8 +961,12 @@ mod tests {
         assert_eq!(loaded.node_count(), s.node_count());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let opts = EstimateOptions::default();
-        let a = estimate_selectivity(&s, &q, &opts);
-        let b = estimate_selectivity(&loaded, &q, &opts);
+        let a = CompiledSynopsis::compile(&s)
+            .estimate_report(&q, &opts)
+            .estimate;
+        let b = CompiledSynopsis::compile(&loaded)
+            .estimate_report(&q, &opts)
+            .estimate;
         assert!((a - b).abs() < 1e-12);
     }
 

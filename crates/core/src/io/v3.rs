@@ -1,7 +1,7 @@
 //! Snapshot format v3: a flat little-endian arena a compiled synopsis
 //! loads from **zero-copy**.
 //!
-//! Formats v1/v2 serialize the interpreted [`Synopsis`] and force every
+//! Formats v1/v2 serialize the pointer-rich [`Synopsis`] and force every
 //! load to decode bucket-by-bucket and then recompile into
 //! [`CompiledSynopsis`] form. At catalog scale (thousands of cold
 //! tenants paging synopses in and out) that per-bucket work dominates
@@ -434,7 +434,7 @@ pub fn verify_snapshot_v3(bytes: &[u8]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Decodes only the embedded `SYNOPSIS` section into an interpreted
+/// Decodes only the embedded `SYNOPSIS` section into a
 /// [`Synopsis`] — the v3 arm of [`load_synopsis`](super::load_synopsis),
 /// for callers that want the graph rather than the compiled form.
 pub(crate) fn load_synopsis_section(bytes: &[u8]) -> Result<Synopsis, SnapshotError> {
@@ -449,7 +449,7 @@ pub(crate) fn load_synopsis_section(bytes: &[u8]) -> Result<Synopsis, SnapshotEr
 /// Work performed: header + section-table + `META` CRC validation, then
 /// an O(nodes + edges + dims) walk of `META` to rebuild the CSR
 /// adjacency and carve [`Lane`] views into the bucket columns. No
-/// bucket payload is deserialized; the interpreted synopsis (cold paths
+/// bucket payload is deserialized; the source synopsis (cold paths
 /// only) decodes lazily on first use. The returned synopsis holds an
 /// `Arc` to the arena, so it is self-contained (`'static`).
 pub fn load_compiled_arena(
@@ -720,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_synopsis_section_loads_interpreted() {
+    fn v3_synopsis_section_loads_as_a_synopsis() {
         let s = built_synopsis();
         let bytes = save_synopsis_v3(&s);
         let loaded = super::super::load_synopsis(&bytes).unwrap();

@@ -19,8 +19,9 @@
 //! * [`tsn`] — twig stable neighborhoods (§3.2).
 //! * [`single_path`] — the single-path XSKETCH estimator used for
 //!   `|A→B|` terms, branching predicates, and the §6.2 comparison.
-//! * [`estimate`] — maximal-twig expansion, embedding enumeration,
-//!   TREEPARSE, and the selectivity expression.
+//! * [`estimate`] — maximal-twig expansion, embedding enumeration, and
+//!   the estimation API (options, budgets, reports).
+//! * [`compiled`] — the TREEPARSE evaluator over the compiled synopsis.
 //! * [`construct`] — refinement operations and the XBUILD driver.
 
 pub mod coarse;
@@ -45,10 +46,9 @@ pub use construct::{
 };
 pub use describe::describe;
 pub use estimate::{
-    coarse_count_bound, earliest_deadline, estimate_selectivity, estimate_selectivity_bounded,
-    AssumptionCounts, BoundedEstimate, EmbeddingContribution, EstimateOptions,
-    EstimateOptionsBuilder, EstimateReport, EstimateRequest, Estimator, Exhaustion, Explain,
-    InterpretedEstimator, Provenance, QueryTelemetry,
+    coarse_count_bound, earliest_deadline, AssumptionCounts, EmbeddingContribution,
+    EstimateOptions, EstimateOptionsBuilder, EstimateReport, EstimateRequest, Estimator,
+    Exhaustion, Explain, Provenance, QueryTelemetry,
 };
 pub use io::pod::{AlignedBytes, Lane};
 pub use io::v3::{
@@ -70,8 +70,8 @@ pub use serve::runtime::{
     ShedPolicy,
 };
 pub use serve::{
-    estimate_many, serve_reports, BatchServer, CacheStats, CatalogError, CatalogOptions,
-    CatalogOptionsBuilder, CatalogStats, EstimateCache, FaultHook, RebuildHook, SnapshotCatalog,
+    BatchServer, CacheStats, CatalogError, CatalogOptions, CatalogOptionsBuilder, CatalogStats,
+    EstimateCache, FaultHook, RebuildHook, SnapshotCatalog,
 };
 pub use synopsis::{EdgeHistogram, ScopeDim, SynId, Synopsis, SynopsisEdge, ValueSummary};
 pub use tsn::twig_stable_neighborhood;

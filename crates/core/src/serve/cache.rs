@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Mutex, PoisonError};
 
-use crate::estimate::{BoundedEstimate, EstimateReport, Provenance, QueryTelemetry};
+use crate::estimate::{EstimateReport, Provenance, QueryTelemetry};
 use crate::telemetry;
 
 /// Number of independently locked shards. A power of two so the shard
@@ -37,12 +37,13 @@ pub(crate) const SHARD_COUNT: usize = 16;
 struct Entry {
     /// Synopsis epoch this estimate was computed under.
     epoch: u64,
-    /// The cached full-fidelity result.
-    estimate: BoundedEstimate,
-    /// The provenance of the original computation — threading it through
-    /// the cache keeps a served hit distinguishable from a fresh run
-    /// (e.g. a clamped-but-complete "degraded-adjacent" result keeps its
-    /// `clamped` count and gains `cached: true` on the way out).
+    /// The cached full-fidelity estimate.
+    estimate: f64,
+    /// The provenance of the original computation (embeddings, work,
+    /// clamping) — threading it through the cache keeps a served hit
+    /// distinguishable from a fresh run (e.g. a clamped-but-complete
+    /// "degraded-adjacent" result keeps its `clamped` count and gains
+    /// `cached: true` on the way out).
     provenance: Provenance,
     /// Logical timestamp of the last hit (for LRU eviction).
     last_used: u64,
@@ -166,7 +167,7 @@ impl EstimateCache {
     /// with the provenance of the computation that produced it. A hit
     /// refreshes the entry's LRU stamp; an entry stamped with a
     /// different epoch is evicted and counted as both stale and a miss.
-    pub fn get(&self, key: &str, epoch: u64) -> Option<(BoundedEstimate, Provenance)> {
+    pub fn get(&self, key: &str, epoch: u64) -> Option<(f64, Provenance)> {
         if !self.is_enabled() {
             return None;
         }
@@ -208,7 +209,7 @@ impl EstimateCache {
     /// entry if it is full. The O(shard-size) LRU scan is deliberate:
     /// shards are small (capacity/16) and an intrusive list is not worth
     /// the complexity at this scale.
-    pub fn insert(&self, key: &str, epoch: u64, estimate: BoundedEstimate, provenance: Provenance) {
+    pub fn insert(&self, key: &str, epoch: u64, estimate: f64, provenance: Provenance) {
         if !self.is_enabled() {
             return;
         }
@@ -271,9 +272,9 @@ impl EstimateCache {
 /// the provenance of its *original* computation, re-marked as `cached`.
 /// Timings/telemetry are zeroed — the cache did no per-stage work — and
 /// there is no explain (the embeddings were not re-enumerated).
-pub(crate) fn cached_report(estimate: BoundedEstimate, original: Provenance) -> EstimateReport {
+pub(crate) fn cached_report(estimate: f64, original: Provenance) -> EstimateReport {
     EstimateReport {
-        estimate: estimate.estimate,
+        estimate,
         provenance: Provenance {
             cached: true,
             ..original
@@ -297,17 +298,10 @@ mod tests {
         let old = CompiledSynopsis::compile(&s);
         let new = CompiledSynopsis::compile(&s);
         let cache = EstimateCache::new(8);
-        let sentinel = BoundedEstimate {
-            estimate: 1234.5,
-            exhaustion: None,
-            embeddings: 1,
-            work: 1,
-            clamped: 0,
-        };
         cache.insert(
             "q",
             old.epoch(),
-            sentinel,
+            1234.5,
             Provenance::new("xsketch-compiled"),
         );
         assert!(cache.get("q", old.epoch()).is_some());
@@ -321,13 +315,7 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_recent_entries() {
         let cache = EstimateCache::new(SHARD_COUNT); // capacity 1 per shard
-        let b = BoundedEstimate {
-            estimate: 1.0,
-            exhaustion: None,
-            embeddings: 1,
-            work: 1,
-            clamped: 0,
-        };
+        let b = 1.0;
         // Two keys in the same shard: the second insert evicts the first.
         let (mut k1, mut k2) = (None, None);
         for i in 0..1000 {
@@ -355,14 +343,7 @@ mod tests {
     fn disabled_cache_is_a_universal_miss() {
         let cache = EstimateCache::with_shards(0, 16);
         assert!(!cache.is_enabled());
-        let b = BoundedEstimate {
-            estimate: 1.0,
-            exhaustion: None,
-            embeddings: 1,
-            work: 1,
-            clamped: 0,
-        };
-        cache.insert("q", 1, b, Provenance::new("xsketch-compiled"));
+        cache.insert("q", 1, 1.0, Provenance::new("xsketch-compiled"));
         assert!(cache.get("q", 1).is_none());
         assert_eq!(cache.stats().entries, 0);
     }

@@ -53,7 +53,7 @@ use super::cache::EstimateCache;
 use super::runtime::{splitmix64, BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker};
 use super::BatchServer;
 use crate::compiled::CompiledSynopsis;
-use crate::estimate::{BoundedEstimate, EstimateOptions, EstimateReport};
+use crate::estimate::{EstimateOptions, EstimateReport};
 use crate::io::v3::{read_compiled_snapshot_in, write_snapshot_v3_in};
 use crate::io::vfs::{StdVfs, Vfs};
 use crate::io::SnapshotError;
@@ -618,23 +618,6 @@ impl SnapshotCatalog {
             Err(_) => ts.breaker.record_failure(),
         }
         result
-    }
-
-    /// Serves a batch, returning only the [`BoundedEstimate`]
-    /// projection (bit-identical to the corresponding
-    /// [`serve`](SnapshotCatalog::serve) reports).
-    pub fn estimate(
-        &self,
-        tenant: &str,
-        document: &str,
-        queries: &[TwigQuery],
-        opts: &EstimateOptions,
-    ) -> Result<Vec<BoundedEstimate>, CatalogError> {
-        Ok(self
-            .serve(tenant, document, queries, opts)?
-            .iter()
-            .map(EstimateReport::bounded)
-            .collect())
     }
 
     /// The post-admission serve path: fault-in plus the contained

@@ -5,9 +5,7 @@
 //!
 //! The serving API is handle-based: construct a [`BatchServer`] over a
 //! [`CompiledSynopsis`] (optionally wiring in a cache, options, and a
-//! worker count), then call [`BatchServer::serve`] per batch. The
-//! historical free functions [`serve_reports`] and [`estimate_many`]
-//! remain as thin shims over the handle.
+//! worker count), then call [`BatchServer::serve`] per batch.
 //!
 //! Layering, bottom-up:
 //!
@@ -47,7 +45,7 @@ use crate::sync::{Mutex, PoisonError};
 use crate::compiled::{CompiledSynopsis, ExpandedQuery};
 use crate::estimate::api::elapsed_ns;
 use crate::estimate::{
-    BoundedEstimate, EstimateOptions, EstimateReport, EvalStats, Meter, Provenance, QueryTelemetry,
+    EstimateOptions, EstimateReport, EvalStats, Meter, Provenance, QueryTelemetry,
 };
 use crate::telemetry;
 use cache::cached_report;
@@ -200,16 +198,6 @@ impl<'a, 'syn> BatchServer<'a, 'syn> {
     pub fn serve(&self, queries: &[TwigQuery]) -> Vec<EstimateReport> {
         serve_batch(self.cs, queries, &self.options, self.cache, self.threads)
     }
-
-    /// Estimates a batch, returning only the [`BoundedEstimate`]
-    /// projection of each result (bit-identical to the corresponding
-    /// [`serve`](BatchServer::serve) reports).
-    pub fn estimate(&self, queries: &[TwigQuery]) -> Vec<BoundedEstimate> {
-        self.serve(queries)
-            .iter()
-            .map(EstimateReport::bounded)
-            .collect()
-    }
 }
 
 /// The batch engine behind [`BatchServer::serve`].
@@ -256,7 +244,7 @@ fn serve_batch(
     let cache_insert = |fp: &str, rep: &EstimateReport| {
         if let Some(c) = cache {
             if rep.provenance.exhaustion.is_none() {
-                c.insert(fp, epoch, rep.bounded(), rep.provenance);
+                c.insert(fp, epoch, rep.estimate, rep.provenance);
             }
         }
     };
@@ -478,54 +466,6 @@ fn finish(slots: Vec<Option<EstimateReport>>) -> Vec<EstimateReport> {
         .collect()
 }
 
-/// Estimates a batch of queries over the compiled synopsis, optionally
-/// through an [`EstimateCache`], running members on up to `threads`
-/// scoped worker threads.
-///
-/// **Deprecated surface.** This is a thin shim over
-/// [`BatchServer::serve`], kept for callers that predate the
-/// handle-based serving API; the results are bit-identical. New code
-/// should construct a [`BatchServer`] once and serve through it.
-pub fn serve_reports(
-    cs: &CompiledSynopsis<'_>,
-    queries: &[TwigQuery],
-    opts: &EstimateOptions,
-    cache: Option<&EstimateCache>,
-    threads: usize,
-) -> Vec<EstimateReport> {
-    let mut server = BatchServer::new(cs)
-        .with_options(*opts)
-        .with_threads(threads);
-    if let Some(c) = cache {
-        server = server.with_cache(c);
-    }
-    server.serve(queries)
-}
-
-/// Estimates a batch of queries, returning only the legacy
-/// [`BoundedEstimate`] projection of each result.
-///
-/// **Deprecated surface.** This is a thin shim over
-/// [`BatchServer::estimate`], kept for callers that predate the unified
-/// [`Estimator`](crate::estimate::Estimator) API; the projection is
-/// bit-identical to what this function always returned. New code
-/// should construct a [`BatchServer`] (or use the
-/// [`Estimator`](crate::estimate::Estimator) trait for single queries)
-/// and read provenance from the report. `xtask lint` rule
-/// `legacy-estimate` ratchets remaining callers.
-pub fn estimate_many(
-    cs: &CompiledSynopsis<'_>,
-    queries: &[TwigQuery],
-    opts: &EstimateOptions,
-    cache: Option<&EstimateCache>,
-    threads: usize,
-) -> Vec<BoundedEstimate> {
-    serve_reports(cs, queries, opts, cache, threads)
-        .iter()
-        .map(EstimateReport::bounded)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,14 +497,14 @@ mod tests {
         let s = coarse_synopsis(&doc);
         let cs = CompiledSynopsis::compile(&s);
         let cache = EstimateCache::new(64);
-        let serial = BatchServer::new(&cs).estimate(&queries);
+        let serial = BatchServer::new(&cs).serve(&queries);
         let parallel = BatchServer::new(&cs).with_cache(&cache).with_threads(4);
-        let batched = parallel.estimate(&queries);
+        let batched = parallel.serve(&queries);
         for (a, b) in serial.iter().zip(&batched) {
             assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
         }
         // Second pass: everything answered from cache.
-        let again = parallel.estimate(&queries);
+        let again = parallel.serve(&queries);
         for (a, b) in batched.iter().zip(&again) {
             assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
         }
@@ -574,17 +514,16 @@ mod tests {
     }
 
     #[test]
-    fn shims_match_the_handle_bit_for_bit() {
+    fn batch_matches_single_query_reports_bit_for_bit() {
         let (doc, queries) = setup();
         let s = coarse_synopsis(&doc);
         let cs = CompiledSynopsis::compile(&s);
         let opts = EstimateOptions::default();
-        let via_handle = BatchServer::new(&cs).serve(&queries);
-        let via_shim = serve_reports(&cs, &queries, &opts, None, 1);
-        let via_legacy = estimate_many(&cs, &queries, &opts, None, 1);
-        for ((a, b), c) in via_handle.iter().zip(&via_shim).zip(&via_legacy) {
-            assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
-            assert_eq!(a.estimate.to_bits(), c.estimate.to_bits());
+        let via_handle = BatchServer::new(&cs).with_threads(4).serve(&queries);
+        for (q, a) in queries.iter().zip(&via_handle) {
+            let single = cs.estimate_report(q, &opts);
+            assert_eq!(a.estimate.to_bits(), single.estimate.to_bits());
+            assert_eq!(a.provenance.embeddings, single.provenance.embeddings);
         }
     }
 
@@ -644,8 +583,8 @@ mod tests {
         let out = BatchServer::new(&cs)
             .with_options(tight)
             .with_cache(&cache)
-            .estimate(&queries[..1]);
-        assert!(out[0].exhaustion.is_some());
+            .serve(&queries[..1]);
+        assert!(out[0].provenance.exhaustion.is_some());
         assert_eq!(cache.stats().entries, 0, "degraded result must not stick");
     }
 }

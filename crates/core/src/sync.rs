@@ -15,7 +15,7 @@
 //! `--cfg loom`.
 //!
 //! Deliberately *not* in the façade: `std::thread::scope` (structured
-//! fan-out in `serve_reports`/`ServingRuntime::serve_with`), which the
+//! fan-out in `BatchServer::serve`/`ServingRuntime::serve_with`), which the
 //! checker cannot model — the loom suite drives the shared-state
 //! protocols (queue, breaker, cache/epoch, counters) directly instead.
 

@@ -227,7 +227,7 @@ impl LatencyHistogram {
 pub struct Telemetry {
     /// Expansion-memo lookups answered from the memo.
     pub expansion_memo_hits: Counter,
-    /// Expansion-memo lookups that ran the interpreted expansion.
+    /// Expansion-memo lookups that had to enumerate the embeddings.
     pub expansion_memo_misses: Counter,
     /// Estimate-cache lookups answered at the current epoch.
     pub cache_hits: Counter,
@@ -268,7 +268,7 @@ pub struct Telemetry {
     pub xbuild_rounds: Counter,
     /// XBUILD refinement candidates scored.
     pub xbuild_candidates_scored: Counter,
-    /// Queries estimated (any path: interpreted, compiled, batched).
+    /// Queries estimated (single or batched).
     pub queries_estimated: Counter,
     /// Batch members served from a groupmate's evaluation (same twig
     /// fingerprint in one batch: one lowered plan, one evaluation).

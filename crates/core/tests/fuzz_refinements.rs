@@ -14,7 +14,7 @@ use xtwig_core::coarse_synopsis;
 use xtwig_core::construct::Refinement;
 use xtwig_core::estimate::{EstimateOptions, EstimateRequest, Estimator};
 use xtwig_core::synopsis::{DimKind, ScopeDim, SynId, ValueSource};
-use xtwig_core::InterpretedEstimator;
+use xtwig_core::CompiledSynopsis;
 use xtwig_query::{parse_twig, selectivity};
 use xtwig_xml::{Document, DocumentBuilder};
 
@@ -145,7 +145,7 @@ fn fuzz_refinements(doc: &Document, seed: u64, steps: usize) -> Result<(), TestC
         "for $t0 in //e",
     ] {
         let q = parse_twig(text).unwrap();
-        let est = InterpretedEstimator::new(&s)
+        let est = CompiledSynopsis::compile(&s)
             .estimate(&EstimateRequest::with_options(&q, opts))
             .estimate;
         prop_assert!(est.is_finite() && est >= 0.0, "{text}: {est}");

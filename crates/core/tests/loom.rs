@@ -22,7 +22,7 @@
 use std::time::Duration;
 
 use loom::thread;
-use xtwig_core::estimate::{BoundedEstimate, Provenance};
+use xtwig_core::estimate::Provenance;
 use xtwig_core::serve::runtime::{
     Admission, AdmissionQueue, BreakerConfig, BreakerState, CircuitBreaker, ShedPolicy,
 };
@@ -30,16 +30,6 @@ use xtwig_core::serve::EstimateCache;
 use xtwig_core::sync::atomic::{AtomicU64, Ordering};
 use xtwig_core::sync::{Arc, PoisonError, RwLock};
 use xtwig_core::telemetry::{Counter, Gauge};
-
-fn estimate(v: f64) -> BoundedEstimate {
-    BoundedEstimate {
-        estimate: v,
-        exhaustion: None,
-        embeddings: 1,
-        work: 1,
-        clamped: 0,
-    }
-}
 
 // ---------------------------------------------------------------------
 // 1. Admission queue: enqueue/shed/drain vs. shutdown
@@ -246,13 +236,13 @@ fn cache_never_serves_stale_epoch_hit_across_reload() {
     loom::model(|| {
         let cache = Arc::new(EstimateCache::with_shards(4, 1));
         let epoch = Arc::new(AtomicU64::new(1));
-        cache.insert("q", 1, estimate(1.0), Provenance::new("loom"));
+        cache.insert("q", 1, 1.0, Provenance::new("loom"));
         let reloader = {
             let cache = Arc::clone(&cache);
             let epoch = Arc::clone(&epoch);
             thread::spawn(move || {
                 epoch.store(2, Ordering::Release);
-                cache.insert("q", 2, estimate(2.0), Provenance::new("loom"));
+                cache.insert("q", 2, 2.0, Provenance::new("loom"));
             })
         };
         let reader = {
@@ -268,7 +258,7 @@ fn cache_never_serves_stale_epoch_hit_across_reload() {
         if let Some((est, _)) = hit {
             let want = if seen == 1 { 1.0 } else { 2.0 };
             assert_eq!(
-                est.estimate, want,
+                est, want,
                 "hit at observed epoch {seen} served another epoch's value"
             );
         }
@@ -276,7 +266,7 @@ fn cache_never_serves_stale_epoch_hit_across_reload() {
         // at the new epoch either hits the new value or misses — and a
         // subsequent stale probe must evict rather than serve.
         match cache.get("q", 2) {
-            Some((est, _)) => assert_eq!(est.estimate, 2.0),
+            Some((est, _)) => assert_eq!(est, 2.0),
             None => assert!(cache.get("q", 1).is_none() || cache.stats().stale_evictions > 0),
         }
     });

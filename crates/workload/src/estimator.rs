@@ -1,7 +1,7 @@
-//! A common interface over the two summarization techniques.
+//! A common interface over the summarization techniques.
 
-use xtwig_core::estimate::{EstimateOptions, EstimateRequest, Estimator};
-use xtwig_core::{CompiledSynopsis, InterpretedEstimator, Synopsis};
+use xtwig_core::estimate::EstimateOptions;
+use xtwig_core::CompiledSynopsis;
 use xtwig_cst::Cst;
 use xtwig_markov::MarkovPaths;
 use xtwig_query::TwigQuery;
@@ -22,51 +22,21 @@ pub trait SummaryEstimator {
     fn name(&self) -> &'static str;
 }
 
-/// A Twig XSKETCH estimator.
-pub struct XsketchEstimator<'a> {
-    /// The synopsis to estimate over.
-    pub synopsis: &'a Synopsis,
-    /// Expansion/embedding options.
-    pub opts: EstimateOptions,
-}
-
-impl SummaryEstimator for XsketchEstimator<'_> {
+/// Twig XSKETCH: the compiled synopsis under default
+/// [`EstimateOptions`]; the footprint is the source synopsis' charged
+/// size.
+impl SummaryEstimator for CompiledSynopsis<'_> {
     fn estimate(&self, q: &TwigQuery) -> f64 {
-        InterpretedEstimator::new(self.synopsis)
-            .estimate(&EstimateRequest::with_options(q, self.opts))
+        self.estimate_report(q, &EstimateOptions::default())
             .estimate
     }
 
     fn size_bytes(&self) -> usize {
-        self.synopsis.size_bytes()
+        self.source().size_bytes()
     }
 
     fn name(&self) -> &'static str {
         "XSKETCH"
-    }
-}
-
-/// A Twig XSKETCH estimator over the compiled serving form — same
-/// numbers as [`XsketchEstimator`] (bit-identical), amortizing the
-/// one-time lowering across every query.
-pub struct CompiledXsketchEstimator<'a> {
-    /// The compiled synopsis to estimate over.
-    pub compiled: &'a CompiledSynopsis<'a>,
-    /// Expansion/embedding options.
-    pub opts: EstimateOptions,
-}
-
-impl SummaryEstimator for CompiledXsketchEstimator<'_> {
-    fn estimate(&self, q: &TwigQuery) -> f64 {
-        self.compiled.estimate_selectivity(q, &self.opts)
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.compiled.source().size_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "XSKETCH-compiled"
     }
 }
 
@@ -116,7 +86,7 @@ mod tests {
     use xtwig_query::parse_twig;
 
     #[test]
-    fn both_estimators_answer_queries() {
+    fn every_estimator_answers_queries() {
         let doc = xtwig_xml::parse(
             "<bib><author><name/><paper><keyword/></paper></author><author><name/><paper><keyword/><keyword/></paper></author></bib>",
         )
@@ -124,10 +94,7 @@ mod tests {
         let s = xtwig_core::coarse_synopsis(&doc);
         let cst = Cst::build(&doc, xtwig_cst::CstOptions::default());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper/keyword").unwrap();
-        let xs = XsketchEstimator {
-            synopsis: &s,
-            opts: EstimateOptions::default(),
-        };
+        let xs = CompiledSynopsis::compile(&s);
         let ce = CstEstimator { cst: &cst };
         let model = xtwig_markov::MarkovPaths::build(&doc, xtwig_markov::MarkovOptions::default());
         let me = MarkovEstimator { model: &model };

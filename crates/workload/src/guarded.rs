@@ -289,8 +289,7 @@ pub fn markov_from_synopsis(s: &Synopsis, budget_bytes: usize) -> MarkovPaths {
 pub struct GuardedEstimator<'a> {
     synopsis: &'a Synopsis,
     /// One-time lowering of the synopsis to the compiled serving form;
-    /// the XSKETCH tier runs over it (bit-identical to the interpreted
-    /// path, minus the hashmap probes and per-visit allocations).
+    /// the XSKETCH tier runs over it.
     compiled: CompiledSynopsis<'a>,
     markov: MarkovPaths,
     policy: GuardPolicy,
@@ -314,7 +313,7 @@ impl<'a> GuardedEstimator<'a> {
     }
 
     /// The compiled form tier 1 serves from — callers batching queries
-    /// can hand it to [`xtwig_core::estimate_many`] directly, sharing
+    /// can hand it to a [`xtwig_core::BatchServer`] directly, sharing
     /// this estimator's expansion memo and epoch.
     pub fn compiled(&self) -> &CompiledSynopsis<'a> {
         &self.compiled
@@ -336,22 +335,9 @@ impl<'a> GuardedEstimator<'a> {
         self.counters.snapshot()
     }
 
-    /// Serves `q` through the chain. Never panics; the returned estimate
-    /// is always finite and ≥ 0.
-    ///
-    /// **Deprecated surface**: thin shim over the unified
-    /// [`Estimator`] API — prefer `Estimator::estimate(&guarded, &req)`,
-    /// which returns an [`EstimateReport`] with full provenance,
-    /// per-stage telemetry, and the tier trail in its explain section.
-    /// The [`EstimateOutcome`] this returns is the same chain result
-    /// (identical tier decisions and attempt records). `xtask lint` rule
-    /// `legacy-estimate` ratchets remaining callers.
-    pub fn estimate_guarded(&self, q: &TwigQuery) -> EstimateOutcome {
-        self.serve(q, false).0
-    }
-
     /// The chain implementation: runs the tiers in order, producing both
-    /// the legacy [`EstimateOutcome`] and the unified [`EstimateReport`].
+    /// the chain's [`EstimateOutcome`] and its [`EstimateReport`]. Never
+    /// panics; the estimate is always finite and ≥ 0.
     fn serve(&self, q: &TwigQuery, explain: bool) -> (EstimateOutcome, EstimateReport) {
         self.serve_controlled(q, explain, &ChainControls::default())
     }
@@ -729,7 +715,7 @@ impl Estimator for GuardedEstimator<'_> {
 
 impl SummaryEstimator for GuardedEstimator<'_> {
     fn estimate(&self, q: &TwigQuery) -> f64 {
-        self.estimate_guarded(q).estimate
+        self.serve(q, false).0.estimate
     }
 
     fn size_bytes(&self) -> usize {
@@ -746,6 +732,11 @@ mod tests {
     use super::*;
     use xtwig_core::coarse_synopsis;
     use xtwig_query::parse_twig;
+
+    /// The chain's outcome for `q` with no per-request controls.
+    fn outcome(g: &GuardedEstimator<'_>, q: &TwigQuery) -> EstimateOutcome {
+        g.estimate_controlled(q, false, &ChainControls::default()).0
+    }
 
     fn setup() -> (xtwig_xml::Document, Synopsis) {
         let doc = xtwig_xml::parse(concat!(
@@ -764,7 +755,7 @@ mod tests {
         let (_d, s) = setup();
         let g = GuardedEstimator::new(&s, GuardPolicy::default());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         assert_eq!(out.tier, Tier::Xsketch);
         assert!(!out.degraded);
         assert!((out.estimate - 3.0).abs() < 1e-9);
@@ -797,7 +788,7 @@ mod tests {
         let g = GuardedEstimator::new(&s, GuardPolicy::default())
             .with_fault(InjectedFault::PanicIn(Tier::Xsketch));
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         std::panic::set_hook(prev);
         assert_eq!(out.tier, Tier::Markov);
         assert!(out.degraded);
@@ -822,7 +813,7 @@ mod tests {
         for tier in [Tier::Xsketch, Tier::Markov, Tier::LabelCount] {
             let g = GuardedEstimator::new(&s, GuardPolicy::default())
                 .with_fault(InjectedFault::PanicIn(tier));
-            let out = g.estimate_guarded(&q);
+            let out = outcome(&g, &q);
             assert!(out.estimate.is_finite() && out.estimate >= 0.0, "{tier}");
         }
         std::panic::set_hook(prev);
@@ -834,7 +825,7 @@ mod tests {
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let g = GuardedEstimator::new(&s, GuardPolicy::default())
             .with_fault(InjectedFault::PoisonIn(Tier::Xsketch));
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         assert_eq!(out.tier, Tier::Markov);
         assert_eq!(out.attempts[0].failure, Some(TierFailure::NonFinite));
         assert!(out.estimate.is_finite());
@@ -850,7 +841,7 @@ mod tests {
         let g = GuardedEstimator::new(&s, policy).with_fault(InjectedFault::StallXsketch);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let start = Instant::now();
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         let elapsed = start.elapsed();
         assert!(out.degraded);
         assert_ne!(out.tier, Tier::Xsketch);
@@ -871,7 +862,7 @@ mod tests {
         };
         let g = GuardedEstimator::new(&s, policy);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/kw").unwrap();
-        let out = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         assert!(out.degraded);
         assert_eq!(
             out.attempts[0].failure,
@@ -896,10 +887,10 @@ mod tests {
         let (_d, s) = setup();
         let g = GuardedEstimator::new(&s, GuardPolicy::default());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let outcome = g.estimate_guarded(&q);
+        let out = outcome(&g, &q);
         let opts = EstimateOptions::builder().explain(true).build();
         let rep = Estimator::estimate(&g, &EstimateRequest::with_options(&q, opts));
-        assert_eq!(rep.estimate.to_bits(), outcome.estimate.to_bits());
+        assert_eq!(rep.estimate.to_bits(), out.estimate.to_bits());
         assert_eq!(rep.provenance.source, "guarded");
         assert_eq!(rep.provenance.tier, Some("xsketch"));
         assert!(!rep.provenance.degraded);

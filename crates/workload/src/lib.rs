@@ -11,9 +11,10 @@
 //! * **Error metric** ([`avg_relative_error`]): average absolute relative
 //!   error `|r − c| / max(s, c)` with the sanity bound `s` set to the
 //!   10th percentile of the true counts.
-//! * **Estimator abstraction** ([`SummaryEstimator`]) over Twig
-//!   XSKETCHes and CSTs, and **budget sweeps** ([`sweep_xsketch`],
-//!   [`sweep_cst`]) that regenerate the Figure 9 series.
+//! * **Estimator abstraction** ([`SummaryEstimator`]) over compiled Twig
+//!   XSKETCHes, CSTs and Markov path models, and **budget sweeps**
+//!   ([`sweep_xsketch`], [`sweep_cst`]) that regenerate the Figure 9
+//!   series.
 
 mod error;
 mod estimator;
@@ -25,9 +26,7 @@ pub mod runtime;
 mod sweep;
 
 pub use error::{avg_relative_error, ErrorReport};
-pub use estimator::{
-    CompiledXsketchEstimator, CstEstimator, MarkovEstimator, SummaryEstimator, XsketchEstimator,
-};
+pub use estimator::{CstEstimator, MarkovEstimator, SummaryEstimator};
 pub use faults::{
     apply_snapshot_fault, run_catalog_soak, run_fault_plan, run_soak, run_storage_chaos,
     CatalogSoakOptions, Fault, FaultOutcome, FaultPlan, FaultReport, MultiTenantSoakReport,

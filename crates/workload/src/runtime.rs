@@ -660,6 +660,7 @@ impl ServingRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SummaryEstimator;
     use xtwig_core::io::save_synopsis;
     use xtwig_core::{coarse_synopsis, BreakerConfig};
     use xtwig_query::parse_twig;
@@ -695,7 +696,7 @@ mod tests {
             assert_eq!(r.request_id, i as u64);
             assert_eq!(r.terminal, TerminalProvenance::Full, "{i}: {r:?}");
             assert_eq!(r.tier, Some(Tier::Xsketch));
-            let want = direct.estimate_guarded(&queries[i]).estimate;
+            let want = SummaryEstimator::estimate(&direct, &queries[i]);
             assert_eq!(r.report.estimate.to_bits(), want.to_bits());
         }
         let stats = rt.stats();

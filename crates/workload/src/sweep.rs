@@ -3,8 +3,7 @@
 use crate::error::avg_relative_error;
 use crate::generator::Workload;
 use xtwig_core::construct::{xbuild_from, BuildOptions, TruthSource};
-use xtwig_core::estimate::{EstimateRequest, Estimator};
-use xtwig_core::{coarse_synopsis, InterpretedEstimator};
+use xtwig_core::{coarse_synopsis, CompiledSynopsis};
 use xtwig_cst::{Cst, CstOptions};
 use xtwig_xml::Document;
 
@@ -61,15 +60,11 @@ fn score_point(
     budget: usize,
     opts: &SweepOptions,
 ) -> SweepPoint {
-    let estimator = InterpretedEstimator::new(s);
+    let cs = CompiledSynopsis::compile(s);
     let estimates: Vec<f64> = workload
         .queries
         .iter()
-        .map(|q| {
-            estimator
-                .estimate(&EstimateRequest::with_options(q, opts.build.estimate))
-                .estimate
-        })
+        .map(|q| cs.estimate_report(q, &opts.build.estimate).estimate)
         .collect();
     SweepPoint {
         budget_bytes: budget,

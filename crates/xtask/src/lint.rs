@@ -2,8 +2,9 @@
 //!
 //! The north star is an estimator that serves production traffic, so
 //! library code must not be able to panic on malformed input. This pass
-//! walks every `.rs` file in the workspace, strips comments, string
-//! literals and `#[cfg(test)]` regions, and reports denied patterns:
+//! walks every library `.rs` file in the workspace, strips comments,
+//! string literals and `#[cfg(test)]` regions, and reports denied
+//! patterns:
 //!
 //! | rule          | pattern                                   | scope |
 //! |---------------|-------------------------------------------|-------|
@@ -13,8 +14,7 @@
 //! | `unreachable` | `unreachable!`                            | library code |
 //! | `lossy-cast`  | numeric `as` casts                        | estimation + histogram crates |
 //! | `indexing`    | `expr[...]` inside `for`/`while`/`loop`   | estimation + histogram crates |
-//! | `legacy-estimate` | calls to the deprecated estimation entry points | whole workspace minus shim modules |
-//! | `hot-alloc`   | `Vec::new` / `vec!` / `.collect(` on the TREEPARSE hot path | estimate eval + embedding modules |
+//! | `hot-alloc`   | `Vec::new` / `vec!` / `.collect(` on the per-query plan path | embedding module |
 //! | `bare-spawn`  | `thread::spawn(`                          | core serve + workload serving paths |
 //! | `atomic-ordering` | `Ordering::Relaxed` without a justification | sync-façade modules minus telemetry |
 //! | `lock-order`  | nested lock acquisition not in `LOCK_ORDER` | sync-façade modules |
@@ -24,11 +24,9 @@
 //!
 //! "Library code" excludes `tests/`, `benches/`, `examples/`, `src/bin/`,
 //! binary roots (`main.rs`), the vendored dependency stand-ins under
-//! `vendor/`, and this xtask crate itself. The `legacy-estimate` rule is
-//! wider: it also walks tests, benches, examples and binaries, so *new*
-//! code anywhere must go through the unified `Estimator` trait; the
-//! pre-existing callers are grandfathered in the baseline and ratchet
-//! down from there.
+//! `vendor/`, this xtask crate itself, and any directory whose
+//! `Cargo.toml` declares its own `[workspace]` (a separate workspace,
+//! such as the `perfbench/` benchmark package, is not part of this one).
 //!
 //! Escape hatches, in preference order:
 //!
@@ -106,15 +104,13 @@ pub fn run(args: &[String]) -> ExitCode {
 
     let mut files = Vec::new();
     collect_rs_files(&root, &root, &mut files);
+    files.retain(|f| is_library_code(f));
     files.sort();
 
     let lock_order = read_lock_order(&root.join(LOCK_ORDER_PATH));
 
     let mut findings = Vec::new();
     for rel in &files {
-        if !is_library_code(rel) && !legacy_estimate_applies(rel) {
-            continue;
-        }
         let path = root.join(rel);
         let source = match std::fs::read_to_string(&path) {
             Ok(s) => s,
@@ -198,10 +194,7 @@ pub fn run(args: &[String]) -> ExitCode {
 
     println!(
         "lint: {} file(s) scanned, {} finding(s), {} over baseline, {} stale baseline entr(ies)",
-        files
-            .iter()
-            .filter(|f| is_library_code(f) || legacy_estimate_applies(f))
-            .count(),
+        files.len(),
         findings.len(),
         over,
         stale
@@ -223,11 +216,8 @@ pub fn run(args: &[String]) -> ExitCode {
 fn workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if declares_own_workspace(&dir) {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;
@@ -235,8 +225,15 @@ fn workspace_root() -> Option<PathBuf> {
     }
 }
 
+/// Whether the `Cargo.toml` in `dir` (if any) has a `[workspace]` table.
+fn declares_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| text.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 /// Recursively collects workspace `.rs` files as root-relative paths with
-/// `/` separators, skipping VCS, build output, and the vendored stand-ins.
+/// `/` separators, skipping VCS, build output, the vendored stand-ins,
+/// and nested directories that are roots of a separate Cargo workspace.
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -247,7 +244,9 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), ".git" | "target" | "vendor" | ".claude") {
+            if matches!(name.as_ref(), ".git" | "target" | "vendor" | ".claude")
+                || declares_own_workspace(&path)
+            {
                 continue;
             }
             collect_rs_files(root, &path, out);
@@ -291,29 +290,14 @@ fn numeric_rules_apply(rel: &str) -> bool {
     rel.starts_with("crates/core/src/estimate") || rel.starts_with("crates/histogram/src")
 }
 
-/// Whether the `legacy-estimate` rule applies. It covers the whole
-/// workspace — tests, benches, examples and binaries included — except
-/// the shim modules that *define* the deprecated surface (and this
-/// xtask crate, whose own tests spell the patterns out).
-fn legacy_estimate_applies(rel: &str) -> bool {
-    const SHIM_MODULES: [&str; 4] = [
-        "crates/core/src/estimate/mod.rs",
-        "crates/core/src/estimate/api.rs",
-        "crates/core/src/serve/mod.rs",
-        "crates/workload/src/guarded.rs",
-    ];
-    !SHIM_MODULES.contains(&rel) && !rel.starts_with("crates/xtask/")
-}
-
-/// Whether the `hot-alloc` rule applies: the per-query TREEPARSE hot
-/// path, where every buffer must come from the [`EvalArena`] scratch
-/// lanes / frame pool so steady-state serving performs zero heap
-/// allocations (proven by `tests/alloc_zero.rs`, enforced by the CI
-/// `alloc-zero` job). Cold paths that are *stored* rather than
+/// Whether the `hot-alloc` rule applies: embedding enumeration, whose
+/// buffers feed the TREEPARSE kernel, where steady-state serving performs
+/// zero heap allocations (proven by `tests/alloc_zero.rs`, enforced by
+/// the CI `alloc-zero` job). Cold paths that are *stored* rather than
 /// per-query (memoized embedding plans, one-time setup) carry a
 /// `// lint:allow(hot-alloc): <reason>`.
 fn hot_alloc_applies(rel: &str) -> bool {
-    rel == "crates/core/src/estimate/eval.rs" || rel == "crates/core/src/estimate/embedding.rs"
+    rel == "crates/core/src/estimate/embedding.rs"
 }
 
 /// Flags allocation idioms on the TREEPARSE hot path: `Vec::new(`,
@@ -817,10 +801,6 @@ fn scan_file(
         scan_loop_indexing(&masked, &mut emit);
     }
 
-    if legacy_estimate_applies(rel) {
-        scan_legacy_estimate(&masked_lines, &mut emit);
-    }
-
     if hot_alloc_applies(rel) {
         scan_hot_alloc(&masked_lines, &mut emit);
     }
@@ -844,46 +824,6 @@ fn scan_file(
 
     if atomic_ordering_applies(rel) {
         scan_atomic_ordering(&masked_lines, &mut emit);
-    }
-}
-
-/// Flags calls to the deprecated estimation entry points: the
-/// `estimate_selectivity` / `estimate_selectivity_bounded` /
-/// `estimate_many` free functions and the `estimate_guarded` method,
-/// all superseded by the unified `Estimator` trait. Definitions
-/// (`fn estimate_…`) and dotted calls to the free-function names (the
-/// compiled synopsis' shim methods) are not flagged; `estimate_guarded`
-/// is denied even as a method call.
-fn scan_legacy_estimate(masked_lines: &[&str], emit: &mut impl FnMut(&'static str, usize)) {
-    // (pattern, deny dotted method calls too?)
-    const LEGACY: [(&str, bool); 4] = [
-        ("estimate_selectivity(", false),
-        ("estimate_selectivity_bounded(", false),
-        ("estimate_many(", false),
-        ("estimate_guarded(", true),
-    ];
-    for (line_no, line) in masked_lines.iter().enumerate() {
-        for (pat, deny_dotted) in LEGACY {
-            let mut at = 0;
-            while let Some(i) = line[at..].find(pat) {
-                let abs = at + i;
-                at = abs + pat.len();
-                let before = &line[..abs];
-                let prev = before.chars().next_back();
-                // Part of a longer identifier — not one of ours.
-                if prev.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                    continue;
-                }
-                if !deny_dotted && prev == Some('.') {
-                    continue;
-                }
-                // A definition, not a call.
-                if before.trim_end().ends_with("fn") {
-                    continue;
-                }
-                emit("legacy-estimate", line_no + 1);
-            }
-        }
     }
 }
 
@@ -1276,7 +1216,7 @@ mod tests {
     #[test]
     fn indexing_flagged_only_inside_loops() {
         let src = "fn f(v: &[u32]) -> u32 { let a = v[0];\nlet mut s = 0;\nfor i in 0..v.len() { s += v[i]; }\ns + a }\n";
-        let got = findings_in("crates/core/src/estimate/eval.rs", src);
+        let got = findings_in("crates/core/src/estimate/kernel.rs", src);
         assert_eq!(got, vec![("indexing".to_string(), 3)]);
     }
 
@@ -1319,69 +1259,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_estimate_denied_outside_library_code_too() {
-        let src = "fn f() { let e = estimate_selectivity(&s, &q, &o); }\n\
-                   fn g() { let b = xtwig::core::estimate_many(&cs, &qs, &o, None, 1); }\n";
-        let got = findings_in("tests/new_feature.rs", src);
-        assert_eq!(
-            got,
-            vec![
-                ("legacy-estimate".to_string(), 1),
-                ("legacy-estimate".to_string(), 2)
-            ]
+    fn nested_workspaces_are_not_walked() {
+        let root = std::env::temp_dir().join(format!("xtask-lint-walk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+        write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write("crates/a/src/lib.rs", "pub fn f() {}\n");
+        // A separate workspace (its own `[workspace]` table) is skipped
+        // whole; `[workspace.package]`-style tables alone do not count.
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"b\"\n\n[workspace]\n",
         );
+        write("bench/src/lib.rs", "pub fn g() { x.unwrap(); }\n");
+        write("other/Cargo.toml", "[workspace.package]\nversion = \"1\"\n");
+        write("other/src/lib.rs", "pub fn h() {}\n");
+        let mut files = Vec::new();
+        collect_rs_files(&root, &root, &mut files);
+        files.sort();
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(files, vec!["crates/a/src/lib.rs", "other/src/lib.rs"]);
     }
 
     #[test]
-    fn legacy_estimate_spares_definitions_methods_and_shims() {
-        // Dotted calls to the free-function names are the compiled
-        // synopsis' shim methods, not the legacy free functions.
-        assert!(findings_in(
-            "tests/new_feature.rs",
-            "fn f() { let e = cs.estimate_selectivity(&q, &o); }\n"
-        )
-        .is_empty());
-        // Definitions are not calls.
-        assert!(findings_in(
-            "examples/demo.rs",
-            "pub fn estimate_many(x: u32) -> u32 { x }\n"
-        )
-        .is_empty());
-        // The shim modules may reference their own surface freely.
-        assert!(findings_in(
-            "crates/core/src/serve/mod.rs",
-            "fn f() { estimate_many(&cs, &qs, &o, None, 1); }\n"
-        )
-        .is_empty());
-        // `estimate_guarded` is denied even as a method call…
-        assert_eq!(
-            findings_in(
-                "examples/demo.rs",
-                "fn f() { let o = g.estimate_guarded(&q); }\n"
-            ),
-            vec![("legacy-estimate".to_string(), 1)]
-        );
-        // …except inside its own defining module.
-        assert!(findings_in(
-            "crates/workload/src/guarded.rs",
-            "fn f() { let o = g.estimate_guarded(&q); }\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn hot_alloc_denied_on_the_treeparse_hot_path_only() {
+    fn hot_alloc_denied_on_the_plan_path_only() {
         let src = "fn f() { let v: Vec<u32> = Vec::new();\n\
                    let w = vec![1, 2];\n\
                    let c: Vec<u32> = w.iter().copied().collect(); }\n";
-        assert_eq!(
-            findings_in("crates/core/src/estimate/eval.rs", src),
-            vec![
-                ("hot-alloc".to_string(), 1),
-                ("hot-alloc".to_string(), 2),
-                ("hot-alloc".to_string(), 3)
-            ]
-        );
         assert_eq!(
             findings_in("crates/core/src/estimate/embedding.rs", src),
             vec![
@@ -1396,16 +1305,16 @@ mod tests {
         // A reviewed cold-path site passes with a justification.
         let justified = "// lint:allow(hot-alloc): memo-stored plan, built once per cold miss\n\
                          fn f() -> Vec<u32> { (0..3).collect() }\n";
-        assert!(findings_in("crates/core/src/estimate/eval.rs", justified).is_empty());
+        assert!(findings_in("crates/core/src/estimate/embedding.rs", justified).is_empty());
         // `vec!` glued to a longer identifier is not ours.
         assert!(findings_in(
-            "crates/core/src/estimate/eval.rs",
+            "crates/core/src/estimate/embedding.rs",
             "fn f() { my_vec!(1); }\n"
         )
         .is_empty());
         // Test modules inside the scope are masked like everywhere else.
         let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { let v = vec![1]; }\n}\n";
-        assert!(findings_in("crates/core/src/estimate/eval.rs", in_test).is_empty());
+        assert!(findings_in("crates/core/src/estimate/embedding.rs", in_test).is_empty());
     }
 
     #[test]
@@ -1449,7 +1358,7 @@ mod tests {
         // Telemetry counters are the sanctioned Relaxed home.
         assert!(findings_in("crates/core/src/telemetry.rs", src).is_empty());
         // Out of scope entirely.
-        assert!(findings_in("crates/core/src/estimate/eval.rs", src).is_empty());
+        assert!(findings_in("crates/core/src/estimate/kernel.rs", src).is_empty());
         // A justified site passes.
         let justified = "// lint:allow(atomic-ordering): monotonic stats counter\n\
                          fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example bibliography`.
 
-use xtwig::core::estimate::{estimate_embedding, Embedding};
+use xtwig::core::estimate::Embedding;
 use xtwig::core::synopsis::{DimKind, ScopeDim};
 use xtwig::datagen::{bibliography, worked_example};
 use xtwig::prelude::*;
@@ -127,7 +127,7 @@ fn main() {
     let p = emb.push_node(0, paper, None, 1.0);
     emb.push_node(p, keyword, None, 1.0);
     emb.push_node(p, year, None, 1.0);
-    let est = estimate_embedding(&s, &emb);
+    let est = CompiledSynopsis::compile(&s).estimate_embedding(&emb);
     println!(
         "\n§4 worked example: s(T) = {est:.6} (paper: 10/3 = {:.6})",
         10.0 / 3.0

@@ -47,8 +47,8 @@ fn main() {
     ] {
         let truth = selectivity(&doc, q);
         let req = EstimateRequest::with_options(q, opts);
-        let c = InterpretedEstimator::new(&coarse).estimate(&req).estimate;
-        let r = InterpretedEstimator::new(&refined).estimate(&req).estimate;
+        let c = CompiledSynopsis::compile(&coarse).estimate(&req).estimate;
+        let r = CompiledSynopsis::compile(&refined).estimate(&req).estimate;
         println!("{name:<36}{truth:>10}{c:>14.0}{r:>14.0}");
     }
     println!();

@@ -35,7 +35,7 @@ fn main() {
     let branches = ["bidder", "annotation", "interval/start", "seller"];
     println!("\nbranch fan-out estimates under //open_auction:");
     let base = parse_twig("for $t0 in //open_auction").unwrap();
-    let estimator = InterpretedEstimator::new(&synopsis);
+    let estimator = CompiledSynopsis::compile(&synopsis);
     let base_est = estimator
         .estimate(&EstimateRequest::with_options(&base, opts))
         .estimate;

@@ -52,12 +52,11 @@ fn main() {
 
     let e = EstimateOptions::default();
     let score = |s: &Synopsis, qs: &[TwigQuery]| -> f64 {
+        let cs = CompiledSynopsis::compile(s);
         qs.iter()
             .map(|q| {
                 let t = selectivity(&doc, q) as f64;
-                let est = InterpretedEstimator::new(s)
-                    .estimate(&EstimateRequest::with_options(q, e))
-                    .estimate;
+                let est = cs.estimate(&EstimateRequest::with_options(q, e)).estimate;
                 (est - t).abs() / t.max(1.0)
             })
             .sum::<f64>()

@@ -49,7 +49,7 @@ fn main() {
         coarse.node_count(),
         coarse.edge_count(),
         coarse.size_bytes(),
-        InterpretedEstimator::new(&coarse).estimate(&req).estimate
+        CompiledSynopsis::compile(&coarse).estimate(&req).estimate
     );
 
     // XBUILD: refine within a budget, scoring refinements on sampled
@@ -69,6 +69,6 @@ fn main() {
     for r in trace.rounds.iter().take(5) {
         println!("  applied {:?} -> {} bytes", r.applied, r.size_bytes);
     }
-    let est = InterpretedEstimator::new(&synopsis).estimate(&req).estimate;
+    let est = CompiledSynopsis::compile(&synopsis).estimate(&req).estimate;
     println!("estimate: {est:.2} (truth {truth})");
 }

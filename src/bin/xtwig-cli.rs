@@ -708,7 +708,7 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
 }
 
 /// Batched serving over the compiled synopsis: one query per input
-/// line, estimated through `estimate_many` + the sharded estimate cache.
+/// line, estimated through a `BatchServer` with the sharded estimate cache.
 fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
     // `--catalog` (without a soak profile) is the multi-tenant front
     // door: the positional argument is a serving plan, not an XML file.

@@ -27,11 +27,18 @@
 //! let truth = selectivity(&doc, &query);
 //! assert_eq!(truth, 3);
 //!
-//! // Build a Twig XSKETCH within a byte budget and estimate.
+//! // Build a Twig XSKETCH within a byte budget, compile it once, and
+//! // estimate through the `Estimator` trait.
 //! let build = BuildOptions { budget_bytes: 2048, max_rounds: 30, ..Default::default() };
 //! let (synopsis, _trace) = xbuild(&doc, TruthSource::Exact, &build);
-//! let estimate = estimate_selectivity(&synopsis, &query, &EstimateOptions::default());
-//! assert!((estimate - truth as f64).abs() < 1.0);
+//! let compiled = CompiledSynopsis::compile(&synopsis);
+//! let report = compiled.estimate(&EstimateRequest::new(&query));
+//! assert!((report.estimate - truth as f64).abs() < 1.0);
+//! assert!(!report.provenance.degraded);
+//!
+//! // Batches go through a `BatchServer`, optionally with a cache.
+//! let reports = BatchServer::new(&compiled).serve(&[query]);
+//! assert_eq!(reports[0].estimate.to_bits(), report.estimate.to_bits());
 //! ```
 //!
 //! ## Crate map
@@ -75,9 +82,9 @@ pub mod prelude {
     pub use xtwig_core::construct::{xbuild, BuildOptions, TruthSource};
     pub use xtwig_core::estimate::{EstimateOptions, EstimateOptionsBuilder};
     pub use xtwig_core::{
-        coarse_synopsis, estimate_selectivity, estimate_selectivity_bounded, read_snapshot,
-        serve_reports, write_snapshot_atomic, BoundedEstimate, EstimateReport, EstimateRequest,
-        Estimator, Explain, InterpretedEstimator, Provenance, SnapshotError, Synopsis,
+        coarse_synopsis, read_snapshot, write_snapshot_atomic, BatchServer, CompiledSynopsis,
+        EstimateCache, EstimateReport, EstimateRequest, Estimator, Explain, Provenance,
+        SnapshotError, Synopsis,
     };
     pub use xtwig_query::{parse_path, parse_twig, selectivity, PathExpr, TwigQuery};
     pub use xtwig_workload::{GuardPolicy, GuardedEstimator};

@@ -1,7 +1,7 @@
 //! Steady-state allocation audit for the compiled estimation path.
 //!
 //! The arena rework (DESIGN.md §13) claims that once a worker thread's
-//! scratch arena, frame pool, and expansion memo are warm, a repeated
+//! scratch arena and expansion memo are warm, a repeated
 //! query performs **zero** heap allocations end to end: the memo key
 //! formats into retained `String` capacity and is looked up by `&str`,
 //! the plan comes back as an `Arc` clone, every TREEPARSE frame lives

@@ -2,13 +2,12 @@
 //! correlated data, Twig XSKETCHes beat CSTs at matched storage budgets.
 
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
-use xtwig::core::estimate::{EstimateOptions, EstimateRequest, Estimator};
-use xtwig::core::InterpretedEstimator;
+use xtwig::core::CompiledSynopsis;
 use xtwig::cst::{Cst, CstOptions};
 use xtwig::datagen::{imdb, ImdbConfig};
 use xtwig::workload::{
     avg_relative_error, generate_workload, CstEstimator, SummaryEstimator, WorkloadKind,
-    WorkloadSpec, XsketchEstimator,
+    WorkloadSpec,
 };
 
 #[test]
@@ -44,12 +43,13 @@ fn xsketch_beats_cst_on_correlated_data() {
         },
     );
 
-    let xs = XsketchEstimator {
-        synopsis: &synopsis,
-        opts: EstimateOptions::default(),
-    };
+    let xs = CompiledSynopsis::compile(&synopsis);
     let ce = CstEstimator { cst: &cst };
-    let xs_est: Vec<f64> = w.queries.iter().map(|q| xs.estimate(q)).collect();
+    let xs_est: Vec<f64> = w
+        .queries
+        .iter()
+        .map(|q| SummaryEstimator::estimate(&xs, q))
+        .collect();
     let cst_est: Vec<f64> = w.queries.iter().map(|q| ce.estimate(q)).collect();
     let xs_err = avg_relative_error(&xs_est, &truths).avg_rel_error;
     let cst_err = avg_relative_error(&cst_est, &truths).avg_rel_error;
@@ -80,12 +80,7 @@ fn both_techniques_are_exact_on_unambiguous_single_paths() {
             ..Default::default()
         },
     );
-    let xs = InterpretedEstimator::new(&s)
-        .estimate(&EstimateRequest::with_options(
-            &q,
-            EstimateOptions::default(),
-        ))
-        .estimate;
+    let xs = SummaryEstimator::estimate(&CompiledSynopsis::compile(&s), &q);
     let ce = xtwig::cst::estimate_twig(&cst, &q);
     assert!((xs - truth).abs() < 1e-6, "xsketch {xs} vs {truth}");
     assert!((ce - truth).abs() < 1e-6, "cst {ce} vs {truth}");

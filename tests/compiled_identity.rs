@@ -2,9 +2,9 @@
 //!
 //! 1. **Bit-identity** — for any synopsis XBUILD produces on any of the
 //!    three paper generators, and any workload query, the compiled
-//!    estimate equals the interpreted one *to the bit* (they are one
-//!    computation in two representations, so even float rounding must
-//!    agree).
+//!    estimate equals the interpreted test oracle's (`support::oracle`)
+//!    *to the bit* (they are one computation in two representations, so
+//!    even float rounding must agree).
 //! 2. **Epoch invalidation** — refining a synopsis and recompiling bumps
 //!    the epoch, so an estimate cache never serves entries computed
 //!    under the stale generation.
@@ -13,17 +13,18 @@
 //!    single bit of any estimate (the whole suite runs under
 //!    `--features trace` in CI to prove the latter).
 
+mod support;
+
 use proptest::prelude::*;
+use support::oracle;
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::estimate::EstimateOptions;
-use xtwig::core::synopsis::{DimKind, ScopeDim};
-use xtwig::core::{
-    coarse_synopsis, BatchServer, CompiledSynopsis, EstimateCache, EstimateRequest, Estimator,
-    InterpretedEstimator,
-};
+use xtwig::core::synopsis::{DimKind, ScopeDim, SynId};
+use xtwig::core::{coarse_synopsis, BatchServer, CompiledSynopsis, EstimateCache};
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
-use xtwig::query::TwigQuery;
+use xtwig::query::{parse_twig, TwigQuery};
 use xtwig::workload::{generate_workload, WorkloadKind, WorkloadSpec};
+use xtwig::xml::DocumentBuilder;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(9))]
@@ -62,10 +63,9 @@ proptest! {
         let w = generate_workload(&doc, &spec);
         let eopts = EstimateOptions::default();
         let cs = CompiledSynopsis::compile(&s);
-        let est = InterpretedEstimator::new(&s);
         for q in &w.queries {
-            let interp = est.estimate(&EstimateRequest::with_options(q, eopts)).bounded();
-            let compiled = cs.estimate_selectivity_bounded(q, &eopts);
+            let interp = oracle::estimate(&s, q, &eopts);
+            let compiled = cs.estimate_report(q, &eopts);
             prop_assert_eq!(
                 interp.estimate.to_bits(),
                 compiled.estimate.to_bits(),
@@ -74,8 +74,9 @@ proptest! {
                 interp.estimate,
                 compiled.estimate
             );
-            prop_assert_eq!(interp.exhaustion, compiled.exhaustion);
-            prop_assert_eq!(interp.clamped, compiled.clamped);
+            prop_assert_eq!(interp.provenance.exhaustion, compiled.provenance.exhaustion);
+            prop_assert_eq!(interp.provenance.clamped, compiled.provenance.clamped);
+            prop_assert_eq!(interp.provenance.embeddings, compiled.provenance.embeddings);
         }
         // The batched path with a cache must serve the same numbers —
         // cold (computing + inserting) and warm (cache hits).
@@ -91,26 +92,25 @@ proptest! {
         .with_threads(4)
         .serve(&w.queries);
         for ((q, a), b) in w.queries.iter().zip(&cold).zip(&warm) {
-            let interp = est.estimate(&EstimateRequest::with_options(q, eopts)).bounded();
+            let interp = oracle::estimate(&s, q, &eopts);
             prop_assert_eq!(interp.estimate.to_bits(), a.estimate.to_bits());
             prop_assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
         }
         if !w.queries.is_empty() {
             prop_assert!(cache.stats().hits >= w.queries.len() as u64);
         }
-        // The unified report surface is the same computation again:
-        // explain on or off, every bit of the estimate and the
-        // provenance facts agree with the legacy bounded result.
+        // Explain on or off, every bit of the estimate and the
+        // provenance facts agree with the oracle.
         let plain = eopts;
         let with_explain = eopts.to_builder().explain(true).build();
         for q in &w.queries {
-            let legacy = cs.estimate_selectivity_bounded(q, &eopts);
+            let interp = oracle::estimate(&s, q, &eopts);
             let rep = cs.estimate_report(q, &plain);
             let rep_explain = cs.estimate_report(q, &with_explain);
-            prop_assert_eq!(rep.estimate.to_bits(), legacy.estimate.to_bits());
-            prop_assert_eq!(rep_explain.estimate.to_bits(), legacy.estimate.to_bits());
-            prop_assert_eq!(rep.provenance.exhaustion, legacy.exhaustion);
-            prop_assert_eq!(rep.provenance.clamped, legacy.clamped);
+            prop_assert_eq!(rep.estimate.to_bits(), interp.estimate.to_bits());
+            prop_assert_eq!(rep_explain.estimate.to_bits(), interp.estimate.to_bits());
+            prop_assert_eq!(rep.provenance.exhaustion, interp.provenance.exhaustion);
+            prop_assert_eq!(rep.provenance.clamped, interp.provenance.clamped);
             prop_assert!(rep.explain.is_none());
             let e = rep_explain.explain.as_ref();
             prop_assert!(e.is_some());
@@ -118,7 +118,6 @@ proptest! {
                 e.map_or(0, |e| e.embeddings.len()),
                 rep_explain.provenance.embeddings
             );
-            prop_assert_eq!(rep.bounded().estimate.to_bits(), legacy.estimate.to_bits());
         }
     }
 }
@@ -127,7 +126,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Batch plan reuse and degraded (budget-exhausted) serving are
-    /// still the interpreted computation, bit for bit, on all three
+    /// still the oracle's computation, bit for bit, on all three
     /// paper generators. Duplicating every query in a batch forces the
     /// later members of each fingerprint group through the reuse path;
     /// a tight work limit forces the guarded path to trip its meter at
@@ -159,7 +158,6 @@ proptest! {
             ..Default::default()
         });
         let cs = CompiledSynopsis::compile(&s);
-        let est = InterpretedEstimator::new(&s);
         let eopts = EstimateOptions::default();
 
         // Duplicate every query: within one batch the duplicates land in
@@ -177,7 +175,7 @@ proptest! {
         .serve(&batch);
         prop_assert_eq!(got.len(), batch.len());
         for (q, r) in batch.iter().zip(&got) {
-            let interp = est.estimate(&EstimateRequest::with_options(q, eopts));
+            let interp = oracle::estimate(&s, q, &eopts);
             prop_assert_eq!(
                 interp.estimate.to_bits(),
                 r.estimate.to_bits(),
@@ -209,7 +207,7 @@ proptest! {
         .with_threads(4)
         .serve(&w.queries);
         for (q, r) in w.queries.iter().zip(&degraded) {
-            let interp = est.estimate(&EstimateRequest::with_options(q, tight));
+            let interp = oracle::estimate(&s, q, &tight);
             prop_assert_eq!(
                 interp.estimate.to_bits(),
                 r.estimate.to_bits(),
@@ -301,12 +299,111 @@ fn refinement_bumps_epoch_and_invalidates_cache() {
         "no stale entry may be served across the epoch bump"
     );
     assert!(stats.stale_evictions >= w.queries.len() as u64);
-    // The fresh results are the interpreted truth for the refined
-    // synopsis, not the cached numbers of the old generation.
+    // The fresh results are the oracle's for the refined synopsis, not
+    // the cached numbers of the old generation.
     for (q, b) in w.queries.iter().zip(&fresh) {
-        let interp = InterpretedEstimator::new(&s)
-            .estimate(&EstimateRequest::with_options(q, eopts))
-            .bounded();
+        let interp = oracle::estimate(&s, q, &eopts);
         assert_eq!(interp.estimate.to_bits(), b.estimate.to_bits());
     }
+}
+
+fn fwd(parent: SynId, child: SynId) -> ScopeDim {
+    ScopeDim {
+        parent,
+        child,
+        kind: DimKind::Forward,
+    }
+}
+
+/// The §4 worked-example document with conditioning histograms: the
+/// compiled and oracle evaluators agree to the bit on every query shape
+/// the example exercises (backward conditioning, a branching predicate,
+/// a value predicate, a bare tag).
+#[test]
+fn compiled_matches_oracle_on_worked_example() {
+    let d = xtwig::datagen::worked_example();
+    let mut s = coarse_synopsis(&d);
+    let tag = |t: &str| s.nodes_with_tag(t)[0];
+    let (author, paper, name) = (tag("author"), tag("paper"), tag("name"));
+    let (keyword, year) = (tag("keyword"), tag("year"));
+    s.set_edge_hist(
+        &d,
+        author,
+        vec![fwd(author, paper), fwd(author, name)],
+        4096,
+    );
+    s.set_edge_hist(
+        &d,
+        paper,
+        vec![
+            fwd(paper, keyword),
+            fwd(paper, year),
+            ScopeDim {
+                parent: author,
+                child: paper,
+                kind: DimKind::Backward,
+            },
+        ],
+        4096,
+    );
+    let cs = CompiledSynopsis::compile(&s);
+    let opts = EstimateOptions::default();
+    for text in [
+        "for $t0 in //author, $t1 in $t0/name, $t2 in $t0/paper, $t3 in $t2/keyword, $t4 in $t2/year",
+        "for $t0 in //author[book], $t1 in $t0/paper",
+        "for $t0 in //paper, $t1 in $t0/keyword",
+        "for $t0 in //keyword",
+        "for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/year[. >= 2001]",
+    ] {
+        let q = parse_twig(text).unwrap();
+        let interp = oracle::estimate(&s, &q, &opts).estimate;
+        let compiled = cs.estimate_report(&q, &opts).estimate;
+        assert_eq!(
+            interp.to_bits(),
+            compiled.to_bits(),
+            "{text}: interpreted {interp} vs compiled {compiled}"
+        );
+    }
+}
+
+/// The §1 movie scenario routed through a joint value × count dimension.
+#[test]
+fn compiled_matches_oracle_on_joint_value_summary() {
+    let mut b = DocumentBuilder::new();
+    b.open("ms", None);
+    for i in 0..40 {
+        b.open("movie", None);
+        let t = if i % 2 == 0 { 1 } else { 2 };
+        b.leaf("type", Some(t));
+        for _ in 0..(if t == 1 { 8 } else { 1 }) {
+            b.leaf("actor", None);
+        }
+        b.close();
+    }
+    b.close();
+    let d = b.finish();
+    let mut s = coarse_synopsis(&d);
+    let movie = s.nodes_with_tag("movie")[0];
+    let typ = s.nodes_with_tag("type")[0];
+    let actor = s.nodes_with_tag("actor")[0];
+    let mut scope = s.edge_hist(movie).scope.clone();
+    if s.edge_hist(movie)
+        .dim_of(movie, actor, DimKind::Forward)
+        .is_none()
+    {
+        scope.push(fwd(movie, actor));
+    }
+    scope.push(ScopeDim {
+        parent: movie,
+        child: typ,
+        kind: DimKind::Value,
+    });
+    s.set_edge_hist(&d, movie, scope, 2048);
+    let cs = CompiledSynopsis::compile(&s);
+    let opts = EstimateOptions::default();
+    let q = parse_twig("for $t0 in //movie[type = 1], $t1 in $t0/actor").unwrap();
+    let interp = oracle::estimate(&s, &q, &opts).estimate;
+    let compiled = cs.estimate_report(&q, &opts).estimate;
+    assert_eq!(interp.to_bits(), compiled.to_bits());
+    assert!((compiled - 160.0).abs() < 1.0, "{compiled}");
 }

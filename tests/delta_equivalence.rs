@@ -10,7 +10,7 @@
 use rand::SeedableRng;
 use xtwig::core::construct::{delta_xbuild, DeltaBuildOptions, DriftMeter};
 use xtwig::core::estimate::{EstimateOptions, EstimateRequest, Estimator};
-use xtwig::core::{coarse_synopsis, fsck, InterpretedEstimator, Synopsis};
+use xtwig::core::{coarse_synopsis, fsck, CompiledSynopsis, Synopsis};
 use xtwig::datagen::Dataset;
 use xtwig::workload::{
     avg_relative_error, generate_workload, random_delta, WorkloadKind, WorkloadSpec,
@@ -53,7 +53,7 @@ fn workload_error(s: &Synopsis, doc: &Document, kind: WorkloadKind) -> f64 {
     let w = generate_workload(doc, &spec);
     let truths: Vec<f64> = w.truths.iter().map(|&t| t as f64).collect();
     let opts = EstimateOptions::default();
-    let estimator = InterpretedEstimator::new(s);
+    let estimator = CompiledSynopsis::compile(s);
     let est: Vec<f64> = w
         .queries
         .iter()

@@ -3,17 +3,12 @@
 
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::estimate::EstimateOptions;
-use xtwig::core::{coarse_synopsis, EstimateRequest, Estimator, InterpretedEstimator};
+use xtwig::core::{coarse_synopsis, CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig::datagen::Dataset;
-use xtwig::workload::{
-    avg_relative_error, generate_workload, WorkloadKind, WorkloadSpec, XsketchEstimator,
-};
+use xtwig::workload::{avg_relative_error, generate_workload, WorkloadKind, WorkloadSpec};
 
 fn workload_error(s: &xtwig::core::Synopsis, w: &xtwig::workload::Workload) -> f64 {
-    let est = XsketchEstimator {
-        synopsis: s,
-        opts: EstimateOptions::default(),
-    };
+    let est = CompiledSynopsis::compile(s);
     let estimates: Vec<f64> = w
         .queries
         .iter()
@@ -80,7 +75,7 @@ fn estimates_are_finite_and_nonnegative_across_workloads() {
             ..Default::default()
         };
         let w = generate_workload(&doc, &spec);
-        let estimator = InterpretedEstimator::new(&s);
+        let estimator = CompiledSynopsis::compile(&s);
         for q in &w.queries {
             let req = EstimateRequest::with_options(q, EstimateOptions::default());
             let e = estimator.estimate(&req).estimate;

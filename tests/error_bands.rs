@@ -6,7 +6,7 @@
 
 use xtwig::core::construct::{xbuild_from, BuildOptions, TruthSource};
 use xtwig::core::estimate::{EstimateOptions, EstimateRequest, Estimator};
-use xtwig::core::{coarse_synopsis, InterpretedEstimator};
+use xtwig::core::{coarse_synopsis, CompiledSynopsis};
 use xtwig::datagen::Dataset;
 use xtwig::workload::{avg_relative_error, generate_workload, WorkloadKind, WorkloadSpec};
 
@@ -23,7 +23,7 @@ fn built_error(ds: Dataset, kind: WorkloadKind, extra_budget: usize) -> (f64, f6
     let coarse = coarse_synopsis(&doc);
     let opts = EstimateOptions::default();
     let score = |s: &xtwig::core::Synopsis| {
-        let estimator = InterpretedEstimator::new(s);
+        let estimator = CompiledSynopsis::compile(s);
         let est: Vec<f64> = w
             .queries
             .iter()

@@ -1,14 +1,18 @@
 //! Integration: the observability layer end to end. The `Explain`
 //! report's per-embedding contributions must sum to the estimate on all
-//! three generators and on both serving paths (interpreted and
-//! compiled), the CLI must render the report, and a served batch must
-//! leave non-zero counters in the exported metrics.
+//! three generators — an estimate that matches the interpreted test
+//! oracle (`support::oracle`) to the bit, explain or not — the CLI must
+//! render the report, and a served batch must leave non-zero counters
+//! in the exported metrics.
+
+mod support;
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use support::oracle;
 use xtwig::core::estimate::{EstimateOptions, EstimateRequest, Estimator};
-use xtwig::core::{coarse_synopsis, CompiledSynopsis, InterpretedEstimator};
+use xtwig::core::{coarse_synopsis, CompiledSynopsis};
 use xtwig::datagen::Dataset;
 use xtwig::workload::{generate_workload, WorkloadKind, WorkloadSpec};
 
@@ -34,35 +38,36 @@ fn explain_contributions_sum_to_estimate_on_all_generators() {
         let w = generate_workload(&doc, &spec);
         assert!(!w.queries.is_empty(), "{}: empty workload", ds.name());
 
-        let interp = InterpretedEstimator::new(&s);
         let cs = CompiledSynopsis::compile(&s);
         let opts = explain_opts();
         for q in &w.queries {
-            let reports = [
-                interp.estimate(&EstimateRequest::with_options(q, opts)),
-                cs.estimate_report(q, &opts),
-            ];
-            for report in reports {
-                let e = report
-                    .explain
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("{}: explain requested but absent", ds.name()));
-                if e.final_clamp {
-                    // The sum was non-finite and replaced by the coarse
-                    // bound; contributions no longer add up by design.
-                    continue;
-                }
-                let sum: f64 = e.embeddings.iter().map(|c| c.contribution).sum();
-                let tol = 1e-9_f64.max(report.estimate.abs() * 1e-12);
-                assert!(
-                    (sum - report.estimate).abs() <= tol,
-                    "{}: contributions sum {sum} != estimate {} for {q} ({})",
-                    ds.name(),
-                    report.estimate,
-                    report.provenance.source,
-                );
-                assert_eq!(e.embeddings.len(), report.provenance.embeddings);
+            let report = cs.estimate(&EstimateRequest::with_options(q, opts));
+            let interp = oracle::estimate(&s, q, &opts);
+            assert_eq!(
+                report.estimate.to_bits(),
+                interp.estimate.to_bits(),
+                "{}: explain changed the estimate for {q}",
+                ds.name()
+            );
+            let e = report
+                .explain
+                .as_ref()
+                .unwrap_or_else(|| panic!("{}: explain requested but absent", ds.name()));
+            assert_eq!(e.embeddings.len(), report.provenance.embeddings);
+            assert_eq!(e.embeddings.len(), interp.provenance.embeddings);
+            if e.final_clamp {
+                // The sum was non-finite and replaced by the coarse
+                // bound; contributions no longer add up by design.
+                continue;
             }
+            let sum: f64 = e.embeddings.iter().map(|c| c.contribution).sum();
+            let tol = 1e-9_f64.max(report.estimate.abs() * 1e-12);
+            assert!(
+                (sum - report.estimate).abs() <= tol,
+                "{}: contributions sum {sum} != estimate {} for {q}",
+                ds.name(),
+                report.estimate,
+            );
         }
     }
 }
@@ -78,9 +83,9 @@ fn explain_is_absent_unless_requested() {
         ..Default::default()
     };
     let w = generate_workload(&doc, &spec);
-    let interp = InterpretedEstimator::new(&s);
+    let cs = CompiledSynopsis::compile(&s);
     for q in &w.queries {
-        let report = interp.estimate(&EstimateRequest::new(q));
+        let report = cs.estimate(&EstimateRequest::new(q));
         assert!(report.explain.is_none());
     }
 }

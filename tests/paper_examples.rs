@@ -1,11 +1,9 @@
 //! Every concrete number the paper states, checked end-to-end through
 //! the public facade.
 
-use xtwig::core::estimate::{
-    estimate_embedding, Embedding, EstimateOptions, EstimateRequest, Estimator,
-};
+use xtwig::core::estimate::{Embedding, EstimateRequest, Estimator};
 use xtwig::core::synopsis::{DimKind, ScopeDim};
-use xtwig::core::{coarse_synopsis, InterpretedEstimator};
+use xtwig::core::{coarse_synopsis, CompiledSynopsis};
 use xtwig::datagen::{bibliography, figure4_a, figure4_b, worked_example};
 use xtwig::query::{parse_twig, selectivity};
 
@@ -42,6 +40,24 @@ fn figure4_documents_2000_vs_10100() {
     let q = parse_twig("for $t0 in //A, $t1 in $t0/B, $t2 in $t0/C").unwrap();
     assert_eq!(selectivity(&figure4_a(), &q), 2000);
     assert_eq!(selectivity(&figure4_b(), &q), 10100);
+    // With the 2-D edge histogram f_A(b, c) the compiled evaluator tells
+    // the two documents apart and reproduces both counts.
+    for (doc, truth) in [(figure4_a(), 2000.0), (figure4_b(), 10100.0)] {
+        let mut s = coarse_synopsis(&doc);
+        let a = s.nodes_with_tag("A")[0];
+        let b = s.nodes_with_tag("B")[0];
+        let c = s.nodes_with_tag("C")[0];
+        let forward = |child| ScopeDim {
+            parent: a,
+            child,
+            kind: DimKind::Forward,
+        };
+        s.set_edge_hist(&doc, a, vec![forward(b), forward(c)], 4096);
+        let est = CompiledSynopsis::compile(&s)
+            .estimate(&EstimateRequest::new(&q))
+            .estimate;
+        assert!((est - truth).abs() < 1e-10, "{est} vs {truth}");
+    }
 }
 
 #[test]
@@ -130,8 +146,8 @@ fn section4_worked_example_evaluates_to_ten_thirds() {
     let p = emb.push_node(0, paper, None, 1.0);
     emb.push_node(p, keyword, None, 1.0);
     emb.push_node(p, year, None, 1.0);
-    let est = estimate_embedding(&s, &emb);
-    assert!((est - 10.0 / 3.0).abs() < 1e-9, "{est}");
+    let est = CompiledSynopsis::compile(&s).estimate_embedding(&emb);
+    assert!((est - 10.0 / 3.0).abs() < 1e-10, "{est}");
 }
 
 #[test]
@@ -157,11 +173,8 @@ fn section1_movie_query_parses_and_runs() {
     let doc = b.finish();
     assert_eq!(selectivity(&doc, &q), 30);
     let s = coarse_synopsis(&doc);
-    let est = InterpretedEstimator::new(&s)
-        .estimate(&EstimateRequest::with_options(
-            &q,
-            EstimateOptions::default(),
-        ))
+    let est = CompiledSynopsis::compile(&s)
+        .estimate(&EstimateRequest::new(&q))
         .estimate;
     assert!((est - 30.0).abs() < 1e-9, "{est}");
 }

@@ -29,14 +29,7 @@ fn zero_capacity_cache_disables_instead_of_panicking() {
     // Lookups miss, inserts drop, stats stay quiet — and nothing panics.
     assert!(cache.get("q", 1).is_none());
     let prov = Provenance::new("xsketch-compiled");
-    let b = xtwig::core::estimate::BoundedEstimate {
-        estimate: 1.0,
-        exhaustion: None,
-        embeddings: 1,
-        work: 1,
-        clamped: 0,
-    };
-    cache.insert("q", 1, b, prov);
+    cache.insert("q", 1, 1.0, prov);
     assert!(cache.get("q", 1).is_none(), "disabled cache never stores");
     let stats = cache.stats();
     assert_eq!(stats.entries, 0);

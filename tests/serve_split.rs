@@ -6,15 +6,16 @@
 //! unguarded fingerprint group takes the heavy-group path, where one
 //! query's embeddings are dealt out to several workers and folded back
 //! through the same sequential clamping loop as the serial path. The
-//! split must be invisible — bit-identical estimates, equivalent
-//! provenance, honest cache interaction — and telemetry must record it.
+//! split must be invisible — estimates bit-identical to the interpreted
+//! test oracle (`support::oracle`), equivalent provenance, honest cache
+//! interaction — and telemetry must record it.
 
+mod support;
+
+use support::oracle;
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::estimate::EstimateOptions;
-use xtwig::core::{
-    coarse_synopsis, BatchServer, CompiledSynopsis, EstimateCache, EstimateRequest, Estimator,
-    InterpretedEstimator,
-};
+use xtwig::core::{coarse_synopsis, BatchServer, CompiledSynopsis, EstimateCache};
 use xtwig::datagen::{xmark, XMarkConfig};
 use xtwig::query::TwigQuery;
 use xtwig::workload::{generate_workload, Workload, WorkloadKind, WorkloadSpec};
@@ -61,7 +62,6 @@ fn split_evaluation_is_bit_identical_to_interpreted() {
     assert!(!w.queries.is_empty());
     let s = build(&doc, 11);
     let cs = CompiledSynopsis::compile(&s);
-    let est = InterpretedEstimator::new(&s);
     let eopts = EstimateOptions::default();
 
     let splits_before = xtwig::core::telemetry::global().batch_splits.get();
@@ -76,7 +76,7 @@ fn split_evaluation_is_bit_identical_to_interpreted() {
     );
 
     for (q, r) in w.queries.iter().zip(&got) {
-        let interp = est.estimate(&EstimateRequest::with_options(q, eopts));
+        let interp = oracle::estimate(&s, q, &eopts);
         assert_eq!(
             interp.estimate.to_bits(),
             r.estimate.to_bits(),
@@ -127,7 +127,6 @@ fn split_groups_share_one_plan_with_duplicates() {
     assert!(!w.queries.is_empty());
     let s = build(&doc, 37);
     let cs = CompiledSynopsis::compile(&s);
-    let est = InterpretedEstimator::new(&s);
     let eopts = EstimateOptions::default();
 
     // Duplicates of a heavy query land in the same fingerprint group:
@@ -145,7 +144,7 @@ fn split_groups_share_one_plan_with_duplicates() {
         .serve(&batch);
     assert_eq!(got.len(), batch.len());
     for (q, r) in batch.iter().zip(&got) {
-        let interp = est.estimate(&EstimateRequest::with_options(q, eopts));
+        let interp = oracle::estimate(&s, q, &eopts);
         assert_eq!(
             interp.estimate.to_bits(),
             r.estimate.to_bits(),
@@ -161,7 +160,6 @@ fn split_with_explain_reports_every_embedding() {
     assert!(!w.queries.is_empty());
     let s = build(&doc, 53);
     let cs = CompiledSynopsis::compile(&s);
-    let est = InterpretedEstimator::new(&s);
     let with_explain = EstimateOptions::default()
         .to_builder()
         .explain(true)
@@ -172,7 +170,7 @@ fn split_with_explain_reports_every_embedding() {
         .with_threads(4)
         .serve(&w.queries);
     for (q, r) in w.queries.iter().zip(&got) {
-        let interp = est.estimate(&EstimateRequest::with_options(q, with_explain));
+        let interp = oracle::estimate(&s, q, &with_explain);
         assert_eq!(interp.estimate.to_bits(), r.estimate.to_bits());
         let e = r.explain.as_ref();
         assert!(e.is_some(), "explain batch must carry an Explain on {q}");

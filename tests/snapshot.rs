@@ -14,7 +14,7 @@ use xtwig::core::io::HEADER_LEN;
 use xtwig::core::{
     encode_delta, load_compiled_snapshot, load_synopsis, parse_wal, save_synopsis,
     save_synopsis_v3, verify_snapshot_v3, CompiledSynopsis, EstimateRequest, Estimator,
-    InterpretedEstimator, SnapshotError, WalWriter,
+    SnapshotError, WalWriter,
 };
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 use xtwig::workload::{generate_workload, WorkloadKind, WorkloadSpec};
@@ -51,8 +51,8 @@ fn snapshot_preserves_workload_estimates() {
             ..Default::default()
         };
         let w = generate_workload(&doc, &spec);
-        let built = InterpretedEstimator::new(&synopsis);
-        let reloaded = InterpretedEstimator::new(&loaded);
+        let built = CompiledSynopsis::compile(&synopsis);
+        let reloaded = CompiledSynopsis::compile(&loaded);
         for q in &w.queries {
             let req = EstimateRequest::with_options(q, opts);
             let a = built.estimate(&req).estimate;
@@ -209,9 +209,9 @@ fn v1_v2_v3_round_trip_identically_for_every_generator() {
             ..Default::default()
         };
         let w = generate_workload(&doc, &spec);
-        let e1 = InterpretedEstimator::new(&from_v1);
-        let e2 = InterpretedEstimator::new(&from_v2);
-        let e3 = InterpretedEstimator::new(&from_v3);
+        let e1 = CompiledSynopsis::compile(&from_v1);
+        let e2 = CompiledSynopsis::compile(&from_v2);
+        let e3 = CompiledSynopsis::compile(&from_v3);
         for q in &w.queries {
             let req = EstimateRequest::new(q);
             let a = e1.estimate(&req).estimate;
