@@ -13,13 +13,20 @@
 //! * **batch throughput** — `BatchServer` QPS on scoped threads with
 //!   the sharded estimate cache, cold then warm, plus the cache hit-rate;
 //! * **multi-tenant throughput** — four resident tenants served
-//!   concurrently through `SnapshotCatalog::serve`.
+//!   concurrently through `SnapshotCatalog::serve`;
+//! * **cold first answer** — the median, over repeated fresh loads, of
+//!   a verified v3 read (`read_compiled_snapshot_in(.., true)`, the
+//!   catalog's fault-in) followed by the first `estimate_report` on its
+//!   cold memo (`cold_first_answer_us`), and, for the record, the same
+//!   answer from v2: read, `load_synopsis`, compile, first answer
+//!   (`v2_first_answer_us`).
 //!
 //! Correctness: every query's estimate from a v3 snapshot loaded with
 //! `load_compiled_arena` must equal the in-memory
-//! `CompiledSynopsis::compile` estimate bit for bit, and the warm batch
-//! (cache hits) must return the cold batch's bits. Any disagreement is
-//! counted in `mismatches` and fails the run.
+//! `CompiledSynopsis::compile` estimate bit for bit, as must every cold
+//! first answer, and the warm batch (cache hits) must return the cold
+//! batch's bits. Any disagreement is counted in `mismatches` and fails
+//! the run.
 //!
 //! Environment: the usual `XTWIG_SCALE` / `XTWIG_QUERIES`, plus
 //! `XTWIG_BENCH_OUT` (output path, default `BENCH_estimation.json`).
@@ -29,8 +36,9 @@ use std::time::Instant;
 use xtwig_bench::BenchConfig;
 use xtwig_core::construct::BuildOptions;
 use xtwig_core::{
-    load_compiled_arena, save_synopsis_v3, xbuild, AlignedBytes, BatchServer, CatalogOptions,
-    CompiledSynopsis, EstimateCache, EstimateOptions, EstimateRequest, Estimator, SnapshotCatalog,
+    load_compiled_arena, read_compiled_snapshot_in, read_snapshot_in, save_synopsis,
+    save_synopsis_v3, xbuild, AlignedBytes, BatchServer, CatalogOptions, CompiledSynopsis,
+    EstimateCache, EstimateOptions, EstimateRequest, Estimator, SnapshotCatalog, StdVfs,
     TruthSource,
 };
 use xtwig_datagen::Dataset;
@@ -52,8 +60,13 @@ struct DatasetReport {
     batch_warm_qps: f64,
     cache_hit_rate: f64,
     multi_tenant_qps: f64,
+    cold_first_answer_us: f64,
+    v2_first_answer_us: f64,
     mismatches: usize,
 }
+
+/// Fresh loads timed per dataset for the cold-first-answer medians.
+const COLD_LOADS: usize = 25;
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -215,6 +228,48 @@ fn main() {
         let multi_tenant_qps = (tenants * w.queries.len()) as f64 / mt_secs.max(1e-9);
         let _ = std::fs::remove_dir_all(&cat_dir);
 
+        // --- cold first answer: fresh load, then one cold-memo answer ---
+        // Each load answers a different workload query, so the median is
+        // not one query's cost; both formats answer the same ones.
+        let snap_dir = std::env::temp_dir().join(format!(
+            "xtwig-bench-cold-{}-{}",
+            std::process::id(),
+            ds.name()
+        ));
+        let _ = std::fs::remove_dir_all(&snap_dir);
+        std::fs::create_dir_all(&snap_dir).expect("snapshot dir");
+        let (v3_path, v2_path) = (snap_dir.join("s.v3.xtwg"), snap_dir.join("s.v2.xtwg"));
+        std::fs::write(&v3_path, save_synopsis_v3(&s)).expect("write v3");
+        std::fs::write(&v2_path, save_synopsis(&s)).expect("write v2");
+        let mut cold_us: Vec<f64> = Vec::with_capacity(COLD_LOADS);
+        let mut v2_us: Vec<f64> = Vec::with_capacity(COLD_LOADS);
+        for i in 0..COLD_LOADS {
+            let q = &w.queries[i % w.queries.len()];
+            let expect = cs.estimate_report(q, &opts).estimate;
+            let t = Instant::now();
+            let loaded = read_compiled_snapshot_in(&StdVfs, &v3_path, true).expect("v3 read");
+            let a = loaded.estimate_report(q, &opts).estimate;
+            cold_us.push(t.elapsed().as_secs_f64() * 1e6);
+            let t = Instant::now();
+            let parsed = read_snapshot_in(&StdVfs, &v2_path).expect("v2 read");
+            let b = CompiledSynopsis::compile(&parsed)
+                .estimate_report(q, &opts)
+                .estimate;
+            v2_us.push(t.elapsed().as_secs_f64() * 1e6);
+            for (form, got) in [("v3", a), ("v2", b)] {
+                if got.to_bits() != expect.to_bits() {
+                    eprintln!(
+                        "MISMATCH {}: cold {form} first answer {got} vs compiled {expect} for {q}",
+                        ds.name()
+                    );
+                    mismatches += 1;
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&snap_dir);
+        cold_us.sort_by(f64::total_cmp);
+        v2_us.sort_by(f64::total_cmp);
+
         total_mismatches += mismatches;
         let rep = DatasetReport {
             name: ds.name().to_string(),
@@ -231,12 +286,15 @@ fn main() {
             batch_warm_qps: w.queries.len() as f64 / warm_secs.max(1e-9),
             cache_hit_rate: stats.hit_rate(),
             multi_tenant_qps,
+            cold_first_answer_us: percentile(&cold_us, 0.50),
+            v2_first_answer_us: percentile(&v2_us, 0.50),
             mismatches,
         };
         println!(
             "## {}: {:.0} qps single, p50 {:.1}us p95 {:.1}us p99 {:.1}us \
              (expand p50 {:.1}us / eval p50 {:.1}us), batch {:.0} -> {:.0} qps warm, \
-             hit-rate {:.2}, {:.0} qps multi-tenant, mismatches {}",
+             hit-rate {:.2}, {:.0} qps multi-tenant, cold first answer {:.1}us \
+             (v2 {:.1}us), mismatches {}",
             rep.name,
             rep.compiled_qps,
             rep.p50_us,
@@ -248,6 +306,8 @@ fn main() {
             rep.batch_warm_qps,
             rep.cache_hit_rate,
             rep.multi_tenant_qps,
+            rep.cold_first_answer_us,
+            rep.v2_first_answer_us,
             rep.mismatches,
         );
         reports.push(rep);
@@ -263,6 +323,7 @@ fn main() {
              \"eval_us_p50\": {:.2}, \"eval_us_p95\": {:.2}, \
              \"batch_cold_qps\": {:.1}, \"batch_warm_qps\": {:.1}, \
              \"cache_hit_rate\": {:.4}, \"multi_tenant_qps\": {:.1}, \
+             \"cold_first_answer_us\": {:.2}, \"v2_first_answer_us\": {:.2}, \
              \"mismatches\": {}}}{}\n",
             r.name,
             r.queries,
@@ -278,6 +339,8 @@ fn main() {
             r.batch_warm_qps,
             r.cache_hit_rate,
             r.multi_tenant_qps,
+            r.cold_first_answer_us,
+            r.v2_first_answer_us,
             r.mismatches,
             if i + 1 < reports.len() { "," } else { "" },
         ));

@@ -11,7 +11,18 @@
 //! * **CSR adjacency** — per-parent sorted child lists with the Forward
 //!   Uniformity average `child_count/|u|` precomputed, so the hot-path
 //!   `avg_children` is a binary search over a contiguous `u32` slice
-//!   instead of a `BTreeMap` probe.
+//!   instead of a `BTreeMap` probe. Each row equals
+//!   `Synopsis::children_of` (both follow the edge map's key order).
+//! * **Structural columns** — root and max depth, per-node label ids
+//!   with the label-name table, per-edge `child_count`/`parent_count`,
+//!   per-label element totals, and the per-node value summaries
+//!   flattened into one bucket column: everything expansion, branch
+//!   fractions, value-summary fallbacks, [`coarse_count_bound`] and
+//!   explain rendering read, through [`SynopsisView`]. A v3 snapshot
+//!   stores exactly these columns, so a loaded synopsis serves without
+//!   ever building a [`Synopsis`]; [`CompiledSynopsis::source`] rebuilds
+//!   one from the columns only for the cold consumers that ask (fsck,
+//!   the footprint of a size report).
 //! * **Struct-of-arrays histograms** ([`CompiledHistogram`]) — bucket
 //!   masses, box bounds, and means in contiguous bucket-major rows;
 //!   scope dimensions interned into parallel edge/kind tables; value
@@ -59,11 +70,11 @@
 //! on all three paper generators, with and without budgets
 //! (`tests/compiled_identity.rs`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::io::pod::{AlignedBytes, Lane};
+use crate::io::pod::Lane;
 
 use crate::estimate::api::{
     self, AssumptionCounts, EstimateReport, EstimateRequest, Estimator, Explain, Provenance,
@@ -73,11 +84,16 @@ use crate::estimate::arena::{self, EvalArena};
 use crate::estimate::embedding::{enumerate_embeddings_metered, Embedding};
 use crate::estimate::guard::{EvalStats, Meter};
 use crate::estimate::kernel;
-use crate::estimate::{coarse_count_bound, EstimateOptions};
-use crate::synopsis::{DimKind, SynId, Synopsis, ValueSource};
+use crate::estimate::{coarse_count_bound, EstimateOptions, SynopsisView};
+use crate::synopsis::{
+    DimKind, EdgeHistogram, ScopeDim, SynId, Synopsis, SynopsisEdge, SynopsisNode, ValueBuckets,
+    ValueSource, ValueSummary,
+};
 use crate::telemetry::{self, Span, Stage};
 use std::time::Instant;
+use xtwig_histogram::{Bucket, MdHistogram, ValueHistogram};
 use xtwig_query::TwigQuery;
+use xtwig_xml::{LabelId, LabelTable};
 
 /// Global epoch source: every compilation gets a fresh, process-unique
 /// epoch so caches can tell synopsis generations apart.
@@ -140,6 +156,11 @@ pub struct CompiledHistogram {
     pub(crate) dim_expectation: Vec<f64>,
     /// Precomputed total probability mass `Σ_b frac[b]`.
     pub(crate) total_mass: f64,
+    /// The histogram's byte budget (kept for the source rebuild).
+    pub(crate) budget_bytes: u32,
+    /// Distinct points the histogram summarized (kept for the source
+    /// rebuild).
+    pub(crate) distinct_points: u32,
 }
 
 impl CompiledHistogram {
@@ -215,6 +236,49 @@ impl CompiledHistogram {
             hi_t: hi_t.into(),
             dim_expectation,
             total_mass: h.hist.total_mass(),
+            budget_bytes: h.budget_bytes as u32,
+            distinct_points: h.distinct_points as u32,
+        }
+    }
+
+    /// The [`EdgeHistogram`] this histogram was lowered from: scope,
+    /// buckets in bucket order, value bucketizations, budget.
+    fn to_edge_hist(&self) -> EdgeHistogram {
+        let dims = self.dims;
+        let scope = (0..dims)
+            .map(|d| ScopeDim {
+                parent: self.dim_parent[d],
+                child: self.dim_child[d],
+                kind: self.dim_kind[d],
+            })
+            .collect();
+        let buckets = (0..self.frac.len())
+            .map(|b| {
+                let row = b * dims..(b + 1) * dims;
+                Bucket {
+                    fraction: self.frac[b],
+                    lo: self.lo[row.clone()].to_vec(),
+                    hi: self.hi[row.clone()].to_vec(),
+                    mean: self.mean[row].to_vec(),
+                }
+            })
+            .collect();
+        let value_buckets = self
+            .vb_span
+            .iter()
+            .map(|span| {
+                span.map(|(start, len)| ValueBuckets {
+                    lo: self.vb_lo[start..start + len].to_vec(),
+                    hi: self.vb_hi[start..start + len].to_vec(),
+                })
+            })
+            .collect();
+        EdgeHistogram {
+            scope,
+            hist: MdHistogram::from_parts(dims, buckets),
+            value_buckets,
+            budget_bytes: self.budget_bytes as usize,
+            distinct_points: self.distinct_points as usize,
         }
     }
 
@@ -355,70 +419,203 @@ pub struct ExpandedQuery {
     pub needs: Vec<Vec<Vec<(SynId, SynId)>>>,
 }
 
-/// Where a compiled synopsis gets its source [`Synopsis`] from: a
-/// caller-owned borrow (the `compile` path) or a lazily decoded copy of
-/// a v3 snapshot's `SYNOPSIS` section (the zero-copy load path). The lazy variant is what lets a v3 load skip payload
-/// decoding entirely until a cold path (expansion, value-summary
-/// fallback, coarse bound) first asks for the graph.
-enum SourceRef<'a> {
-    /// Borrowed from the caller; lives at least as long as `'a`.
-    Borrowed(&'a Synopsis),
-    /// Decoded on first use from the mapped arena (boxed: the lazy
-    /// state is ~300 bytes and only the load path carries it).
-    Lazy(Box<LazySource>),
+/// The label-name table as one UTF-8 string plus end offsets: label
+/// `l` is `text[ends[l - 1]..ends[l]]` (from 0 for the first), labels in
+/// id order.
+#[derive(Debug, Clone)]
+pub(crate) struct LabelNames {
+    pub(crate) text: String,
+    /// Ascending end offsets into `text`, one per label.
+    pub(crate) ends: Vec<usize>,
 }
 
-/// The lazy half of [`SourceRef`]: the arena window holding the v3
-/// `SYNOPSIS` section (a v1/v2 payload, CRC-covered in the section
-/// table) plus the decode-once cell.
-struct LazySource {
-    backing: Arc<AlignedBytes>,
-    /// Byte offset of the section within the arena.
-    off: usize,
-    /// Section length in bytes.
-    len: usize,
-    cell: OnceLock<Synopsis>,
+impl LabelNames {
+    /// The names of `labels`, in id order.
+    fn from_table(labels: &LabelTable) -> LabelNames {
+        let mut names = LabelNames {
+            text: String::new(),
+            ends: Vec::with_capacity(labels.len()),
+        };
+        for (_, name) in labels.iter() {
+            names.text.push_str(name);
+            names.ends.push(names.text.len());
+        }
+        names
+    }
+
+    /// Number of labels.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The name of label `l` (`""` out of range).
+    pub(crate) fn name(&self, l: usize) -> &str {
+        let start = match l.checked_sub(1) {
+            Some(p) => self.ends.get(p).copied(),
+            None => Some(0),
+        };
+        match (start, self.ends.get(l)) {
+            (Some(a), Some(&b)) => self.text.get(a..b).unwrap_or(""),
+            _ => "",
+        }
+    }
+
+    /// The id of the label named `name`, if any.
+    fn position(&self, name: &str) -> Option<usize> {
+        (0..self.len()).find(|&l| self.name(l) == name)
+    }
 }
 
-impl LazySource {
-    /// Decodes the section on first call; later calls return the cached
-    /// synopsis. A decode failure is unreachable for writer-produced
-    /// snapshots (the section is a verbatim `save_payload` image), but
-    /// degrades to an empty synopsis rather than panicking.
-    fn get(&self) -> &Synopsis {
-        self.cell.get_or_init(|| {
-            let bytes = self
-                .backing
-                .bytes()
-                .get(self.off..self.off.saturating_add(self.len))
-                .unwrap_or(&[]);
-            crate::io::decode_payload(bytes, self.off)
-                .unwrap_or_else(|_| Synopsis::empty_estimation_only())
+/// One node's 1-D value summary within [`ValueColumns`]: its bucket
+/// rows `start..end`, the summarized value count, and the byte budget.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ValueSpan {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) total: u64,
+    pub(crate) budget: u32,
+}
+
+/// One flattened value-summary bucket: `(lo, hi, count, distinct)`, the
+/// `ValueHistogram::to_parts` row.
+pub(crate) type ValueBucket = (i64, i64, u64, u64);
+
+/// Per-node 1-D value summaries flattened into one bucket column;
+/// `spans[n]` is `None` for a node without a summary.
+#[derive(Debug, Clone)]
+pub(crate) struct ValueColumns {
+    pub(crate) spans: Vec<Option<ValueSpan>>,
+    pub(crate) buckets: Vec<ValueBucket>,
+}
+
+impl ValueColumns {
+    fn from_synopsis(s: &Synopsis) -> ValueColumns {
+        let mut v = ValueColumns {
+            spans: Vec::with_capacity(s.node_count()),
+            buckets: Vec::new(),
+        };
+        for n in s.node_ids() {
+            let span = s.value_summary(n).map(|vs| {
+                let (buckets, total) = vs.hist.to_parts();
+                let start = v.buckets.len();
+                v.buckets.extend(buckets);
+                ValueSpan {
+                    start,
+                    end: v.buckets.len(),
+                    total,
+                    budget: vs.budget_bytes as u32,
+                }
+            });
+            v.spans.push(span);
+        }
+        v
+    }
+
+    /// Node `n`'s summary span and bucket rows, if it has a summary.
+    fn summary_rows(&self, n: usize) -> Option<(ValueSpan, &[ValueBucket])> {
+        let span = (*self.spans.get(n)?)?;
+        Some((span, self.buckets.get(span.start..span.end)?))
+    }
+
+    /// Mirror of `ValueHistogram::range_fraction` over node `n`'s
+    /// flattened buckets — identical arithmetic in bucket order, so the
+    /// fraction matches the synopsis' own value summary bit for bit.
+    fn range_fraction(&self, n: usize, lo: i64, hi: i64) -> f64 {
+        let Some((span, rows)) = self.summary_rows(n) else {
+            return 0.0;
+        };
+        if span.total == 0 || lo > hi {
+            return 0.0;
+        }
+        let mut covered = 0.0;
+        for &(blo, bhi, count, _) in rows {
+            if bhi < lo || blo > hi {
+                continue;
+            }
+            if lo <= blo && bhi <= hi {
+                covered += count as f64;
+                continue;
+            }
+            // Partial overlap: interpolate on the value range.
+            let span = (bhi - blo) as f64 + 1.0;
+            let olo = lo.max(blo);
+            let ohi = hi.min(bhi);
+            let overlap = (ohi - olo) as f64 + 1.0;
+            covered += count as f64 * (overlap / span).clamp(0.0, 1.0);
+        }
+        (covered / span.total as f64).clamp(0.0, 1.0)
+    }
+
+    /// The [`ValueSummary`] node `n`'s rows were flattened from.
+    fn summary(&self, n: usize) -> Option<ValueSummary> {
+        let (span, rows) = self.summary_rows(n)?;
+        Some(ValueSummary {
+            hist: ValueHistogram::from_parts(rows.to_vec(), span.total),
+            budget_bytes: span.budget as usize,
         })
     }
 }
 
-/// The compiled synopsis: flat arrays plus a borrow of the source
-/// [`Synopsis`] for the cold paths (expansion walks the synopsis graph;
-/// value-summary fallbacks and the coarse count bound read the synopsis
-/// directly).
-///
-/// Two provenances share this one type: [`CompiledSynopsis::compile`]
-/// lowers a live synopsis into owned arrays (`'a` borrows the source),
-/// while [`crate::io::v3::load_compiled_snapshot`] builds a
-/// `CompiledSynopsis<'static>` whose bucket columns are zero-copy views
-/// into the snapshot arena and whose source synopsis decodes lazily.
-pub struct CompiledSynopsis<'a> {
-    source: SourceRef<'a>,
-    epoch: u64,
+/// The structural columns of a compiled synopsis — everything besides
+/// the edge histograms. [`CompiledSynopsis::compile`] lowers them from
+/// a live [`Synopsis`] and the v3 loader decodes them from `META`, so
+/// serving has one backing whichever way the synopsis arrived.
+pub(crate) struct Columns {
+    /// The node containing the document root.
+    pub(crate) root: SynId,
+    /// Maximum document depth (bounds `//` expansion).
+    pub(crate) max_depth: usize,
     /// Extent sizes per node.
     pub(crate) counts: Vec<u64>,
-    /// CSR row offsets into `edge_child` / `edge_avg` (`nodes + 1`).
+    /// Label id per node.
+    pub(crate) node_label: Vec<u16>,
+    /// Label names, by label id.
+    pub(crate) labels: LabelNames,
+    /// CSR row offsets into the edge columns (`nodes + 1`).
     pub(crate) edge_off: Vec<usize>,
     /// Child endpoints, sorted per parent.
     pub(crate) edge_child: Vec<SynId>,
     /// Precomputed Forward Uniformity averages `child_count/|u|`.
     pub(crate) edge_avg: Vec<f64>,
+    /// Per-edge `child_count`: elements of the child with a parent in
+    /// the parent node.
+    pub(crate) edge_child_count: Vec<u64>,
+    /// Per-edge `parent_count`: elements of the parent with a child in
+    /// the child node.
+    pub(crate) edge_parent_count: Vec<u64>,
+    /// Per-node value summaries.
+    pub(crate) values: ValueColumns,
+}
+
+/// Where `source()` finds the [`Synopsis`]: a caller-owned borrow (the
+/// `compile` path) or an estimation-only copy rebuilt from the columns
+/// on first use (a v3 load, which carries no other copy). Serving never
+/// asks for it.
+enum SourceRef<'a> {
+    /// Borrowed from the caller; lives at least as long as `'a`.
+    Borrowed(&'a Synopsis),
+    /// Rebuilt from the columns on first call.
+    Rebuilt(OnceLock<Box<Synopsis>>),
+}
+
+/// The compiled synopsis: flat arrays that answer every question the
+/// estimation path asks — expansion, branch fractions, value-summary
+/// fallbacks, the coarse count bound and explain rendering read the
+/// structural columns through [`SynopsisView`]; TREEPARSE reads the
+/// histograms.
+///
+/// Two provenances share this one type: [`CompiledSynopsis::compile`]
+/// lowers a live synopsis into owned arrays (`'a` borrows the source),
+/// while [`crate::io::v3::load_compiled_snapshot`] builds a
+/// `CompiledSynopsis<'static>` whose bucket columns are zero-copy views
+/// into the snapshot arena.
+pub struct CompiledSynopsis<'a> {
+    source: SourceRef<'a>,
+    epoch: u64,
+    /// The structural columns.
+    pub(crate) cols: Columns,
+    /// Elements per label id, summed in node-id order.
+    label_total: Vec<f64>,
     /// Per-node compiled histograms.
     pub(crate) hists: Vec<CompiledHistogram>,
     /// Memoized expansions keyed by `(query, expansion options)`.
@@ -435,10 +632,13 @@ impl<'a> CompiledSynopsis<'a> {
         let counts: Vec<u64> = s.node_ids().map(|id| s.extent_size(id)).collect();
         // The synopsis stores edges in a BTreeMap keyed by (parent,
         // child), so iteration is already CSR order: grouped by parent,
-        // children sorted.
+        // children sorted — each row equals `Synopsis::children_of`.
+        let e = s.edge_count();
         let mut edge_off = vec![0usize; n + 1];
-        let mut edge_child = Vec::with_capacity(s.edge_count());
-        let mut edge_avg = Vec::with_capacity(s.edge_count());
+        let mut edge_child = Vec::with_capacity(e);
+        let mut edge_avg = Vec::with_capacity(e);
+        let mut edge_child_count = Vec::with_capacity(e);
+        let mut edge_parent_count = Vec::with_capacity(e);
         for (u, v, rec) in s.edge_iter() {
             edge_off[u.index() + 1] += 1;
             edge_child.push(v);
@@ -450,58 +650,62 @@ impl<'a> CompiledSynopsis<'a> {
             } else {
                 0.0
             });
+            edge_child_count.push(rec.child_count);
+            edge_parent_count.push(rec.parent_count);
         }
         for i in 0..n {
             edge_off[i + 1] += edge_off[i];
         }
+        let cols = Columns {
+            root: s.root(),
+            max_depth: s.max_depth(),
+            node_label: s.node_ids().map(|id| s.label(id).0).collect(),
+            labels: LabelNames::from_table(s.labels()),
+            counts,
+            edge_off,
+            edge_child,
+            edge_avg,
+            edge_child_count,
+            edge_parent_count,
+            values: ValueColumns::from_synopsis(s),
+        };
         let hists = s
             .node_ids()
             .map(|id| CompiledHistogram::compile(s, id))
             .collect();
-        CompiledSynopsis {
-            source: SourceRef::Borrowed(s),
-            epoch: EPOCH.fetch_add(1, Ordering::Relaxed),
-            counts,
-            edge_off,
-            edge_child,
-            edge_avg,
-            hists,
-            memo: Mutex::new(HashMap::new()),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-        }
+        CompiledSynopsis::assemble(SourceRef::Borrowed(s), cols, hists)
     }
 
-    /// Assembles a compiled synopsis from parts decoded out of a v3
-    /// snapshot arena: structure arrays are owned (O(nodes + edges)),
-    /// histogram bucket columns are zero-copy [`Lane`] views into
-    /// `backing`, and the source synopsis decodes lazily from
-    /// the arena window `[syn_off, syn_off + syn_len)`. Draws a fresh
-    /// epoch, exactly like a recompilation, so downstream caches treat
-    /// the load as a new generation.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_loaded_parts(
-        backing: Arc<AlignedBytes>,
-        syn_off: usize,
-        syn_len: usize,
-        counts: Vec<u64>,
-        edge_off: Vec<usize>,
-        edge_child: Vec<SynId>,
-        edge_avg: Vec<f64>,
+    /// Assembles a compiled synopsis from columns decoded out of a v3
+    /// snapshot arena (histogram bucket columns are zero-copy [`Lane`]
+    /// views into it). Draws a fresh epoch, exactly like a
+    /// recompilation, so downstream caches treat the load as a new
+    /// generation.
+    pub(crate) fn from_columns(
+        cols: Columns,
         hists: Vec<CompiledHistogram>,
     ) -> CompiledSynopsis<'static> {
+        CompiledSynopsis::assemble(SourceRef::Rebuilt(OnceLock::new()), cols, hists)
+    }
+
+    fn assemble(
+        source: SourceRef<'a>,
+        cols: Columns,
+        hists: Vec<CompiledHistogram>,
+    ) -> CompiledSynopsis<'a> {
+        // Same order and operands as `Synopsis::tag_total`: each
+        // label's counts added in node-id order.
+        let mut label_total = vec![0.0f64; cols.labels.len()];
+        for (&l, &c) in cols.node_label.iter().zip(&cols.counts) {
+            if let Some(t) = label_total.get_mut(usize::from(l)) {
+                *t += c as f64;
+            }
+        }
         CompiledSynopsis {
-            source: SourceRef::Lazy(Box::new(LazySource {
-                backing,
-                off: syn_off,
-                len: syn_len,
-                cell: OnceLock::new(),
-            })),
+            source,
             epoch: EPOCH.fetch_add(1, Ordering::Relaxed),
-            counts,
-            edge_off,
-            edge_child,
-            edge_avg,
+            cols,
+            label_total,
             hists,
             memo: Mutex::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
@@ -510,13 +714,60 @@ impl<'a> CompiledSynopsis<'a> {
     }
 
     /// The synopsis this compilation was lowered from. For a
-    /// zero-copy-loaded synopsis this decodes the snapshot's `SYNOPSIS`
-    /// section on first use (the cold paths are the only consumers).
+    /// snapshot-loaded synopsis this rebuilds an estimation-only copy
+    /// from the columns on first use; serving never calls it.
     pub fn source(&self) -> &Synopsis {
         match &self.source {
             SourceRef::Borrowed(s) => s,
-            SourceRef::Lazy(l) => l.get(),
+            SourceRef::Rebuilt(cell) => cell.get_or_init(|| Box::new(self.to_synopsis())),
         }
+    }
+
+    /// Rebuilds an estimation-only [`Synopsis`] from the columns: graph,
+    /// edge counts, edge histograms and value summaries — every fact a
+    /// v2 snapshot carries, so `save_synopsis` of the result equals
+    /// `save_synopsis` of the original byte for byte.
+    pub(crate) fn to_synopsis(&self) -> Synopsis {
+        let c = &self.cols;
+        let mut labels = LabelTable::new();
+        let ids: Vec<LabelId> = (0..c.labels.len())
+            .map(|l| labels.intern(c.labels.name(l)))
+            .collect();
+        let nodes = c
+            .node_label
+            .iter()
+            .zip(&c.counts)
+            .map(|(&l, &count)| SynopsisNode {
+                label: ids.get(usize::from(l)).copied().unwrap_or(LabelId(0)),
+                extent: Vec::new(),
+                count,
+            })
+            .collect();
+        let mut edges = BTreeMap::new();
+        for u in 0..c.counts.len() {
+            let parent = SynId(u as u32);
+            for i in c.edge_off[u]..c.edge_off[u + 1] {
+                edges.insert(
+                    (parent, c.edge_child[i]),
+                    SynopsisEdge {
+                        child_count: c.edge_child_count[i],
+                        parent_count: c.edge_parent_count[i],
+                    },
+                );
+            }
+        }
+        Synopsis::from_raw_parts(
+            labels,
+            nodes,
+            edges,
+            c.root,
+            c.max_depth,
+            self.hists
+                .iter()
+                .map(CompiledHistogram::to_edge_hist)
+                .collect(),
+            (0..c.counts.len()).map(|n| c.values.summary(n)).collect(),
+        )
     }
 
     /// The process-unique epoch of this compilation. Monotonically
@@ -528,7 +779,7 @@ impl<'a> CompiledSynopsis<'a> {
 
     /// Number of synopsis nodes.
     pub fn node_count(&self) -> usize {
-        self.counts.len()
+        self.cols.counts.len()
     }
 
     /// The compiled histogram of node `n`.
@@ -544,20 +795,36 @@ impl<'a> CompiledSynopsis<'a> {
         )
     }
 
-    /// Compiled `avg_children`: binary search in the node's CSR row.
+    /// Node `u`'s CSR row `[start, end)` in the edge columns.
+    #[inline]
+    fn edge_row(&self, u: SynId) -> Option<(usize, usize)> {
+        Some((
+            *self.cols.edge_off.get(u.index())?,
+            *self.cols.edge_off.get(u.index() + 1)?,
+        ))
+    }
+
+    /// Index of edge `u→v` in the edge columns: binary search in `u`'s
+    /// CSR row.
+    #[inline]
+    fn edge_index(&self, u: SynId, v: SynId) -> Option<usize> {
+        let (start, end) = self.edge_row(u)?;
+        let i = self
+            .cols
+            .edge_child
+            .get(start..end)?
+            .binary_search(&v)
+            .ok()?;
+        Some(start + i)
+    }
+
+    /// Compiled `avg_children`: the precomputed average of edge `u→v`.
     #[inline]
     fn avg_children(&self, u: SynId, v: SynId) -> f64 {
-        let (start, end) = match (
-            self.edge_off.get(u.index()),
-            self.edge_off.get(u.index() + 1),
-        ) {
-            (Some(&s), Some(&e)) => (s, e),
-            _ => return 0.0,
-        };
-        match self.edge_child[start..end].binary_search(&v) {
-            Ok(i) => self.edge_avg[start + i],
-            Err(_) => 0.0,
-        }
+        self.edge_index(u, v)
+            .and_then(|i| self.cols.edge_avg.get(i))
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// Expands `query` through the memo and reports whether the memo
@@ -574,7 +841,7 @@ impl<'a> CompiledSynopsis<'a> {
 
     /// Expands `query` through the memo: a hit returns the cached
     /// embeddings + needs instantly; a miss enumerates the embeddings
-    /// over the source synopsis under `meter` and caches the result only
+    /// over the structural columns under `meter` and caches the result only
     /// when the enumeration ran to completion. Also reports whether the
     /// memo answered.
     ///
@@ -608,7 +875,7 @@ impl<'a> CompiledSynopsis<'a> {
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         telemetry::global().expansion_memo_misses.incr();
-        let embeddings = enumerate_embeddings_metered(self.source(), query, opts, meter);
+        let embeddings = enumerate_embeddings_metered(self, query, opts, meter);
         let needs = embeddings.iter().map(|e| self.compute_needs(e)).collect();
         let expanded = Arc::new(ExpandedQuery { embeddings, needs });
         if meter.exhaustion().is_none() {
@@ -740,12 +1007,12 @@ impl<'a> CompiledSynopsis<'a> {
                 }
                 _ => (0.0, None),
             },
-            || coarse_count_bound(self.source(), query),
+            || coarse_count_bound(self, query),
             |i| {
                 expanded
                     .embeddings
                     .get(i)
-                    .map_or_else(String::new, |e| api::render_embedding(self.source(), e))
+                    .map_or_else(String::new, |e| api::render_embedding(self, e))
             },
         );
         let eval_ns = api::elapsed_ns(t_eval);
@@ -865,12 +1132,12 @@ impl<'a> CompiledSynopsis<'a> {
             expanded.embeddings.len(),
             opts.explain,
             |i| (contribs.get(i).copied().unwrap_or(0.0), None),
-            || coarse_count_bound(self.source(), query),
+            || coarse_count_bound(self, query),
             |i| {
                 expanded
                     .embeddings
                     .get(i)
-                    .map_or_else(String::new, |e| api::render_embedding(self.source(), e))
+                    .map_or_else(String::new, |e| api::render_embedding(self, e))
             },
         );
         let mut provenance = Provenance::new("xsketch-compiled");
@@ -935,7 +1202,7 @@ impl<'a> CompiledSynopsis<'a> {
                 Some(di) if ch.vb_span.get(di).is_some_and(Option::is_some) => {
                     ar.value_conds.push((di, lo, hi));
                 }
-                _ => factor *= self.source().value_fraction(syn, lo, hi),
+                _ => factor *= self.cols.values.range_fraction(syn.index(), lo, hi),
             }
         }
         for bv in &node.branch_values {
@@ -1210,6 +1477,52 @@ struct Frame {
     cdim: usize,
 }
 
+impl SynopsisView for CompiledSynopsis<'_> {
+    fn root(&self) -> SynId {
+        self.cols.root
+    }
+
+    fn max_depth(&self) -> usize {
+        self.cols.max_depth
+    }
+
+    fn tag(&self, n: SynId) -> &str {
+        self.cols
+            .node_label
+            .get(n.index())
+            .map_or("", |&l| self.cols.labels.name(usize::from(l)))
+    }
+
+    fn children_of(&self, u: SynId) -> &[SynId] {
+        self.edge_row(u)
+            .and_then(|(start, end)| self.cols.edge_child.get(start..end))
+            .unwrap_or(&[])
+    }
+
+    /// Same operands and operation as `Synopsis::exist_fraction`.
+    fn exist_fraction(&self, u: SynId, v: SynId) -> f64 {
+        match (self.edge_index(u, v), self.cols.counts.get(u.index())) {
+            (Some(i), Some(&cu)) if cu > 0 => {
+                self.cols.edge_parent_count.get(i).copied().unwrap_or(0) as f64 / cu as f64
+            }
+            _ => 0.0,
+        }
+    }
+
+    fn value_fraction(&self, n: SynId, lo: i64, hi: i64) -> f64 {
+        self.cols.values.range_fraction(n.index(), lo, hi)
+    }
+
+    fn tag_total(&self, tag: &str) -> f64 {
+        self.cols
+            .labels
+            .position(tag)
+            .and_then(|l| self.label_total.get(l))
+            .copied()
+            .unwrap_or(0.0)
+    }
+}
+
 impl Estimator for CompiledSynopsis<'_> {
     fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport {
         self.estimate_report(req.query, &req.options)
@@ -1220,8 +1533,8 @@ impl std::fmt::Debug for CompiledSynopsis<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledSynopsis")
             .field("epoch", &self.epoch)
-            .field("nodes", &self.counts.len())
-            .field("edges", &self.edge_child.len())
+            .field("nodes", &self.cols.counts.len())
+            .field("edges", &self.cols.edge_child.len())
             .finish()
     }
 }
@@ -1712,6 +2025,88 @@ mod tests {
                     "node {n} dim {dim}: {expect} vs {got}"
                 );
             }
+        }
+    }
+
+    /// Serving from a snapshot load reads only the columns: a P+V-style
+    /// workload (value predicates that fall back to value summaries,
+    /// existence and value branch predicates, `//` steps) under default
+    /// options, explain, and a tight work limit answers bit-identically
+    /// to the compile path without ever building the source synopsis.
+    #[test]
+    fn loaded_synopsis_serves_without_building_its_source() {
+        use crate::construct::{xbuild, BuildOptions, TruthSource};
+        use crate::io::v3::{load_compiled_snapshot, save_synopsis_v3};
+        let d = worked_example_doc();
+        let coarse = coarse_synopsis(&d);
+        let (built, _) = xbuild(
+            &d,
+            TruthSource::Exact,
+            &BuildOptions {
+                budget_bytes: coarse.size_bytes() + 400,
+                max_rounds: 20,
+                workload_with_values: true,
+                ..Default::default()
+            },
+        );
+        let queries = [
+            "for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/year[. >= 2001]",
+            "for $t0 in //author[book], $t1 in $t0/paper",
+            "for $t0 in //paper[year > 2000], $t1 in $t0/keyword",
+            "for $t0 in /bib/author[paper/year >= 2001], $t1 in $t0/name",
+            "for $t0 in //bib//keyword",
+            "for $t0 in //author, $t1 in $t0//year[. < 2001]",
+        ];
+        let plain = EstimateOptions::default();
+        let options = [
+            plain,
+            plain.to_builder().explain(true).build(),
+            plain.to_builder().work_limit(4).build(),
+        ];
+        for s in [&coarse, &built] {
+            let owned = CompiledSynopsis::compile(s);
+            let loaded = load_compiled_snapshot(&save_synopsis_v3(s)).unwrap();
+            let mut fallbacks = 0;
+            for text in queries {
+                let q = parse_twig(text).unwrap();
+                for opts in &options {
+                    let a = owned.estimate_report(&q, opts);
+                    let b = loaded.estimate_report(&q, opts);
+                    assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "{text}");
+                    assert_eq!(a.provenance.exhaustion, b.provenance.exhaustion, "{text}");
+                    assert_eq!(a.provenance.embeddings, b.provenance.embeddings, "{text}");
+                    let render = |r: &EstimateReport| {
+                        r.explain.as_ref().map(|e| {
+                            e.embeddings
+                                .iter()
+                                .map(|c| (c.rendered.clone(), c.contribution.to_bits()))
+                                .collect::<Vec<_>>()
+                        })
+                    };
+                    assert_eq!(render(&a), render(&b), "{text}");
+                }
+                assert_eq!(
+                    coarse_count_bound(s, &q).to_bits(),
+                    coarse_count_bound(&loaded, &q).to_bits(),
+                    "{text}"
+                );
+                if q.has_value_predicate() {
+                    fallbacks += 1;
+                }
+            }
+            assert!(fallbacks >= 3);
+            match &loaded.source {
+                SourceRef::Rebuilt(cell) => {
+                    assert!(cell.get().is_none(), "serving built the source")
+                }
+                SourceRef::Borrowed(_) => panic!("a snapshot load borrows no synopsis"),
+            }
+            // A cold consumer that asks for the graph gets a rebuild
+            // equal to the original, byte for byte in v2 form.
+            assert_eq!(
+                crate::io::save_synopsis(loaded.source()),
+                crate::io::save_synopsis(s)
+            );
         }
     }
 

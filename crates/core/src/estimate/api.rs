@@ -18,8 +18,7 @@
 
 use super::embedding::Embedding;
 use super::guard::{EvalStats, Exhaustion};
-use super::EstimateOptions;
-use crate::synopsis::Synopsis;
+use super::{EstimateOptions, SynopsisView};
 use crate::telemetry;
 use std::time::Instant;
 use xtwig_query::TwigQuery;
@@ -283,15 +282,21 @@ pub(crate) fn sum_embeddings(
 
 /// Renders an embedding over the synopsis's tag names, nested as
 /// `root(child,child(grandchild))`.
-pub(crate) fn render_embedding(s: &Synopsis, emb: &Embedding) -> String {
-    fn render_node(s: &Synopsis, emb: &Embedding, i: usize, depth: usize, out: &mut String) {
+pub(crate) fn render_embedding<S: SynopsisView + ?Sized>(s: &S, emb: &Embedding) -> String {
+    fn render_node<S: SynopsisView + ?Sized>(
+        s: &S,
+        emb: &Embedding,
+        i: usize,
+        depth: usize,
+        out: &mut String,
+    ) {
         if depth > emb.nodes.len() {
             return; // defensive: malformed parent links can't recurse forever
         }
         let Some(node) = emb.nodes.get(i) else {
             return;
         };
-        out.push_str(s.labels().name(s.label(node.syn)));
+        out.push_str(s.tag(node.syn));
         if !node.children.is_empty() {
             out.push('(');
             for (k, &c) in node.children.iter().enumerate() {

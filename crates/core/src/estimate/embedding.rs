@@ -10,8 +10,8 @@ use crate::estimate::expand::{
     expand_path_absolute_metered, expand_path_from_metered, BranchValue, Chain,
 };
 use crate::estimate::guard::Meter;
-use crate::estimate::EstimateOptions;
-use crate::synopsis::{SynId, Synopsis};
+use crate::estimate::{EstimateOptions, SynopsisView};
+use crate::synopsis::SynId;
 use xtwig_query::{TwigNodeRef, TwigQuery};
 
 /// One node of an embedding: a synopsis node plus resolved predicates.
@@ -104,8 +104,8 @@ impl Embedding {
 
 /// Enumerates the maximal twig embeddings of `query` over the synopsis.
 /// The result is truncated at `opts.max_embeddings`.
-pub fn enumerate_embeddings(
-    s: &Synopsis,
+pub fn enumerate_embeddings<S: SynopsisView + ?Sized>(
+    s: &S,
     query: &TwigQuery,
     opts: &EstimateOptions,
 ) -> Vec<Embedding> {
@@ -114,8 +114,8 @@ pub fn enumerate_embeddings(
 
 /// [`enumerate_embeddings`] charging a caller-owned budget [`Meter`]; on
 /// exhaustion the embeddings completed so far are returned.
-pub fn enumerate_embeddings_metered(
-    s: &Synopsis,
+pub fn enumerate_embeddings_metered<S: SynopsisView + ?Sized>(
+    s: &S,
     query: &TwigQuery,
     opts: &EstimateOptions,
     meter: &mut Meter,
@@ -159,8 +159,8 @@ pub fn enumerate_embeddings_metered(
 /// Recursively attaches the twig children of `t` under `anchor`, pushing
 /// every completed embedding into `out`.
 #[allow(clippy::too_many_arguments)]
-fn attach_children(
-    s: &Synopsis,
+fn attach_children<S: SynopsisView + ?Sized>(
+    s: &S,
     query: &TwigQuery,
     opts: &EstimateOptions,
     emb: Embedding,
@@ -173,8 +173,8 @@ fn attach_children(
     // embeddings, then recurse into the grandchildren (handled by the
     // inner recursion below).
     #[allow(clippy::too_many_arguments)]
-    fn rec(
-        s: &Synopsis,
+    fn rec<S: SynopsisView + ?Sized>(
+        s: &S,
         query: &TwigQuery,
         opts: &EstimateOptions,
         emb: Embedding,

@@ -9,9 +9,9 @@
 //! via the single-path estimator.
 
 use crate::estimate::guard::Meter;
-use crate::estimate::EstimateOptions;
+use crate::estimate::{EstimateOptions, SynopsisView};
 use crate::single_path::branch_fraction;
-use crate::synopsis::{SynId, Synopsis};
+use crate::synopsis::SynId;
 use xtwig_query::{Axis, PathExpr, Step};
 
 /// A single-step branching predicate with a value restriction, kept
@@ -66,14 +66,18 @@ pub struct Chain {
 /// synopsis root node's tag; a first descendant-axis step may land
 /// anywhere below (or at) the root. Every returned chain starts at the
 /// synopsis root node.
-pub fn expand_path_absolute(s: &Synopsis, path: &PathExpr, opts: &EstimateOptions) -> Vec<Chain> {
+pub fn expand_path_absolute<S: SynopsisView + ?Sized>(
+    s: &S,
+    path: &PathExpr,
+    opts: &EstimateOptions,
+) -> Vec<Chain> {
     expand_path_absolute_metered(s, path, opts, &mut Meter::from_options(opts))
 }
 
 /// [`expand_path_absolute`] charging a caller-owned budget [`Meter`]; on
 /// exhaustion the chains expanded so far are returned.
-pub fn expand_path_absolute_metered(
-    s: &Synopsis,
+pub fn expand_path_absolute_metered<S: SynopsisView + ?Sized>(
+    s: &S,
     path: &PathExpr,
     opts: &EstimateOptions,
     meter: &mut Meter,
@@ -112,8 +116,8 @@ pub fn expand_path_absolute_metered(
 
 /// Expands a relative path from context node `from`. Returned chains do
 /// not include `from` itself.
-pub fn expand_path_from(
-    s: &Synopsis,
+pub fn expand_path_from<S: SynopsisView + ?Sized>(
+    s: &S,
     from: SynId,
     path: &PathExpr,
     opts: &EstimateOptions,
@@ -123,8 +127,8 @@ pub fn expand_path_from(
 
 /// [`expand_path_from`] charging a caller-owned budget [`Meter`]; on
 /// exhaustion the chains expanded so far are returned.
-pub fn expand_path_from_metered(
-    s: &Synopsis,
+pub fn expand_path_from_metered<S: SynopsisView + ?Sized>(
+    s: &S,
     from: SynId,
     path: &PathExpr,
     opts: &EstimateOptions,
@@ -158,7 +162,12 @@ pub fn expand_path_from_metered(
 }
 
 /// Resolves a step's predicates at synopsis node `v`.
-fn resolve_link(s: &Synopsis, v: SynId, step: &Step, opts: &EstimateOptions) -> ChainLink {
+fn resolve_link<S: SynopsisView + ?Sized>(
+    s: &S,
+    v: SynId,
+    step: &Step,
+    opts: &EstimateOptions,
+) -> ChainLink {
     let mut value_range: Option<(i64, i64)> = None;
     let mut pred_fraction = 1.0;
     let mut branch_values = Vec::new();
@@ -207,8 +216,8 @@ fn resolve_link(s: &Synopsis, v: SynId, step: &Step, opts: &EstimateOptions) -> 
 
 /// Extends partial chains over the remaining steps, charging the meter
 /// one unit per candidate extension.
-fn extend_chains(
-    s: &Synopsis,
+fn extend_chains<S: SynopsisView + ?Sized>(
+    s: &S,
     mut chains: Vec<Vec<ChainLink>>,
     steps: &[Step],
     opts: &EstimateOptions,
@@ -261,8 +270,8 @@ fn extend_chains(
 /// the synopsis' recorded document depth (or the option override) and by
 /// the embedding cap, so synopsis cycles (recursive document structures)
 /// terminate.
-fn descendant_chains(
-    s: &Synopsis,
+fn descendant_chains<S: SynopsisView + ?Sized>(
+    s: &S,
     from: SynId,
     label: &str,
     opts: &EstimateOptions,
@@ -289,8 +298,8 @@ fn descendant_chains(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn descend(
-    s: &Synopsis,
+fn descend<S: SynopsisView + ?Sized>(
+    s: &S,
     at: SynId,
     label: &str,
     remaining: usize,

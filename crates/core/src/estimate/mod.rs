@@ -36,8 +36,57 @@ pub use arena::EvalArena;
 pub use embedding::{enumerate_embeddings, enumerate_embeddings_metered, EmbNode, Embedding};
 pub use guard::{earliest_deadline, EvalStats, Exhaustion, Meter};
 
-use crate::synopsis::Synopsis;
+use crate::synopsis::{SynId, Synopsis};
 use xtwig_query::TwigQuery;
+
+/// The read-only structural facts of a synopsis that expansion,
+/// embedding enumeration, branch fractions, [`coarse_count_bound`] and
+/// explain rendering read. The construction-side [`Synopsis`] answers
+/// from its graph; the serving-side [`crate::CompiledSynopsis`] answers
+/// from its flat columns, so one generic expansion path serves both and
+/// a snapshot load never needs the graph.
+pub trait SynopsisView {
+    /// The node containing the document root.
+    fn root(&self) -> SynId;
+    /// Maximum document depth (bounds `//` expansion).
+    fn max_depth(&self) -> usize;
+    /// The tag name of node `n`.
+    fn tag(&self, n: SynId) -> &str;
+    /// Child nodes of `u`, in ascending id order.
+    fn children_of(&self, u: SynId) -> &[SynId];
+    /// Fraction of `u`'s elements with at least one child in `v`.
+    fn exist_fraction(&self, u: SynId, v: SynId) -> f64;
+    /// Estimated fraction of `n`'s elements whose value lies in
+    /// `[lo, hi]` (0 for a node without a value summary).
+    fn value_fraction(&self, n: SynId, lo: i64, hi: i64) -> f64;
+    /// Total number of document elements carrying `tag`, summed in node
+    /// id order (0.0 when the tag does not occur).
+    fn tag_total(&self, tag: &str) -> f64;
+}
+
+impl SynopsisView for Synopsis {
+    fn root(&self) -> SynId {
+        Synopsis::root(self)
+    }
+    fn max_depth(&self) -> usize {
+        Synopsis::max_depth(self)
+    }
+    fn tag(&self, n: SynId) -> &str {
+        Synopsis::tag(self, n)
+    }
+    fn children_of(&self, u: SynId) -> &[SynId] {
+        Synopsis::children_of(self, u)
+    }
+    fn exist_fraction(&self, u: SynId, v: SynId) -> f64 {
+        Synopsis::exist_fraction(self, u, v)
+    }
+    fn value_fraction(&self, n: SynId, lo: i64, hi: i64) -> f64 {
+        Synopsis::value_fraction(self, n, lo, hi)
+    }
+    fn tag_total(&self, tag: &str) -> f64 {
+        Synopsis::tag_total(self, tag)
+    }
+}
 
 /// Tunables for expansion, embedding enumeration, budget guarding, and
 /// introspection.
@@ -162,7 +211,7 @@ impl EstimateOptionsBuilder {
 /// as the last-resort degradation tier and as the clamp target for
 /// infinite intermediate results. Returns 0.0 when some queried tag does
 /// not occur in the document, and saturates at `f64::MAX`.
-pub fn coarse_count_bound(s: &Synopsis, query: &TwigQuery) -> f64 {
+pub fn coarse_count_bound<S: SynopsisView + ?Sized>(s: &S, query: &TwigQuery) -> f64 {
     let mut bound = 1.0f64;
     for t in query.node_refs() {
         let Some(step) = query.path(t).steps.last() else {

@@ -286,9 +286,8 @@ pub fn save_synopsis(s: &Synopsis) -> Vec<u8> {
     w.buf
 }
 
-/// Serializes the body shared by format versions 1 and 2 (and embedded
-/// verbatim as v3's `SYNOPSIS` section, the cold-path source of truth).
-pub(crate) fn save_payload(s: &Synopsis) -> Vec<u8> {
+/// Serializes the body shared by format versions 1 and 2.
+fn save_payload(s: &Synopsis) -> Vec<u8> {
     let mut w = W {
         buf: Vec::with_capacity(4096),
     };
@@ -503,15 +502,14 @@ pub fn load_synopsis(bytes: &[u8]) -> Result<Synopsis, SnapshotError> {
             }
             decode_payload(&bytes[8..], 8)
         }
-        V3_VERSION => v3::load_synopsis_section(bytes),
+        V3_VERSION => v3::load_synopsis_v3(bytes),
         other => Err(SnapshotError::UnsupportedVersion { version: other }),
     }
 }
 
-/// Decodes the version-independent body; `base` is the payload's offset
-/// within the full snapshot, for error reporting. Also the lazy-decode
-/// target for a v3 snapshot's `SYNOPSIS` section.
-pub(crate) fn decode_payload(bytes: &[u8], base: usize) -> Result<Synopsis, SnapshotError> {
+/// Decodes the body shared by format versions 1 and 2; `base` is the
+/// payload's offset within the full snapshot, for error reporting.
+fn decode_payload(bytes: &[u8], base: usize) -> Result<Synopsis, SnapshotError> {
     let mut r = R {
         buf: bytes,
         pos: 0,

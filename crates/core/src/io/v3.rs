@@ -1,5 +1,5 @@
 //! Snapshot format v3: a flat little-endian arena a compiled synopsis
-//! loads from **zero-copy**.
+//! loads from **zero-copy**, standing alone.
 //!
 //! Formats v1/v2 serialize the pointer-rich [`Synopsis`] and force every
 //! load to decode bucket-by-bucket and then recompile into
@@ -8,9 +8,9 @@
 //! cold-start latency. v3 instead serializes the *compiled* layout: the
 //! struct-of-arrays bucket columns are written verbatim as aligned
 //! sections, so loading is header + CRC validation plus an
-//! O(nodes + edges + dims) metadata walk — the bucket payloads are
-//! never deserialized, only referenced in place through
-//! [`Lane`](super::pod::Lane) views.
+//! O(nodes + edges + dims + value buckets) metadata walk — the edge
+//! histogram bucket payloads are never deserialized, only referenced in
+//! place through [`Lane`] views.
 //!
 //! ```text
 //! offset  0: magic "XTWG" | version u32 = 3
@@ -21,7 +21,7 @@
 //!              id u32 | pad u32 = 0 | offset u64 | len u64 | crc u64
 //! then the sections, each 8-byte aligned (zero padding between),
 //! offsets relative to the file start:
-//!   1 META      structure + per-histogram shapes (see below)
+//!   1 META      structure, labels, value summaries, histogram shapes
 //!   2 FRAC      f64 × Σ buckets          bucket masses
 //!   3 LO        u32 × Σ buckets·dims     bucket-major lower bounds
 //!   4 HI        u32 × Σ buckets·dims     bucket-major upper bounds
@@ -30,31 +30,55 @@
 //!   7 HI_T      f64 × Σ buckets·dims     dimension-major upper bounds
 //!   8 VB_LO     i64 × Σ value buckets    flattened value-bucket lows
 //!   9 VB_HI     i64 × Σ value buckets    flattened value-bucket highs
-//!  10 SYNOPSIS  the v1/v2 payload, verbatim (lazy cold-path source)
+//!
+//! META:
+//!   nodes u32 | edges u32 | root u32 | max_depth u32
+//!   counts u64 × nodes | edge_off u64 × (nodes + 1)
+//!   edge_child u32 × edges | edge_avg f64 × edges
+//!   edge child_count u64 × edges | edge parent_count u64 × edges
+//!   node label u16 × nodes
+//!   labels u32 | label name end u32 × labels | label names (UTF-8)
+//!   per node, its edge histogram:
+//!     dims u16 | buckets u32 | budget u32 | distinct points u32
+//!     per dim: parent u32 | child u32 | kind u8 | has value buckets u8
+//!              | value buckets u32
+//!     expectation f64 × dims | total mass f64
+//!   per node, its value summary: present u8
+//!     [budget u32 | total u64 | buckets u32]
+//!   value-summary buckets: lo i64 | hi i64 | count u64 | distinct u64
 //! ```
 //!
-//! `META` is the only section the loader decodes: node/edge counts, the
-//! CSR adjacency with precomputed Forward Uniformity averages, and per
-//! histogram its dimension table, bucket count, value-bucket spans,
-//! precomputed marginal expectations, and total mass. Each histogram's
-//! share of the big columns is recovered by accumulating counts in
-//! `META` order, so no per-bucket parsing ever happens.
+//! `META` is the only section the loader decodes. It holds every fact
+//! of a v2 snapshot that is not a bucket column: the CSR adjacency with
+//! per-edge counts and precomputed Forward Uniformity averages, per-node
+//! labels and the label-name table, per histogram its dimension table,
+//! bucket count, value-bucket spans, budget, precomputed marginal
+//! expectations and total mass, and the per-node 1-D value summaries.
+//! Each histogram's share of the big columns is recovered by
+//! accumulating counts in `META` order, so no per-bucket parsing ever
+//! happens. The carve validates every id serving indexes with — root,
+//! edge endpoints, dimension endpoints, node labels, value-summary
+//! spans — so a CRC-valid but inconsistent file fails typed instead of
+//! panicking mid-estimate. [`load_synopsis`](super::load_synopsis)
+//! rebuilds an estimation-only [`Synopsis`] from the same columns.
 //!
 //! **Validation split.** A load verifies the header, the section-table
 //! CRC, and the `META` section CRC — everything it actually decodes.
-//! The bucket columns and the embedded `SYNOPSIS` payload carry CRCs in
-//! the table but are *not* checked on load (checksumming them would
-//! fault in and scan every page, forfeiting the zero-copy win; this is
-//! the same trade an mmap-backed reader makes). [`verify_snapshot_v3`]
-//! performs the full check for fsck-style callers, and the corruption
+//! The bucket columns carry CRCs in the table but are *not* checked on
+//! load (checksumming them would fault in and scan every page,
+//! forfeiting the zero-copy win; this is the same trade an mmap-backed
+//! reader makes). [`verify_snapshot_v3`] performs the full check for
+//! fsck-style callers and the catalog fault-in, and the corruption
 //! tests drive it over every section.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use super::pod::{AlignedBytes, Lane};
-use super::{save_payload, snapshot_checksum, SnapshotError, HEADER_LEN, MAGIC, V3_VERSION, W};
-use crate::compiled::{CompiledHistogram, CompiledSynopsis};
+use super::{snapshot_checksum, SnapshotError, HEADER_LEN, MAGIC, V3_VERSION, W};
+use crate::compiled::{
+    Columns, CompiledHistogram, CompiledSynopsis, LabelNames, ValueColumns, ValueSpan,
+};
 use crate::synopsis::{DimKind, SynId, Synopsis};
 
 /// Bytes before the section table: magic (4) + version (4) +
@@ -64,6 +88,9 @@ pub const V3_HEADER_LEN: usize = 32;
 /// One section-table entry: id (4) + pad (4) + offset (8) + len (8) +
 /// crc (8).
 const TABLE_ENTRY_LEN: usize = 32;
+
+/// Bytes per flattened value-summary bucket: lo, hi, count, distinct.
+const VALUE_BUCKET_LEN: usize = 32;
 
 /// Section ids, in file order.
 pub(crate) mod section {
@@ -76,8 +103,7 @@ pub(crate) mod section {
     pub const HI_T: u32 = 7;
     pub const VB_LO: u32 = 8;
     pub const VB_HI: u32 = 9;
-    pub const SYNOPSIS: u32 = 10;
-    pub const ALL: [u32; 10] = [META, FRAC, LO, HI, MEAN, LO_T, HI_T, VB_LO, VB_HI, SYNOPSIS];
+    pub const ALL: [u32; 9] = [META, FRAC, LO, HI, MEAN, LO_T, HI_T, VB_LO, VB_HI];
 }
 
 // ---------------------------------------------------------------------
@@ -92,27 +118,43 @@ pub(crate) mod section {
 /// precomputed `edge_avg`, `dim_expectation`, and transpose lanes,
 /// which are stored rather than recomputed.
 pub fn save_synopsis_v3(s: &Synopsis) -> Vec<u8> {
-    let cs = CompiledSynopsis::compile(s);
-    save_compiled_v3(&cs, s)
+    assemble(&sections(&CompiledSynopsis::compile(s)))
 }
 
-fn save_compiled_v3(cs: &CompiledSynopsis<'_>, s: &Synopsis) -> Vec<u8> {
-    // --- Section bodies -----------------------------------------------
+/// The section bodies of `cs`, in file order.
+fn sections(cs: &CompiledSynopsis<'_>) -> Vec<(u32, Vec<u8>)> {
     let mut meta = W { buf: Vec::new() };
-    let n = cs.counts.len();
+    let n = cs.cols.counts.len();
     meta.u32(n as u32);
-    meta.u32(cs.edge_child.len() as u32);
-    meta.u32(s.root().0);
-    meta.u32(s.max_depth() as u32);
-    for &c in &cs.counts {
+    meta.u32(cs.cols.edge_child.len() as u32);
+    meta.u32(cs.cols.root.0);
+    meta.u32(cs.cols.max_depth as u32);
+    for &c in &cs.cols.counts {
         meta.u64(c);
     }
-    for &off in &cs.edge_off {
+    for &off in &cs.cols.edge_off {
         meta.u64(off as u64);
     }
-    for &c in &cs.edge_child {
+    for &c in &cs.cols.edge_child {
         meta.u32(c.0);
     }
+    for &avg in &cs.cols.edge_avg {
+        meta.f64(avg);
+    }
+    for &c in &cs.cols.edge_child_count {
+        meta.u64(c);
+    }
+    for &c in &cs.cols.edge_parent_count {
+        meta.u64(c);
+    }
+    for &l in &cs.cols.node_label {
+        meta.u16(l);
+    }
+    meta.u32(cs.cols.labels.len() as u32);
+    for &end in &cs.cols.labels.ends {
+        meta.u32(end as u32);
+    }
+    meta.buf.extend_from_slice(cs.cols.labels.text.as_bytes());
     let mut frac = W { buf: Vec::new() };
     let mut lo = W { buf: Vec::new() };
     let mut hi = W { buf: Vec::new() };
@@ -121,12 +163,11 @@ fn save_compiled_v3(cs: &CompiledSynopsis<'_>, s: &Synopsis) -> Vec<u8> {
     let mut hi_t = W { buf: Vec::new() };
     let mut vb_lo = W { buf: Vec::new() };
     let mut vb_hi = W { buf: Vec::new() };
-    for &avg in &cs.edge_avg {
-        meta.f64(avg);
-    }
     for h in &cs.hists {
         meta.u16(h.dims as u16);
         meta.u32(h.frac.len() as u32);
+        meta.u32(h.budget_bytes);
+        meta.u32(h.distinct_points);
         for d in 0..h.dims {
             meta.u32(h.dim_parent[d].0);
             meta.u32(h.dim_child[d].0);
@@ -175,10 +216,25 @@ fn save_compiled_v3(cs: &CompiledSynopsis<'_>, s: &Synopsis) -> Vec<u8> {
             vb_hi.i64(v);
         }
     }
-    let synopsis = save_payload(s);
-
-    // --- Assembly ------------------------------------------------------
-    let bodies: [(u32, Vec<u8>); 10] = [
+    let vs = &cs.cols.values;
+    for span in &vs.spans {
+        match span {
+            Some(v) => {
+                meta.u8(1);
+                meta.u32(v.budget);
+                meta.u64(v.total);
+                meta.u32(v.end.saturating_sub(v.start) as u32);
+            }
+            None => meta.u8(0),
+        }
+    }
+    for &(lo, hi, count, distinct) in &vs.buckets {
+        meta.i64(lo);
+        meta.i64(hi);
+        meta.u64(count);
+        meta.u64(distinct);
+    }
+    vec![
         (section::META, meta.buf),
         (section::FRAC, frac.buf),
         (section::LO, lo.buf),
@@ -188,13 +244,16 @@ fn save_compiled_v3(cs: &CompiledSynopsis<'_>, s: &Synopsis) -> Vec<u8> {
         (section::HI_T, hi_t.buf),
         (section::VB_LO, vb_lo.buf),
         (section::VB_HI, vb_hi.buf),
-        (section::SYNOPSIS, synopsis),
-    ];
+    ]
+}
+
+/// Lays out `bodies` behind the header and a CRC'd section table.
+fn assemble(bodies: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let table_len = bodies.len() * TABLE_ENTRY_LEN;
     let mut pos = V3_HEADER_LEN + table_len;
     let mut table = W { buf: Vec::new() };
     let mut payload = Vec::new();
-    for (id, body) in &bodies {
+    for (id, body) in bodies {
         let aligned = pos.next_multiple_of(8);
         payload.resize(payload.len() + (aligned - pos), 0);
         table.u32(*id);
@@ -252,13 +311,16 @@ pub(crate) struct Section {
 /// The parsed header + section table of a v3 arena, with the header,
 /// table CRC, and bounds/alignment of every section already validated.
 pub(crate) struct ArenaIndex {
-    sections: [Section; 10],
+    sections: [Section; SECTIONS],
 }
+
+/// Number of sections in a v3 arena.
+const SECTIONS: usize = section::ALL.len();
 
 impl ArenaIndex {
     pub(crate) fn get(&self, id: u32) -> Section {
         // Ids are 1-based and dense; `parse` guarantees presence.
-        self.sections[(id as usize).saturating_sub(1).min(9)]
+        self.sections[(id as usize).saturating_sub(1).min(SECTIONS - 1)]
     }
 }
 
@@ -271,7 +333,7 @@ fn decode_err(offset: usize, message: impl Into<String>) -> SnapshotError {
 
 /// Validates the fixed header and section table of `bytes` (exact
 /// truncation/trailing accounting, table CRC, per-section bounds and
-/// 8-byte alignment, all ten sections present exactly once).
+/// 8-byte alignment, all nine sections present exactly once).
 pub(crate) fn parse_arena(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
     if bytes.len() < 8 {
         let n = bytes.len().min(4);
@@ -342,7 +404,7 @@ pub(crate) fn parse_arena(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
         len: 0,
         crc: 0,
     };
-    let mut sections = [None::<Section>; 10];
+    let mut sections = [None::<Section>; SECTIONS];
     for i in 0..section_count {
         let entry_at = V3_HEADER_LEN + i * TABLE_ENTRY_LEN;
         let mut e = super::R {
@@ -373,7 +435,7 @@ pub(crate) fn parse_arena(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
         }
         sections[slot] = Some(Section { off, len, crc });
     }
-    let mut out = [placeholder; 10];
+    let mut out = [placeholder; SECTIONS];
     for (i, s) in sections.iter().enumerate() {
         match s {
             Some(s) => out[i] = *s,
@@ -386,24 +448,6 @@ pub(crate) fn parse_arena(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
         }
     }
     Ok(ArenaIndex { sections: out })
-}
-
-/// Copies an exactly-8-byte chunk (from `chunks_exact(8)`) into an
-/// array for `from_le_bytes`.
-#[inline]
-fn le8(c: &[u8]) -> [u8; 8] {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(c);
-    b
-}
-
-/// Copies an exactly-4-byte chunk (from `chunks_exact(4)`) into an
-/// array for `from_le_bytes`.
-#[inline]
-fn le4(c: &[u8]) -> [u8; 4] {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(c);
-    b
 }
 
 /// Verifies a section's stored CRC against its bytes.
@@ -421,95 +465,147 @@ fn check_section(bytes: &[u8], id: u32, s: Section) -> Result<(), SnapshotError>
     Ok(())
 }
 
-/// Full-file integrity check: header, table CRC, and the stored CRC of
+/// Full-file integrity check: header, table CRC, the stored CRC of
 /// **every** section (including the bucket columns a zero-copy load
-/// deliberately skips). This is the fsck-path complement to
+/// deliberately skips), and the zero alignment padding between
+/// sections. This is the fsck-path complement to
 /// [`load_compiled_snapshot`]; any single-bit flip anywhere in the file
 /// fails here with a typed error.
 pub fn verify_snapshot_v3(bytes: &[u8]) -> Result<(), SnapshotError> {
+    verified_index(bytes).map(|_| ())
+}
+
+/// [`verify_snapshot_v3`], handing back the checked section index.
+fn verified_index(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
     let idx = parse_arena(bytes)?;
     for (i, &id) in section::ALL.iter().enumerate() {
         check_section(bytes, id, idx.sections[i])?;
     }
-    Ok(())
+    // Padding lies outside every CRC, and the writer only emits zeros.
+    let mut windows = idx.sections.map(|s| (s.off, s.off + s.len));
+    windows.sort_unstable();
+    let mut pos = V3_HEADER_LEN + SECTIONS * TABLE_ENTRY_LEN;
+    for (start, end) in windows.into_iter().chain([(bytes.len(), bytes.len())]) {
+        if let Some(gap) = bytes.get(pos..start) {
+            if let Some(i) = gap.iter().position(|&b| b != 0) {
+                return Err(decode_err(pos + i, "nonzero section padding"));
+            }
+        }
+        pos = pos.max(end);
+    }
+    Ok(idx)
 }
 
-/// Decodes only the embedded `SYNOPSIS` section into a
-/// [`Synopsis`] — the v3 arm of [`load_synopsis`](super::load_synopsis),
-/// for callers that want the graph rather than the compiled form.
-pub(crate) fn load_synopsis_section(bytes: &[u8]) -> Result<Synopsis, SnapshotError> {
-    let idx = parse_arena(bytes)?;
-    let s = idx.get(section::SYNOPSIS);
-    check_section(bytes, section::SYNOPSIS, s)?;
-    super::decode_payload(&bytes[s.off..s.off + s.len], s.off)
+/// Decodes a v3 snapshot into an estimation-only [`Synopsis`] — the v3
+/// arm of [`load_synopsis`](super::load_synopsis): a full CRC sweep, a
+/// carve, and a rebuild from the columns.
+pub(crate) fn load_synopsis_v3(bytes: &[u8]) -> Result<Synopsis, SnapshotError> {
+    let arena = Arc::new(AlignedBytes::from_bytes(bytes));
+    Ok(load_compiled_arena_verified(arena)?.to_synopsis())
+}
+
+/// Decodes `count` little-endian `N`-byte elements off the cursor: one
+/// bounds check, then straight-line `from_le_bytes` over `chunks_exact`
+/// (which the compiler vectorizes), instead of a checked reader call per
+/// element. The bounds check precedes the allocation, so a corrupt count
+/// cannot force an absurd one.
+fn bulk<T, const N: usize>(
+    r: &mut super::R<'_>,
+    count: usize,
+    decode: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, SnapshotError> {
+    let at = r.base + r.pos;
+    let len = count
+        .checked_mul(N)
+        .ok_or_else(|| decode_err(at, "array length overflows"))?;
+    Ok(r.take(len)?
+        .chunks_exact(N)
+        .map(|c| {
+            let mut b = [0u8; N];
+            b.copy_from_slice(c);
+            decode(b)
+        })
+        .collect())
 }
 
 /// Loads a v3 snapshot zero-copy from an aligned arena.
 ///
 /// Work performed: header + section-table + `META` CRC validation, then
-/// an O(nodes + edges + dims) walk of `META` to rebuild the CSR
-/// adjacency and carve [`Lane`] views into the bucket columns. No
-/// bucket payload is deserialized; the source synopsis (cold paths
-/// only) decodes lazily on first use. The returned synopsis holds an
+/// an O(nodes + edges + dims + value buckets) walk of `META` that
+/// rebuilds the structural columns, validates every id serving indexes
+/// with, and carves [`Lane`] views into the bucket columns. No edge
+/// histogram bucket is deserialized. The returned synopsis holds an
 /// `Arc` to the arena, so it is self-contained (`'static`).
 pub fn load_compiled_arena(
     arena: Arc<AlignedBytes>,
 ) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    let bytes_len = arena.len();
     let idx = parse_arena(arena.bytes())?;
-    let meta_s = idx.get(section::META);
-    check_section(arena.bytes(), section::META, meta_s)?;
+    check_section(arena.bytes(), section::META, idx.get(section::META))?;
+    carve(arena, &idx)
+}
 
+/// The `META` walk of [`load_compiled_arena`] over an arena whose header,
+/// table and `META` CRC `idx` already vouches for.
+fn carve(
+    arena: Arc<AlignedBytes>,
+    idx: &ArenaIndex,
+) -> Result<CompiledSynopsis<'static>, SnapshotError> {
+    let bytes = arena.bytes();
+    let bytes_len = arena.len();
+    let meta_s = idx.get(section::META);
+    let meta = bytes
+        .get(meta_s.off..meta_s.off + meta_s.len)
+        .ok_or_else(|| decode_err(meta_s.off, "meta section out of bounds"))?;
     let mut r = super::R {
-        buf: arena.bytes(),
-        pos: meta_s.off,
-        base: 0,
+        buf: meta,
+        pos: 0,
+        base: meta_s.off,
     };
-    let meta_end = meta_s.off + meta_s.len;
     let n = r.u32()? as usize;
     let e = r.u32()? as usize;
-    let _root = r.u32()?;
-    let _max_depth = r.u32()?;
-    // Structure bounds before the O(n)/O(e) loops, so a corrupt count
-    // cannot force absurd allocations.
-    if meta_s.len < 16 || n.saturating_mul(8) > meta_s.len || e.saturating_mul(4) > meta_s.len {
-        return Err(decode_err(meta_s.off, "meta counts exceed section"));
-    }
-    // Bulk-decode the four CSR arrays: one bounds check per array, then
-    // straight-line `from_le_bytes` over `chunks_exact` (which the
-    // compiler vectorizes), instead of a checked reader call per element.
-    let arrays_len = 8 * n + 8 * (n + 1) + 4 * e + 8 * e;
-    let arrays_end = r
-        .pos
-        .checked_add(arrays_len)
-        .filter(|&end| end <= meta_end)
-        .ok_or_else(|| decode_err(r.pos, "meta arrays exceed section"))?;
-    let arrays = &arena.bytes()[r.pos..arrays_end];
-    let (counts_b, rest) = arrays.split_at(8 * n);
-    let (off_b, rest) = rest.split_at(8 * (n + 1));
-    let (child_b, avg_b) = rest.split_at(4 * e);
-    let counts: Vec<u64> = counts_b
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(le8(c)))
-        .collect();
-    let edge_off: Vec<usize> = off_b
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(le8(c)) as usize)
-        .collect();
-    let edge_child: Vec<SynId> = child_b
-        .chunks_exact(4)
-        .map(|c| SynId(u32::from_le_bytes(le4(c))))
-        .collect();
-    let edge_avg: Vec<f64> = avg_b
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(le8(c)))
-        .collect();
-    r.pos = arrays_end;
+    let root = SynId(r.u32()?);
+    let max_depth = r.u32()? as usize;
+    let counts = bulk(&mut r, n, u64::from_le_bytes)?;
+    let edge_off = bulk(&mut r, n + 1, |c| u64::from_le_bytes(c) as usize)?;
+    let edge_child = bulk(&mut r, e, |c| SynId(u32::from_le_bytes(c)))?;
+    let edge_avg = bulk(&mut r, e, f64::from_le_bytes)?;
+    let edge_child_count = bulk(&mut r, e, u64::from_le_bytes)?;
+    let edge_parent_count = bulk(&mut r, e, u64::from_le_bytes)?;
+    let node_label = bulk(&mut r, n, u16::from_le_bytes)?;
+    let label_count = r.u32()? as usize;
+    let label_ends = bulk(&mut r, label_count, |c| u32::from_le_bytes(c) as usize)?;
+    let text_at = r.base + r.pos;
+    let text_len = label_ends.last().copied().unwrap_or(0);
+    let text = std::str::from_utf8(r.take(text_len)?)
+        .map_err(|_| decode_err(text_at, "invalid UTF-8 in label names"))?;
+    let at = meta_s.off;
     if edge_off.first() != Some(&0)
         || edge_off.last() != Some(&e)
         || edge_off.windows(2).any(|w| w[0] > w[1])
     {
-        return Err(decode_err(meta_s.off, "corrupt CSR offsets"));
+        return Err(decode_err(at, "corrupt CSR offsets"));
+    }
+    if root.index() >= n {
+        return Err(decode_err(at, "root out of range"));
+    }
+    if edge_child.iter().any(|c| c.index() >= n) {
+        return Err(decode_err(at, "edge endpoint out of range"));
+    }
+    // Rows must be strictly ascending: expansion walks them as
+    // `children_of` and `avg_children` binary-searches them.
+    if edge_off
+        .windows(2)
+        .any(|w| edge_child[w[0]..w[1]].windows(2).any(|p| p[0] >= p[1]))
+    {
+        return Err(decode_err(at, "CSR row not strictly ascending"));
+    }
+    if label_ends.windows(2).any(|w| w[0] > w[1])
+        || !label_ends.iter().all(|&o| text.is_char_boundary(o))
+    {
+        return Err(decode_err(text_at, "corrupt label offsets"));
+    }
+    if node_label.iter().any(|&l| usize::from(l) >= label_count) {
+        return Err(decode_err(at, "node label out of range"));
     }
 
     let lane = |id: u32, elem_off: usize, len: usize, elem_size: usize| -> Option<(usize, usize)> {
@@ -541,19 +637,28 @@ pub fn load_compiled_arena(
     for _ in 0..n {
         let dims = r.u16()? as usize;
         let nb = r.u32()? as usize;
+        let budget_bytes = r.u32()?;
+        let distinct_points = r.u32()?;
         let mut dim_parent = Vec::with_capacity(dims);
         let mut dim_child = Vec::with_capacity(dims);
         let mut dim_kind = Vec::with_capacity(dims);
         let mut vb_span = Vec::with_capacity(dims);
         let mut vb_local = 0usize;
         for _ in 0..dims {
-            dim_parent.push(SynId(r.u32()?));
-            dim_child.push(SynId(r.u32()?));
+            let (parent, child) = (SynId(r.u32()?), SynId(r.u32()?));
+            if parent.index() >= n || child.index() >= n {
+                return Err(decode_err(
+                    r.base + r.pos,
+                    "scope dim endpoint out of range",
+                ));
+            }
+            dim_parent.push(parent);
+            dim_child.push(child);
             dim_kind.push(match r.u8()? {
                 0 => DimKind::Forward,
                 1 => DimKind::Backward,
                 2 => DimKind::Value,
-                k => return Err(decode_err(r.pos, format!("unknown dim kind {k}"))),
+                k => return Err(decode_err(r.base + r.pos, format!("unknown dim kind {k}"))),
             });
             let present = r.u8()?;
             let vb_len = r.u32()? as usize;
@@ -564,15 +669,12 @@ pub fn load_compiled_arena(
                 vb_local += vb_len;
             }
         }
-        let mut dim_expectation = Vec::with_capacity(dims);
-        for _ in 0..dims {
-            dim_expectation.push(r.f64()?);
-        }
+        let dim_expectation = bulk(&mut r, dims, f64::from_le_bytes)?;
         let total_mass = r.f64()?;
         let cells = nb
             .checked_mul(dims)
-            .ok_or_else(|| decode_err(r.pos, "bucket grid overflows"))?;
-        let oob = || decode_err(r.pos, "histogram lane exceeds its section");
+            .ok_or_else(|| decode_err(r.base + r.pos, "bucket grid overflows"))?;
+        let oob = || decode_err(r.base + r.pos, "histogram lane exceeds its section");
         hists.push(CompiledHistogram {
             dims,
             dim_parent,
@@ -589,19 +691,69 @@ pub fn load_compiled_arena(
             hi_t: mapped_f64(section::HI_T, row_pos, cells).ok_or_else(oob)?,
             dim_expectation,
             total_mass,
+            budget_bytes,
+            distinct_points,
         });
         frac_pos += nb;
         row_pos += cells;
         vb_pos += vb_local;
     }
-    if r.pos != meta_end {
-        return Err(decode_err(r.pos, "trailing bytes in meta section"));
+
+    // Value summaries: per-node heads, then one bulk bucket block whose
+    // row count the heads' spans must add up to exactly.
+    let mut spans = Vec::with_capacity(n);
+    let mut rows = 0usize;
+    for _ in 0..n {
+        if r.u8()? == 0 {
+            spans.push(None);
+        } else {
+            let budget = r.u32()?;
+            let total = r.u64()?;
+            let start = rows;
+            rows = rows.saturating_add(r.u32()? as usize);
+            spans.push(Some(ValueSpan {
+                start,
+                end: rows,
+                total,
+                budget,
+            }));
+        }
+    }
+    let buckets = bulk(&mut r, rows, |c: [u8; VALUE_BUCKET_LEN]| {
+        let field = |k: usize| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(&c[8 * k..8 * k + 8]);
+            b
+        };
+        (
+            i64::from_le_bytes(field(0)),
+            i64::from_le_bytes(field(1)),
+            u64::from_le_bytes(field(2)),
+            u64::from_le_bytes(field(3)),
+        )
+    })?;
+    let values = ValueColumns { spans, buckets };
+    if r.pos != meta.len() {
+        return Err(decode_err(r.base + r.pos, "trailing bytes in meta section"));
     }
 
-    let syn = idx.get(section::SYNOPSIS);
-    Ok(CompiledSynopsis::from_loaded_parts(
-        arena, syn.off, syn.len, counts, edge_off, edge_child, edge_avg, hists,
-    ))
+    let cols = Columns {
+        root,
+        max_depth,
+        counts,
+        node_label,
+        labels: LabelNames {
+            text: text.to_owned(),
+            ends: label_ends,
+        },
+        edge_off,
+        edge_child,
+        edge_avg,
+        edge_child_count,
+        edge_parent_count,
+        values,
+    };
+    Ok(CompiledSynopsis::from_columns(cols, hists))
 }
 
 /// Loads a v3 snapshot from raw bytes: one aligned copy into a private
@@ -620,12 +772,13 @@ pub fn load_compiled_snapshot(bytes: &[u8]) -> Result<CompiledSynopsis<'static>,
 /// trust (the multi-tenant catalog) use this variant instead, so a
 /// flipped bit in *any* section — including the mapped bucket payload —
 /// surfaces as a typed [`SnapshotError`] before a single estimate is
-/// computed from it.
+/// computed from it. The sweep covers `META`, so the carve does not
+/// checksum it a second time.
 pub fn load_compiled_arena_verified(
     arena: Arc<AlignedBytes>,
 ) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    verify_snapshot_v3(arena.bytes())?;
-    load_compiled_arena(arena)
+    let idx = verified_index(arena.bytes())?;
+    carve(arena, &idx)
 }
 
 /// Reads and zero-copy-loads a v3 snapshot file, mapping filesystem
@@ -661,6 +814,58 @@ pub fn read_compiled_snapshot_in(
     }
 }
 
+/// v3 images of a built synopsis, each with exactly one id that serving
+/// indexes with pushed out of range and every CRC recomputed, named by
+/// the corrupted field. Every one must fail the carve typed.
+#[cfg(test)]
+pub(crate) fn out_of_range_images() -> Vec<(&'static str, Vec<u8>)> {
+    let s = tests::built_synopsis();
+    let n = s.node_count() as u32;
+    let image = |mutate: &dyn Fn(&mut CompiledSynopsis<'_>)| {
+        let mut cs = CompiledSynopsis::compile(&s);
+        mutate(&mut cs);
+        assemble(&sections(&cs))
+    };
+    let with_dims = |cs: &CompiledSynopsis<'_>| cs.hists.iter().position(|h| h.dims > 0);
+    let valued = |cs: &CompiledSynopsis<'_>| cs.cols.values.spans.iter().position(Option::is_some);
+    let probe = CompiledSynopsis::compile(&s);
+    assert!(!probe.cols.edge_child.is_empty() && with_dims(&probe).is_some());
+    assert!(valued(&probe).is_some(), "the corpus needs a value summary");
+    vec![
+        ("root", image(&|cs| cs.cols.root = SynId(n))),
+        ("edge_child", image(&|cs| cs.cols.edge_child[0] = SynId(n))),
+        (
+            "dim_parent",
+            image(&|cs| {
+                if let Some(k) = with_dims(cs) {
+                    cs.hists[k].dim_parent[0] = SynId(n);
+                }
+            }),
+        ),
+        (
+            "dim_child",
+            image(&|cs| {
+                if let Some(k) = with_dims(cs) {
+                    cs.hists[k].dim_child[0] = SynId(n);
+                }
+            }),
+        ),
+        (
+            "node_label",
+            image(&|cs| cs.cols.node_label[0] = cs.cols.labels.len() as u16),
+        ),
+        (
+            // One more bucket row than the value-summary block holds.
+            "value_span",
+            image(&|cs| {
+                if let Some(span) = valued(cs).and_then(|k| cs.cols.values.spans[k].as_mut()) {
+                    span.end += 1;
+                }
+            }),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,7 +874,7 @@ mod tests {
     use xtwig_query::parse_twig;
     use xtwig_xml::parse;
 
-    fn built_synopsis() -> Synopsis {
+    pub(super) fn built_synopsis() -> Synopsis {
         let doc = parse(concat!(
             "<bib>",
             "<author><name/><paper><title/><year>1999</year><keyword/><keyword/></paper></author>",
@@ -720,7 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_synopsis_section_loads_as_a_synopsis() {
+    fn v3_loads_as_a_synopsis() {
         let s = built_synopsis();
         let bytes = save_synopsis_v3(&s);
         let loaded = super::super::load_synopsis(&bytes).unwrap();
@@ -805,7 +1010,11 @@ mod tests {
             }
             assert_eq!(rejected, sec.len * 8, "section {id}");
         }
-        assert!(exercised >= 8, "only {exercised} non-empty sections");
+        // Every section but the two value-bucket lanes.
+        assert!(
+            exercised >= section::ALL.len() - 2,
+            "only {exercised} non-empty sections"
+        );
     }
 
     #[test]
@@ -834,6 +1043,51 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         read_compiled_snapshot_in(&fs, &path, true).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_range_ids_fail_the_carve_typed() {
+        for (field, bytes) in out_of_range_images() {
+            // Every CRC is valid, so the full sweep passes and only the
+            // carve can catch the bad id.
+            verify_snapshot_v3(&bytes).unwrap();
+            let expected = match field {
+                "root" => "root out of range",
+                "edge_child" => "edge endpoint out of range",
+                "dim_parent" | "dim_child" => "scope dim endpoint out of range",
+                "node_label" => "node label out of range",
+                _ => "unexpected end of snapshot",
+            };
+            match load_compiled_snapshot(&bytes) {
+                Err(SnapshotError::Decode { message, .. }) => {
+                    assert_eq!(message, expected, "{field}");
+                }
+                other => panic!("{field}: expected a typed decode error, got {other:?}"),
+            }
+            assert!(super::super::load_synopsis(&bytes).is_err(), "{field}");
+        }
+    }
+
+    #[test]
+    fn retired_synopsis_section_is_rejected() {
+        // Earlier v3 writers appended the v2 payload as section id 10.
+        let s = built_synopsis();
+        let mut bodies = sections(&CompiledSynopsis::compile(&s));
+        let payload = super::super::save_payload(&s);
+        let mut extra = bodies.clone();
+        extra.push((10, payload.clone()));
+        let mut swapped = bodies.clone();
+        if let Some(last) = swapped.last_mut() {
+            *last = (10, payload);
+        }
+        for (what, image) in [("appended", extra), ("in place of VB_HI", swapped)] {
+            match load_compiled_snapshot(&assemble(&image)) {
+                Err(SnapshotError::Decode { .. }) => {}
+                other => panic!("SYNOPSIS section {what}: got {other:?}"),
+            }
+        }
+        bodies.truncate(section::ALL.len());
+        load_compiled_snapshot(&assemble(&bodies)).unwrap();
     }
 
     #[test]

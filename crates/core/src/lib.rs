@@ -48,7 +48,7 @@ pub use describe::describe;
 pub use estimate::{
     coarse_count_bound, earliest_deadline, AssumptionCounts, EmbeddingContribution,
     EstimateOptions, EstimateOptionsBuilder, EstimateReport, EstimateRequest, Estimator,
-    Exhaustion, Explain, Provenance, QueryTelemetry,
+    Exhaustion, Explain, Provenance, QueryTelemetry, SynopsisView,
 };
 pub use io::pod::{AlignedBytes, Lane};
 pub use io::v3::{

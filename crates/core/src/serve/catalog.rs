@@ -8,11 +8,6 @@
 //!   [`read_compiled_snapshot`]: header + CRC validation and an
 //!   O(structure) metadata decode, with every bucket lane referenced
 //!   in place in the aligned arena. No bucket payload is deserialized.
-//! * **Consistent-hash shard assignment** —
-//!   [`shard_for`](SnapshotCatalog::shard_for) maps each key onto a
-//!   fixed ring of virtual nodes, so a fleet of catalog processes can
-//!   agree on document placement with minimal movement when the shard
-//!   count changes. A single process simply owns every shard.
 //! * **Per-tenant admission quotas** — at most
 //!   [`CatalogOptions::tenant_quota`] requests of one tenant in
 //!   flight; excess is shed with [`CatalogError::QuotaExceeded`]
@@ -50,7 +45,7 @@ use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, PoisonError};
 
 use super::cache::EstimateCache;
-use super::runtime::{splitmix64, BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker};
+use super::runtime::{BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker};
 use super::BatchServer;
 use crate::compiled::CompiledSynopsis;
 use crate::estimate::{EstimateOptions, EstimateReport};
@@ -155,11 +150,6 @@ impl From<SnapshotError> for CatalogError {
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct CatalogOptions {
-    /// Logical shards on the consistent-hash ring.
-    pub shards: usize,
-    /// Virtual nodes per shard on the ring — more replicas smooth the
-    /// key distribution at the cost of a larger (still tiny) ring.
-    pub replicas: usize,
     /// Maximum resident (faulted-in) documents; `0` = unlimited. The
     /// least-recently-used document is evicted to admit a cold one.
     pub max_resident: usize,
@@ -183,8 +173,6 @@ pub struct CatalogOptions {
 impl Default for CatalogOptions {
     fn default() -> CatalogOptions {
         CatalogOptions {
-            shards: 16,
-            replicas: 32,
             max_resident: 64,
             tenant_quota: 0,
             cache_entries: 1024,
@@ -217,18 +205,6 @@ pub struct CatalogOptionsBuilder {
 }
 
 impl CatalogOptionsBuilder {
-    /// Sets the logical shard count (clamped to at least 1).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.opts.shards = n.max(1);
-        self
-    }
-
-    /// Sets the virtual nodes per shard (clamped to at least 1).
-    pub fn replicas(mut self, n: usize) -> Self {
-        self.opts.replicas = n.max(1);
-        self
-    }
-
     /// Sets the resident-document cap (`0` = unlimited).
     pub fn max_resident(mut self, n: usize) -> Self {
         self.opts.max_resident = n;
@@ -389,8 +365,6 @@ pub struct SnapshotCatalog {
     root: PathBuf,
     options: CatalogOptions,
     vfs: Arc<dyn Vfs>,
-    /// Consistent-hash ring: sorted `(point, shard)` virtual nodes.
-    ring: Vec<(u64, usize)>,
     docs: Mutex<HashMap<(String, String), Arc<DocSlot>>>,
     tenants: Mutex<HashMap<String, Arc<TenantState>>>,
     /// Logical clock for LRU stamps.
@@ -429,22 +403,6 @@ fn valid_key(k: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
 }
 
-/// Deterministic FNV-1a over the key bytes (same constants as the
-/// estimate cache's shard hash — reproducible across runs by design).
-fn fnv1a(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Separator so ("ab", "c") and ("a", "bc") hash apart.
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl SnapshotCatalog {
     /// Opens a catalog rooted at `root`. The directory need not exist
     /// yet — [`publish`](SnapshotCatalog::publish) creates it — and no
@@ -462,21 +420,10 @@ impl SnapshotCatalog {
         options: CatalogOptions,
         vfs: Arc<dyn Vfs>,
     ) -> SnapshotCatalog {
-        let shards = options.shards.max(1);
-        let replicas = options.replicas.max(1);
-        let mut ring = Vec::with_capacity(shards.saturating_mul(replicas));
-        for s in 0..shards {
-            for r in 0..replicas {
-                let point = splitmix64(((s as u64) << 32) | r as u64);
-                ring.push((point, s));
-            }
-        }
-        ring.sort_unstable();
         SnapshotCatalog {
             root: root.into(),
             options,
             vfs,
-            ring,
             docs: Mutex::new(HashMap::new()),
             tenants: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
@@ -508,20 +455,6 @@ impl SnapshotCatalog {
     /// The snapshot path for a `(tenant, document)` key.
     pub fn path_for(&self, tenant: &str, document: &str) -> PathBuf {
         self.root.join(tenant).join(format!("{document}.xtwg"))
-    }
-
-    /// The consistent-hash shard owning `(tenant, document)`.
-    ///
-    /// Deterministic across processes and runs: every catalog opened
-    /// with the same `shards`/`replicas` maps every key to the same
-    /// shard, which is what lets a fleet route without coordination.
-    pub fn shard_for(&self, tenant: &str, document: &str) -> usize {
-        let h = fnv1a(&[tenant, document]);
-        let i = self.ring.partition_point(|&(point, _)| point < h);
-        match self.ring.get(i).or_else(|| self.ring.first()) {
-            Some(&(_, shard)) => shard,
-            None => 0,
-        }
     }
 
     /// Serializes `s` as a v3 snapshot, atomically installs it at the
@@ -1194,6 +1127,40 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_ids_quarantine_the_key() {
+        // CRC-valid images whose carve must fail: the verified fault-in
+        // passes the sweep, the carve rejects the id, and the key is
+        // quarantined instead of serving (or panicking on) the file.
+        let dir = tempdir("out-of-range");
+        let catalog = SnapshotCatalog::open(&dir, CatalogOptions::default());
+        catalog.publish("t", "clean", &sample_synopsis(1)).unwrap();
+        let q = vec![parse_twig("for $t0 in //paper, $t1 in $t0/keyword").unwrap()];
+        let opts = EstimateOptions::default();
+        let images = crate::io::v3::out_of_range_images();
+        for (field, bytes) in &images {
+            // One tenant per image, so no tenant's breaker opens.
+            let tenant = format!("t-{field}");
+            let path = catalog.path_for(&tenant, "d");
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, bytes).unwrap();
+            let err = catalog.serve(&tenant, "d", &q, &opts).unwrap_err();
+            assert!(
+                matches!(err, CatalogError::Quarantined { .. }),
+                "{field}: {err}"
+            );
+            let reason = catalog.quarantine_reason(&tenant, "d").unwrap_or_default();
+            assert!(
+                reason.contains("out of range") || reason.contains("end of"),
+                "{reason}"
+            );
+        }
+        let stats = catalog.stats();
+        assert_eq!(stats.quarantined, images.len() as u64, "{stats:?}");
+        catalog.serve("t", "clean", &q, &opts).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn repeated_quarantined_requests_open_the_breaker() {
         let dir = tempdir("quarantine-breaker");
         let options = CatalogOptions::builder()
@@ -1287,22 +1254,5 @@ mod tests {
         assert!(stats.load_retries > 0, "{stats:?}");
         assert_eq!(stats.quarantined, 0, "{stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_assignment_is_deterministic_and_spread() {
-        let dir = tempdir("shards");
-        let options = CatalogOptions::builder().shards(8).replicas(16).build();
-        let a = SnapshotCatalog::open(&dir, options);
-        let b = SnapshotCatalog::open(&dir, options);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..256 {
-            let doc = format!("doc{i}");
-            let sa = a.shard_for("tenant", &doc);
-            assert_eq!(sa, b.shard_for("tenant", &doc), "placement must agree");
-            assert!(sa < 8);
-            seen.insert(sa);
-        }
-        assert!(seen.len() >= 6, "256 keys should hit most of 8 shards");
     }
 }

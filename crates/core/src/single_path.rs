@@ -11,7 +11,7 @@
 //! (children are assumed uniformly distributed over parents).
 
 use crate::estimate::expand::expand_path_from;
-use crate::estimate::EstimateOptions;
+use crate::estimate::{EstimateOptions, SynopsisView};
 use crate::synopsis::{SynId, Synopsis};
 use xtwig_query::{PathExpr, Pred};
 
@@ -38,7 +38,12 @@ pub fn chain_count(s: &Synopsis, chain: &[SynId], start_count: f64) -> f64 {
 /// per-step existence fractions under independence and summing alternative
 /// synopsis expansions as disjoint-ish alternatives
 /// (`1 − Π(1 − f_alt)`).
-pub fn branch_fraction(s: &Synopsis, from: SynId, pred: &Pred, opts: &EstimateOptions) -> f64 {
+pub fn branch_fraction<S: SynopsisView + ?Sized>(
+    s: &S,
+    from: SynId,
+    pred: &Pred,
+    opts: &EstimateOptions,
+) -> f64 {
     let Some(path) = &pred.path else {
         // Self value predicate: fraction of elements with value in range.
         let Some(r) = pred.value else { return 1.0 };

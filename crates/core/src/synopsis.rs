@@ -1124,22 +1124,6 @@ impl Synopsis {
         s
     }
 
-    /// A zero-node estimation-only synopsis — the degenerate fallback a
-    /// lazily decoded snapshot source degrades to when its (CRC-covered,
-    /// normally unreachable) decode fails: every estimate over it is 0,
-    /// never a panic.
-    pub(crate) fn empty_estimation_only() -> Synopsis {
-        Synopsis::from_raw_parts(
-            LabelTable::new(),
-            Vec::new(),
-            BTreeMap::new(),
-            SynId(0),
-            0,
-            Vec::new(),
-            Vec::new(),
-        )
-    }
-
     /// Whether this synopsis still holds the element partition (false for
     /// deserialized snapshots, which can estimate but not refine).
     pub fn has_extents(&self) -> bool {

@@ -13,6 +13,7 @@
 //! | per-dataset `expand_us_p95` | ≤ baseline × 4.00           |
 //! | per-dataset `eval_us_p95`   | ≤ baseline × 4.00           |
 //! | per-dataset `multi_tenant_qps`  | ≥ baseline × 0.35       |
+//! | per-dataset `cold_first_answer_us` | ≤ baseline × 4.00    |
 //!
 //! Every band is on an absolute latency or throughput of the production
 //! path, never a ratio against a neighbouring path. The bands are
@@ -20,7 +21,10 @@
 //! the step-function regressions that matter: a re-serialized batch
 //! (cold QPS drops by an order of magnitude, the DESIGN.md §8 anomaly),
 //! a lost vectorization or an accidental O(n²) in expansion/evaluation
-//! (p95 explodes). Ratchet the baseline *up* after a real improvement
+//! (p95 explodes), or a cold fault-in that decodes more than it needs
+//! (the first answer from a fresh verified v3 read slows down).
+//! `v2_first_answer_us` is reported beside it for the record and is not
+//! gated. Ratchet the baseline *up* after a real improvement
 //! with `--update-baseline`, which copies the current report over it.
 //!
 //! The JSON "parser" below is a field extractor for the flat schema
@@ -37,8 +41,9 @@ const BASELINE_PATH: &str = "ci/bench_baseline.json";
 
 /// Allowed shrink of per-dataset `batch_cold_qps` relative to baseline.
 const COLD_QPS_TOLERANCE: f64 = 0.35;
-/// Allowed growth of per-dataset stage p95s relative to baseline.
-const P95_TOLERANCE: f64 = 4.00;
+/// Allowed growth of per-dataset latencies (stage p95s, cold first
+/// answer) relative to baseline.
+const LATENCY_TOLERANCE: f64 = 4.00;
 
 /// One dataset's metrics pulled out of the report.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,6 +53,7 @@ struct DatasetMetrics {
     expand_us_p95: Option<f64>,
     eval_us_p95: Option<f64>,
     multi_tenant_qps: Option<f64>,
+    cold_first_answer_us: Option<f64>,
 }
 
 /// The whole report, as far as the ratchet cares.
@@ -170,7 +176,7 @@ pub fn run(args: &[String]) -> ExitCode {
             "expand_us_p95",
             cur_ds.expand_us_p95,
             base_ds.expand_us_p95,
-            P95_TOLERANCE,
+            LATENCY_TOLERANCE,
             &mut fail,
         );
         check_ceiling(
@@ -178,7 +184,7 @@ pub fn run(args: &[String]) -> ExitCode {
             "eval_us_p95",
             cur_ds.eval_us_p95,
             base_ds.eval_us_p95,
-            P95_TOLERANCE,
+            LATENCY_TOLERANCE,
             &mut fail,
         );
         check_floor(
@@ -187,6 +193,14 @@ pub fn run(args: &[String]) -> ExitCode {
             cur_ds.multi_tenant_qps,
             base_ds.multi_tenant_qps,
             COLD_QPS_TOLERANCE,
+            &mut fail,
+        );
+        check_ceiling(
+            &base_ds.name,
+            "cold_first_answer_us",
+            cur_ds.cold_first_answer_us,
+            base_ds.cold_first_answer_us,
+            LATENCY_TOLERANCE,
             &mut fail,
         );
     }
@@ -273,6 +287,7 @@ fn parse_report(text: &str) -> BenchReport {
             expand_us_p95: extract_number(&obj, "expand_us_p95"),
             eval_us_p95: extract_number(&obj, "eval_us_p95"),
             multi_tenant_qps: extract_number(&obj, "multi_tenant_qps"),
+            cold_first_answer_us: extract_number(&obj, "cold_first_answer_us"),
         })
         .collect();
     // Top-level fields live after the datasets array; searching the
@@ -340,7 +355,7 @@ mod tests {
     const SAMPLE: &str = r#"{
   "bench": "estimation_serve",
   "datasets": [
-    {"name": "XMark", "queries": 50, "expand_us_p95": 3.10, "eval_us_p95": 12.00, "batch_cold_qps": 42000.5, "multi_tenant_qps": 91000.0, "mismatches": 0},
+    {"name": "XMark", "queries": 50, "expand_us_p95": 3.10, "eval_us_p95": 12.00, "batch_cold_qps": 42000.5, "multi_tenant_qps": 91000.0, "cold_first_answer_us": 210.25, "v2_first_answer_us": 260.50, "mismatches": 0},
     {"name": "IMDB", "queries": 50, "expand_us_p95": 2.20, "eval_us_p95": 18.40, "batch_cold_qps": 68501.5, "mismatches": 0}
   ],
   "available_parallelism": 2,
@@ -357,9 +372,11 @@ mod tests {
         assert_eq!(r.datasets[0].batch_cold_qps, Some(42000.5));
         assert_eq!(r.datasets[0].expand_us_p95, Some(3.10));
         assert_eq!(r.datasets[0].multi_tenant_qps, Some(91000.0));
+        assert_eq!(r.datasets[0].cold_first_answer_us, Some(210.25));
         assert_eq!(r.datasets[1].eval_us_p95, Some(18.40));
         // Older reports predate the catalog metrics: absent, not 0.
         assert_eq!(r.datasets[1].multi_tenant_qps, None);
+        assert_eq!(r.datasets[1].cold_first_answer_us, None);
     }
 
     #[test]

@@ -184,8 +184,9 @@ invariant.
 `check --catalog <dir>` is the deep fsck for a catalog directory: it
 sweeps every `<tenant>/<document>.xtwg`, verifies every section CRC of
 the zero-copy v3 arena (the fast serving load only checks the header,
-table, and META section), decodes the embedded synopsis, and runs the
-structural fsck, printing one report line per key. Exits 4 if any
+table, and META section), rebuilds the synopsis from the arena's
+columns, and runs the structural fsck, printing one report line per
+key. Exits 4 if any
 snapshot is corrupt (after completing the sweep), 1 if any is
 unreadable or the catalog is empty.
 
@@ -607,10 +608,10 @@ fn cmd_check(args: &[String]) -> Result<Outcome, CliError> {
 
 /// `check --catalog <dir>`: deep fsck over a multi-tenant snapshot
 /// catalog. Sweeps every `<dir>/<tenant>/<document>.xtwg`, runs the
-/// full per-section CRC verification of the v3 arena, decodes the
-/// embedded synopsis, and runs the structural fsck — reporting one
-/// line per key. Any corrupt snapshot exits 4 (after the whole sweep,
-/// so the report is complete); unreadable files exit 1.
+/// full per-section CRC verification of the v3 arena, rebuilds the
+/// synopsis from the arena's columns, and runs the structural fsck —
+/// reporting one line per key. Any corrupt snapshot exits 4 (after the
+/// whole sweep, so the report is complete); unreadable files exit 1.
 fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
     let root = Path::new(dir);
     let mut tenants: Vec<std::path::PathBuf> = std::fs::read_dir(root)
@@ -657,8 +658,9 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
                 }
             };
             // Depth 1: every section CRC (the zero-copy fast load only
-            // checks header + table + META). Depth 2: decode the
-            // embedded synopsis and run the structural fsck.
+            // checks header + table + META). Depth 2: carve the arena,
+            // rebuild the synopsis from its columns, and run the
+            // structural fsck.
             let deep = verify_snapshot_v3(&bytes)
                 .map_err(|e| e.to_string())
                 .and_then(|()| load_synopsis(&bytes).map_err(|e| e.to_string()))

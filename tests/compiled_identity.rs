@@ -12,6 +12,11 @@
 //!    compiling with or without the `trace` feature, never changes a
 //!    single bit of any estimate (the whole suite runs under
 //!    `--features trace` in CI to prove the latter).
+//! 4. **The loaded form is the same computation** — a synopsis served
+//!    from its v3 snapshot (`load_compiled_snapshot`), whose expansion
+//!    reads the snapshot's columns instead of a synopsis graph, matches
+//!    the oracle to the bit, including under a tight work limit, where
+//!    both must charge the meter at the same points.
 
 mod support;
 
@@ -20,7 +25,10 @@ use support::oracle;
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::estimate::EstimateOptions;
 use xtwig::core::synopsis::{DimKind, ScopeDim, SynId};
-use xtwig::core::{coarse_synopsis, BatchServer, CompiledSynopsis, EstimateCache};
+use xtwig::core::{
+    coarse_synopsis, load_compiled_snapshot, save_synopsis_v3, BatchServer, CompiledSynopsis,
+    EstimateCache, EstimateReport,
+};
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 use xtwig::query::{parse_twig, TwigQuery};
 use xtwig::workload::{generate_workload, WorkloadKind, WorkloadSpec};
@@ -63,20 +71,22 @@ proptest! {
         let w = generate_workload(&doc, &spec);
         let eopts = EstimateOptions::default();
         let cs = CompiledSynopsis::compile(&s);
+        let loaded = load_compiled_snapshot(&save_synopsis_v3(&s)).expect("v3 loads");
         for q in &w.queries {
             let interp = oracle::estimate(&s, q, &eopts);
-            let compiled = cs.estimate_report(q, &eopts);
-            prop_assert_eq!(
-                interp.estimate.to_bits(),
-                compiled.estimate.to_bits(),
-                "{}: interpreted {} vs compiled {}",
-                q,
-                interp.estimate,
-                compiled.estimate
-            );
-            prop_assert_eq!(interp.provenance.exhaustion, compiled.provenance.exhaustion);
-            prop_assert_eq!(interp.provenance.clamped, compiled.provenance.clamped);
-            prop_assert_eq!(interp.provenance.embeddings, compiled.provenance.embeddings);
+            for (form, compiled) in [
+                ("compiled", cs.estimate_report(q, &eopts)),
+                ("loaded", loaded.estimate_report(q, &eopts)),
+            ] {
+                prop_assert!(
+                    same_answer(&interp, &compiled),
+                    "{} {}: oracle {:?} vs {:?}",
+                    form,
+                    q,
+                    interp.estimate,
+                    compiled.estimate
+                );
+            }
         }
         // The batched path with a cache must serve the same numbers —
         // cold (computing + inserting) and warm (cache hits).
@@ -158,6 +168,7 @@ proptest! {
             ..Default::default()
         });
         let cs = CompiledSynopsis::compile(&s);
+        let loaded = load_compiled_snapshot(&save_synopsis_v3(&s)).expect("v3 loads");
         let eopts = EstimateOptions::default();
 
         // Duplicate every query: within one batch the duplicates land in
@@ -216,8 +227,90 @@ proptest! {
                 work_limit
             );
             prop_assert_eq!(interp.provenance.exhaustion, r.provenance.exhaustion);
+            // The column-backed expansion of the loaded form trips the
+            // meter where the graph-backed oracle does.
+            let l = loaded.estimate_report(q, &tight);
+            prop_assert!(
+                same_answer(&interp, &l),
+                "loaded degraded path diverged on {} (work_limit {}): {:?} vs {:?}",
+                q,
+                work_limit,
+                interp.estimate,
+                l.estimate
+            );
         }
     }
+}
+
+/// The loaded form against the oracle on fixed inputs: coarse and
+/// XBUILD (value-dimension) synopses of all three generators, a P+V
+/// workload (branch predicates over edges where `parent_count` and
+/// `child_count` differ, value ranges that cut value-summary buckets),
+/// with explain on and under a tight work limit.
+#[test]
+fn loaded_form_matches_oracle_on_every_generator() {
+    for (name, doc) in [
+        (
+            "xmark",
+            xmark(XMarkConfig {
+                scale: 0.01,
+                seed: 3,
+            }),
+        ),
+        ("imdb", imdb(ImdbConfig::scaled(0.01, 3))),
+        ("sprot", sprot(SprotConfig::scaled(0.01, 3))),
+    ] {
+        let coarse = coarse_synopsis(&doc);
+        let opts = BuildOptions {
+            budget_bytes: coarse.size_bytes() + 1200,
+            refinements_per_round: 3,
+            max_rounds: 20,
+            workload_with_values: true,
+            seed: 3,
+            ..Default::default()
+        };
+        let (built, _) = xbuild(&doc, TruthSource::Exact, &opts);
+        let w = generate_workload(
+            &doc,
+            &WorkloadSpec {
+                queries: 40,
+                kind: WorkloadKind::BranchingValues,
+                seed: 11,
+                ..Default::default()
+            },
+        );
+        let plain = EstimateOptions::default();
+        for (kind, s) in [("coarse", &coarse), ("xbuild", &built)] {
+            let image = save_synopsis_v3(s);
+            for q in &w.queries {
+                for eopts in [
+                    plain,
+                    plain.to_builder().explain(true).build(),
+                    plain.to_builder().work_limit(64).build(),
+                ] {
+                    // A fresh load per answer: a warm expansion memo
+                    // would skip the metered expansion the oracle runs.
+                    let loaded = load_compiled_snapshot(&image).expect("v3 loads");
+                    let interp = oracle::estimate(s, q, &eopts);
+                    let got = loaded.estimate_report(q, &eopts);
+                    assert!(
+                        same_answer(&interp, &got),
+                        "{name}/{kind} {q}: oracle {} vs loaded {}",
+                        interp.estimate,
+                        got.estimate
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Estimate bits, exhaustion, clamped count and embedding count agree.
+fn same_answer(a: &EstimateReport, b: &EstimateReport) -> bool {
+    a.estimate.to_bits() == b.estimate.to_bits()
+        && a.provenance.exhaustion == b.provenance.exhaustion
+        && a.provenance.clamped == b.provenance.clamped
+        && a.provenance.embeddings == b.provenance.embeddings
 }
 
 /// Refine → recompile → epoch bump → stale entries never served.

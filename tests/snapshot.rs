@@ -231,6 +231,27 @@ fn v1_v2_v3_round_trip_identically_for_every_generator() {
     }
 }
 
+/// v3 stands alone: it carries every fact a v2 snapshot does, so the
+/// synopsis rebuilt from its columns re-saves as exactly the original
+/// v2 image — coarse and XBUILD (with value dimensions) synopses of all
+/// three generators.
+#[test]
+fn v3_carries_everything_v2_does_for_every_generator() {
+    for (name, doc) in generator_docs() {
+        let coarse = xtwig::core::coarse_synopsis(&doc);
+        for (kind, s) in [("coarse", coarse), ("xbuild", build_small(&doc))] {
+            let v3 = save_synopsis_v3(&s);
+            let rebuilt = load_synopsis(&v3).expect("v3 loads as a synopsis");
+            assert!(
+                save_synopsis(&rebuilt) == save_synopsis(&s),
+                "{name}/{kind}: v2 image of the v3 round trip differs"
+            );
+            let loaded = load_compiled_snapshot(&v3).expect("zero-copy load");
+            assert!(save_synopsis(loaded.source()) == save_synopsis(&s));
+        }
+    }
+}
+
 #[test]
 fn v3_mapped_and_owned_estimates_are_bit_identical_for_every_generator() {
     for (name, doc) in generator_docs() {
