@@ -417,6 +417,9 @@ pub struct ExpandedQuery {
     /// `needs[e][i]`: sorted, deduplicated backward edges required below
     /// embedding `e`'s node `i`.
     pub needs: Vec<Vec<Vec<(SynId, SynId)>>>,
+    /// Meter work the expansion charged; a memo hit under a work limit
+    /// charges it again.
+    pub work: u64,
 }
 
 /// The label-name table as one UTF-8 string plus end offsets: label
@@ -845,6 +848,12 @@ impl<'a> CompiledSynopsis<'a> {
     /// when the enumeration ran to completion. Also reports whether the
     /// memo answered.
     ///
+    /// A hit under a work limit charges the work the stored expansion
+    /// took when it fits the remaining budget, and otherwise runs the
+    /// metered expansion, so the meter trips exactly where a cold run
+    /// would and a warm memo never changes a budgeted answer. Requests
+    /// without a work limit take the hit as is.
+    ///
     /// `key_buf` is a reusable buffer for the memo key: on the
     /// steady-state hit path the key is formatted into retained capacity
     /// and looked up as `&str` (the map borrows `String` keys as `str`),
@@ -868,16 +877,29 @@ impl<'a> CompiledSynopsis<'a> {
         {
             let memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(hit) = memo.get(key_buf.as_str()) {
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::global().expansion_memo_hits.incr();
-                return (Arc::clone(hit), true);
+                let answered = match meter.work_remaining() {
+                    None => true,
+                    Some(left) => {
+                        hit.work <= left && meter.exhaustion().is_none() && meter.proceed(hit.work)
+                    }
+                };
+                if answered {
+                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                    telemetry::global().expansion_memo_hits.incr();
+                    return (Arc::clone(hit), true);
+                }
             }
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         telemetry::global().expansion_memo_misses.incr();
+        let work_before = meter.work_done();
         let embeddings = enumerate_embeddings_metered(self, query, opts, meter);
         let needs = embeddings.iter().map(|e| self.compute_needs(e)).collect();
-        let expanded = Arc::new(ExpandedQuery { embeddings, needs });
+        let expanded = Arc::new(ExpandedQuery {
+            embeddings,
+            needs,
+            work: meter.work_done().saturating_sub(work_before),
+        });
         if meter.exhaustion().is_none() {
             let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
             if memo.len() >= EXPANSION_MEMO_CAP {
@@ -1520,6 +1542,25 @@ impl SynopsisView for CompiledSynopsis<'_> {
             .and_then(|l| self.label_total.get(l))
             .copied()
             .unwrap_or(0.0)
+    }
+
+    fn node_count(&self) -> usize {
+        CompiledSynopsis::node_count(self)
+    }
+
+    fn label_count(&self) -> usize {
+        self.cols.labels.len()
+    }
+
+    fn label_name(&self, label: usize) -> &str {
+        self.cols.labels.name(label)
+    }
+
+    fn child_count(&self, u: SynId, v: SynId) -> u64 {
+        self.edge_index(u, v)
+            .and_then(|i| self.cols.edge_child_count.get(i))
+            .copied()
+            .unwrap_or(0)
     }
 }
 

@@ -170,6 +170,12 @@ impl Meter {
         self.work
     }
 
+    /// Work units left before the work limit trips (`None` when the
+    /// meter has no work limit).
+    pub(crate) fn work_remaining(&self) -> Option<u64> {
+        (self.work_limit != u64::MAX).then(|| self.work_limit.saturating_sub(self.work))
+    }
+
     /// Records one TREEPARSE support term visited.
     #[inline]
     pub fn note_bucket(&mut self) {
@@ -192,19 +198,6 @@ impl Meter {
     /// The evaluation statistics gathered so far.
     pub fn stats(&self) -> EvalStats {
         self.stats
-    }
-}
-
-/// The tighter of two optional deadlines: `None` means "unbounded", so
-/// the result is `None` only when both sides are. This is how a
-/// per-request deadline composes with a policy-wide one — the serving
-/// runtime takes the minimum before building the [`Meter`], and a
-/// request can only ever *shrink* its budget.
-pub fn earliest_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (Some(x), None) => Some(x),
-        (None, y) => y,
     }
 }
 
@@ -284,17 +277,6 @@ mod tests {
         // Unlimited limit is u64::MAX; saturation keeps work ≤ limit.
         assert!(m.proceed(u64::MAX));
         assert_eq!(m.work_done(), u64::MAX);
-    }
-
-    #[test]
-    fn earliest_deadline_picks_the_tighter_bound() {
-        let soon = Instant::now() + Duration::from_millis(5);
-        let late = soon + Duration::from_secs(60);
-        assert_eq!(earliest_deadline(None, None), None);
-        assert_eq!(earliest_deadline(Some(soon), None), Some(soon));
-        assert_eq!(earliest_deadline(None, Some(late)), Some(late));
-        assert_eq!(earliest_deadline(Some(late), Some(soon)), Some(soon));
-        assert_eq!(earliest_deadline(Some(soon), Some(late)), Some(soon));
     }
 
     #[test]

@@ -34,14 +34,14 @@ pub use api::{
 };
 pub use arena::EvalArena;
 pub use embedding::{enumerate_embeddings, enumerate_embeddings_metered, EmbNode, Embedding};
-pub use guard::{earliest_deadline, EvalStats, Exhaustion, Meter};
+pub use guard::{EvalStats, Exhaustion, Meter};
 
 use crate::synopsis::{SynId, Synopsis};
 use xtwig_query::TwigQuery;
 
 /// The read-only structural facts of a synopsis that expansion,
-/// embedding enumeration, branch fractions, [`coarse_count_bound`] and
-/// explain rendering read. The construction-side [`Synopsis`] answers
+/// embedding enumeration, branch fractions, [`coarse_count_bound`],
+/// explain rendering and the guarded chain's Markov fallback read. The construction-side [`Synopsis`] answers
 /// from its graph; the serving-side [`crate::CompiledSynopsis`] answers
 /// from its flat columns, so one generic expansion path serves both and
 /// a snapshot load never needs the graph.
@@ -62,6 +62,14 @@ pub trait SynopsisView {
     /// Total number of document elements carrying `tag`, summed in node
     /// id order (0.0 when the tag does not occur).
     fn tag_total(&self, tag: &str) -> f64;
+    /// Number of synopsis nodes; node ids are `0..node_count()`.
+    fn node_count(&self) -> usize;
+    /// Number of labels in the label table.
+    fn label_count(&self) -> usize;
+    /// The name of label id `label`, in table order (`""` out of range).
+    fn label_name(&self, label: usize) -> &str;
+    /// Elements of `v` with a parent in `u` (0 when `u→v` is no edge).
+    fn child_count(&self, u: SynId, v: SynId) -> u64;
 }
 
 impl SynopsisView for Synopsis {
@@ -85,6 +93,21 @@ impl SynopsisView for Synopsis {
     }
     fn tag_total(&self, tag: &str) -> f64 {
         Synopsis::tag_total(self, tag)
+    }
+    fn node_count(&self) -> usize {
+        Synopsis::node_count(self)
+    }
+    fn label_count(&self) -> usize {
+        self.labels().len()
+    }
+    fn label_name(&self, label: usize) -> &str {
+        match u16::try_from(label) {
+            Ok(id) if label < self.labels().len() => self.labels().name(xtwig_xml::LabelId(id)),
+            _ => "",
+        }
+    }
+    fn child_count(&self, u: SynId, v: SynId) -> u64 {
+        self.edge(u, v).map_or(0, |e| e.child_count)
     }
 }
 

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use super::pod::AlignedBytes;
-use crate::serve::runtime::splitmix64;
+use crate::serve::breaker::splitmix64;
 
 /// A writable file handle dispensed by a [`Vfs`].
 pub trait VfsFile: std::fmt::Debug + Send {

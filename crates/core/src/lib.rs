@@ -46,9 +46,9 @@ pub use construct::{
 };
 pub use describe::describe;
 pub use estimate::{
-    coarse_count_bound, earliest_deadline, AssumptionCounts, EmbeddingContribution,
-    EstimateOptions, EstimateOptionsBuilder, EstimateReport, EstimateRequest, Estimator,
-    Exhaustion, Explain, Provenance, QueryTelemetry, SynopsisView,
+    coarse_count_bound, AssumptionCounts, EmbeddingContribution, EstimateOptions,
+    EstimateOptionsBuilder, EstimateReport, EstimateRequest, Estimator, Exhaustion, Explain,
+    Provenance, QueryTelemetry, SynopsisView,
 };
 pub use io::pod::{AlignedBytes, Lane};
 pub use io::v3::{
@@ -65,13 +65,10 @@ pub use io::{
     write_bytes_atomic, write_bytes_atomic_in, write_snapshot_atomic, write_snapshot_atomic_in,
     SnapshotError,
 };
-pub use serve::runtime::{
-    Admission, AdmissionQueue, BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker,
-    ShedPolicy,
-};
+pub use serve::breaker::{BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker};
 pub use serve::{
     BatchServer, CacheStats, CatalogError, CatalogOptions, CatalogOptionsBuilder, CatalogStats,
-    EstimateCache, FaultHook, RebuildHook, SnapshotCatalog,
+    EstimateCache, FaultHook, RebuildHook, Resident, ServeTier, SnapshotCatalog,
 };
 pub use synopsis::{EdgeHistogram, ScopeDim, SynId, Synopsis, SynopsisEdge, ValueSummary};
 pub use tsn::twig_stable_neighborhood;

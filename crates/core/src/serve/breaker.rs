@@ -1,227 +1,26 @@
-//! Estimator-agnostic resilient-serving primitives: a bounded admission
-//! queue with configurable load shedding, a per-tier circuit breaker,
-//! and deterministic jittered exponential backoff.
+//! Estimator-agnostic resilient-serving primitives: a three-state
+//! circuit breaker and deterministic jittered exponential backoff.
 //!
 //! The paper frames the synopsis as the estimator an optimizer consults
 //! on *every* query, which makes the serving layer itself part of the
-//! contract: under overload the runtime must answer "no" quickly
-//! (admission control) rather than queue unboundedly, a persistently
-//! failing tier must stop burning per-request deadline budget (circuit
-//! breaking), and transient failures deserve a cheap second chance
-//! (retry with backoff). These primitives are generic over the work
-//! item and carry no estimator types, so `xtwig-workload` can wire them
-//! around its `GuardedEstimator` chain while tests drive them directly.
+//! contract: a persistently failing tenant or tier must stop burning
+//! per-request deadline budget (circuit breaking), and transient I/O
+//! failures deserve a cheap second chance (retry with backoff). These
+//! primitives carry no estimator types: the catalog gates each tenant
+//! with a breaker and retries transient fault-in errors under the
+//! backoff, and `xtwig-workload`'s guarded chain gates each fallback
+//! tier of a resident key with its own breaker.
 //!
-//! Everything here is deterministic given its inputs: the queue sheds
-//! by arrival order, the breaker is a pure state machine over
-//! explicit success/failure events (time enters only through the
-//! half-open cooldown), and the backoff jitter is seeded (SplitMix64)
-//! rather than drawn from a global RNG.
+//! Everything here is deterministic given its inputs: the breaker is a
+//! pure state machine over explicit success/failure events (time enters
+//! only through the half-open cooldown), and the backoff jitter is
+//! seeded (SplitMix64) rather than drawn from a global RNG.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Condvar, Mutex, PoisonError};
+use crate::sync::{Mutex, PoisonError};
 use crate::telemetry;
-
-/// What the admission queue does when it is full and new work arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Refuse the incoming request (the queue keeps its backlog). The
-    /// caller gets the request back and must mark it shed.
-    #[default]
-    RejectNew,
-    /// Admit the incoming request and shed the *oldest* queued one —
-    /// freshest-first service, appropriate when stale estimates are
-    /// worthless to the optimizer anyway.
-    DropOldest,
-}
-
-/// The outcome of offering one item to the queue.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Admission<T> {
-    /// The item was queued; nothing was shed.
-    Accepted,
-    /// The item was queued; the returned *oldest* item was shed to make
-    /// room (drop-oldest policy).
-    AcceptedDroppedOldest(T),
-    /// The queue was full and the offered item was refused (reject-new
-    /// policy), or the queue is closed.
-    Rejected(T),
-}
-
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded MPMC work queue with explicit load shedding.
-///
-/// `offer` never blocks: a full queue sheds according to the
-/// [`ShedPolicy`] and tells the caller exactly which item lost its
-/// place, so every request can still be resolved with a terminal
-/// provenance. `pop` blocks until an item arrives or the queue is
-/// closed and drained.
-pub struct AdmissionQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    ready: Condvar,
-    capacity: usize,
-    policy: ShedPolicy,
-    admitted: AtomicU64,
-    shed: AtomicU64,
-    high_water: AtomicU64,
-}
-
-impl<T> AdmissionQueue<T> {
-    /// A queue holding at most `capacity` items (minimum one).
-    pub fn new(capacity: usize, policy: ShedPolicy) -> AdmissionQueue<T> {
-        AdmissionQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-            policy,
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The shed policy in force.
-    pub fn policy(&self) -> ShedPolicy {
-        self.policy
-    }
-
-    /// Offers one item without blocking. A full queue sheds per the
-    /// policy; a closed queue rejects everything.
-    pub fn offer(&self, item: T) -> Admission<T> {
-        let tg = telemetry::global();
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.closed {
-            // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return Admission::Rejected(item);
-        }
-        let result = if inner.items.len() < self.capacity {
-            inner.items.push_back(item);
-            // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-            self.admitted.fetch_add(1, Ordering::Relaxed);
-            tg.runtime_admitted.incr();
-            Admission::Accepted
-        } else {
-            match self.policy {
-                ShedPolicy::RejectNew => {
-                    // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    tg.runtime_shed_reject_new.incr();
-                    Admission::Rejected(item)
-                }
-                ShedPolicy::DropOldest => {
-                    let oldest = inner.items.pop_front();
-                    inner.items.push_back(item);
-                    // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-                    self.admitted.fetch_add(1, Ordering::Relaxed);
-                    // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    tg.runtime_admitted.incr();
-                    tg.runtime_shed_drop_oldest.incr();
-                    match oldest {
-                        Some(o) => Admission::AcceptedDroppedOldest(o),
-                        // Capacity ≥ 1, so a full queue always has an
-                        // oldest item; this arm is unreachable in
-                        // practice but kept total.
-                        None => Admission::Accepted,
-                    }
-                }
-            }
-        };
-        let depth = inner.items.len() as u64;
-        // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
-        tg.runtime_queue_depth.set(depth);
-        drop(inner);
-        self.ready.notify_one();
-        result
-    }
-
-    /// Blocks until an item is available (returning it) or the queue is
-    /// closed *and* drained (returning `None`).
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                telemetry::global()
-                    .runtime_queue_depth
-                    .set(inner.items.len() as u64);
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Closes the queue: pending items still drain; subsequent offers
-    /// are rejected; blocked poppers wake and see `None` once empty.
-    pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.closed = true;
-        drop(inner);
-        self.ready.notify_all();
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .items
-            .len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(admitted, shed, high_water_depth)` so far.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            self.admitted.load(Ordering::Relaxed),
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            self.shed.load(Ordering::Relaxed),
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            self.high_water.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl<T> std::fmt::Debug for AdmissionQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (admitted, shed, high) = self.stats();
-        f.debug_struct("AdmissionQueue")
-            .field("capacity", &self.capacity)
-            .field("policy", &self.policy)
-            .field("len", &self.len())
-            .field("admitted", &admitted)
-            .field("shed", &shed)
-            .field("high_water", &high)
-            .finish()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Circuit breaker
@@ -488,116 +287,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn queue_rejects_new_when_full() {
-        let q = AdmissionQueue::new(2, ShedPolicy::RejectNew);
-        assert_eq!(q.offer(1), Admission::Accepted);
-        assert_eq!(q.offer(2), Admission::Accepted);
-        assert_eq!(q.offer(3), Admission::Rejected(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.offer(4), Admission::Accepted);
-        let (admitted, shed, high) = q.stats();
-        assert_eq!((admitted, shed), (3, 1));
-        assert_eq!(high, 2);
-    }
-
-    #[test]
-    fn queue_drops_oldest_when_full() {
-        let q = AdmissionQueue::new(2, ShedPolicy::DropOldest);
-        assert_eq!(q.offer(1), Admission::Accepted);
-        assert_eq!(q.offer(2), Admission::Accepted);
-        assert_eq!(q.offer(3), Admission::AcceptedDroppedOldest(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-    }
-
-    #[test]
-    fn closed_queue_drains_then_rejects() {
-        let q = AdmissionQueue::new(4, ShedPolicy::RejectNew);
-        q.offer(1);
-        q.offer(2);
-        q.close();
-        assert_eq!(q.offer(3), Admission::Rejected(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn queue_zero_capacity_is_clamped_to_one() {
-        let q = AdmissionQueue::new(0, ShedPolicy::RejectNew);
-        assert_eq!(q.capacity(), 1);
-        assert_eq!(q.offer(1), Admission::Accepted);
-        assert_eq!(q.offer(2), Admission::Rejected(2));
-    }
-
-    #[test]
-    fn drop_oldest_sheds_exactly_the_oldest_and_keeps_fifo() {
-        // Deterministic fairness: the survivors of DropOldest shedding
-        // are exactly the newest `capacity` items, still in FIFO order.
-        let q = AdmissionQueue::new(3, ShedPolicy::DropOldest);
-        for i in 1..=10 {
-            match q.offer(i) {
-                Admission::Accepted | Admission::AcceptedDroppedOldest(_) => {}
-                Admission::Rejected(_) => panic!("DropOldest never rejects while open"),
-            }
-        }
-        q.close();
-        assert_eq!(
-            (q.pop(), q.pop(), q.pop(), q.pop()),
-            (Some(8), Some(9), Some(10), None)
-        );
-        let (admitted, shed, high) = q.stats();
-        assert_eq!((admitted, shed, high), (10, 7, 3));
-    }
-
-    #[test]
-    fn drop_oldest_conserves_items_under_racing_producers() {
-        // Schedule-independent invariants: with racing producers every
-        // offered item is either drained or returned as a displaced
-        // oldest — none duplicated, none lost — and the queue never
-        // rejects or exceeds capacity.
-        const PRODUCERS: u64 = 4;
-        const PER_PRODUCER: u64 = 50;
-        let q = AdmissionQueue::new(2, ShedPolicy::DropOldest);
-        let mut dropped: Vec<u64> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..PRODUCERS)
-                .map(|p| {
-                    let q = &q;
-                    scope.spawn(move || {
-                        let mut displaced = Vec::new();
-                        for i in 0..PER_PRODUCER {
-                            match q.offer(p * PER_PRODUCER + i) {
-                                Admission::Accepted => {}
-                                Admission::AcceptedDroppedOldest(old) => displaced.push(old),
-                                Admission::Rejected(_) => {
-                                    panic!("DropOldest never rejects while open")
-                                }
-                            }
-                            assert!(q.len() <= q.capacity());
-                        }
-                        displaced
-                    })
-                })
-                .collect();
-            for h in handles {
-                dropped.extend(h.join().expect("producer panicked"));
-            }
-        });
-        q.close();
-        let mut seen: Vec<u64> = dropped;
-        while let Some(item) = q.pop() {
-            seen.push(item);
-        }
-        seen.sort_unstable();
-        let expected: Vec<u64> = (0..PRODUCERS * PER_PRODUCER).collect();
-        assert_eq!(seen, expected, "every item exactly once");
-        let (admitted, shed, _) = q.stats();
-        assert_eq!(admitted, PRODUCERS * PER_PRODUCER);
-        assert_eq!(shed, PRODUCERS * PER_PRODUCER - 2);
-    }
-
-    #[test]
     fn half_open_probe_is_exclusive_under_racing_acquires() {
         // Schedule-independent invariant: once the cooldown elapses,
         // racing callers get exactly one probe grant — no matter how
@@ -637,17 +326,6 @@ mod tests {
         let (opens, closes, short_circuits) = b.transitions();
         assert_eq!((opens, closes), (2, 1));
         assert_eq!(short_circuits, 14, "7 losers per racing round");
-    }
-
-    #[test]
-    fn queue_pop_blocks_until_offer_across_threads() {
-        let q = AdmissionQueue::new(4, ShedPolicy::RejectNew);
-        std::thread::scope(|scope| {
-            let popper = scope.spawn(|| q.pop());
-            std::thread::sleep(Duration::from_millis(5));
-            q.offer(42);
-            assert_eq!(popper.join().ok().flatten(), Some(42));
-        });
     }
 
     #[test]

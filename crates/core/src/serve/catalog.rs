@@ -1,31 +1,45 @@
-//! The multi-tenant snapshot catalog: the serving tier's front door.
+//! The multi-tenant snapshot catalog: the serving tier's one front
+//! door.
 //!
 //! A [`SnapshotCatalog`] maps `(tenant, document)` keys to snapshot
 //! files under a root directory (`<root>/<tenant>/<document>.xtwg`,
 //! format v3) and serves estimates from them with:
 //!
-//! * **Zero-copy fault-in** — a cold document is loaded through
-//!   [`read_compiled_snapshot`]: header + CRC validation and an
-//!   O(structure) metadata decode, with every bucket lane referenced
-//!   in place in the aligned arena. No bucket payload is deserialized.
+//! * **Verified zero-copy fault-in** — a cold document is loaded
+//!   through [`read_compiled_snapshot_in`]: every section CRC is
+//!   checked, the structural columns are carved, and every bucket lane
+//!   is referenced in place in the aligned arena. Transient I/O errors
+//!   are retried under [`CatalogOptions::load_retries`]; corruption is
+//!   rebuilt through the [`RebuildHook`] or quarantined, never served.
 //! * **Per-tenant admission quotas** — at most
 //!   [`CatalogOptions::tenant_quota`] requests of one tenant in
 //!   flight; excess is shed with [`CatalogError::QuotaExceeded`]
-//!   before it can queue behind another tenant's work.
-//! * **Per-tenant circuit breakers** — serving failures (injected
-//!   faults, corrupt snapshots) trip only the failing tenant's
-//!   [`CircuitBreaker`]; other tenants keep full service. This is the
-//!   isolation property the multi-tenant soak phase asserts.
-//! * **Cold-tenant eviction** — at most
-//!   [`CatalogOptions::max_resident`] documents stay resident; the
-//!   least-recently-used one is dropped to make room, and a later
-//!   request simply faults it back in.
+//!   before it can queue behind another tenant's work. The quota plus
+//!   the caller's own threads is the whole admission model: there is no
+//!   queue to wait in.
+//! * **Per-tenant circuit breakers** — serving failures (contained
+//!   panics, corrupt snapshots) trip only the failing tenant's
+//!   [`CircuitBreaker`]; other tenants keep full service.
+//! * **Cold-key eviction** — at most [`CatalogOptions::max_resident`]
+//!   documents stay resident; the least-recently-used one is dropped
+//!   to make room, and a later request simply faults it back in.
+//! * **Publish/invalidate** — [`SnapshotCatalog::publish`] installs new
+//!   bytes atomically and drops the resident copy, so the next request
+//!   faults the new document in while requests already in flight finish
+//!   on the `Arc` they hold. A hot reload is a verified publish: check
+//!   the bytes, then publish; bytes that fail the check publish
+//!   nothing, which *is* the rollback.
 //!
-//! Single-document mode is the degenerate one-tenant catalog: publish
-//! one document and serve it. The per-document [`EstimateCache`]
-//! partitions come for free from the epoch scheme — every fault-in
-//! mints a fresh compile epoch, so a republished document's partition
-//! self-invalidates without a flush protocol.
+//! What a resident key serves through is the catalog's [`ServeTier`]
+//! type parameter. The default, [`Resident`], is the compiled synopsis,
+//! its private [`EstimateCache`] partition and a [`BatchServer`] — the
+//! full-fidelity XSKETCH path. `xtwig-workload` supplies the guarded
+//! tier, which runs the same batch as its first tier and answers the
+//! members it could not (budget exhausted, non-finite, panicked) from a
+//! Markov model and then the label-count bound. Single-document
+//! serving is the one-key catalog. Every fault-in mints a fresh compile
+//! epoch, so a republished document's cache partition self-invalidates
+//! without a flush protocol.
 //!
 //! ## Lock discipline
 //!
@@ -35,7 +49,9 @@
 //! from atomics under the map guard, then locks the victim only after
 //! the guard is dead. A document's slot mutex is held across its disk
 //! load on purpose — that is what collapses a cold-tenant stampede
-//! into exactly one load.
+//! into exactly one load, and what makes [`SnapshotCatalog::invalidate`]
+//! final: a load that read the old bytes installs them before the
+//! invalidate can take the lock, so the invalidate drops them.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -44,8 +60,8 @@ use std::path::{Path, PathBuf};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, PoisonError};
 
+use super::breaker::{BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker};
 use super::cache::EstimateCache;
-use super::runtime::{BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker};
 use super::BatchServer;
 use crate::compiled::CompiledSynopsis;
 use crate::estimate::{EstimateOptions, EstimateReport};
@@ -53,6 +69,7 @@ use crate::io::v3::{read_compiled_snapshot_in, write_snapshot_v3_in};
 use crate::io::vfs::{StdVfs, Vfs};
 use crate::io::SnapshotError;
 use crate::synopsis::Synopsis;
+use crate::telemetry;
 use xtwig_query::TwigQuery;
 
 /// Why a catalog request was not served.
@@ -282,21 +299,81 @@ pub struct CatalogStats {
     pub documents: usize,
 }
 
-/// A resident document: the zero-copy compiled synopsis plus its
-/// private cache partition.
+/// What a resident catalog key serves through: built once per
+/// fault-in from the verified, carved document, shared by every request
+/// that finds the key resident, and dropped on eviction or invalidate
+/// (requests in flight keep their `Arc`).
+pub trait ServeTier: Send + Sync + Sized + 'static {
+    /// Wraps a freshly faulted-in document.
+    fn load(compiled: CompiledSynopsis<'static>, options: &CatalogOptions) -> Self;
+
+    /// Serves one admitted batch: one report per query, in input order.
+    fn serve(
+        &self,
+        queries: &[TwigQuery],
+        opts: &EstimateOptions,
+        threads: usize,
+    ) -> Vec<EstimateReport>;
+}
+
+/// The default serving tier: a compiled synopsis plus its private cache
+/// partition, served through a [`BatchServer`] (plan reuse, work
+/// splitting, epoch-checked caching). Budget-exhausted members come
+/// back degraded with the partial XSKETCH sum. In a catalog the
+/// synopsis is the zero-copy `'static` load of the key's snapshot.
 #[derive(Debug)]
-struct LoadedDoc {
-    compiled: CompiledSynopsis<'static>,
+pub struct Resident<'syn> {
+    compiled: CompiledSynopsis<'syn>,
     cache: EstimateCache,
+}
+
+impl<'syn> Resident<'syn> {
+    /// `compiled` with a cache partition of `cache_entries` (`0`
+    /// disables caching).
+    pub fn new(compiled: CompiledSynopsis<'syn>, cache_entries: usize) -> Resident<'syn> {
+        Resident {
+            compiled,
+            cache: EstimateCache::new(cache_entries),
+        }
+    }
+
+    /// The resident compiled synopsis.
+    pub fn compiled(&self) -> &CompiledSynopsis<'syn> {
+        &self.compiled
+    }
+
+    /// The batch server over the resident synopsis and its cache
+    /// partition, configured for one request.
+    pub fn batch(&self, opts: &EstimateOptions, threads: usize) -> BatchServer<'_, 'syn> {
+        BatchServer::new(&self.compiled)
+            .with_cache(&self.cache)
+            .with_options(*opts)
+            .with_threads(threads)
+    }
+}
+
+impl ServeTier for Resident<'static> {
+    fn load(compiled: CompiledSynopsis<'static>, options: &CatalogOptions) -> Resident<'static> {
+        Resident::new(compiled, options.cache_entries)
+    }
+
+    fn serve(
+        &self,
+        queries: &[TwigQuery],
+        opts: &EstimateOptions,
+        threads: usize,
+    ) -> Vec<EstimateReport> {
+        self.batch(opts, threads).serve(queries)
+    }
 }
 
 /// The mutex-guarded part of a [`DocSlot`]: the resident document and
 /// the quarantine marker live under **one** lock so fault-in never
 /// nests slot locks (the repo's `LOCK_ORDER` manifest sanctions no
 /// nestings).
-#[derive(Debug, Default)]
-struct SlotState {
-    doc: Option<Arc<LoadedDoc>>,
+#[derive(Debug)]
+struct SlotState<T> {
+    doc: Option<Arc<T>>,
     /// When set, the on-disk snapshot failed integrity validation and
     /// could not be rebuilt; every request sheds with
     /// [`CatalogError::Quarantined`] until a publish clears it.
@@ -307,8 +384,8 @@ struct SlotState {
 /// cold stampede performs exactly one disk load); the atomics let the
 /// eviction scan pick a victim without locking every slot.
 #[derive(Debug)]
-struct DocSlot {
-    loaded: Mutex<SlotState>,
+struct DocSlot<T> {
+    loaded: Mutex<SlotState<T>>,
     /// Catalog-clock stamp of the last serve (LRU eviction order).
     last_used: AtomicU64,
     /// Mirror of `loaded.doc.is_some()` (`0`/`1`), readable without
@@ -316,6 +393,9 @@ struct DocSlot {
     /// loom façade only models the integer atomics.
     is_loaded: AtomicUsize,
 }
+
+/// The `(tenant, document)` slots a catalog knows.
+type DocMap<T> = HashMap<(String, String), Arc<DocSlot<T>>>;
 
 /// Per-tenant admission and failure-isolation state.
 #[derive(Debug)]
@@ -348,7 +428,9 @@ pub type FaultHook = Box<dyn Fn(&str, &str) -> bool + Send + Sync>;
 /// catalog.
 pub type RebuildHook = Arc<dyn Fn(&str, &str) -> Option<Synopsis> + Send + Sync>;
 
-/// A multi-tenant catalog of v3 snapshots under one root directory.
+/// A multi-tenant catalog of v3 snapshots under one root directory,
+/// serving each resident key through the tier `T` (see the module
+/// docs).
 ///
 /// ```no_run
 /// use xtwig_core::{CatalogOptions, EstimateOptions, SnapshotCatalog};
@@ -361,11 +443,11 @@ pub type RebuildHook = Arc<dyn Fn(&str, &str) -> Option<Synopsis> + Send + Sync>
 ///     .serve("acme", "orders", &queries, &EstimateOptions::default())
 ///     .unwrap();
 /// ```
-pub struct SnapshotCatalog {
+pub struct SnapshotCatalog<T = Resident<'static>> {
     root: PathBuf,
     options: CatalogOptions,
     vfs: Arc<dyn Vfs>,
-    docs: Mutex<HashMap<(String, String), Arc<DocSlot>>>,
+    docs: Mutex<DocMap<T>>,
     tenants: Mutex<HashMap<String, Arc<TenantState>>>,
     /// Logical clock for LRU stamps.
     tick: AtomicU64,
@@ -384,7 +466,7 @@ pub struct SnapshotCatalog {
     rebuild_hook: Mutex<Option<RebuildHook>>,
 }
 
-impl std::fmt::Debug for SnapshotCatalog {
+impl<T> std::fmt::Debug for SnapshotCatalog<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotCatalog")
             .field("root", &self.root)
@@ -404,12 +486,12 @@ fn valid_key(k: &str) -> bool {
 }
 
 impl SnapshotCatalog {
-    /// Opens a catalog rooted at `root`. The directory need not exist
-    /// yet — [`publish`](SnapshotCatalog::publish) creates it — and no
-    /// I/O happens here; documents are discovered lazily on first
-    /// request.
+    /// Opens a catalog of [`Resident`] keys rooted at `root`. The
+    /// directory need not exist yet — [`publish`](SnapshotCatalog::publish)
+    /// creates it — and no I/O happens here; documents are discovered
+    /// lazily on first request.
     pub fn open(root: impl Into<PathBuf>, options: CatalogOptions) -> SnapshotCatalog {
-        SnapshotCatalog::open_in(root, options, Arc::new(StdVfs))
+        SnapshotCatalog::open_tier(root, options, Arc::new(StdVfs))
     }
 
     /// [`SnapshotCatalog::open`] over an explicit [`Vfs`] — the soak
@@ -420,6 +502,18 @@ impl SnapshotCatalog {
         options: CatalogOptions,
         vfs: Arc<dyn Vfs>,
     ) -> SnapshotCatalog {
+        SnapshotCatalog::open_tier(root, options, vfs)
+    }
+}
+
+impl<T: ServeTier> SnapshotCatalog<T> {
+    /// Opens a catalog whose resident keys serve through the tier `T`,
+    /// over an explicit [`Vfs`].
+    pub fn open_tier(
+        root: impl Into<PathBuf>,
+        options: CatalogOptions,
+        vfs: Arc<dyn Vfs>,
+    ) -> SnapshotCatalog<T> {
         SnapshotCatalog {
             root: root.into(),
             options,
@@ -475,6 +569,27 @@ impl SnapshotCatalog {
         Ok(n as u64)
     }
 
+    /// A hot reload: verifies `bytes` as a snapshot (CRCs, framing and
+    /// decode, any format version) and publishes the synopsis they
+    /// hold. Bytes that fail verification publish nothing — the key
+    /// keeps serving what it served, which is the rollback — and come
+    /// back as [`CatalogError::Snapshot`]. Requests already in flight
+    /// finish on the document they hold.
+    pub fn reload(&self, tenant: &str, document: &str, bytes: &[u8]) -> Result<u64, CatalogError> {
+        let tg = telemetry::global();
+        match crate::io::load_synopsis(bytes) {
+            Ok(s) => {
+                let n = self.publish(tenant, document, &s)?;
+                tg.runtime_reloads.incr();
+                Ok(n)
+            }
+            Err(e) => {
+                tg.runtime_reload_rollbacks.incr();
+                Err(CatalogError::Snapshot(e))
+            }
+        }
+    }
+
     /// Drops the resident copy of a document, if any, and lifts any
     /// quarantine (the caller just installed or is about to install
     /// fresh bytes). The snapshot file is untouched; the next request
@@ -499,11 +614,11 @@ impl SnapshotCatalog {
         self.fault_in(&slot, tenant, document).map(|_| ())
     }
 
-    /// Serves a batch of queries for one `(tenant, document)`,
-    /// returning full-fidelity reports in input order.
+    /// Serves a batch of queries for one `(tenant, document)` through
+    /// the key's tier, returning one report per query in input order.
     ///
-    /// Admission order: quota (before any work), then the tenant's
-    /// breaker, then fault-in, then the batch itself. A serving panic
+    /// Checks run in this order: quota (before any work), then the
+    /// tenant's breaker, then fault-in, then the batch itself. A serving panic
     /// is contained, reported as [`CatalogError::Faulted`], and
     /// charged to the tenant's breaker — after
     /// [`BreakerConfig::failure_threshold`] consecutive faults the
@@ -530,6 +645,7 @@ impl SnapshotCatalog {
         if quota != 0 && inflight > quota {
             // lint:allow(atomic-ordering): monotonic stats counter
             self.quota_sheds.fetch_add(1, Ordering::Relaxed);
+            telemetry::global().runtime_shed_reject_new.incr();
             return Err(CatalogError::QuotaExceeded {
                 tenant: tenant.to_owned(),
             });
@@ -574,11 +690,7 @@ impl SnapshotCatalog {
         };
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             assert!(!fire, "injected fault for tenant {tenant}");
-            BatchServer::new(&doc.compiled)
-                .with_cache(&doc.cache)
-                .with_options(*opts)
-                .with_threads(self.options.threads)
-                .serve(queries)
+            doc.serve(queries, opts, self.options.threads)
         }));
         match outcome {
             Ok(reports) => Ok(reports),
@@ -594,7 +706,9 @@ impl SnapshotCatalog {
 
     /// Installs (or clears) the fault-injection hook. Soak/test
     /// surface: a hook returning `true` makes that serve panic inside
-    /// the containment boundary, exactly as a serving bug would.
+    /// the containment boundary, exactly as a serving bug would; a hook
+    /// that sleeps before returning holds the request's quota slot
+    /// while it does.
     pub fn set_fault_hook(&self, hook: Option<FaultHook>) {
         *self
             .fault_hook
@@ -688,13 +802,16 @@ impl SnapshotCatalog {
     }
 
     /// Gets or creates the `(tenant, document)` slot.
-    fn doc_slot(&self, tenant: &str, document: &str) -> Arc<DocSlot> {
+    fn doc_slot(&self, tenant: &str, document: &str) -> Arc<DocSlot<T>> {
         let mut map = self.docs.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry((tenant.to_owned(), document.to_owned()))
                 .or_insert_with(|| {
                     Arc::new(DocSlot {
-                        loaded: Mutex::new(SlotState::default()),
+                        loaded: Mutex::new(SlotState {
+                            doc: None,
+                            quarantine: None,
+                        }),
                         last_used: AtomicU64::new(0),
                         is_loaded: AtomicUsize::new(0),
                     })
@@ -747,10 +864,10 @@ impl SnapshotCatalog {
     ///   tenant's breaker so repeat offenders are shed at admission.
     fn fault_in(
         &self,
-        slot: &Arc<DocSlot>,
+        slot: &Arc<DocSlot<T>>,
         tenant: &str,
         document: &str,
-    ) -> Result<Arc<LoadedDoc>, CatalogError> {
+    ) -> Result<Arc<T>, CatalogError> {
         // lint:allow(atomic-ordering): LRU stamp; eviction order is advisory
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed).saturating_add(1);
         {
@@ -851,15 +968,12 @@ impl SnapshotCatalog {
     /// handle so callers never have to re-extract it from the slot.
     fn install(
         &self,
-        slot: &Arc<DocSlot>,
-        state: &mut SlotState,
+        slot: &Arc<DocSlot<T>>,
+        state: &mut SlotState<T>,
         stamp: u64,
         compiled: CompiledSynopsis<'static>,
-    ) -> Arc<LoadedDoc> {
-        let doc = Arc::new(LoadedDoc {
-            compiled,
-            cache: EstimateCache::new(self.options.cache_entries),
-        });
+    ) -> Arc<T> {
+        let doc = Arc::new(T::load(compiled, &self.options));
         state.doc = Some(Arc::clone(&doc));
         // lint:allow(atomic-ordering): mirror of the slot state just changed under its own lock
         slot.is_loaded.store(1, Ordering::Relaxed);
@@ -875,7 +989,7 @@ impl SnapshotCatalog {
     /// Marks a locked slot quarantined and returns the typed error.
     fn quarantine(
         &self,
-        state: &mut SlotState,
+        state: &mut SlotState<T>,
         tenant: &str,
         document: &str,
         reason: String,
@@ -903,7 +1017,7 @@ impl SnapshotCatalog {
         }
         // lint:allow(atomic-ordering): advisory residency count; max_resident is a soft bound
         while self.resident.load(Ordering::Relaxed) >= max {
-            let victim: Option<Arc<DocSlot>> = {
+            let victim: Option<Arc<DocSlot<T>>> = {
                 let map = self.docs.lock().unwrap_or_else(PoisonError::into_inner);
                 map.values()
                     // lint:allow(atomic-ordering): lock-free residency mirror; a stale read just retries
@@ -972,6 +1086,34 @@ mod tests {
         let stats = catalog.stats();
         assert_eq!(stats.cold_loads, 1);
         assert_eq!(stats.resident, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reload_publishes_verified_bytes_and_rolls_back_corrupt_ones() {
+        let dir = tempdir("reload");
+        let catalog = SnapshotCatalog::open(&dir, CatalogOptions::default());
+        let (old, new) = (sample_synopsis(0), sample_synopsis(3));
+        catalog.publish("t", "d", &old).unwrap();
+        let q = vec![parse_twig("for $t0 in //paper, $t1 in $t0/kw").unwrap()];
+        let opts = EstimateOptions::default();
+        let served = |c: &SnapshotCatalog| c.serve("t", "d", &q, &opts).unwrap()[0].estimate;
+        let before = served(&catalog);
+        // A corrupt image publishes nothing: the key keeps serving.
+        let mut bytes = crate::io::save_synopsis(&new);
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        let err = catalog.reload("t", "d", &bytes).unwrap_err();
+        assert!(matches!(err, CatalogError::Snapshot(_)), "{err}");
+        assert_eq!(served(&catalog).to_bits(), before.to_bits());
+        // Verified bytes publish, and the next request serves them.
+        catalog
+            .reload("t", "d", &crate::io::save_synopsis(&new))
+            .unwrap();
+        let cs = CompiledSynopsis::compile(&new);
+        let want = BatchServer::new(&cs).serve(&q)[0].estimate;
+        assert_eq!(served(&catalog).to_bits(), want.to_bits());
+        assert_ne!(want.to_bits(), before.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

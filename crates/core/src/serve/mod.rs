@@ -1,9 +1,9 @@
 //! The serving tier: batched estimation over a compiled synopsis, the
-//! sharded epoch-invalidated [`EstimateCache`], the single-document
-//! [`ServingRuntime`](runtime) admission/reload stack, and the
-//! multi-tenant [`SnapshotCatalog`] front door.
+//! sharded epoch-invalidated [`EstimateCache`], and the
+//! [`SnapshotCatalog`] — the one front door every served estimate
+//! passes through.
 //!
-//! The serving API is handle-based: construct a [`BatchServer`] over a
+//! The batch API is handle-based: construct a [`BatchServer`] over a
 //! [`CompiledSynopsis`] (optionally wiring in a cache, options, and a
 //! worker count), then call [`BatchServer::serve`] per batch.
 //!
@@ -14,20 +14,25 @@
 //!   scoped worker threads with every member still running under its
 //!   own [`Meter`](crate::estimate::Meter) deadline/work-budget guard,
 //!   with per-fingerprint plan reuse and heavy-plan work splitting.
-//! * [`runtime`] — admission control, circuit breaking, retry/backoff,
-//!   and atomic snapshot reload for one document.
-//! * [`catalog`] — the multi-tenant snapshot catalog: `(tenant,
-//!   document)`-keyed zero-copy fault-in, consistent-hash shard
-//!   assignment, per-tenant quotas and breakers, cold-tenant eviction.
+//! * [`breaker`] — the circuit breaker and the jittered backoff the
+//!   catalog and the guarded fallback chain share.
+//! * [`catalog`] — `(tenant, document)`-keyed verified zero-copy
+//!   fault-in, per-tenant quotas and breakers, cold-key eviction,
+//!   quarantine, and publish/invalidate. What a resident key serves
+//!   through is a [`ServeTier`]: the default [`Resident`] tier is the
+//!   compiled synopsis, its cache partition and a `BatchServer`;
+//!   `xtwig-workload` adds the guarded XSKETCH → Markov → label-count
+//!   chain as a second tier. Single-document serving is the one-key
+//!   catalog.
 
+pub mod breaker;
 pub mod cache;
 pub mod catalog;
-pub mod runtime;
 
 pub use cache::{CacheStats, EstimateCache};
 pub use catalog::{
     CatalogError, CatalogOptions, CatalogOptionsBuilder, CatalogStats, FaultHook, RebuildHook,
-    SnapshotCatalog,
+    Resident, ServeTier, SnapshotCatalog,
 };
 
 use std::collections::HashMap;
@@ -136,7 +141,7 @@ impl<'a, 'syn> BatchServer<'a, 'syn> {
     }
 
     /// Serves through `cache` (epoch-checked; degraded results are
-    /// never inserted).
+    /// never inserted, and work-limited requests never read it).
     pub fn with_cache(self, cache: &'a EstimateCache) -> BatchServer<'a, 'syn> {
         BatchServer {
             cache: Some(cache),
@@ -195,6 +200,17 @@ impl<'a, 'syn> BatchServer<'a, 'syn> {
     /// (a hit has no embeddings to explain) but full-fidelity results
     /// are still inserted, so an explain pass warms the cache for later
     /// plain requests.
+    ///
+    /// ## Budgets and the cache
+    ///
+    /// A request with a work limit also bypasses cache reads: a hit
+    /// charges no work, so reading the cache would let an earlier
+    /// request's warm-up decide whether this one is answered at full
+    /// fidelity or exhausts its budget. Under a work limit the meter
+    /// alone decides, exactly as on a cold synopsis (the expansion memo
+    /// charges the work it skips for the same reason). A deadline does
+    /// not bypass the cache: wall-clock budgets already depend on
+    /// timing, and a hit counts as within any deadline.
     pub fn serve(&self, queries: &[TwigQuery]) -> Vec<EstimateReport> {
         serve_batch(self.cs, queries, &self.options, self.cache, self.threads)
     }
@@ -236,7 +252,7 @@ fn serve_batch(
 
     let try_cache = |fp: &str| -> Option<EstimateReport> {
         let c = cache?;
-        if opts.explain {
+        if opts.explain || opts.work_limit > 0 {
             return None;
         }
         c.get(fp, epoch).map(|(hit, prov)| cached_report(hit, prov))
@@ -586,5 +602,39 @@ mod tests {
             .serve(&queries[..1]);
         assert!(out[0].provenance.exhaustion.is_some());
         assert_eq!(cache.stats().entries, 0, "degraded result must not stick");
+    }
+
+    #[test]
+    fn work_limited_requests_bypass_a_warm_cache() {
+        let (doc, queries) = setup();
+        let s = coarse_synopsis(&doc);
+        let cs = CompiledSynopsis::compile(&s);
+        let cache = EstimateCache::new(64);
+        BatchServer::new(&cs).with_cache(&cache).serve(&queries);
+        for limit in [1, 1_000_000] {
+            let limited = EstimateOptions::builder().work_limit(limit).build();
+            let warm = BatchServer::new(&cs)
+                .with_options(limited)
+                .with_cache(&cache)
+                .serve(&queries);
+            let fresh = CompiledSynopsis::compile(&s);
+            let cold = BatchServer::new(&fresh)
+                .with_options(limited)
+                .serve(&queries);
+            for (w, c) in warm.iter().zip(&cold) {
+                assert!(!w.provenance.cached, "limit {limit}: served from cache");
+                assert_eq!(w.estimate.to_bits(), c.estimate.to_bits(), "limit {limit}");
+                assert_eq!(w.provenance.exhaustion, c.provenance.exhaustion);
+            }
+        }
+        // A deadline does not bypass the cache.
+        let deadline = EstimateOptions::builder()
+            .deadline(Instant::now() + std::time::Duration::from_secs(60))
+            .build();
+        let hit = BatchServer::new(&cs)
+            .with_options(deadline)
+            .with_cache(&cache)
+            .serve(&queries[..1]);
+        assert!(hit[0].provenance.cached);
     }
 }

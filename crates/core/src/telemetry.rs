@@ -276,24 +276,20 @@ pub struct Telemetry {
     /// Heavy unguarded queries whose embeddings were split across the
     /// batch's workers instead of evaluated by one.
     pub batch_splits: Counter,
-    /// Requests admitted into the serving runtime's work queue.
-    pub runtime_admitted: Counter,
-    /// Requests shed at admission under the reject-new policy.
+    /// Requests a catalog shed at its per-tenant admission quota.
     pub runtime_shed_reject_new: Counter,
-    /// Queued requests shed to admit newer work (drop-oldest policy).
-    pub runtime_shed_drop_oldest: Counter,
-    /// Requests re-run after a degraded first attempt (retry/backoff).
-    pub runtime_retries: Counter,
     /// Circuit-breaker transitions into the open state.
     pub runtime_breaker_open: Counter,
     /// Circuit-breaker transitions back to closed (successful probe).
     pub runtime_breaker_close: Counter,
-    /// Tier attempts skipped because the tier's breaker was open.
+    /// Attempts a breaker refused while open (a tenant shed at the
+    /// catalog, or a fallback tier skipped).
     pub runtime_breaker_short_circuits: Counter,
-    /// Hot snapshot reloads that installed a new synopsis generation.
+    /// Hot reloads that verified their snapshot bytes and published
+    /// them into a catalog key.
     pub runtime_reloads: Counter,
-    /// Hot reloads rejected (corrupt snapshot) and rolled back to the
-    /// previous generation.
+    /// Hot reloads whose bytes failed verification; nothing was
+    /// published and the key kept serving its previous snapshot.
     pub runtime_reload_rollbacks: Counter,
     /// Deltas applied through incremental synopsis maintenance.
     pub ingest_deltas_applied: Counter,
@@ -316,10 +312,6 @@ pub struct Telemetry {
     /// Drift-triggered re-refinements rejected (invalid or over budget)
     /// and rolled back while the maintained synopsis kept serving.
     pub drift_refine_rollbacks: Counter,
-    /// Requests currently queued in the serving runtime (gauge).
-    pub runtime_queue_depth: Gauge,
-    /// Requests currently being served by runtime workers (gauge).
-    pub runtime_inflight: Gauge,
     /// Accumulated per-edge drift since the last refinement, in
     /// milli-units (gauge; `drift × 1000` truncated).
     pub drift_total_milli: Gauge,
@@ -372,10 +364,7 @@ impl Telemetry {
             queries_estimated: Counter::new(),
             batch_plan_reuses: Counter::new(),
             batch_splits: Counter::new(),
-            runtime_admitted: Counter::new(),
             runtime_shed_reject_new: Counter::new(),
-            runtime_shed_drop_oldest: Counter::new(),
-            runtime_retries: Counter::new(),
             runtime_breaker_open: Counter::new(),
             runtime_breaker_close: Counter::new(),
             runtime_breaker_short_circuits: Counter::new(),
@@ -390,8 +379,6 @@ impl Telemetry {
             ingest_full_rebuilds: Counter::new(),
             drift_refinements: Counter::new(),
             drift_refine_rollbacks: Counter::new(),
-            runtime_queue_depth: Gauge::new(),
-            runtime_inflight: Gauge::new(),
             drift_total_milli: Gauge::new(),
             ingest_wal_records: Gauge::new(),
             parse_latency: LatencyHistogram::new(),
@@ -446,16 +433,10 @@ impl Telemetry {
             ("queries_estimated", self.queries_estimated.get()),
             ("batch_plan_reuses", self.batch_plan_reuses.get()),
             ("batch_splits", self.batch_splits.get()),
-            ("runtime_admitted", self.runtime_admitted.get()),
             (
                 "runtime_shed_reject_new",
                 self.runtime_shed_reject_new.get(),
             ),
-            (
-                "runtime_shed_drop_oldest",
-                self.runtime_shed_drop_oldest.get(),
-            ),
-            ("runtime_retries", self.runtime_retries.get()),
             ("runtime_breaker_open", self.runtime_breaker_open.get()),
             ("runtime_breaker_close", self.runtime_breaker_close.get()),
             (
@@ -485,8 +466,6 @@ impl Telemetry {
     /// Every gauge as `(name, value)`, in stable declaration order.
     pub fn gauges(&self) -> Vec<(&'static str, u64)> {
         vec![
-            ("runtime_queue_depth", self.runtime_queue_depth.get()),
-            ("runtime_inflight", self.runtime_inflight.get()),
             ("drift_total_milli", self.drift_total_milli.get()),
             ("ingest_wal_records", self.ingest_wal_records.get()),
         ]
@@ -843,15 +822,15 @@ mod tests {
     fn exports_carry_runtime_counters_and_gauges() {
         let t = Telemetry::new();
         t.runtime_shed_reject_new.incr();
-        t.runtime_queue_depth.set(3);
+        t.drift_total_milli.set(3);
         let prom = t.to_prometheus();
         assert!(prom.contains("# TYPE xtwig_runtime_shed_reject_new counter"));
         assert!(prom.contains("xtwig_runtime_shed_reject_new 1"));
-        assert!(prom.contains("# TYPE xtwig_runtime_queue_depth gauge"));
-        assert!(prom.contains("xtwig_runtime_queue_depth 3"));
+        assert!(prom.contains("# TYPE xtwig_drift_total_milli gauge"));
+        assert!(prom.contains("xtwig_drift_total_milli 3"));
         let json = t.to_json();
         assert!(json.contains("\"gauges\""));
-        assert!(json.contains("\"runtime_queue_depth\": 3"));
+        assert!(json.contains("\"drift_total_milli\": 3"));
         assert!(json.contains("\"runtime_breaker_open\": 0"));
     }
 

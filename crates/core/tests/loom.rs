@@ -1,4 +1,4 @@
-//! Exhaustive model-checked interleavings of the serving runtime's
+//! Exhaustive model-checked interleavings of the serving path's
 //! shared-state protocols, run under `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```text
@@ -8,116 +8,52 @@
 //! Each test explores *every* schedule of its threads up to the
 //! preemption bound (`LOOM_MAX_PREEMPTIONS`, default 2), so an
 //! assertion here is a proof over the sequentially consistent
-//! interleaving space, not a sample like `tests/soak.rs`. The four
-//! protocols are the ones DESIGN.md §11 calls out as scary:
+//! interleaving space, not a sample like `tests/soak.rs`. The protocols
+//! are the ones DESIGN.md §11 calls out as scary:
 //!
-//! 1. admission queue — offer/shed/drain racing close;
-//! 2. circuit breaker — trip → half-open probe → re-close/re-open
+//! 1. circuit breaker — trip → half-open probe → re-close/re-open
 //!    under racing callers and racing failures;
-//! 3. hot reload — epoch publication vs. concurrent cache reads
-//!    (no stale-epoch hit may ever be served);
-//! 4. telemetry counters — saturation at the boundaries.
+//! 2. catalog slot — publish/invalidate vs. a concurrent fault-in (a
+//!    fault-in that starts after `invalidate` returns never serves the
+//!    old document), and epoch-stamped cache reads across a reload (no
+//!    stale-epoch hit may ever be served);
+//! 3. telemetry counters — saturation at the boundaries.
+//!
+//! Every model runs under one file-level lock (see [`serial`]), so the
+//! suite is deterministic under libtest's default parallel threads.
 #![cfg(loom)]
 
+use std::collections::HashMap;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use loom::thread;
-use xtwig_core::estimate::Provenance;
-use xtwig_core::serve::runtime::{
-    Admission, AdmissionQueue, BreakerConfig, BreakerState, CircuitBreaker, ShedPolicy,
-};
-use xtwig_core::serve::EstimateCache;
+use xtwig_core::estimate::{EstimateOptions, EstimateReport, Provenance, QueryTelemetry};
+use xtwig_core::io::vfs::{Vfs, VfsFile, VfsMetadata};
+use xtwig_core::serve::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use xtwig_core::serve::{CatalogOptions, EstimateCache, ServeTier, SnapshotCatalog};
 use xtwig_core::sync::atomic::{AtomicU64, Ordering};
-use xtwig_core::sync::{Arc, PoisonError, RwLock};
+use xtwig_core::sync::{Arc, PoisonError};
 use xtwig_core::telemetry::{Counter, Gauge};
+use xtwig_core::{coarse_synopsis, CompiledSynopsis};
+use xtwig_query::{parse_twig, TwigQuery};
 
-// ---------------------------------------------------------------------
-// 1. Admission queue: enqueue/shed/drain vs. shutdown
-// ---------------------------------------------------------------------
-
-/// Every accepted item is drained exactly once, shed + admitted
-/// accounts for every offer, and a closed-and-drained queue pops `None`
-/// — across every interleaving of one producer (who closes), one
-/// consumer, and the root.
-#[test]
-fn queue_accounting_holds_under_racing_producer_consumer_and_close() {
-    loom::model(|| {
-        let q = Arc::new(AdmissionQueue::new(1, ShedPolicy::RejectNew));
-        let producer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                let outcomes = [q.offer(1u8), q.offer(2u8)];
-                q.close();
-                outcomes
-                    .iter()
-                    .filter(|a| matches!(a, Admission::Accepted))
-                    .count()
-            })
-        };
-        let consumer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                let mut drained = 0usize;
-                while q.pop().is_some() {
-                    drained += 1;
-                }
-                drained
-            })
-        };
-        let accepted = producer.join().unwrap();
-        let drained = consumer.join().unwrap();
-        assert_eq!(
-            drained, accepted,
-            "accepted items must be drained exactly once"
-        );
-        assert!(q.pop().is_none(), "closed+drained queue must pop None");
-        let (admitted, shed, _) = q.stats();
-        assert_eq!(admitted + shed, 2, "every offer is admitted or shed");
-        assert_eq!(admitted as usize, accepted);
-    });
-}
-
-/// Drop-oldest sheds the *oldest* queued item, never the newest: with
-/// capacity 1 and no consumer, the queue must end holding the last
-/// offer, whatever the interleaving of two racing producers.
-#[test]
-fn queue_drop_oldest_keeps_newest_under_race() {
-    loom::model(|| {
-        let q = Arc::new(AdmissionQueue::new(1, ShedPolicy::DropOldest));
-        let t1 = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.offer(1u8))
-        };
-        let t2 = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.offer(2u8))
-        };
-        let a1 = t1.join().unwrap();
-        let a2 = t2.join().unwrap();
-        q.close();
-        let survivor = q.pop().expect("one item must survive");
-        assert!(q.pop().is_none());
-        // The item shed (if any) is the one that was offered first; the
-        // survivor is the other one, and the shed item was handed back.
-        match (a1, a2) {
-            (Admission::Accepted, Admission::Accepted) => {
-                panic!("capacity-1 queue accepted both offers without shedding")
-            }
-            (Admission::AcceptedDroppedOldest(dropped), Admission::Accepted) => {
-                assert_eq!(dropped, 2, "t1 displaced t2's item");
-                assert_eq!(survivor, 1);
-            }
-            (Admission::Accepted, Admission::AcceptedDroppedOldest(dropped)) => {
-                assert_eq!(dropped, 1, "t2 displaced t1's item");
-                assert_eq!(survivor, 2);
-            }
-            other => panic!("reject outcomes impossible under DropOldest: {other:?}"),
-        }
-    });
+/// One model at a time. The breaker models count transitions in the
+/// process-global telemetry registry through `Counter::add`'s CAS loop;
+/// when libtest runs models on parallel threads, another model's
+/// increments change how often that loop retries, the replayed
+/// schedule diverges from the recorded one ("nondeterministic replay")
+/// or the run hangs. Every model takes this lock first, so every
+/// invocation — default threads or `--test-threads=1` — is
+/// deterministic.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static MODELS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    MODELS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------
-// 2. Circuit breaker: trip → half-open probe → re-close / re-open
+// 1. Circuit breaker: trip → half-open probe → re-close / re-open
 // ---------------------------------------------------------------------
 
 /// With the breaker open and the cooldown elapsed, exactly one of two
@@ -125,6 +61,7 @@ fn queue_drop_oldest_keeps_newest_under_race() {
 /// success re-closes the breaker for everyone.
 #[test]
 fn breaker_grants_exactly_one_half_open_probe() {
+    let _serial = serial();
     loom::model(|| {
         let b = Arc::new(CircuitBreaker::new(BreakerConfig {
             failure_threshold: 1,
@@ -157,6 +94,7 @@ fn breaker_grants_exactly_one_half_open_probe() {
 /// successful probe (no stuck state, no double-close).
 #[test]
 fn breaker_reopens_after_failed_probe_under_racing_failures() {
+    let _serial = serial();
     loom::model(|| {
         let b = Arc::new(CircuitBreaker::new(BreakerConfig {
             failure_threshold: 1,
@@ -185,54 +123,209 @@ fn breaker_reopens_after_failed_probe_under_racing_failures() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Hot reload: epoch publication vs. concurrent cache reads
+// 2. Catalog slot: publish/invalidate vs. fault-in and cache reads
 // ---------------------------------------------------------------------
 
-/// The reload publication order used by `ServingRuntime` (install the
-/// generation under the write lock, store the epoch with `Release`
-/// before releasing it): a reader that observes the new epoch via
-/// `Acquire` and *then* read-locks the slot can never see the old
-/// generation.
+/// An in-memory [`Vfs`], so each explored schedule re-publishes without
+/// touching a disk. Its lock is `std`'s: no loom operation runs while
+/// it is held, so it never becomes a schedule point.
+#[derive(Debug, Clone, Default)]
+struct MemVfs {
+    files: std::sync::Arc<std::sync::Mutex<HashMap<PathBuf, Vec<u8>>>>,
+}
+
+impl MemVfs {
+    fn with<R>(&self, f: impl FnOnce(&mut HashMap<PathBuf, Vec<u8>>) -> R) -> R {
+        f(&mut self.files.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+#[derive(Debug)]
+struct MemFile {
+    vfs: MemVfs,
+    path: PathBuf,
+}
+
+impl VfsFile for MemFile {
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        self.vfs.with(|m| {
+            m.entry(self.path.clone())
+                .or_default()
+                .extend_from_slice(buf)
+        });
+        Ok(())
+    }
+    fn sync_all(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.vfs.with(|m| {
+            m.entry(self.path.clone())
+                .or_default()
+                .resize(len as usize, 0)
+        });
+        Ok(())
+    }
+    fn size(&self) -> io::Result<u64> {
+        Ok(self
+            .vfs
+            .with(|m| m.get(&self.path).map_or(0, |b| b.len() as u64)))
+    }
+}
+
+fn not_found(path: &Path) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, path.display().to_string())
+}
+
+impl Vfs for MemVfs {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.with(|m| m.get(path).cloned())
+            .ok_or_else(|| not_found(path))
+    }
+    fn metadata(&self, path: &Path) -> io::Result<VfsMetadata> {
+        self.with(|m| m.get(path).map(|b| b.len() as u64))
+            .map(|len| VfsMetadata {
+                len,
+                is_dir: false,
+                is_file: true,
+            })
+            .ok_or_else(|| not_found(path))
+    }
+    fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        self.with(|m| m.insert(path.to_path_buf(), Vec::new()));
+        Ok(Box::new(MemFile {
+            vfs: self.clone(),
+            path: path.to_path_buf(),
+        }))
+    }
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        Ok(Box::new(MemFile {
+            vfs: self.clone(),
+            path: path.to_path_buf(),
+        }))
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let bytes = self
+            .with(|m| m.remove(from))
+            .ok_or_else(|| not_found(from))?;
+        self.with(|m| m.insert(to.to_path_buf(), bytes));
+        Ok(())
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.with(|m| m.remove(path))
+            .map(|_| ())
+            .ok_or_else(|| not_found(path))
+    }
+    fn create_dir_all(&self, _path: &Path) -> io::Result<()> {
+        Ok(())
+    }
+    fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
+        let mut out: Vec<PathBuf> = self.with(|m| {
+            m.keys()
+                .filter(|p| p.parent() == Some(path))
+                .cloned()
+                .collect()
+        });
+        out.sort();
+        Ok(out)
+    }
+    fn fsync_dir(&self, _path: &Path) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A serving tier that reports which document its fault-in carved:
+/// every query is answered with the resident synopsis's node count.
+struct Probe(usize);
+
+impl ServeTier for Probe {
+    fn load(compiled: CompiledSynopsis<'static>, _options: &CatalogOptions) -> Probe {
+        Probe(compiled.node_count())
+    }
+
+    fn serve(
+        &self,
+        queries: &[TwigQuery],
+        _opts: &EstimateOptions,
+        _threads: usize,
+    ) -> Vec<EstimateReport> {
+        queries
+            .iter()
+            .map(|_| EstimateReport {
+                estimate: self.0 as f64,
+                provenance: Provenance::new("probe"),
+                telemetry: QueryTelemetry::default(),
+                explain: None,
+            })
+            .collect()
+    }
+}
+
+/// The node count of the document a fresh request to `t/d` is served.
+fn served_nodes(catalog: &SnapshotCatalog<Probe>, q: &TwigQuery) -> usize {
+    let reports = catalog
+        .serve(
+            "t",
+            "d",
+            std::slice::from_ref(q),
+            &EstimateOptions::default(),
+        )
+        .expect("the key serves");
+    reports[0].estimate as usize
+}
+
+/// The catalog slot protocol: `publish` writes the new snapshot, then
+/// invalidates the resident copy under the slot lock, and a fault-in
+/// reads and installs under that same lock. So once `invalidate` has
+/// returned, a fault-in that starts afterwards never returns the old
+/// document — even when a racing fault-in read the old bytes — across
+/// every interleaving of a publisher and a concurrent reader.
 #[test]
-fn epoch_observation_implies_new_generation_visible() {
-    loom::model(|| {
-        let slot = Arc::new(RwLock::new(Arc::new(1u64)));
-        let epoch = Arc::new(AtomicU64::new(1));
-        let writer = {
-            let slot = Arc::clone(&slot);
-            let epoch = Arc::clone(&epoch);
-            thread::spawn(move || {
-                let mut g = slot.write().unwrap_or_else(PoisonError::into_inner);
-                *g = Arc::new(2);
-                epoch.store(2, Ordering::Release);
-                drop(g);
-            })
-        };
+fn fault_in_after_invalidate_never_returns_the_old_document() {
+    let _serial = serial();
+    let old = coarse_synopsis(&xtwig_xml::parse("<a><b/></a>").unwrap());
+    let new = coarse_synopsis(&xtwig_xml::parse("<a><b/><c/></a>").unwrap());
+    let (old_nodes, new_nodes) = (old.node_count(), new.node_count());
+    assert_ne!(old_nodes, new_nodes);
+    let q = parse_twig("for $t0 in //a").unwrap();
+    loom::model(move || {
+        let catalog: Arc<SnapshotCatalog<Probe>> = Arc::new(SnapshotCatalog::open_tier(
+            "/catalog",
+            CatalogOptions::default(),
+            std::sync::Arc::new(MemVfs::default()),
+        ));
+        // Published but cold: the reader's fault-in may read the old
+        // bytes before the publisher writes the new ones.
+        catalog.publish("t", "d", &old).unwrap();
         let reader = {
-            let slot = Arc::clone(&slot);
-            let epoch = Arc::clone(&epoch);
+            let (catalog, q) = (Arc::clone(&catalog), q.clone());
+            thread::spawn(move || served_nodes(&catalog, &q))
+        };
+        let publisher = {
+            let (catalog, q, new) = (Arc::clone(&catalog), q.clone(), new.clone());
             thread::spawn(move || {
-                let seen = epoch.load(Ordering::Acquire);
-                let generation = **slot.read().unwrap_or_else(PoisonError::into_inner);
-                (seen, generation)
+                catalog.publish("t", "d", &new).unwrap();
+                served_nodes(&catalog, &q)
             })
         };
-        writer.join().unwrap();
-        let (seen, generation) = reader.join().unwrap();
-        assert!(
-            generation >= seen,
-            "observed epoch {seen} but read generation {generation}: \
-             the publication order was violated"
+        let raced = reader.join().unwrap();
+        let after = publisher.join().unwrap();
+        assert!(raced == old_nodes || raced == new_nodes, "served {raced}");
+        assert_eq!(
+            after, new_nodes,
+            "a fault-in after invalidate returned served the old document"
         );
+        assert_eq!(served_nodes(&catalog, &q), new_nodes);
     });
 }
 
 /// No stale-epoch cache hit is ever served: whatever epoch the reader
 /// observed, a hit must carry the value inserted at that same epoch,
-/// across every interleaving with a racing reload (epoch bump +
-/// re-insert).
+/// across every interleaving with a racing republish (a fault-in mints
+/// a new epoch and re-inserts).
 #[test]
 fn cache_never_serves_stale_epoch_hit_across_reload() {
+    let _serial = serial();
     loom::model(|| {
         let cache = Arc::new(EstimateCache::with_shards(4, 1));
         let epoch = Arc::new(AtomicU64::new(1));
@@ -273,13 +366,14 @@ fn cache_never_serves_stale_epoch_hit_across_reload() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Telemetry counters: saturation at the boundaries
+// 3. Telemetry counters: saturation at the boundaries
 // ---------------------------------------------------------------------
 
 /// Racing adds near `u64::MAX` saturate instead of wrapping, and no
 /// update is lost below the ceiling.
 #[test]
 fn counter_saturates_and_loses_no_update() {
+    let _serial = serial();
     loom::model(|| {
         let c = Arc::new(Counter::new());
         c.add(u64::MAX - 1);
@@ -301,6 +395,7 @@ fn counter_saturates_and_loses_no_update() {
 /// underflow the gauge into a huge bogus reading.
 #[test]
 fn gauge_dec_saturates_at_zero_under_race() {
+    let _serial = serial();
     loom::model(|| {
         let g = Arc::new(Gauge::new());
         g.inc();

@@ -13,19 +13,18 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Duration;
+use xtwig_core::construct::DeltaBuildOptions;
 use xtwig_core::estimate::{EstimateRequest, Estimator};
 use xtwig_core::{
     coarse_synopsis, load_synopsis, save_synopsis, BackoffPolicy, BatchServer, BreakerConfig,
-    CatalogError, CatalogOptions, CatalogStats, CompiledSynopsis, EstimateOptions, FaultVfs,
-    SnapshotCatalog, SnapshotError, Synopsis, Vfs, VfsFaultPlan,
+    BreakerState, CatalogError, CatalogOptions, CatalogStats, CompiledSynopsis, EstimateOptions,
+    FaultVfs, SnapshotCatalog, SnapshotError, StdVfs, Synopsis, Vfs, VfsFaultPlan,
 };
 use xtwig_query::TwigQuery;
 use xtwig_xml::Document;
 
-use crate::guarded::{GuardPolicy, GuardedEstimator, InjectedFault, Tier};
-use crate::ingest::{random_delta, run_ingest_soak, IngestOptions, IngestSoakReport, IngestStore};
-use crate::runtime::{RuntimeOptions, RuntimeStats, ServingRuntime, TerminalProvenance};
-use xtwig_core::construct::DeltaBuildOptions;
+use crate::guarded::{GuardPolicy, GuardedCatalog, GuardedEstimator, InjectedFault, Tier};
+use crate::ingest::{random_delta, run_ingest_soak, IngestOptions, IngestStore};
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,206 +355,299 @@ fn run_one_fault(
 }
 
 // ---------------------------------------------------------------------
-// Concurrent runtime fault soak
+// Catalog fault soak
 // ---------------------------------------------------------------------
 
-/// A fault fired at the *runtime* layer while a soak phase's requests
-/// are in flight — these exercise the serving machinery (breakers,
-/// admission queue, reload epochs) rather than a single estimator.
+/// The document name every soak tenant publishes under.
+const SOAK_DOCUMENT: &str = "main";
+
+/// A fault fired at the catalog while a soak phase's requests are in
+/// flight. Phases without one serve healthy traffic on the primary key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeFault {
-    /// A CRC-valid snapshot is hot-reloaded mid-flight.
+pub enum SoakFault {
+    /// The phase's requests race, one per thread, to the primary key
+    /// just after it was made cold: the slot mutex must collapse them
+    /// onto exactly one disk load.
+    Stampede,
+    /// The fault hook panics every serve of the victim tenant while
+    /// every other tenant serves beside it: the victim's breaker must
+    /// open and shed it at admission, and no bystander may see an error
+    /// or a changed bit.
+    PanicBurst,
+    /// The hook is cleared and the breaker cooldown elapses: the
+    /// victim's half-open probe must succeed and re-close its breaker.
+    Recovery,
+    /// A verified snapshot is hot-reloaded into the primary key
+    /// mid-flight.
     Reload,
-    /// A corrupt snapshot reload is attempted mid-flight; the runtime
-    /// must roll back to the serving generation.
+    /// A corrupt snapshot reload is attempted mid-flight: verification
+    /// must reject it and publish nothing (the rollback).
     CorruptReload,
-    /// The next `count` attempts in the named tier panic — sized to trip
-    /// that tier's circuit breaker.
-    PanicBurst {
-        /// The tier that panics.
-        tier: Tier,
-        /// Attempts poisoned.
-        count: u32,
-    },
-    /// The next `count` tier-1 attempts stall until the request deadline
-    /// — combined with a small queue this saturates admission control.
-    StallWave {
-        /// Attempts stalled.
-        count: u32,
-    },
-    /// A concurrent delta-ingest stream with `kills` simulated crashes
-    /// (kill-and-recover at cycling WAL/checkpoint points) runs while
-    /// the phase's requests serve; every recovered synopsis is hot-
-    /// reloaded into the runtime (valid reloads only — no rollbacks).
+    /// Every request to the warm primary key but the last carries a
+    /// work limit of one unit, which tier 1 cannot meet: the guarded
+    /// chain must answer them from its fallback tiers. Neither the
+    /// key's cache nor its expansion memo may answer for free under a
+    /// work limit. The last request has no limit and must get tier 1:
+    /// exhausted budgets belong to their requests and never trip the
+    /// key's tier-1 breaker.
+    Starve,
+    /// The hook sleeps 2 ms while it holds each request's quota slot,
+    /// and four times as many callers as the quota admits serve at
+    /// once: the tenant quota must shed.
+    Saturate,
+    /// A delta-ingest stream with `kills` simulated crashes publishes
+    /// every recovered synopsis into the primary key while the phase's
+    /// requests serve.
     MutationReload {
         /// Simulated ingest crashes that must fire during the phase.
         kills: u32,
     },
 }
 
-impl std::fmt::Display for RuntimeFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeFault::Reload => write!(f, "mid-flight reload"),
-            RuntimeFault::CorruptReload => write!(f, "mid-flight corrupt reload"),
-            RuntimeFault::PanicBurst { tier, count } => {
-                write!(f, "panic burst of {count} in {tier} tier")
-            }
-            RuntimeFault::StallWave { count } => write!(f, "stall wave of {count}"),
-            RuntimeFault::MutationReload { kills } => {
-                write!(f, "mutation stream with {kills} kill/recover cycles")
-            }
-        }
-    }
-}
-
-/// One phase of a soak: a request batch with at most one runtime fault
-/// active while it runs.
+/// One phase of a soak: a request wave with at most one fault in force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SoakPhase {
     /// Phase label for reports.
     pub label: &'static str,
-    /// Requests submitted (queries cycled from the workload set).
+    /// Serve calls per participating key (queries cycled from the
+    /// workload set, one query per call).
     pub requests: usize,
     /// The fault in force, if any.
-    pub fault: Option<RuntimeFault>,
+    pub fault: Option<SoakFault>,
 }
 
-/// A seeded, reproducible soak schedule. The fixed phase *structure*
-/// (healthy warm-up → breaker burst → recovery → mid-flight reload →
-/// corrupt reload → saturation wave) guarantees every runtime
-/// transition is exercised; the seed only varies batch sizes, so any
-/// seed produces a plan whose invariants are checkable.
+/// A seeded, reproducible soak schedule over `tenants` catalog keys
+/// (`tenant-0` is the primary; the last tenant is the breaker victim).
+/// The fixed phase *structure* guarantees every transition is
+/// exercised; the seed only varies wave sizes, so any seed produces a
+/// plan whose invariants are checkable.
 #[derive(Debug, Clone)]
 pub struct SoakPlan {
     /// The generation seed (for reports).
     pub seed: u64,
+    /// Tenants published, one `main` document each.
+    pub tenants: usize,
     /// The phases, in execution order.
     pub phases: Vec<SoakPhase>,
 }
 
 impl SoakPlan {
-    /// Generates the standard six-phase plan against `options`. The
-    /// breaker burst is sized from the options' failure threshold and
-    /// retry budget so the tier-1 breaker *must* open during it, and the
-    /// saturation wave from the queue depth so the queue *must* shed
-    /// (when served with a stalled single worker).
-    pub fn generate(seed: u64, options: &RuntimeOptions) -> SoakPlan {
+    /// The full single-key plan: healthy warm-up, breaker burst and
+    /// recovery, mid-flight reload, corrupt reload, starvation through
+    /// the fallback chain, saturation, and reload under mutation. The
+    /// burst is sized from the breaker threshold so the breaker *must*
+    /// open, and the saturation wave from the tenant quota so the quota
+    /// *must* shed.
+    pub fn generate(seed: u64, options: &CatalogSoakOptions) -> SoakPlan {
         let mut rng = StdRng::seed_from_u64(seed);
-        let attempts_per_request = 1 + options.max_retries;
-        // Enough faulted requests to reach the threshold even if every
-        // attempt retried, plus seeded headroom.
-        let burst_requests =
-            (options.breaker.failure_threshold as usize).max(4) + rng.random_range(0..4usize);
-        let burst_count = (burst_requests as u32) * attempts_per_request;
-        let wave_requests =
-            options.queue_depth.saturating_mul(4).max(16) + rng.random_range(0..8usize);
         let phases = vec![
             SoakPhase {
                 label: "healthy-warmup",
                 requests: 8 + rng.random_range(0..8usize),
                 fault: None,
             },
-            SoakPhase {
-                label: "breaker-burst",
-                requests: burst_requests,
-                fault: Some(RuntimeFault::PanicBurst {
-                    tier: Tier::Xsketch,
-                    count: burst_count,
-                }),
-            },
+            burst_phase(&mut rng, options),
             SoakPhase {
                 label: "breaker-recovery",
-                requests: 8 + rng.random_range(0..8usize),
-                fault: None,
+                requests: 4 + rng.random_range(0..4usize),
+                fault: Some(SoakFault::Recovery),
             },
             SoakPhase {
                 label: "mid-flight-reload",
                 requests: 16 + rng.random_range(0..16usize),
-                fault: Some(RuntimeFault::Reload),
+                fault: Some(SoakFault::Reload),
             },
             SoakPhase {
                 label: "corrupt-reload",
                 requests: 8 + rng.random_range(0..8usize),
-                fault: Some(RuntimeFault::CorruptReload),
+                fault: Some(SoakFault::CorruptReload),
             },
             SoakPhase {
-                label: "saturation",
-                requests: wave_requests,
-                fault: Some(RuntimeFault::StallWave {
-                    count: wave_requests as u32 * attempts_per_request,
-                }),
+                label: "degraded-fallback",
+                requests: 8 + rng.random_range(0..8usize),
+                fault: Some(SoakFault::Starve),
             },
+            saturation_phase(&mut rng, options),
             SoakPhase {
                 label: "reload-under-mutation",
                 requests: 16 + rng.random_range(0..16usize),
-                fault: Some(RuntimeFault::MutationReload {
+                fault: Some(SoakFault::MutationReload {
                     kills: 50 + rng.random_range(0..8u32),
                 }),
             },
         ];
-        SoakPlan { seed, phases }
-    }
-
-    /// A plan containing only the saturation phase — the CLI's
-    /// deterministic "shed without rollback" profile.
-    pub fn saturation_only(seed: u64, options: &RuntimeOptions) -> SoakPlan {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let attempts_per_request = 1 + options.max_retries;
-        let wave_requests =
-            options.queue_depth.saturating_mul(4).max(16) + rng.random_range(0..8usize);
         SoakPlan {
             seed,
-            phases: vec![SoakPhase {
-                label: "saturation",
-                requests: wave_requests,
-                fault: Some(RuntimeFault::StallWave {
-                    count: wave_requests as u32 * attempts_per_request,
-                }),
-            }],
+            tenants: 1,
+            phases,
         }
     }
 
-    /// Total requests across all phases.
+    /// Only the saturation phase — the CLI's deterministic "shed
+    /// without rollback" profile.
+    pub fn saturation_only(seed: u64, options: &CatalogSoakOptions) -> SoakPlan {
+        let mut rng = StdRng::seed_from_u64(seed);
+        SoakPlan {
+            seed,
+            tenants: 1,
+            phases: vec![saturation_phase(&mut rng, options)],
+        }
+    }
+
+    /// The tenant-isolation plan over four keys: a cold stampede of
+    /// eight callers, a victim's panic burst beside healthy bystanders,
+    /// and recovery. With more tenants than resident slots the burst
+    /// also churns eviction. Run it under
+    /// [`CatalogSoakOptions::isolation`]: a tenant quota below the
+    /// stampede would shed callers before they reach the load.
+    pub fn isolation(seed: u64, options: &CatalogSoakOptions) -> SoakPlan {
+        let mut rng = StdRng::seed_from_u64(seed);
+        SoakPlan {
+            seed,
+            tenants: 4,
+            phases: vec![
+                SoakPhase {
+                    label: "cold-stampede",
+                    requests: STAMPEDE_CALLERS,
+                    fault: Some(SoakFault::Stampede),
+                },
+                burst_phase(&mut rng, options),
+                SoakPhase {
+                    label: "breaker-recovery",
+                    requests: 2 + rng.random_range(0..4usize),
+                    fault: Some(SoakFault::Recovery),
+                },
+            ],
+        }
+    }
+
+    /// Serve calls across all phases (a panic burst serves its
+    /// `requests` on every tenant).
     pub fn total_requests(&self) -> usize {
-        self.phases.iter().map(|p| p.requests).sum()
+        self.phases
+            .iter()
+            .map(|p| match p.fault {
+                Some(SoakFault::PanicBurst) => p.requests * self.tenants.max(1),
+                _ => p.requests,
+            })
+            .sum()
     }
 }
 
-/// The aggregate result of a concurrent soak run. Every field feeds one
+/// Callers that race one cold key in a stampede phase, one request
+/// each.
+const STAMPEDE_CALLERS: usize = 8;
+
+/// A victim burst long enough to trip the breaker and then be shed.
+fn burst_phase(rng: &mut StdRng, options: &CatalogSoakOptions) -> SoakPhase {
+    let threshold = options.catalog.breaker.failure_threshold as usize;
+    SoakPhase {
+        label: "breaker-burst",
+        requests: threshold.max(1) + 3 + rng.random_range(0..4usize),
+        fault: Some(SoakFault::PanicBurst),
+    }
+}
+
+/// Callers of a saturation wave: four times what the quota admits.
+fn saturation_callers(options: &CatalogSoakOptions) -> usize {
+    options.catalog.tenant_quota.max(1).saturating_mul(4).max(8)
+}
+
+/// A stall wave of two requests per caller, plus seeded extras.
+fn saturation_phase(rng: &mut StdRng, options: &CatalogSoakOptions) -> SoakPhase {
+    SoakPhase {
+        label: "saturation",
+        requests: saturation_callers(options) * 2 + rng.random_range(0..8usize),
+        fault: Some(SoakFault::Saturate),
+    }
+}
+
+/// Knobs for the catalog soak. Defaults are sized so a run finishes in
+/// seconds while forcing every transition: a small tenant quota for the
+/// saturation wave, a low breaker threshold with a cooldown short
+/// enough to recover within the run, and two resident slots so a
+/// multi-tenant plan churns eviction.
+#[derive(Debug, Clone, Copy)]
+pub struct CatalogSoakOptions {
+    /// Caller threads for healthy waves (clamped to the tenant quota).
+    pub threads: usize,
+    /// Catalog configuration (quota, breaker, residency bound, …).
+    pub catalog: CatalogOptions,
+}
+
+impl Default for CatalogSoakOptions {
+    fn default() -> CatalogSoakOptions {
+        CatalogSoakOptions {
+            threads: 4,
+            catalog: CatalogOptions::builder()
+                .tenant_quota(4)
+                .max_resident(2)
+                .breaker(BreakerConfig {
+                    failure_threshold: 3,
+                    cooldown: Duration::from_millis(50),
+                })
+                .build(),
+        }
+    }
+}
+
+impl CatalogSoakOptions {
+    /// The defaults with an unlimited tenant quota, for
+    /// [`SoakPlan::isolation`]: that plan has no saturation wave, and
+    /// every one of its eight stampede callers must reach the single
+    /// cold load rather than be shed by the quota.
+    pub fn isolation() -> CatalogSoakOptions {
+        let defaults = CatalogSoakOptions::default();
+        CatalogSoakOptions {
+            catalog: defaults.catalog.to_builder().tenant_quota(0).build(),
+            ..defaults
+        }
+    }
+}
+
+/// The aggregate result of [`run_catalog_soak`]. Every field feeds one
 /// of the acceptance invariants; [`SoakReport::passed`] checks them all.
 #[derive(Debug, Clone)]
 pub struct SoakReport {
     /// Phases executed.
     pub phases: usize,
-    /// Requests submitted across all phases.
-    pub requests: usize,
+    /// Tenants published.
+    pub tenants: usize,
+    /// Serve calls issued across all phases.
+    pub requests: u64,
     /// Requests answered at full fidelity.
     pub full: u64,
-    /// Requests answered degraded.
+    /// Requests answered degraded (a fallback tier, or a clamped sum).
     pub degraded: u64,
-    /// Requests shed by admission control.
+    /// Requests refused with a typed catalog error.
     pub shed: u64,
-    /// `serve_with` calls that panicked out of the runtime (must be 0).
-    pub escaped_panics: usize,
-    /// Non-finite / negative served estimates (must be 0; shed requests
-    /// are excluded — their 0.0 placeholder is not a served estimate).
-    pub bad_estimates: usize,
-    /// Results whose terminal provenance disagreed with the runtime's
-    /// own counters (must be 0).
-    pub telemetry_mismatches: u64,
-    /// Whether the tier-1 breaker was observed to open during the run.
+    /// Serve calls that panicked out of the catalog (must be 0).
+    pub escaped_panics: u64,
+    /// Served estimates that were non-finite, negative, or (full-fidelity
+    /// answers where the answer is known) not bit-identical to a fresh
+    /// compile (must be 0).
+    pub bad_estimates: u64,
+    /// Typed errors other than quota, breaker and contained-fault sheds
+    /// (must be 0).
+    pub unexpected_errors: u64,
+    /// Phases whose quota, breaker and fault sheds disagreed with the
+    /// catalog's own counters (must be 0).
+    pub stat_mismatches: u64,
+    /// Disk loads the cold stampede caused (1 when one ran).
+    pub stampede_cold_loads: u64,
+    /// Whether the victim's breaker was observed open after the burst.
     pub breaker_opened: bool,
-    /// Whether it was also observed to re-close.
+    /// Whether the victim was shed at admission while it was open.
+    pub shed_while_open: bool,
+    /// Whether the victim's breaker re-closed during recovery.
     pub breaker_reclosed: bool,
-    /// Successful hot reloads performed.
+    /// Errors, degraded answers or changed bits bystanders saw during
+    /// the burst (must be 0).
+    pub bystander_errors: u64,
+    /// Verified reloads published.
     pub reloads: u64,
-    /// Corrupt reloads rolled back.
+    /// Corrupt reloads rejected (nothing published).
     pub reload_rollbacks: u64,
-    /// Whether post-soak single-query estimates were bit-identical to a
-    /// freshly constructed estimator on the same snapshot (the last
-    /// published generation, when a mutation phase ran).
-    pub post_soak_bit_identical: bool,
     /// Ingest kill/recover cycles that fired during mutation phases.
     pub ingest_kills: u64,
     /// Ingest invariant violations (failed recoveries, torn states,
@@ -565,27 +657,28 @@ pub struct SoakReport {
     pub ingest_checkpoints: u64,
     /// Drift-triggered refinements installed by the mutation stream.
     pub ingest_refinements: u64,
-    /// Final runtime counters.
-    pub stats: RuntimeStats,
+    /// Whether post-soak estimates on the primary key were
+    /// bit-identical to a fresh [`GuardedEstimator`] over the surviving
+    /// snapshot.
+    pub post_soak_bit_identical: bool,
+    /// Phase invariants that did not hold (must be empty).
+    pub violations: Vec<String>,
+    /// Final catalog counters.
+    pub stats: CatalogStats,
 }
 
 impl SoakReport {
-    /// Whether every acceptance invariant held. `require_breaker_cycle`
-    /// / `require_rollback` are false for profiles (e.g. saturation-only)
-    /// whose plans never trip them.
-    pub fn passed(&self, require_breaker_cycle: bool, require_rollback: bool) -> bool {
-        let terminated = self
-            .full
-            .saturating_add(self.degraded)
-            .saturating_add(self.shed);
+    /// Whether every acceptance invariant held.
+    pub fn passed(&self) -> bool {
         self.escaped_panics == 0
             && self.bad_estimates == 0
-            && self.telemetry_mismatches == 0
-            && terminated == self.requests as u64
-            && self.post_soak_bit_identical
-            && (!require_breaker_cycle || (self.breaker_opened && self.breaker_reclosed))
-            && (!require_rollback || self.reload_rollbacks > 0)
+            && self.unexpected_errors == 0
+            && self.stat_mismatches == 0
+            && self.bystander_errors == 0
             && self.ingest_failures == 0
+            && self.full + self.degraded + self.shed == self.requests
+            && self.post_soak_bit_identical
+            && self.violations.is_empty()
     }
 }
 
@@ -593,21 +686,28 @@ impl std::fmt::Display for SoakReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "soak: {} phases, {} requests ({} full / {} degraded / {} shed), \
-             {} escaped panics, {} bad estimates, {} telemetry mismatches, \
-             breaker open={} reclose={}, {} reloads, {} rollbacks, \
+            "soak: {} phases over {} keys, {} requests ({} full / {} degraded / {} shed), \
+             {} escaped panics, {} bad estimates, {} unexpected errors, {} stat mismatches, \
+             {} stampede cold loads, breaker open={} shed={} reclose={}, \
+             {} bystander errors, {} evictions, {} reloads, {} rollbacks, \
              {} ingest kills ({} failures, {} checkpoints, {} refinements), \
              bit-identical={}",
             self.phases,
+            self.tenants,
             self.requests,
             self.full,
             self.degraded,
             self.shed,
             self.escaped_panics,
             self.bad_estimates,
-            self.telemetry_mismatches,
+            self.unexpected_errors,
+            self.stat_mismatches,
+            self.stampede_cold_loads,
             self.breaker_opened,
+            self.shed_while_open,
             self.breaker_reclosed,
+            self.bystander_errors,
+            self.stats.evictions,
             self.reloads,
             self.reload_rollbacks,
             self.ingest_kills,
@@ -615,8 +715,141 @@ impl std::fmt::Display for SoakReport {
             self.ingest_checkpoints,
             self.ingest_refinements,
             self.post_soak_bit_identical
-        )
+        )?;
+        if !self.violations.is_empty() {
+            write!(f, "; violated: {}", self.violations.join("; "))?;
+        }
+        Ok(())
     }
+}
+
+/// What one wave of soak requests saw.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    full: u64,
+    degraded: u64,
+    /// Every typed error.
+    shed: u64,
+    /// Of those, breaker-open sheds.
+    breaker_sheds: u64,
+    /// Of those, errors that are not quota, breaker or fault sheds.
+    unexpected: u64,
+    bad: u64,
+    escaped: u64,
+}
+
+impl Tally {
+    fn merge(&mut self, o: Tally) {
+        self.full += o.full;
+        self.degraded += o.degraded;
+        self.shed += o.shed;
+        self.breaker_sheds += o.breaker_sheds;
+        self.unexpected += o.unexpected;
+        self.bad += o.bad;
+        self.escaped += o.escaped;
+    }
+
+    /// Requests that reached any outcome.
+    fn issued(&self) -> u64 {
+        self.full + self.degraded + self.shed + self.escaped
+    }
+}
+
+/// Issues one serve call for `q` and tallies its outcome. `want` is the
+/// known full-fidelity answer, when the phase expects one.
+fn serve_tallied(
+    catalog: &GuardedCatalog,
+    tenant: &str,
+    q: &TwigQuery,
+    opts: &EstimateOptions,
+    want: Option<f64>,
+    t: &mut Tally,
+) {
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        catalog.serve(tenant, SOAK_DOCUMENT, std::slice::from_ref(q), opts)
+    }));
+    match served {
+        Err(_) => t.escaped += 1,
+        Ok(Ok(reports)) => {
+            for r in reports {
+                if r.provenance.degraded {
+                    t.degraded += 1;
+                } else {
+                    t.full += 1;
+                }
+                // A fallback tier answers differently by design; only a
+                // full-fidelity answer must match the known one.
+                let changed = !r.provenance.degraded
+                    && want.is_some_and(|w| w.to_bits() != r.estimate.to_bits());
+                if !r.estimate.is_finite() || r.estimate < 0.0 || changed {
+                    t.bad += 1;
+                }
+            }
+        }
+        Ok(Err(e)) => {
+            t.shed += 1;
+            match e {
+                CatalogError::BreakerOpen { .. } => t.breaker_sheds += 1,
+                CatalogError::QuotaExceeded { .. } | CatalogError::Faulted { .. } => {}
+                _ => t.unexpected += 1,
+            }
+        }
+    }
+}
+
+/// Issues `count` serve calls against `tenant` from `callers` threads
+/// released together; call `i` serves query `i mod len`.
+fn drive(
+    catalog: &GuardedCatalog,
+    tenant: &str,
+    queries: &[TwigQuery],
+    reference: Option<&[f64]>,
+    count: usize,
+    callers: usize,
+    opts: &EstimateOptions,
+) -> Tally {
+    let callers = callers.clamp(1, count.max(1));
+    let start = std::sync::Barrier::new(callers);
+    let mut total = Tally::default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..callers)
+            .map(|c| {
+                let start = &start;
+                scope.spawn(move || {
+                    let mut t = Tally::default();
+                    start.wait();
+                    for i in (c..count).step_by(callers) {
+                        let k = i % queries.len();
+                        let want = reference.and_then(|r| r.get(k)).copied();
+                        if let Some(q) = queries.get(k) {
+                            serve_tallied(catalog, tenant, q, opts, want, &mut t);
+                        }
+                    }
+                    t
+                })
+            })
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok(t) => total.merge(t),
+                Err(_) => total.escaped += 1,
+            }
+        }
+    });
+    total
+}
+
+/// Runs `wave` on a scoped thread while `side` runs on this one.
+fn beside<R>(wave: impl FnOnce() -> Tally + Send, side: impl FnOnce() -> R) -> (Tally, R) {
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(wave);
+        let r = side();
+        let t = handle.join().unwrap_or(Tally {
+            escaped: 1,
+            ..Tally::default()
+        });
+        (t, r)
+    })
 }
 
 /// Flips one byte mid-snapshot so the CRC must reject it.
@@ -629,486 +862,343 @@ fn corrupt_copy(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Runs a concurrent fault soak: a [`ServingRuntime`] over the
-/// document's synopsis serves every phase of `plan` on
-/// `options.workers` threads while the phase's runtime fault fires
-/// mid-flight. Deterministic in its *invariants* — thread interleavings
-/// vary, but every request terminates with a provenance, panic
-/// containment is total, the breaker cycle and reload rollback are
-/// forced by plan construction, and the post-soak estimates must be
-/// bit-identical to a fresh estimator on the same snapshot.
-pub fn run_soak(
+/// Sheds the catalog counted itself: quota, breaker, contained faults.
+fn counted_sheds(s: &CatalogStats) -> u64 {
+    s.quota_sheds + s.breaker_sheds + s.faults
+}
+
+/// Runs a catalog fault soak: publishes the document's synopsis under
+/// `plan.tenants` keys of a [`GuardedCatalog`] rooted at `dir` and
+/// drives every phase of `plan`, firing the phase's fault while its
+/// requests are in flight. Deterministic in its *invariants* — thread
+/// interleavings vary, but every request ends full, degraded or shed
+/// with a typed error, panic containment is total, the phase
+/// transitions are forced by plan construction, and the post-soak
+/// estimates must be bit-identical to a fresh [`GuardedEstimator`] on
+/// the surviving snapshot.
+pub fn run_catalog_soak(
     doc: &Document,
     queries: &[TwigQuery],
+    dir: &std::path::Path,
     plan: &SoakPlan,
-    options: RuntimeOptions,
+    options: &CatalogSoakOptions,
 ) -> SoakReport {
+    let tenants = plan.tenants.max(1);
     let synopsis = coarse_synopsis(doc);
-    let snapshot = save_synopsis(&synopsis);
-    let rt = ServingRuntime::new(synopsis.clone(), options);
+    let pristine = save_synopsis(&synopsis);
+    let catalog: GuardedCatalog =
+        SnapshotCatalog::open_tier(dir, options.catalog, std::sync::Arc::new(StdVfs));
+    let tenant = |i: usize| format!("tenant-{i}");
+    let primary = tenant(0);
+    let victim = tenant(tenants - 1);
+    let cooldown = options.catalog.breaker.cooldown;
+    let quota = options.catalog.tenant_quota;
+    let callers = if quota == 0 {
+        options.threads
+    } else {
+        options.threads.min(quota)
+    };
+    let healthy = EstimateOptions::default();
+
     let mut report = SoakReport {
         phases: plan.phases.len(),
+        tenants,
         requests: 0,
         full: 0,
         degraded: 0,
         shed: 0,
         escaped_panics: 0,
         bad_estimates: 0,
-        telemetry_mismatches: 0,
+        unexpected_errors: 0,
+        stat_mismatches: 0,
+        stampede_cold_loads: 0,
         breaker_opened: false,
+        shed_while_open: false,
         breaker_reclosed: false,
+        bystander_errors: 0,
         reloads: 0,
         reload_rollbacks: 0,
-        post_soak_bit_identical: true,
         ingest_kills: 0,
         ingest_failures: 0,
         ingest_checkpoints: 0,
         ingest_refinements: 0,
-        stats: rt.stats(),
-    };
-    if queries.is_empty() {
-        return report;
-    }
-
-    // The snapshot post-soak queries are compared against: the original
-    // until a mutation phase publishes newer generations.
-    let mut reference = snapshot.clone();
-
-    for phase in &plan.phases {
-        let batch: Vec<TwigQuery> = queries
-            .iter()
-            .cycle()
-            .take(phase.requests)
-            .cloned()
-            .collect();
-        report.requests += batch.len();
-        match phase.fault {
-            Some(RuntimeFault::PanicBurst { tier, count }) => {
-                rt.inject_fault_burst(InjectedFault::PanicIn(tier), count);
-            }
-            Some(RuntimeFault::StallWave { count }) => {
-                rt.inject_fault_burst(InjectedFault::StallXsketch, count);
-            }
-            _ => {}
-        }
-        let reload_bytes = match phase.fault {
-            Some(RuntimeFault::Reload) => Some(snapshot.clone()),
-            Some(RuntimeFault::CorruptReload) => Some(corrupt_copy(&snapshot)),
-            _ => None,
-        };
-        let mutation_kills = match phase.fault {
-            Some(RuntimeFault::MutationReload { kills }) => Some(kills),
-            _ => None,
-        };
-        let mut mutation_outcome: Option<Result<IngestSoakReport, ()>> = None;
-        let before = rt.stats();
-        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.serve_with(&batch, |rt| {
-                if let Some(bytes) = &reload_bytes {
-                    // A brief yield so requests are in motion when the
-                    // reload lands; correctness does not depend on it.
-                    std::thread::sleep(Duration::from_micros(200));
-                    let _ = rt.reload_snapshot_bytes(bytes);
-                }
-                if let Some(kills) = mutation_kills {
-                    // The concurrent delta stream: kill-and-recover
-                    // ingest cycles, each recovery hot-reloaded into the
-                    // runtime while this phase's queries are in flight.
-                    let dir = std::env::temp_dir().join(format!(
-                        "xtwig-soak-mutation-{}-{}",
-                        std::process::id(),
-                        plan.seed
-                    ));
-                    let opts = IngestOptions {
-                        delta: DeltaBuildOptions {
-                            drift_threshold: 0.5,
-                            ..Default::default()
-                        },
-                        checkpoint_every: 4,
-                        ..Default::default()
-                    };
-                    let outcome =
-                        run_ingest_soak(doc, &dir, plan.seed, u64::from(kills), &opts, Some(rt))
-                            .map_err(|_| ());
-                    let _ = std::fs::remove_dir_all(&dir);
-                    mutation_outcome = Some(outcome);
-                }
-            })
-        }));
-        match mutation_outcome {
-            Some(Ok(rep)) => {
-                report.ingest_kills += rep.kills;
-                report.ingest_checkpoints += rep.checkpoints;
-                report.ingest_refinements += rep.refinements;
-                report.ingest_failures += rep.recovery_failures
-                    + rep.state_mismatches
-                    + rep.fsck_failures
-                    + rep.publish_failures;
-                // Post-soak queries must match the surviving generation,
-                // which is now the mutation stream's final state.
-                reference = rep.final_snapshot;
-            }
-            Some(Err(())) => report.ingest_failures += 1,
-            None => {}
-        }
-        match served {
-            Err(_) => report.escaped_panics += 1,
-            Ok(results) => {
-                let (mut full, mut degraded, mut shed) = (0u64, 0u64, 0u64);
-                for r in &results {
-                    match r.terminal {
-                        TerminalProvenance::Full => full += 1,
-                        TerminalProvenance::Degraded => degraded += 1,
-                        TerminalProvenance::Shed => shed += 1,
-                    }
-                    if r.terminal != TerminalProvenance::Shed
-                        && (!r.report.estimate.is_finite() || r.report.estimate < 0.0)
-                    {
-                        report.bad_estimates += 1;
-                    }
-                }
-                report.full += full;
-                report.degraded += degraded;
-                report.shed += shed;
-                // The runtime's own counters must agree with the results
-                // it handed back, phase by phase.
-                let after = rt.stats();
-                if after.full.wrapping_sub(before.full) != full
-                    || after.degraded.wrapping_sub(before.degraded) != degraded
-                    || after.shed.wrapping_sub(before.shed) != shed
-                {
-                    report.telemetry_mismatches += 1;
-                }
-            }
-        }
-        rt.drain_faults();
-        if matches!(phase.fault, Some(RuntimeFault::PanicBurst { .. })) {
-            // Let the breaker's cooldown elapse so the next healthy
-            // phase runs the half-open probe and re-closes it.
-            std::thread::sleep(rt.options().breaker.cooldown);
-        }
-    }
-
-    let stats = rt.stats();
-    report.breaker_opened = stats.breaker_opens > 0;
-    report.breaker_reclosed = stats.breaker_closes > 0;
-    report.reloads = stats.reloads;
-    report.reload_rollbacks = stats.reload_rollbacks;
-
-    // Post-soak bit-identity: the runtime's current generation must
-    // estimate exactly like a fresh estimator built from the same
-    // snapshot — the soak left no residue in the serving state.
-    match load_synopsis(&reference) {
-        Ok(fresh_syn) => {
-            let fresh = GuardedEstimator::new(&fresh_syn, rt.options().policy);
-            for q in queries {
-                let a = rt.estimate_now(q).estimate;
-                let b = Estimator::estimate(&fresh, &EstimateRequest::new(q)).estimate;
-                if a.to_bits() != b.to_bits() {
-                    report.post_soak_bit_identical = false;
-                }
-            }
-        }
-        Err(_) => report.post_soak_bit_identical = false,
-    }
-    report.stats = stats;
-    report
-}
-
-/// Knobs for the multi-tenant catalog soak. Defaults are sized so the
-/// run finishes in seconds while still forcing a cold stampede, an
-/// eviction pass, and a full breaker open → shed → recover cycle.
-#[derive(Debug, Clone, Copy)]
-pub struct CatalogSoakOptions {
-    /// Tenants published into the catalog (≥ 3: one stampede target,
-    /// one breaker victim, at least one healthy bystander).
-    pub tenants: usize,
-    /// Threads racing the cold-tenant stampede.
-    pub stampede_threads: usize,
-    /// Serve calls per healthy tenant during the victim's panic burst.
-    pub requests_per_tenant: usize,
-    /// Catalog configuration (quota, breaker, residency bound, …).
-    pub catalog: CatalogOptions,
-}
-
-impl Default for CatalogSoakOptions {
-    fn default() -> CatalogSoakOptions {
-        CatalogSoakOptions {
-            tenants: 4,
-            stampede_threads: 8,
-            requests_per_tenant: 8,
-            catalog: CatalogOptions::builder()
-                .max_resident(2)
-                .breaker(BreakerConfig {
-                    failure_threshold: 3,
-                    cooldown: Duration::from_millis(50),
-                })
-                .build(),
-        }
-    }
-}
-
-/// The aggregate result of [`run_catalog_soak`]. Every field feeds one
-/// of the acceptance invariants; [`MultiTenantSoakReport::passed`]
-/// checks them all.
-#[derive(Debug, Clone)]
-pub struct MultiTenantSoakReport {
-    /// Tenants published and served.
-    pub tenants: usize,
-    /// Total serve calls issued across all phases.
-    pub requests: u64,
-    /// Threads that raced the cold stampede.
-    pub stampede_threads: usize,
-    /// Disk loads observed during the stampede (must be exactly 1 —
-    /// the slot mutex collapses the herd onto one fault-in).
-    pub stampede_cold_loads: u64,
-    /// Serve calls on the victim tenant that came back
-    /// [`CatalogError::Faulted`] (must reach the breaker threshold).
-    pub victim_faults: u64,
-    /// Whether the victim's breaker was observed open after the burst.
-    pub victim_breaker_opened: bool,
-    /// Whether the victim was shed at admission while its breaker was
-    /// open ([`CatalogError::BreakerOpen`]).
-    pub victim_shed_while_open: bool,
-    /// Whether the victim served successfully again after the cooldown
-    /// (the half-open probe re-closed its breaker).
-    pub victim_recovered: bool,
-    /// Errors of any kind returned to healthy tenants during the
-    /// victim's burst (must be 0 — isolation means bystanders never
-    /// feel the victim's breaker or faults).
-    pub healthy_errors: u64,
-    /// Healthy-tenant estimates that were non-finite, negative, or not
-    /// bit-identical to a fresh single-tenant [`BatchServer`] on the
-    /// same synopsis (must be 0).
-    pub bad_estimates: u64,
-    /// Documents evicted to respect the residency bound (must be > 0
-    /// when `tenants` exceeds `max_resident`).
-    pub evictions: u64,
-    /// Final catalog counters.
-    pub stats: CatalogStats,
-}
-
-impl MultiTenantSoakReport {
-    /// Whether every acceptance invariant held.
-    pub fn passed(&self) -> bool {
-        self.stampede_cold_loads == 1
-            && self.victim_faults > 0
-            && self.victim_breaker_opened
-            && self.victim_shed_while_open
-            && self.victim_recovered
-            && self.healthy_errors == 0
-            && self.bad_estimates == 0
-            && (self.stats.resident <= self.tenants && self.evictions > 0
-                || self.tenants <= self.stats.resident)
-    }
-}
-
-impl std::fmt::Display for MultiTenantSoakReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "catalog soak: {} tenants, {} requests, stampede {} threads → {} cold loads, \
-             victim {} faults (opened={} shed={} recovered={}), \
-             {} healthy errors, {} bad estimates, {} evictions",
-            self.tenants,
-            self.requests,
-            self.stampede_threads,
-            self.stampede_cold_loads,
-            self.victim_faults,
-            self.victim_breaker_opened,
-            self.victim_shed_while_open,
-            self.victim_recovered,
-            self.healthy_errors,
-            self.bad_estimates,
-            self.evictions
-        )
-    }
-}
-
-/// Runs the multi-tenant catalog soak: publish a document per tenant
-/// into a [`SnapshotCatalog`] rooted at `dir`, then drive three
-/// phases whose invariants prove the catalog's isolation story.
-///
-/// 1. **Cold stampede** — `stampede_threads` threads race the first
-///    request to a cold tenant. The slot mutex must collapse the herd
-///    onto exactly one disk load, and every thread's reports must be
-///    bit-identical to a fresh [`BatchServer`] on the same synopsis.
-/// 2. **Victim burst** — a fault hook makes every serve for one
-///    tenant panic. The victim's breaker must open and shed it at
-///    admission, while concurrently served healthy tenants complete
-///    with zero errors and bit-identical estimates.
-/// 3. **Recovery** — after the breaker cooldown the victim's
-///    half-open probe must succeed and re-close its breaker.
-///
-/// Deterministic in its *invariants*: thread interleavings vary, but
-/// the counters checked by [`MultiTenantSoakReport::passed`] must land
-/// on the same values for any schedule.
-pub fn run_catalog_soak(
-    doc: &Document,
-    queries: &[TwigQuery],
-    dir: &std::path::Path,
-    options: &CatalogSoakOptions,
-) -> MultiTenantSoakReport {
-    let synopsis = coarse_synopsis(doc);
-    let tenants = options.tenants.max(3);
-    let catalog = SnapshotCatalog::open(dir, options.catalog);
-    let opts = EstimateOptions::default();
-    let tenant_name = |i: usize| format!("tenant-{i}");
-
-    let mut report = MultiTenantSoakReport {
-        tenants,
-        requests: 0,
-        stampede_threads: options.stampede_threads.max(2),
-        stampede_cold_loads: 0,
-        victim_faults: 0,
-        victim_breaker_opened: false,
-        victim_shed_while_open: false,
-        victim_recovered: false,
-        healthy_errors: 0,
-        bad_estimates: 0,
-        evictions: 0,
+        post_soak_bit_identical: false,
+        violations: Vec::new(),
         stats: catalog.stats(),
     };
     if queries.is_empty() {
         return report;
     }
-
-    // The bit-identity reference: a fresh single-tenant server over
-    // the same synopsis. Catalog serving must not perturb a single bit.
-    let compiled = CompiledSynopsis::compile(&synopsis);
-    let reference: Vec<f64> = BatchServer::new(&compiled)
-        .with_options(opts)
-        .serve(queries)
-        .iter()
-        .map(|r| r.estimate)
-        .collect();
-    let check_batch = |reports: &[xtwig_core::EstimateReport]| -> u64 {
-        let mut bad = 0u64;
-        for (r, want) in reports.iter().zip(&reference) {
-            if !r.estimate.is_finite() || r.estimate < 0.0 || r.estimate.to_bits() != want.to_bits()
-            {
-                bad += 1;
-            }
-        }
-        bad
-    };
-
-    // Phase 0: publish every tenant's document.
     for i in 0..tenants {
-        if catalog.publish(&tenant_name(i), "main", &synopsis).is_err() {
-            report.healthy_errors += 1;
+        if let Err(e) = catalog.publish(&tenant(i), SOAK_DOCUMENT, &synopsis) {
+            report
+                .violations
+                .push(format!("publish {}: {e}", tenant(i)));
             return report;
         }
     }
 
-    // Phase 1: cold stampede against tenant 0.
-    let before = catalog.stats();
-    let stampede_bad = std::sync::atomic::AtomicU64::new(0);
-    let stampede_errs = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..report.stampede_threads {
-            scope.spawn(
-                || match catalog.serve(&tenant_name(0), "main", queries, &opts) {
-                    Ok(reports) => {
-                        stampede_bad
-                            .fetch_add(check_batch(&reports), std::sync::atomic::Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        stampede_errs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                },
-            );
-        }
-    });
-    report.requests += report.stampede_threads as u64;
-    report.bad_estimates += stampede_bad.into_inner();
-    report.healthy_errors += stampede_errs.into_inner();
-    report.stampede_cold_loads = catalog.stats().cold_loads - before.cold_loads;
+    // The full-fidelity answers of the published synopsis: a fresh
+    // compile, no catalog involved.
+    let compiled = CompiledSynopsis::compile(&synopsis);
+    let reference: Vec<f64> = BatchServer::new(&compiled)
+        .serve(queries)
+        .iter()
+        .map(|r| r.estimate)
+        .collect();
+    // The snapshot the primary key should end on.
+    let mut surviving = pristine.clone();
 
-    // Phase 2: panic burst on the victim while healthy tenants serve.
-    let victim = tenant_name(1);
-    {
-        let hooked = victim.clone();
-        catalog.set_fault_hook(Some(Box::new(move |tenant, _doc| tenant == hooked)));
-    }
-    let burst = options.catalog.breaker.failure_threshold as usize + 2;
-    let healthy_errs = std::sync::atomic::AtomicU64::new(0);
-    let healthy_bad = std::sync::atomic::AtomicU64::new(0);
-    let victim_faults = std::sync::atomic::AtomicU64::new(0);
-    let victim_shed = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            for _ in 0..burst {
-                match catalog.serve(&victim, "main", queries, &opts) {
-                    Err(CatalogError::Faulted { .. }) => {
-                        victim_faults.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    Err(CatalogError::BreakerOpen { .. }) => {
-                        victim_shed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
+    for phase in &plan.phases {
+        let before = catalog.stats();
+        let mut check = |ok: bool, what: &str| {
+            if !ok {
+                report.violations.push(format!("{}: {what}", phase.label));
             }
-        });
-        for i in 2..tenants {
-            let name = tenant_name(i);
-            let healthy_errs = &healthy_errs;
-            let healthy_bad = &healthy_bad;
-            let catalog = &catalog;
-            let opts = &opts;
-            let check_batch = &check_batch;
-            scope.spawn(move || {
-                for _ in 0..options.requests_per_tenant.max(1) {
-                    match catalog.serve(&name, "main", queries, opts) {
-                        Ok(reports) => {
-                            healthy_bad.fetch_add(
-                                check_batch(&reports),
-                                std::sync::atomic::Ordering::Relaxed,
-                            );
-                        }
-                        Err(_) => {
-                            healthy_errs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
+        };
+        let n = phase.requests;
+        let t = match phase.fault {
+            None => drive(
+                &catalog,
+                &primary,
+                queries,
+                Some(&reference),
+                n,
+                callers,
+                &healthy,
+            ),
+            Some(SoakFault::Stampede) => {
+                catalog.invalidate(&primary, SOAK_DOCUMENT);
+                let t = drive(
+                    &catalog,
+                    &primary,
+                    queries,
+                    Some(&reference),
+                    n,
+                    n,
+                    &healthy,
+                );
+                report.stampede_cold_loads = catalog.stats().cold_loads - before.cold_loads;
+                check(
+                    report.stampede_cold_loads == 1,
+                    "the stampede did not collapse to one load",
+                );
+                check(t.shed == 0, "a stampede caller was shed before the load");
+                t
+            }
+            Some(SoakFault::PanicBurst) => {
+                {
+                    let hooked = victim.clone();
+                    catalog.set_fault_hook(Some(Box::new(move |t, _| t == hooked)));
                 }
-            });
+                let (bystanders, t) = beside(
+                    || {
+                        let mut b = Tally::default();
+                        for name in (0..tenants).map(tenant).filter(|name| *name != victim) {
+                            b.merge(drive(
+                                &catalog,
+                                &name,
+                                queries,
+                                Some(&reference),
+                                n,
+                                1,
+                                &healthy,
+                            ));
+                        }
+                        b
+                    },
+                    || drive(&catalog, &victim, queries, None, n, 1, &healthy),
+                );
+                report.bystander_errors +=
+                    bystanders.shed + bystanders.degraded + bystanders.bad + bystanders.escaped;
+                report.shed_while_open = t.breaker_sheds > 0;
+                report.breaker_opened = catalog.breaker_state(&victim) == Some(BreakerState::Open);
+                check(report.breaker_opened, "the victim's breaker never opened");
+                check(
+                    report.shed_while_open,
+                    "the open breaker never shed the victim",
+                );
+                // Let the cooldown elapse so a later probe re-closes it.
+                std::thread::sleep(cooldown);
+                let mut t = t;
+                t.merge(bystanders);
+                t
+            }
+            Some(SoakFault::Recovery) => {
+                catalog.set_fault_hook(None);
+                std::thread::sleep(cooldown + Duration::from_millis(5));
+                let t = drive(&catalog, &victim, queries, Some(&reference), n, 1, &healthy);
+                report.breaker_reclosed =
+                    catalog.breaker_state(&victim) == Some(BreakerState::Closed);
+                check(
+                    report.breaker_reclosed,
+                    "the victim's breaker did not re-close",
+                );
+                t
+            }
+            Some(SoakFault::Reload) | Some(SoakFault::CorruptReload) => {
+                let valid = phase.fault == Some(SoakFault::Reload);
+                let bytes = if valid {
+                    pristine.clone()
+                } else {
+                    corrupt_copy(&pristine)
+                };
+                let (t, outcome) = beside(
+                    || drive(&catalog, &primary, queries, None, n, callers, &healthy),
+                    || {
+                        // A brief yield so requests are in motion when
+                        // the reload lands; correctness does not depend
+                        // on it.
+                        std::thread::sleep(Duration::from_micros(200));
+                        catalog.reload(&primary, SOAK_DOCUMENT, &bytes)
+                    },
+                );
+                match (valid, outcome) {
+                    (true, Ok(_)) => {
+                        report.reloads += 1;
+                        surviving = bytes;
+                    }
+                    (false, Err(_)) => report.reload_rollbacks += 1,
+                    (true, Err(_)) => check(false, "a verified reload was rejected"),
+                    (false, Ok(_)) => check(false, "a corrupt reload was published"),
+                }
+                t
+            }
+            Some(SoakFault::Starve) => {
+                let starved = EstimateOptions::builder().work_limit(1).build();
+                let mut t = drive(
+                    &catalog,
+                    &primary,
+                    queries,
+                    None,
+                    n.saturating_sub(1),
+                    callers,
+                    &starved,
+                );
+                check(t.degraded > 0, "no request fell back");
+                let after = drive(
+                    &catalog,
+                    &primary,
+                    queries,
+                    Some(&reference),
+                    1,
+                    1,
+                    &healthy,
+                );
+                check(
+                    after.full == 1,
+                    "starved budgets switched an unbudgeted caller off tier 1",
+                );
+                t.merge(after);
+                t
+            }
+            Some(SoakFault::Saturate) => {
+                {
+                    let hooked = primary.clone();
+                    catalog.set_fault_hook(Some(Box::new(move |t, _| {
+                        if t == hooked {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        false
+                    })));
+                }
+                let wave_callers = saturation_callers(options);
+                let t = drive(
+                    &catalog,
+                    &primary,
+                    queries,
+                    Some(&reference),
+                    n,
+                    wave_callers,
+                    &healthy,
+                );
+                catalog.set_fault_hook(None);
+                check(t.shed > 0, "the quota never shed");
+                t
+            }
+            Some(SoakFault::MutationReload { kills }) => {
+                let ingest_dir = dir.join("ingest");
+                let opts = IngestOptions {
+                    delta: DeltaBuildOptions {
+                        drift_threshold: 0.5,
+                        ..Default::default()
+                    },
+                    checkpoint_every: 4,
+                    ..Default::default()
+                };
+                let (t, outcome) = beside(
+                    || drive(&catalog, &primary, queries, None, n, callers, &healthy),
+                    || {
+                        let key = (&catalog, primary.as_str(), SOAK_DOCUMENT);
+                        run_ingest_soak(
+                            doc,
+                            &ingest_dir,
+                            plan.seed,
+                            u64::from(kills),
+                            &opts,
+                            Some(key),
+                        )
+                    },
+                );
+                // lint:allow(vfs-direct): soak-harness scratch-dir wipe
+                let _ = std::fs::remove_dir_all(&ingest_dir);
+                match outcome {
+                    Ok(rep) => {
+                        report.ingest_kills += rep.kills;
+                        report.ingest_checkpoints += rep.checkpoints;
+                        report.ingest_refinements += rep.refinements;
+                        report.ingest_failures += rep.recovery_failures
+                            + rep.state_mismatches
+                            + rep.fsck_failures
+                            + rep.publish_failures;
+                        check(rep.kills >= u64::from(kills), "too few kill/recover cycles");
+                        check(rep.checkpoints > 0, "no checkpoint committed");
+                        surviving = rep.final_snapshot;
+                    }
+                    Err(_) => report.ingest_failures += 1,
+                }
+                t
+            }
+        };
+        let after = catalog.stats();
+        if counted_sheds(&after) - counted_sheds(&before) != t.shed - t.unexpected {
+            report.stat_mismatches += 1;
         }
-    });
-    report.requests +=
-        burst as u64 + (tenants - 2) as u64 * options.requests_per_tenant.max(1) as u64;
-    report.victim_faults = victim_faults.into_inner();
-    report.healthy_errors += healthy_errs.into_inner();
-    report.bad_estimates += healthy_bad.into_inner();
-    report.victim_breaker_opened =
-        catalog.breaker_state(&victim) == Some(xtwig_core::BreakerState::Open);
-    // The burst oversubscribes the threshold, so at least one call must
-    // have been shed at admission; confirm with one more while open.
-    report.victim_shed_while_open = victim_shed.into_inner() > 0
-        || matches!(
-            catalog.serve(&victim, "main", queries, &opts),
-            Err(CatalogError::BreakerOpen { .. })
-        );
-    if report.victim_shed_while_open {
-        report.requests += 1;
+        report.requests += t.issued();
+        report.full += t.full;
+        report.degraded += t.degraded;
+        report.shed += t.shed;
+        report.escaped_panics += t.escaped;
+        report.bad_estimates += t.bad;
+        report.unexpected_errors += t.unexpected;
     }
-
-    // Phase 3: recovery. Clear the hook, let the cooldown elapse, and
-    // the victim's half-open probe must re-close its breaker.
     catalog.set_fault_hook(None);
-    std::thread::sleep(options.catalog.breaker.cooldown + Duration::from_millis(5));
-    match catalog.serve(&victim, "main", queries, &opts) {
-        Ok(reports) => {
-            report.victim_recovered =
-                catalog.breaker_state(&victim) == Some(xtwig_core::BreakerState::Closed);
-            report.bad_estimates += check_batch(&reports);
-        }
-        Err(_) => report.victim_recovered = false,
-    }
-    report.requests += 1;
 
-    let stats = catalog.stats();
-    report.evictions = stats.evictions;
-    report.stats = stats;
+    // Post-soak bit-identity: the primary key must answer exactly like
+    // a fresh chain over the snapshot that should have survived — the
+    // soak left no residue in the serving state.
+    std::thread::sleep(cooldown);
+    report.post_soak_bit_identical = match (
+        load_synopsis(&surviving),
+        catalog.serve(&primary, SOAK_DOCUMENT, queries, &healthy),
+    ) {
+        (Ok(fresh_syn), Ok(served)) => {
+            let fresh = GuardedEstimator::new(&fresh_syn, GuardPolicy::default());
+            served.len() == queries.len()
+                && queries.iter().zip(&served).all(|(q, r)| {
+                    let want = Estimator::estimate(&fresh, &EstimateRequest::new(q)).estimate;
+                    want.to_bits() == r.estimate.to_bits()
+                })
+        }
+        _ => false,
+    };
+    report.stats = catalog.stats();
+    let max_resident = options.catalog.max_resident;
+    if max_resident != 0 && tenants > max_resident && report.stats.evictions == 0 {
+        report
+            .violations
+            .push("more tenants than resident slots, yet nothing was evicted".into());
+    }
     report
 }
 
@@ -1546,46 +1636,42 @@ mod tests {
 
     #[test]
     fn soak_plans_are_deterministic_and_cover_the_transitions() {
-        let opts = RuntimeOptions::default();
+        let opts = CatalogSoakOptions::default();
         let a = SoakPlan::generate(9, &opts);
         let b = SoakPlan::generate(9, &opts);
         assert_eq!(a.phases, b.phases);
         let c = SoakPlan::generate(10, &opts);
-        assert_ne!(a.phases, c.phases, "seed varies batch sizes");
-        // The fixed structure always includes every runtime fault kind.
-        assert!(a
-            .phases
-            .iter()
-            .any(|p| matches!(p.fault, Some(RuntimeFault::PanicBurst { .. }))));
-        assert!(a
-            .phases
-            .iter()
-            .any(|p| p.fault == Some(RuntimeFault::Reload)));
-        assert!(a
-            .phases
-            .iter()
-            .any(|p| p.fault == Some(RuntimeFault::CorruptReload)));
-        assert!(a
-            .phases
-            .iter()
-            .any(|p| matches!(p.fault, Some(RuntimeFault::StallWave { .. }))));
-        // The burst is sized to trip the breaker even with retries.
-        let burst = a
-            .phases
-            .iter()
-            .find_map(|p| match p.fault {
-                Some(RuntimeFault::PanicBurst { count, .. }) => Some((p.requests, count)),
-                _ => None,
-            })
-            .unwrap();
-        assert!(burst.0 as u32 >= opts.breaker.failure_threshold);
-        assert!(burst.1 >= burst.0 as u32 * (1 + opts.max_retries));
+        assert_ne!(a.phases, c.phases, "seed varies wave sizes");
+        // The fixed structure always includes every fault kind the
+        // single-key plan promises.
+        let has =
+            |f: fn(&SoakFault) -> bool| a.phases.iter().any(|p| p.fault.as_ref().is_some_and(f));
+        assert!(has(|f| *f == SoakFault::PanicBurst));
+        assert!(has(|f| *f == SoakFault::Recovery));
+        assert!(has(|f| *f == SoakFault::Reload));
+        assert!(has(|f| *f == SoakFault::CorruptReload));
+        assert!(has(|f| *f == SoakFault::Starve));
+        assert!(has(|f| *f == SoakFault::Saturate));
+        assert!(has(|f| matches!(f, SoakFault::MutationReload { .. })));
+        // The burst outlasts the breaker threshold; the wave outnumbers
+        // the quota.
+        for p in &a.phases {
+            if p.fault == Some(SoakFault::PanicBurst) {
+                assert!(p.requests > opts.catalog.breaker.failure_threshold as usize);
+            }
+        }
+        assert!(saturation_callers(&opts) > opts.catalog.tenant_quota);
         let sat = SoakPlan::saturation_only(9, &opts);
         assert_eq!(sat.phases.len(), 1);
-        assert!(matches!(
-            sat.phases[0].fault,
-            Some(RuntimeFault::StallWave { .. })
-        ));
+        let iso = SoakPlan::isolation(9, &opts);
+        assert!(iso.tenants > opts.catalog.max_resident);
+        assert_eq!(iso.phases[0].fault, Some(SoakFault::Stampede));
+        assert_eq!(iso.phases[0].requests, STAMPEDE_CALLERS);
+        assert_eq!(CatalogSoakOptions::isolation().catalog.tenant_quota, 0);
+        assert_eq!(
+            iso.total_requests(),
+            iso.phases[0].requests + iso.phases[1].requests * iso.tenants + iso.phases[2].requests
+        );
     }
 
     #[test]
@@ -1642,7 +1728,7 @@ mod tests {
     }
 
     #[test]
-    fn catalog_soak_passes() {
+    fn catalog_soak_isolation_plan_passes() {
         let d = doc();
         let queries: Vec<TwigQuery> = [
             "for $t0 in //author, $t1 in $t0/paper",
@@ -1654,21 +1740,23 @@ mod tests {
         .collect();
         let dir = std::env::temp_dir().join(format!("xtwig-catalog-soak-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let options = CatalogSoakOptions::default();
+        let options = CatalogSoakOptions::isolation();
+        let plan = SoakPlan::isolation(3, &options);
         // The victim's injected panics are expected; keep the log quiet.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let report = run_catalog_soak(&d, &queries, &dir, &options);
+        let report = run_catalog_soak(&d, &queries, &dir, &plan, &options);
         std::panic::set_hook(prev);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(report.stampede_cold_loads, 1, "{report}");
-        assert_eq!(report.healthy_errors, 0, "{report}");
+        assert_eq!(report.bystander_errors, 0, "{report}");
         assert_eq!(report.bad_estimates, 0, "{report}");
-        assert!(report.victim_breaker_opened, "{report}");
-        assert!(report.victim_shed_while_open, "{report}");
-        assert!(report.victim_recovered, "{report}");
+        assert!(report.breaker_opened, "{report}");
+        assert!(report.shed_while_open, "{report}");
+        assert!(report.breaker_reclosed, "{report}");
         // 4 tenants > max_resident 2 ⇒ eviction churn must fire.
-        assert!(report.evictions > 0, "{report}");
+        assert!(report.stats.evictions > 0, "{report}");
+        assert_eq!(report.requests, plan.total_requests() as u64, "{report}");
         assert!(report.passed(), "{report}");
     }
 }

@@ -7,36 +7,57 @@
 //! estimate. [`GuardedEstimator`] therefore serves every query through a
 //! chain of tiers, each cheaper and more robust than the last:
 //!
-//! 1. **XSKETCH** — the full TREEPARSE estimate, bounded by the policy's
-//!    wall-clock deadline and work budget (the core crate's [`Meter`]
-//!    machinery) and wrapped in `catch_unwind`.
+//! 1. **XSKETCH** — the full TREEPARSE estimate over the compiled
+//!    synopsis, bounded by a wall-clock deadline and a work budget (the
+//!    core crate's [`Meter`](xtwig_core::estimate::Meter) machinery) and
+//!    wrapped in `catch_unwind`.
 //! 2. **Markov** — a first-order tag-transition model *derived from the
-//!    synopsis itself* (extent sizes and edge counts aggregate exactly
-//!    to the Markov tables), so the fallback needs no access to the
-//!    original document.
+//!    synopsis's structural columns* (per-label totals and per-edge
+//!    child counts aggregate exactly to the Markov tables), so the
+//!    fallback needs no access to the original document. It is built
+//!    the first time a query falls back, never on the healthy path.
 //! 3. **Label-count bound** — the product of per-tag element counts, a
 //!    guaranteed-finite upper bound computed in microseconds.
 //!
 //! Every response records which tier produced it and why earlier tiers
-//! were skipped; aggregate [`DegradationCounters`] expose the health of
-//! the chain to operators. Deterministic [`InjectedFault`]s let the
+//! were skipped (the report's `provenance.tier` and the explain tier
+//! trail); aggregate [`DegradationSnapshot`] counters expose the health
+//! of the chain to operators. Deterministic [`InjectedFault`]s let the
 //! fault-injection harness (and tests) exercise each degradation path.
+//!
+//! The chain serves two callers. The [`Estimator`] trait answers one
+//! query under the estimator's own [`GuardPolicy`] budgets. As a
+//! catalog [`ServeTier`] — [`GuardedCatalog`] — a resident key answers a
+//! whole batch: tier 1 is the default tier's batch (its cache, plan
+//! reuse and work splitting) under the request's [`EstimateOptions`],
+//! each tier is gated by the key's own circuit breaker, and only the
+//! members tier 1 could not answer at full fidelity walk down the chain.
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 use xtwig_core::estimate::{
-    earliest_deadline, EstimateOptions, EstimateReport, EstimateRequest, Estimator, Exhaustion,
-    Explain, Provenance, QueryTelemetry,
+    EstimateOptions, EstimateReport, EstimateRequest, Estimator, Exhaustion, Explain, Provenance,
+    QueryTelemetry, SynopsisView,
 };
-use xtwig_core::serve::runtime::{BreakerConfig, CircuitBreaker};
+use xtwig_core::serve::breaker::{BreakerConfig, CircuitBreaker};
 use xtwig_core::sync::atomic::{AtomicU64, Ordering};
+use xtwig_core::sync::OnceLock;
 use xtwig_core::telemetry::{self, Span, Stage};
-use xtwig_core::{coarse_count_bound, CompiledSynopsis, Synopsis};
+use xtwig_core::{
+    coarse_count_bound, CatalogOptions, CompiledSynopsis, Resident, ServeTier, SnapshotCatalog,
+    SynId, Synopsis,
+};
 use xtwig_markov::{MarkovOptions, MarkovPaths};
 use xtwig_query::TwigQuery;
+use xtwig_xml::LabelTable;
 
 use crate::estimator::SummaryEstimator;
+
+/// A snapshot catalog whose resident keys serve through the guarded
+/// fallback chain — the front door every shipped serve path uses.
+pub type GuardedCatalog = SnapshotCatalog<GuardedEstimator<'static>>;
 
 /// One tier of the fallback chain, in descending fidelity order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,29 +115,16 @@ impl TierFailure {
 }
 
 /// The record of one tier consulted while answering a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierAttempt {
-    /// Which tier ran.
-    pub tier: Tier,
+#[derive(Debug, Clone, Copy)]
+struct TierAttempt {
+    tier: Tier,
     /// `None` if this tier produced the served estimate.
-    pub failure: Option<TierFailure>,
+    failure: Option<TierFailure>,
 }
 
-/// A guarded estimation result with full provenance.
-#[derive(Debug, Clone)]
-pub struct EstimateOutcome {
-    /// The served estimate — always finite and ≥ 0.
-    pub estimate: f64,
-    /// The tier that produced it.
-    pub tier: Tier,
-    /// Whether anything less than full-fidelity XSKETCH evaluation was
-    /// served (a lower tier answered, or the XSKETCH sum was clamped).
-    pub degraded: bool,
-    /// Every tier consulted, in order.
-    pub attempts: Vec<TierAttempt>,
-}
-
-/// Budgets applied to every query served by a [`GuardedEstimator`].
+/// Budgets applied to every query the [`Estimator`] trait serves
+/// through a [`GuardedEstimator`]; a catalog batch takes its budgets
+/// from the request's [`EstimateOptions`] instead.
 #[derive(Debug, Clone, Copy)]
 pub struct GuardPolicy {
     /// Per-query wall-clock budget for the XSKETCH tier (`None` = no
@@ -144,7 +152,7 @@ impl Default for GuardPolicy {
 
 /// Monotonic counters describing the health of the fallback chain.
 #[derive(Debug, Default)]
-pub struct DegradationCounters {
+struct DegradationCounters {
     queries: AtomicU64,
     degraded: AtomicU64,
     panics: AtomicU64,
@@ -154,7 +162,7 @@ pub struct DegradationCounters {
     served_label_count: AtomicU64,
 }
 
-/// A point-in-time copy of [`DegradationCounters`].
+/// A point-in-time copy of a chain's degradation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradationSnapshot {
     /// Queries served in total.
@@ -173,23 +181,24 @@ pub struct DegradationSnapshot {
     pub served_label_count: u64,
 }
 
+/// Bumps a chain counter.
+fn bump(c: &AtomicU64) {
+    // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
+    c.fetch_add(1, Ordering::Relaxed);
+}
+
 impl DegradationCounters {
     fn snapshot(&self) -> DegradationSnapshot {
+        // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         DegradationSnapshot {
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            queries: self.queries.load(Ordering::Relaxed),
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            degraded: self.degraded.load(Ordering::Relaxed),
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            panics: self.panics.load(Ordering::Relaxed),
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            deadline_trips: self.deadline_trips.load(Ordering::Relaxed),
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            work_trips: self.work_trips.load(Ordering::Relaxed),
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            served_markov: self.served_markov.load(Ordering::Relaxed),
-            // lint:allow(atomic-ordering): point-in-time stats snapshot; torn reads across counters are acceptable
-            served_label_count: self.served_label_count.load(Ordering::Relaxed),
+            queries: get(&self.queries),
+            degraded: get(&self.degraded),
+            panics: get(&self.panics),
+            deadline_trips: get(&self.deadline_trips),
+            work_trips: get(&self.work_trips),
+            served_markov: get(&self.served_markov),
+            served_label_count: get(&self.served_label_count),
         }
     }
 }
@@ -207,13 +216,15 @@ pub enum InjectedFault {
     StallXsketch,
 }
 
-/// One circuit breaker per fallback tier, shared across every request a
-/// serving runtime handles. A tier whose breaker is open is skipped
+/// One circuit breaker per fallback tier, shared by every request one
+/// catalog key serves. A tier whose breaker is open is skipped
 /// (recorded as [`TierFailure::ShortCircuited`]) so a persistently
 /// failing tier stops burning each request's deadline budget; the
-/// half-open probe mechanism re-admits it once it recovers.
+/// half-open probe re-admits it once it recovers. Tier 1 records one
+/// outcome per batch, each fallback tier one per query it answers for;
+/// only panics and non-finite results count as failures.
 #[derive(Debug)]
-pub struct TierBreakers {
+struct TierBreakers {
     xsketch: CircuitBreaker,
     markov: CircuitBreaker,
     label_count: CircuitBreaker,
@@ -221,7 +232,7 @@ pub struct TierBreakers {
 
 impl TierBreakers {
     /// Three closed breakers with the same tuning.
-    pub fn new(config: BreakerConfig) -> TierBreakers {
+    fn new(config: BreakerConfig) -> TierBreakers {
         TierBreakers {
             xsketch: CircuitBreaker::new(config),
             markov: CircuitBreaker::new(config),
@@ -230,7 +241,7 @@ impl TierBreakers {
     }
 
     /// The breaker guarding `tier`.
-    pub fn get(&self, tier: Tier) -> &CircuitBreaker {
+    fn get(&self, tier: Tier) -> &CircuitBreaker {
         match tier {
             Tier::Xsketch => &self.xsketch,
             Tier::Markov => &self.markov,
@@ -239,90 +250,84 @@ impl TierBreakers {
     }
 }
 
-impl Default for TierBreakers {
-    fn default() -> TierBreakers {
-        TierBreakers::new(BreakerConfig::default())
+/// Derives the first-order Markov model implied by a synopsis: label ids
+/// in table order, per-label element totals as the tag table, and
+/// per-edge child counts summed per label pair as the transition table —
+/// exactly what a document scan would produce. Reads only
+/// [`SynopsisView`], so a compiled synopsis loaded from a snapshot
+/// derives the same model as the synopsis it was saved from.
+pub fn markov_from_synopsis<S: SynopsisView + ?Sized>(s: &S, budget_bytes: usize) -> MarkovPaths {
+    let mut labels = LabelTable::new();
+    for l in 0..s.label_count() {
+        labels.intern(s.label_name(l));
     }
-}
-
-/// Per-request controls layered over a [`GuardedEstimator`]'s policy by
-/// the serving runtime: a request deadline that can only *tighten* the
-/// policy budget, shared per-tier breakers, and an optional fault
-/// override for the soak harness (takes precedence over the
-/// estimator-level fault when set).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChainControls<'b> {
-    /// Absolute per-request deadline; combined with the policy's
-    /// time budget via [`earliest_deadline`].
-    pub deadline: Option<Instant>,
-    /// Shared per-tier circuit breakers (`None` = no breaking).
-    pub breakers: Option<&'b TierBreakers>,
-    /// Fault override for this request only.
-    pub fault: Option<InjectedFault>,
-}
-
-/// Derives the first-order Markov model implied by a synopsis: per-tag
-/// extent sums and per-label-pair edge child counts are exactly the tag
-/// and transition tables a document scan would produce.
-pub fn markov_from_synopsis(s: &Synopsis, budget_bytes: usize) -> MarkovPaths {
-    let mut tag_counts = vec![0u64; s.labels().len()];
-    for n in s.node_ids() {
-        let i = s.label(n).index();
-        if let Some(slot) = tag_counts.get_mut(i) {
-            *slot += s.extent_size(n);
+    let tag_counts: Vec<u64> = labels
+        .iter()
+        .map(|(_, name)| s.tag_total(name) as u64)
+        .collect();
+    let label_of = |n: SynId| labels.get(s.tag(n));
+    let mut transitions: HashMap<(xtwig_xml::LabelId, xtwig_xml::LabelId), u64> = HashMap::new();
+    for u in (0..s.node_count()).filter_map(|i| u32::try_from(i).ok().map(SynId)) {
+        for &v in s.children_of(u) {
+            if let (Some(lu), Some(lv)) = (label_of(u), label_of(v)) {
+                *transitions.entry((lu, lv)).or_insert(0) += s.child_count(u, v);
+            }
         }
     }
-    let mut transitions: HashMap<(xtwig_xml::LabelId, xtwig_xml::LabelId), u64> = HashMap::new();
-    for (u, v, rec) in s.edge_iter() {
-        *transitions.entry((s.label(u), s.label(v))).or_insert(0) += rec.child_count;
-    }
+    let root = label_of(s.root()).unwrap_or(xtwig_xml::LabelId(0));
     MarkovPaths::from_parts(
-        s.labels().clone(),
+        labels,
         tag_counts,
         transitions,
-        s.label(s.root()),
+        root,
         MarkovOptions { budget_bytes },
     )
 }
 
 /// The guarded fallback-chain estimator. See the module docs.
 pub struct GuardedEstimator<'a> {
-    synopsis: &'a Synopsis,
-    /// One-time lowering of the synopsis to the compiled serving form;
-    /// the XSKETCH tier runs over it.
-    compiled: CompiledSynopsis<'a>,
-    markov: MarkovPaths,
+    /// Tier 1: the compiled synopsis, its cache partition and its batch
+    /// server — the catalog's default [`Resident`] tier.
+    tier1: Resident<'a>,
+    /// Tier 2, derived from the compiled columns on first fallback.
+    markov: OnceLock<MarkovPaths>,
     policy: GuardPolicy,
     counters: DegradationCounters,
     fault: Option<InjectedFault>,
+    breakers: Option<TierBreakers>,
 }
 
 impl<'a> GuardedEstimator<'a> {
-    /// Wraps `synopsis` in the fallback chain, deriving the Markov
-    /// fallback model from it.
+    /// Wraps `synopsis` in the fallback chain (compiling it for tier 1).
     pub fn new(synopsis: &'a Synopsis, policy: GuardPolicy) -> GuardedEstimator<'a> {
-        let markov = markov_from_synopsis(synopsis, policy.markov_budget_bytes);
+        GuardedEstimator::from_compiled(CompiledSynopsis::compile(synopsis), policy)
+    }
+
+    /// Wraps an already compiled synopsis — typically the zero-copy
+    /// `'static` load of a snapshot — in the fallback chain.
+    pub fn from_compiled(
+        compiled: CompiledSynopsis<'a>,
+        policy: GuardPolicy,
+    ) -> GuardedEstimator<'a> {
         GuardedEstimator {
-            synopsis,
-            compiled: CompiledSynopsis::compile(synopsis),
-            markov,
+            tier1: Resident::new(compiled, 0),
+            markov: OnceLock::new(),
             policy,
             counters: DegradationCounters::default(),
             fault: None,
+            breakers: None,
         }
-    }
-
-    /// The compiled form tier 1 serves from — callers batching queries
-    /// can hand it to a [`xtwig_core::BatchServer`] directly, sharing
-    /// this estimator's expansion memo and epoch.
-    pub fn compiled(&self) -> &CompiledSynopsis<'a> {
-        &self.compiled
     }
 
     /// Injects a deterministic fault (tests / fault harness only).
     pub fn with_fault(mut self, fault: InjectedFault) -> GuardedEstimator<'a> {
         self.fault = Some(fault);
         self
+    }
+
+    /// The compiled form tier 1 serves from.
+    pub fn compiled(&self) -> &CompiledSynopsis<'a> {
+        self.tier1.compiled()
     }
 
     /// The policy in force.
@@ -335,219 +340,39 @@ impl<'a> GuardedEstimator<'a> {
         self.counters.snapshot()
     }
 
-    /// The chain implementation: runs the tiers in order, producing both
-    /// the chain's [`EstimateOutcome`] and its [`EstimateReport`]. Never
-    /// panics; the estimate is always finite and ≥ 0.
-    fn serve(&self, q: &TwigQuery, explain: bool) -> (EstimateOutcome, EstimateReport) {
-        self.serve_controlled(q, explain, &ChainControls::default())
+    /// The Markov tier, derived on first use.
+    fn markov(&self) -> &MarkovPaths {
+        self.markov.get_or_init(|| {
+            markov_from_synopsis(self.tier1.compiled(), self.policy.markov_budget_bytes)
+        })
     }
 
-    /// Serves `q` with per-request [`ChainControls`]: the request
-    /// deadline is combined with the policy's budget via
-    /// [`earliest_deadline`] (a request can only shrink its budget),
-    /// each tier is gated by its shared circuit breaker (an open breaker
-    /// records [`TierFailure::ShortCircuited`] without running the
-    /// tier), and a per-request fault override takes precedence over the
-    /// estimator-level one. This is the serving runtime's entry point;
-    /// single-query callers without controls should use the
-    /// [`Estimator`] trait.
-    pub fn estimate_controlled(
+    /// Serves a batch through the chain: tier 1 is the default tier's
+    /// batch under `opts` on `threads` workers; every member it could not
+    /// answer at full fidelity falls back to Markov, then to the
+    /// label-count bound. One report per query, in input order; every
+    /// estimate is finite and ≥ 0.
+    fn serve_batch(
         &self,
-        q: &TwigQuery,
-        explain: bool,
-        controls: &ChainControls<'_>,
-    ) -> (EstimateOutcome, EstimateReport) {
-        self.serve_controlled(q, explain, controls)
+        queries: &[TwigQuery],
+        opts: &EstimateOptions,
+        threads: usize,
+    ) -> Vec<EstimateReport> {
+        let started = Instant::now();
+        let tier1 = self.run_tier1(queries.len(), opts.deadline, || {
+            self.tier1.batch(opts, threads).serve(queries)
+        });
+        queries
+            .iter()
+            .zip(tier1)
+            .map(|(q, r)| self.finish(q, r, opts.explain, started))
+            .collect()
     }
 
-    /// Whether `tier` may run under `controls`' breakers.
-    fn acquire(&self, controls: &ChainControls<'_>, tier: Tier) -> bool {
-        match controls.breakers {
-            Some(b) => b.get(tier).try_acquire(),
-            None => true,
-        }
-    }
-
-    /// Feeds one attempt result into `tier`'s breaker, if any.
-    fn record_tier(&self, controls: &ChainControls<'_>, tier: Tier, ok: bool) {
-        if let Some(b) = controls.breakers {
-            let breaker = b.get(tier);
-            if ok {
-                breaker.record_success();
-            } else {
-                breaker.record_failure();
-            }
-        }
-    }
-
-    fn serve_controlled(
-        &self,
-        q: &TwigQuery,
-        explain: bool,
-        controls: &ChainControls<'_>,
-    ) -> (EstimateOutcome, EstimateReport) {
-        let t_total = Instant::now();
-        let tg = telemetry::global();
-        // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        tg.guarded_queries.incr();
-        let policy_deadline = self.policy.time_budget.map(|b| Instant::now() + b);
-        let deadline = earliest_deadline(policy_deadline, controls.deadline);
-        let fault = controls.fault.or(self.fault);
-        let mut attempts: Vec<TierAttempt> = Vec::new();
-
-        // --- Tier 1: XSKETCH under budget, gated by its breaker ----------
-        let tier1_failure = if !self.acquire(controls, Tier::Xsketch) {
-            attempts.push(TierAttempt {
-                tier: Tier::Xsketch,
-                failure: Some(TierFailure::ShortCircuited),
-            });
-            TierFailure::ShortCircuited
-        } else {
-            match self.run_xsketch(q, deadline, explain, fault) {
-                Ok(rep) => {
-                    self.record_tier(controls, Tier::Xsketch, true);
-                    attempts.push(TierAttempt {
-                        tier: Tier::Xsketch,
-                        failure: None,
-                    });
-                    let clamped = rep.provenance.clamped > 0;
-                    let outcome = self.outcome(rep.estimate, Tier::Xsketch, clamped, attempts);
-                    let report = tier1_report(rep, &outcome, t_total);
-                    return (outcome, report);
-                }
-                Err(f) => {
-                    self.record_tier(controls, Tier::Xsketch, false);
-                    self.note_failure(f);
-                    attempts.push(TierAttempt {
-                        tier: Tier::Xsketch,
-                        failure: Some(f),
-                    });
-                    f
-                }
-            }
-        };
-
-        // --- Fallback tiers, under the fallback span/latency -------------
-        let t_fallback = Instant::now();
-        let span = Span::enter(Stage::Fallback);
-        // --- Tier 2: Markov ----------------------------------------------
-        let markov_result = if !self.acquire(controls, Tier::Markov) {
-            TierResult::Failed(TierFailure::ShortCircuited)
-        } else {
-            let r = self.run_simple(Tier::Markov, || self.markov.estimate_twig(q), fault);
-            self.record_tier(controls, Tier::Markov, matches!(r, TierResult::Ok(_)));
-            r
-        };
-        let (value, tier) = match markov_result {
-            TierResult::Ok(v) => {
-                attempts.push(TierAttempt {
-                    tier: Tier::Markov,
-                    failure: None,
-                });
-                // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-                self.counters.served_markov.fetch_add(1, Ordering::Relaxed);
-                tg.tier_markov_served.incr();
-                (v, Tier::Markov)
-            }
-            TierResult::Failed(f) => {
-                self.note_failure(f);
-                attempts.push(TierAttempt {
-                    tier: Tier::Markov,
-                    failure: Some(f),
-                });
-                // --- Tier 3: label-count bound ---------------------------
-                let lc_result = if !self.acquire(controls, Tier::LabelCount) {
-                    TierResult::Failed(TierFailure::ShortCircuited)
-                } else {
-                    let r = self.run_simple(
-                        Tier::LabelCount,
-                        || coarse_count_bound(self.synopsis, q),
-                        fault,
-                    );
-                    self.record_tier(controls, Tier::LabelCount, matches!(r, TierResult::Ok(_)));
-                    r
-                };
-                let (value, failure) = match lc_result {
-                    TierResult::Ok(v) => (v, None),
-                    // The end of the chain: a failing last tier serves 0.0
-                    // rather than propagating anything.
-                    TierResult::Failed(f) => {
-                        self.note_failure(f);
-                        (0.0, Some(f))
-                    }
-                };
-                attempts.push(TierAttempt {
-                    tier: Tier::LabelCount,
-                    failure,
-                });
-                self.counters
-                    .served_label_count
-                    // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-                    .fetch_add(1, Ordering::Relaxed);
-                tg.tier_label_count_served.incr();
-                (value, Tier::LabelCount)
-            }
-        };
-        span.exit();
-        tg.fallback_latency.record_ns(elapsed_ns(t_fallback));
-        let outcome = self.outcome(value, tier, true, attempts);
-        let report = fallback_report(&outcome, tier1_failure, explain, t_total);
-        (outcome, report)
-    }
-
-    fn outcome(
-        &self,
-        estimate: f64,
-        tier: Tier,
-        degraded: bool,
-        attempts: Vec<TierAttempt>,
-    ) -> EstimateOutcome {
-        if degraded {
-            // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-            telemetry::global().guarded_degraded.incr();
-        }
-        EstimateOutcome {
-            estimate: if estimate.is_finite() && estimate >= 0.0 {
-                estimate.min(f64::MAX)
-            } else {
-                0.0
-            },
-            tier,
-            degraded,
-            attempts,
-        }
-    }
-
-    fn note_failure(&self, f: TierFailure) {
-        match f {
-            TierFailure::Panicked => {
-                // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                telemetry::global().tier_panics.incr();
-            }
-            TierFailure::Exhausted(Exhaustion::Deadline) => {
-                // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-                self.counters.deadline_trips.fetch_add(1, Ordering::Relaxed);
-            }
-            TierFailure::Exhausted(Exhaustion::Work) => {
-                // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
-                self.counters.work_trips.fetch_add(1, Ordering::Relaxed);
-            }
-            TierFailure::NonFinite => {}
-            // Short circuits were counted by the breaker at acquisition.
-            TierFailure::ShortCircuited => {}
-        }
-    }
-
-    fn run_xsketch(
-        &self,
-        q: &TwigQuery,
-        deadline: Option<Instant>,
-        explain: bool,
-        fault: Option<InjectedFault>,
-    ) -> Result<EstimateReport, TierFailure> {
+    /// Serves one query under the policy's budgets.
+    fn serve_one(&self, q: &TwigQuery, explain: bool) -> EstimateReport {
+        let started = Instant::now();
+        let deadline = self.policy.time_budget.map(|b| started + b);
         let opts = self
             .policy
             .estimate
@@ -556,55 +381,148 @@ impl<'a> GuardedEstimator<'a> {
             .work_limit(self.policy.work_limit)
             .explain(explain)
             .build();
-        let cs = &self.compiled;
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match fault {
-                Some(InjectedFault::PanicIn(Tier::Xsketch)) => {
-                    // Deliberate: the harness verifies catch_unwind
-                    // containment of a tier that dies mid-query.
-                    panic!("injected fault: xsketch tier"); // lint:allow(panic)
-                }
-                Some(InjectedFault::PoisonIn(Tier::Xsketch)) => {
-                    // A poisoned report: exercises the NonFinite arm.
-                    return EstimateReport {
-                        estimate: f64::NAN,
-                        provenance: Provenance::new("xsketch-compiled"),
-                        telemetry: QueryTelemetry::default(),
-                        explain: None,
-                    };
-                }
-                Some(InjectedFault::StallXsketch) => {
-                    if let Some(d) = deadline {
-                        while Instant::now() < d {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                _ => {}
-            }
-            cs.estimate_report(q, &opts)
+        let tier1 = self
+            .run_tier1(1, deadline, || {
+                vec![self.tier1.compiled().estimate_report(q, &opts)]
+            })
+            .pop()
+            .unwrap_or(Err(TierFailure::Panicked));
+        self.finish(q, tier1, explain, started)
+    }
+
+    /// Runs tier 1 for `n` queries behind its breaker and `catch_unwind`,
+    /// returning each member's full-fidelity report or why it has none.
+    ///
+    /// The whole batch is one attempt: one breaker acquisition, one
+    /// recorded outcome. Only a fault of the tier itself (a panic or a
+    /// non-finite result) counts against the breaker. A member that ran
+    /// out of its request's budget falls back, but the tier stays
+    /// healthy, so one caller's tight budget never switches the key's
+    /// other callers to Markov.
+    fn run_tier1(
+        &self,
+        n: usize,
+        deadline: Option<Instant>,
+        run: impl FnOnce() -> Vec<EstimateReport>,
+    ) -> Vec<Result<EstimateReport, TierFailure>> {
+        // An empty batch runs nothing and records nothing, so it must
+        // not take the half-open probe: nothing would ever release it.
+        if n == 0 {
+            return Vec::new();
+        }
+        let breaker = self.breakers.as_ref().map(|b| b.get(Tier::Xsketch));
+        if breaker.is_some_and(|b| !b.try_acquire()) {
+            return vec![Err(TierFailure::ShortCircuited); n];
+        }
+        let fault = self.fault;
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            (!tier1_poisoned(fault, deadline)).then(run)
         }));
-        match caught {
-            Err(_) => Err(TierFailure::Panicked),
+        let mut out: Vec<Result<EstimateReport, TierFailure>> = match caught {
+            Err(_) => vec![Err(TierFailure::Panicked); n],
+            Ok(None) => vec![Err(TierFailure::NonFinite); n],
+            Ok(Some(reports)) => reports.into_iter().map(full_fidelity).collect(),
+        };
+        out.resize_with(n, || Err(TierFailure::Panicked));
+        let faulted = out
+            .iter()
+            .any(|r| matches!(r, Err(TierFailure::Panicked | TierFailure::NonFinite)));
+        self.record(Tier::Xsketch, !faulted);
+        out
+    }
+
+    /// Turns one member's tier-1 outcome into its served report, walking
+    /// down the chain when tier 1 had no full-fidelity answer.
+    fn finish(
+        &self,
+        q: &TwigQuery,
+        tier1: Result<EstimateReport, TierFailure>,
+        explain: bool,
+        started: Instant,
+    ) -> EstimateReport {
+        bump(&self.counters.queries);
+        telemetry::global().guarded_queries.incr();
+        match tier1 {
             Ok(rep) => {
-                if let Some(ex) = rep.provenance.exhaustion {
-                    Err(TierFailure::Exhausted(ex))
-                } else if !rep.estimate.is_finite() || rep.estimate < 0.0 {
-                    Err(TierFailure::NonFinite)
-                } else {
-                    Ok(rep)
+                let clamped = rep.provenance.clamped > 0;
+                if clamped {
+                    self.note_degraded();
                 }
+                tier1_report(rep, clamped)
+            }
+            Err(failure) => {
+                self.note_failure(failure);
+                self.fall_back(q, failure, explain, started)
             }
         }
     }
 
-    fn run_simple(
+    /// Tiers 2 and 3 for one query whose tier 1 failed.
+    fn fall_back(
         &self,
-        tier: Tier,
-        f: impl Fn() -> f64,
-        fault: Option<InjectedFault>,
-    ) -> TierResult {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        q: &TwigQuery,
+        tier1_failure: TierFailure,
+        explain: bool,
+        started: Instant,
+    ) -> EstimateReport {
+        let tg = telemetry::global();
+        let t_fallback = Instant::now();
+        let span = Span::enter(Stage::Fallback);
+        let mut attempts = vec![TierAttempt {
+            tier: Tier::Xsketch,
+            failure: Some(tier1_failure),
+        }];
+        let (value, tier) = match self.run_tier(Tier::Markov, || self.markov().estimate_twig(q)) {
+            Ok(v) => {
+                attempts.push(TierAttempt {
+                    tier: Tier::Markov,
+                    failure: None,
+                });
+                bump(&self.counters.served_markov);
+                tg.tier_markov_served.incr();
+                (v, Tier::Markov)
+            }
+            Err(f) => {
+                self.note_failure(f);
+                attempts.push(TierAttempt {
+                    tier: Tier::Markov,
+                    failure: Some(f),
+                });
+                let lc = self.run_tier(Tier::LabelCount, || {
+                    coarse_count_bound(self.tier1.compiled(), q)
+                });
+                // The end of the chain: a failing last tier serves 0.0
+                // rather than propagating anything.
+                let (value, failure) = match lc {
+                    Ok(v) => (v, None),
+                    Err(f) => {
+                        self.note_failure(f);
+                        (0.0, Some(f))
+                    }
+                };
+                attempts.push(TierAttempt {
+                    tier: Tier::LabelCount,
+                    failure,
+                });
+                bump(&self.counters.served_label_count);
+                tg.tier_label_count_served.incr();
+                (value, Tier::LabelCount)
+            }
+        };
+        span.exit();
+        tg.fallback_latency.record_ns(elapsed_ns(t_fallback));
+        self.note_degraded();
+        fallback_report(value, tier, tier1_failure, &attempts, explain, started)
+    }
+
+    /// Runs a fallback tier behind its breaker and `catch_unwind`.
+    fn run_tier(&self, tier: Tier, f: impl FnOnce() -> f64) -> Result<f64, TierFailure> {
+        let breaker = self.breakers.as_ref().map(|b| b.get(tier));
+        if breaker.is_some_and(|b| !b.try_acquire()) {
+            return Err(TierFailure::ShortCircuited);
+        }
+        let fault = self.fault;
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             match fault {
                 Some(InjectedFault::PanicIn(t)) if t == tier => {
                     // Deliberate: exercises containment in lower tiers.
@@ -615,17 +533,78 @@ impl<'a> GuardedEstimator<'a> {
             }
             f()
         }));
-        match caught {
-            Err(_) => TierResult::Failed(TierFailure::Panicked),
-            Ok(v) if !v.is_finite() || v < 0.0 => TierResult::Failed(TierFailure::NonFinite),
-            Ok(v) => TierResult::Ok(v),
+        let result = match caught {
+            Err(_) => Err(TierFailure::Panicked),
+            Ok(v) if !v.is_finite() || v < 0.0 => Err(TierFailure::NonFinite),
+            Ok(v) => Ok(v),
+        };
+        self.record(tier, result.is_ok());
+        result
+    }
+
+    /// Feeds one attempt's outcome into `tier`'s breaker, if any.
+    fn record(&self, tier: Tier, ok: bool) {
+        if let Some(b) = self.breakers.as_ref() {
+            let breaker = b.get(tier);
+            if ok {
+                breaker.record_success();
+            } else {
+                breaker.record_failure();
+            }
+        }
+    }
+
+    fn note_degraded(&self) {
+        bump(&self.counters.degraded);
+        telemetry::global().guarded_degraded.incr();
+    }
+
+    fn note_failure(&self, f: TierFailure) {
+        match f {
+            TierFailure::Panicked => {
+                bump(&self.counters.panics);
+                telemetry::global().tier_panics.incr();
+            }
+            TierFailure::Exhausted(Exhaustion::Deadline) => bump(&self.counters.deadline_trips),
+            TierFailure::Exhausted(Exhaustion::Work) => bump(&self.counters.work_trips),
+            // Short circuits were counted by the breaker at acquisition.
+            TierFailure::NonFinite | TierFailure::ShortCircuited => {}
         }
     }
 }
 
-enum TierResult {
-    Ok(f64),
-    Failed(TierFailure),
+/// Applies an injected tier-1 fault before tier 1 runs: panics, stalls
+/// until `deadline`, or reports that tier 1's result is poisoned.
+fn tier1_poisoned(fault: Option<InjectedFault>, deadline: Option<Instant>) -> bool {
+    match fault {
+        Some(InjectedFault::PanicIn(Tier::Xsketch)) => {
+            // Deliberate: the harness verifies catch_unwind containment
+            // of a tier that dies mid-query.
+            panic!("injected fault: xsketch tier"); // lint:allow(panic)
+        }
+        Some(InjectedFault::PoisonIn(Tier::Xsketch)) => true,
+        Some(InjectedFault::StallXsketch) => {
+            if let Some(d) = deadline {
+                while Instant::now() < d {
+                    std::hint::spin_loop();
+                }
+            }
+            false
+        }
+        _ => false,
+    }
+}
+
+/// A tier-1 report is a full-fidelity answer unless its budget ran out
+/// or its value is unusable.
+fn full_fidelity(rep: EstimateReport) -> Result<EstimateReport, TierFailure> {
+    if let Some(ex) = rep.provenance.exhaustion {
+        Err(TierFailure::Exhausted(ex))
+    } else if !rep.estimate.is_finite() || rep.estimate < 0.0 {
+        Err(TierFailure::NonFinite)
+    } else {
+        Ok(rep)
+    }
 }
 
 /// Wall-clock nanoseconds since `since`, saturating.
@@ -645,52 +624,50 @@ fn tier_path(attempts: &[TierAttempt]) -> Vec<String> {
         .collect()
 }
 
-/// Builds the unified report for a query tier 1 answered: the compiled
-/// path's report, re-sourced to the guarded chain with the tier trail
-/// attached.
-fn tier1_report(
-    rep: EstimateReport,
-    outcome: &EstimateOutcome,
-    t_total: Instant,
-) -> EstimateReport {
+/// The report for a query tier 1 answered: the compiled path's report,
+/// re-sourced to the guarded chain with the tier trail attached.
+fn tier1_report(rep: EstimateReport, clamped: bool) -> EstimateReport {
     let mut provenance = rep.provenance;
     provenance.source = "guarded";
     provenance.tier = Some(Tier::Xsketch.name());
-    provenance.degraded = outcome.degraded;
-    let mut telemetry = rep.telemetry;
-    telemetry.total_ns = elapsed_ns(t_total);
+    provenance.degraded = clamped;
     let mut explain = rep.explain;
     if let Some(e) = explain.as_mut() {
-        e.tier_path = tier_path(&outcome.attempts);
+        e.tier_path = tier_path(&[TierAttempt {
+            tier: Tier::Xsketch,
+            failure: None,
+        }]);
     }
     EstimateReport {
-        estimate: outcome.estimate,
+        estimate: rep.estimate,
         provenance,
-        telemetry,
+        telemetry: rep.telemetry,
         explain,
     }
 }
 
-/// Builds the unified report for a query a fallback tier answered. The
-/// fallback tiers have no embeddings, so the explain section (present
-/// only on request) carries just the tier trail.
+/// The report for a query a fallback tier answered. The fallback tiers
+/// have no embeddings, so the explain section (present only on request)
+/// carries just the tier trail.
 fn fallback_report(
-    outcome: &EstimateOutcome,
+    estimate: f64,
+    tier: Tier,
     tier1_failure: TierFailure,
+    attempts: &[TierAttempt],
     explain: bool,
-    t_total: Instant,
+    started: Instant,
 ) -> EstimateReport {
     let mut provenance = Provenance::new("guarded");
-    provenance.tier = Some(outcome.tier.name());
+    provenance.tier = Some(tier.name());
     provenance.degraded = true;
     if let TierFailure::Exhausted(ex) = tier1_failure {
         provenance.exhaustion = Some(ex);
     }
     EstimateReport {
-        estimate: outcome.estimate,
+        estimate,
         provenance,
         telemetry: QueryTelemetry {
-            total_ns: elapsed_ns(t_total),
+            total_ns: elapsed_ns(started),
             ..QueryTelemetry::default()
         },
         explain: explain.then(|| Explain {
@@ -698,7 +675,7 @@ fn fallback_report(
             embeddings: Vec::new(),
             assumptions: Default::default(),
             final_clamp: false,
-            tier_path: tier_path(&outcome.attempts),
+            tier_path: tier_path(attempts),
         }),
     }
 }
@@ -709,17 +686,17 @@ impl Estimator for GuardedEstimator<'_> {
     /// contributes only its `explain` flag, so one policy governs every
     /// caller uniformly.
     fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport {
-        self.serve(req.query, req.options.explain).1
+        self.serve_one(req.query, req.options.explain)
     }
 }
 
 impl SummaryEstimator for GuardedEstimator<'_> {
     fn estimate(&self, q: &TwigQuery) -> f64 {
-        self.serve(q, false).0.estimate
+        self.serve_one(q, false).estimate
     }
 
     fn size_bytes(&self) -> usize {
-        self.synopsis.size_bytes() + self.markov.size_bytes()
+        self.compiled().source().size_bytes() + self.markov().size_bytes()
     }
 
     fn name(&self) -> &'static str {
@@ -727,16 +704,37 @@ impl SummaryEstimator for GuardedEstimator<'_> {
     }
 }
 
+/// The guarded chain as a catalog tier: each resident key gets its own
+/// chain over the zero-copy load, a cache partition of
+/// [`CatalogOptions::cache_entries`], and per-tier breakers tuned by
+/// [`CatalogOptions::breaker`].
+impl ServeTier for GuardedEstimator<'static> {
+    fn load(compiled: CompiledSynopsis<'static>, options: &CatalogOptions) -> Self {
+        GuardedEstimator {
+            tier1: Resident::new(compiled, options.cache_entries),
+            markov: OnceLock::new(),
+            policy: GuardPolicy::default(),
+            counters: DegradationCounters::default(),
+            fault: None,
+            breakers: Some(TierBreakers::new(options.breaker)),
+        }
+    }
+
+    fn serve(
+        &self,
+        queries: &[TwigQuery],
+        opts: &EstimateOptions,
+        threads: usize,
+    ) -> Vec<EstimateReport> {
+        self.serve_batch(queries, opts, threads)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtwig_core::coarse_synopsis;
+    use xtwig_core::{coarse_synopsis, load_compiled_snapshot, save_synopsis_v3, BreakerState};
     use xtwig_query::parse_twig;
-
-    /// The chain's outcome for `q` with no per-request controls.
-    fn outcome(g: &GuardedEstimator<'_>, q: &TwigQuery) -> EstimateOutcome {
-        g.estimate_controlled(q, false, &ChainControls::default()).0
-    }
 
     fn setup() -> (xtwig_xml::Document, Synopsis) {
         let doc = xtwig_xml::parse(concat!(
@@ -750,18 +748,47 @@ mod tests {
         (doc, s)
     }
 
+    /// The chain's report for `q` with the tier trail rendered.
+    fn explained(g: &GuardedEstimator<'_>, q: &TwigQuery) -> EstimateReport {
+        let opts = EstimateOptions::builder().explain(true).build();
+        Estimator::estimate(g, &EstimateRequest::with_options(q, opts))
+    }
+
+    fn trail(rep: &EstimateReport) -> Vec<String> {
+        rep.explain
+            .as_ref()
+            .map(|e| e.tier_path.clone())
+            .unwrap_or_default()
+    }
+
+    fn quietly<R>(f: impl FnOnce() -> R) -> R {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let r = f();
+        std::panic::set_hook(prev);
+        r
+    }
+
     #[test]
     fn healthy_chain_serves_tier_one() {
         let (_d, s) = setup();
         let g = GuardedEstimator::new(&s, GuardPolicy::default());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let out = outcome(&g, &q);
-        assert_eq!(out.tier, Tier::Xsketch);
-        assert!(!out.degraded);
-        assert!((out.estimate - 3.0).abs() < 1e-9);
+        let rep = explained(&g, &q);
+        assert_eq!(rep.provenance.tier, Some("xsketch"));
+        assert!(!rep.provenance.degraded);
+        assert!((rep.estimate - 3.0).abs() < 1e-9);
+        assert_eq!(trail(&rep), vec!["xsketch: ok".to_string()]);
+        let sum: f64 = rep
+            .explain
+            .iter()
+            .flat_map(|e| &e.embeddings)
+            .map(|c| c.contribution)
+            .sum();
+        assert!((sum - rep.estimate).abs() <= 1e-9 * rep.estimate.max(1.0));
         let c = g.counters();
-        assert_eq!(c.queries, 1);
-        assert_eq!(c.degraded, 0);
+        assert_eq!((c.queries, c.degraded), (1, 0));
+        assert!(g.markov.get().is_none(), "healthy path never builds Markov");
     }
 
     #[test]
@@ -783,40 +810,28 @@ mod tests {
     #[test]
     fn panic_in_tier_one_falls_back_to_markov() {
         let (_d, s) = setup();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let g = GuardedEstimator::new(&s, GuardPolicy::default())
             .with_fault(InjectedFault::PanicIn(Tier::Xsketch));
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let out = outcome(&g, &q);
-        std::panic::set_hook(prev);
-        assert_eq!(out.tier, Tier::Markov);
-        assert!(out.degraded);
-        assert!(out.estimate.is_finite() && out.estimate >= 0.0);
-        assert_eq!(
-            out.attempts[0].failure,
-            Some(TierFailure::Panicked),
-            "{:?}",
-            out.attempts
-        );
+        let rep = quietly(|| explained(&g, &q));
+        assert_eq!(rep.provenance.tier, Some("markov"));
+        assert!(rep.provenance.degraded);
+        assert!(rep.estimate.is_finite() && rep.estimate >= 0.0);
+        assert_eq!(trail(&rep)[0], "xsketch: panicked");
         let c = g.counters();
-        assert_eq!(c.panics, 1);
-        assert_eq!(c.served_markov, 1);
+        assert_eq!((c.panics, c.served_markov), (1, 1));
     }
 
     #[test]
     fn panic_everywhere_still_returns_finite() {
         let (_d, s) = setup();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         for tier in [Tier::Xsketch, Tier::Markov, Tier::LabelCount] {
             let g = GuardedEstimator::new(&s, GuardPolicy::default())
                 .with_fault(InjectedFault::PanicIn(tier));
-            let out = outcome(&g, &q);
-            assert!(out.estimate.is_finite() && out.estimate >= 0.0, "{tier}");
+            let rep = quietly(|| explained(&g, &q));
+            assert!(rep.estimate.is_finite() && rep.estimate >= 0.0, "{tier}");
         }
-        std::panic::set_hook(prev);
     }
 
     #[test]
@@ -825,10 +840,10 @@ mod tests {
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let g = GuardedEstimator::new(&s, GuardPolicy::default())
             .with_fault(InjectedFault::PoisonIn(Tier::Xsketch));
-        let out = outcome(&g, &q);
-        assert_eq!(out.tier, Tier::Markov);
-        assert_eq!(out.attempts[0].failure, Some(TierFailure::NonFinite));
-        assert!(out.estimate.is_finite());
+        let rep = explained(&g, &q);
+        assert_eq!(rep.provenance.tier, Some("markov"));
+        assert_eq!(trail(&rep)[0], "xsketch: non-finite result");
+        assert!(rep.estimate.is_finite());
     }
 
     #[test]
@@ -841,11 +856,11 @@ mod tests {
         let g = GuardedEstimator::new(&s, policy).with_fault(InjectedFault::StallXsketch);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let start = Instant::now();
-        let out = outcome(&g, &q);
+        let rep = explained(&g, &q);
         let elapsed = start.elapsed();
-        assert!(out.degraded);
-        assert_ne!(out.tier, Tier::Xsketch);
-        assert!(out.estimate.is_finite() && out.estimate >= 0.0);
+        assert!(rep.provenance.degraded);
+        assert_ne!(rep.provenance.tier, Some("xsketch"));
+        assert!(rep.estimate.is_finite() && rep.estimate >= 0.0);
         assert!(
             elapsed < Duration::from_millis(250),
             "took {elapsed:?} for a 1 ms budget"
@@ -854,7 +869,7 @@ mod tests {
     }
 
     #[test]
-    fn work_limit_degrades_to_markov() {
+    fn work_limit_degrades_to_markov_with_its_tier_path() {
         let (_d, s) = setup();
         let policy = GuardPolicy {
             work_limit: 1,
@@ -862,13 +877,18 @@ mod tests {
         };
         let g = GuardedEstimator::new(&s, policy);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/kw").unwrap();
-        let out = outcome(&g, &q);
-        assert!(out.degraded);
+        let rep = explained(&g, &q);
+        assert_eq!(rep.provenance.tier, Some("markov"));
+        assert!(rep.provenance.degraded);
+        assert_eq!(rep.provenance.exhaustion, Some(Exhaustion::Work));
         assert_eq!(
-            out.attempts[0].failure,
-            Some(TierFailure::Exhausted(Exhaustion::Work))
+            trail(&rep),
+            vec![
+                "xsketch: work limit exhausted".to_string(),
+                "markov: ok".to_string()
+            ]
         );
-        assert!(out.estimate.is_finite() && out.estimate >= 0.0);
+        assert!(rep.explain.is_some_and(|e| e.embeddings.is_empty()));
         assert_eq!(g.counters().work_trips, 1);
     }
 
@@ -882,165 +902,160 @@ mod tests {
         assert_eq!(g.name(), "Guarded");
     }
 
-    #[test]
-    fn unified_report_matches_outcome_on_healthy_chain() {
-        let (_d, s) = setup();
-        let g = GuardedEstimator::new(&s, GuardPolicy::default());
-        let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let out = outcome(&g, &q);
-        let opts = EstimateOptions::builder().explain(true).build();
-        let rep = Estimator::estimate(&g, &EstimateRequest::with_options(&q, opts));
-        assert_eq!(rep.estimate.to_bits(), out.estimate.to_bits());
-        assert_eq!(rep.provenance.source, "guarded");
-        assert_eq!(rep.provenance.tier, Some("xsketch"));
-        assert!(!rep.provenance.degraded);
-        let explain = rep.explain.expect("explain was requested");
-        assert_eq!(explain.tier_path, vec!["xsketch: ok".to_string()]);
-        let sum: f64 = explain.embeddings.iter().map(|c| c.contribution).sum();
-        assert!((sum - rep.estimate).abs() <= 1e-9 * rep.estimate.max(1.0));
+    fn batch() -> Vec<TwigQuery> {
+        [
+            "for $t0 in //author, $t1 in $t0/paper",
+            "for $t0 in //paper, $t1 in $t0/kw",
+            "for $t0 in //author, $t1 in $t0/paper",
+        ]
+        .iter()
+        .map(|t| parse_twig(t).unwrap())
+        .collect()
+    }
+
+    /// The chain as a catalog tier over the zero-copy load of `s`.
+    fn tier(s: &Synopsis, breaker: BreakerConfig) -> GuardedEstimator<'static> {
+        let compiled = load_compiled_snapshot(&save_synopsis_v3(s)).unwrap();
+        let options = CatalogOptions::builder().breaker(breaker).build();
+        <GuardedEstimator<'static> as ServeTier>::load(compiled, &options)
     }
 
     #[test]
-    fn breaker_opens_after_repeated_tier_one_panics_and_short_circuits() {
+    fn healthy_batch_matches_the_single_query_chain_bit_for_bit() {
         let (_d, s) = setup();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let g = GuardedEstimator::new(&s, GuardPolicy::default());
-        let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let breakers = TierBreakers::new(xtwig_core::BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(3600),
-        });
-        let faulty = ChainControls {
-            breakers: Some(&breakers),
-            fault: Some(InjectedFault::PanicIn(Tier::Xsketch)),
-            ..Default::default()
-        };
-        for _ in 0..3 {
-            let (out, _) = g.estimate_controlled(&q, false, &faulty);
-            assert_eq!(out.attempts[0].failure, Some(TierFailure::Panicked));
+        let g = tier(&s, BreakerConfig::default());
+        let single = GuardedEstimator::new(&s, GuardPolicy::default());
+        let qs = batch();
+        let reports = g.serve(&qs, &EstimateOptions::default(), 2);
+        assert_eq!(reports.len(), qs.len());
+        for (q, r) in qs.iter().zip(&reports) {
+            let want = explained(&single, q);
+            assert_eq!(r.estimate.to_bits(), want.estimate.to_bits(), "{q}");
+            assert_eq!(r.provenance.tier, Some("xsketch"));
+            assert!(!r.provenance.degraded);
         }
-        assert_eq!(
-            breakers.get(Tier::Xsketch).state(),
-            xtwig_core::BreakerState::Open
-        );
-        // Healthy request while the breaker is open: tier 1 is skipped
-        // without running, and the fallback still answers.
-        let healthy = ChainControls {
-            breakers: Some(&breakers),
-            ..Default::default()
-        };
-        let (out, rep) = g.estimate_controlled(&q, true, &healthy);
-        std::panic::set_hook(prev);
-        assert_eq!(out.attempts[0].failure, Some(TierFailure::ShortCircuited));
-        assert_eq!(out.tier, Tier::Markov);
-        assert!(rep.provenance.degraded);
-        let explain = rep.explain.expect("explain was requested");
-        assert_eq!(explain.tier_path[0], "xsketch: breaker open");
+        // The duplicate is served from the key's cache partition.
+        let again = g.serve(&qs, &EstimateOptions::default(), 1);
+        assert!(again.iter().all(|r| r.provenance.cached));
+        assert!(g.markov.get().is_none(), "healthy path never builds Markov");
     }
 
     #[test]
-    fn half_open_probe_recloses_the_breaker() {
+    fn expired_request_deadline_degrades_every_batch_member() {
         let (_d, s) = setup();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let g = GuardedEstimator::new(&s, GuardPolicy::default());
-        let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let breakers = TierBreakers::new(xtwig_core::BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::ZERO,
-        });
-        let faulty = ChainControls {
-            breakers: Some(&breakers),
-            fault: Some(InjectedFault::PanicIn(Tier::Xsketch)),
-            ..Default::default()
-        };
-        g.estimate_controlled(&q, false, &faulty);
-        std::panic::set_hook(prev);
-        assert_eq!(
-            breakers.get(Tier::Xsketch).state(),
-            xtwig_core::BreakerState::Open
-        );
-        // Zero cooldown: the next healthy request is the probe and
-        // re-closes the breaker; tier 1 serves again.
-        let healthy = ChainControls {
-            breakers: Some(&breakers),
-            ..Default::default()
-        };
-        let (out, _) = g.estimate_controlled(&q, false, &healthy);
-        assert_eq!(out.tier, Tier::Xsketch);
-        assert_eq!(
-            breakers.get(Tier::Xsketch).state(),
-            xtwig_core::BreakerState::Closed
-        );
-        let (opens, closes, _) = breakers.get(Tier::Xsketch).transitions();
+        let g = tier(&s, BreakerConfig::default());
+        let opts = EstimateOptions::builder()
+            .deadline(Instant::now() - Duration::from_millis(1))
+            .build();
+        for r in g.serve(&batch(), &opts, 1) {
+            assert_eq!(r.provenance.tier, Some("markov"));
+            assert_eq!(r.provenance.exhaustion, Some(Exhaustion::Deadline));
+            assert!(r.estimate.is_finite() && r.estimate >= 0.0);
+        }
+    }
+
+    /// The state of the key's tier-1 breaker.
+    fn xsketch_state(g: &GuardedEstimator<'_>) -> BreakerState {
+        g.breakers.as_ref().unwrap().get(Tier::Xsketch).state()
+    }
+
+    #[test]
+    fn tier_breaker_opens_short_circuits_and_half_open_probe_recloses() {
+        let (_d, s) = setup();
+        let mut g = tier(
+            &s,
+            BreakerConfig {
+                failure_threshold: 3,
+                cooldown: Duration::ZERO,
+            },
+        )
+        .with_fault(InjectedFault::PanicIn(Tier::Xsketch));
+        // One failure per batch: the third panicking batch opens it.
+        for _ in 0..2 {
+            quietly(|| g.serve(&batch(), &EstimateOptions::default(), 1));
+            assert_eq!(xsketch_state(&g), BreakerState::Closed);
+        }
+        quietly(|| g.serve(&batch(), &EstimateOptions::default(), 1));
+        assert_eq!(xsketch_state(&g), BreakerState::Open);
+        // Zero cooldown: the next batch is the half-open probe; with the
+        // fault gone it succeeds, re-closes the breaker, and tier 1
+        // serves again.
+        g.fault = None;
+        let healthy = g.serve(&batch(), &EstimateOptions::default(), 1);
+        assert!(healthy.iter().all(|r| r.provenance.tier == Some("xsketch")));
+        assert_eq!(xsketch_state(&g), BreakerState::Closed);
+        let xsketch = g.breakers.as_ref().unwrap().get(Tier::Xsketch);
+        let (opens, closes, _) = xsketch.transitions();
         assert_eq!((opens, closes), (1, 1));
     }
 
     #[test]
-    fn request_deadline_tightens_the_policy_budget() {
+    fn open_tier_breaker_skips_tier_one_without_running_it() {
         let (_d, s) = setup();
-        // Policy is generous; the *request* deadline is already expired,
-        // so tier 1 must trip on it and the chain must degrade.
-        let policy = GuardPolicy {
-            time_budget: Some(Duration::from_secs(600)),
-            ..Default::default()
-        };
-        let g = GuardedEstimator::new(&s, policy);
-        let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let controls = ChainControls {
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..Default::default()
-        };
-        let (out, _) = g.estimate_controlled(&q, false, &controls);
-        assert_eq!(
-            out.attempts[0].failure,
-            Some(TierFailure::Exhausted(Exhaustion::Deadline))
-        );
-        assert!(out.degraded);
-        assert!(out.estimate.is_finite() && out.estimate >= 0.0);
-    }
-
-    #[test]
-    fn controls_fault_overrides_estimator_fault() {
-        let (_d, s) = setup();
-        let g = GuardedEstimator::new(&s, GuardPolicy::default())
-            .with_fault(InjectedFault::PoisonIn(Tier::Xsketch));
-        let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        // The per-request override redirects the poison to Markov; tier 1
-        // still fails (its own estimator-level fault is replaced, not
-        // stacked), proving precedence.
-        let controls = ChainControls {
-            fault: Some(InjectedFault::PoisonIn(Tier::Markov)),
-            ..Default::default()
-        };
-        let (out, _) = g.estimate_controlled(&q, false, &controls);
-        assert_eq!(out.attempts[0].failure, None, "tier 1 healthy again");
-        assert_eq!(out.tier, Tier::Xsketch);
-    }
-
-    #[test]
-    fn unified_report_records_fallback_tier_path() {
-        let (_d, s) = setup();
-        let policy = GuardPolicy {
-            work_limit: 1,
-            ..Default::default()
-        };
-        let g = GuardedEstimator::new(&s, policy);
-        let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/kw").unwrap();
+        let mut g = tier(
+            &s,
+            BreakerConfig {
+                failure_threshold: 1,
+                cooldown: Duration::from_secs(3600),
+            },
+        )
+        .with_fault(InjectedFault::PoisonIn(Tier::Xsketch));
+        g.serve(&batch()[..1], &EstimateOptions::default(), 1);
+        g.fault = None;
         let opts = EstimateOptions::builder().explain(true).build();
-        let rep = Estimator::estimate(&g, &EstimateRequest::with_options(&q, opts));
-        assert_eq!(rep.provenance.tier, Some("markov"));
-        assert!(rep.provenance.degraded);
-        assert_eq!(rep.provenance.exhaustion, Some(Exhaustion::Work));
-        let explain = rep.explain.expect("explain was requested");
-        assert_eq!(
-            explain.tier_path,
-            vec![
-                "xsketch: work limit exhausted".to_string(),
-                "markov: ok".to_string()
-            ]
+        let reports = g.serve(&batch(), &opts, 1);
+        for r in &reports {
+            assert_eq!(r.provenance.tier, Some("markov"));
+            assert_eq!(trail(r)[0], "xsketch: breaker open");
+        }
+    }
+
+    #[test]
+    fn exhausted_budgets_never_trip_the_tier_breaker() {
+        let (_d, s) = setup();
+        let g = tier(
+            &s,
+            BreakerConfig {
+                failure_threshold: 1,
+                cooldown: Duration::from_secs(3600),
+            },
         );
-        assert!(explain.embeddings.is_empty(), "fallback has no embeddings");
+        let starved = EstimateOptions::builder().work_limit(1).build();
+        let expired = EstimateOptions::builder()
+            .deadline(Instant::now() - Duration::from_millis(1))
+            .build();
+        for opts in [&starved, &expired, &starved] {
+            for r in g.serve(&batch(), opts, 1) {
+                assert_eq!(r.provenance.tier, Some("markov"));
+            }
+        }
+        // The budgets belonged to the requests: an unbudgeted caller of
+        // the same key still gets tier 1.
+        assert_eq!(xsketch_state(&g), BreakerState::Closed);
+        let healthy = g.serve(&batch(), &EstimateOptions::default(), 1);
+        assert!(healthy.iter().all(|r| r.provenance.tier == Some("xsketch")));
+    }
+
+    #[test]
+    fn empty_batch_leaves_the_half_open_probe_to_a_real_batch() {
+        let (_d, s) = setup();
+        let mut g = tier(
+            &s,
+            BreakerConfig {
+                failure_threshold: 1,
+                cooldown: Duration::ZERO,
+            },
+        )
+        .with_fault(InjectedFault::PanicIn(Tier::Xsketch));
+        quietly(|| g.serve(&batch(), &EstimateOptions::default(), 1));
+        assert_eq!(xsketch_state(&g), BreakerState::Open);
+        g.fault = None;
+        // The cooldown has passed, so the next acquisition is the probe.
+        // An empty batch must not take it.
+        assert!(g.serve(&[], &EstimateOptions::default(), 1).is_empty());
+        assert_eq!(xsketch_state(&g), BreakerState::Open);
+        let healthy = g.serve(&batch(), &EstimateOptions::default(), 1);
+        assert!(healthy.iter().all(|r| r.provenance.tier == Some("xsketch")));
+        assert_eq!(xsketch_state(&g), BreakerState::Closed);
     }
 }

@@ -41,12 +41,13 @@
 //! the effective threshold backs off exponentially so a pathological
 //! document cannot wedge ingest in a refine loop.
 //!
-//! Publication goes through the existing hot-reload machinery:
-//! [`IngestStore::publish`] CRC-validates and atomically installs the
-//! maintained synopsis into a [`ServingRuntime`] generation, bumping the
-//! reload epoch (which structurally invalidates epoch-stamped
-//! `EstimateCache` entries). In-flight requests finish on the old
-//! generation; a corrupt snapshot never installs.
+//! Publication goes through the serving front door:
+//! [`IngestStore::publish_to_catalog`] writes the maintained synopsis
+//! as a v3 snapshot under a catalog key and invalidates the resident
+//! copy, so the next request faults the new synopsis in under a fresh
+//! compile epoch (which structurally invalidates epoch-stamped
+//! `EstimateCache` entries). In-flight requests finish on the document
+//! they already hold.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -67,10 +68,10 @@ use xtwig_core::io::{
 };
 use xtwig_core::telemetry;
 use xtwig_core::validate::{validate, FsckReport};
-use xtwig_core::Synopsis;
+use xtwig_core::{CatalogError, ServeTier, SnapshotCatalog, Synopsis};
 use xtwig_xml::{apply_delta, parse, write_xml, Delta, DeltaError, Document, DocumentBuilder};
 
-use crate::runtime::ServingRuntime;
+use crate::guarded::GuardedCatalog;
 
 /// How a checkpoint's synopsis was derived — recorded in the manifest
 /// so recovery re-derives the identical synopsis.
@@ -843,25 +844,17 @@ impl IngestStore {
         Ok(())
     }
 
-    /// CRC-validates and atomically installs the maintained synopsis as
-    /// a new [`ServingRuntime`] generation (epoch bump; in-flight
-    /// requests finish on the old generation; epoch-stamped cache
-    /// entries invalidate structurally).
-    pub fn publish(&self, runtime: &ServingRuntime) -> Result<u64, SnapshotError> {
-        runtime.reload_snapshot_bytes(&self.snapshot_bytes())
-    }
-
     /// Publishes the maintained synopsis into a multi-tenant
-    /// [`SnapshotCatalog`](xtwig_core::SnapshotCatalog) as a format-v3
-    /// (zero-copy) snapshot under `(tenant, document)`, atomically
-    /// installing the file and invalidating any resident copy. Returns
-    /// the snapshot size in bytes.
-    pub fn publish_to_catalog(
+    /// [`SnapshotCatalog`] as a format-v3 (zero-copy) snapshot under
+    /// `(tenant, document)`, atomically installing the file and
+    /// invalidating any resident copy. Returns the snapshot size in
+    /// bytes.
+    pub fn publish_to_catalog<T: ServeTier>(
         &self,
-        catalog: &xtwig_core::SnapshotCatalog,
+        catalog: &SnapshotCatalog<T>,
         tenant: &str,
         document: &str,
-    ) -> Result<u64, xtwig_core::CatalogError> {
+    ) -> Result<u64, CatalogError> {
         catalog.publish(tenant, document, &self.synopsis)
     }
 
@@ -1029,8 +1022,8 @@ pub struct IngestSoakReport {
     pub refinements: u64,
     /// Refinements rolled back across the run.
     pub refine_rollbacks: u64,
-    /// Publications rejected by the serving runtime (must be 0 — every
-    /// recovered synopsis is CRC-clean).
+    /// Publications the catalog rejected (must be 0 — every recovered
+    /// synopsis is fsck-clean and the catalog directory is healthy).
     pub publish_failures: u64,
     /// The last recovered/maintained snapshot bytes (the serving
     /// reference for post-soak bit-identity).
@@ -1077,8 +1070,8 @@ impl fmt::Display for IngestSoakReport {
 /// store must be fsck-clean and byte-identical to the pre-delta or
 /// post-delta synopsis (kills at a checkpoint's commit point instead
 /// verify the recovered checkpoint against its own re-derivation — the
-/// `snapshot_verified` cross-check). When `publish_to` is given, every
-/// recovered synopsis is also hot-reloaded into the runtime, so queries
+/// `snapshot_verified` cross-check). When `publish_to` names a catalog
+/// key, every recovered synopsis is also published there, so queries
 /// keep serving concurrently with the kill/recover cycle.
 pub fn run_ingest_soak(
     doc: &Document,
@@ -1086,7 +1079,7 @@ pub fn run_ingest_soak(
     seed: u64,
     kills: u64,
     options: &IngestOptions,
-    publish_to: Option<&ServingRuntime>,
+    publish_to: Option<(&GuardedCatalog, &str, &str)>,
 ) -> Result<IngestSoakReport, IngestError> {
     // lint:allow(vfs-direct): soak-harness scratch-dir wipe, not store I/O
     let _ = std::fs::remove_dir_all(dir);
@@ -1188,8 +1181,8 @@ pub fn run_ingest_soak(
                         report.state_mismatches += 1;
                     }
                 }
-                if let Some(rt) = publish_to {
-                    if store.publish(rt).is_err() {
+                if let Some((catalog, tenant, document)) = publish_to {
+                    if store.publish_to_catalog(catalog, tenant, document).is_err() {
                         report.publish_failures += 1;
                     }
                 }
@@ -1199,8 +1192,8 @@ pub fn run_ingest_soak(
                 // kill with no checkpoint due): a clean delta.
                 store.set_crash(None);
                 report.clean_deltas += 1;
-                if let Some(rt) = publish_to {
-                    if store.publish(rt).is_err() {
+                if let Some((catalog, tenant, document)) = publish_to {
+                    if store.publish_to_catalog(catalog, tenant, document).is_err() {
                         report.publish_failures += 1;
                     }
                 }
@@ -1212,10 +1205,10 @@ pub fn run_ingest_soak(
     }
     tally_store(&mut report, &store);
     report.final_snapshot = store.snapshot_bytes();
-    // Leave the runtime serving exactly the final maintained state so
+    // Leave the key serving exactly the final maintained state so
     // callers can bit-compare post-soak queries against it.
-    if let Some(rt) = publish_to {
-        if rt.reload_snapshot_bytes(&report.final_snapshot).is_err() {
+    if let Some((catalog, tenant, document)) = publish_to {
+        if store.publish_to_catalog(catalog, tenant, document).is_err() {
             report.publish_failures += 1;
         }
     }

@@ -22,15 +22,14 @@ pub mod faults;
 mod generator;
 pub mod guarded;
 pub mod ingest;
-pub mod runtime;
 mod sweep;
 
 pub use error::{avg_relative_error, ErrorReport};
 pub use estimator::{CstEstimator, MarkovEstimator, SummaryEstimator};
 pub use faults::{
-    apply_snapshot_fault, run_catalog_soak, run_fault_plan, run_soak, run_storage_chaos,
-    CatalogSoakOptions, Fault, FaultOutcome, FaultPlan, FaultReport, MultiTenantSoakReport,
-    RuntimeFault, SoakPhase, SoakPlan, SoakReport, StorageChaosOptions, StorageChaosReport,
+    apply_snapshot_fault, run_catalog_soak, run_fault_plan, run_storage_chaos, CatalogSoakOptions,
+    Fault, FaultOutcome, FaultPlan, FaultReport, SoakFault, SoakPhase, SoakPlan, SoakReport,
+    StorageChaosOptions, StorageChaosReport,
 };
 pub use generator::{
     generate_workload, negative_workload, workload_stats, Workload, WorkloadKind, WorkloadSpec,
@@ -42,11 +41,7 @@ pub use ingest::{
 };
 
 pub use guarded::{
-    markov_from_synopsis, ChainControls, DegradationSnapshot, EstimateOutcome, GuardPolicy,
-    GuardedEstimator, InjectedFault, Tier, TierAttempt, TierBreakers, TierFailure,
-};
-pub use runtime::{
-    RuntimeOptions, RuntimeOptionsBuilder, RuntimeResult, RuntimeStats, ServingRuntime,
-    TerminalProvenance,
+    markov_from_synopsis, DegradationSnapshot, GuardPolicy, GuardedCatalog, GuardedEstimator,
+    InjectedFault, Tier, TierFailure,
 };
 pub use sweep::{sweep_cst, sweep_xsketch, SweepOptions, SweepPoint};

@@ -21,6 +21,7 @@
 //! | `sync-direct` | `std::sync` instead of the `xtwig-core::sync` façade | sync-façade modules |
 //! | `wal-fsync`   | bare `File::create` / `OpenOptions` instead of the atomic write helpers | durable-I/O modules |
 //! | `vfs-direct`  | raw `std::fs` instead of the `Vfs` abstraction | durable-I/O + catalog + ingest modules, minus `io/vfs.rs` |
+//! | `metric-producer` | a `Telemetry` metric nothing outside `telemetry.rs` writes | the registry, against all shipped code (libraries and binaries) |
 //!
 //! "Library code" excludes `tests/`, `benches/`, `examples/`, `src/bin/`,
 //! binary roots (`main.rs`), the vendored dependency stand-ins under
@@ -104,8 +105,13 @@ pub fn run(args: &[String]) -> ExitCode {
 
     let mut files = Vec::new();
     collect_rs_files(&root, &root, &mut files);
-    files.retain(|f| is_library_code(f));
     files.sort();
+    let shipped: Vec<String> = files
+        .iter()
+        .filter(|f| is_shipped_code(f))
+        .cloned()
+        .collect();
+    files.retain(|f| is_library_code(f));
 
     let lock_order = read_lock_order(&root.join(LOCK_ORDER_PATH));
 
@@ -120,6 +126,15 @@ pub fn run(args: &[String]) -> ExitCode {
             }
         };
         scan_file(rel, &source, &lock_order, &mut findings);
+    }
+    match read_shipped(&root, &shipped) {
+        Ok((telemetry, producers)) => {
+            scan_metric_producers(&telemetry, &producers, &mut findings);
+        }
+        Err(e) => {
+            eprintln!("lint: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     // Tally per (rule, file) and compare against the baseline.
@@ -284,6 +299,110 @@ fn is_library_code(rel: &str) -> bool {
     true
 }
 
+/// Whether a file ships: library code plus the binaries built from it
+/// (`src/bin/`, `main.rs`) — everything but tests, benches, examples,
+/// build scripts and this xtask crate.
+fn is_shipped_code(rel: &str) -> bool {
+    let binary =
+        rel.starts_with("src/bin/") || rel.contains("/src/bin/") || rel.ends_with("/main.rs");
+    is_library_code(rel) || (binary && !rel.starts_with("crates/xtask/"))
+}
+
+/// The one metrics registry, checked by the `metric-producer` rule.
+const TELEMETRY_PATH: &str = "crates/core/src/telemetry.rs";
+
+/// The registry methods that write a metric.
+const METRIC_WRITES: [&str; 6] = ["incr", "add", "inc", "dec", "set", "record_ns"];
+
+/// Reads the registry source and every other shipped file, masked
+/// (comments, strings and `#[cfg(test)]` regions blanked).
+fn read_shipped(root: &Path, shipped: &[String]) -> Result<(String, Vec<String>), String> {
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel}: {e}"))
+    };
+    let telemetry = read(TELEMETRY_PATH)?;
+    let mut producers = Vec::new();
+    for rel in shipped.iter().filter(|f| f.as_str() != TELEMETRY_PATH) {
+        let mut masked = mask_comments_and_strings(&read(rel)?);
+        mask_cfg_test_regions(&mut masked);
+        producers.push(masked);
+    }
+    Ok((telemetry, producers))
+}
+
+/// The metric fields of `pub struct Telemetry` with their 1-based lines.
+fn telemetry_fields(source: &str) -> Vec<(String, usize)> {
+    let mut out = Vec::new();
+    let mut inside = false;
+    for (i, line) in source.lines().enumerate() {
+        let t = line.trim();
+        if t.starts_with("pub struct Telemetry") {
+            inside = true;
+        } else if inside && t.starts_with('}') {
+            break;
+        } else if let Some((name, ty)) = t.strip_prefix("pub ").and_then(|r| r.split_once(':')) {
+            let ty = ty.trim().trim_end_matches(',');
+            if inside && matches!(ty, "Counter" | "Gauge" | "LatencyHistogram") {
+                out.push((name.trim().to_string(), i + 1));
+            }
+        }
+    }
+    out
+}
+
+/// Whether `masked` writes metric `field`: `.field`, then any
+/// whitespace (line breaks included), then `.` and a write method call.
+fn writes_metric(masked: &str, field: &str) -> bool {
+    let pat = format!(".{field}");
+    let mut at = 0;
+    while let Some(i) = masked[at..].find(&pat) {
+        let end = at + i + pat.len();
+        at = end;
+        let rest = &masked[end..];
+        if rest.starts_with(|c: char| c.is_alphanumeric() || c == '_') {
+            continue; // a longer identifier
+        }
+        let Some(call) = rest.trim_start().strip_prefix('.') else {
+            continue;
+        };
+        let call = call.trim_start();
+        if METRIC_WRITES.iter().any(|m| {
+            call.strip_prefix(m)
+                .is_some_and(|r| r.trim_start().starts_with('('))
+        }) {
+            return true;
+        }
+    }
+    false
+}
+
+/// Flags every registry metric no shipped code outside `telemetry.rs`
+/// writes: the export would print a zero forever, and a dashboard or a
+/// CI grep on its name would pass on a metric nothing produces.
+fn scan_metric_producers(telemetry: &str, producers: &[String], findings: &mut Vec<Finding>) {
+    let fields = telemetry_fields(telemetry);
+    if fields.is_empty() {
+        // The parser no longer recognizes the registry: fail loudly
+        // rather than pass on an empty field list.
+        findings.push(Finding {
+            rule: "metric-producer",
+            file: TELEMETRY_PATH.to_string(),
+            line: 1,
+            snippet: "no `pub struct Telemetry` metric fields found".to_string(),
+        });
+    }
+    for (field, line) in fields {
+        if !producers.iter().any(|src| writes_metric(src, &field)) {
+            findings.push(Finding {
+                rule: "metric-producer",
+                file: TELEMETRY_PATH.to_string(),
+                line,
+                snippet: format!("`{field}` has no producer outside telemetry.rs"),
+            });
+        }
+    }
+}
+
 /// Whether the stricter numeric rules (`lossy-cast`, `indexing`) apply:
 /// the estimation path and the histogram substrate.
 fn numeric_rules_apply(rel: &str) -> bool {
@@ -332,14 +451,14 @@ fn scan_hot_alloc(masked_lines: &[&str], emit: &mut impl FnMut(&'static str, usi
 /// every thread must live inside `std::thread::scope` so worker panics
 /// are joined, borrows stay sound, and no detached thread outlives the
 /// batch it serves. `crates/core/src/serve` covers both `serve.rs` and
-/// the `serve/` module tree (admission queue, breaker, backoff).
+/// the `serve/` module tree (catalog, breaker, backoff).
 fn bare_spawn_applies(rel: &str) -> bool {
     rel.starts_with("crates/core/src/serve") || rel.starts_with("crates/workload/src/")
 }
 
 /// Flags bare `thread::spawn` (detached threads) in the serving paths.
-/// A detached worker escapes the runtime's panic containment and can
-/// outlive the generation it borrowed; scoped spawns (`scope.spawn`)
+/// A detached worker escapes the catalog's panic containment and can
+/// outlive the document it borrowed; scoped spawns (`scope.spawn`)
 /// do not match the pattern and remain the sanctioned form.
 fn scan_bare_spawn(masked_lines: &[&str], emit: &mut impl FnMut(&'static str, usize)) {
     for (line_no, line) in masked_lines.iter().enumerate() {
@@ -358,7 +477,6 @@ fn scan_bare_spawn(masked_lines: &[&str], emit: &mut impl FnMut(&'static str, us
 fn sync_facade_applies(rel: &str) -> bool {
     rel.starts_with("crates/core/src/serve")
         || rel == "crates/core/src/telemetry.rs"
-        || rel == "crates/workload/src/runtime.rs"
         || rel == "crates/workload/src/guarded.rs"
 }
 
@@ -1318,14 +1436,40 @@ mod tests {
     }
 
     #[test]
+    fn metric_producer_requires_a_write_outside_the_registry() {
+        let registry = "pub struct Telemetry {\n    /// Hits.\n    pub hits: Counter,\n    \
+                        pub depth: Gauge,\n    pub lat: LatencyHistogram,\n}\n";
+        assert_eq!(
+            telemetry_fields(registry),
+            vec![
+                ("hits".to_string(), 3),
+                ("depth".to_string(), 4),
+                ("lat".to_string(), 5)
+            ]
+        );
+        let one_line = "fn f() { tg.hits.incr(); }".to_string();
+        let split =
+            "fn f() {\n    telemetry::global()\n        .depth\n        .set(3);\n}".to_string();
+        let mut findings = Vec::new();
+        scan_metric_producers(registry, &[one_line, split], &mut findings);
+        let dead: Vec<&str> = findings.iter().map(|f| f.snippet.as_str()).collect();
+        assert_eq!(dead, vec!["`lat` has no producer outside telemetry.rs"]);
+        assert_eq!(findings[0].line, 5);
+        // A read, or a longer identifier, is not a write.
+        assert!(!writes_metric("let n = tg.hits.get();", "hits"));
+        assert!(!writes_metric("tg.hits_total.incr();", "hits"));
+        assert!(writes_metric("tg.lat.record_ns(5);", "lat"));
+    }
+
+    #[test]
     fn bare_spawn_denied_in_serving_paths_only() {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(
-            findings_in("crates/workload/src/runtime.rs", src),
+            findings_in("crates/workload/src/guarded.rs", src),
             vec![("bare-spawn".to_string(), 1)]
         );
         assert_eq!(
-            findings_in("crates/core/src/serve/runtime.rs", src),
+            findings_in("crates/core/src/serve/breaker.rs", src),
             vec![("bare-spawn".to_string(), 1)]
         );
         // A `use`-imported spawn is caught too.
@@ -1340,7 +1484,7 @@ mod tests {
         assert!(findings_in("crates/datagen/src/lib.rs", src).is_empty());
         // Scoped spawns are the sanctioned form and never match.
         let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-        assert!(findings_in("crates/workload/src/runtime.rs", scoped).is_empty());
+        assert!(findings_in("crates/workload/src/guarded.rs", scoped).is_empty());
     }
 
     #[test]
@@ -1348,7 +1492,7 @@ mod tests {
         let src = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
         // In scope: flagged.
         assert_eq!(
-            findings_in("crates/core/src/serve/runtime.rs", src),
+            findings_in("crates/core/src/serve/breaker.rs", src),
             vec![("atomic-ordering".to_string(), 1)]
         );
         assert_eq!(
@@ -1362,10 +1506,10 @@ mod tests {
         // A justified site passes.
         let justified = "// lint:allow(atomic-ordering): monotonic stats counter\n\
                          fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-        assert!(findings_in("crates/core/src/serve/runtime.rs", justified).is_empty());
+        assert!(findings_in("crates/core/src/serve/breaker.rs", justified).is_empty());
         // Acquire/Release are always fine.
         let ordered = "fn f(e: &AtomicU64) { e.store(1, Ordering::Release); }\n";
-        assert!(findings_in("crates/core/src/serve/runtime.rs", ordered).is_empty());
+        assert!(findings_in("crates/core/src/serve/breaker.rs", ordered).is_empty());
     }
 
     #[test]
@@ -1376,7 +1520,7 @@ mod tests {
             vec![("sync-direct".to_string(), 1)]
         );
         assert_eq!(
-            findings_in("crates/workload/src/runtime.rs", src),
+            findings_in("crates/workload/src/guarded.rs", src),
             vec![("sync-direct".to_string(), 1)]
         );
         // The façade itself defines the re-exports and is out of scope,
@@ -1385,7 +1529,7 @@ mod tests {
         assert!(findings_in("crates/core/src/snapshot.rs", src).is_empty());
         // The sanctioned import paths do not match.
         let ok = "use crate::sync::{Mutex, PoisonError};\nuse xtwig_core::sync::Arc;\n";
-        assert!(findings_in("crates/core/src/serve/runtime.rs", ok).is_empty());
+        assert!(findings_in("crates/core/src/serve/breaker.rs", ok).is_empty());
     }
 
     #[test]
@@ -1471,12 +1615,12 @@ mod tests {
                    }\n";
         // Undeclared nesting is flagged at the inner acquisition…
         assert_eq!(
-            findings_in("crates/workload/src/runtime.rs", src),
+            findings_in("crates/workload/src/guarded.rs", src),
             vec![("lock-order".to_string(), 3)]
         );
         // …and sanctioned once the manifest declares the pair.
         assert!(findings_with_order(
-            "crates/workload/src/runtime.rs",
+            "crates/workload/src/guarded.rs",
             src,
             &[("self.alpha", "self.beta")]
         )
@@ -1488,7 +1632,7 @@ mod tests {
                        }\n";
         assert_eq!(
             findings_with_order(
-                "crates/workload/src/runtime.rs",
+                "crates/workload/src/guarded.rs",
                 flipped,
                 &[("self.alpha", "self.beta")]
             ),
@@ -1503,20 +1647,20 @@ mod tests {
                     let n = self.alpha.lock().map(|g| *g);\n\
                     let b = self.beta.lock();\n\
                     }\n";
-        assert!(findings_in("crates/workload/src/runtime.rs", temp).is_empty());
+        assert!(findings_in("crates/workload/src/guarded.rs", temp).is_empty());
         // An explicit drop releases a bound guard early.
         let dropped = "fn f(&self) {\n\
                        let a = self.alpha.lock();\n\
                        drop(a);\n\
                        let b = self.beta.lock();\n\
                        }\n";
-        assert!(findings_in("crates/workload/src/runtime.rs", dropped).is_empty());
+        assert!(findings_in("crates/workload/src/guarded.rs", dropped).is_empty());
         // A guard dies with its block.
         let scoped = "fn f(&self) {\n\
                       { let a = self.alpha.lock(); }\n\
                       let b = self.beta.lock();\n\
                       }\n";
-        assert!(findings_in("crates/workload/src/runtime.rs", scoped).is_empty());
+        assert!(findings_in("crates/workload/src/guarded.rs", scoped).is_empty());
         // RwLock read/write and sharded receivers participate too:
         // distinct shard indices normalize to one lock name.
         let sharded = "fn f(&self) {\n\
@@ -1524,11 +1668,11 @@ mod tests {
                        let s = self.shards[self.shard_of(key)].lock();\n\
                        }\n";
         assert_eq!(
-            findings_in("crates/workload/src/runtime.rs", sharded),
+            findings_in("crates/workload/src/guarded.rs", sharded),
             vec![("lock-order".to_string(), 3)]
         );
         assert!(findings_with_order(
-            "crates/workload/src/runtime.rs",
+            "crates/workload/src/guarded.rs",
             sharded,
             &[("self.generation", "self.shards[]")]
         )
@@ -1545,13 +1689,13 @@ mod tests {
                    let b = self.beta.lock();\n\
                    }\n";
         assert!(findings_with_order(
-            "crates/workload/src/runtime.rs",
+            "crates/workload/src/guarded.rs",
             src,
             &[("self.alpha", "self.beta")]
         )
         .is_empty());
         assert_eq!(
-            findings_in("crates/workload/src/runtime.rs", src),
+            findings_in("crates/workload/src/guarded.rs", src),
             vec![("lock-order".to_string(), 5)]
         );
     }

@@ -18,7 +18,7 @@
 use std::time::{Duration, Instant};
 use xtwig::datagen::{xmark, XMarkConfig};
 use xtwig::prelude::*;
-use xtwig::workload::{ChainControls, Tier};
+use xtwig::workload::Tier;
 
 fn main() {
     let doc = xmark(XMarkConfig {
@@ -35,13 +35,14 @@ fn main() {
     };
     let guarded = GuardedEstimator::new(&synopsis, policy);
     let q = parse_twig("for $t0 in //open_auction, $t1 in $t0/bidder").unwrap();
-    let (out, _) = guarded.estimate_controlled(&q, false, &ChainControls::default());
+    let out = guarded.estimate(&EstimateRequest::new(&q));
     let truth = selectivity(&doc, &q);
+    let tier = out.provenance.tier.unwrap_or("-");
     println!(
-        "\nhealthy query: estimate {:.1} (exact {truth}) served by {} tier, degraded: {}",
-        out.estimate, out.tier, out.degraded
+        "\nhealthy query: estimate {:.1} (exact {truth}) served by {tier} tier, degraded: {}",
+        out.estimate, out.provenance.degraded
     );
-    assert_eq!(out.tier, Tier::Xsketch);
+    assert_eq!(out.provenance.tier, Some(Tier::Xsketch.name()));
 
     // --- 2. Deadline degradation: a deep recursive twig whose expansion
     // is combinatorial. Under a 1 ms budget tier 1 unwinds cooperatively
@@ -67,18 +68,16 @@ fn main() {
     let guarded = GuardedEstimator::new(&deep_syn, tight);
     let deep_q = parse_twig("for $t0 in //a, $t1 in $t0//a, $t2 in $t1//a").unwrap();
     let t0 = Instant::now();
-    let (out, _) = guarded.estimate_controlled(&deep_q, false, &ChainControls::default());
+    let explain = EstimateOptions::builder().explain(true).build();
+    let out = guarded.estimate(&EstimateRequest::with_options(&deep_q, explain));
     let elapsed = t0.elapsed();
     println!("\ndeep twig under a 1 ms deadline ({elapsed:?} wall):");
-    for a in &out.attempts {
-        match a.failure {
-            Some(f) => println!("  tier {}: {}", a.tier, f.describe()),
-            None => println!("  tier {}: ok", a.tier),
-        }
+    for step in out.explain.iter().flat_map(|e| &e.tier_path) {
+        println!("  tier {step}");
     }
+    let tier = out.provenance.tier.unwrap_or("-");
     println!(
-        "  served by {} tier: estimate {:.1} (finite: {})",
-        out.tier,
+        "  served by {tier} tier: estimate {:.1} (finite: {})",
         out.estimate,
         out.estimate.is_finite()
     );
@@ -87,7 +86,7 @@ fn main() {
         "  counters: {} queries, {} degraded, {} deadline trips",
         c.queries, c.degraded, c.deadline_trips
     );
-    assert!(out.degraded && out.tier != Tier::Xsketch);
+    assert!(out.provenance.degraded && out.provenance.tier != Some(Tier::Xsketch.name()));
 
     // --- 3. Crash-safe persistence: an atomically-written snapshot, a
     // bit flip, checksum detection, and rebuild-from-document recovery.

@@ -27,16 +27,14 @@ use xtwig::core::estimate::{EstimateOptions, EstimateRequest, Estimator};
 use xtwig::core::telemetry::{self, Span, Stage};
 use xtwig::core::{
     coarse_synopsis, load_synopsis, read_snapshot, verify_snapshot_v3, write_snapshot_atomic,
-    BatchServer, CatalogError, CatalogOptions, CompiledSynopsis, EstimateCache, SnapshotCatalog,
-    Synopsis,
+    CatalogError, CatalogOptions, SnapshotCatalog, StdVfs, Synopsis,
 };
-use xtwig::core::{BreakerConfig, ShedPolicy};
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 use xtwig::query::{parse_twig, selectivity, TwigQuery};
 use xtwig::workload::{
-    random_delta, run_catalog_soak, run_soak, run_storage_chaos, CatalogSoakOptions, CrashPoint,
-    GuardPolicy, GuardedEstimator, IngestError, IngestOptions, IngestStore, RuntimeOptions,
-    ServingRuntime, SoakPlan, StorageChaosOptions, TerminalProvenance, CRASH_POINTS,
+    random_delta, run_catalog_soak, run_storage_chaos, CatalogSoakOptions, CrashPoint, GuardPolicy,
+    GuardedCatalog, GuardedEstimator, IngestError, IngestOptions, IngestStore, SoakPlan,
+    StorageChaosOptions, CRASH_POINTS,
 };
 use xtwig::xml::{parse, write_xml, DocStats, Document};
 
@@ -109,15 +107,15 @@ USAGE:
   xtwig-cli estimate <file.xml> '<twig-query>' [--budget BYTES] [--synopsis F]
                      [--deadline-ms N] [--work-limit N] [--explain]
   xtwig-cli serve <file.xml> <queries.txt> [--budget BYTES] [--synopsis F]
-                  [--threads N] [--deadline-ms N] [--work-limit N]
+                  [--catalog <dir>] [--threads N] [--tenant-quota N]
+                  [--deadline-ms N] [--work-limit N] [--reload-on <snap>]
                   [--metrics-out <file.prom>]
-                  [--max-inflight N] [--queue-depth N] [--reload-on <snap>]
                   [--soak] [--soak-profile <full|saturation|catalog|storage>]
                   [--soak-seed N]
   xtwig-cli serve <plan.txt> --catalog <dir> [--publish <file.xml>]
-                  [--budget BYTES] [--threads N] [--deadline-ms N]
-                  [--work-limit N] [--tenant-quota N] [--max-resident N]
-                  [--metrics-out <file.prom>]
+                  [--budget BYTES] [--threads N] [--tenant-quota N]
+                  [--max-resident N] [--deadline-ms N] [--work-limit N]
+                  [--reload-on <snap>] [--metrics-out <file.prom>]
   xtwig-cli build <file.xml> --out <synopsis.xtwg> [--budget BYTES]
   xtwig-cli ingest <store-dir> --init <file.xml>
   xtwig-cli ingest <store-dir> [--status] [--mutate N] [--seed S]
@@ -137,49 +135,58 @@ the document (and exits 3 so scripts notice). `--explain` additionally
 prints every embedding's contribution to the sum (they add up to the
 estimate), the assumption-application counts, and the tier trail.
 
-`serve` runs a batch: one twig query per line of <queries.txt>, estimated
-over the compiled synopsis on worker threads through the epoch-keyed
-estimate cache, reporting per-query results plus batch QPS and cache
-statistics. Exits 3 if any member was served degraded. `--metrics-out`
-writes the process-wide metrics registry in Prometheus text format on
-exit; read it back with `xtwig-cli stats --metrics <file.prom>`.
+`serve` answers every request through one front door: a snapshot
+catalog whose keys each serve through the guarded chain (XSKETCH, then
+Markov, then the label-count bound). With <file.xml> <queries.txt> the
+document's synopsis (--synopsis, or a fresh XBUILD under --budget) is
+published as the one key `default/main` of a catalog in a temporary
+directory (or --catalog) and every query line is served against it.
+With <plan.txt> --catalog <dir> the plan holds one request per line,
+`tenant/document <twig-query>`, against snapshots stored as
+`<dir>/<tenant>/<document>.xtwg` (zero-copy format v3, faulted in on
+first use and CRC-verified); `--publish <file.xml>` builds a synopsis
+from the document and publishes it under every plan key first. Each
+tenant is admitted through its own in-flight quota (`--tenant-quota`,
+0 = unlimited) and circuit breaker, so one tenant's faults or floods
+never degrade another's service; `--max-resident` bounds how many
+documents stay resident before cold-key eviction. Every batch runs on
+--threads workers through the key's epoch-keyed estimate cache; one
+line per request reports the estimate, marked `[degraded: <tier>]` when
+a budget (--deadline-ms, --work-limit) or a fault sent it down the
+chain and `[cached]` when the cache answered, plus a summary on stderr.
+Requests shed by admission control (quota or breaker) or served
+degraded exit 3; a key quarantined over a corrupt snapshot exits 4
+(the snapshot was rejected and never served; republishing lifts the
+quarantine). `--metrics-out` writes the process-wide metrics registry
+in Prometheus text format on exit; read it back with
+`xtwig-cli stats --metrics <file.prom>`. --max-inflight N and
+--queue-depth N are accepted as the older names of --threads N and
+--tenant-quota N.
 
-Any of --max-inflight / --queue-depth / --reload-on routes `serve`
-through the resilient runtime instead: a bounded admission queue that
-sheds overflow (shed requests exit 3), per-tier circuit breakers, and
-retry with jittered backoff under the per-request --deadline-ms budget.
-`--reload-on <snap>` hot-reloads that snapshot mid-batch without
-blocking in-flight requests; a corrupt snapshot is rejected by its CRC,
-rolled back, and exits 4. `--soak` runs the seeded concurrent
-fault-soak plan (panic bursts, hot + corrupt reloads, queue
-saturation) and exits 4 deterministically because the corrupt-reload
-rollback is part of the plan; `--soak-profile saturation` only
-saturates the queue and exits 3 deterministically via shedding. Exit 1
-from a soak run means a resilience invariant was violated.
+`--reload-on <snap>` hot-reloads that snapshot into every key while
+the requests are in flight: the bytes are verified first and published
+only if they pass, so in-flight requests finish on the snapshot they
+started on. A corrupt snapshot publishes nothing — the rollback — and
+exits 4.
 
-`serve --catalog <dir>` is the multi-tenant front door: snapshots live
-under `<dir>/<tenant>/<document>.xtwg` in the zero-copy v3 format and
-fault in on first use. The plan file holds one request per line,
-`tenant/document <twig-query>`; `--publish <file.xml>` builds a
-synopsis from the document and publishes it under every plan key
-first. Each tenant is admitted through its own in-flight quota
-(`--tenant-quota`, 0 = unlimited) and circuit breaker, so one tenant's
-faults or floods never degrade another's service; `--max-resident`
-bounds how many documents stay resident before cold-tenant eviction.
-Quota or breaker sheds exit 3; a tenant quarantined over a corrupt
-snapshot exits 4 (the snapshot was rejected and never served — lift
-the quarantine by republishing). `--soak-profile catalog` (with the
-single-document arguments) runs the multi-tenant soak instead: a
-cold-tenant stampede that must collapse to one disk load, a panic
-burst that must open only the victim tenant's breaker while healthy
-tenants serve bit-identical estimates, and post-cooldown recovery.
-`--soak-profile storage` runs the storage-chaos soak: seeded
-device-fault plans (write errors, ENOSPC, short writes, torn renames,
-fsync failures, transient read errors, bit-rot) injected through the
-storage VFS into the ingest commit protocol and catalog fault-in,
-asserting zero escaped panics, no torn state ever published, and
-every request ending bit-identical or typed; exits 1 on any violated
-invariant.
+`--soak` runs the seeded catalog soak plan (a panic burst that must
+open and re-close the tenant breaker, hot and corrupt reloads,
+requests starved onto the fallback chain, quota saturation, and reloads
+under a crash-recovering ingest stream) and exits 4 deterministically
+because the corrupt-reload rollback phase is part of the plan;
+`--soak-profile saturation` only saturates the tenant quota and exits 3
+deterministically via shedding; `--soak-profile catalog` runs the
+tenant-isolation plan: a cold stampede of 8 callers that must collapse
+to one disk load (the profile's tenant quota defaults to unlimited, so
+no stampede caller is shed), a panic burst that must open only the victim tenant's breaker
+while healthy tenants serve bit-identical estimates, and post-cooldown
+recovery (exit 0). `--soak-profile storage` runs the storage-chaos
+soak: seeded device-fault plans (write errors, ENOSPC, short writes,
+torn renames, fsync failures, transient read errors, bit-rot) injected
+through the storage VFS into the ingest commit protocol and catalog
+fault-in, asserting zero escaped panics, no torn state ever published,
+and every request ending bit-identical or typed. Exit 1 from a soak
+run means a resilience invariant was violated.
 
 `check --catalog <dir>` is the deep fsck for a catalog directory: it
 sweeps every `<tenant>/<document>.xtwg`, verifies every section CRC of
@@ -212,9 +219,10 @@ EXIT CODES:
   3  degraded: answered by a fallback tier, a tripped deadline/work
      budget, shed by admission control, after rebuilding a corrupt
      snapshot, or an ingest recovery that had to rebuild
-  4  corrupt snapshot (inspect/check, a rolled-back serve --reload-on,
-     a soak run that exercised its rollback phase, or an ingest store
-     whose recovered synopsis fails fsck)
+  4  corrupt snapshot (inspect/check, a quarantined catalog key, a
+     rolled-back serve --reload-on, a soak run that exercised its
+     rollback phase, or an ingest store whose recovered synopsis fails
+     fsck)
 ";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -385,15 +393,9 @@ fn cmd_build(args: &[String]) -> Result<Outcome, CliError> {
         .ok_or_else(|| CliError::Usage("build needs a file".into()))?;
     let out =
         flag(args, "--out").ok_or_else(|| CliError::Usage("build needs --out <file>".into()))?;
-    let budget: usize = parse_flag(args, "--budget", 20 * 1024)?;
     let doc = load(path)?;
     let t0 = std::time::Instant::now();
-    let build = BuildOptions {
-        budget_bytes: budget,
-        refinements_per_round: 4,
-        ..Default::default()
-    };
-    let (synopsis, trace) = xbuild(&doc, TruthSource::Exact, &build);
+    let (synopsis, rounds) = build_synopsis(args, &doc)?;
     let written = write_snapshot_atomic(Path::new(&out), &synopsis)
         .map_err(|e| CliError::Failure(format!("writing {out}: {e}")))?;
     println!(
@@ -401,7 +403,7 @@ fn cmd_build(args: &[String]) -> Result<Outcome, CliError> {
         synopsis.node_count(),
         synopsis.edge_count(),
         synopsis.size_bytes() as f64 / 1024.0,
-        trace.rounds.len(),
+        rounds,
         t0.elapsed(),
     );
     Ok(Outcome::Full)
@@ -580,15 +582,7 @@ fn cmd_check(args: &[String]) -> Result<Outcome, CliError> {
         .first()
         .ok_or_else(|| CliError::Usage("check needs a snapshot or XML file".into()))?;
     let synopsis = if path.ends_with(".xml") {
-        let budget: usize = parse_flag(args, "--budget", 20 * 1024)?;
-        let doc = load(path)?;
-        let build = BuildOptions {
-            budget_bytes: budget,
-            refinements_per_round: 4,
-            ..Default::default()
-        };
-        let (s, _) = xbuild(&doc, TruthSource::Exact, &build);
-        s
+        build_synopsis(args, &load(path)?)?.0
     } else {
         read_snapshot(Path::new(path)).map_err(|e| match e {
             xtwig::core::SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
@@ -709,153 +703,72 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
     Ok(Outcome::Full)
 }
 
-/// Batched serving over the compiled synopsis: one query per input
-/// line, estimated through a `BatchServer` with the sharded estimate cache.
-fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
-    // `--catalog` (without a soak profile) is the multi-tenant front
-    // door: the positional argument is a serving plan, not an XML file.
-    let soak_mode = has_flag(args, "--soak") || flag(args, "--soak-profile").is_some();
-    if flag(args, "--catalog").is_some() && !soak_mode {
-        return cmd_serve_catalog(args);
-    }
-    let path = args
-        .first()
-        .ok_or_else(|| CliError::Usage("serve needs an XML file".into()))?;
-    let qfile = args
-        .get(1)
-        .ok_or_else(|| CliError::Usage("serve needs a queries file".into()))?;
-    let budget: usize = parse_flag(args, "--budget", 20 * 1024)?;
-    let deadline_ms: u64 = parse_flag(args, "--deadline-ms", 0)?;
-    let work_limit: u64 = parse_flag(args, "--work-limit", 0)?;
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = parse_flag(args, "--threads", default_threads)?;
+/// The flags that take no value.
+const BARE_FLAGS: [&str; 2] = ["--soak", "--explain"];
 
-    let qtext = std::fs::read_to_string(qfile)
-        .map_err(|e| CliError::Failure(format!("reading {qfile}: {e}")))?;
+/// The positional arguments: everything that is neither a flag nor a
+/// flag's value.
+fn positionals(args: &[String]) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while let Some(a) = args.get(i) {
+        if a.starts_with("--") {
+            i += if BARE_FLAGS.contains(&a.as_str()) {
+                1
+            } else {
+                2
+            };
+        } else {
+            out.push(a.as_str());
+            i += 1;
+        }
+    }
+    out
+}
+
+/// A flag with a legacy alias: `name` wins when both are given.
+fn parse_flag_or<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    alias: &str,
+    default: T,
+) -> Result<T, CliError> {
+    if flag(args, name).is_some() {
+        parse_flag(args, name, default)
+    } else {
+        parse_flag(args, alias, default)
+    }
+}
+
+/// Reads one twig query per non-comment line of `path`.
+fn read_queries(path: &str) -> Result<Vec<TwigQuery>, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Failure(format!("reading {path}: {e}")))?;
     let mut queries = Vec::new();
-    for (lineno, line) in qtext.lines().enumerate() {
+    for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let q = parse_twig_traced(line)
-            .map_err(|e| CliError::Usage(format!("{qfile}:{}: {e}", lineno + 1)))?;
+            .map_err(|e| CliError::Usage(format!("{path}:{}: {e}", lineno + 1)))?;
         queries.push(q);
     }
     if queries.is_empty() {
-        return Err(CliError::Usage(format!("{qfile}: no queries")));
+        return Err(CliError::Usage(format!("{path}: no queries")));
     }
-
-    let doc = load(path)?;
-    let synopsis: Synopsis = match flag(args, "--synopsis") {
-        Some(snap) => read_snapshot(Path::new(&snap)).map_err(|e| match e {
-            xtwig::core::SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
-            _ => CliError::Corrupt(format!("{snap}: {e}")),
-        })?,
-        None => {
-            let build = BuildOptions {
-                budget_bytes: budget,
-                refinements_per_round: 4,
-                ..Default::default()
-            };
-            xbuild(&doc, TruthSource::Exact, &build).0
-        }
-    };
-
-    // Any resilient-runtime flag routes the batch through the
-    // admission/retry/breaker path instead of the plain cache pipeline.
-    let runtime_mode = has_flag(args, "--soak")
-        || flag(args, "--soak-profile").is_some()
-        || flag(args, "--max-inflight").is_some()
-        || flag(args, "--queue-depth").is_some()
-        || flag(args, "--reload-on").is_some();
-    if runtime_mode {
-        return cmd_serve_runtime(args, &doc, synopsis, &queries, deadline_ms, work_limit);
-    }
-
-    let compiled = CompiledSynopsis::compile(&synopsis);
-    let opts = {
-        let mut b = EstimateOptions::builder().work_limit(work_limit);
-        if deadline_ms > 0 {
-            b = b.deadline(std::time::Instant::now() + Duration::from_millis(deadline_ms));
-        }
-        b.build()
-    };
-    let cache = EstimateCache::new(4096);
-
-    let server = BatchServer::new(&compiled)
-        .with_cache(&cache)
-        .with_options(opts)
-        .with_threads(threads);
-    let t0 = std::time::Instant::now();
-    let results = server.serve(&queries);
-    let elapsed = t0.elapsed();
-
-    let mut degraded = 0usize;
-    for (q, rep) in queries.iter().zip(&results) {
-        let mut marker = String::new();
-        if let Some(ex) = rep.provenance.exhaustion {
-            degraded += 1;
-            marker = format!("  [degraded: {ex}]");
-        }
-        if rep.provenance.cached {
-            marker.push_str("  [cached]");
-        }
-        println!("{:.1}  {q}{marker}", rep.estimate);
-    }
-    let stats = cache.stats();
-    eprintln!(
-        "served {} queries in {elapsed:?} ({:.0} qps, {threads} threads, epoch {}); \
-         cache: {} hits / {} misses (hit-rate {:.2})",
-        queries.len(),
-        queries.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-        compiled.epoch(),
-        stats.hits,
-        stats.misses,
-        stats.hit_rate(),
-    );
-    if let Some(out) = flag(args, "--metrics-out") {
-        let prom = telemetry::global().to_prometheus();
-        std::fs::write(&out, prom).map_err(|e| CliError::Failure(format!("writing {out}: {e}")))?;
-        eprintln!("metrics written to {out}");
-    }
-    if degraded > 0 {
-        eprintln!("{degraded} of {} queries served degraded", queries.len());
-        return Ok(Outcome::Degraded);
-    }
-    Ok(Outcome::Full)
+    Ok(queries)
 }
 
-/// `serve --catalog <dir>`: the multi-tenant snapshot catalog as the
-/// serving front door. The positional argument is a plan file — one
-/// request per line, `tenant/document <twig-query>` — served through
-/// per-tenant admission (quota + circuit breaker) and zero-copy v3
-/// snapshot fault-in. `--publish <file.xml>` builds a synopsis from
-/// the document and publishes it under every key in the plan first.
-///
-/// Exit codes: quota/breaker sheds exit 3; an unknown document or a
-/// contained serving fault exits 1; a corrupt snapshot exits 4.
-fn cmd_serve_catalog(args: &[String]) -> Result<Outcome, CliError> {
-    let dir = flag(args, "--catalog")
-        .ok_or_else(|| CliError::Usage("serve --catalog needs a directory".into()))?;
-    let plan_path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::Usage("serve --catalog needs a plan file".into()))?;
-    let budget: usize = parse_flag(args, "--budget", 20 * 1024)?;
-    let deadline_ms: u64 = parse_flag(args, "--deadline-ms", 0)?;
-    let work_limit: u64 = parse_flag(args, "--work-limit", 0)?;
-    let threads: usize = parse_flag(args, "--threads", 1)?;
-    let tenant_quota: usize = parse_flag(args, "--tenant-quota", 0)?;
-    let max_resident: usize = parse_flag(args, "--max-resident", 64)?;
+/// The requests of one catalog key, with each one's position in the
+/// input so output keeps input order.
+type KeyedBatch = ((String, String), Vec<(usize, TwigQuery)>);
 
-    // Parse the plan: `tenant/document <query>`, grouped per key so
-    // each document serves one batch, with output in input order.
-    type KeyedBatch = ((String, String), Vec<(usize, TwigQuery)>);
-    let text = std::fs::read_to_string(plan_path)
-        .map_err(|e| CliError::Failure(format!("reading {plan_path}: {e}")))?;
+/// Parses a catalog plan: one `tenant/document <query>` request per
+/// line, grouped per key so each document serves one batch.
+fn read_plan(path: &str) -> Result<(Vec<KeyedBatch>, usize), CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Failure(format!("reading {path}: {e}")))?;
     let mut batches: Vec<KeyedBatch> = Vec::new();
     let mut total = 0usize;
     for (lineno, line) in text.lines().enumerate() {
@@ -865,14 +778,14 @@ fn cmd_serve_catalog(args: &[String]) -> Result<Outcome, CliError> {
         }
         let bad = || {
             CliError::Usage(format!(
-                "{plan_path}:{}: expected `tenant/document <query>`",
+                "{path}:{}: expected `tenant/document <query>`",
                 lineno + 1
             ))
         };
         let (key, qtext) = line.split_once(char::is_whitespace).ok_or_else(bad)?;
         let (tenant, document) = key.split_once('/').ok_or_else(bad)?;
         let q = parse_twig_traced(qtext.trim())
-            .map_err(|e| CliError::Usage(format!("{plan_path}:{}: {e}", lineno + 1)))?;
+            .map_err(|e| CliError::Usage(format!("{path}:{}: {e}", lineno + 1)))?;
         let key = (tenant.to_string(), document.to_string());
         match batches.iter_mut().find(|(k, _)| *k == key) {
             Some((_, qs)) => qs.push((total, q)),
@@ -881,102 +794,154 @@ fn cmd_serve_catalog(args: &[String]) -> Result<Outcome, CliError> {
         total += 1;
     }
     if total == 0 {
-        return Err(CliError::Usage(format!("{plan_path}: no requests")));
+        return Err(CliError::Usage(format!("{path}: no requests")));
     }
+    Ok((batches, total))
+}
 
-    let catalog = SnapshotCatalog::open(
+/// XBUILD under the CLI's `--budget`: the synopsis and its refinement
+/// rounds.
+fn build_synopsis(args: &[String], doc: &Document) -> Result<(Synopsis, usize), CliError> {
+    let budget: usize = parse_flag(args, "--budget", 20 * 1024)?;
+    let build = BuildOptions {
+        budget_bytes: budget,
+        refinements_per_round: 4,
+        ..Default::default()
+    };
+    let (synopsis, trace) = xbuild(doc, TruthSource::Exact, &build);
+    Ok((synopsis, trace.rounds.len()))
+}
+
+/// A catalog directory: `--catalog` when given, else a fresh temporary
+/// directory the caller removes (`true`).
+fn catalog_dir(args: &[String], tag: &str) -> (std::path::PathBuf, bool) {
+    match flag(args, "--catalog") {
+        Some(d) => (std::path::PathBuf::from(d), false),
+        None => {
+            let dir = std::env::temp_dir().join(format!("xtwig-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            (dir, true)
+        }
+    }
+}
+
+/// `serve`: every mode answers through one loop over a guarded catalog
+/// (`SnapshotCatalog::serve`, each key behind the XSKETCH → Markov →
+/// label-count chain).
+///
+/// * `serve <file.xml> <queries.txt>` publishes the document's synopsis
+///   (`--synopsis` or a fresh XBUILD) as the one key `default/main` of
+///   a catalog in a temporary directory (or `--catalog`) and serves
+///   every query line against it.
+/// * `serve <plan.txt> --catalog <dir>` serves `tenant/document <query>`
+///   lines, optionally publishing `--publish <file.xml>` under every key
+///   first.
+/// * `--soak`/`--soak-profile` run the seeded soak plans instead.
+///
+/// Exit codes: a reload rollback exits 4 and takes precedence; shed or
+/// degraded requests exit 3; a quarantined key or a corrupt snapshot
+/// exits 4; an unknown document or a contained serving fault exits 1.
+fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
+    if has_flag(args, "--soak") || flag(args, "--soak-profile").is_some() {
+        return cmd_soak(args);
+    }
+    let pos = positionals(args);
+    let default_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let threads: usize = parse_flag_or(args, "--threads", "--max-inflight", default_threads)?;
+    let tenant_quota: usize = parse_flag_or(args, "--tenant-quota", "--queue-depth", 0)?;
+    let max_resident: usize = parse_flag(args, "--max-resident", 64)?;
+    let deadline_ms: u64 = parse_flag(args, "--deadline-ms", 0)?;
+    let work_limit: u64 = parse_flag(args, "--work-limit", 0)?;
+
+    let single_doc = pos.len() >= 2 || flag(args, "--catalog").is_none();
+    let (batches, total) = if single_doc {
+        let qfile = pos
+            .get(1)
+            .ok_or_else(|| CliError::Usage("serve needs an XML file and a queries file".into()))?;
+        let queries = read_queries(qfile)?;
+        let total = queries.len();
+        let key = ("default".to_string(), "main".to_string());
+        (
+            vec![(key, queries.into_iter().enumerate().collect())],
+            total,
+        )
+    } else {
+        let plan = pos
+            .first()
+            .ok_or_else(|| CliError::Usage("serve --catalog needs a plan file".into()))?;
+        read_plan(plan)?
+    };
+
+    // Read the reload snapshot up front so a missing file fails fast
+    // (exit 1) instead of mid-batch; a *corrupt* file is caught by the
+    // verification inside the reload itself and rolls back (exit 4).
+    let reload_bytes: Option<Vec<u8>> = match flag(args, "--reload-on") {
+        Some(p) => {
+            Some(std::fs::read(&p).map_err(|e| CliError::Failure(format!("reading {p}: {e}")))?)
+        }
+        None => None,
+    };
+
+    let (dir, ephemeral) = catalog_dir(args, "serve");
+    let catalog: GuardedCatalog = SnapshotCatalog::open_tier(
         &dir,
         CatalogOptions::builder()
             .threads(threads)
             .tenant_quota(tenant_quota)
             .max_resident(max_resident)
             .build(),
+        std::sync::Arc::new(StdVfs),
     );
-
-    if let Some(xml) = flag(args, "--publish") {
-        let doc = load(&xml)?;
-        let build = BuildOptions {
-            budget_bytes: budget,
-            refinements_per_round: 4,
-            ..Default::default()
+    let served = (|| {
+        let publish = |synopsis: &Synopsis| -> Result<(), CliError> {
+            for ((tenant, document), _) in &batches {
+                let n = catalog
+                    .publish(tenant, document, synopsis)
+                    .map_err(|e| CliError::Failure(format!("publish {tenant}/{document}: {e}")))?;
+                if !single_doc {
+                    eprintln!("published {tenant}/{document} ({n} bytes)");
+                }
+            }
+            Ok(())
         };
-        let synopsis = xbuild(&doc, TruthSource::Exact, &build).0;
-        for ((tenant, document), _) in &batches {
-            let n = catalog
-                .publish(tenant, document, &synopsis)
-                .map_err(|e| CliError::Failure(format!("publish {tenant}/{document}: {e}")))?;
-            eprintln!("published {tenant}/{document} ({n} bytes)");
-        }
-    }
-
-    let opts = {
-        let mut b = EstimateOptions::builder().work_limit(work_limit);
-        if deadline_ms > 0 {
-            b = b.deadline(std::time::Instant::now() + Duration::from_millis(deadline_ms));
-        }
-        b.build()
-    };
-
-    let mut lines: Vec<Option<String>> = vec![None; total];
-    let mut shed = 0usize;
-    let mut degraded = 0usize;
-    let t0 = std::time::Instant::now();
-    for ((tenant, document), members) in &batches {
-        let queries: Vec<TwigQuery> = members.iter().map(|(_, q)| q.clone()).collect();
-        match catalog.serve(tenant, document, &queries, &opts) {
-            Ok(reports) => {
-                for ((idx, q), rep) in members.iter().zip(&reports) {
-                    let mut marker = String::new();
-                    if let Some(ex) = rep.provenance.exhaustion {
-                        degraded += 1;
-                        marker = format!("  [degraded: {ex}]");
-                    }
-                    lines[*idx] = Some(format!(
-                        "{:.1}  {tenant}/{document}  {q}{marker}",
-                        rep.estimate
-                    ));
-                }
-            }
-            Err(e @ (CatalogError::QuotaExceeded { .. } | CatalogError::BreakerOpen { .. })) => {
-                shed += members.len();
-                for (idx, q) in members {
-                    lines[*idx] = Some(format!("shed  {tenant}/{document}  {q}  [{e}]"));
-                }
-            }
-            Err(CatalogError::Snapshot(e)) => {
-                return Err(match e {
+        if single_doc {
+            let path = pos
+                .first()
+                .ok_or_else(|| CliError::Usage("serve needs an XML file".into()))?;
+            let doc = load(path)?;
+            let synopsis = match flag(args, "--synopsis") {
+                Some(snap) => read_snapshot(Path::new(&snap)).map_err(|e| match e {
                     xtwig::core::SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
-                    _ => CliError::Corrupt(format!("{tenant}/{document}: {e}")),
-                })
-            }
-            Err(e @ CatalogError::Quarantined { .. }) => {
-                // A quarantined tenant is a corruption outcome: the
-                // snapshot was rejected and never served.
-                return Err(CliError::Corrupt(e.to_string()));
-            }
-            Err(e) => {
-                return Err(CliError::Failure(format!("serve {tenant}/{document}: {e}")));
-            }
+                    _ => CliError::Corrupt(format!("{snap}: {e}")),
+                })?,
+                None => build_synopsis(args, &doc)?.0,
+            };
+            publish(&synopsis)?;
+        } else if let Some(xml) = flag(args, "--publish") {
+            publish(&build_synopsis(args, &load(&xml)?)?.0)?;
         }
+        let opts = {
+            let mut b = EstimateOptions::builder().work_limit(work_limit);
+            if deadline_ms > 0 {
+                b = b.deadline(std::time::Instant::now() + Duration::from_millis(deadline_ms));
+            }
+            b.build()
+        };
+        serve_plan(
+            &catalog,
+            &batches,
+            total,
+            &opts,
+            !single_doc,
+            reload_bytes.as_deref(),
+        )
+    })();
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let elapsed = t0.elapsed();
-    for line in lines.into_iter().flatten() {
-        println!("{line}");
-    }
-    let stats = catalog.stats();
-    eprintln!(
-        "catalog served {total} requests over {} documents in {elapsed:?} \
-         ({:.0} qps, {threads} threads); {} cold loads / {} warm hits, \
-         {} resident, {} evictions, {} quota sheds, {} breaker sheds",
-        batches.len(),
-        total as f64 / elapsed.as_secs_f64().max(1e-9),
-        stats.cold_loads,
-        stats.warm_hits,
-        stats.resident,
-        stats.evictions,
-        stats.quota_sheds,
-        stats.breaker_sheds,
-    );
+    let (shed, degraded) = served?;
     if let Some(out) = flag(args, "--metrics-out") {
         let prom = telemetry::global().to_prometheus();
         std::fs::write(&out, prom).map_err(|e| CliError::Failure(format!("writing {out}: {e}")))?;
@@ -989,209 +954,232 @@ fn cmd_serve_catalog(args: &[String]) -> Result<Outcome, CliError> {
     Ok(Outcome::Full)
 }
 
-/// `serve` under the resilient runtime: bounded admission queue,
-/// per-tier circuit breakers, retry with jittered backoff, optional
-/// mid-batch hot reload, and the seeded fault-soak profiles.
-///
-/// Exit-code mapping (deterministic, scripts rely on it): a reload
-/// rollback — including the corrupt-reload phase of the full soak —
-/// exits 4 and takes precedence; shed or degraded requests exit 3;
-/// a violated soak invariant exits 1.
-fn cmd_serve_runtime(
-    args: &[String],
-    doc: &Document,
-    synopsis: Synopsis,
-    queries: &[TwigQuery],
-    deadline_ms: u64,
-    work_limit: u64,
-) -> Result<Outcome, CliError> {
-    let soak = has_flag(args, "--soak") || flag(args, "--soak-profile").is_some();
-    let workers: usize = parse_flag(args, "--max-inflight", 4)?;
-    // The soak profiles want a small queue and fast breaker cycle so
-    // every transition happens within one run; plain runtime serving
-    // gets production-shaped defaults.
-    let queue_depth: usize = parse_flag(args, "--queue-depth", if soak { 4 } else { 256 })?;
-    let timeout_ms = if deadline_ms > 0 {
-        deadline_ms
-    } else if soak {
-        5 // stalled soak requests must degrade quickly
-    } else {
-        0
-    };
-    let options = RuntimeOptions::builder()
-        .queue_depth(queue_depth)
-        .workers(workers)
-        .shed_policy(ShedPolicy::RejectNew)
-        .request_timeout((timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)))
-        .max_retries(1)
-        .breaker(if soak {
-            BreakerConfig {
-                failure_threshold: 3,
-                cooldown: Duration::from_millis(2),
-            }
-        } else {
-            BreakerConfig::default()
-        })
-        .policy(GuardPolicy {
-            work_limit,
-            ..Default::default()
-        })
-        .build();
-
-    if soak {
-        let seed: u64 = parse_flag(args, "--soak-seed", 0xD0C5_0AB5)?;
-        let profile = flag(args, "--soak-profile").unwrap_or_else(|| "full".to_string());
-        if profile == "catalog" {
-            // The multi-tenant soak: cold-tenant stampede collapse,
-            // per-tenant breaker isolation, eviction churn, recovery.
-            let (dir, ephemeral) = match flag(args, "--catalog") {
-                Some(d) => (std::path::PathBuf::from(d), false),
-                None => (
-                    std::env::temp_dir().join(format!("xtwig-catalog-soak-{}", std::process::id())),
-                    true,
-                ),
+/// The serve loop: one `SnapshotCatalog::serve` per key, output in
+/// input order, and — with `reload` — a verified publish of those bytes
+/// into every key while the requests are in flight. Returns
+/// `(shed, degraded)` request counts.
+fn serve_plan(
+    catalog: &GuardedCatalog,
+    batches: &[KeyedBatch],
+    total: usize,
+    opts: &EstimateOptions,
+    show_keys: bool,
+    reload: Option<&[u8]>,
+) -> Result<(usize, usize), CliError> {
+    let mut lines: Vec<Option<String>> = vec![None; total];
+    let (mut shed, mut degraded) = (0usize, 0usize);
+    let mut reloaded: Vec<Result<u64, CatalogError>> = Vec::new();
+    let t0 = std::time::Instant::now();
+    let served: Result<(), CliError> = std::thread::scope(|scope| {
+        let reloader = reload.map(|bytes| {
+            scope.spawn(move || {
+                // Fire mid-flight: the batches are already serving.
+                std::thread::sleep(Duration::from_micros(200));
+                batches
+                    .iter()
+                    .map(|((tenant, document), _)| catalog.reload(tenant, document, bytes))
+                    .collect::<Vec<_>>()
+            })
+        });
+        let mut result = Ok(());
+        for ((tenant, document), members) in batches {
+            let key = if show_keys {
+                format!("  {tenant}/{document}")
+            } else {
+                String::new()
             };
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let report = run_catalog_soak(doc, queries, &dir, &CatalogSoakOptions::default());
-            std::panic::set_hook(prev);
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&dir);
+            let queries: Vec<TwigQuery> = members.iter().map(|(_, q)| q.clone()).collect();
+            match catalog.serve(tenant, document, &queries, opts) {
+                Ok(reports) => {
+                    for ((idx, q), rep) in members.iter().zip(&reports) {
+                        let p = &rep.provenance;
+                        let mut marker = String::new();
+                        if p.degraded {
+                            degraded += 1;
+                            marker = format!("  [degraded: {}", p.tier.unwrap_or("xsketch"));
+                            if let Some(ex) = p.exhaustion {
+                                marker.push_str(&format!(", {ex}"));
+                            }
+                            marker.push(']');
+                        }
+                        if p.cached {
+                            marker.push_str("  [cached]");
+                        }
+                        if let Some(line) = lines.get_mut(*idx) {
+                            *line = Some(format!("{:.1}{key}  {q}{marker}", rep.estimate));
+                        }
+                    }
+                }
+                Err(
+                    e @ (CatalogError::QuotaExceeded { .. } | CatalogError::BreakerOpen { .. }),
+                ) => {
+                    shed += members.len();
+                    for (idx, q) in members {
+                        if let Some(line) = lines.get_mut(*idx) {
+                            *line = Some(format!("shed{key}  {q}  [{e}]"));
+                        }
+                    }
+                }
+                Err(CatalogError::Snapshot(e)) => {
+                    result = Err(match e {
+                        xtwig::core::SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
+                        _ => CliError::Corrupt(format!("{tenant}/{document}: {e}")),
+                    });
+                    break;
+                }
+                Err(e @ CatalogError::Quarantined { .. }) => {
+                    // A quarantined key is a corruption outcome: the
+                    // snapshot was rejected and never served.
+                    result = Err(CliError::Corrupt(e.to_string()));
+                    break;
+                }
+                Err(e) => {
+                    result = Err(CliError::Failure(format!("serve {tenant}/{document}: {e}")));
+                    break;
+                }
             }
-            println!("{report}");
-            if !report.passed() {
-                return Err(CliError::Failure(format!(
-                    "catalog soak invariants violated: {report}"
-                )));
-            }
-            return Ok(Outcome::Full);
         }
-        if profile == "storage" {
-            // The storage-chaos soak: seeded device-fault plans driven
-            // through the VFS injector against the ingest commit
-            // protocol and catalog fault-in.
-            let dir =
-                std::env::temp_dir().join(format!("xtwig-storage-chaos-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let chaos = StorageChaosOptions {
-                seed,
-                ..Default::default()
-            };
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let report = run_storage_chaos(doc, queries, &dir, &chaos);
-            std::panic::set_hook(prev);
-            let _ = std::fs::remove_dir_all(&dir);
-            println!("{report}");
-            if !report.passed() {
-                return Err(CliError::Failure(format!(
-                    "storage chaos invariants violated: {report}"
-                )));
-            }
-            return Ok(Outcome::Full);
+        if let Some(r) = reloader {
+            reloaded = r.join().unwrap_or_default();
         }
-        let plan = match profile.as_str() {
-            "full" => SoakPlan::generate(seed, &options),
-            "saturation" => SoakPlan::saturation_only(seed, &options),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown --soak-profile `{other}` (full|saturation|catalog|storage)"
+        result
+    });
+    served?;
+    let elapsed = t0.elapsed();
+    for line in lines.into_iter().flatten() {
+        println!("{line}");
+    }
+    let stats = catalog.stats();
+    eprintln!(
+        "catalog served {total} requests over {} documents in {elapsed:?} \
+         ({:.0} qps, {} threads); {} cold loads / {} warm hits, \
+         {} resident, {} evictions, {} quota sheds, {} breaker sheds",
+        batches.len(),
+        total as f64 / elapsed.as_secs_f64().max(1e-9),
+        catalog.options().threads,
+        stats.cold_loads,
+        stats.warm_hits,
+        stats.resident,
+        stats.evictions,
+        stats.quota_sheds,
+        stats.breaker_sheds,
+    );
+    let mut epoch = 0u64;
+    for (r, ((tenant, document), _)) in reloaded.into_iter().zip(batches) {
+        match r {
+            Ok(n) => {
+                epoch += 1;
+                eprintln!("hot reload installed epoch {epoch} on {tenant}/{document} ({n} bytes)");
+            }
+            Err(e) => {
+                return Err(CliError::Corrupt(format!(
+                    "--reload-on rolled back on {tenant}/{document}: {e}; \
+                     serving continued on the previous snapshot"
                 )))
             }
+        }
+    }
+    Ok((shed, degraded))
+}
+
+/// `serve --soak` / `--soak-profile`: the seeded soak plans on the same
+/// guarded catalog (`full`, `saturation`, `catalog`) or the storage
+/// chaos soak (`storage`).
+///
+/// Exit-code mapping (deterministic, scripts rely on it): a reload
+/// rollback — the corrupt-reload phase of the full plan — exits 4 and
+/// takes precedence; shed or degraded requests exit 3 (the `catalog`
+/// plan's victim sheds are its expected outcome and exit 0); a violated
+/// soak invariant exits 1.
+fn cmd_soak(args: &[String]) -> Result<Outcome, CliError> {
+    let pos = positionals(args);
+    let path = pos
+        .first()
+        .ok_or_else(|| CliError::Usage("serve needs an XML file".into()))?;
+    let qfile = pos
+        .get(1)
+        .ok_or_else(|| CliError::Usage("serve needs a queries file".into()))?;
+    let queries = read_queries(qfile)?;
+    let doc = load(path)?;
+    let seed: u64 = parse_flag(args, "--soak-seed", 0xD0C5_0AB5)?;
+    let profile = flag(args, "--soak-profile").unwrap_or_else(|| "full".to_string());
+    if profile == "storage" {
+        // The storage-chaos soak: seeded device-fault plans driven
+        // through the VFS injector against the ingest commit protocol
+        // and catalog fault-in.
+        let dir = std::env::temp_dir().join(format!("xtwig-storage-chaos-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let chaos = StorageChaosOptions {
+            seed,
+            ..Default::default()
         };
-        // Injected panics are part of the plan; silence their backtraces
-        // so the report below is the only output.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let report = run_soak(doc, queries, &plan, options);
+        let report = run_storage_chaos(&doc, &queries, &dir, &chaos);
         std::panic::set_hook(prev);
+        let _ = std::fs::remove_dir_all(&dir);
         println!("{report}");
-        let full_profile = profile == "full";
-        if !report.passed(full_profile, full_profile) {
+        if !report.passed() {
             return Err(CliError::Failure(format!(
-                "soak invariants violated: {report}"
+                "storage chaos invariants violated: {report}"
             )));
-        }
-        if report.reload_rollbacks > 0 {
-            return Err(CliError::Corrupt(format!(
-                "soak rolled back {} corrupt reload(s); serving never observed them",
-                report.reload_rollbacks
-            )));
-        }
-        if report.shed > 0 || report.degraded > 0 {
-            eprintln!(
-                "{} of {} requests shed, {} degraded",
-                report.shed, report.requests, report.degraded
-            );
-            return Ok(Outcome::Degraded);
         }
         return Ok(Outcome::Full);
     }
-
-    // Read the reload snapshot up front so a missing file fails fast
-    // (exit 1) instead of mid-batch; a *corrupt* file is detected by the
-    // CRC during the hot reload itself and rolls back (exit 4).
-    let reload_bytes: Option<Vec<u8>> = match flag(args, "--reload-on") {
-        Some(p) => {
-            Some(std::fs::read(&p).map_err(|e| CliError::Failure(format!("reading {p}: {e}")))?)
-        }
-        None => None,
+    let defaults = if profile == "catalog" {
+        CatalogSoakOptions::isolation()
+    } else {
+        CatalogSoakOptions::default()
     };
-
-    let rt = ServingRuntime::new(synopsis, options);
-    let mut reload_outcome: Option<Result<u64, xtwig::core::SnapshotError>> = None;
-    let t0 = std::time::Instant::now();
-    let results = rt.serve_with(queries, |rt| {
-        if let Some(bytes) = &reload_bytes {
-            // Fire mid-flight: workers are already draining the queue.
-            std::thread::sleep(Duration::from_micros(200));
-            reload_outcome = Some(rt.reload_snapshot_bytes(bytes));
-        }
-    });
-    let elapsed = t0.elapsed();
-
-    for (q, r) in queries.iter().zip(&results) {
-        let marker = match r.terminal {
-            TerminalProvenance::Full => String::new(),
-            TerminalProvenance::Degraded => match r.tier {
-                Some(tier) => format!("  [degraded: {tier}]"),
-                None => "  [degraded]".to_string(),
-            },
-            TerminalProvenance::Shed => "  [shed]".to_string(),
-        };
-        println!("{:.1}  {q}{marker}", r.report.estimate);
-    }
-    let stats = rt.stats();
-    eprintln!(
-        "served {} requests in {elapsed:?} ({} full / {} degraded / {} shed, \
-         {} retries, {workers} workers, queue depth {queue_depth}, epoch {})",
-        queries.len(),
-        stats.full,
-        stats.degraded,
-        stats.shed,
-        stats.retries,
-        rt.epoch(),
-    );
-    if let Some(out) = flag(args, "--metrics-out") {
-        let prom = telemetry::global().to_prometheus();
-        std::fs::write(&out, prom).map_err(|e| CliError::Failure(format!("writing {out}: {e}")))?;
-        eprintln!("metrics written to {out}");
-    }
-    match reload_outcome {
-        Some(Ok(epoch)) => eprintln!("hot reload installed epoch {epoch}"),
-        Some(Err(e)) => {
-            return Err(CliError::Corrupt(format!(
-                "--reload-on rolled back: {e}; serving continued on epoch {}",
-                rt.epoch()
+    let options = CatalogSoakOptions {
+        threads: parse_flag_or(args, "--threads", "--max-inflight", defaults.threads)?,
+        catalog: defaults
+            .catalog
+            .to_builder()
+            .tenant_quota(parse_flag_or(
+                args,
+                "--tenant-quota",
+                "--queue-depth",
+                defaults.catalog.tenant_quota,
+            )?)
+            .build(),
+    };
+    let plan = match profile.as_str() {
+        "full" => SoakPlan::generate(seed, &options),
+        "saturation" => SoakPlan::saturation_only(seed, &options),
+        "catalog" => SoakPlan::isolation(seed, &options),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown --soak-profile `{other}` (full|saturation|catalog|storage)"
             )))
         }
-        None => {}
+    };
+    let (dir, ephemeral) = catalog_dir(args, "soak");
+    // Injected panics are part of the plan; silence their backtraces so
+    // the report below is the only output.
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let report = run_catalog_soak(&doc, &queries, &dir, &plan, &options);
+    std::panic::set_hook(prev);
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    if stats.shed > 0 || stats.degraded > 0 {
+    println!("{report}");
+    if !report.passed() {
+        return Err(CliError::Failure(format!(
+            "soak invariants violated: {report}"
+        )));
+    }
+    if report.reload_rollbacks > 0 {
+        return Err(CliError::Corrupt(format!(
+            "soak rolled back {} corrupt reload(s); serving never observed them",
+            report.reload_rollbacks
+        )));
+    }
+    if profile != "catalog" && (report.shed > 0 || report.degraded > 0) {
         eprintln!(
-            "{} of {} requests shed or degraded",
-            stats.shed + stats.degraded,
-            queries.len()
+            "{} of {} requests shed, {} degraded",
+            report.shed, report.requests, report.degraded
         );
         return Ok(Outcome::Degraded);
     }
@@ -1205,7 +1193,9 @@ fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
     let qtext = args
         .get(1)
         .ok_or_else(|| CliError::Usage("estimate needs a twig query".into()))?;
-    let budget: usize = parse_flag(args, "--budget", 20 * 1024)?;
+    // A malformed --budget is a usage error even when --synopsis spares
+    // the build.
+    parse_flag::<usize>(args, "--budget", 0)?;
     let deadline_ms: u64 = parse_flag(args, "--deadline-ms", 0)?;
     let work_limit: u64 = parse_flag(args, "--work-limit", 0)?;
     let explain = has_flag(args, "--explain");
@@ -1223,24 +1213,10 @@ fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
             Err(e) => {
                 eprintln!("warning: {snap}: {e}; rebuilding synopsis from {path}");
                 recovered = true;
-                let build = BuildOptions {
-                    budget_bytes: budget,
-                    refinements_per_round: 4,
-                    ..Default::default()
-                };
-                let (s, trace) = xbuild(&doc, TruthSource::Exact, &build);
-                (s, trace.rounds.len())
+                build_synopsis(args, &doc)?
             }
         },
-        None => {
-            let build = BuildOptions {
-                budget_bytes: budget,
-                refinements_per_round: 4,
-                ..Default::default()
-            };
-            let (s, trace) = xbuild(&doc, TruthSource::Exact, &build);
-            (s, trace.rounds.len())
-        }
+        None => build_synopsis(args, &doc)?,
     };
     let built_in = t0.elapsed();
 

@@ -133,7 +133,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(60))]
 
     /// Batch plan reuse and degraded (budget-exhausted) serving are
     /// still the oracle's computation, bit for bit, on all three
@@ -311,6 +311,77 @@ fn same_answer(a: &EstimateReport, b: &EstimateReport) -> bool {
         && a.provenance.exhaustion == b.provenance.exhaustion
         && a.provenance.clamped == b.provenance.clamped
         && a.provenance.embeddings == b.provenance.embeddings
+}
+
+/// A warm expansion memo charges the work it skips: a batch served
+/// without a limit warms the memo, and the same queries served again
+/// under a tight work limit give the bits a fresh compile (and the
+/// oracle) gives under that limit — the meter trips where a cold run
+/// trips, so memo state never decides a budgeted answer.
+#[test]
+fn warm_memo_under_a_work_limit_matches_a_fresh_compile() {
+    for (name, doc) in [
+        (
+            "xmark",
+            xmark(XMarkConfig {
+                scale: 0.01,
+                seed: 11,
+            }),
+        ),
+        ("imdb", imdb(ImdbConfig::scaled(0.01, 11))),
+        ("sprot", sprot(SprotConfig::scaled(0.01, 11))),
+    ] {
+        let coarse = coarse_synopsis(&doc);
+        let opts = BuildOptions {
+            budget_bytes: coarse.size_bytes() + 700,
+            refinements_per_round: 3,
+            max_rounds: 15,
+            seed: 11,
+            ..Default::default()
+        };
+        let (s, _) = xbuild(&doc, TruthSource::Exact, &opts);
+        let w = generate_workload(
+            &doc,
+            &WorkloadSpec {
+                queries: 20,
+                kind: WorkloadKind::Branching,
+                seed: 11,
+                ..Default::default()
+            },
+        );
+        let warm = CompiledSynopsis::compile(&s);
+        BatchServer::new(&warm).serve(&w.queries);
+        let (hits_before, _) = warm.expansion_memo_stats();
+        for limit in [8u64, 40, 83, 200, 600] {
+            let tight = EstimateOptions::builder().work_limit(limit).build();
+            let got = BatchServer::new(&warm)
+                .with_options(tight)
+                .serve(&w.queries);
+            let fresh = CompiledSynopsis::compile(&s);
+            let want = BatchServer::new(&fresh)
+                .with_options(tight)
+                .serve(&w.queries);
+            for ((q, g), f) in w.queries.iter().zip(&got).zip(&want) {
+                assert!(
+                    same_answer(g, f),
+                    "{name}: warm memo diverged on {q} (work limit {limit}): {:?} vs {:?}",
+                    g.estimate,
+                    f.estimate
+                );
+                let oracle = oracle::estimate(&s, q, &tight);
+                assert_eq!(
+                    g.estimate.to_bits(),
+                    oracle.estimate.to_bits(),
+                    "{name}: {q}"
+                );
+            }
+        }
+        let (hits_after, _) = warm.expansion_memo_stats();
+        assert!(
+            hits_after > hits_before,
+            "{name}: the warm memo answered nothing"
+        );
+    }
 }
 
 /// Refine → recompile → epoch bump → stale entries never served.
