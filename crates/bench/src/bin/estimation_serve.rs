@@ -115,12 +115,12 @@ fn main() {
 
         // --- bit-identity: v3 snapshot load vs in-memory compile --------
         let arena = Arc::new(AlignedBytes::from_bytes(&save_synopsis_v3(&s)));
-        let mapped = load_compiled_arena(arena).expect("v3 snapshot loads");
+        let loaded = load_compiled_arena(arena).expect("v3 snapshot loads");
         let mut mismatches = 0usize;
         for q in &w.queries {
             let req = EstimateRequest::with_options(q, opts);
             let a = cs.estimate(&req).estimate;
-            let b = mapped.estimate(&req).estimate;
+            let b = loaded.estimate(&req).estimate;
             if a.to_bits() != b.to_bits() {
                 eprintln!(
                     "MISMATCH {}: compiled {a} vs loaded v3 {b} for {q}",

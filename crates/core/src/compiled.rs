@@ -23,11 +23,16 @@
 //!   ever building a [`Synopsis`]; [`CompiledSynopsis::source`] rebuilds
 //!   one from the columns only for the cold consumers that ask (fsck,
 //!   the footprint of a size report).
-//! * **Struct-of-arrays histograms** ([`CompiledHistogram`]) — bucket
-//!   masses, box bounds, and means in contiguous bucket-major rows;
-//!   scope dimensions interned into parallel edge/kind tables; value
-//!   buckets flattened with per-dimension spans; per-dimension marginal
-//!   expectations `Σ f·mean_d` and the total mass precomputed.
+//! * **Flat histogram columns** — every node's edge histogram in one
+//!   set of owned columns per synopsis: bucket masses, bucket-major box
+//!   bounds and means, scope dimensions as parallel edge/kind tables,
+//!   value buckets with per-dimension spans, per-dimension marginal
+//!   expectations `Σ f·mean_d`, and the dimension-major `f64` bound
+//!   transposes the vectorized kernels stream. Each node has a small
+//!   head (shape, row starts, total mass), and [`CompiledHistogram`] is
+//!   a copyable handle — head plus a reference to the columns — that
+//!   owns no heap memory. A v3 load fills the same columns in a fixed
+//!   number of allocations, whatever the node count.
 //! * **Memoized maximal-twig expansion** — embeddings and their
 //!   TREEPARSE `needs` sets cached per `(query signature, expansion
 //!   options)`, so repeated queries skip expansion and embedding
@@ -74,8 +79,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::io::pod::Lane;
-
 use crate::estimate::api::{
     self, AssumptionCounts, EstimateReport, EstimateRequest, Estimator, Explain, Provenance,
     QueryTelemetry,
@@ -104,56 +107,24 @@ static EPOCH: AtomicU64 = AtomicU64::new(1);
 /// serving workloads cycle through far fewer distinct shapes).
 const EXPANSION_MEMO_CAP: usize = 4096;
 
-/// One node's edge histogram lowered to struct-of-arrays form.
-///
-/// Bucket `b`'s row for dimension `d` lives at index `b * dims + d` of
-/// the `lo` / `hi` / `mean` arrays; `frac[b]` is its probability mass.
-/// Scope dimension `d` is described by `dim_parent[d]`, `dim_child[d]`,
-/// `dim_kind[d]`, with value-bucket boundaries (when `d` is a value
-/// dimension) at `vb_lo[vb_span[d].0 ..][..vb_span[d].1]`.
-/// The bucket-level columns are [`Lane`]s: owned vectors when compiled
-/// from a live [`Synopsis`], zero-copy views into a snapshot arena when
-/// loaded from a v3 file (see [`crate::io::v3`]). Deref makes the two
-/// indistinguishable to the evaluator, so mapped and owned estimates
-/// are bit-identical by construction.
-#[derive(Debug, Clone)]
-pub struct CompiledHistogram {
+/// One node's edge histogram within [`HistColumns`]: its shape, where
+/// its rows start in each column, and its per-histogram scalars.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HistHead {
     /// Number of scope dimensions.
     pub(crate) dims: usize,
-    /// Parent endpoint of each scope dimension's edge.
-    pub(crate) dim_parent: Vec<SynId>,
-    /// Child endpoint (or value source) of each scope dimension's edge.
-    pub(crate) dim_child: Vec<SynId>,
-    /// Kind of each scope dimension.
-    pub(crate) dim_kind: Vec<DimKind>,
-    /// Per-bucket probability mass.
-    pub(crate) frac: Lane<f64>,
-    /// Bucket-major inclusive lower box bounds (`buckets × dims`).
-    pub(crate) lo: Lane<u32>,
-    /// Bucket-major inclusive upper box bounds (`buckets × dims`).
-    pub(crate) hi: Lane<u32>,
-    /// Bucket-major mass-weighted means (`buckets × dims`).
-    pub(crate) mean: Lane<f64>,
-    /// Per-dimension `(start, len)` span into `vb_lo`/`vb_hi`, `None`
-    /// for dimensions without value buckets.
-    pub(crate) vb_span: Vec<Option<(usize, usize)>>,
-    /// Flattened value-bucket lower bounds.
-    pub(crate) vb_lo: Lane<i64>,
-    /// Flattened value-bucket upper bounds.
-    pub(crate) vb_hi: Lane<i64>,
-    /// Dimension-major (transposed) lower box bounds, pre-converted to
-    /// `f64`: dimension `d`'s contiguous lane is
-    /// `lo_t[d * buckets ..][.. buckets]`. The bucket-selection and
-    /// box-distance kernels stream these lanes with unit stride, which
-    /// is what lets LLVM vectorize them (see `estimate::kernel`);
-    /// `u32 → f64` is exact, so the values equal `lo[b*dims+d] as f64`
-    /// bit-for-bit.
-    pub(crate) lo_t: Lane<f64>,
-    /// Dimension-major (transposed) upper box bounds as `f64`.
-    pub(crate) hi_t: Lane<f64>,
-    /// Precomputed marginal expectation `Σ_b frac[b] · mean[b][d]` per
-    /// dimension — the `E[C_d]` an AVI-style consumer reads in O(1).
-    pub(crate) dim_expectation: Vec<f64>,
+    /// Number of buckets.
+    pub(crate) buckets: usize,
+    /// Number of value-bucket rows over all its dimensions.
+    pub(crate) value_buckets: usize,
+    /// First scope dimension in the per-dimension columns.
+    pub(crate) dim: usize,
+    /// First bucket in `frac`.
+    pub(crate) bucket: usize,
+    /// First of its `buckets × dims` cells in the cell columns.
+    pub(crate) cell: usize,
+    /// First row in `vb_lo`/`vb_hi`.
+    pub(crate) vb: usize,
     /// Precomputed total probability mass `Σ_b frac[b]`.
     pub(crate) total_mass: f64,
     /// The histogram's byte budget (kept for the source rebuild).
@@ -163,113 +134,195 @@ pub struct CompiledHistogram {
     pub(crate) distinct_points: u32,
 }
 
-impl CompiledHistogram {
-    fn compile(s: &Synopsis, n: SynId) -> CompiledHistogram {
-        let h = s.edge_hist(n);
-        let dims = h.hist.dims();
-        let buckets = h.hist.buckets();
-        let mut frac = Vec::with_capacity(buckets.len());
-        let mut lo = Vec::with_capacity(buckets.len() * dims);
-        let mut hi = Vec::with_capacity(buckets.len() * dims);
-        let mut mean = Vec::with_capacity(buckets.len() * dims);
-        for b in buckets {
-            frac.push(b.fraction);
-            lo.extend_from_slice(&b.lo);
-            hi.extend_from_slice(&b.hi);
-            mean.extend_from_slice(&b.mean);
-        }
-        let mut vb_span = Vec::with_capacity(h.value_buckets.len());
-        let mut vb_lo = Vec::new();
-        let mut vb_hi = Vec::new();
-        for vb in &h.value_buckets {
-            match vb {
-                Some(vb) => {
-                    vb_span.push(Some((vb_lo.len(), vb.len())));
-                    vb_lo.extend_from_slice(&vb.lo);
-                    vb_hi.extend_from_slice(&vb.hi);
-                }
-                None => vb_span.push(None),
+/// Every node's edge histogram, flattened into one set of owned
+/// columns per synopsis. Node `n`'s rows are the ranges `heads[n]`
+/// names. Within them, bucket `b`'s row for dimension `d` is cell
+/// `b * dims + d` of `lo`/`hi`/`mean`, and value dimension `d`'s bucket
+/// boundaries are rows `vb_span[d]` of the node's `vb_lo`/`vb_hi` rows.
+/// [`CompiledSynopsis::compile`] and the v3 carve both fill these
+/// columns, so serving reads one layout whichever way the synopsis
+/// arrived, and a node's [`CompiledHistogram`] is a handle that owns no
+/// heap memory.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HistColumns {
+    /// One head per node, in node-id order.
+    pub(crate) heads: Vec<HistHead>,
+    /// Parent endpoint of each scope dimension's edge.
+    pub(crate) dim_parent: Vec<SynId>,
+    /// Child endpoint (or value source) of each scope dimension's edge.
+    pub(crate) dim_child: Vec<SynId>,
+    /// Kind of each scope dimension.
+    pub(crate) dim_kind: Vec<DimKind>,
+    /// Per dimension, `(start, len)` of its value buckets within its
+    /// node's value-bucket rows; `None` without value buckets.
+    pub(crate) vb_span: Vec<Option<(usize, usize)>>,
+    /// Precomputed marginal expectation `Σ_b frac[b] · mean[b][d]` per
+    /// dimension — the `E[C_d]` an AVI-style consumer reads in O(1).
+    pub(crate) dim_expectation: Vec<f64>,
+    /// Per-bucket probability mass.
+    pub(crate) frac: Vec<f64>,
+    /// Bucket-major inclusive lower box bounds.
+    pub(crate) lo: Vec<u32>,
+    /// Bucket-major inclusive upper box bounds.
+    pub(crate) hi: Vec<u32>,
+    /// Bucket-major mass-weighted means.
+    pub(crate) mean: Vec<f64>,
+    /// Value-bucket lower bounds.
+    pub(crate) vb_lo: Vec<i64>,
+    /// Value-bucket upper bounds.
+    pub(crate) vb_hi: Vec<i64>,
+    /// Dimension-major (transposed) lower box bounds as `f64`, rebuilt
+    /// from `lo` by [`HistColumns::build_transposes`].
+    pub(crate) lo_t: Vec<f64>,
+    /// Dimension-major (transposed) upper box bounds as `f64`.
+    pub(crate) hi_t: Vec<f64>,
+}
+
+impl HistColumns {
+    /// Lowers every edge histogram of `s`, in node-id order.
+    fn compile(s: &Synopsis) -> HistColumns {
+        let mut c = HistColumns::default();
+        let (mut mean_t, mut prod) = (Vec::new(), Vec::new());
+        for n in s.node_ids() {
+            let h = s.edge_hist(n);
+            let dims = h.hist.dims();
+            let buckets = h.hist.buckets();
+            let (bucket, cell, vb) = (c.frac.len(), c.lo.len(), c.vb_lo.len());
+            for b in buckets {
+                c.frac.push(b.fraction);
+                c.lo.extend_from_slice(&b.lo);
+                c.hi.extend_from_slice(&b.hi);
+                c.mean.extend_from_slice(&b.mean);
             }
-        }
-        // Dimension-major transposes of the bound/mean rows. The row-major
-        // arrays stay the source of truth for per-bucket reads (one cache
-        // line per visited bucket); the transposes feed the vectorized
-        // whole-column kernels.
-        let nb = frac.len();
-        let mut lo_t = vec![0.0f64; dims * nb];
-        let mut hi_t = vec![0.0f64; dims * nb];
-        let mut mean_t = vec![0.0f64; dims * nb];
-        for b in 0..nb {
-            let row = b * dims;
+            let dim = c.dim_kind.len();
+            for (d, sd) in h.scope.iter().enumerate() {
+                c.dim_parent.push(sd.parent);
+                c.dim_child.push(sd.child);
+                c.dim_kind.push(sd.kind);
+                let span = h.value_buckets.get(d).and_then(Option::as_ref).map(|v| {
+                    let start = c.vb_lo.len() - vb;
+                    c.vb_lo.extend_from_slice(&v.lo);
+                    c.vb_hi.extend_from_slice(&v.hi);
+                    (start, v.len())
+                });
+                c.vb_span.push(span);
+            }
+            // Expectation per dimension as a two-pass kernel: vectorized
+            // elementwise products, then an order-preserving left fold —
+            // the same multiply-then-add sequence (in the same bucket
+            // order) as the scalar `Σ_b frac[b]·mean[b][d]`, so the result
+            // is bit-identical to the historical per-bucket loop.
+            let nb = buckets.len();
+            let (frac, mean) = (&c.frac[bucket..], &c.mean[cell..]);
+            mean_t.resize(nb, 0.0);
+            prod.resize(nb, 0.0);
             for d in 0..dims {
-                lo_t[d * nb + b] = f64::from(lo[row + d]);
-                hi_t[d * nb + b] = f64::from(hi[row + d]);
-                mean_t[d * nb + b] = mean[row + d];
+                for (b, m) in mean_t.iter_mut().enumerate() {
+                    *m = mean[b * dims + d];
+                }
+                kernel::mul_into(frac, &mean_t, &mut prod);
+                c.dim_expectation.push(kernel::sum_seq(&prod));
             }
+            c.heads.push(HistHead {
+                dims,
+                buckets: nb,
+                value_buckets: c.vb_lo.len() - vb,
+                dim,
+                bucket,
+                cell,
+                vb,
+                total_mass: h.hist.total_mass(),
+                budget_bytes: h.budget_bytes as u32,
+                distinct_points: h.distinct_points as u32,
+            });
         }
-        // Expectation per dimension as a two-pass kernel: vectorized
-        // elementwise products, then an order-preserving left fold — the
-        // same multiply-then-add sequence (in the same bucket order) as
-        // the scalar `Σ_b frac[b]·mean[b][d]`, so the result is
-        // bit-identical to the historical per-bucket loop.
-        let mut prod = vec![0.0f64; nb];
-        let dim_expectation = (0..dims)
-            .map(|d| {
-                let lane = d * nb;
-                kernel::mul_into(&frac, &mean_t[lane..lane + nb], &mut prod);
-                kernel::sum_seq(&prod)
-            })
-            .collect();
-        CompiledHistogram {
-            dims,
-            dim_parent: h.scope.iter().map(|d| d.parent).collect(),
-            dim_child: h.scope.iter().map(|d| d.child).collect(),
-            dim_kind: h.scope.iter().map(|d| d.kind).collect(),
-            frac: frac.into(),
-            lo: lo.into(),
-            hi: hi.into(),
-            mean: mean.into(),
-            vb_span,
-            vb_lo: vb_lo.into(),
-            vb_hi: vb_hi.into(),
-            lo_t: lo_t.into(),
-            hi_t: hi_t.into(),
-            dim_expectation,
-            total_mass: h.hist.total_mass(),
-            budget_bytes: h.budget_bytes as u32,
-            distinct_points: h.distinct_points as u32,
-        }
+        c.build_transposes();
+        c
     }
 
+    /// Rebuilds the dimension-major `f64` transposes of `lo`/`hi` in one
+    /// pass: node `h`'s dimension `d` lane is its cells
+    /// `d * buckets .. (d + 1) * buckets`. The row-major columns stay the
+    /// source of truth for per-bucket reads (one cache line per visited
+    /// bucket); the transposes feed the whole-column kernels, which
+    /// stream them with unit stride so LLVM vectorizes them (see
+    /// `estimate::kernel`). `u32 → f64` is exact, so each transposed
+    /// bound equals `lo[b * dims + d] as f64` bit for bit.
+    pub(crate) fn build_transposes(&mut self) {
+        let mut lo_t = vec![0.0f64; self.lo.len()];
+        let mut hi_t = vec![0.0f64; self.hi.len()];
+        for h in &self.heads {
+            for b in 0..h.buckets {
+                for d in 0..h.dims {
+                    let (row, lane) = (h.cell + b * h.dims + d, h.cell + d * h.buckets + b);
+                    lo_t[lane] = f64::from(self.lo[row]);
+                    hi_t[lane] = f64::from(self.hi[row]);
+                }
+            }
+        }
+        self.lo_t = lo_t;
+        self.hi_t = hi_t;
+    }
+}
+
+/// `len` rows of `col` from `start`; empty when out of range, which the
+/// columns of a compiled or carved synopsis never are.
+fn rows<T>(col: &[T], start: usize, len: usize) -> &[T] {
+    start
+        .checked_add(len)
+        .and_then(|end| col.get(start..end))
+        .unwrap_or(&[])
+}
+
+/// One node's edge histogram: its [`HistHead`] plus a reference to the
+/// synopsis' [`HistColumns`]. Copying it copies two pointers. Each
+/// accessor slices the node's rows out of one column, so an evaluator
+/// frame fetches the slices it reads once and then indexes them.
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledHistogram<'c> {
+    head: &'c HistHead,
+    cols: &'c HistColumns,
+}
+
+impl<'c> CompiledHistogram<'c> {
     /// The [`EdgeHistogram`] this histogram was lowered from: scope,
     /// buckets in bucket order, value bucketizations, budget.
-    fn to_edge_hist(&self) -> EdgeHistogram {
-        let dims = self.dims;
-        let scope = (0..dims)
-            .map(|d| ScopeDim {
-                parent: self.dim_parent[d],
-                child: self.dim_child[d],
-                kind: self.dim_kind[d],
+    fn to_edge_hist(self) -> EdgeHistogram {
+        let dims = self.head.dims;
+        let scope = self
+            .dim_parent()
+            .iter()
+            .zip(self.dim_child())
+            .zip(self.dim_kind())
+            .map(|((&parent, &child), &kind)| ScopeDim {
+                parent,
+                child,
+                kind,
             })
             .collect();
-        let buckets = (0..self.frac.len())
-            .map(|b| {
+        let (lo, hi, mean) = (self.lo(), self.hi(), self.mean());
+        let buckets = self
+            .frac()
+            .iter()
+            .enumerate()
+            .map(|(b, &fraction)| {
                 let row = b * dims..(b + 1) * dims;
                 Bucket {
-                    fraction: self.frac[b],
-                    lo: self.lo[row.clone()].to_vec(),
-                    hi: self.hi[row.clone()].to_vec(),
-                    mean: self.mean[row].to_vec(),
+                    fraction,
+                    lo: lo[row.clone()].to_vec(),
+                    hi: hi[row.clone()].to_vec(),
+                    mean: mean[row].to_vec(),
                 }
             })
             .collect();
+        let (vb_lo, vb_hi) = (self.vb_lo(), self.vb_hi());
         let value_buckets = self
-            .vb_span
+            .vb_span()
             .iter()
             .map(|span| {
                 span.map(|(start, len)| ValueBuckets {
-                    lo: self.vb_lo[start..start + len].to_vec(),
-                    hi: self.vb_hi[start..start + len].to_vec(),
+                    lo: vb_lo[start..start + len].to_vec(),
+                    hi: vb_hi[start..start + len].to_vec(),
                 })
             })
             .collect();
@@ -277,49 +330,174 @@ impl CompiledHistogram {
             scope,
             hist: MdHistogram::from_parts(dims, buckets),
             value_buckets,
-            budget_bytes: self.budget_bytes as usize,
-            distinct_points: self.distinct_points as usize,
+            budget_bytes: self.head.budget_bytes as usize,
+            distinct_points: self.head.distinct_points as usize,
         }
     }
 
     /// Number of scope dimensions.
-    pub fn dims(&self) -> usize {
-        self.dims
+    pub fn dims(self) -> usize {
+        self.head.dims
     }
 
     /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.frac.len()
+    pub fn bucket_count(self) -> usize {
+        self.head.buckets
     }
 
     /// Precomputed marginal expectation `E[C_d]` of dimension `d`.
-    pub fn dim_expectation(&self, d: usize) -> Option<f64> {
-        self.dim_expectation.get(d).copied()
+    pub fn dim_expectation(self, d: usize) -> Option<f64> {
+        rows(&self.cols.dim_expectation, self.head.dim, self.head.dims)
+            .get(d)
+            .copied()
     }
 
     /// Precomputed total probability mass.
-    pub fn total_mass(&self) -> f64 {
-        self.total_mass
+    pub fn total_mass(self) -> f64 {
+        self.head.total_mass
     }
 
-    /// Index of the value dimension drawing from `source`, if recorded
-    /// (mirrors `EdgeHistogram::value_dim_of`).
-    fn value_dim_of(&self, owner: SynId, source: ValueSource) -> Option<usize> {
+    fn dim_parent(self) -> &'c [SynId] {
+        rows(&self.cols.dim_parent, self.head.dim, self.head.dims)
+    }
+
+    fn dim_child(self) -> &'c [SynId] {
+        rows(&self.cols.dim_child, self.head.dim, self.head.dims)
+    }
+
+    fn dim_kind(self) -> &'c [DimKind] {
+        rows(&self.cols.dim_kind, self.head.dim, self.head.dims)
+    }
+
+    fn vb_span(self) -> &'c [Option<(usize, usize)>] {
+        rows(&self.cols.vb_span, self.head.dim, self.head.dims)
+    }
+
+    fn frac(self) -> &'c [f64] {
+        rows(&self.cols.frac, self.head.bucket, self.head.buckets)
+    }
+
+    fn cells(self) -> usize {
+        self.head.buckets * self.head.dims
+    }
+
+    fn lo(self) -> &'c [u32] {
+        rows(&self.cols.lo, self.head.cell, self.cells())
+    }
+
+    fn hi(self) -> &'c [u32] {
+        rows(&self.cols.hi, self.head.cell, self.cells())
+    }
+
+    fn mean(self) -> &'c [f64] {
+        rows(&self.cols.mean, self.head.cell, self.cells())
+    }
+
+    fn vb_lo(self) -> &'c [i64] {
+        rows(&self.cols.vb_lo, self.head.vb, self.head.value_buckets)
+    }
+
+    fn vb_hi(self) -> &'c [i64] {
+        rows(&self.cols.vb_hi, self.head.vb, self.head.value_buckets)
+    }
+
+    /// Index of the value dimension drawing from `source` when it
+    /// carries value buckets: the first dimension matching
+    /// `EdgeHistogram::value_dim_of`, and `None` when that one has no
+    /// bucketization (the predicate then falls back to a fraction).
+    fn bucketed_value_dim(self, owner: SynId, source: ValueSource) -> Option<usize> {
         let child = match source {
             ValueSource::OwnValue => owner,
             ValueSource::ChildValue(z) => z,
         };
-        (0..self.dims).find(|&d| {
-            self.dim_parent[d] == owner
-                && self.dim_child[d] == child
-                && self.dim_kind[d] == DimKind::Value
-        })
+        let d = self
+            .dim_parent()
+            .iter()
+            .zip(self.dim_child())
+            .zip(self.dim_kind())
+            .position(|((&p, &c), &k)| p == owner && c == child && k == DimKind::Value)?;
+        self.vb_span().get(d).copied().flatten().map(|_| d)
     }
 
-    /// The edge key of scope dimension `d`.
-    #[inline]
-    fn edge_key(&self, d: usize) -> (SynId, SynId) {
-        (self.dim_parent[d], self.dim_child[d])
+    /// Vectorized mirror of `Bucket::contains_on` over **all** buckets
+    /// at once: `mask[b] = frac[b] > 0 && cond is inside bucket b's box`,
+    /// one dimension-major lane pass per conditioning pair. The compare
+    /// arithmetic (`v >= lo - 0.5 && v <= hi + 0.5` on exactly-converted
+    /// `f64` bounds) is the scalar test's, so the surviving bucket set is
+    /// identical.
+    fn contains_mask(self, frac: &[f64], cond: &[(usize, f64)], mask: &mut [u8]) {
+        let nb = self.head.buckets;
+        let (lo_t, hi_t) = (self.lo_t(), self.hi_t());
+        kernel::positive_mask(frac, mask);
+        for &(d, v) in cond {
+            let lane = d * nb;
+            kernel::range_mask_and(v, &lo_t[lane..lane + nb], &hi_t[lane..lane + nb], mask);
+        }
+    }
+
+    /// Vectorized mirror of `Bucket::distance_on` over all buckets:
+    /// `dist[b] = Σ_cond axial-distance²`, accumulated per conditioning
+    /// pair in `cond` order — the same add sequence per bucket as the
+    /// scalar per-dimension sum, so distances are bit-identical (see
+    /// `kernel::sq_distance_add` for the branch-free equivalence).
+    fn distance_fill(self, cond: &[(usize, f64)], dist: &mut [f64]) {
+        let nb = self.head.buckets;
+        let (lo_t, hi_t) = (self.lo_t(), self.hi_t());
+        for d in dist.iter_mut() {
+            *d = 0.0;
+        }
+        for &(d, v) in cond {
+            let lane = d * nb;
+            kernel::sq_distance_add(v, &lo_t[lane..lane + nb], &hi_t[lane..lane + nb], dist);
+        }
+    }
+
+    fn lo_t(self) -> &'c [f64] {
+        rows(&self.cols.lo_t, self.head.cell, self.cells())
+    }
+
+    fn hi_t(self) -> &'c [f64] {
+        rows(&self.cols.hi_t, self.head.cell, self.cells())
+    }
+}
+
+/// The rows a bucket's value weight reads, fetched once per `eval_node`
+/// frame that has matched value predicates.
+#[derive(Clone, Copy)]
+struct ValueRows<'c> {
+    dims: usize,
+    lo: &'c [u32],
+    hi: &'c [u32],
+    vb_span: &'c [Option<(usize, usize)>],
+    vb_lo: &'c [i64],
+    vb_hi: &'c [i64],
+}
+
+impl<'c> ValueRows<'c> {
+    fn of(h: CompiledHistogram<'c>) -> ValueRows<'c> {
+        ValueRows {
+            dims: h.head.dims,
+            lo: h.lo(),
+            hi: h.hi(),
+            vb_span: h.vb_span(),
+            vb_lo: h.vb_lo(),
+            vb_hi: h.vb_hi(),
+        }
+    }
+
+    /// Per-bucket weight from matched value predicates: the share of
+    /// bucket `b`'s elements whose value dimension(s) survive the ranges.
+    fn weight(&self, b: usize, value_conds: &[(usize, i64, i64)]) -> f64 {
+        let row = b * self.dims;
+        let mut w = 1.0;
+        for &(di, lo, hi) in value_conds {
+            let (blo, bhi) = (self.lo[row + di], self.hi[row + di]);
+            w *= self.overlap_share(di, blo, bhi, lo, hi);
+            if w == 0.0 {
+                break;
+            }
+        }
+        w
     }
 
     /// Mirror of `ValueBuckets::overlap_share` over the flattened bucket
@@ -348,62 +526,6 @@ impl CompiledHistogram {
             share *= valued / total;
         }
         share
-    }
-
-    /// Vectorized mirror of `Bucket::contains_on` over **all** buckets
-    /// at once: `mask[b] &= cond is inside bucket b's box`, one
-    /// dimension-major lane pass per conditioning pair. The compare
-    /// arithmetic (`v >= lo - 0.5 && v <= hi + 0.5` on exactly-converted
-    /// `f64` bounds) is the scalar test's, so the surviving bucket set is
-    /// identical.
-    fn contains_mask(&self, cond: &[(usize, f64)], mask: &mut [u8]) {
-        let nb = self.frac.len();
-        kernel::positive_mask(&self.frac, mask);
-        for &(d, v) in cond {
-            let lane = d * nb;
-            kernel::range_mask_and(
-                v,
-                &self.lo_t[lane..lane + nb],
-                &self.hi_t[lane..lane + nb],
-                mask,
-            );
-        }
-    }
-
-    /// Vectorized mirror of `Bucket::distance_on` over all buckets:
-    /// `dist[b] = Σ_cond axial-distance²`, accumulated per conditioning
-    /// pair in `cond` order — the same add sequence per bucket as the
-    /// scalar per-dimension sum, so distances are bit-identical (see
-    /// `kernel::sq_distance_add` for the branch-free equivalence).
-    fn distance_fill(&self, cond: &[(usize, f64)], dist: &mut [f64]) {
-        let nb = self.frac.len();
-        for d in dist.iter_mut() {
-            *d = 0.0;
-        }
-        for &(d, v) in cond {
-            let lane = d * nb;
-            kernel::sq_distance_add(
-                v,
-                &self.lo_t[lane..lane + nb],
-                &self.hi_t[lane..lane + nb],
-                dist,
-            );
-        }
-    }
-
-    /// Per-bucket weight from matched value predicates: the share of
-    /// bucket `b`'s elements whose value dimension(s) survive the ranges.
-    fn value_weight(&self, b: usize, value_conds: &[(usize, i64, i64)]) -> f64 {
-        let row = b * self.dims;
-        let mut w = 1.0;
-        for &(di, lo, hi) in value_conds {
-            let (blo, bhi) = (self.lo[row + di], self.hi[row + di]);
-            w *= self.overlap_share(di, blo, bhi, lo, hi);
-            if w == 0.0 {
-                break;
-            }
-        }
-        w
     }
 }
 
@@ -609,9 +731,9 @@ enum SourceRef<'a> {
 ///
 /// Two provenances share this one type: [`CompiledSynopsis::compile`]
 /// lowers a live synopsis into owned arrays (`'a` borrows the source),
-/// while [`crate::io::v3::load_compiled_snapshot`] builds a
-/// `CompiledSynopsis<'static>` whose bucket columns are zero-copy views
-/// into the snapshot arena.
+/// while [`crate::io::v3::load_compiled_snapshot`] decodes the same
+/// arrays out of a v3 snapshot into a self-contained
+/// `CompiledSynopsis<'static>`.
 pub struct CompiledSynopsis<'a> {
     source: SourceRef<'a>,
     epoch: u64,
@@ -619,8 +741,8 @@ pub struct CompiledSynopsis<'a> {
     pub(crate) cols: Columns,
     /// Elements per label id, summed in node-id order.
     label_total: Vec<f64>,
-    /// Per-node compiled histograms.
-    pub(crate) hists: Vec<CompiledHistogram>,
+    /// Every node's edge histogram, in flat columns.
+    pub(crate) hists: HistColumns,
     /// Memoized expansions keyed by `(query, expansion options)`.
     memo: Mutex<HashMap<String, Arc<ExpandedQuery>>>,
     memo_hits: AtomicU64,
@@ -672,30 +794,18 @@ impl<'a> CompiledSynopsis<'a> {
             edge_parent_count,
             values: ValueColumns::from_synopsis(s),
         };
-        let hists = s
-            .node_ids()
-            .map(|id| CompiledHistogram::compile(s, id))
-            .collect();
+        let hists = HistColumns::compile(s);
         CompiledSynopsis::assemble(SourceRef::Borrowed(s), cols, hists)
     }
 
     /// Assembles a compiled synopsis from columns decoded out of a v3
-    /// snapshot arena (histogram bucket columns are zero-copy [`Lane`]
-    /// views into it). Draws a fresh epoch, exactly like a
-    /// recompilation, so downstream caches treat the load as a new
-    /// generation.
-    pub(crate) fn from_columns(
-        cols: Columns,
-        hists: Vec<CompiledHistogram>,
-    ) -> CompiledSynopsis<'static> {
+    /// snapshot. Draws a fresh epoch, exactly like a recompilation, so
+    /// downstream caches treat the load as a new generation.
+    pub(crate) fn from_columns(cols: Columns, hists: HistColumns) -> CompiledSynopsis<'static> {
         CompiledSynopsis::assemble(SourceRef::Rebuilt(OnceLock::new()), cols, hists)
     }
 
-    fn assemble(
-        source: SourceRef<'a>,
-        cols: Columns,
-        hists: Vec<CompiledHistogram>,
-    ) -> CompiledSynopsis<'a> {
+    fn assemble(source: SourceRef<'a>, cols: Columns, hists: HistColumns) -> CompiledSynopsis<'a> {
         // Same order and operands as `Synopsis::tag_total`: each
         // label's counts added in node-id order.
         let mut label_total = vec![0.0f64; cols.labels.len()];
@@ -766,8 +876,15 @@ impl<'a> CompiledSynopsis<'a> {
             c.root,
             c.max_depth,
             self.hists
+                .heads
                 .iter()
-                .map(CompiledHistogram::to_edge_hist)
+                .map(|head| {
+                    CompiledHistogram {
+                        head,
+                        cols: &self.hists,
+                    }
+                    .to_edge_hist()
+                })
                 .collect(),
             (0..c.counts.len()).map(|n| c.values.summary(n)).collect(),
         )
@@ -786,8 +903,11 @@ impl<'a> CompiledSynopsis<'a> {
     }
 
     /// The compiled histogram of node `n`.
-    pub fn hist(&self, n: SynId) -> Option<&CompiledHistogram> {
-        self.hists.get(n.index())
+    pub fn hist(&self, n: SynId) -> Option<CompiledHistogram<'_>> {
+        Some(CompiledHistogram {
+            head: self.hists.heads.get(n.index())?,
+            cols: &self.hists,
+        })
     }
 
     /// `(hits, misses)` of the expansion memo so far.
@@ -923,10 +1043,13 @@ impl<'a> CompiledSynopsis<'a> {
             let Some(node) = emb.nodes.get(i) else {
                 continue;
             };
-            let mut set: Vec<(SynId, SynId)> = match self.hists.get(node.syn.index()) {
-                Some(ch) => (0..ch.dims)
-                    .filter(|&d| ch.dim_kind[d] == DimKind::Backward)
-                    .map(|d| ch.edge_key(d))
+            let mut set: Vec<(SynId, SynId)> = match self.hist(node.syn) {
+                Some(ch) => ch
+                    .dim_kind()
+                    .iter()
+                    .zip(ch.dim_parent().iter().zip(ch.dim_child()))
+                    .filter(|(&k, _)| k == DimKind::Backward)
+                    .map(|(_, (&p, &c))| (p, c))
                     .collect(),
                 None => Vec::new(),
             };
@@ -1195,7 +1318,8 @@ impl<'a> CompiledSynopsis<'a> {
     /// dimensions when recorded (§3.2's extended `H^v(V, C)`): each
     /// matched predicate becomes a soft per-bucket weight on the joint
     /// support; unmatched predicates fall back to an independent
-    /// fraction. The SoA bucket rows are iterated in place. All
+    /// fraction. The node's column rows are sliced once per frame and
+    /// iterated in place. All
     /// per-frame scratch (value conditions, enumerated dimensions,
     /// conditioning pairs, child dimension slots, bucket masks) lives in
     /// the arena's typed lanes; the frame truncates them back on exit,
@@ -1212,7 +1336,7 @@ impl<'a> CompiledSynopsis<'a> {
             return 0.0;
         };
         let syn = node.syn;
-        let Some(ch) = self.hists.get(syn.index()) else {
+        let Some(ch) = self.hist(syn) else {
             return 0.0;
         };
 
@@ -1220,19 +1344,15 @@ impl<'a> CompiledSynopsis<'a> {
         let mut factor = node.branch_fraction;
         let vc_start = ar.value_conds.len();
         if let Some((lo, hi)) = node.value_range {
-            match ch.value_dim_of(syn, ValueSource::OwnValue) {
-                Some(di) if ch.vb_span.get(di).is_some_and(Option::is_some) => {
-                    ar.value_conds.push((di, lo, hi));
-                }
-                _ => factor *= self.cols.values.range_fraction(syn.index(), lo, hi),
+            match ch.bucketed_value_dim(syn, ValueSource::OwnValue) {
+                Some(di) => ar.value_conds.push((di, lo, hi)),
+                None => factor *= self.cols.values.range_fraction(syn.index(), lo, hi),
             }
         }
         for bv in &node.branch_values {
-            match ch.value_dim_of(syn, ValueSource::ChildValue(bv.child)) {
-                Some(di) if ch.vb_span.get(di).is_some_and(Option::is_some) => {
-                    ar.value_conds.push((di, bv.range.0, bv.range.1));
-                }
-                _ => factor *= bv.fallback,
+            match ch.bucketed_value_dim(syn, ValueSource::ChildValue(bv.child)) {
+                Some(di) => ar.value_conds.push((di, bv.range.0, bv.range.1)),
+                None => factor *= bv.fallback,
             }
         }
         let vc_end = ar.value_conds.len();
@@ -1244,6 +1364,13 @@ impl<'a> CompiledSynopsis<'a> {
             ar.value_conds.truncate(vc_start);
             return factor;
         }
+
+        // The slices this frame reads, each fetched once.
+        let (dim_parent, dim_child, dim_kind) = (ch.dim_parent(), ch.dim_child(), ch.dim_kind());
+        let frac = ch.frac();
+        let values = (vc_start != vc_end).then(|| ValueRows::of(ch));
+        let weight =
+            |b: usize, vc: &[(usize, i64, i64)]| values.as_ref().map_or(1.0, |v| v.weight(b, vc));
 
         // --- TREEPARSE classification -------------------------------------
         let is_child_edge = |edge: (SynId, SynId)| -> bool {
@@ -1258,10 +1385,11 @@ impl<'a> CompiledSynopsis<'a> {
                     .is_some_and(|set| set.binary_search(edge).is_ok())
             })
         };
+        let dim_table = || dim_parent.iter().zip(dim_child).zip(dim_kind).enumerate();
         let ed_start = ar.enum_dims.len();
-        for d in 0..ch.dims {
-            if ch.dim_kind[d] == DimKind::Forward && ch.dim_parent[d] == syn {
-                let key = ch.edge_key(d);
+        for (d, ((&parent, &child), &kind)) in dim_table() {
+            if kind == DimKind::Forward && parent == syn {
+                let key = (parent, child);
                 if is_child_edge(key) || needs_below(&key) {
                     ar.enum_dims.push(d);
                 }
@@ -1269,9 +1397,9 @@ impl<'a> CompiledSynopsis<'a> {
         }
         let ed_end = ar.enum_dims.len();
         let cd_start = ar.cond.len();
-        for d in 0..ch.dims {
-            if ch.dim_kind[d] == DimKind::Backward {
-                let key = ch.edge_key(d);
+        for (d, ((&parent, &child), &kind)) in dim_table() {
+            if kind == DimKind::Backward {
+                let key = (parent, child);
                 if let Some(&(_, v)) = ar.env.iter().rev().find(|(k, _)| *k == key) {
                     ar.cond.push((d, v));
                 }
@@ -1287,13 +1415,17 @@ impl<'a> CompiledSynopsis<'a> {
             let child_syn = emb.nodes.get(c).map(|cn| cn.syn);
             let pos = ar.enum_dims[ed_start..ed_end]
                 .iter()
-                .position(|&di| Some(ch.dim_child[di]) == child_syn && ch.dim_parent[di] == syn);
+                .position(|&di| Some(dim_child[di]) == child_syn && dim_parent[di] == syn);
             ar.child_dim.push(pos);
         }
 
         let frame = Frame {
             ed: (ed_start, ed_end),
             cdim: cdim_start,
+            dims: ch.dims(),
+            dim_parent,
+            dim_child,
+            mean: ch.mean(),
         };
 
         // --- Evaluation ----------------------------------------------------
@@ -1301,7 +1433,7 @@ impl<'a> CompiledSynopsis<'a> {
         // over the lowered rows — is visited in place, bucket order
         // preserved, one term at a time through `visit_bucket`.
         let mut acc = 0.0;
-        let nb = ch.bucket_count();
+        let nb = frac.len();
         if ed_start == ed_end && vc_start == vc_end {
             // Nothing to enumerate or weigh: one unit-mass term.
             self.visit_bucket(emb, needs, i, frame, 1.0, None, ar, meter, &mut acc);
@@ -1311,18 +1443,15 @@ impl<'a> CompiledSynopsis<'a> {
                 let total: f64 = {
                     let vc = &ar.value_conds[vc_start..vc_end];
                     (0..nb)
-                        .filter(|&b| ch.frac[b] > 0.0)
-                        .map(|b| ch.frac[b] * ch.value_weight(b, vc))
+                        .filter(|&b| frac[b] > 0.0)
+                        .map(|b| frac[b] * weight(b, vc))
                         .sum()
                 };
                 self.visit_bucket(emb, needs, i, frame, total, None, ar, meter, &mut acc);
             } else {
-                for b in 0..nb {
-                    if ch.frac[b] > 0.0 {
-                        let w = {
-                            let vc = &ar.value_conds[vc_start..vc_end];
-                            ch.frac[b] * ch.value_weight(b, vc)
-                        };
+                for (b, &f) in frac.iter().enumerate() {
+                    if f > 0.0 {
+                        let w = f * weight(b, &ar.value_conds[vc_start..vc_end]);
                         if !self.visit_bucket(emb, needs, i, frame, w, Some(b), ar, meter, &mut acc)
                         {
                             break;
@@ -1340,30 +1469,27 @@ impl<'a> CompiledSynopsis<'a> {
             ar.mask.resize(mask_start + nb, 0);
             {
                 let (cond, mask) = (&ar.cond[cd_start..cd_end], &mut ar.mask[mask_start..]);
-                ch.contains_mask(cond, mask);
+                ch.contains_mask(frac, cond, mask);
             }
             let any_selected = ar.mask[mask_start..].iter().any(|&m| m != 0);
             if any_selected {
-                let den = kernel::masked_sum_seq(&ch.frac, &ar.mask[mask_start..]);
+                let den = kernel::masked_sum_seq(frac, &ar.mask[mask_start..]);
                 if ed_start == ed_end {
                     let total: f64 = {
                         let vc = &ar.value_conds[vc_start..vc_end];
                         let mask = &ar.mask[mask_start..];
                         (0..nb)
                             .filter(|&b| mask.get(b).copied().unwrap_or(0) != 0)
-                            .map(|b| ch.frac[b] / den * ch.value_weight(b, vc))
+                            .map(|b| frac[b] / den * weight(b, vc))
                             .sum()
                     };
                     self.visit_bucket(emb, needs, i, frame, total, None, ar, meter, &mut acc);
                 } else {
-                    for b in 0..nb {
+                    for (b, &f) in frac.iter().enumerate() {
                         if ar.mask.get(mask_start + b).copied().unwrap_or(0) == 0 {
                             continue;
                         }
-                        let w = {
-                            let vc = &ar.value_conds[vc_start..vc_end];
-                            ch.frac[b] / den * ch.value_weight(b, vc)
-                        };
+                        let w = f / den * weight(b, &ar.value_conds[vc_start..vc_end]);
                         if !self.visit_bucket(emb, needs, i, frame, w, Some(b), ar, meter, &mut acc)
                         {
                             break;
@@ -1381,8 +1507,8 @@ impl<'a> CompiledSynopsis<'a> {
                     ch.distance_fill(cond, dist);
                 }
                 let mut best: Option<(f64, usize)> = None;
-                for b in 0..nb {
-                    if ch.frac[b] > 0.0 {
+                for (b, &f) in frac.iter().enumerate() {
+                    if f > 0.0 {
                         let d = ar.scratch[dist_start + b];
                         let better = match best {
                             None => true,
@@ -1398,11 +1524,8 @@ impl<'a> CompiledSynopsis<'a> {
                 }
                 ar.scratch.truncate(dist_start);
                 if let Some((_, b)) = best {
-                    let den = ch.frac[b];
-                    let w = {
-                        let vc = &ar.value_conds[vc_start..vc_end];
-                        ch.frac[b] / den * ch.value_weight(b, vc)
-                    };
+                    let den = frac[b];
+                    let w = frac[b] / den * weight(b, &ar.value_conds[vc_start..vc_end]);
                     // A single-bucket selection: the scalar-collapse sum
                     // over one element equals the element itself.
                     let bucket = if ed_start == ed_end { None } else { Some(b) };
@@ -1432,7 +1555,7 @@ impl<'a> CompiledSynopsis<'a> {
         emb: &Embedding,
         needs: &[Vec<(SynId, SynId)>],
         i: usize,
-        frame: Frame,
+        frame: Frame<'_>,
         mass: f64,
         bucket: Option<usize>,
         ar: &mut EvalArena,
@@ -1450,15 +1573,13 @@ impl<'a> CompiledSynopsis<'a> {
             return true;
         };
         let syn = node.syn;
-        let Some(ch) = self.hists.get(syn.index()) else {
-            return true;
-        };
         let env_base = ar.env.len();
         if let Some(b) = bucket {
-            let row = b * ch.dims;
+            let row = b * frame.dims;
             for k in frame.ed.0..frame.ed.1 {
                 let di = ar.enum_dims[k];
-                ar.env.push((ch.edge_key(di), ch.mean[row + di]));
+                let key = (frame.dim_parent[di], frame.dim_child[di]);
+                ar.env.push((key, frame.mean[row + di]));
             }
         }
         let mut term = mass;
@@ -1467,7 +1588,7 @@ impl<'a> CompiledSynopsis<'a> {
             let dim = ar.child_dim.get(frame.cdim + j).copied().flatten();
             let mult = match (bucket, dim) {
                 (Some(b), Some(slot)) => match ar.enum_dims.get(frame.ed.0 + slot) {
-                    Some(&di) => ch.mean[b * ch.dims + di],
+                    Some(&di) => frame.mean[b * frame.dims + di],
                     None => 0.0,
                 },
                 _ => match emb.nodes.get(c) {
@@ -1489,14 +1610,20 @@ impl<'a> CompiledSynopsis<'a> {
     }
 }
 
-/// Lane ranges of one `eval_node` frame inside the arena: the frame's
+/// One `eval_node` frame: its lane ranges inside the arena — the
 /// enumerated dimensions (`enum_dims[ed.0..ed.1]`) and the start of its
-/// per-child dimension slots in `child_dim`. `Copy`, so `visit_bucket`
-/// can carry it across recursive calls that re-borrow the whole arena.
+/// per-child dimension slots in `child_dim` — and the histogram rows
+/// `visit_bucket` reads, fetched once per frame. `Copy`, so
+/// `visit_bucket` can carry it across recursive calls that re-borrow
+/// the whole arena.
 #[derive(Debug, Clone, Copy)]
-struct Frame {
+struct Frame<'c> {
     ed: (usize, usize),
     cdim: usize,
+    dims: usize,
+    dim_parent: &'c [SynId],
+    dim_child: &'c [SynId],
+    mean: &'c [f64],
 }
 
 impl SynopsisView for CompiledSynopsis<'_> {

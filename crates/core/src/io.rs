@@ -28,10 +28,11 @@
 //! file plus `rename`, so a crash mid-write never leaves a torn snapshot
 //! at the destination path.
 //!
-//! Format v3 (the serving-tier arena layout — flat aligned sections a
-//! [`CompiledSynopsis`](crate::CompiledSynopsis) can reference in place,
-//! loading in O(structure) instead of O(buckets)) lives in [`v3`], with
-//! its `unsafe` reinterpretation boundary in [`pod`].
+//! Format v3 (the serving-tier arena layout — one flat section per
+//! [`CompiledSynopsis`](crate::CompiledSynopsis) histogram column, so a
+//! load is a `META` walk plus one bulk decode per column, in a fixed
+//! number of allocations) lives in [`v3`]; [`pod`] holds the byte
+//! buffer a snapshot file is read into.
 
 pub mod pod;
 pub mod v3;

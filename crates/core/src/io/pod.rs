@@ -1,292 +1,51 @@
-//! Plain-old-data reinterpretation for the v3 snapshot arena.
+//! The byte buffer a v3 snapshot is read into.
 //!
-//! Snapshot format v3 stores the compiled synopsis lanes (bucket
-//! masses, box bounds, means, value-bucket boundaries) as flat
-//! little-endian arrays inside 8-byte-aligned file sections, so a load
-//! can *reference* them in place instead of decoding bucket by bucket.
-//! This module is the one `unsafe` boundary that makes that legal:
-//!
-//! * [`Pod`] — a sealed marker for the fixed-width scalar types the
-//!   arena may contain. Every implementor is valid for any bit pattern
-//!   and free of padding, which is exactly the precondition
-//!   [`cast_slice`] needs.
-//! * [`cast_slice`] — checked `&[u8] → &[T]` reinterpretation: the
-//!   cast is refused (returns `None`) unless the slice is aligned for
-//!   `T` and its length is a whole number of elements, so the `unsafe`
-//!   block's obligations are discharged locally.
-//! * [`AlignedBytes`] — an owned byte buffer backed by `Vec<u64>`, so
-//!   its base address is always 8-byte aligned regardless of how the
-//!   bytes arrived (file read, test vector). The v3 writer aligns
-//!   every section to 8 bytes relative to the file start; anchoring
-//!   the whole file at an 8-aligned base makes every section slice
-//!   castable. This is the process-private stand-in for an `mmap`
-//!   region: the format is mmap-ready (relative offsets, alignment),
-//!   and swapping the backing for a real mapping later changes only
-//!   this type.
-//! * [`Lane`] — a typed column that is either owned (`Vec<T>`) or a
-//!   view into an [`AlignedBytes`] arena. `Deref<Target = [T]>` lets
-//!   the compiled evaluator index lanes identically in both modes, so
-//!   the hot path has no idea whether its buckets were deserialized or
-//!   mapped.
-//!
-//! Everything here is little-endian-native: the snapshot format is
-//! defined as little-endian, and the checked casts assume the host
-//! matches (true for every tier-1 target; a big-endian port would add
-//! a byte-swapping owned fallback at load).
-#![allow(unsafe_code)]
+//! [`AlignedBytes`] is what [`Vfs::read_aligned`](super::vfs::Vfs::read_aligned)
+//! returns and what [`load_compiled_arena`](super::v3::load_compiled_arena)
+//! takes. The v3 loader bulk-decodes every column it serves into owned
+//! vectors (see [`super::v3`]), so nothing reinterprets these bytes in
+//! place and nothing needs them word-aligned: the buffer is a plain
+//! byte vector. It keeps its name because benchmark and serving code
+//! outside this crate reads snapshots through it.
 
-use std::ops::Deref;
-use std::path::Path;
-use std::sync::Arc;
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u8 {}
-    impl Sealed for u16 {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
-    impl Sealed for i64 {}
-    impl Sealed for f64 {}
-}
-
-/// Fixed-width scalars that may live in a snapshot arena section.
-///
-/// Safety contract (upheld by the sealed impl set, relied on by
-/// [`cast_slice`]): every bit pattern of `size_of::<T>()` bytes is a
-/// valid `T`, and `T` contains no padding bytes.
-pub trait Pod: sealed::Sealed + Copy + Send + Sync + 'static {}
-
-impl Pod for u8 {}
-impl Pod for u16 {}
-impl Pod for u32 {}
-impl Pod for u64 {}
-impl Pod for i64 {}
-impl Pod for f64 {}
-
-/// Reinterprets `bytes` as a slice of `T` without copying.
-///
-/// Returns `None` when the slice is misaligned for `T` or its length
-/// is not a multiple of `size_of::<T>()` — the two conditions that
-/// would make the reinterpretation undefined. With both checked, the
-/// cast is sound because every [`Pod`] type accepts any bit pattern.
-pub fn cast_slice<T: Pod>(bytes: &[u8]) -> Option<&[T]> {
-    let size = std::mem::size_of::<T>();
-    if size == 0 || !bytes.len().is_multiple_of(size) {
-        return None;
-    }
-    if bytes.as_ptr().align_offset(std::mem::align_of::<T>()) != 0 {
-        return None;
-    }
-    // SAFETY: alignment and length were just checked; `T: Pod`
-    // guarantees any bit pattern is a valid value and there is no
-    // padding, so the `bytes.len() / size` elements are all valid.
-    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / size) })
-}
-
-/// An owned byte buffer whose base address is 8-byte aligned.
-///
-/// Backing storage is a `Vec<u64>`, so alignment is a type-system
-/// fact, not a runtime accident. The v3 loader reads a snapshot file
-/// into one of these and then hands out [`Lane`] views into it; the
-/// file's own 8-byte section alignment plus the aligned base make
-/// every section castable to its element type.
+/// An owned snapshot buffer.
 pub struct AlignedBytes {
-    words: Vec<u64>,
-    len: usize,
+    bytes: Vec<u8>,
 }
 
 impl AlignedBytes {
-    /// Copies `bytes` into a fresh aligned buffer.
+    /// Copies `bytes` into a fresh buffer.
     pub fn from_bytes(bytes: &[u8]) -> AlignedBytes {
-        let mut a = AlignedBytes::zeroed(bytes.len());
-        a.bytes_mut()[..bytes.len()].copy_from_slice(bytes);
-        a
-    }
-
-    /// An aligned buffer of `len` zero bytes.
-    fn zeroed(len: usize) -> AlignedBytes {
-        AlignedBytes {
-            words: vec![0u64; len.div_ceil(8)],
-            len,
-        }
-    }
-
-    /// Reads the whole file at `path` into an aligned buffer. This is
-    /// the aligned-read primitive `StdVfs::read_aligned` delegates to;
-    /// everything else should go through the [`Vfs`](super::vfs::Vfs)
-    /// boundary.
-    pub fn read_file(path: &Path) -> std::io::Result<AlignedBytes> {
-        use std::io::Read as _;
-        // lint:allow(vfs-direct): the StdVfs aligned-read primitive itself
-        let mut f = std::fs::File::open(path)?;
-        let len = f.metadata()?.len();
-        let len = usize::try_from(len).map_err(|_| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "snapshot larger than memory",
-            )
-        })?;
-        let mut a = AlignedBytes::zeroed(len);
-        f.read_exact(a.bytes_mut())?;
-        // A concurrent append between metadata and read is tolerated:
-        // the extra bytes are simply not read, and the format's own
-        // total-length check reports any mismatch as a typed error.
-        Ok(a)
+        AlignedBytes::from(bytes.to_vec())
     }
 
     /// The buffer contents.
     pub fn bytes(&self) -> &[u8] {
-        // SAFETY: the words allocation covers at least `len` bytes
-        // (`zeroed` rounds up), `u8` has alignment 1, and any byte is
-        // a valid `u8`.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
+        &self.bytes
     }
 
     /// Number of bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.bytes.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.bytes.is_empty()
     }
+}
 
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as in `bytes`, plus exclusive access via `&mut self`.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
+impl From<Vec<u8>> for AlignedBytes {
+    /// Takes ownership of `bytes` without copying.
+    fn from(bytes: Vec<u8>) -> AlignedBytes {
+        AlignedBytes { bytes }
     }
 }
 
 impl std::fmt::Debug for AlignedBytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AlignedBytes")
-            .field("len", &self.len)
+            .field("len", &self.len())
             .finish()
-    }
-}
-
-/// A typed column of the compiled synopsis: either owned (built by
-/// [`CompiledSynopsis::compile`](crate::CompiledSynopsis::compile)) or
-/// a zero-copy view into a v3 snapshot arena.
-///
-/// `Deref<Target = [T]>` makes the two representations
-/// indistinguishable to the evaluator — same indexing, same slices
-/// into the kernels — which is what keeps mapped and owned estimates
-/// bit-identical by construction.
-#[derive(Clone)]
-pub enum Lane<T: Pod> {
-    /// Heap-owned column (the compile-from-`Synopsis` path).
-    Owned(Vec<T>),
-    /// View of `len` elements starting `byte_off` bytes into a shared
-    /// arena. The constructor ([`Lane::mapped`]) validates bounds and
-    /// alignment, so deref never fails.
-    Mapped {
-        /// The shared arena.
-        backing: Arc<AlignedBytes>,
-        /// Byte offset of element 0 within the arena.
-        byte_off: usize,
-        /// Element count.
-        len: usize,
-    },
-}
-
-impl<T: Pod> Lane<T> {
-    /// A zero-copy view into `backing`, or `None` when the requested
-    /// window is out of bounds or misaligned for `T`.
-    pub fn mapped(backing: &Arc<AlignedBytes>, byte_off: usize, len: usize) -> Option<Lane<T>> {
-        let bytes = len.checked_mul(std::mem::size_of::<T>())?;
-        let end = byte_off.checked_add(bytes)?;
-        let window = backing.bytes().get(byte_off..end)?;
-        // Probe the cast once here so `Deref` is infallible.
-        cast_slice::<T>(window)?;
-        Some(Lane::Mapped {
-            backing: Arc::clone(backing),
-            byte_off,
-            len,
-        })
-    }
-}
-
-impl<T: Pod> Deref for Lane<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        match self {
-            Lane::Owned(v) => v,
-            Lane::Mapped {
-                backing,
-                byte_off,
-                len,
-            } => {
-                let end = byte_off + len * std::mem::size_of::<T>();
-                backing
-                    .bytes()
-                    .get(*byte_off..end)
-                    .and_then(cast_slice::<T>)
-                    .unwrap_or(&[])
-            }
-        }
-    }
-}
-
-impl<T: Pod> From<Vec<T>> for Lane<T> {
-    fn from(v: Vec<T>) -> Lane<T> {
-        Lane::Owned(v)
-    }
-}
-
-impl<T: Pod + std::fmt::Debug> std::fmt::Debug for Lane<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self {
-            Lane::Owned(_) => "owned",
-            Lane::Mapped { .. } => "mapped",
-        };
-        write!(f, "Lane<{kind}; len={}>", self.len())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cast_slice_checks_alignment_and_length() {
-        let a = AlignedBytes::from_bytes(&[1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]);
-        let words = cast_slice::<u64>(a.bytes()).unwrap();
-        assert_eq!(words, &[1, 2]);
-        // Odd length cannot be a whole number of u64s.
-        assert!(cast_slice::<u64>(&a.bytes()[..9]).is_none());
-        // Offset by one byte: misaligned.
-        assert!(cast_slice::<u64>(&a.bytes()[1..9]).is_none());
-    }
-
-    #[test]
-    fn lanes_deref_identically_owned_and_mapped() {
-        let values = [1.5f64, -2.25, 3.0];
-        let mut bytes = Vec::new();
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        let arena = Arc::new(AlignedBytes::from_bytes(&bytes));
-        let mapped = Lane::<f64>::mapped(&arena, 0, 3).unwrap();
-        let owned = Lane::Owned(values.to_vec());
-        assert_eq!(&mapped[..], &owned[..]);
-        assert_eq!(mapped.len(), 3);
-        // Out-of-bounds and misaligned windows are refused up front.
-        assert!(Lane::<f64>::mapped(&arena, 0, 4).is_none());
-        assert!(Lane::<f64>::mapped(&arena, 4, 1).is_none());
-    }
-
-    #[test]
-    fn read_file_roundtrips_and_aligns() {
-        let dir = std::env::temp_dir().join("xtwig-pod-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("arena.bin");
-        let payload: Vec<u8> = (0..41u8).collect();
-        std::fs::write(&path, &payload).unwrap();
-        let a = AlignedBytes::read_file(&path).unwrap();
-        assert_eq!(a.bytes(), &payload[..]);
-        assert_eq!(a.bytes().as_ptr().align_offset(8), 0);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,16 +1,15 @@
 //! Snapshot format v3: a flat little-endian arena a compiled synopsis
-//! loads from **zero-copy**, standing alone.
+//! is **bulk-decoded** from, standing alone.
 //!
 //! Formats v1/v2 serialize the pointer-rich [`Synopsis`] and force every
 //! load to decode bucket-by-bucket and then recompile into
 //! [`CompiledSynopsis`] form. At catalog scale (thousands of cold
 //! tenants paging synopses in and out) that per-bucket work dominates
-//! cold-start latency. v3 instead serializes the *compiled* layout: the
-//! struct-of-arrays bucket columns are written verbatim as aligned
-//! sections, so loading is header + CRC validation plus an
-//! O(nodes + edges + dims + value buckets) metadata walk — the edge
-//! histogram bucket payloads are never deserialized, only referenced in
-//! place through [`Lane`] views.
+//! cold-start latency. v3 instead serializes the *compiled* layout: each
+//! flat histogram column is one 8-byte-aligned section, so a load is
+//! header + CRC validation, one O(nodes + edges + dims + value buckets)
+//! walk of `META`, and one bulk decode per column — a fixed number of
+//! allocations, however many nodes the synopsis has.
 //!
 //! ```text
 //! offset  0: magic "XTWG" | version u32 = 3
@@ -21,15 +20,13 @@
 //!              id u32 | pad u32 = 0 | offset u64 | len u64 | crc u64
 //! then the sections, each 8-byte aligned (zero padding between),
 //! offsets relative to the file start:
-//!   1 META      structure, labels, value summaries, histogram shapes
+//!   1 META      structure, labels, value summaries, histogram heads
 //!   2 FRAC      f64 × Σ buckets          bucket masses
 //!   3 LO        u32 × Σ buckets·dims     bucket-major lower bounds
 //!   4 HI        u32 × Σ buckets·dims     bucket-major upper bounds
 //!   5 MEAN      f64 × Σ buckets·dims     bucket-major means
-//!   6 LO_T      f64 × Σ buckets·dims     dimension-major lower bounds
-//!   7 HI_T      f64 × Σ buckets·dims     dimension-major upper bounds
-//!   8 VB_LO     i64 × Σ value buckets    flattened value-bucket lows
-//!   9 VB_HI     i64 × Σ value buckets    flattened value-bucket highs
+//!   6 VB_LO     i64 × Σ value buckets    flattened value-bucket lows
+//!   7 VB_HI     i64 × Σ value buckets    flattened value-bucket highs
 //!
 //! META:
 //!   nodes u32 | edges u32 | root u32 | max_depth u32
@@ -38,7 +35,7 @@
 //!   edge child_count u64 × edges | edge parent_count u64 × edges
 //!   node label u16 × nodes
 //!   labels u32 | label name end u32 × labels | label names (UTF-8)
-//!   per node, its edge histogram:
+//!   per node, its edge histogram head:
 //!     dims u16 | buckets u32 | budget u32 | distinct points u32
 //!     per dim: parent u32 | child u32 | kind u8 | has value buckets u8
 //!              | value buckets u32
@@ -48,36 +45,42 @@
 //!   value-summary buckets: lo i64 | hi i64 | count u64 | distinct u64
 //! ```
 //!
-//! `META` is the only section the loader decodes. It holds every fact
-//! of a v2 snapshot that is not a bucket column: the CSR adjacency with
-//! per-edge counts and precomputed Forward Uniformity averages, per-node
-//! labels and the label-name table, per histogram its dimension table,
-//! bucket count, value-bucket spans, budget, precomputed marginal
-//! expectations and total mass, and the per-node 1-D value summaries.
-//! Each histogram's share of the big columns is recovered by
-//! accumulating counts in `META` order, so no per-bucket parsing ever
-//! happens. The carve validates every id serving indexes with — root,
-//! edge endpoints, dimension endpoints, node labels, value-summary
-//! spans — so a CRC-valid but inconsistent file fails typed instead of
-//! panicking mid-estimate. [`load_synopsis`](super::load_synopsis)
-//! rebuilds an estimation-only [`Synopsis`] from the same columns.
+//! `META` holds every fact of a v2 snapshot that is not a bucket column:
+//! the CSR adjacency with per-edge counts and precomputed Forward
+//! Uniformity averages, per-node labels and the label-name table, per
+//! histogram its dimension table, bucket count, value-bucket spans,
+//! budget, precomputed marginal expectations and total mass, and the
+//! per-node 1-D value summaries. The carve walks it once, filling the
+//! structural columns and the histogram heads and tallying how many rows
+//! the heads claim of each column; each tally is checked against its
+//! section's length once, and then each column section is decoded in
+//! bulk into its owned column. The dimension-major `f64` bound
+//! transposes the vectorized kernels stream are not stored: `LO`/`HI`
+//! determine them, and the carve rebuilds them in one pass. The carve
+//! validates every id serving indexes with — root, edge endpoints,
+//! strictly ascending CSR rows, dimension endpoints, node labels,
+//! value-summary spans — so a CRC-valid but inconsistent file fails
+//! typed instead of panicking mid-estimate.
+//! [`load_synopsis`](super::load_synopsis) rebuilds an estimation-only
+//! [`Synopsis`] from the same columns.
 //!
-//! **Validation split.** A load verifies the header, the section-table
-//! CRC, and the `META` section CRC — everything it actually decodes.
-//! The bucket columns carry CRCs in the table but are *not* checked on
-//! load (checksumming them would fault in and scan every page,
-//! forfeiting the zero-copy win; this is the same trade an mmap-backed
-//! reader makes). [`verify_snapshot_v3`] performs the full check for
-//! fsck-style callers and the catalog fault-in, and the corruption
-//! tests drive it over every section.
+//! **Validation split.** [`load_compiled_snapshot`] (and
+//! [`load_compiled_arena`]) verify the header, the section-table CRC and
+//! the `META` CRC, then carve; they decode the column sections without
+//! checksumming them. [`verify_snapshot_v3`] checks every section's CRC
+//! and the zero padding between sections, and
+//! [`load_compiled_arena_verified`] — the catalog fault-in — runs that
+//! full sweep before the carve, so a flipped bit anywhere in the file
+//! fails typed before a single estimate is computed from it.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use super::pod::{AlignedBytes, Lane};
+use super::pod::AlignedBytes;
+use super::vfs::{Vfs, VfsMetadata};
 use super::{snapshot_checksum, SnapshotError, HEADER_LEN, MAGIC, V3_VERSION, W};
 use crate::compiled::{
-    Columns, CompiledHistogram, CompiledSynopsis, LabelNames, ValueColumns, ValueSpan,
+    Columns, CompiledSynopsis, HistColumns, HistHead, LabelNames, ValueColumns, ValueSpan,
 };
 use crate::synopsis::{DimKind, SynId, Synopsis};
 
@@ -92,18 +95,24 @@ const TABLE_ENTRY_LEN: usize = 32;
 /// Bytes per flattened value-summary bucket: lo, hi, count, distinct.
 const VALUE_BUCKET_LEN: usize = 32;
 
-/// Section ids, in file order.
+/// `META` bytes per histogram head besides its dimensions: dims (2) +
+/// buckets (4) + budget (4) + distinct points (4) + total mass (8).
+const HEAD_META_LEN: usize = 22;
+
+/// `META` bytes per scope dimension: parent (4) + child (4) + kind (1) +
+/// has value buckets (1) + value buckets (4) + expectation (8).
+const DIM_META_LEN: usize = 22;
+
+/// Section ids, dense and in file order.
 pub(crate) mod section {
     pub const META: u32 = 1;
     pub const FRAC: u32 = 2;
     pub const LO: u32 = 3;
     pub const HI: u32 = 4;
     pub const MEAN: u32 = 5;
-    pub const LO_T: u32 = 6;
-    pub const HI_T: u32 = 7;
-    pub const VB_LO: u32 = 8;
-    pub const VB_HI: u32 = 9;
-    pub const ALL: [u32; 9] = [META, FRAC, LO, HI, MEAN, LO_T, HI_T, VB_LO, VB_HI];
+    pub const VB_LO: u32 = 6;
+    pub const VB_HI: u32 = 7;
+    pub const ALL: [u32; 7] = [META, FRAC, LO, HI, MEAN, VB_LO, VB_HI];
 }
 
 // ---------------------------------------------------------------------
@@ -113,12 +122,21 @@ pub(crate) mod section {
 /// Serializes `s` to a version-3 arena snapshot.
 ///
 /// The synopsis is compiled first (the same lowering a server performs)
-/// and the compiled columns are written verbatim, so a zero-copy load
-/// of the result reconstructs bit-identical state — including the
-/// precomputed `edge_avg`, `dim_expectation`, and transpose lanes,
-/// which are stored rather than recomputed.
+/// and the compiled columns are written verbatim, so a load of the
+/// result reconstructs bit-identical state — including the precomputed
+/// `edge_avg` and `dim_expectation`, which are stored rather than
+/// recomputed. The bound transposes are rebuilt at load, exactly.
 pub fn save_synopsis_v3(s: &Synopsis) -> Vec<u8> {
     assemble(&sections(&CompiledSynopsis::compile(s)))
+}
+
+/// `col` as little-endian bytes.
+fn le_column<T: Copy, const N: usize>(col: &[T], encode: impl Fn(T) -> [u8; N]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(col.len() * N);
+    for &v in col {
+        out.extend_from_slice(&encode(v));
+    }
+    out
 }
 
 /// The section bodies of `cs`, in file order.
@@ -155,20 +173,14 @@ fn sections(cs: &CompiledSynopsis<'_>) -> Vec<(u32, Vec<u8>)> {
         meta.u32(end as u32);
     }
     meta.buf.extend_from_slice(cs.cols.labels.text.as_bytes());
-    let mut frac = W { buf: Vec::new() };
-    let mut lo = W { buf: Vec::new() };
-    let mut hi = W { buf: Vec::new() };
-    let mut mean = W { buf: Vec::new() };
-    let mut lo_t = W { buf: Vec::new() };
-    let mut hi_t = W { buf: Vec::new() };
-    let mut vb_lo = W { buf: Vec::new() };
-    let mut vb_hi = W { buf: Vec::new() };
-    for h in &cs.hists {
-        meta.u16(h.dims as u16);
-        meta.u32(h.frac.len() as u32);
-        meta.u32(h.budget_bytes);
-        meta.u32(h.distinct_points);
-        for d in 0..h.dims {
+    let h = &cs.hists;
+    for head in &h.heads {
+        meta.u16(head.dims as u16);
+        meta.u32(head.buckets as u32);
+        meta.u32(head.budget_bytes);
+        meta.u32(head.distinct_points);
+        let dims = head.dim..head.dim + head.dims;
+        for d in dims.clone() {
             meta.u32(h.dim_parent[d].0);
             meta.u32(h.dim_child[d].0);
             meta.u8(match h.dim_kind[d] {
@@ -176,7 +188,7 @@ fn sections(cs: &CompiledSynopsis<'_>) -> Vec<(u32, Vec<u8>)> {
                 DimKind::Backward => 1,
                 DimKind::Value => 2,
             });
-            match h.vb_span.get(d).copied().flatten() {
+            match h.vb_span[d] {
                 Some((_, len)) => {
                     meta.u8(1);
                     meta.u32(len as u32);
@@ -187,34 +199,10 @@ fn sections(cs: &CompiledSynopsis<'_>) -> Vec<(u32, Vec<u8>)> {
                 }
             }
         }
-        for d in 0..h.dims {
-            meta.f64(h.dim_expectation.get(d).copied().unwrap_or(0.0));
+        for &e in &h.dim_expectation[dims] {
+            meta.f64(e);
         }
-        meta.f64(h.total_mass);
-        for &f in h.frac.iter() {
-            frac.f64(f);
-        }
-        for &v in h.lo.iter() {
-            lo.u32(v);
-        }
-        for &v in h.hi.iter() {
-            hi.u32(v);
-        }
-        for &v in h.mean.iter() {
-            mean.f64(v);
-        }
-        for &v in h.lo_t.iter() {
-            lo_t.f64(v);
-        }
-        for &v in h.hi_t.iter() {
-            hi_t.f64(v);
-        }
-        for &v in h.vb_lo.iter() {
-            vb_lo.i64(v);
-        }
-        for &v in h.vb_hi.iter() {
-            vb_hi.i64(v);
-        }
+        meta.f64(head.total_mass);
     }
     let vs = &cs.cols.values;
     for span in &vs.spans {
@@ -236,14 +224,12 @@ fn sections(cs: &CompiledSynopsis<'_>) -> Vec<(u32, Vec<u8>)> {
     }
     vec![
         (section::META, meta.buf),
-        (section::FRAC, frac.buf),
-        (section::LO, lo.buf),
-        (section::HI, hi.buf),
-        (section::MEAN, mean.buf),
-        (section::LO_T, lo_t.buf),
-        (section::HI_T, hi_t.buf),
-        (section::VB_LO, vb_lo.buf),
-        (section::VB_HI, vb_hi.buf),
+        (section::FRAC, le_column(&h.frac, f64::to_le_bytes)),
+        (section::LO, le_column(&h.lo, u32::to_le_bytes)),
+        (section::HI, le_column(&h.hi, u32::to_le_bytes)),
+        (section::MEAN, le_column(&h.mean, f64::to_le_bytes)),
+        (section::VB_LO, le_column(&h.vb_lo, i64::to_le_bytes)),
+        (section::VB_HI, le_column(&h.vb_hi, i64::to_le_bytes)),
     ]
 }
 
@@ -333,7 +319,7 @@ fn decode_err(offset: usize, message: impl Into<String>) -> SnapshotError {
 
 /// Validates the fixed header and section table of `bytes` (exact
 /// truncation/trailing accounting, table CRC, per-section bounds and
-/// 8-byte alignment, all nine sections present exactly once).
+/// 8-byte alignment, all seven sections present exactly once).
 pub(crate) fn parse_arena(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
     if bytes.len() < 8 {
         let n = bytes.len().min(4);
@@ -466,11 +452,10 @@ fn check_section(bytes: &[u8], id: u32, s: Section) -> Result<(), SnapshotError>
 }
 
 /// Full-file integrity check: header, table CRC, the stored CRC of
-/// **every** section (including the bucket columns a zero-copy load
-/// deliberately skips), and the zero alignment padding between
-/// sections. This is the fsck-path complement to
-/// [`load_compiled_snapshot`]; any single-bit flip anywhere in the file
-/// fails here with a typed error.
+/// **every** section (including the columns the fast load decodes
+/// unchecked), and the zero alignment padding between sections. This
+/// is the fsck-path complement to [`load_compiled_snapshot`]; any
+/// single-bit flip anywhere in the file fails here with a typed error.
 pub fn verify_snapshot_v3(bytes: &[u8]) -> Result<(), SnapshotError> {
     verified_index(bytes).map(|_| ())
 }
@@ -500,8 +485,7 @@ fn verified_index(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
 /// arm of [`load_synopsis`](super::load_synopsis): a full CRC sweep, a
 /// carve, and a rebuild from the columns.
 pub(crate) fn load_synopsis_v3(bytes: &[u8]) -> Result<Synopsis, SnapshotError> {
-    let arena = Arc::new(AlignedBytes::from_bytes(bytes));
-    Ok(load_compiled_arena_verified(arena)?.to_synopsis())
+    Ok(load_verified(bytes)?.to_synopsis())
 }
 
 /// Decodes `count` little-endian `N`-byte elements off the cursor: one
@@ -528,30 +512,49 @@ fn bulk<T, const N: usize>(
         .collect())
 }
 
-/// Loads a v3 snapshot zero-copy from an aligned arena.
-///
-/// Work performed: header + section-table + `META` CRC validation, then
-/// an O(nodes + edges + dims + value buckets) walk of `META` that
-/// rebuilds the structural columns, validates every id serving indexes
-/// with, and carves [`Lane`] views into the bucket columns. No edge
-/// histogram bucket is deserialized. The returned synopsis holds an
-/// `Arc` to the arena, so it is self-contained (`'static`).
+/// Decodes column section `id`, of which the histogram heads claim
+/// `count` elements: the claim must fill the section exactly, and then
+/// the whole section is decoded in one [`bulk`] pass.
+fn column<T, const N: usize>(
+    bytes: &[u8],
+    idx: &ArenaIndex,
+    id: u32,
+    count: usize,
+    decode: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, SnapshotError> {
+    let s = idx.get(id);
+    if count.checked_mul(N) != Some(s.len) {
+        return Err(decode_err(
+            s.off,
+            format!(
+                "histogram heads claim {count} rows of section {id}, which holds {}",
+                s.len / N
+            ),
+        ));
+    }
+    let window = bytes
+        .get(s.off..s.off + s.len)
+        .ok_or_else(|| decode_err(s.off, format!("section {id} out of bounds")))?;
+    let mut r = super::R {
+        buf: window,
+        pos: 0,
+        base: s.off,
+    };
+    bulk(&mut r, count, decode)
+}
+
+/// Loads a v3 snapshot from an arena: [`load_compiled_snapshot`] over
+/// its bytes. The synopsis owns its columns and keeps no reference to
+/// `arena`.
 pub fn load_compiled_arena(
     arena: Arc<AlignedBytes>,
 ) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    let idx = parse_arena(arena.bytes())?;
-    check_section(arena.bytes(), section::META, idx.get(section::META))?;
-    carve(arena, &idx)
+    load_compiled_snapshot(arena.bytes())
 }
 
-/// The `META` walk of [`load_compiled_arena`] over an arena whose header,
-/// table and `META` CRC `idx` already vouches for.
-fn carve(
-    arena: Arc<AlignedBytes>,
-    idx: &ArenaIndex,
-) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    let bytes = arena.bytes();
-    let bytes_len = arena.len();
+/// The `META` walk and column decode over `bytes`, whose header, table
+/// and `META` CRC `idx` already vouches for.
+fn carve(bytes: &[u8], idx: &ArenaIndex) -> Result<CompiledSynopsis<'static>, SnapshotError> {
     let meta_s = idx.get(section::META);
     let meta = bytes
         .get(meta_s.off..meta_s.off + meta_s.len)
@@ -608,42 +611,35 @@ fn carve(
         return Err(decode_err(at, "node label out of range"));
     }
 
-    let lane = |id: u32, elem_off: usize, len: usize, elem_size: usize| -> Option<(usize, usize)> {
-        let s = idx.get(id);
-        let byte_off = s.off.checked_add(elem_off.checked_mul(elem_size)?)?;
-        let end = byte_off.checked_add(len.checked_mul(elem_size)?)?;
-        if end > s.off + s.len || end > bytes_len {
-            return None;
-        }
-        Some((byte_off, len))
+    // Histogram heads. A skip over their dimension counts sizes the
+    // per-dimension columns exactly, so the walk that fills them never
+    // reallocates; the walk also tallies the rows the heads claim of
+    // each column section.
+    let heads_at = r.pos;
+    let mut dims_total = 0usize;
+    for _ in 0..n {
+        let dims = usize::from(r.u16()?);
+        r.take(HEAD_META_LEN - 2 + dims * DIM_META_LEN)?;
+        dims_total += dims;
+    }
+    r.pos = heads_at;
+    let mut h = HistColumns {
+        heads: Vec::with_capacity(n),
+        dim_parent: Vec::with_capacity(dims_total),
+        dim_child: Vec::with_capacity(dims_total),
+        dim_kind: Vec::with_capacity(dims_total),
+        vb_span: Vec::with_capacity(dims_total),
+        dim_expectation: Vec::with_capacity(dims_total),
+        ..HistColumns::default()
     };
-    let mapped_f64 = |id: u32, elem_off: usize, len: usize| -> Option<Lane<f64>> {
-        let (off, len) = lane(id, elem_off, len, 8)?;
-        Lane::mapped(&arena, off, len)
-    };
-    let mapped_u32 = |id: u32, elem_off: usize, len: usize| -> Option<Lane<u32>> {
-        let (off, len) = lane(id, elem_off, len, 4)?;
-        Lane::mapped(&arena, off, len)
-    };
-    let mapped_i64 = |id: u32, elem_off: usize, len: usize| -> Option<Lane<i64>> {
-        let (off, len) = lane(id, elem_off, len, 8)?;
-        Lane::mapped(&arena, off, len)
-    };
-
-    let mut hists = Vec::with_capacity(n);
-    let mut frac_pos = 0usize; // elements into FRAC
-    let mut row_pos = 0usize; // elements into LO/HI/MEAN/LO_T/HI_T
-    let mut vb_pos = 0usize; // elements into VB_LO/VB_HI
+    let (mut buckets, mut cells, mut vbs) = (0usize, 0usize, 0usize);
     for _ in 0..n {
         let dims = r.u16()? as usize;
         let nb = r.u32()? as usize;
         let budget_bytes = r.u32()?;
         let distinct_points = r.u32()?;
-        let mut dim_parent = Vec::with_capacity(dims);
-        let mut dim_child = Vec::with_capacity(dims);
-        let mut dim_kind = Vec::with_capacity(dims);
-        let mut vb_span = Vec::with_capacity(dims);
-        let mut vb_local = 0usize;
+        let dim = h.dim_kind.len();
+        let mut local = 0usize;
         for _ in 0..dims {
             let (parent, child) = (SynId(r.u32()?), SynId(r.u32()?));
             if parent.index() >= n || child.index() >= n {
@@ -652,51 +648,39 @@ fn carve(
                     "scope dim endpoint out of range",
                 ));
             }
-            dim_parent.push(parent);
-            dim_child.push(child);
-            dim_kind.push(match r.u8()? {
+            h.dim_parent.push(parent);
+            h.dim_child.push(child);
+            h.dim_kind.push(match r.u8()? {
                 0 => DimKind::Forward,
                 1 => DimKind::Backward,
                 2 => DimKind::Value,
                 k => return Err(decode_err(r.base + r.pos, format!("unknown dim kind {k}"))),
             });
-            let present = r.u8()?;
-            let vb_len = r.u32()? as usize;
-            if present == 0 {
-                vb_span.push(None);
-            } else {
-                vb_span.push(Some((vb_local, vb_len)));
-                vb_local += vb_len;
+            let present = r.u8()? != 0;
+            let len = r.u32()? as usize;
+            h.vb_span.push(present.then_some((local, len)));
+            if present {
+                local = local.saturating_add(len);
             }
         }
-        let dim_expectation = bulk(&mut r, dims, f64::from_le_bytes)?;
-        let total_mass = r.f64()?;
-        let cells = nb
-            .checked_mul(dims)
-            .ok_or_else(|| decode_err(r.base + r.pos, "bucket grid overflows"))?;
-        let oob = || decode_err(r.base + r.pos, "histogram lane exceeds its section");
-        hists.push(CompiledHistogram {
+        for _ in 0..dims {
+            h.dim_expectation.push(r.f64()?);
+        }
+        h.heads.push(HistHead {
             dims,
-            dim_parent,
-            dim_child,
-            dim_kind,
-            frac: mapped_f64(section::FRAC, frac_pos, nb).ok_or_else(oob)?,
-            lo: mapped_u32(section::LO, row_pos, cells).ok_or_else(oob)?,
-            hi: mapped_u32(section::HI, row_pos, cells).ok_or_else(oob)?,
-            mean: mapped_f64(section::MEAN, row_pos, cells).ok_or_else(oob)?,
-            vb_span,
-            vb_lo: mapped_i64(section::VB_LO, vb_pos, vb_local).ok_or_else(oob)?,
-            vb_hi: mapped_i64(section::VB_HI, vb_pos, vb_local).ok_or_else(oob)?,
-            lo_t: mapped_f64(section::LO_T, row_pos, cells).ok_or_else(oob)?,
-            hi_t: mapped_f64(section::HI_T, row_pos, cells).ok_or_else(oob)?,
-            dim_expectation,
-            total_mass,
+            buckets: nb,
+            value_buckets: local,
+            dim,
+            bucket: buckets,
+            cell: cells,
+            vb: vbs,
+            total_mass: r.f64()?,
             budget_bytes,
             distinct_points,
         });
-        frac_pos += nb;
-        row_pos += cells;
-        vb_pos += vb_local;
+        buckets = buckets.saturating_add(nb);
+        cells = cells.saturating_add(nb.saturating_mul(dims));
+        vbs = vbs.saturating_add(local);
     }
 
     // Value summaries: per-node heads, then one bulk bucket block whose
@@ -719,7 +703,7 @@ fn carve(
             }));
         }
     }
-    let buckets = bulk(&mut r, rows, |c: [u8; VALUE_BUCKET_LEN]| {
+    let buckets_block = bulk(&mut r, rows, |c: [u8; VALUE_BUCKET_LEN]| {
         let field = |k: usize| {
             let mut b = [0u8; 8];
             b.copy_from_slice(&c[8 * k..8 * k + 8]);
@@ -732,10 +716,23 @@ fn carve(
             u64::from_le_bytes(field(3)),
         )
     })?;
-    let values = ValueColumns { spans, buckets };
+    let values = ValueColumns {
+        spans,
+        buckets: buckets_block,
+    };
     if r.pos != meta.len() {
         return Err(decode_err(r.base + r.pos, "trailing bytes in meta section"));
     }
+
+    // The columns: each tally checked against its section once, each
+    // section decoded in bulk, and the transposes rebuilt from LO/HI.
+    h.frac = column(bytes, idx, section::FRAC, buckets, f64::from_le_bytes)?;
+    h.lo = column(bytes, idx, section::LO, cells, u32::from_le_bytes)?;
+    h.hi = column(bytes, idx, section::HI, cells, u32::from_le_bytes)?;
+    h.mean = column(bytes, idx, section::MEAN, cells, f64::from_le_bytes)?;
+    h.vb_lo = column(bytes, idx, section::VB_LO, vbs, i64::from_le_bytes)?;
+    h.vb_hi = column(bytes, idx, section::VB_HI, vbs, i64::from_le_bytes)?;
+    h.build_transposes();
 
     let cols = Columns {
         root,
@@ -753,70 +750,91 @@ fn carve(
         edge_parent_count,
         values,
     };
-    Ok(CompiledSynopsis::from_columns(cols, hists))
+    Ok(CompiledSynopsis::from_columns(cols, h))
 }
 
-/// Loads a v3 snapshot from raw bytes: one aligned copy into a private
-/// arena, then [`load_compiled_arena`]. (The copy stands in for the
-/// page cache; an mmap-backed caller would hand the mapping to
-/// [`load_compiled_arena`] directly.)
+/// Loads a v3 snapshot from raw bytes.
+///
+/// Work performed: header + section-table + `META` CRC validation, one
+/// O(nodes + edges + dims + value buckets) walk of `META` that rebuilds
+/// the structural columns and validates every id serving indexes with,
+/// then one bulk decode per histogram column and one pass rebuilding
+/// the bound transposes. The column sections are decoded but not
+/// checksummed; [`load_compiled_arena_verified`] adds the full sweep.
 pub fn load_compiled_snapshot(bytes: &[u8]) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    load_compiled_arena(Arc::new(AlignedBytes::from_bytes(bytes)))
+    let idx = parse_arena(bytes)?;
+    check_section(bytes, section::META, idx.get(section::META))?;
+    carve(bytes, &idx)
 }
 
 /// [`load_compiled_arena`] preceded by a full per-section CRC sweep.
 ///
-/// The zero-copy load deliberately validates only header + table +
-/// `META`; the bucket columns it maps are never checksummed on the fast
-/// path. Serving surfaces that fault in snapshots from disk they do not
-/// trust (the multi-tenant catalog) use this variant instead, so a
-/// flipped bit in *any* section — including the mapped bucket payload —
-/// surfaces as a typed [`SnapshotError`] before a single estimate is
-/// computed from it. The sweep covers `META`, so the carve does not
-/// checksum it a second time.
+/// Serving surfaces that fault in snapshots from disk they do not trust
+/// (the multi-tenant catalog) use this variant, so a flipped bit in
+/// *any* section surfaces as a typed [`SnapshotError`] before a single
+/// estimate is computed from it. The sweep covers `META`, so the carve
+/// does not checksum it a second time.
 pub fn load_compiled_arena_verified(
     arena: Arc<AlignedBytes>,
 ) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    let idx = verified_index(arena.bytes())?;
-    carve(arena, &idx)
+    load_verified(arena.bytes())
 }
 
-/// Reads and zero-copy-loads a v3 snapshot file, mapping filesystem
-/// failures exactly like [`read_snapshot`](super::read_snapshot).
+/// The full CRC sweep, then the carve.
+fn load_verified(bytes: &[u8]) -> Result<CompiledSynopsis<'static>, SnapshotError> {
+    let idx = verified_index(bytes)?;
+    carve(bytes, &idx)
+}
+
+/// Reads and loads a v3 snapshot file, mapping filesystem failures
+/// exactly like [`read_snapshot`](super::read_snapshot).
 pub fn read_compiled_snapshot(path: &Path) -> Result<CompiledSynopsis<'static>, SnapshotError> {
     read_compiled_snapshot_in(&super::vfs::StdVfs, path, false)
 }
 
-/// [`read_compiled_snapshot`] through an explicit [`Vfs`](super::vfs::Vfs),
-/// optionally running the full per-section CRC sweep (`verified`)
-/// before handing out mapped bucket columns.
+/// [`read_compiled_snapshot`] through an explicit [`Vfs`], optionally
+/// running the full per-section CRC sweep (`verified`) before the carve.
 pub fn read_compiled_snapshot_in(
-    fs: &dyn super::vfs::Vfs,
+    fs: &dyn Vfs,
     path: &Path,
     verified: bool,
 ) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    let shown = path.display().to_string();
     let meta = fs.metadata(path).map_err(|e| SnapshotError::Io {
-        path: shown.clone(),
+        path: path.display().to_string(),
         cause: e.to_string(),
     })?;
+    read_after_stat(fs, path, meta, verified)
+}
+
+/// [`read_compiled_snapshot_in`] for a caller that already stat'ed
+/// `path` (the catalog fault-in, which tells a missing file apart from
+/// a failed stat).
+pub(crate) fn read_after_stat(
+    fs: &dyn Vfs,
+    path: &Path,
+    meta: VfsMetadata,
+    verified: bool,
+) -> Result<CompiledSynopsis<'static>, SnapshotError> {
     if meta.is_dir {
-        return Err(SnapshotError::IsDirectory { path: shown });
+        return Err(SnapshotError::IsDirectory {
+            path: path.display().to_string(),
+        });
     }
     let arena = fs.read_aligned(path).map_err(|e| SnapshotError::Io {
-        path: shown,
+        path: path.display().to_string(),
         cause: e.to_string(),
     })?;
     if verified {
-        load_compiled_arena_verified(Arc::new(arena))
+        load_verified(arena.bytes())
     } else {
-        load_compiled_arena(Arc::new(arena))
+        load_compiled_snapshot(arena.bytes())
     }
 }
 
-/// v3 images of a built synopsis, each with exactly one id that serving
-/// indexes with pushed out of range and every CRC recomputed, named by
-/// the corrupted field. Every one must fail the carve typed.
+/// v3 images of a built synopsis, each with exactly one id or row
+/// count that serving indexes with pushed out of range and every CRC
+/// recomputed, named by the corrupted field. Every one must fail the
+/// carve typed.
 #[cfg(test)]
 pub(crate) fn out_of_range_images() -> Vec<(&'static str, Vec<u8>)> {
     let s = tests::built_synopsis();
@@ -826,7 +844,10 @@ pub(crate) fn out_of_range_images() -> Vec<(&'static str, Vec<u8>)> {
         mutate(&mut cs);
         assemble(&sections(&cs))
     };
-    let with_dims = |cs: &CompiledSynopsis<'_>| cs.hists.iter().position(|h| h.dims > 0);
+    // The first head with a scope dimension and a bucket.
+    let with_dims = |cs: &CompiledSynopsis<'_>| {
+        (cs.hists.heads.iter()).position(|h| h.dims > 0 && h.buckets > 0)
+    };
     let valued = |cs: &CompiledSynopsis<'_>| cs.cols.values.spans.iter().position(Option::is_some);
     let probe = CompiledSynopsis::compile(&s);
     assert!(!probe.cols.edge_child.is_empty() && with_dims(&probe).is_some());
@@ -838,7 +859,8 @@ pub(crate) fn out_of_range_images() -> Vec<(&'static str, Vec<u8>)> {
             "dim_parent",
             image(&|cs| {
                 if let Some(k) = with_dims(cs) {
-                    cs.hists[k].dim_parent[0] = SynId(n);
+                    let d = cs.hists.heads[k].dim;
+                    cs.hists.dim_parent[d] = SynId(n);
                 }
             }),
         ),
@@ -846,7 +868,8 @@ pub(crate) fn out_of_range_images() -> Vec<(&'static str, Vec<u8>)> {
             "dim_child",
             image(&|cs| {
                 if let Some(k) = with_dims(cs) {
-                    cs.hists[k].dim_child[0] = SynId(n);
+                    let d = cs.hists.heads[k].dim;
+                    cs.hists.dim_child[d] = SynId(n);
                 }
             }),
         ),
@@ -863,7 +886,51 @@ pub(crate) fn out_of_range_images() -> Vec<(&'static str, Vec<u8>)> {
                 }
             }),
         ),
+        (
+            // A head claims one more bucket than FRAC holds.
+            "bucket",
+            image(&|cs| {
+                if let Some(k) = with_dims(cs) {
+                    cs.hists.heads[k].buckets += 1;
+                }
+            }),
+        ),
+        (
+            // The heads claim one more cell than LO holds.
+            "cell",
+            image(&|cs| {
+                cs.hists.lo.pop();
+            }),
+        ),
+        (
+            // A head claims one more value-bucket row than VB_LO holds.
+            "value_bucket",
+            image(&|cs| {
+                if let Some(k) = with_dims(cs) {
+                    let span = &mut cs.hists.vb_span[cs.hists.heads[k].dim];
+                    *span = Some(span.map_or((0, 1), |(start, len)| (start, len + 1)));
+                }
+            }),
+        ),
     ]
+}
+
+/// A v3 image of a built synopsis in the previous nine-section layout:
+/// the `f64` transposes stored as sections 6 and 7, and the value-bucket
+/// columns as 8 and 9. Every loader must refuse it typed.
+#[cfg(test)]
+pub(crate) fn previous_layout_image() -> Vec<u8> {
+    let s = tests::built_synopsis();
+    let cs = CompiledSynopsis::compile(&s);
+    let mut bodies = sections(&cs);
+    let (vb_lo, vb_hi) = (bodies.remove(5).1, bodies.remove(5).1);
+    bodies.extend([
+        (6, le_column(&cs.hists.lo_t, f64::to_le_bytes)),
+        (7, le_column(&cs.hists.hi_t, f64::to_le_bytes)),
+        (8, vb_lo),
+        (9, vb_hi),
+    ]);
+    assemble(&bodies)
 }
 
 #[cfg(test)]
@@ -906,22 +973,22 @@ mod tests {
         let s = built_synopsis();
         let bytes = save_synopsis_v3(&s);
         let owned = CompiledSynopsis::compile(&s);
-        let mapped = load_compiled_snapshot(&bytes).unwrap();
+        let loaded = load_compiled_snapshot(&bytes).unwrap();
         let opts = EstimateOptions::default();
         for text in QUERIES {
             let q = parse_twig(text).unwrap();
             let a = owned.estimate_report(&q, &opts);
-            let b = mapped.estimate_report(&q, &opts);
+            let b = loaded.estimate_report(&q, &opts);
             assert_eq!(
                 a.estimate.to_bits(),
                 b.estimate.to_bits(),
-                "{text}: owned {} vs mapped {}",
+                "{text}: owned {} vs loaded {}",
                 a.estimate,
                 b.estimate
             );
         }
-        // The mapped load is a new generation.
-        assert!(mapped.epoch() > owned.epoch());
+        // The load is a new generation.
+        assert!(loaded.epoch() > owned.epoch());
     }
 
     #[test]
@@ -967,8 +1034,8 @@ mod tests {
             load_compiled_snapshot(&bad),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
-        // verify() catches a flip anywhere, including the lanes a load
-        // deliberately does not scan.
+        // verify() catches a flip anywhere, including the columns a load
+        // decodes without checksumming.
         for pos in (0..bytes.len()).step_by(13) {
             let mut bad = bytes.clone();
             bad[pos] ^= 1;
@@ -978,10 +1045,9 @@ mod tests {
 
     #[test]
     fn every_flipped_bit_in_every_section_is_rejected_by_verified_load() {
-        // Corruption corpus for the catalog fault-in path: the plain
-        // zero-copy load validates header + table + META only, so a
-        // flipped bit in a mapped bucket column would silently skew
-        // estimates. The *verified* load must reject every single-bit
+        // Corruption corpus for the catalog fault-in path: the fast
+        // load checksums header + table + META only, so a flipped bit
+        // in a bucket column it decodes would silently skew estimates. The *verified* load must reject every single-bit
         // flip in every section with a typed error — never serve it.
         let s = built_synopsis();
         let bytes = save_synopsis_v3(&s);
@@ -1022,7 +1088,7 @@ mod tests {
         let s = built_synopsis();
         let bytes = save_synopsis_v3(&s);
         let idx = parse_arena(&bytes).unwrap();
-        // Flip one bit inside the fraction lane (a section the fast
+        // Flip one bit inside the fraction column (a section the fast
         // load never checksums) and show the split: fast load serves
         // it, verified load refuses with a typed checksum error.
         let sec = idx.get(section::FRAC);
@@ -1056,11 +1122,18 @@ mod tests {
                 "edge_child" => "edge endpoint out of range",
                 "dim_parent" | "dim_child" => "scope dim endpoint out of range",
                 "node_label" => "node label out of range",
-                _ => "unexpected end of snapshot",
+                "value_span" => "unexpected end of snapshot",
+                // A row-count overrun names the column it overruns.
+                "bucket" => "of section 2,",
+                "cell" => "of section 3,",
+                "value_bucket" => "of section 6,",
+                other => panic!("no expectation for {other}"),
             };
             match load_compiled_snapshot(&bytes) {
                 Err(SnapshotError::Decode { message, .. }) => {
-                    assert_eq!(message, expected, "{field}");
+                    let overrun =
+                        message.starts_with("histogram heads claim") && message.contains(expected);
+                    assert!(message == expected || overrun, "{field}: {message}");
                 }
                 other => panic!("{field}: expected a typed decode error, got {other:?}"),
             }
@@ -1088,6 +1161,24 @@ mod tests {
         }
         bodies.truncate(section::ALL.len());
         load_compiled_snapshot(&assemble(&bodies)).unwrap();
+    }
+
+    #[test]
+    fn retired_transpose_sections_are_rejected() {
+        let image = previous_layout_image();
+        let results = [
+            load_compiled_snapshot(&image).map(|_| ()),
+            verify_snapshot_v3(&image),
+            super::super::load_synopsis(&image).map(|_| ()),
+        ];
+        for result in results {
+            match result {
+                Err(SnapshotError::Decode { message, .. }) => {
+                    assert_eq!(message, "expected 7 sections, header names 9");
+                }
+                other => panic!("previous layout: got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -64,11 +64,11 @@ pub struct VfsMetadata {
 pub trait Vfs: std::fmt::Debug + Send + Sync {
     /// Reads the whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Reads the whole file into 8-byte-aligned storage (the zero-copy
-    /// v3 arena path). The default copies through [`Vfs::read`];
-    /// [`StdVfs`] overrides with a direct aligned read.
+    /// Reads the whole file into an [`AlignedBytes`] buffer (the v3
+    /// snapshot load). The default wraps [`Vfs::read`]'s vector without
+    /// copying it.
     fn read_aligned(&self, path: &Path) -> io::Result<AlignedBytes> {
-        self.read(path).map(|b| AlignedBytes::from_bytes(&b))
+        self.read(path).map(AlignedBytes::from)
     }
     /// Stats the path.
     fn metadata(&self, path: &Path) -> io::Result<VfsMetadata>;
@@ -123,10 +123,6 @@ impl VfsFile for StdFile {
 impl Vfs for StdVfs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
-    }
-
-    fn read_aligned(&self, path: &Path) -> io::Result<AlignedBytes> {
-        AlignedBytes::read_file(path)
     }
 
     fn metadata(&self, path: &Path) -> io::Result<VfsMetadata> {

@@ -24,6 +24,8 @@
 //! * [`compiled`] — the TREEPARSE evaluator over the compiled synopsis.
 //! * [`construct`] — refinement operations and the XBUILD driver.
 
+#![forbid(unsafe_code)]
+
 pub mod coarse;
 pub mod compiled;
 pub mod construct;
@@ -50,7 +52,7 @@ pub use estimate::{
     EstimateOptionsBuilder, EstimateReport, EstimateRequest, Estimator, Exhaustion, Explain,
     Provenance, QueryTelemetry, SynopsisView,
 };
-pub use io::pod::{AlignedBytes, Lane};
+pub use io::pod::AlignedBytes;
 pub use io::v3::{
     load_compiled_arena, load_compiled_arena_verified, load_compiled_snapshot,
     read_compiled_snapshot, read_compiled_snapshot_in, save_synopsis_v3, verify_snapshot_v3,

@@ -5,12 +5,13 @@
 //! files under a root directory (`<root>/<tenant>/<document>.xtwg`,
 //! format v3) and serves estimates from them with:
 //!
-//! * **Verified zero-copy fault-in** — a cold document is loaded
-//!   through [`read_compiled_snapshot_in`]: every section CRC is
-//!   checked, the structural columns are carved, and every bucket lane
-//!   is referenced in place in the aligned arena. Transient I/O errors
-//!   are retried under [`CatalogOptions::load_retries`]; corruption is
-//!   rebuilt through the [`RebuildHook`] or quarantined, never served.
+//! * **Verified fault-in** — a cold document's file is stat'ed once
+//!   (no file is [`CatalogError::UnknownDocument`]) and read, every
+//!   section CRC is checked, and the carve decodes it into owned
+//!   columns (see [`crate::io::v3`]). Transient I/O errors, a failed
+//!   stat included, are retried under [`CatalogOptions::load_retries`];
+//!   corruption is rebuilt through the [`RebuildHook`] or quarantined,
+//!   never served.
 //! * **Per-tenant admission quotas** — at most
 //!   [`CatalogOptions::tenant_quota`] requests of one tenant in
 //!   flight; excess is shed with [`CatalogError::QuotaExceeded`]
@@ -65,7 +66,7 @@ use super::cache::EstimateCache;
 use super::BatchServer;
 use crate::compiled::CompiledSynopsis;
 use crate::estimate::{EstimateOptions, EstimateReport};
-use crate::io::v3::{read_compiled_snapshot_in, write_snapshot_v3_in};
+use crate::io::v3::{read_after_stat, write_snapshot_v3_in};
 use crate::io::vfs::{StdVfs, Vfs};
 use crate::io::SnapshotError;
 use crate::synopsis::Synopsis;
@@ -320,7 +321,7 @@ pub trait ServeTier: Send + Sync + Sized + 'static {
 /// partition, served through a [`BatchServer`] (plan reuse, work
 /// splitting, epoch-checked caching). Budget-exhausted members come
 /// back degraded with the partial XSKETCH sum. In a catalog the
-/// synopsis is the zero-copy `'static` load of the key's snapshot.
+/// synopsis is the `'static` v3 load of the key's snapshot.
 #[derive(Debug)]
 pub struct Resident<'syn> {
     compiled: CompiledSynopsis<'syn>,
@@ -819,19 +820,29 @@ impl<T: ServeTier> SnapshotCatalog<T> {
         )
     }
 
-    /// Loads and fully CRC-verifies the snapshot at `path`, retrying
-    /// transient I/O failures with the catalog's jittered backoff.
-    /// Corruption (anything other than [`SnapshotError::Io`]) returns
-    /// immediately — re-reading rotten bytes cannot help.
+    /// Stats, reads and fully CRC-verifies the snapshot at `path`, or
+    /// `Ok(None)` when the stat finds no file there. Every other stat
+    /// or read failure is transient I/O, retried with the catalog's
+    /// jittered backoff. Corruption (anything other than
+    /// [`SnapshotError::Io`]) returns immediately — re-reading rotten
+    /// bytes cannot help.
     fn load_verified_with_retry(
         &self,
         path: &Path,
         request_id: u64,
-    ) -> Result<CompiledSynopsis<'static>, SnapshotError> {
+    ) -> Result<Option<CompiledSynopsis<'static>>, SnapshotError> {
         let mut attempt = 0u32;
         loop {
-            match read_compiled_snapshot_in(&*self.vfs, path, true) {
-                Ok(compiled) => return Ok(compiled),
+            let loaded = match self.vfs.metadata(path) {
+                Ok(meta) => read_after_stat(&*self.vfs, path, meta, true),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+                Err(e) => Err(SnapshotError::Io {
+                    path: path.display().to_string(),
+                    cause: e.to_string(),
+                }),
+            };
+            match loaded {
+                Ok(compiled) => return Ok(Some(compiled)),
                 Err(SnapshotError::Io { path, cause }) if attempt < self.options.load_retries => {
                     let _transient = (path, cause);
                     attempt += 1;
@@ -854,7 +865,7 @@ impl<T: ServeTier> SnapshotCatalog<T> {
     ///
     /// The load path is hardened against storage faults:
     /// * every byte of the snapshot is CRC-verified before serving
-    ///   (the plain zero-copy load checks header/table/`META` only);
+    ///   (the fast load checksums header/table/`META` only);
     /// * transient I/O errors are retried under
     ///   [`CatalogOptions::load_retries`]/[`CatalogOptions::backoff`];
     /// * corruption triggers an in-place rebuild through the
@@ -919,14 +930,14 @@ impl<T: ServeTier> SnapshotCatalog<T> {
             return Ok(Arc::clone(doc));
         }
         let path = self.path_for(tenant, document);
-        if !self.vfs.exists(&path) {
-            return Err(CatalogError::UnknownDocument {
-                tenant: tenant.to_owned(),
-                document: document.to_owned(),
-            });
-        }
         let compiled = match self.load_verified_with_retry(&path, stamp) {
-            Ok(compiled) => compiled,
+            Ok(Some(compiled)) => compiled,
+            Ok(None) => {
+                return Err(CatalogError::UnknownDocument {
+                    tenant: tenant.to_owned(),
+                    document: document.to_owned(),
+                })
+            }
             Err(e @ SnapshotError::Io { .. }) => {
                 // Transient I/O exhausted its retry budget: surface it
                 // typed, but do not quarantine — the bytes on disk may
@@ -938,8 +949,14 @@ impl<T: ServeTier> SnapshotCatalog<T> {
                 // otherwise quarantine so garbage is never served.
                 if let Some(hook) = rebuild.as_ref() {
                     if let Some(s) = hook(tenant, document) {
-                        let rebuilt = write_snapshot_v3_in(&*self.vfs, &path, &s)
-                            .and_then(|_| self.load_verified_with_retry(&path, stamp));
+                        let rebuilt = write_snapshot_v3_in(&*self.vfs, &path, &s).and_then(|_| {
+                            self.load_verified_with_retry(&path, stamp)?.ok_or_else(|| {
+                                SnapshotError::Io {
+                                    path: path.display().to_string(),
+                                    cause: "rebuilt snapshot not found".into(),
+                                }
+                            })
+                        });
                         match rebuilt {
                             Ok(compiled) => {
                                 // lint:allow(atomic-ordering): monotonic stats counter
@@ -1227,7 +1244,7 @@ mod tests {
     }
 
     /// Flips one bit inside a bucket-lane section of the snapshot at
-    /// `path` — corruption the fast zero-copy load would happily map.
+    /// `path` — corruption the fast load would decode unchecked.
     fn rot_snapshot(path: &Path) {
         let mut bytes = std::fs::read(path).unwrap();
         let idx = crate::io::v3::parse_arena(&bytes).unwrap();
@@ -1292,7 +1309,9 @@ mod tests {
             );
             let reason = catalog.quarantine_reason(&tenant, "d").unwrap_or_default();
             assert!(
-                reason.contains("out of range") || reason.contains("end of"),
+                reason.contains("out of range")
+                    || reason.contains("end of")
+                    || reason.contains("heads claim"),
                 "{reason}"
             );
         }
@@ -1395,6 +1414,80 @@ mod tests {
         }
         assert!(stats.load_retries > 0, "{stats:?}");
         assert_eq!(stats.quarantined, 0, "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_stat_is_retried_not_an_unknown_document() {
+        use crate::io::vfs::{FaultVfs, VfsFaultPlan};
+        let dir = tempdir("stat-fault");
+        let vfs = Arc::new(FaultVfs::over_std(VfsFaultPlan {
+            seed: 7,
+            metadata_error: 1000,
+            ..VfsFaultPlan::default()
+        }));
+        vfs.arm(false);
+        let options = CatalogOptions::builder()
+            .load_retries(3)
+            .backoff(BackoffPolicy {
+                base: std::time::Duration::from_micros(1),
+                cap: std::time::Duration::from_micros(10),
+                seed: 1,
+            })
+            .build();
+        let catalog = SnapshotCatalog::open_in(
+            &dir,
+            options,
+            Arc::clone(&vfs) as Arc<dyn crate::io::vfs::Vfs>,
+        );
+        catalog.publish("t", "d", &sample_synopsis(1)).unwrap();
+        let q = vec![parse_twig("for $t0 in //paper").unwrap()];
+        let opts = EstimateOptions::default();
+        vfs.arm(true);
+        // Every stat fails: the published key is not unknown, the
+        // failure is transient I/O, and it burned the retry budget.
+        let err = catalog.serve("t", "d", &q, &opts).unwrap_err();
+        assert!(
+            matches!(err, CatalogError::Snapshot(SnapshotError::Io { .. })),
+            "{err}"
+        );
+        let stats = catalog.stats();
+        assert_eq!(stats.load_retries, 3, "{stats:?}");
+        assert_eq!(stats.quarantined, 0, "{stats:?}");
+        // Healthy stats: the key serves, and a missing key is unknown.
+        vfs.arm(false);
+        catalog.serve("t", "d", &q, &opts).unwrap();
+        let err = catalog.serve("t", "ghost", &q, &opts).unwrap_err();
+        assert!(matches!(err, CatalogError::UnknownDocument { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_previous_layout_key_is_quarantined_or_rebuilt() {
+        let dir = tempdir("previous-layout");
+        let catalog = SnapshotCatalog::open(&dir, CatalogOptions::default());
+        let image = crate::io::v3::previous_layout_image();
+        let q = vec![parse_twig("for $t0 in //paper, $t1 in $t0/kw").unwrap()];
+        let opts = EstimateOptions::default();
+        for document in ["stale", "rebuilt"] {
+            let path = catalog.path_for("t", document);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &image).unwrap();
+        }
+        let err = catalog.serve("t", "stale", &q, &opts).unwrap_err();
+        assert!(matches!(err, CatalogError::Quarantined { .. }), "{err}");
+        let reason = catalog.quarantine_reason("t", "stale").unwrap_or_default();
+        assert!(reason.contains("expected 7 sections"), "{reason}");
+        let s = sample_synopsis(2);
+        let source = s.clone();
+        catalog.set_rebuild_hook(Some(Arc::new(move |_: &str, document: &str| {
+            (document == "rebuilt").then(|| source.clone())
+        })));
+        let served = catalog.serve("t", "rebuilt", &q, &opts).unwrap();
+        let cs = CompiledSynopsis::compile(&s);
+        let want = BatchServer::new(&cs).serve(&q)[0].estimate;
+        assert_eq!(served[0].estimate.to_bits(), want.to_bits());
+        assert_eq!(catalog.stats().rebuilds, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

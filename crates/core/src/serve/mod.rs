@@ -16,8 +16,7 @@
 //!   with per-fingerprint plan reuse and heavy-plan work splitting.
 //! * [`breaker`] — the circuit breaker and the jittered backoff the
 //!   catalog and the guarded fallback chain share.
-//! * [`catalog`] — `(tenant, document)`-keyed verified zero-copy
-//!   fault-in, per-tenant quotas and breakers, cold-key eviction,
+//! * [`catalog`] — `(tenant, document)`-keyed verified fault-in, per-tenant quotas and breakers, cold-key eviction,
 //!   quarantine, and publish/invalidate. What a resident key serves
 //!   through is a [`ServeTier`]: the default [`Resident`] tier is the
 //!   compiled synopsis, its cache partition and a `BatchServer`;

@@ -1305,6 +1305,10 @@ pub struct StorageChaosReport {
     pub serve_typed_errors: u64,
     /// Serves rejected because the tenant was quarantined.
     pub quarantines: u64,
+    /// Serves of the published key answered
+    /// [`CatalogError::UnknownDocument`] (must be 0 — a failed stat is
+    /// transient I/O, not a missing file).
+    pub lost_documents: u64,
     /// Post-chaos serves (device healthy again) that failed or
     /// mismatched (must be 0 — quarantine lifts on republish/invalidate
     /// and recovery is bit-identical).
@@ -1325,6 +1329,7 @@ impl StorageChaosReport {
             && self.fsck_failures == 0
             && self.state_mismatches == 0
             && self.serve_mismatches == 0
+            && self.lost_documents == 0
             && self.post_recovery_failures == 0
     }
 }
@@ -1336,7 +1341,8 @@ impl std::fmt::Display for StorageChaosReport {
             "storage chaos: {} plans, {} injected faults, write {}/{} faulted, \
              {} escaped panics, {} recovery failures, {} fsck failures, \
              {} state mismatches, read {}/{} ok ({} typed, {} quarantines, \
-             {} retries, {} rebuilds), {} serve mismatches, {} post-recovery failures",
+             {} retries, {} rebuilds), {} serve mismatches, {} lost documents, \
+             {} post-recovery failures",
             self.plans,
             self.injected_faults,
             self.write_faults,
@@ -1352,6 +1358,7 @@ impl std::fmt::Display for StorageChaosReport {
             self.load_retries,
             self.rebuilds,
             self.serve_mismatches,
+            self.lost_documents,
             self.post_recovery_failures,
         )
     }
@@ -1361,10 +1368,10 @@ impl std::fmt::Display for StorageChaosReport {
 /// [`IngestStore`] commit protocol through a [`FaultVfs`] injecting
 /// write/rename/fsync faults and prove a clean-device reopen recovers
 /// fsck-clean and bit-identical to an observed durable state, then (b)
-/// drive [`SnapshotCatalog`] cold fault-ins through transient-read and
-/// bit-rot injection and prove every request ends bit-identical or
-/// typed (retried, rebuilt, or quarantined — never garbage). Scratch
-/// state lives under `dir` (wiped per plan).
+/// drive [`SnapshotCatalog`] cold fault-ins through transient read and
+/// stat failures and bit-rot injection and prove every request ends
+/// bit-identical or typed (retried, rebuilt, or quarantined — never
+/// garbage). Scratch state lives under `dir` (wiped per plan).
 pub fn run_storage_chaos(
     doc: &Document,
     queries: &[TwigQuery],
@@ -1500,10 +1507,15 @@ pub fn run_storage_chaos(
         report.injected_faults += vfs.injected();
         let _ = std::fs::remove_dir_all(&store_dir);
 
-        // -- Phase B: read-side chaos on catalog fault-in.
+        // -- Phase B: read-side chaos on catalog fault-in. The
+        // read-error emphasis fails stats as often as reads.
         let cat_dir = dir.join(format!("chaos-catalog-{i}"));
         let _ = std::fs::remove_dir_all(&cat_dir);
-        let vfs = std::sync::Arc::new(FaultVfs::over_std(fault_plan));
+        let read_plan = VfsFaultPlan {
+            metadata_error: fault_plan.read_error,
+            ..fault_plan
+        };
+        let vfs = std::sync::Arc::new(FaultVfs::over_std(read_plan));
         vfs.arm(false);
         let catalog_opts = CatalogOptions::builder()
             .load_retries(4)
@@ -1550,8 +1562,10 @@ pub fn run_storage_chaos(
                 }
                 Ok(Err(e)) => {
                     report.serve_typed_errors += 1;
-                    if matches!(e, CatalogError::Quarantined { .. }) {
-                        report.quarantines += 1;
+                    match e {
+                        CatalogError::Quarantined { .. } => report.quarantines += 1,
+                        CatalogError::UnknownDocument { .. } => report.lost_documents += 1,
+                        _ => {}
                     }
                 }
             }

@@ -303,8 +303,8 @@ impl<'a> GuardedEstimator<'a> {
         GuardedEstimator::from_compiled(CompiledSynopsis::compile(synopsis), policy)
     }
 
-    /// Wraps an already compiled synopsis — typically the zero-copy
-    /// `'static` load of a snapshot — in the fallback chain.
+    /// Wraps an already compiled synopsis — typically the `'static`
+    /// v3 load of a snapshot — in the fallback chain.
     pub fn from_compiled(
         compiled: CompiledSynopsis<'a>,
         policy: GuardPolicy,
@@ -705,7 +705,7 @@ impl SummaryEstimator for GuardedEstimator<'_> {
 }
 
 /// The guarded chain as a catalog tier: each resident key gets its own
-/// chain over the zero-copy load, a cache partition of
+/// chain over the v3 load, a cache partition of
 /// [`CatalogOptions::cache_entries`], and per-tier breakers tuned by
 /// [`CatalogOptions::breaker`].
 impl ServeTier for GuardedEstimator<'static> {
@@ -913,7 +913,7 @@ mod tests {
         .collect()
     }
 
-    /// The chain as a catalog tier over the zero-copy load of `s`.
+    /// The chain as a catalog tier over the v3 load of `s`.
     fn tier(s: &Synopsis, breaker: BreakerConfig) -> GuardedEstimator<'static> {
         let compiled = load_compiled_snapshot(&save_synopsis_v3(s)).unwrap();
         let options = CatalogOptions::builder().breaker(breaker).build();

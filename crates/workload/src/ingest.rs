@@ -845,7 +845,7 @@ impl IngestStore {
     }
 
     /// Publishes the maintained synopsis into a multi-tenant
-    /// [`SnapshotCatalog`] as a format-v3 (zero-copy) snapshot under
+    /// [`SnapshotCatalog`] as a format-v3 snapshot under
     /// `(tenant, document)`, atomically installing the file and
     /// invalidating any resident copy. Returns the snapshot size in
     /// bytes.

@@ -412,7 +412,7 @@ fn numeric_rules_apply(rel: &str) -> bool {
 /// Whether the `hot-alloc` rule applies: embedding enumeration, whose
 /// buffers feed the TREEPARSE kernel, where steady-state serving performs
 /// zero heap allocations (proven by `tests/alloc_zero.rs`, enforced by
-/// the CI `alloc-zero` job). Cold paths that are *stored* rather than
+/// the CI `alloc-audit` job). Cold paths that are *stored* rather than
 /// per-query (memoized embedding plans, one-time setup) carry a
 /// `// lint:allow(hot-alloc): <reason>`.
 fn hot_alloc_applies(rel: &str) -> bool {

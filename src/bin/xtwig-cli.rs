@@ -143,7 +143,7 @@ published as the one key `default/main` of a catalog in a temporary
 directory (or --catalog) and every query line is served against it.
 With <plan.txt> --catalog <dir> the plan holds one request per line,
 `tenant/document <twig-query>`, against snapshots stored as
-`<dir>/<tenant>/<document>.xtwg` (zero-copy format v3, faulted in on
+`<dir>/<tenant>/<document>.xtwg` (format v3, faulted in on
 first use and CRC-verified); `--publish <file.xml>` builds a synopsis
 from the document and publishes it under every plan key first. Each
 tenant is admitted through its own in-flight quota (`--tenant-quota`,
@@ -190,8 +190,8 @@ run means a resilience invariant was violated.
 
 `check --catalog <dir>` is the deep fsck for a catalog directory: it
 sweeps every `<tenant>/<document>.xtwg`, verifies every section CRC of
-the zero-copy v3 arena (the fast serving load only checks the header,
-table, and META section), rebuilds the synopsis from the arena's
+the v3 snapshot (the fast load only checksums the header,
+table, and META section), rebuilds the synopsis from the snapshot's
 columns, and runs the structural fsck, printing one report line per
 key. Exits 4 if any
 snapshot is corrupt (after completing the sweep), 1 if any is
@@ -651,8 +651,8 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
                     continue;
                 }
             };
-            // Depth 1: every section CRC (the zero-copy fast load only
-            // checks header + table + META). Depth 2: carve the arena,
+            // Depth 1: every section CRC (the fast load only checksums
+            // header + table + META). Depth 2: carve the snapshot,
             // rebuild the synopsis from its columns, and run the
             // structural fsck.
             let deep = verify_snapshot_v3(&bytes)

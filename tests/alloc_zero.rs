@@ -1,20 +1,26 @@
-//! Steady-state allocation audit for the compiled estimation path.
+//! Allocation audit for the compiled estimation path, in two phases.
 //!
-//! The arena rework (DESIGN.md §13) claims that once a worker thread's
-//! scratch arena and expansion memo are warm, a repeated
+//! **Steady state.** The arena rework (DESIGN.md §13) claims that once a
+//! worker thread's scratch arena and expansion memo are warm, a repeated
 //! query performs **zero** heap allocations end to end: the memo key
 //! formats into retained `String` capacity and is looked up by `&str`,
 //! the plan comes back as an `Arc` clone, every TREEPARSE frame lives
 //! in recycled arena lanes, and the report itself
 //! (`estimate`/`Provenance`/`QueryTelemetry`) is plain stack data.
 //!
-//! This test *proves* it with a counting global allocator: warm up,
-//! snapshot the allocation counters, run many estimates, and assert
-//! the counters did not move. It must remain the **only** `#[test]`
-//! in this file — a sibling test running concurrently on another
-//! libtest thread would allocate into the same global counters and
-//! turn the assertion into noise. CI runs it in release (the
-//! `alloc-zero` job), matching the codegen the claim is about.
+//! **Fault-in.** A verified v3 load (stat, read, full CRC sweep, carve)
+//! fills one set of flat columns per synopsis (DESIGN.md §14), so it
+//! acquires a fixed number of heap blocks whatever the node count: at
+//! most [`MAX_LOAD_ACQUISITIONS`] for the coarse and the XBUILD
+//! synopsis of every generator.
+//!
+//! The test *proves* both with a counting global allocator: snapshot
+//! the allocation counter, run the measured work, and compare. It must
+//! remain the **only** `#[test]` in this file — a sibling test running
+//! concurrently on another libtest thread would allocate into the same
+//! global counter and turn the assertions into noise. CI runs it in
+//! release (the `alloc-audit` job), matching the codegen the claims are
+//! about.
 
 // The counting allocator is the one place the workspace-wide
 // `unsafe_code` deny is lifted: `GlobalAlloc` is an unsafe trait, and
@@ -26,9 +32,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::estimate::EstimateOptions;
-use xtwig::core::{coarse_synopsis, CompiledSynopsis};
-use xtwig::datagen::{xmark, XMarkConfig};
+use xtwig::core::{
+    coarse_synopsis, read_compiled_snapshot_in, save_synopsis_v3, CompiledSynopsis, StdVfs,
+    Synopsis,
+};
+use xtwig::datagen::{xmark, Dataset, XMarkConfig};
 use xtwig::workload::{generate_workload, WorkloadKind, WorkloadSpec};
+use xtwig::xml::Document;
+
+/// Heap blocks one verified v3 load of any generator's synopsis may
+/// acquire.
+const MAX_LOAD_ACQUISITIONS: u64 = 64;
 
 /// Forwards every call to [`System`], counting acquisition events
 /// (`alloc`, `alloc_zeroed`, `realloc`). Deallocations are not counted:
@@ -62,16 +76,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_queries_allocate_nothing() {
-    // Setup (allocates freely): document, synopsis, compiled form,
-    // workload. Small scale keeps the test fast; branching queries
-    // exercise the full TREEPARSE recursion, not just path chains.
-    let doc = xmark(XMarkConfig {
-        scale: 0.01,
-        seed: 7,
-    });
-    let coarse = coarse_synopsis(&doc);
+/// The XBUILD synopsis of `doc` at 900 bytes over its coarse one.
+fn built(doc: &Document, coarse: &Synopsis) -> Synopsis {
     let opts = BuildOptions {
         budget_bytes: coarse.size_bytes() + 900,
         refinements_per_round: 3,
@@ -79,18 +85,39 @@ fn steady_state_queries_allocate_nothing() {
         seed: 7,
         ..Default::default()
     };
-    let (s, _) = xbuild(&doc, TruthSource::Exact, &opts);
+    xbuild(doc, TruthSource::Exact, &opts).0
+}
+
+/// Eight seeded branching queries over `doc`.
+fn branching(doc: &Document) -> Vec<xtwig::query::TwigQuery> {
+    let spec = WorkloadSpec {
+        queries: 8,
+        kind: WorkloadKind::Branching,
+        seed: 7,
+        ..Default::default()
+    };
+    generate_workload(doc, &spec).queries
+}
+
+#[test]
+fn steady_state_queries_allocate_nothing() {
+    steady_state_phase();
+    fault_in_phase();
+}
+
+/// Phase one: warm estimates allocate nothing.
+fn steady_state_phase() {
+    // Setup (allocates freely): document, synopsis, compiled form,
+    // workload. Small scale keeps the test fast; branching queries
+    // exercise the full TREEPARSE recursion, not just path chains.
+    let doc = xmark(XMarkConfig {
+        scale: 0.01,
+        seed: 7,
+    });
+    let s = built(&doc, &coarse_synopsis(&doc));
     let cs = CompiledSynopsis::compile(&s);
-    let w = generate_workload(
-        &doc,
-        &WorkloadSpec {
-            queries: 8,
-            kind: WorkloadKind::Branching,
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    assert!(!w.queries.is_empty(), "workload generator produced nothing");
+    let queries = branching(&doc);
+    assert!(!queries.is_empty(), "workload generator produced nothing");
     let eopts = EstimateOptions::default();
 
     // Warm-up: grows each arena lane to its high-water mark, warms the
@@ -101,7 +128,7 @@ fn steady_state_queries_allocate_nothing() {
     let mut reference = 0.0f64;
     for _ in 0..2 {
         reference = 0.0;
-        for q in &w.queries {
+        for q in &queries {
             reference += cs.estimate_report(q, &eopts).estimate;
         }
     }
@@ -114,7 +141,7 @@ fn steady_state_queries_allocate_nothing() {
     let mut divergent_passes = 0u64;
     for _ in 0..PASSES {
         let mut pass_sum = 0.0f64;
-        for q in &w.queries {
+        for q in &queries {
             pass_sum += cs.estimate_report(q, &eopts).estimate;
         }
         if pass_sum.to_bits() != reference.to_bits() {
@@ -132,9 +159,9 @@ fn steady_state_queries_allocate_nothing() {
          DESIGN.md §13 is broken — look for a collect()/Vec::new that \
          bypassed the arena, or a memo key that stopped reusing key_buf.",
         delta,
-        PASSES * w.queries.len(),
+        PASSES * queries.len(),
         PASSES,
-        w.queries.len(),
+        queries.len(),
     );
 
     // The measured passes computed the same bits as the warm pass
@@ -143,4 +170,43 @@ fn steady_state_queries_allocate_nothing() {
         divergent_passes, 0,
         "measured passes diverged bitwise from the warm-up pass"
     );
+}
+
+/// Phase two: a verified v3 load of each generator's coarse and XBUILD
+/// synopsis — the catalog fault-in's stat, read, CRC sweep and carve —
+/// acquires at most [`MAX_LOAD_ACQUISITIONS`] heap blocks, and the
+/// loaded synopsis answers like the in-memory compile.
+fn fault_in_phase() {
+    let dir = std::env::temp_dir().join(format!("xtwig-alloc-audit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let eopts = EstimateOptions::default();
+    for ds in Dataset::ALL {
+        let doc = ds.generate(0.01);
+        let coarse = coarse_synopsis(&doc);
+        let xbuilt = built(&doc, &coarse);
+        let queries = branching(&doc);
+        for (form, s) in [("coarse", &coarse), ("xbuild", &xbuilt)] {
+            let path = dir.join(format!("{}-{form}.xtwg", ds.name()));
+            std::fs::write(&path, save_synopsis_v3(s)).unwrap();
+            let before = ACQUISITIONS.load(Ordering::SeqCst);
+            let loaded = read_compiled_snapshot_in(&StdVfs, &path, true);
+            let acquired = ACQUISITIONS.load(Ordering::SeqCst).saturating_sub(before);
+            let loaded = loaded.expect("verified v3 load");
+            assert!(
+                acquired <= MAX_LOAD_ACQUISITIONS,
+                "{} {form} ({} nodes): a verified v3 load acquired {acquired} heap \
+                 blocks, over {MAX_LOAD_ACQUISITIONS}. The carve should fill one set \
+                 of flat columns per synopsis — look for a per-node Vec.",
+                ds.name(),
+                s.node_count(),
+            );
+            let compiled = CompiledSynopsis::compile(s);
+            for q in &queries {
+                let want = compiled.estimate_report(q, &eopts).estimate;
+                let got = loaded.estimate_report(q, &eopts).estimate;
+                assert_eq!(got.to_bits(), want.to_bits(), "{} {form}: {q}", ds.name());
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

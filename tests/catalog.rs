@@ -1,6 +1,6 @@
 //! Integration: the multi-tenant snapshot catalog as the serving
 //! front door. Two tenants with *different* documents round-trip
-//! through publish → zero-copy fault-in → serve with estimates
+//! through publish → verified fault-in → serve with estimates
 //! bit-identical to a dedicated single-document [`BatchServer`], and
 //! a live [`IngestStore`] publishes its maintained synopsis into the
 //! catalog so a mutating tenant's next request sees the new

@@ -246,7 +246,7 @@ fn v3_carries_everything_v2_does_for_every_generator() {
                 save_synopsis(&rebuilt) == save_synopsis(&s),
                 "{name}/{kind}: v2 image of the v3 round trip differs"
             );
-            let loaded = load_compiled_snapshot(&v3).expect("zero-copy load");
+            let loaded = load_compiled_snapshot(&v3).expect("v3 load");
             assert!(save_synopsis(loaded.source()) == save_synopsis(&s));
         }
     }
@@ -257,9 +257,9 @@ fn v3_mapped_and_owned_estimates_are_bit_identical_for_every_generator() {
     for (name, doc) in generator_docs() {
         let synopsis = build_small(&doc);
         let v3 = save_synopsis_v3(&synopsis);
-        // Mapped: lanes point straight into the arena image, no bucket
-        // deserialization. Owned: the classic parse-and-compile path.
-        let mapped = load_compiled_snapshot(&v3).expect("zero-copy load");
+        // Mapped: the columns bulk-decoded straight from the v3 image.
+        // Owned: the classic parse-and-compile path.
+        let mapped = load_compiled_snapshot(&v3).expect("v3 load");
         let owned_syn = load_synopsis(&v3).expect("v3 parses to a synopsis");
         let owned = CompiledSynopsis::compile(&owned_syn);
 
