@@ -11,6 +11,7 @@
 
 use xtwig_bench::{pct, row, BenchConfig};
 use xtwig_core::construct::{xbuild, BuildOptions, TruthSource};
+use xtwig_core::estimate::EvalArena;
 use xtwig_core::single_path::estimate_path_count;
 use xtwig_core::{CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig_datagen::Dataset;
@@ -50,9 +51,12 @@ fn main() {
             .iter()
             .map(|q| compiled.estimate(&EstimateRequest::new(q)).estimate)
             .collect();
+        let mut arena = EvalArena::new();
         let sp_est: Vec<f64> = chains
             .iter()
-            .map(|q| estimate_path_count(&synopsis, q.path(q.root()), &Default::default()))
+            .map(|q| {
+                estimate_path_count(&synopsis, q.path(q.root()), &Default::default(), &mut arena)
+            })
             .collect();
         let twig_err = avg_relative_error(&twig_est, &truths).avg_rel_error;
         let sp_err = avg_relative_error(&sp_est, &truths).avg_rel_error;

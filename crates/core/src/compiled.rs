@@ -33,11 +33,14 @@
 //!   a copyable handle — head plus a reference to the columns — that
 //!   owns no heap memory. A v3 load fills the same columns in a fixed
 //!   number of allocations, whatever the node count.
-//! * **Memoized maximal-twig expansion** — embeddings and their
-//!   TREEPARSE `needs` sets cached per `(query signature, expansion
-//!   options)`, so repeated queries skip expansion and embedding
-//!   enumeration entirely. The memo is only populated by expansions that
-//!   ran to completion (no deadline/work exhaustion mid-enumeration).
+//! * **Memoized maximal-twig expansion** — one flat plan per
+//!   `(query signature, expansion options)`: every embedding as a range
+//!   of plan nodes over shared node, children, branch-value and `needs`
+//!   columns ([`ExpandedQuery`]), so repeated queries skip expansion and
+//!   embedding enumeration entirely. A miss enumerates in the thread's
+//!   arena lanes and copies the plan out once, exact-size. The memo is
+//!   only populated by expansions that ran to completion (no
+//!   deadline/work exhaustion mid-enumeration).
 //!
 //! Every compiled synopsis carries an **epoch** drawn from a global
 //! monotone counter. Downstream caches (the serving layer's estimate
@@ -83,8 +86,10 @@ use crate::estimate::api::{
     self, AssumptionCounts, EstimateReport, EstimateRequest, Estimator, Explain, Provenance,
     QueryTelemetry,
 };
-use crate::estimate::arena::{self, EvalArena};
-use crate::estimate::embedding::{enumerate_embeddings_metered, Embedding};
+use crate::estimate::arena::{self, EvalArena, ExpandScratch};
+use crate::estimate::embedding::{
+    enumerate_plan, plan_of, Embedding, EmbeddingView, ExpandedQuery,
+};
 use crate::estimate::guard::{EvalStats, Meter};
 use crate::estimate::kernel;
 use crate::estimate::{coarse_count_bound, EstimateOptions, SynopsisView};
@@ -365,6 +370,16 @@ impl<'c> CompiledHistogram<'c> {
         rows(&self.cols.dim_child, self.head.dim, self.head.dims)
     }
 
+    /// The histogram's backward dimensions, as `(parent, child)` edges in
+    /// scope order.
+    pub(crate) fn backward_edges(self) -> impl Iterator<Item = (SynId, SynId)> + 'c {
+        self.dim_kind()
+            .iter()
+            .zip(self.dim_parent().iter().zip(self.dim_child()))
+            .filter(|(&k, _)| k == DimKind::Backward)
+            .map(|(_, (&p, &c))| (p, c))
+    }
+
     fn dim_kind(self) -> &'c [DimKind] {
         rows(&self.cols.dim_kind, self.head.dim, self.head.dims)
     }
@@ -527,21 +542,6 @@ impl<'c> ValueRows<'c> {
         }
         share
     }
-}
-
-/// A fully expanded query: the maximal twig embeddings plus, per
-/// embedding, the per-node sorted `needs` edge lists TREEPARSE
-/// conditions on. This is what the expansion memo stores.
-#[derive(Debug)]
-pub struct ExpandedQuery {
-    /// The maximal twig embeddings.
-    pub embeddings: Vec<Embedding>,
-    /// `needs[e][i]`: sorted, deduplicated backward edges required below
-    /// embedding `e`'s node `i`.
-    pub needs: Vec<Vec<Vec<(SynId, SynId)>>>,
-    /// Meter work the expansion charged; a memo hit under a work limit
-    /// charges it again.
-    pub work: u64,
 }
 
 /// The label-name table as one UTF-8 string plus end offsets: label
@@ -959,14 +959,28 @@ impl<'a> CompiledSynopsis<'a> {
         opts: &EstimateOptions,
         meter: &mut Meter,
     ) -> (Arc<ExpandedQuery>, bool) {
-        arena::with_scratch(|ar| self.expand_inner(query, opts, meter, &mut ar.key_buf))
+        arena::with_scratch(|ar| {
+            self.expand_inner(query, opts, meter, &mut ar.key_buf, &mut ar.expand)
+        })
     }
 
-    /// Expands `query` through the memo: a hit returns the cached
-    /// embeddings + needs instantly; a miss enumerates the embeddings
-    /// over the structural columns under `meter` and caches the result only
-    /// when the enumeration ran to completion. Also reports whether the
-    /// memo answered.
+    /// Enumerates `query`'s maximal twig embeddings into a fresh plan
+    /// under `meter`, bypassing the memo — what a memo miss runs. On
+    /// exhaustion the plan holds the embeddings completed so far.
+    pub fn expand_metered(
+        &self,
+        query: &TwigQuery,
+        opts: &EstimateOptions,
+        meter: &mut Meter,
+    ) -> ExpandedQuery {
+        arena::with_scratch(|ar| enumerate_plan(self, query, opts, meter, &mut ar.expand))
+    }
+
+    /// Expands `query` through the memo: a hit returns the cached plan
+    /// instantly; a miss enumerates the embeddings over the structural
+    /// columns under `meter`, in `sc`'s lanes, and caches the copied-out
+    /// plan only when the enumeration ran to completion. Also reports
+    /// whether the memo answered.
     ///
     /// A hit under a work limit charges the work the stored expansion
     /// took when it fits the remaining budget, and otherwise runs the
@@ -977,14 +991,16 @@ impl<'a> CompiledSynopsis<'a> {
     /// `key_buf` is a reusable buffer for the memo key: on the
     /// steady-state hit path the key is formatted into retained capacity
     /// and looked up as `&str` (the map borrows `String` keys as `str`),
-    /// so a memo hit performs **zero** heap allocations. Only a cold
-    /// miss materializes an owned key for insertion.
+    /// so a memo hit performs **zero** heap allocations. A cold miss
+    /// acquires the plan's columns, its `Arc` and an owned key for
+    /// insertion, whatever the embedding count.
     fn expand_inner(
         &self,
         query: &TwigQuery,
         opts: &EstimateOptions,
         meter: &mut Meter,
         key_buf: &mut String,
+        sc: &mut ExpandScratch,
     ) -> (Arc<ExpandedQuery>, bool) {
         use std::fmt::Write as _;
         key_buf.clear();
@@ -1012,14 +1028,7 @@ impl<'a> CompiledSynopsis<'a> {
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         telemetry::global().expansion_memo_misses.incr();
-        let work_before = meter.work_done();
-        let embeddings = enumerate_embeddings_metered(self, query, opts, meter);
-        let needs = embeddings.iter().map(|e| self.compute_needs(e)).collect();
-        let expanded = Arc::new(ExpandedQuery {
-            embeddings,
-            needs,
-            work: meter.work_done().saturating_sub(work_before),
-        });
+        let expanded = Arc::new(enumerate_plan(self, query, opts, meter, sc));
         if meter.exhaustion().is_none() {
             let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
             if memo.len() >= EXPANSION_MEMO_CAP {
@@ -1028,43 +1037,6 @@ impl<'a> CompiledSynopsis<'a> {
             memo.insert(key_buf.clone(), Arc::clone(&expanded));
         }
         (expanded, false)
-    }
-
-    /// The `needs` pre-pass: `needs[i]` holds the edges that appear as
-    /// backward dimensions of histograms in the subtree rooted at
-    /// embedding node `i` (including `i` itself) — ancestors must
-    /// enumerate these when they can, so descendants can condition on
-    /// them. Sets are sorted, deduplicated `Vec`s, queried by binary
-    /// search. Children always follow parents in index order, so a
-    /// reverse sweep sees every child before its parent.
-    fn compute_needs(&self, emb: &Embedding) -> Vec<Vec<(SynId, SynId)>> {
-        let mut needs: Vec<Vec<(SynId, SynId)>> = vec![Vec::new(); emb.nodes.len()];
-        for i in (0..emb.nodes.len()).rev() {
-            let Some(node) = emb.nodes.get(i) else {
-                continue;
-            };
-            let mut set: Vec<(SynId, SynId)> = match self.hist(node.syn) {
-                Some(ch) => ch
-                    .dim_kind()
-                    .iter()
-                    .zip(ch.dim_parent().iter().zip(ch.dim_child()))
-                    .filter(|(&k, _)| k == DimKind::Backward)
-                    .map(|(_, (&p, &c))| (p, c))
-                    .collect(),
-                None => Vec::new(),
-            };
-            for &c in &node.children {
-                if let Some(below) = needs.get(c) {
-                    set.extend(below.iter().copied());
-                }
-            }
-            set.sort_unstable();
-            set.dedup();
-            if let Some(slot) = needs.get_mut(i) {
-                *slot = set;
-            }
-        }
-        needs
     }
 
     /// Estimates the selectivity (number of binding tuples) of `query`:
@@ -1082,7 +1054,8 @@ impl<'a> CompiledSynopsis<'a> {
             let mut meter = Meter::from_options(opts);
 
             let mut expand_span = Span::enter(Stage::Expand);
-            let (expanded, memo_hit) = self.expand_inner(query, opts, &mut meter, &mut ar.key_buf);
+            let (expanded, memo_hit) =
+                self.expand_inner(query, opts, &mut meter, &mut ar.key_buf, &mut ar.expand);
             let expand_ns = api::elapsed_ns(t_total);
             let expand_work = meter.work_done();
             expand_span.add_work(expand_work);
@@ -1143,20 +1116,19 @@ impl<'a> CompiledSynopsis<'a> {
         let t_eval = Instant::now();
         let mut eval_span = Span::enter(Stage::TreeParse);
         let acc = api::sum_embeddings(
-            expanded.embeddings.len(),
+            expanded.len(),
             opts.explain,
-            |i| match (expanded.embeddings.get(i), expanded.needs.get(i)) {
-                (Some(e), Some(needs)) => {
-                    let v = self.estimate_embedding_metered(e, needs, &mut meter, ar);
+            |i| match expanded.embedding(i) {
+                Some(e) => {
+                    let v = self.estimate_embedding_metered(e, &mut meter, ar);
                     (v, meter.exhaustion())
                 }
-                _ => (0.0, None),
+                None => (0.0, None),
             },
             || coarse_count_bound(self, query),
             |i| {
                 expanded
-                    .embeddings
-                    .get(i)
+                    .embedding(i)
                     .map_or_else(String::new, |e| api::render_embedding(self, e))
             },
         );
@@ -1189,7 +1161,7 @@ impl<'a> CompiledSynopsis<'a> {
         );
 
         let explain = acc.contributions.map(|embeddings| Explain {
-            expanded: expanded.embeddings.len(),
+            expanded: expanded.len(),
             embeddings,
             assumptions: AssumptionCounts {
                 forward_uniformity: meter.stats().uniformity_applications,
@@ -1210,29 +1182,30 @@ impl<'a> CompiledSynopsis<'a> {
     /// Estimates the selectivity of one maximal twig embedding — the
     /// per-embedding TREEPARSE term of [`CompiledSynopsis::estimate_report`],
     /// without a budget. The §4 worked example evaluates a hand-built
-    /// embedding through this.
+    /// embedding through this; it is lowered into a one-embedding plan
+    /// first.
     pub fn estimate_embedding(&self, emb: &Embedding) -> f64 {
-        let needs = self.compute_needs(emb);
         arena::with_scratch(|ar| {
-            self.estimate_embedding_metered(emb, &needs, &mut Meter::unlimited(), ar)
+            let plan = plan_of(self, emb, &mut ar.expand);
+            plan.embedding(0).map_or(0.0, |e| {
+                self.estimate_embedding_metered(e, &mut Meter::unlimited(), ar)
+            })
         })
     }
 
-    /// Estimates one embedding whose `needs` lists were computed by
-    /// [`CompiledSynopsis::compute_needs`]. Scratch lives in `ar`; the
+    /// Estimates one plan embedding. Scratch lives in `ar`; the
     /// recursion's stack discipline leaves every lane at its entry
     /// length on return.
     fn estimate_embedding_metered(
         &self,
-        emb: &Embedding,
-        needs: &[Vec<(SynId, SynId)>],
+        emb: EmbeddingView<'_>,
         meter: &mut Meter,
         ar: &mut EvalArena,
     ) -> f64 {
-        if emb.nodes.is_empty() {
+        if emb.is_empty() {
             return 0.0;
         }
-        emb.root_count * self.eval_node(emb, needs, 0, ar, meter)
+        emb.root_count() * self.eval_node(emb, 0, ar, meter)
     }
 
     /// Evaluates a single embedding of an expanded plan under its own
@@ -1245,12 +1218,11 @@ impl<'a> CompiledSynopsis<'a> {
         i: usize,
         meter: &mut Meter,
     ) -> f64 {
-        arena::with_scratch(
-            |ar| match (expanded.embeddings.get(i), expanded.needs.get(i)) {
-                (Some(e), Some(needs)) => self.estimate_embedding_metered(e, needs, meter, ar),
-                _ => 0.0,
-            },
-        )
+        arena::with_scratch(|ar| {
+            expanded
+                .embedding(i)
+                .map_or(0.0, |e| self.estimate_embedding_metered(e, meter, ar))
+        })
     }
 
     /// Assembles the report for a work-split evaluation: per-embedding
@@ -1274,14 +1246,13 @@ impl<'a> CompiledSynopsis<'a> {
         timings: QueryTelemetry,
     ) -> EstimateReport {
         let acc = api::sum_embeddings(
-            expanded.embeddings.len(),
+            expanded.len(),
             opts.explain,
             |i| (contribs.get(i).copied().unwrap_or(0.0), None),
             || coarse_count_bound(self, query),
             |i| {
                 expanded
-                    .embeddings
-                    .get(i)
+                    .embedding(i)
                     .map_or_else(String::new, |e| api::render_embedding(self, e))
             },
         );
@@ -1294,7 +1265,7 @@ impl<'a> CompiledSynopsis<'a> {
         provenance.degraded = acc.clamped > 0;
         let telemetry = api::flush_query_telemetry(stats, None, provenance.degraded, timings);
         let explain = acc.contributions.map(|embeddings| Explain {
-            expanded: expanded.embeddings.len(),
+            expanded: expanded.len(),
             embeddings,
             assumptions: AssumptionCounts {
                 forward_uniformity: stats.uniformity_applications,
@@ -1326,16 +1297,16 @@ impl<'a> CompiledSynopsis<'a> {
     /// so steady-state evaluation performs zero heap allocations.
     fn eval_node(
         &self,
-        emb: &Embedding,
-        needs: &[Vec<(SynId, SynId)>],
+        emb: EmbeddingView<'_>,
         i: usize,
         ar: &mut EvalArena,
         meter: &mut Meter,
     ) -> f64 {
-        let Some(node) = emb.nodes.get(i) else {
+        let Some(node) = emb.node(i) else {
             return 0.0;
         };
         let syn = node.syn;
+        let children = emb.children_of(node);
         let Some(ch) = self.hist(syn) else {
             return 0.0;
         };
@@ -1349,7 +1320,7 @@ impl<'a> CompiledSynopsis<'a> {
                 None => factor *= self.cols.values.range_fraction(syn.index(), lo, hi),
             }
         }
-        for bv in &node.branch_values {
+        for bv in emb.values_of(node) {
             match ch.bucketed_value_dim(syn, ValueSource::ChildValue(bv.child)) {
                 Some(di) => ar.value_conds.push((di, bv.range.0, bv.range.1)),
                 None => factor *= bv.fallback,
@@ -1360,7 +1331,7 @@ impl<'a> CompiledSynopsis<'a> {
             ar.value_conds.truncate(vc_start);
             return 0.0;
         }
-        if node.children.is_empty() && vc_start == vc_end {
+        if children.is_empty() && vc_start == vc_end {
             ar.value_conds.truncate(vc_start);
             return factor;
         }
@@ -1374,16 +1345,14 @@ impl<'a> CompiledSynopsis<'a> {
 
         // --- TREEPARSE classification -------------------------------------
         let is_child_edge = |edge: (SynId, SynId)| -> bool {
-            node.children
+            children
                 .iter()
-                .any(|&c| emb.nodes.get(c).is_some_and(|cn| (syn, cn.syn) == edge))
+                .any(|&c| emb.syn_at(c).is_some_and(|cs| (syn, cs) == edge))
         };
         let needs_below = |edge: &(SynId, SynId)| -> bool {
-            node.children.iter().any(|&c| {
-                needs
-                    .get(c)
-                    .is_some_and(|set| set.binary_search(edge).is_ok())
-            })
+            children
+                .iter()
+                .any(|&c| emb.needs_at(c).binary_search(edge).is_ok())
         };
         let dim_table = || dim_parent.iter().zip(dim_child).zip(dim_kind).enumerate();
         let ed_start = ar.enum_dims.len();
@@ -1411,8 +1380,8 @@ impl<'a> CompiledSynopsis<'a> {
             meter.note_conditioning();
         }
         let cdim_start = ar.child_dim.len();
-        for &c in &node.children {
-            let child_syn = emb.nodes.get(c).map(|cn| cn.syn);
+        for &c in children {
+            let child_syn = emb.syn_at(c);
             let pos = ar.enum_dims[ed_start..ed_end]
                 .iter()
                 .position(|&di| Some(dim_child[di]) == child_syn && dim_parent[di] == syn);
@@ -1436,7 +1405,7 @@ impl<'a> CompiledSynopsis<'a> {
         let nb = frac.len();
         if ed_start == ed_end && vc_start == vc_end {
             // Nothing to enumerate or weigh: one unit-mass term.
-            self.visit_bucket(emb, needs, i, frame, 1.0, None, ar, meter, &mut acc);
+            self.visit_bucket(emb, i, frame, 1.0, None, ar, meter, &mut acc);
         } else if cd_start == cd_end {
             if ed_start == ed_end {
                 // Scalar collapse: sum the weighted masses, emit once.
@@ -1447,13 +1416,12 @@ impl<'a> CompiledSynopsis<'a> {
                         .map(|b| frac[b] * weight(b, vc))
                         .sum()
                 };
-                self.visit_bucket(emb, needs, i, frame, total, None, ar, meter, &mut acc);
+                self.visit_bucket(emb, i, frame, total, None, ar, meter, &mut acc);
             } else {
                 for (b, &f) in frac.iter().enumerate() {
                     if f > 0.0 {
                         let w = f * weight(b, &ar.value_conds[vc_start..vc_end]);
-                        if !self.visit_bucket(emb, needs, i, frame, w, Some(b), ar, meter, &mut acc)
-                        {
+                        if !self.visit_bucket(emb, i, frame, w, Some(b), ar, meter, &mut acc) {
                             break;
                         }
                     }
@@ -1483,15 +1451,14 @@ impl<'a> CompiledSynopsis<'a> {
                             .map(|b| frac[b] / den * weight(b, vc))
                             .sum()
                     };
-                    self.visit_bucket(emb, needs, i, frame, total, None, ar, meter, &mut acc);
+                    self.visit_bucket(emb, i, frame, total, None, ar, meter, &mut acc);
                 } else {
                     for (b, &f) in frac.iter().enumerate() {
                         if ar.mask.get(mask_start + b).copied().unwrap_or(0) == 0 {
                             continue;
                         }
                         let w = f / den * weight(b, &ar.value_conds[vc_start..vc_end]);
-                        if !self.visit_bucket(emb, needs, i, frame, w, Some(b), ar, meter, &mut acc)
-                        {
+                        if !self.visit_bucket(emb, i, frame, w, Some(b), ar, meter, &mut acc) {
                             break;
                         }
                     }
@@ -1529,7 +1496,7 @@ impl<'a> CompiledSynopsis<'a> {
                     // A single-bucket selection: the scalar-collapse sum
                     // over one element equals the element itself.
                     let bucket = if ed_start == ed_end { None } else { Some(b) };
-                    self.visit_bucket(emb, needs, i, frame, w, bucket, ar, meter, &mut acc);
+                    self.visit_bucket(emb, i, frame, w, bucket, ar, meter, &mut acc);
                 }
                 // An empty selection (no massy bucket at all) is an
                 // empty support: emit nothing.
@@ -1552,8 +1519,7 @@ impl<'a> CompiledSynopsis<'a> {
     #[allow(clippy::too_many_arguments)]
     fn visit_bucket(
         &self,
-        emb: &Embedding,
-        needs: &[Vec<(SynId, SynId)>],
+        emb: EmbeddingView<'_>,
         i: usize,
         frame: Frame<'_>,
         mass: f64,
@@ -1569,7 +1535,7 @@ impl<'a> CompiledSynopsis<'a> {
         if mass == 0.0 {
             return true;
         }
-        let Some(node) = emb.nodes.get(i) else {
+        let Some(node) = emb.node(i) else {
             return true;
         };
         let syn = node.syn;
@@ -1583,18 +1549,18 @@ impl<'a> CompiledSynopsis<'a> {
             }
         }
         let mut term = mass;
-        for (j, &c) in node.children.iter().enumerate() {
-            let sub = self.eval_node(emb, needs, c, ar, meter);
+        for (j, &c) in emb.children_of(node).iter().enumerate() {
+            let sub = self.eval_node(emb, c as usize, ar, meter);
             let dim = ar.child_dim.get(frame.cdim + j).copied().flatten();
             let mult = match (bucket, dim) {
                 (Some(b), Some(slot)) => match ar.enum_dims.get(frame.ed.0 + slot) {
                     Some(&di) => frame.mean[b * frame.dims + di],
                     None => 0.0,
                 },
-                _ => match emb.nodes.get(c) {
+                _ => match emb.syn_at(c) {
                     Some(child) => {
                         meter.note_uniformity();
-                        self.avg_children(syn, child.syn)
+                        self.avg_children(syn, child)
                     }
                     None => 0.0,
                 },
@@ -1640,6 +1606,13 @@ impl SynopsisView for CompiledSynopsis<'_> {
             .node_label
             .get(n.index())
             .map_or("", |&l| self.cols.labels.name(usize::from(l)))
+    }
+
+    fn node_label(&self, n: SynId) -> usize {
+        self.cols
+            .node_label
+            .get(n.index())
+            .map_or(usize::MAX, |&l| usize::from(l))
     }
 
     fn children_of(&self, u: SynId) -> &[SynId] {
@@ -1711,7 +1684,6 @@ impl std::fmt::Debug for CompiledSynopsis<'_> {
 mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
-    use crate::estimate::enumerate_embeddings;
     use crate::synopsis::ScopeDim;
     use xtwig_query::{parse_twig, selectivity};
     use xtwig_xml::{parse, DocumentBuilder};
@@ -2057,11 +2029,18 @@ mod tests {
             4096,
         );
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/keyword").unwrap();
-        let embs = enumerate_embeddings(&s, &q, &EstimateOptions::default());
-        assert_eq!(embs.len(), 1);
-        let needs = CompiledSynopsis::compile(&s).compute_needs(&embs[0]);
+        let plan = CompiledSynopsis::compile(&s).expand_metered(
+            &q,
+            &EstimateOptions::default(),
+            &mut Meter::unlimited(),
+        );
+        assert_eq!(plan.len(), 1);
         // The root (bib) must know that (author→paper) is needed below.
-        assert!(needs[0].contains(&(author, paper)));
+        assert!(plan
+            .embedding(0)
+            .unwrap()
+            .needs(0)
+            .contains(&(author, paper)));
     }
 
     /// Departments with a grade child whose value drives both team size

@@ -16,7 +16,7 @@
 //! that sum to the estimate, and how often each of the paper's
 //! statistical assumptions fired.
 
-use super::embedding::Embedding;
+use super::embedding::EmbeddingView;
 use super::guard::{EvalStats, Exhaustion};
 use super::{EstimateOptions, SynopsisView};
 use crate::telemetry;
@@ -282,28 +282,35 @@ pub(crate) fn sum_embeddings(
 
 /// Renders an embedding over the synopsis's tag names, nested as
 /// `root(child,child(grandchild))`.
-pub(crate) fn render_embedding<S: SynopsisView + ?Sized>(s: &S, emb: &Embedding) -> String {
+pub(crate) fn render_embedding<S: SynopsisView + ?Sized>(s: &S, emb: EmbeddingView<'_>) -> String {
     fn render_node<S: SynopsisView + ?Sized>(
         s: &S,
-        emb: &Embedding,
+        emb: EmbeddingView<'_>,
         i: usize,
         depth: usize,
         out: &mut String,
     ) {
-        if depth > emb.nodes.len() {
+        if depth > emb.len() {
             return; // defensive: malformed parent links can't recurse forever
         }
-        let Some(node) = emb.nodes.get(i) else {
+        let Some(node) = emb.node(i) else {
             return;
         };
         out.push_str(s.tag(node.syn));
-        if !node.children.is_empty() {
+        let children = emb.children_of(node);
+        if !children.is_empty() {
             out.push('(');
-            for (k, &c) in node.children.iter().enumerate() {
+            for (k, &c) in children.iter().enumerate() {
                 if k > 0 {
                     out.push(',');
                 }
-                render_node(s, emb, c, depth + 1, out);
+                render_node(
+                    s,
+                    emb,
+                    usize::try_from(c).unwrap_or(usize::MAX),
+                    depth + 1,
+                    out,
+                );
             }
             out.push(')');
         }
@@ -348,7 +355,7 @@ mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
     use crate::compiled::CompiledSynopsis;
-    use crate::estimate::embedding::enumerate_embeddings;
+    use crate::estimate::Meter;
     use xtwig_query::parse_twig;
     use xtwig_xml::parse;
 
@@ -420,9 +427,10 @@ mod tests {
         let d = doc();
         let s = coarse_synopsis(&d);
         let q = parse_twig("for $t0 in //conf, $t1 in $t0/paper, $t2 in $t1/kw").unwrap();
-        let embs = enumerate_embeddings(&s, &q, &EstimateOptions::default());
-        assert!(!embs.is_empty());
-        let rendered = render_embedding(&s, &embs[0]);
+        let cs = CompiledSynopsis::compile(&s);
+        let plan = cs.expand_metered(&q, &EstimateOptions::default(), &mut Meter::unlimited());
+        assert!(!plan.is_empty());
+        let rendered = render_embedding(&s, plan.embedding(0).unwrap());
         assert!(rendered.contains("conf"), "{rendered}");
         assert!(rendered.contains("paper(kw)"), "{rendered}");
     }

@@ -1,16 +1,34 @@
 //! Path expansion against the synopsis graph.
 //!
-//! Expands a path expression into the set of concrete synopsis chains it
-//! can traverse: `/label` steps follow synopsis edges to nodes with the
-//! tag, `//label` steps enumerate every downward synopsis path (bounded by
-//! the document depth) ending at the tag. Step predicates are resolved per
-//! chain link: self value predicates become a value range on the link,
-//! and branching predicates are folded into a per-link existence fraction
-//! via the single-path estimator.
+//! Expands a path expression into the concrete synopsis chains it can
+//! traverse: `/label` steps follow synopsis edges to nodes with the tag,
+//! `//label` steps enumerate every downward synopsis path (bounded by
+//! the document depth) ending at the tag. Step predicates are resolved
+//! per chain link: self value predicates become a value range on the
+//! link, and branching predicates fold into a per-link existence
+//! fraction via the single-path estimator.
+//!
+//! Chains live in the expansion lanes of the caller's arena
+//! (`ExpandScratch`): a chain is a range of `Link`s, and extending
+//! one copies its links forward in the lane instead of cloning a `Vec`.
+//! Each step's label is resolved once (`resolve_steps`) into the set
+//! of label ids whose name equals it, so matching a synopsis node tests
+//! its label id instead of comparing strings. A branch predicate's
+//! expansion runs inside a link's resolution: it pushes above the
+//! caller's data and truncates back to its own mark, so the caller's
+//! ranges stay valid.
+//!
+//! The meter is charged one unit per chain extended and one per node
+//! the `//` search visits, at the same points and in the same order as
+//! the reference enumerator of the test suite, so budgets trip at the
+//! same operation.
 
+use std::ops::Range;
+
+use crate::estimate::arena::ExpandScratch;
 use crate::estimate::guard::Meter;
 use crate::estimate::{EstimateOptions, SynopsisView};
-use crate::single_path::branch_fraction;
+use crate::single_path::branch_fraction_in;
 use crate::synopsis::SynId;
 use xtwig_query::{Axis, PathExpr, Step};
 
@@ -18,7 +36,7 @@ use xtwig_query::{Axis, PathExpr, Step};
 /// symbolic so the evaluator can route it through a joint value×count
 /// summary (`H^v(V, C)`) when one is recorded: `[tag op const]` resolved
 /// to the synopsis child node carrying the tag.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchValue {
     /// The synopsis child node the branch step matched.
     pub child: SynId,
@@ -29,136 +47,161 @@ pub struct BranchValue {
 }
 
 /// One node of an expanded chain with its resolved step predicates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainLink {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Link {
     /// The synopsis node this chain position binds to.
-    pub syn: SynId,
+    pub(crate) syn: SynId,
     /// Self-value restriction from the step's predicates, if any.
-    pub value_range: Option<(i64, i64)>,
+    pub(crate) value_range: Option<(i64, i64)>,
     /// Product of the existence fractions of the step's branching
     /// predicates that could not stay symbolic (1.0 when there are none).
-    pub pred_fraction: f64,
-    /// Symbolic single-step branch-value predicates.
-    pub branch_values: Vec<BranchValue>,
+    pub(crate) pred_fraction: f64,
+    /// The link's symbolic branch values: a range of
+    /// [`ExpandScratch::link_values`].
+    pub(crate) values: (usize, usize),
 }
 
-impl ChainLink {
-    fn plain(syn: SynId) -> ChainLink {
-        ChainLink {
+impl Link {
+    /// An intermediate `//` node: no predicates.
+    fn plain(syn: SynId) -> Link {
+        Link {
             syn,
             value_range: None,
             pred_fraction: 1.0,
-            branch_values: Vec::new(),
+            values: (0, 0),
         }
     }
 }
 
-/// An expanded synopsis chain for one path expression.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Chain {
-    /// The chain links in navigation order. For absolute expansions the
-    /// first link is the synopsis root node; for relative expansions the
-    /// context node is *not* included.
-    pub nodes: Vec<ChainLink>,
+/// The links of chain `chain`; empty when out of range.
+pub(crate) fn chain_links(sc: &ExpandScratch, chain: usize) -> &[Link] {
+    sc.chains
+        .get(chain)
+        .and_then(|&(start, end)| sc.links.get(start..end))
+        .unwrap_or(&[])
 }
 
-/// Expands an absolute path: the first child-axis step must match the
-/// synopsis root node's tag; a first descendant-axis step may land
-/// anywhere below (or at) the root. Every returned chain starts at the
-/// synopsis root node.
-pub fn expand_path_absolute<S: SynopsisView + ?Sized>(
+/// Resolves each step's label into the set of label ids whose name
+/// equals it, pushed onto `step_sets`; returns the index of the first
+/// step's set. Every matching id is marked, so a label table with a
+/// repeated name matches exactly the nodes a string compare would.
+pub(crate) fn resolve_steps<S: SynopsisView + ?Sized>(
     s: &S,
-    path: &PathExpr,
-    opts: &EstimateOptions,
-) -> Vec<Chain> {
-    expand_path_absolute_metered(s, path, opts, &mut Meter::from_options(opts))
+    steps: &[Step],
+    sc: &mut ExpandScratch,
+) -> usize {
+    let first = sc.step_sets.len();
+    for step in steps {
+        let start = sc.label_ids.len();
+        for l in 0..s.label_count() {
+            if s.label_name(l) == step.label {
+                sc.label_ids.push(l);
+            }
+        }
+        sc.step_sets.push((start, sc.label_ids.len()));
+    }
+    first
 }
 
-/// [`expand_path_absolute`] charging a caller-owned budget [`Meter`]; on
-/// exhaustion the chains expanded so far are returned.
-pub fn expand_path_absolute_metered<S: SynopsisView + ?Sized>(
+/// Whether synopsis node `v` carries a label in resolved set `set`.
+fn matches<S: SynopsisView + ?Sized>(s: &S, sc: &ExpandScratch, set: usize, v: SynId) -> bool {
+    let label = s.node_label(v);
+    sc.step_sets
+        .get(set)
+        .and_then(|&(start, end)| sc.label_ids.get(start..end))
+        .is_some_and(|ids| ids.contains(&label))
+}
+
+/// Expands an absolute path whose steps were resolved from `set`: the
+/// first child-axis step must match the synopsis root node's tag; a
+/// first descendant-axis step may land anywhere below (or at) the root.
+/// Every chain starts at the synopsis root node. Returns the range of
+/// the new chains in [`ExpandScratch::chains`]; on meter exhaustion the
+/// chains expanded so far.
+pub(crate) fn expand_absolute<S: SynopsisView + ?Sized>(
     s: &S,
     path: &PathExpr,
+    set: usize,
     opts: &EstimateOptions,
     meter: &mut Meter,
-) -> Vec<Chain> {
+    sc: &mut ExpandScratch,
+) -> Range<usize> {
+    let start = sc.chains.len();
     let root = s.root();
     let Some(first) = path.steps.first() else {
-        return Vec::new();
+        return start..start;
     };
-    let mut heads: Vec<Vec<ChainLink>> = Vec::new();
-    match first.axis {
-        Axis::Child => {
-            if s.tag(root) == first.label {
-                heads.push(vec![resolve_link(s, root, first, opts)]);
-            }
-        }
-        Axis::Descendant => {
-            // `//label` from the document top: the root itself or any
-            // descendant path from the root.
-            if s.tag(root) == first.label {
-                heads.push(vec![resolve_link(s, root, first, opts)]);
-            }
-            for mut tail in descendant_chains(s, root, &first.label, opts, meter) {
-                let Some(last) = tail.pop() else { continue };
-                let mut chain = vec![ChainLink::plain(root)];
-                chain.extend(tail.into_iter().map(ChainLink::plain));
-                chain.push(resolve_link(s, last, first, opts));
-                heads.push(chain);
-            }
-        }
+    if matches(s, sc, set, root) {
+        let head = resolve_link(s, root, first, opts, sc);
+        push_chain(sc, (0, 0), 0..0, head);
     }
-    extend_chains(s, heads, &path.steps[1..], opts, meter)
-        .into_iter()
-        .map(|nodes| Chain { nodes })
-        .collect()
+    if first.axis == Axis::Descendant {
+        // `//label` from the document top: the root itself (above) or
+        // any descendant path from the root, led by a plain root link.
+        let lead = sc.links.len();
+        sc.links.push(Link::plain(root));
+        descend_from(s, root, first, set, (lead, lead + 1), opts, meter, sc);
+    }
+    extend_chains(s, start..sc.chains.len(), path, set, opts, meter, sc)
 }
 
-/// Expands a relative path from context node `from`. Returned chains do
-/// not include `from` itself.
-pub fn expand_path_from<S: SynopsisView + ?Sized>(
+/// Expands a relative path, steps resolved from `set`, from context node
+/// `from`. The chains do not include `from` itself. Returns the range of
+/// the new chains; on meter exhaustion the chains expanded so far.
+pub(crate) fn expand_from<S: SynopsisView + ?Sized>(
     s: &S,
     from: SynId,
     path: &PathExpr,
-    opts: &EstimateOptions,
-) -> Vec<Chain> {
-    expand_path_from_metered(s, from, path, opts, &mut Meter::from_options(opts))
-}
-
-/// [`expand_path_from`] charging a caller-owned budget [`Meter`]; on
-/// exhaustion the chains expanded so far are returned.
-pub fn expand_path_from_metered<S: SynopsisView + ?Sized>(
-    s: &S,
-    from: SynId,
-    path: &PathExpr,
+    set: usize,
     opts: &EstimateOptions,
     meter: &mut Meter,
-) -> Vec<Chain> {
+    sc: &mut ExpandScratch,
+) -> Range<usize> {
+    let start = sc.chains.len();
     let Some(first) = path.steps.first() else {
-        return Vec::new();
+        return start..start;
     };
-    let mut heads: Vec<Vec<ChainLink>> = Vec::new();
-    match first.axis {
+    step_chains(s, from, first, set, (0, 0), opts, meter, sc);
+    extend_chains(s, start..sc.chains.len(), path, set, opts, meter, sc)
+}
+
+/// Pushes one chain `links[prefix] → … → v` per synopsis path from
+/// `anchor` that `step` (label set `set`) matches: a child for
+/// `/label`, any downward path for `//label`.
+#[allow(clippy::too_many_arguments)]
+fn step_chains<S: SynopsisView + ?Sized>(
+    s: &S,
+    anchor: SynId,
+    step: &Step,
+    set: usize,
+    prefix: (usize, usize),
+    opts: &EstimateOptions,
+    meter: &mut Meter,
+    sc: &mut ExpandScratch,
+) {
+    match step.axis {
         Axis::Child => {
-            for &v in s.children_of(from) {
-                if s.tag(v) == first.label {
-                    heads.push(vec![resolve_link(s, v, first, opts)]);
+            for &v in s.children_of(anchor) {
+                if matches(s, sc, set, v) {
+                    let last = resolve_link(s, v, step, opts, sc);
+                    push_chain(sc, prefix, 0..0, last);
                 }
             }
         }
-        Axis::Descendant => {
-            for mut tail in descendant_chains(s, from, &first.label, opts, meter) {
-                let Some(last) = tail.pop() else { continue };
-                let mut chain: Vec<ChainLink> = tail.into_iter().map(ChainLink::plain).collect();
-                chain.push(resolve_link(s, last, first, opts));
-                heads.push(chain);
-            }
-        }
+        Axis::Descendant => descend_from(s, anchor, step, set, prefix, opts, meter, sc),
     }
-    extend_chains(s, heads, &path.steps[1..], opts, meter)
-        .into_iter()
-        .map(|nodes| Chain { nodes })
-        .collect()
+}
+
+/// Pushes the chain `links[prefix] ++ path[between] ++ last`, the
+/// `path` nodes as plain links.
+fn push_chain(sc: &mut ExpandScratch, prefix: (usize, usize), between: Range<usize>, last: Link) {
+    let start = sc.links.len();
+    sc.links.extend_from_within(prefix.0..prefix.1);
+    if let Some(nodes) = sc.path.get(between) {
+        sc.links.extend(nodes.iter().map(|&x| Link::plain(x)));
+    }
+    sc.links.push(last);
+    sc.chains.push((start, sc.links.len()));
 }
 
 /// Resolves a step's predicates at synopsis node `v`.
@@ -167,10 +210,11 @@ fn resolve_link<S: SynopsisView + ?Sized>(
     v: SynId,
     step: &Step,
     opts: &EstimateOptions,
-) -> ChainLink {
+    sc: &mut ExpandScratch,
+) -> Link {
     let mut value_range: Option<(i64, i64)> = None;
     let mut pred_fraction = 1.0;
-    let mut branch_values = Vec::new();
+    let values_start = sc.link_values.len();
     for p in &step.preds {
         let Some(path) = &p.path else {
             // A self predicate without a range (`[.]`) is vacuous.
@@ -184,7 +228,7 @@ fn resolve_link<S: SynopsisView + ?Sized>(
         // Keep `[tag op const]` symbolic when the branch maps to exactly
         // one synopsis child, so the evaluator may use a joint summary.
         let symbolic = match (&p.value, path.steps.as_slice()) {
-            (Some(r), [only]) if only.axis == xtwig_query::Axis::Child && only.preds.is_empty() => {
+            (Some(r), [only]) if only.axis == Axis::Child && only.preds.is_empty() => {
                 let mut tagged = s
                     .children_of(v)
                     .iter()
@@ -197,67 +241,59 @@ fn resolve_link<S: SynopsisView + ?Sized>(
             }
             _ => None,
         };
+        // The nested expansion truncates back to its own mark, so the
+        // values pushed here stay contiguous.
+        let fraction = branch_fraction_in(s, v, p, opts, sc);
         match symbolic {
-            Some((child, range)) => branch_values.push(BranchValue {
+            Some((child, range)) => sc.link_values.push(BranchValue {
                 child,
                 range,
-                fallback: branch_fraction(s, v, p, opts),
+                fallback: fraction,
             }),
-            None => pred_fraction *= branch_fraction(s, v, p, opts),
+            None => pred_fraction *= fraction,
         }
     }
-    ChainLink {
+    Link {
         syn: v,
         value_range,
         pred_fraction,
-        branch_values,
+        values: (values_start, sc.link_values.len()),
     }
 }
 
-/// Extends partial chains over the remaining steps, charging the meter
-/// one unit per candidate extension.
+/// Extends the chains `heads` over the path's remaining steps (from
+/// step 1; step `k`'s label set is `set + k`), charging the meter one
+/// unit per chain extended. Each step's chains are pushed above the
+/// previous step's; the returned range is the last step's.
 fn extend_chains<S: SynopsisView + ?Sized>(
     s: &S,
-    mut chains: Vec<Vec<ChainLink>>,
-    steps: &[Step],
+    heads: Range<usize>,
+    path: &PathExpr,
+    set: usize,
     opts: &EstimateOptions,
     meter: &mut Meter,
-) -> Vec<Vec<ChainLink>> {
-    for step in steps {
-        let mut next: Vec<Vec<ChainLink>> = Vec::new();
-        for chain in &chains {
+    sc: &mut ExpandScratch,
+) -> Range<usize> {
+    let mut chains = heads;
+    for (k, step) in path.steps.iter().enumerate().skip(1) {
+        let next = sc.chains.len();
+        for chain in chains.clone() {
             if !meter.proceed(1) {
-                return next;
+                return next..sc.chains.len();
             }
-            let Some(anchor) = chain.last().map(|l| l.syn) else {
+            let Some(&prefix) = sc.chains.get(chain) else {
                 continue;
             };
-            match step.axis {
-                Axis::Child => {
-                    for &v in s.children_of(anchor) {
-                        if s.tag(v) == step.label {
-                            let mut c = chain.clone();
-                            c.push(resolve_link(s, v, step, opts));
-                            next.push(c);
-                        }
-                    }
-                }
-                Axis::Descendant => {
-                    for mut tail in descendant_chains(s, anchor, &step.label, opts, meter) {
-                        let Some(last) = tail.pop() else { continue };
-                        let mut c = chain.clone();
-                        c.extend(tail.into_iter().map(ChainLink::plain));
-                        c.push(resolve_link(s, last, step, opts));
-                        next.push(c);
-                    }
-                }
-            }
-            if next.len() > opts.max_embeddings {
-                next.truncate(opts.max_embeddings);
+            let Some(anchor) = chain_links(sc, chain).last().map(|l| l.syn) else {
+                continue;
+            };
+            step_chains(s, anchor, step, set + k, prefix, opts, meter, sc);
+            if sc.chains.len() - next > opts.max_embeddings {
+                sc.chains.truncate(next + opts.max_embeddings);
                 break;
             }
         }
-        chains = next;
+        chains = next..sc.chains.len();
         if chains.is_empty() {
             break;
         }
@@ -265,62 +301,75 @@ fn extend_chains<S: SynopsisView + ?Sized>(
     chains
 }
 
-/// Enumerates downward synopsis paths `from → x1 → … → xk` (k ≥ 1, `from`
-/// excluded from the result) whose final node carries `label`. Bounded by
-/// the synopsis' recorded document depth (or the option override) and by
-/// the embedding cap, so synopsis cycles (recursive document structures)
-/// terminate.
-fn descendant_chains<S: SynopsisView + ?Sized>(
+/// Pushes one chain `links[prefix] → x1 → … → xk` per downward synopsis
+/// path from `from` (`from` excluded, k ≥ 1) whose final node carries a
+/// label in `set`. Bounded by the synopsis' recorded document depth (or
+/// the option override) and by the embedding cap, so synopsis cycles
+/// (recursive document structures) terminate.
+#[allow(clippy::too_many_arguments)]
+fn descend_from<S: SynopsisView + ?Sized>(
     s: &S,
     from: SynId,
-    label: &str,
+    step: &Step,
+    set: usize,
+    prefix: (usize, usize),
     opts: &EstimateOptions,
     meter: &mut Meter,
-) -> Vec<Vec<SynId>> {
+    sc: &mut ExpandScratch,
+) {
     let max_len = if opts.max_descendant_len > 0 {
         opts.max_descendant_len
     } else {
         s.max_depth().max(1)
     };
-    let mut out: Vec<Vec<SynId>> = Vec::new();
-    let mut stack: Vec<SynId> = Vec::new();
-    descend(
-        s,
-        from,
-        label,
-        max_len,
-        opts.max_embeddings,
-        &mut stack,
-        &mut out,
-        meter,
-    );
-    out
+    let mut search = Search {
+        step,
+        set,
+        prefix,
+        base: sc.path.len(),
+        found: 0,
+    };
+    descend(s, from, max_len, &mut search, opts, meter, sc);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One `//` search: the step it matches and where its chains start.
+struct Search<'q> {
+    step: &'q Step,
+    set: usize,
+    /// Links every found chain starts with.
+    prefix: (usize, usize),
+    /// Where this search's path starts in [`ExpandScratch::path`].
+    base: usize,
+    /// Chains found so far.
+    found: usize,
+}
+
 fn descend<S: SynopsisView + ?Sized>(
     s: &S,
     at: SynId,
-    label: &str,
     remaining: usize,
-    cap: usize,
-    stack: &mut Vec<SynId>,
-    out: &mut Vec<Vec<SynId>>,
+    search: &mut Search<'_>,
+    opts: &EstimateOptions,
     meter: &mut Meter,
+    sc: &mut ExpandScratch,
 ) {
-    if remaining == 0 || out.len() >= cap {
+    let cap = opts.max_embeddings;
+    if remaining == 0 || search.found >= cap {
         return;
     }
     for &v in s.children_of(at) {
-        if out.len() >= cap || !meter.proceed(1) {
+        if search.found >= cap || !meter.proceed(1) {
             return;
         }
-        stack.push(v);
-        if s.tag(v) == label {
-            out.push(stack.clone());
+        sc.path.push(v);
+        if matches(s, sc, search.set, v) {
+            let last = resolve_link(s, v, search.step, opts, sc);
+            let between = search.base..sc.path.len() - 1;
+            push_chain(sc, search.prefix, between, last);
+            search.found += 1;
         }
-        descend(s, v, label, remaining - 1, cap, stack, out, meter);
-        stack.pop();
+        descend(s, v, remaining - 1, search, opts, meter, sc);
+        sc.path.pop();
     }
 }
 
@@ -328,6 +377,7 @@ fn descend<S: SynopsisView + ?Sized>(
 mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
+    use crate::synopsis::Synopsis;
     use xtwig_query::parse_path;
     use xtwig_xml::parse;
 
@@ -335,23 +385,38 @@ mod tests {
         parse("<bib><author><name/><paper><title/><keyword/></paper></author><journal><paper><title/></paper></journal></bib>").unwrap()
     }
 
+    /// Expands `path` (absolute, or relative to `from`) and copies the
+    /// chains out of the lanes.
+    fn expand(s: &Synopsis, from: Option<SynId>, path: &PathExpr) -> Vec<Vec<Link>> {
+        let mut sc = ExpandScratch::default();
+        let opts = EstimateOptions::default();
+        let mut meter = Meter::from_options(&opts);
+        let set = resolve_steps(s, &path.steps, &mut sc);
+        let chains = match from {
+            None => expand_absolute(s, path, set, &opts, &mut meter, &mut sc),
+            Some(f) => expand_from(s, f, path, set, &opts, &mut meter, &mut sc),
+        };
+        chains.map(|c| chain_links(&sc, c).to_vec()).collect()
+    }
+
+    fn tags<'s>(s: &'s Synopsis, chain: &[Link]) -> Vec<&'s str> {
+        chain.iter().map(|l| s.tag(l.syn)).collect()
+    }
+
     #[test]
     fn absolute_child_expansion() {
         let d = doc();
         let s = coarse_synopsis(&d);
-        let p = parse_path("/bib/author/paper").unwrap();
-        let chains = expand_path_absolute(&s, &p, &EstimateOptions::default());
+        let chains = expand(&s, None, &parse_path("/bib/author/paper").unwrap());
         assert_eq!(chains.len(), 1);
-        let tags: Vec<&str> = chains[0].nodes.iter().map(|l| s.tag(l.syn)).collect();
-        assert_eq!(tags, vec!["bib", "author", "paper"]);
+        assert_eq!(tags(&s, &chains[0]), vec!["bib", "author", "paper"]);
     }
 
     #[test]
     fn absolute_wrong_root_tag_yields_nothing() {
         let d = doc();
         let s = coarse_synopsis(&d);
-        let p = parse_path("/library/author").unwrap();
-        assert!(expand_path_absolute(&s, &p, &EstimateOptions::default()).is_empty());
+        assert!(expand(&s, None, &parse_path("/library/author").unwrap()).is_empty());
     }
 
     #[test]
@@ -361,19 +426,14 @@ mod tests {
         // //paper reaches the paper node via author and via journal — in
         // the label-split synopsis that is two distinct chains to the same
         // node.
-        let p = parse_path("//paper").unwrap();
-        let chains = expand_path_absolute(&s, &p, &EstimateOptions::default());
+        let chains = expand(&s, None, &parse_path("//paper").unwrap());
         assert_eq!(chains.len(), 2);
         for c in &chains {
-            assert_eq!(s.tag(c.nodes[0].syn), "bib");
-            assert_eq!(s.tag(c.nodes.last().unwrap().syn), "paper");
+            assert_eq!(s.tag(c[0].syn), "bib");
+            assert_eq!(s.tag(c.last().unwrap().syn), "paper");
         }
         // //title: under paper only, but paper is reachable two ways.
-        let p2 = parse_path("//title").unwrap();
-        assert_eq!(
-            expand_path_absolute(&s, &p2, &EstimateOptions::default()).len(),
-            2
-        );
+        assert_eq!(expand(&s, None, &parse_path("//title").unwrap()).len(), 2);
     }
 
     #[test]
@@ -381,31 +441,24 @@ mod tests {
         let d = doc();
         let s = coarse_synopsis(&d);
         let author = s.nodes_with_tag("author")[0];
-        let p = parse_path("/paper/keyword").unwrap();
-        let chains = expand_path_from(&s, author, &p, &EstimateOptions::default());
+        let chains = expand(&s, Some(author), &parse_path("/paper/keyword").unwrap());
         assert_eq!(chains.len(), 1);
-        let tags: Vec<&str> = chains[0].nodes.iter().map(|l| s.tag(l.syn)).collect();
-        assert_eq!(tags, vec!["paper", "keyword"]);
+        assert_eq!(tags(&s, &chains[0]), vec!["paper", "keyword"]);
     }
 
     #[test]
     fn predicates_are_resolved_per_link() {
         let d = doc();
         let s = coarse_synopsis(&d);
-        let p = parse_path("//paper[keyword]").unwrap();
-        let chains = expand_path_absolute(&s, &p, &EstimateOptions::default());
+        let chains = expand(&s, None, &parse_path("//paper[keyword]").unwrap());
         assert_eq!(chains.len(), 2);
         for c in &chains {
-            let last = c.nodes.last().unwrap();
             // One of two papers has a keyword: existence fraction 0.5.
-            assert!((last.pred_fraction - 0.5).abs() < 1e-9);
+            assert!((c.last().unwrap().pred_fraction - 0.5).abs() < 1e-9);
         }
         let p2 = parse_path("/bib/author/paper/keyword[. > 10]").unwrap();
-        let chains2 = expand_path_absolute(&s, &p2, &EstimateOptions::default());
-        assert_eq!(
-            chains2[0].nodes.last().unwrap().value_range,
-            Some((11, i64::MAX))
-        );
+        let chains2 = expand(&s, None, &p2);
+        assert_eq!(chains2[0].last().unwrap().value_range, Some((11, i64::MAX)));
     }
 
     #[test]
@@ -413,10 +466,31 @@ mod tests {
         // parlist-style recursion: a self-loop in the synopsis.
         let d = parse("<r><list><item/><list><item/></list></list></r>").unwrap();
         let s = coarse_synopsis(&d);
-        let p = parse_path("//item").unwrap();
-        let chains = expand_path_absolute(&s, &p, &EstimateOptions::default());
+        let chains = expand(&s, None, &parse_path("//item").unwrap());
         // Depth bound = max document depth (3): r/list/item, r/list/list/item.
         assert_eq!(chains.len(), 2);
+    }
+
+    #[test]
+    fn nested_expansion_leaves_the_lanes_as_it_found_them() {
+        let d = parse("<r><m><t>1</t><a/></m><m><t>2</t></m></r>").unwrap();
+        let s = coarse_synopsis(&d);
+        let mut sc = ExpandScratch::default();
+        let opts = EstimateOptions::default();
+        let path = parse_path("//m[t = 1][a]/t").unwrap();
+        let set = resolve_steps(&s, &path.steps, &mut sc);
+        let before = (sc.label_ids.len(), sc.step_sets.len(), sc.path.len());
+        let chains = expand_absolute(&s, &path, set, &opts, &mut Meter::unlimited(), &mut sc);
+        assert_eq!(chains.len(), 1);
+        assert_eq!(
+            before,
+            (sc.label_ids.len(), sc.step_sets.len(), sc.path.len())
+        );
+        // The `m` link holds one symbolic branch value and a folded
+        // existence fraction for `[a]`.
+        let m = chain_links(&sc, chains.start)[1];
+        assert_eq!(m.values.1 - m.values.0, 1);
+        assert!((m.pred_fraction - 0.5).abs() < 1e-9);
     }
 }
 
@@ -427,16 +501,27 @@ mod branch_value_tests {
     use xtwig_query::parse_path;
     use xtwig_xml::parse;
 
+    /// The last link of the single chain `path` expands to, with its
+    /// branch values.
+    fn last_link(doc: &str, path: &str) -> (crate::synopsis::Synopsis, Link, Vec<BranchValue>) {
+        let s = coarse_synopsis(&parse(doc).unwrap());
+        let mut sc = ExpandScratch::default();
+        let opts = EstimateOptions::default();
+        let p = parse_path(path).unwrap();
+        let set = resolve_steps(&s, &p.steps, &mut sc);
+        let chains = expand_absolute(&s, &p, set, &opts, &mut Meter::unlimited(), &mut sc);
+        assert_eq!(chains.len(), 1);
+        let link = *chain_links(&sc, chains.start).last().unwrap();
+        let values = sc.link_values[link.values.0..link.values.1].to_vec();
+        (s, link, values)
+    }
+
     #[test]
     fn single_step_branch_values_stay_symbolic() {
-        let d = parse("<r><m><t>1</t><a/></m><m><t>2</t></m></r>").unwrap();
-        let s = coarse_synopsis(&d);
-        let p = parse_path("//m[t = 1]").unwrap();
-        let chains = expand_path_absolute(&s, &p, &EstimateOptions::default());
-        assert_eq!(chains.len(), 1);
-        let link = chains[0].nodes.last().unwrap();
-        assert_eq!(link.branch_values.len(), 1);
-        let bv = &link.branch_values[0];
+        let (s, link, values) =
+            last_link("<r><m><t>1</t><a/></m><m><t>2</t></m></r>", "//m[t = 1]");
+        assert_eq!(values.len(), 1);
+        let bv = &values[0];
         assert_eq!(s.tag(bv.child), "t");
         assert_eq!(bv.range, (1, 1));
         // Fallback fraction: every m has a t, value fraction ~0.5.
@@ -447,24 +532,18 @@ mod branch_value_tests {
 
     #[test]
     fn multi_step_branch_values_fold_into_fraction() {
-        let d = parse("<r><m><x><t>1</t></x><a/></m><m><x><t>2</t></x></m></r>").unwrap();
-        let s = coarse_synopsis(&d);
-        let p = parse_path("//m[x/t = 1]").unwrap();
-        let chains = expand_path_absolute(&s, &p, &EstimateOptions::default());
-        assert_eq!(chains.len(), 1);
-        let link = chains[0].nodes.last().unwrap();
-        assert!(link.branch_values.is_empty());
+        let (_, link, values) = last_link(
+            "<r><m><x><t>1</t></x><a/></m><m><x><t>2</t></x></m></r>",
+            "//m[x/t = 1]",
+        );
+        assert!(values.is_empty());
         assert!(link.pred_fraction < 1.0);
     }
 
     #[test]
     fn pure_existence_branches_fold_into_fraction() {
-        let d = parse("<r><m><a/></m><m/></r>").unwrap();
-        let s = coarse_synopsis(&d);
-        let p = parse_path("//m[a]").unwrap();
-        let chains = expand_path_absolute(&s, &p, &EstimateOptions::default());
-        let link = chains[0].nodes.last().unwrap();
-        assert!(link.branch_values.is_empty());
+        let (_, link, values) = last_link("<r><m><a/></m><m/></r>", "//m[a]");
+        assert!(values.is_empty());
         assert!((link.pred_fraction - 0.5).abs() < 1e-9);
     }
 }

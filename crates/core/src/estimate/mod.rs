@@ -8,7 +8,9 @@
 //!    step is expanded to the valid synopsis paths, every multi-step path
 //!    is split into a chain of single-step twig nodes, and each node is
 //!    bound to a concrete synopsis node — producing the set of *maximal
-//!    twig embeddings* whose selectivities add up to the query's.
+//!    twig embeddings* whose selectivities add up to the query's. A cold
+//!    memo miss builds them in the arena's expansion lanes and stores
+//!    one flat plan ([`ExpandedQuery`]).
 //! 2. **TREEPARSE + evaluation** ([`crate::CompiledSynopsis`], the one
 //!    evaluator): each embedding is walked depth-first; at every node
 //!    the recorded edge histogram supplies the joint distribution of
@@ -33,7 +35,7 @@ pub use api::{
     Provenance, QueryTelemetry,
 };
 pub use arena::EvalArena;
-pub use embedding::{enumerate_embeddings, enumerate_embeddings_metered, EmbNode, Embedding};
+pub use embedding::{EmbNode, Embedding, EmbeddingView, ExpandedQuery};
 pub use guard::{EvalStats, Exhaustion, Meter};
 
 use crate::synopsis::{SynId, Synopsis};
@@ -52,6 +54,8 @@ pub trait SynopsisView {
     fn max_depth(&self) -> usize;
     /// The tag name of node `n`.
     fn tag(&self, n: SynId) -> &str;
+    /// The label id of node `n`: its tag is `label_name(node_label(n))`.
+    fn node_label(&self, n: SynId) -> usize;
     /// Child nodes of `u`, in ascending id order.
     fn children_of(&self, u: SynId) -> &[SynId];
     /// Fraction of `u`'s elements with at least one child in `v`.
@@ -81,6 +85,9 @@ impl SynopsisView for Synopsis {
     }
     fn tag(&self, n: SynId) -> &str {
         Synopsis::tag(self, n)
+    }
+    fn node_label(&self, n: SynId) -> usize {
+        usize::from(self.label(n).0)
     }
     fn children_of(&self, u: SynId) -> &[SynId] {
         Synopsis::children_of(self, u)
@@ -268,10 +275,15 @@ mod tests {
         let s = coarse_synopsis(&doc);
         let opts = EstimateOptions::default();
         let q = parse_twig("for $t0 in //paper, $t1 in $t0/kw").unwrap();
-        let embs = enumerate_embeddings(&s, &q, &opts);
-        assert_eq!(embs.len(), 2);
         let cs = CompiledSynopsis::compile(&s);
-        let sum: f64 = embs.iter().map(|e| cs.estimate_embedding(e)).sum();
+        let plan = cs.expand_metered(&q, &opts, &mut Meter::unlimited());
+        assert_eq!(plan.len(), 2);
+        let sum: f64 = (0..plan.len())
+            .map(|e| {
+                let emb = plan.embedding(e).and_then(|v| v.to_embedding()).unwrap();
+                cs.estimate_embedding(&emb)
+            })
+            .sum();
         let direct = cs.estimate_report(&q, &opts).estimate;
         assert!((sum - direct).abs() < 1e-12);
         assert!((direct - selectivity(&doc, &q) as f64).abs() < 1e-9);

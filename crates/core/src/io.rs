@@ -182,6 +182,15 @@ const CRC_POLY: u64 = 0xC96C_5795_D787_0F42;
 /// word) replaces the 8-iteration bit loop.
 static CRC_TABLES: [[u64; 256]; 8] = build_crc_tables();
 
+/// Bytes per lane of the three-lane sweep: a block of `3 * CRC_LANE`
+/// bytes is folded as three independent lanes, then joined.
+const CRC_LANE: usize = 512;
+
+/// `CRC_SHIFT[j][b]`: the register `b << 8j` advanced over `CRC_LANE`
+/// zero bytes, built at compile time. The CRC register update is linear,
+/// so advancing any register is the XOR of one lookup per byte.
+static CRC_SHIFT: [[u64; 256]; 8] = build_crc_shift();
+
 const fn build_crc_tables() -> [[u64; 256]; 8] {
     let mut t = [[0u64; 256]; 8];
     let mut i = 0usize;
@@ -209,31 +218,108 @@ const fn build_crc_tables() -> [[u64; 256]; 8] {
     t
 }
 
+const fn build_crc_shift() -> [[u64; 256]; 8] {
+    let t = build_crc_tables();
+    // The 64 basis registers advanced over one lane of zero words ...
+    let mut basis = [0u64; 64];
+    let mut i = 0usize;
+    while i < 64 {
+        let mut crc = 1u64 << i;
+        let mut w = 0usize;
+        while w < CRC_LANE / 8 {
+            crc = fold_word(&t, crc);
+            w += 1;
+        }
+        basis[i] = crc;
+        i += 1;
+    }
+    // ... and every byte value at every position as the XOR of its bits.
+    let mut s = [[0u64; 256]; 8];
+    let mut j = 0usize;
+    while j < 8 {
+        let mut b = 0usize;
+        while b < 256 {
+            let mut acc = 0u64;
+            let mut bit = 0usize;
+            while bit < 8 {
+                if (b >> bit) & 1 == 1 {
+                    acc ^= basis[8 * j + bit];
+                }
+                bit += 1;
+            }
+            s[j][b] = acc;
+            b += 1;
+        }
+        j += 1;
+    }
+    s
+}
+
+/// One slice-by-8 step: the register `v` (register XOR the next
+/// little-endian word) advanced over that word.
+#[inline(always)]
+const fn fold_word(t: &[[u64; 256]; 8], v: u64) -> u64 {
+    t[7][(v & 0xff) as usize]
+        ^ t[6][((v >> 8) & 0xff) as usize]
+        ^ t[5][((v >> 16) & 0xff) as usize]
+        ^ t[4][((v >> 24) & 0xff) as usize]
+        ^ t[3][((v >> 32) & 0xff) as usize]
+        ^ t[2][((v >> 40) & 0xff) as usize]
+        ^ t[1][((v >> 48) & 0xff) as usize]
+        ^ t[0][((v >> 56) & 0xff) as usize]
+}
+
+/// The register `crc` advanced over `CRC_LANE` zero bytes.
+#[inline(always)]
+fn shift_lane(crc: u64) -> u64 {
+    CRC_SHIFT
+        .iter()
+        .enumerate()
+        .fold(0, |acc, (j, t)| acc ^ t[((crc >> (8 * j)) & 0xff) as usize])
+}
+
+/// An 8-byte chunk as a little-endian word.
+#[inline(always)]
+fn le_word(c: &[u8]) -> u64 {
+    <[u8; 8]>::try_from(c).map_or(0, u64::from_le_bytes)
+}
+
 /// CRC-64/ECMA (reflected, poly `0xC96C_5795_D787_0F42`, init/xorout
 /// all-ones) over `bytes`. A CRC detects every single-bit error, which
 /// the corruption-corpus tests rely on.
 ///
-/// Implemented slice-by-8: the payload is consumed a 64-bit word at a
-/// time with one table lookup per byte, which is what keeps checksum
-/// verification a negligible slice of both the v2 load and the v3
-/// `verify` pass. Bit-identical to the textbook bit-at-a-time loop
-/// (property-tested in this module).
+/// Blocks of `3 * CRC_LANE` bytes are folded as three interleaved
+/// slice-by-8 lanes: the first lane continues the running register, the
+/// other two start from zero, and because the register update is linear
+/// the block's register is `shift(shift(a) ^ b) ^ c`, where `shift`
+/// advances a register over one lane of zeros through `CRC_SHIFT`.
+/// The three lanes are independent dependency chains, so the table
+/// lookups of one overlap the others'. The tail goes through the plain
+/// slice-by-8 word loop and then byte at a time. Bit-identical to the
+/// textbook bit-at-a-time loop (tested in this module).
 pub fn snapshot_checksum(bytes: &[u8]) -> u64 {
     let mut crc = u64::MAX;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let word = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-        let v = crc ^ word;
-        crc = CRC_TABLES[7][(v & 0xff) as usize]
-            ^ CRC_TABLES[6][((v >> 8) & 0xff) as usize]
-            ^ CRC_TABLES[5][((v >> 16) & 0xff) as usize]
-            ^ CRC_TABLES[4][((v >> 24) & 0xff) as usize]
-            ^ CRC_TABLES[3][((v >> 32) & 0xff) as usize]
-            ^ CRC_TABLES[2][((v >> 40) & 0xff) as usize]
-            ^ CRC_TABLES[1][((v >> 48) & 0xff) as usize]
-            ^ CRC_TABLES[0][((v >> 56) & 0xff) as usize];
+    let mut blocks = bytes.chunks_exact(3 * CRC_LANE);
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(CRC_LANE);
+        let (b, c) = rest.split_at(CRC_LANE);
+        let (mut ca, mut cb, mut cc) = (crc, 0u64, 0u64);
+        for ((wa, wb), wc) in a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(c.chunks_exact(8))
+        {
+            ca = fold_word(&CRC_TABLES, ca ^ le_word(wa));
+            cb = fold_word(&CRC_TABLES, cb ^ le_word(wb));
+            cc = fold_word(&CRC_TABLES, cc ^ le_word(wc));
+        }
+        crc = shift_lane(shift_lane(ca) ^ cb) ^ cc;
     }
-    for &b in chunks.remainder() {
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        crc = fold_word(&CRC_TABLES, crc ^ le_word(w));
+    }
+    for &b in words.remainder() {
         crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u64::from(b)) & 0xff) as usize];
     }
     !crc
@@ -921,8 +1007,8 @@ mod tests {
 
     #[test]
     fn sliced_checksum_matches_bitwise_reference() {
-        fn reference(bytes: &[u8]) -> u64 {
-            let mut crc = u64::MAX;
+        /// The bit-at-a-time register after `bytes`, from `crc`.
+        fn bitwise(mut crc: u64, bytes: &[u8]) -> u64 {
             for &b in bytes {
                 crc ^= u64::from(b);
                 for _ in 0..8 {
@@ -930,10 +1016,14 @@ mod tests {
                     crc = (crc >> 1) ^ (CRC_POLY & mask);
                 }
             }
-            !crc
+            crc
+        }
+        fn reference(bytes: &[u8]) -> u64 {
+            !bitwise(u64::MAX, bytes)
         }
         // Known CRC-64/XZ check value ("123456789" -> 0x995DC9BBDF1939FA).
         assert_eq!(snapshot_checksum(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        assert_eq!(reference(b"123456789"), 0x995D_C9BB_DF19_39FA);
         let (_doc, s) = built_synopsis();
         let bytes = save_synopsis(&s);
         // Every prefix length exercises both the word loop and the
@@ -944,6 +1034,36 @@ mod tests {
                 reference(&bytes[..n]),
                 "prefix {n}"
             );
+        }
+        // A seeded 40 KB buffer: every length up to three blocks and a
+        // tail, then block multiples and their neighbours, each against
+        // the bit-at-a-time register carried along the prefix.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..40 * 1024)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        let block = 3 * CRC_LANE;
+        let mut lengths: Vec<usize> = (0..=4700).collect();
+        for k in 1..=buf.len() / block + 1 {
+            for d in [0isize, 1, -1, 7, -7, 8, -8, 9, -9] {
+                let n = (k * block).checked_add_signed(d).unwrap_or(0);
+                if n <= buf.len() {
+                    lengths.push(n);
+                }
+            }
+        }
+        lengths.sort_unstable();
+        lengths.dedup();
+        let (mut at, mut reg) = (0usize, u64::MAX);
+        for n in lengths {
+            reg = bitwise(reg, &buf[at..n]);
+            at = n;
+            assert_eq!(snapshot_checksum(&buf[..n]), !reg, "seeded prefix {n}");
         }
     }
 

@@ -87,7 +87,9 @@ pub trait Vfs: std::fmt::Debug + Send + Sync {
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
     /// Fsyncs a directory so a rename within it persists.
     fn fsync_dir(&self, path: &Path) -> io::Result<()>;
-    /// Whether the path exists at all.
+    /// Whether [`Vfs::metadata`] succeeds for the path. It cannot tell a
+    /// missing file from a failed stat, so no durable path decides with
+    /// it: they stat once and treat only `NotFound` as absent.
     fn exists(&self, path: &Path) -> bool {
         self.metadata(path).is_ok()
     }

@@ -205,10 +205,17 @@ impl WalWriter {
         WalWriter::open_append_in(Arc::new(StdVfs), path)
     }
 
-    /// [`WalWriter::open_append`] through an explicit [`Vfs`].
+    /// [`WalWriter::open_append`] through an explicit [`Vfs`]. The
+    /// journal is stat'ed once: only `NotFound` means "no journal"; any
+    /// other stat failure is a typed I/O error and leaves the file as it
+    /// is, never a licence to create a fresh journal over it.
     pub fn open_append_in(vfs: Arc<dyn Vfs>, path: &Path) -> Result<WalWriter, SnapshotError> {
-        if !vfs.exists(path) {
-            return WalWriter::create_in(vfs, path);
+        match vfs.metadata(path) {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return WalWriter::create_in(vfs, path);
+            }
+            Err(e) => return Err(io_err(path, e)),
         }
         let replay = read_wal_in(&*vfs, path)?;
         // Append-mode open of a validated journal; creation goes
@@ -684,5 +691,29 @@ mod tests {
             decode_delta(&bad),
             Err(SnapshotError::Decode { .. })
         ));
+    }
+
+    #[test]
+    fn a_failed_stat_never_recreates_the_journal() {
+        use crate::io::vfs::{FaultVfs, VfsFaultPlan};
+        let path = temp_wal("stat-fault.wal");
+        let mut w = WalWriter::create(&path).unwrap();
+        w.append(b"one").unwrap();
+        w.append(b"two").unwrap();
+        drop(w);
+        let before = std::fs::read(&path).unwrap();
+        let vfs = Arc::new(FaultVfs::over_std(VfsFaultPlan {
+            seed: 3,
+            metadata_error: 1000,
+            ..VfsFaultPlan::default()
+        }));
+        // Every stat fails: a typed I/O error, and the journal is left
+        // byte for byte as it was.
+        let err = WalWriter::open_append_in(vfs, &path).err();
+        assert!(matches!(err, Some(SnapshotError::Io { .. })), "{err:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        // A clean reopen still appends after both records.
+        assert_eq!(WalWriter::open_append(&path).unwrap().records(), 2);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -46,10 +46,10 @@ use std::time::Instant;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Mutex, PoisonError};
 
-use crate::compiled::{CompiledSynopsis, ExpandedQuery};
+use crate::compiled::CompiledSynopsis;
 use crate::estimate::api::elapsed_ns;
 use crate::estimate::{
-    EstimateOptions, EstimateReport, EvalStats, Meter, Provenance, QueryTelemetry,
+    EstimateOptions, EstimateReport, EvalStats, ExpandedQuery, Meter, Provenance, QueryTelemetry,
 };
 use crate::telemetry;
 use cache::cached_report;
@@ -339,7 +339,7 @@ fn serve_batch(
                         let mut meter = Meter::from_options(opts);
                         let (plan, memo_hit) = cs.expand_tracked(q, opts, &mut meter);
                         let expand_ns = elapsed_ns(started);
-                        if plan.embeddings.len() >= threshold {
+                        if plan.len() >= threshold {
                             heavy
                                 .lock()
                                 .unwrap_or_else(PoisonError::into_inner)
@@ -388,7 +388,7 @@ fn serve_batch(
             continue;
         };
         tg.batch_splits.incr();
-        let n = h.plan.embeddings.len();
+        let n = h.plan.len();
         let contribs: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
         let totals: Mutex<(EvalStats, u64)> = Mutex::new((EvalStats::default(), 0));
         let draw = AtomicUsize::new(0);

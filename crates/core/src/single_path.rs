@@ -10,8 +10,9 @@
 //! is reachable, then `child_count(u→v) · f` elements of `v` are reachable
 //! (children are assumed uniformly distributed over parents).
 
-use crate::estimate::expand::expand_path_from;
-use crate::estimate::{EstimateOptions, SynopsisView};
+use crate::estimate::arena::ExpandScratch;
+use crate::estimate::expand::{chain_links, expand_absolute, expand_from, resolve_steps};
+use crate::estimate::{EstimateOptions, EvalArena, Meter, SynopsisView};
 use crate::synopsis::{SynId, Synopsis};
 use xtwig_query::{PathExpr, Pred};
 
@@ -37,25 +38,43 @@ pub fn chain_count(s: &Synopsis, chain: &[SynId], start_count: f64) -> f64 {
 /// branch predicate `[path]` (with optional value restriction), combining
 /// per-step existence fractions under independence and summing alternative
 /// synopsis expansions as disjoint-ish alternatives
-/// (`1 − Π(1 − f_alt)`).
+/// (`1 − Π(1 − f_alt)`). The branch path expands in `ar`'s lanes under
+/// its own meter, built from `opts`.
 pub fn branch_fraction<S: SynopsisView + ?Sized>(
     s: &S,
     from: SynId,
     pred: &Pred,
     opts: &EstimateOptions,
+    ar: &mut EvalArena,
+) -> f64 {
+    branch_fraction_in(s, from, pred, opts, &mut ar.expand)
+}
+
+/// [`branch_fraction`] over the expansion lanes an expansion already
+/// holds: the branch path's chains are pushed above the caller's and
+/// released before returning.
+pub(crate) fn branch_fraction_in<S: SynopsisView + ?Sized>(
+    s: &S,
+    from: SynId,
+    pred: &Pred,
+    opts: &EstimateOptions,
+    sc: &mut ExpandScratch,
 ) -> f64 {
     let Some(path) = &pred.path else {
         // Self value predicate: fraction of elements with value in range.
         let Some(r) = pred.value else { return 1.0 };
         return s.value_fraction(from, r.lo, r.hi);
     };
-    let chains = expand_path_from(s, from, path, opts);
+    let mark = sc.mark();
+    let set = resolve_steps(s, &path.steps, sc);
+    let mut meter = Meter::from_options(opts);
+    let chains = expand_from(s, from, path, set, opts, &mut meter, sc);
     let mut miss_all = 1.0f64;
-    for chain in &chains {
-        // chain.nodes excludes `from`; existence fraction along the chain.
+    for chain in chains {
+        // The chain excludes `from`; existence fraction along the chain.
         let mut f = 1.0f64;
         let mut prev = from;
-        for link in &chain.nodes {
+        for link in chain_links(sc, chain) {
             f *= s.exist_fraction(prev, link.syn);
             // Chained predicates nested inside the branch path.
             f *= link.pred_fraction;
@@ -66,22 +85,36 @@ pub fn branch_fraction<S: SynopsisView + ?Sized>(
         }
         miss_all *= 1.0 - f.clamp(0.0, 1.0);
     }
+    sc.release(mark);
     (1.0 - miss_all).clamp(0.0, 1.0)
 }
 
 /// Estimates the result count of a single (absolute) path expression over
 /// the synopsis — the single-path XSKETCH estimator used by the §6.2
 /// comparison bench. Branch and value predicates multiply in as fractions.
-pub fn estimate_path_count(s: &Synopsis, path: &PathExpr, opts: &EstimateOptions) -> f64 {
-    let chains = crate::estimate::expand::expand_path_absolute(s, path, opts);
+/// The path expands in `ar`'s lanes.
+pub fn estimate_path_count(
+    s: &Synopsis,
+    path: &PathExpr,
+    opts: &EstimateOptions,
+    ar: &mut EvalArena,
+) -> f64 {
+    let sc = &mut ar.expand;
+    let mark = sc.mark();
+    let set = resolve_steps(s, &path.steps, sc);
+    let mut meter = Meter::from_options(opts);
+    let chains = expand_absolute(s, path, set, opts, &mut meter, sc);
     let mut total = 0.0;
-    for chain in &chains {
+    for chain in chains {
+        let Some((head, links)) = chain_links(sc, chain).split_first() else {
+            continue;
+        };
         // The chain starts at the synopsis root node, which matches exactly
         // one document element (the root).
         let mut count = 1.0f64;
-        let mut prev = chain.nodes[0].syn;
-        count *= chain.nodes[0].pred_fraction;
-        for link in &chain.nodes[1..] {
+        let mut prev = head.syn;
+        count *= head.pred_fraction;
+        for link in links {
             let size_prev = s.extent_size(prev) as f64;
             let frac = if size_prev > 0.0 {
                 (count / size_prev).min(1.0)
@@ -94,6 +127,7 @@ pub fn estimate_path_count(s: &Synopsis, path: &PathExpr, opts: &EstimateOptions
         }
         total += count;
     }
+    sc.release(mark);
     total
 }
 
@@ -150,10 +184,11 @@ mod tests {
         let s = coarse_synopsis(&d);
         let opts = EstimateOptions::default();
         let p = parse_path("/bib/author/paper").unwrap();
-        let est = estimate_path_count(&s, &p, &opts);
+        let mut ar = EvalArena::new();
+        let est = estimate_path_count(&s, &p, &opts, &mut ar);
         assert!((est - 3.0).abs() < 1e-9, "{est}");
         let p2 = parse_path("//keyword").unwrap();
-        let est2 = estimate_path_count(&s, &p2, &opts);
+        let est2 = estimate_path_count(&s, &p2, &opts, &mut ar);
         assert!((est2 - 4.0).abs() < 1e-9, "{est2}");
     }
 
@@ -165,11 +200,12 @@ mod tests {
         let author = s.nodes_with_tag("author")[0];
         // [book]: one of two authors has a book.
         let pred = Pred::branch(PathExpr::child("book"));
-        let f = branch_fraction(&s, author, &pred, &opts);
+        let mut ar = EvalArena::new();
+        let f = branch_fraction(&s, author, &pred, &opts, &mut ar);
         assert!((f - 0.5).abs() < 1e-9, "{f}");
         // [paper]: F-stable, every author qualifies.
         let pred2 = Pred::branch(PathExpr::child("paper"));
-        let f2 = branch_fraction(&s, author, &pred2, &opts);
+        let f2 = branch_fraction(&s, author, &pred2, &opts, &mut ar);
         assert!((f2 - 1.0).abs() < 1e-9, "{f2}");
     }
 
@@ -182,7 +218,7 @@ mod tests {
         // [year > 2000]: 2 of 3 years qualify; every paper has a year, so
         // fraction ≈ 2/3 (value histogram approximation).
         let pred = xtwig_query::parse_path("/x[year > 2000]").unwrap().steps[0].preds[0].clone();
-        let f = branch_fraction(&s, paper, &pred, &opts);
+        let f = branch_fraction(&s, paper, &pred, &opts, &mut EvalArena::new());
         assert!(f > 0.3 && f <= 1.0, "{f}");
     }
 

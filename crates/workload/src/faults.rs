@@ -1366,8 +1366,10 @@ impl std::fmt::Display for StorageChaosReport {
 
 /// Runs the storage-chaos soak: for each seeded plan, (a) drive an
 /// [`IngestStore`] commit protocol through a [`FaultVfs`] injecting
-/// write/rename/fsync faults and prove a clean-device reopen recovers
-/// fsck-clean and bit-identical to an observed durable state, then (b)
+/// write/rename/fsync faults, reopen it once with every stat failing,
+/// and prove a clean-device reopen then recovers fsck-clean and
+/// bit-identical to a state the protocol made durable — the last
+/// acknowledged one, or what a faulted ingest may have left — then (b)
 /// drive [`SnapshotCatalog`] cold fault-ins through transient read and
 /// stat failures and bit-rot injection and prove every request ends
 /// bit-identical or typed (retried, rebuilt, or quarantined — never
@@ -1424,10 +1426,11 @@ pub fn run_storage_chaos(
             ingest_opts.clone(),
         );
         if let Ok(mut store) = created {
-            // Every state the protocol could legitimately recover to:
-            // the seed state plus the in-memory state after each attempt
-            // (pre-delta on a rejected append, post-delta once the WAL
-            // holds it).
+            // Every state the protocol could legitimately recover to.
+            // An acknowledged delta retires every older state, so this
+            // holds the last acknowledged state (the seed before any)
+            // plus, after a faulted ingest, what that ingest may have
+            // made durable.
             let mut durable = vec![store.snapshot_bytes()];
             let mut rng = StdRng::seed_from_u64(options.seed ^ i);
             vfs.arm(true);
@@ -1467,8 +1470,8 @@ pub fn run_storage_chaos(
                     }
                     Ok(Err(_)) => {
                         // Three durable states are legitimate here:
-                        // pre-delta (append rejected or torn — already
-                        // in the chain), post-delta (append landed, a
+                        // pre-delta (append rejected or torn — the last
+                        // acknowledged state), post-delta (append landed, a
                         // later commit step faulted — the shadow), or
                         // the rebuilt checkpoint itself (the manifest
                         // rename landed but its directory fsync faulted:
@@ -1481,11 +1484,31 @@ pub fn run_storage_chaos(
                         durable.push(store.snapshot_bytes());
                         break;
                     }
-                    Ok(Ok(_)) => durable.push(store.snapshot_bytes()),
+                    Ok(Ok(_)) => durable = vec![store.snapshot_bytes()],
                 }
             }
             vfs.arm(false);
             drop(store);
+            // A reopen whose every stat fails must leave the store as it
+            // was: a failed stat is not a missing journal, and
+            // re-creating the journal would drop acknowledged deltas,
+            // which the clean reopen below would then miss.
+            let stat_faults = std::sync::Arc::new(FaultVfs::over_std(VfsFaultPlan {
+                seed: fault_plan.seed,
+                metadata_error: 1000,
+                ..VfsFaultPlan::default()
+            }));
+            let reopened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                IngestStore::open_in(
+                    std::sync::Arc::clone(&stat_faults) as std::sync::Arc<dyn Vfs>,
+                    &store_dir,
+                    ingest_opts.clone(),
+                )
+            }));
+            if reopened.is_err() {
+                report.escaped_panics += 1;
+            }
+            report.injected_faults += stat_faults.injected();
             // The device heals; recovery must land on a durable state.
             match IngestStore::open(&store_dir, ingest_opts.clone()) {
                 Err(_) => report.recovery_failures += 1,

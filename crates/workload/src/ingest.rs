@@ -432,12 +432,24 @@ impl IngestStore {
             path: dir.to_path_buf(),
             source,
         })?;
+        // Stat the manifest once: only `NotFound` means the directory
+        // holds no store; any other stat failure is a typed I/O error,
+        // never a licence to write a fresh store over an existing one.
         let manifest = manifest_path(dir);
-        if vfs.exists(&manifest) {
-            return Err(IngestError::Store(format!(
-                "{} already holds a store",
-                dir.display()
-            )));
+        match vfs.metadata(&manifest) {
+            Ok(_) => {
+                return Err(IngestError::Store(format!(
+                    "{} already holds a store",
+                    dir.display()
+                )))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(source) => {
+                return Err(IngestError::Io {
+                    path: manifest,
+                    source,
+                })
+            }
         }
         // Canonicalize through the serialize→parse roundtrip so the
         // in-memory document is exactly what recovery will re-derive
@@ -1243,6 +1255,46 @@ mod tests {
             checkpoint_every: 3,
             ..Default::default()
         }
+    }
+
+    /// Every file under `dir` with its bytes, in path order.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(dir_bytes(&path));
+            } else {
+                let bytes = fs::read(&path).unwrap();
+                out.push((path, bytes));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn a_failed_stat_never_writes_a_store_over_a_store() {
+        use xtwig_core::{FaultVfs, VfsFaultPlan};
+        let dir = tmp("stat-fault");
+        drop(IngestStore::create(&dir, bib(), small_opts()).unwrap());
+        let before = dir_bytes(&dir);
+        let vfs = Arc::new(FaultVfs::over_std(VfsFaultPlan {
+            seed: 5,
+            metadata_error: 1000,
+            ..VfsFaultPlan::default()
+        }));
+        // Every stat fails: a typed I/O error naming the manifest, and
+        // the store is left byte for byte as it was.
+        let err = IngestStore::create_in(vfs, &dir, bib(), small_opts()).err();
+        assert!(matches!(err, Some(IngestError::Io { .. })), "{err:?}");
+        assert_eq!(dir_bytes(&dir), before);
+        // Without the fault the guard still names the existing store.
+        assert!(matches!(
+            IngestStore::create(&dir, bib(), small_opts()),
+            Err(IngestError::Store(_))
+        ));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

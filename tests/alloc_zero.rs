@@ -1,4 +1,4 @@
-//! Allocation audit for the compiled estimation path, in two phases.
+//! Allocation audit for the compiled estimation path, in three phases.
 //!
 //! **Steady state.** The arena rework (DESIGN.md §13) claims that once a
 //! worker thread's scratch arena and expansion memo are warm, a repeated
@@ -14,8 +14,19 @@
 //! most [`MAX_LOAD_ACQUISITIONS`] for the coarse and the XBUILD
 //! synopsis of every generator.
 //!
-//! The test *proves* both with a counting global allocator: snapshot
-//! the allocation counter, run the measured work, and compare. It must
+//! **Cold memo miss.** The first estimate on a freshly loaded synopsis
+//! expands its twig in the thread's arena lanes — chains, the one
+//! partial embedding the enumerator backtracks over, branch-predicate
+//! expansions, the plan columns — and copies one flat plan out
+//! (DESIGN.md §8). Once a warm-up pass has grown the lanes, it acquires
+//! at most [`MAX_MISS_ACQUISITIONS`] heap blocks, whatever the
+//! embedding count: the plan's columns, its `Arc`, the memo key and the
+//! memo table's first growth. Every generator's P and P+V twigs, over
+//! its coarse and XBUILD synopsis.
+//!
+//! The test *proves* all three with a counting global allocator:
+//! snapshot the allocation counter, run the measured work, and compare.
+//! It must
 //! remain the **only** `#[test]` in this file — a sibling test running
 //! concurrently on another libtest thread would allocate into the same
 //! global counter and turn the assertions into noise. CI runs it in
@@ -33,8 +44,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::estimate::EstimateOptions;
 use xtwig::core::{
-    coarse_synopsis, read_compiled_snapshot_in, save_synopsis_v3, CompiledSynopsis, StdVfs,
-    Synopsis,
+    coarse_synopsis, load_compiled_snapshot, read_compiled_snapshot_in, save_synopsis_v3,
+    CompiledSynopsis, StdVfs, Synopsis,
 };
 use xtwig::datagen::{xmark, Dataset, XMarkConfig};
 use xtwig::workload::{generate_workload, WorkloadKind, WorkloadSpec};
@@ -43,6 +54,12 @@ use xtwig::xml::Document;
 /// Heap blocks one verified v3 load of any generator's synopsis may
 /// acquire.
 const MAX_LOAD_ACQUISITIONS: u64 = 64;
+
+/// Heap blocks the first estimate on a freshly loaded synopsis — a cold
+/// expansion-memo miss — may acquire once the thread's arena is warm:
+/// five plan columns, the plan's `Arc`, the memo key and the memo
+/// table's first allocation.
+const MAX_MISS_ACQUISITIONS: u64 = 8;
 
 /// Forwards every call to [`System`], counting acquisition events
 /// (`alloc`, `alloc_zeroed`, `realloc`). Deallocations are not counted:
@@ -90,9 +107,14 @@ fn built(doc: &Document, coarse: &Synopsis) -> Synopsis {
 
 /// Eight seeded branching queries over `doc`.
 fn branching(doc: &Document) -> Vec<xtwig::query::TwigQuery> {
+    workload(doc, WorkloadKind::Branching)
+}
+
+/// Eight seeded queries of `kind` over `doc`.
+fn workload(doc: &Document, kind: WorkloadKind) -> Vec<xtwig::query::TwigQuery> {
     let spec = WorkloadSpec {
         queries: 8,
-        kind: WorkloadKind::Branching,
+        kind,
         seed: 7,
         ..Default::default()
     };
@@ -103,6 +125,7 @@ fn branching(doc: &Document) -> Vec<xtwig::query::TwigQuery> {
 fn steady_state_queries_allocate_nothing() {
     steady_state_phase();
     fault_in_phase();
+    cold_miss_phase();
 }
 
 /// Phase one: warm estimates allocate nothing.
@@ -209,4 +232,51 @@ fn fault_in_phase() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Phase three: after one warm-up pass, the first estimate on a freshly
+/// loaded synopsis — a cold memo miss — acquires at most
+/// [`MAX_MISS_ACQUISITIONS`] heap blocks, for every generator's P and
+/// P+V twigs over its coarse and XBUILD synopsis. The load itself is
+/// not counted.
+fn cold_miss_phase() {
+    let eopts = EstimateOptions::default();
+    let mut predicate_twigs = 0;
+    for ds in Dataset::ALL {
+        let doc = ds.generate(0.01);
+        let coarse = coarse_synopsis(&doc);
+        let xbuilt = built(&doc, &coarse);
+        let mut queries = branching(&doc);
+        queries.extend(workload(&doc, WorkloadKind::BranchingValues));
+        predicate_twigs += queries.iter().filter(|q| q.has_value_predicate()).count();
+        for (form, s) in [("coarse", &coarse), ("xbuild", &xbuilt)] {
+            let image = save_synopsis_v3(s);
+            let fresh = || load_compiled_snapshot(&image).expect("v3 loads");
+            // Warm-up: grows the arena's expansion lanes to this
+            // workload's high-water mark.
+            for q in &queries {
+                fresh().estimate_report(q, &eopts);
+            }
+            for q in &queries {
+                let loaded = fresh();
+                let before = ACQUISITIONS.load(Ordering::SeqCst);
+                let report = loaded.estimate_report(q, &eopts);
+                let acquired = ACQUISITIONS.load(Ordering::SeqCst).saturating_sub(before);
+                assert_eq!(report.provenance.memo_hit, Some(false), "{q}");
+                assert!(
+                    acquired <= MAX_MISS_ACQUISITIONS,
+                    "{} {form}: a cold memo miss on {q} ({} embeddings) acquired \
+                     {acquired} heap blocks, over {MAX_MISS_ACQUISITIONS}. Expansion \
+                     should run in the arena's lanes and copy one plan out — look for \
+                     a clone or collect on the miss path.",
+                    ds.name(),
+                    report.provenance.embeddings,
+                );
+            }
+        }
+    }
+    assert!(
+        predicate_twigs > 0,
+        "the P+V workloads carried no predicate"
+    );
 }

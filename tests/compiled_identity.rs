@@ -17,14 +17,19 @@
 //!    reads the snapshot's columns instead of a synopsis graph, matches
 //!    the oracle to the bit, including under a tight work limit, where
 //!    both must charge the meter at the same points.
+//! 5. **The flat plan is the reference enumeration** — the plan a memo
+//!    miss builds, read back through its materializing accessor, equals
+//!    the oracle's recursive-clone enumeration node for node, and under
+//!    every work limit both charge the same work and trip at the same
+//!    point.
 
 mod support;
 
 use proptest::prelude::*;
 use support::oracle;
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
-use xtwig::core::estimate::EstimateOptions;
-use xtwig::core::synopsis::{DimKind, ScopeDim, SynId};
+use xtwig::core::estimate::{Embedding, EstimateOptions, ExpandedQuery, Meter};
+use xtwig::core::synopsis::{DimKind, ScopeDim, SynId, Synopsis};
 use xtwig::core::{
     coarse_synopsis, load_compiled_snapshot, save_synopsis_v3, BatchServer, CompiledSynopsis,
     EstimateCache, EstimateReport,
@@ -570,4 +575,183 @@ fn compiled_matches_oracle_on_joint_value_summary() {
     let compiled = cs.estimate_report(&q, &opts).estimate;
     assert_eq!(interp.to_bits(), compiled.to_bits());
     assert!((compiled - 160.0).abs() < 1.0, "{compiled}");
+}
+
+/// Checks that `plan`, read back through [`ExpandedQuery::embedding`] and
+/// its materializing accessor, equals the reference embeddings node for
+/// node: synopsis node, parent, children order, value range,
+/// branch-fraction bits, branch values and the `needs` set.
+fn assert_same_plan(s: &Synopsis, what: &str, plan: &ExpandedQuery, reference: &[Embedding]) {
+    assert_eq!(plan.len(), reference.len(), "{what}: embedding count");
+    for (e, want) in reference.iter().enumerate() {
+        let view = plan.embedding(e).expect("embedding in range");
+        let got = view.to_embedding().expect("a rooted embedding");
+        assert_eq!(
+            got.root_count.to_bits(),
+            want.root_count.to_bits(),
+            "{what} #{e}"
+        );
+        assert_eq!(got.nodes.len(), want.nodes.len(), "{what} #{e}: node count");
+        let needs = oracle::compute_needs(s, want);
+        for (i, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            let at = format!("{what} #{e} node {i}");
+            assert_eq!(g.syn, w.syn, "{at}: syn");
+            assert_eq!(g.parent, w.parent, "{at}: parent");
+            assert_eq!(g.children, w.children, "{at}: children");
+            assert_eq!(g.value_range, w.value_range, "{at}: value range");
+            assert_eq!(
+                g.branch_fraction.to_bits(),
+                w.branch_fraction.to_bits(),
+                "{at}: branch fraction"
+            );
+            let values = |n: &xtwig::core::estimate::EmbNode| -> Vec<(SynId, (i64, i64), u64)> {
+                n.branch_values
+                    .iter()
+                    .map(|b| (b.child, b.range, b.fallback.to_bits()))
+                    .collect()
+            };
+            assert_eq!(values(g), values(w), "{at}: branch values");
+            assert_eq!(view.needs(i), needs[i].as_slice(), "{at}: needs");
+        }
+    }
+}
+
+/// A parlist-style recursive document: items whose descriptions nest
+/// `parlist/listitem` up to six levels, so the coarse synopsis has a
+/// `parlist → listitem → parlist` cycle that `//` steps go around.
+fn recursive_doc() -> xtwig::xml::Document {
+    fn nest(b: &mut DocumentBuilder, depth: usize, salt: usize) {
+        b.open("parlist", None);
+        for k in 0..1 + (depth + salt) % 2 {
+            b.open("listitem", None);
+            b.leaf("text", Some(((depth * 7 + k + salt) % 10) as i64));
+            if depth > 1 && (k + salt) % 3 != 2 {
+                nest(b, depth - 1, salt + k);
+            }
+            b.close();
+        }
+        b.close();
+    }
+    let mut b = DocumentBuilder::new();
+    b.open("site", None);
+    for i in 0..6 {
+        b.open("item", None);
+        b.leaf("name", Some(i));
+        b.open("description", None);
+        nest(&mut b, 1 + i as usize, i as usize);
+        b.close();
+        b.close();
+    }
+    b.close();
+    b.finish()
+}
+
+/// The flat plan a cold memo miss builds equals the oracle's
+/// recursive-clone enumeration node for node, on the three generators'
+/// coarse and XBUILD synopses with P and P+V twigs and on a recursive
+/// synopsis with `//` twigs — under the embedding and `//` length caps,
+/// and under every work limit from 1 up to the reference's full
+/// expansion work, where both enumerators charge the same work, trip at
+/// the same point and return the same embeddings.
+#[test]
+fn flat_plans_equal_the_reference_enumeration() {
+    let mut inputs: Vec<(String, Synopsis, Vec<TwigQuery>)> = Vec::new();
+    for (name, doc) in [
+        (
+            "xmark",
+            xmark(XMarkConfig {
+                scale: 0.01,
+                seed: 5,
+            }),
+        ),
+        ("imdb", imdb(ImdbConfig::scaled(0.01, 5))),
+        ("sprot", sprot(SprotConfig::scaled(0.01, 5))),
+    ] {
+        let coarse = coarse_synopsis(&doc);
+        let opts = BuildOptions {
+            budget_bytes: coarse.size_bytes() + 1200,
+            refinements_per_round: 3,
+            max_rounds: 20,
+            workload_with_values: true,
+            seed: 5,
+            ..Default::default()
+        };
+        let (built, _) = xbuild(&doc, TruthSource::Exact, &opts);
+        let mut queries = Vec::new();
+        for kind in [WorkloadKind::Branching, WorkloadKind::BranchingValues] {
+            let spec = WorkloadSpec {
+                queries: 8,
+                kind,
+                seed: 23,
+                ..Default::default()
+            };
+            queries.extend(generate_workload(&doc, &spec).queries);
+        }
+        inputs.push((format!("{name}/coarse"), coarse, queries.clone()));
+        inputs.push((format!("{name}/xbuild"), built, queries));
+    }
+    let recursive = [
+        "for $t0 in //parlist, $t1 in $t0//text",
+        "for $t0 in //parlist/listitem/parlist/listitem/text",
+        "for $t0 in //item[name > 2], $t1 in $t0//listitem, $t2 in $t1/text[. < 5]",
+        "for $t0 in //description//parlist[listitem/text = 3], $t1 in $t0//text",
+        "for $t0 in /site//listitem, $t1 in $t0//parlist, $t2 in $t0/text",
+    ];
+    inputs.push((
+        "parlist".to_string(),
+        coarse_synopsis(&recursive_doc()),
+        recursive.iter().map(|t| parse_twig(t).unwrap()).collect(),
+    ));
+
+    let plain = EstimateOptions::default();
+    let (mut limited, mut multi) = (0usize, 0usize);
+    for (name, s, queries) in &inputs {
+        let cs = CompiledSynopsis::compile(s);
+        let mut matched = 0usize;
+        for q in queries {
+            let what = format!("{name}: {q}");
+            let mut full = Meter::unlimited();
+            let reference = oracle::enumerate_embeddings_metered(s, q, &plain, &mut full);
+            let mut meter = Meter::unlimited();
+            let plan = cs.expand_metered(q, &plain, &mut meter);
+            assert_eq!(meter.work_done(), full.work_done(), "{what}: work");
+            assert_eq!(plan.work, full.work_done(), "{what}: plan work");
+            assert_same_plan(s, &what, &plan, &reference);
+            matched += usize::from(!reference.is_empty());
+            multi += usize::from(reference.len() > 1);
+            // The embedding cap and the `//` length cap truncate at the
+            // same points.
+            for capped in [
+                plain.to_builder().max_embeddings(1).build(),
+                plain.to_builder().max_embeddings(3).build(),
+                plain.to_builder().max_descendant_len(2).build(),
+            ] {
+                let mut want = Meter::unlimited();
+                let reference = oracle::enumerate_embeddings_metered(s, q, &capped, &mut want);
+                let mut got = Meter::unlimited();
+                let plan = cs.expand_metered(q, &capped, &mut got);
+                let at = format!(
+                    "{what} (caps {} / {})",
+                    capped.max_embeddings, capped.max_descendant_len
+                );
+                assert_eq!(got.work_done(), want.work_done(), "{at}: work");
+                assert_same_plan(s, &at, &plan, &reference);
+            }
+            for limit in 1..=full.work_done() {
+                let tight = plain.to_builder().work_limit(limit).build();
+                let mut want = Meter::from_options(&tight);
+                let reference = oracle::enumerate_embeddings_metered(s, q, &tight, &mut want);
+                let mut got = Meter::from_options(&tight);
+                let plan = cs.expand_metered(q, &tight, &mut got);
+                let at = format!("{what} (work limit {limit})");
+                assert_eq!(got.work_done(), want.work_done(), "{at}: work");
+                assert_eq!(got.exhaustion(), want.exhaustion(), "{at}: exhaustion");
+                assert_same_plan(s, &at, &plan, &reference);
+                limited += 1;
+            }
+        }
+        assert!(matched > 0, "{name}: no query embedded");
+    }
+    assert!(multi >= 10, "only {multi} queries with several embeddings");
+    assert!(limited > 1000, "only {limited} work-limited cases");
 }

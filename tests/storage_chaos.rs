@@ -8,11 +8,14 @@
 //! bit-flips. The invariants are exact:
 //!
 //! * zero panics escape any faulted operation;
-//! * after write-side chaos the healed store always reopens, passes
-//!   the structural fsck, and its recovered synopsis is bit-identical
-//!   to a state the commit protocol legitimately made durable (the
-//!   seed, a post-delta replay, or a checkpoint that flipped before
-//!   its directory fsync faulted) — never a torn hybrid;
+//! * after write-side chaos, and one reopen with every stat failing,
+//!   the healed store always reopens, passes the structural fsck, and
+//!   its recovered synopsis is bit-identical to a state the commit
+//!   protocol legitimately made durable (the last acknowledged state —
+//!   the seed before any delta was acknowledged — or, after a faulted
+//!   ingest, its post-delta replay or a checkpoint that flipped before
+//!   its directory fsync faulted) — never a torn hybrid, and never an
+//!   older state an acknowledged delta retired;
 //! * every read-side serve under fault either matches the healthy
 //!   reference bit-for-bit or fails with a typed [`CatalogError`] —
 //!   corrupt snapshots quarantine the tenant instead of serving

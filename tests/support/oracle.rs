@@ -1,13 +1,16 @@
-//! The interpreted TREEPARSE evaluator (§4), kept as an independent
-//! reference for the production evaluator in `xtwig_core::compiled`.
+//! The interpreted estimator (§4), kept as an independent reference for
+//! the production path in `xtwig_core::compiled`.
 //!
 //! It walks the pointer-rich [`Synopsis`] directly — `EdgeHistogram`
 //! scopes, `MdHistogram` buckets through the histogram's own support
-//! visitor, `Synopsis::avg_children` — and owns its `needs` pre-pass and
-//! its clamping loop, so a defect in the compiled lowering cannot hide
-//! by being shared. It charges the caller's [`Meter`] at exactly the
-//! points the compiled evaluator does, which is what lets the degraded
-//! (budget-exhausted) suites compare partial sums bit for bit.
+//! visitor, `Synopsis::avg_children` — and owns its embedding
+//! enumeration, chain expansion, branch fractions, `needs` pre-pass and
+//! clamping loop, so a defect in the compiled lowering or the flat plan
+//! cannot hide by being shared. The enumerator is the recursive-clone
+//! one: every alternative clones the partial embedding, every chain
+//! extension clones the chain. It charges the caller's [`Meter`] at
+//! exactly the points the production path does, which is what lets the
+//! degraded (budget-exhausted) suites compare partial sums bit for bit.
 //!
 //! For each embedding node `t_i` bound to synopsis node `n_i` with edge
 //! histogram `H_i`, the evaluator classifies the information available:
@@ -33,16 +36,17 @@
 //! can condition on.
 //!
 //! The oracle allocates freely (fresh per-frame buffers, a fresh `needs`
-//! table per embedding); zero allocation is a property of the compiled
-//! path, checked in `tests/alloc_zero.rs`.
+//! table per embedding); bounded allocation is a property of the
+//! compiled path, checked in `tests/alloc_zero.rs`.
 
+use xtwig::core::estimate::expand::BranchValue;
 use xtwig::core::estimate::{
-    coarse_count_bound, enumerate_embeddings_metered, Embedding, EstimateOptions, EstimateReport,
-    Meter, Provenance, QueryTelemetry,
+    coarse_count_bound, Embedding, EstimateOptions, EstimateReport, Meter, Provenance,
+    QueryTelemetry,
 };
 use xtwig::core::synopsis::{DimKind, SynId, Synopsis, ValueSource};
 use xtwig::histogram::Bucket;
-use xtwig::query::TwigQuery;
+use xtwig::query::{Axis, PathExpr, Pred, Step, TwigNodeRef, TwigQuery};
 
 /// An edge key `(parent, child)`.
 type Edge = (SynId, SynId);
@@ -114,7 +118,7 @@ fn estimate_embedding_metered(s: &Synopsis, emb: &Embedding, meter: &mut Meter) 
 /// the subtree rooted at `i` (including `i` itself) — ancestors must
 /// enumerate these when they can, so descendants can condition on them.
 /// Sets are sorted, deduplicated `Vec`s, queried by binary search.
-fn compute_needs(s: &Synopsis, emb: &Embedding) -> Vec<Vec<Edge>> {
+pub fn compute_needs(s: &Synopsis, emb: &Embedding) -> Vec<Vec<Edge>> {
     let mut needs: Vec<Vec<Edge>> = vec![Vec::new(); emb.nodes.len()];
     // Children always follow parents in index order, so a reverse sweep
     // sees every child before its parent.
@@ -310,4 +314,351 @@ fn eval_node(
             .visit_conditional_support_weighted(&cond, &enum_dims, &weight, &mut body);
     }
     factor * acc
+}
+
+// ---------------------------------------------------------------------
+// The reference enumerator and chain expansion
+// ---------------------------------------------------------------------
+
+/// One node of an expanded chain with its resolved step predicates.
+#[derive(Debug, Clone, PartialEq)]
+struct ChainLink {
+    syn: SynId,
+    value_range: Option<(i64, i64)>,
+    pred_fraction: f64,
+    branch_values: Vec<BranchValue>,
+}
+
+impl ChainLink {
+    fn plain(syn: SynId) -> ChainLink {
+        ChainLink {
+            syn,
+            value_range: None,
+            pred_fraction: 1.0,
+            branch_values: Vec::new(),
+        }
+    }
+}
+
+/// Enumerates the maximal twig embeddings of `query` over `s`, charging
+/// `meter`; on exhaustion the embeddings completed so far. Truncated at
+/// `opts.max_embeddings`.
+pub fn enumerate_embeddings_metered(
+    s: &Synopsis,
+    query: &TwigQuery,
+    opts: &EstimateOptions,
+    meter: &mut Meter,
+) -> Vec<Embedding> {
+    let root_chains = expand_path_absolute(s, query.path(query.root()), opts, meter);
+    let mut out: Vec<Embedding> = Vec::new();
+    for chain in &root_chains {
+        if meter.exhaustion().is_some() {
+            break;
+        }
+        let Some(head) = chain.first() else {
+            continue;
+        };
+        // The first link is the synopsis root, standing for the single
+        // document root element.
+        let mut emb = Embedding::with_root(head.syn, 1.0);
+        emb.nodes[0].value_range = head.value_range;
+        emb.nodes[0].branch_fraction = head.pred_fraction;
+        emb.nodes[0].branch_values = head.branch_values.clone();
+        let anchor = push_chain(&mut emb, 0, &chain[1..]);
+        let pending: Vec<(TwigNodeRef, usize)> = query
+            .children(query.root())
+            .iter()
+            .map(|&c| (c, anchor))
+            .collect();
+        attach(s, query, opts, emb, &pending, &mut out, meter);
+        if out.len() >= opts.max_embeddings {
+            out.truncate(opts.max_embeddings);
+            break;
+        }
+    }
+    out
+}
+
+/// Appends `chain` under `anchor`; returns the index of its last node.
+fn push_chain(emb: &mut Embedding, anchor: usize, chain: &[ChainLink]) -> usize {
+    let mut at = anchor;
+    for link in chain {
+        at = emb.push_node(at, link.syn, link.value_range, link.pred_fraction);
+        emb.nodes[at].branch_values = link.branch_values.clone();
+    }
+    at
+}
+
+/// Embeds the twig nodes of `pending` in order, cloning the partial
+/// embedding once per chain the next one expands to; a completed
+/// embedding goes to `out`.
+fn attach(
+    s: &Synopsis,
+    query: &TwigQuery,
+    opts: &EstimateOptions,
+    emb: Embedding,
+    pending: &[(TwigNodeRef, usize)],
+    out: &mut Vec<Embedding>,
+    meter: &mut Meter,
+) {
+    if out.len() >= opts.max_embeddings || !meter.proceed(1) {
+        return;
+    }
+    let Some(&(t, anchor)) = pending.first() else {
+        out.push(emb);
+        return;
+    };
+    let Some(anchor_syn) = emb.nodes.get(anchor).map(|n| n.syn) else {
+        return;
+    };
+    let chains = expand_path_from(s, anchor_syn, query.path(t), opts, meter);
+    for chain in &chains {
+        if meter.exhaustion().is_some() {
+            return;
+        }
+        let mut e = emb.clone();
+        let end = push_chain(&mut e, anchor, chain);
+        // `t`'s own children go ahead of the remaining siblings.
+        let mut next: Vec<(TwigNodeRef, usize)> =
+            query.children(t).iter().map(|&c| (c, end)).collect();
+        next.extend_from_slice(&pending[1..]);
+        attach(s, query, opts, e, &next, out, meter);
+    }
+}
+
+/// Expands an absolute path: every chain starts at the synopsis root.
+fn expand_path_absolute(
+    s: &Synopsis,
+    path: &PathExpr,
+    opts: &EstimateOptions,
+    meter: &mut Meter,
+) -> Vec<Vec<ChainLink>> {
+    let root = s.root();
+    let Some(first) = path.steps.first() else {
+        return Vec::new();
+    };
+    let mut heads: Vec<Vec<ChainLink>> = Vec::new();
+    if s.tag(root) == first.label {
+        heads.push(vec![resolve_link(s, root, first, opts)]);
+    }
+    if first.axis == Axis::Descendant {
+        for mut tail in descendant_paths(s, root, &first.label, opts, meter) {
+            let Some(last) = tail.pop() else { continue };
+            let mut chain = vec![ChainLink::plain(root)];
+            chain.extend(tail.into_iter().map(ChainLink::plain));
+            chain.push(resolve_link(s, last, first, opts));
+            heads.push(chain);
+        }
+    }
+    extend_chains(s, heads, &path.steps[1..], opts, meter)
+}
+
+/// Expands a relative path from `from`; chains exclude `from`.
+fn expand_path_from(
+    s: &Synopsis,
+    from: SynId,
+    path: &PathExpr,
+    opts: &EstimateOptions,
+    meter: &mut Meter,
+) -> Vec<Vec<ChainLink>> {
+    let Some(first) = path.steps.first() else {
+        return Vec::new();
+    };
+    let mut heads: Vec<Vec<ChainLink>> = Vec::new();
+    match first.axis {
+        Axis::Child => {
+            for &v in s.children_of(from) {
+                if s.tag(v) == first.label {
+                    heads.push(vec![resolve_link(s, v, first, opts)]);
+                }
+            }
+        }
+        Axis::Descendant => {
+            for mut tail in descendant_paths(s, from, &first.label, opts, meter) {
+                let Some(last) = tail.pop() else { continue };
+                let mut chain: Vec<ChainLink> = tail.into_iter().map(ChainLink::plain).collect();
+                chain.push(resolve_link(s, last, first, opts));
+                heads.push(chain);
+            }
+        }
+    }
+    extend_chains(s, heads, &path.steps[1..], opts, meter)
+}
+
+/// Resolves a step's predicates at synopsis node `v`.
+fn resolve_link(s: &Synopsis, v: SynId, step: &Step, opts: &EstimateOptions) -> ChainLink {
+    let mut value_range: Option<(i64, i64)> = None;
+    let mut pred_fraction = 1.0;
+    let mut branch_values = Vec::new();
+    for p in &step.preds {
+        let Some(path) = &p.path else {
+            let Some(r) = p.value else { continue };
+            value_range = Some(match value_range {
+                None => (r.lo, r.hi),
+                Some((lo, hi)) => (lo.max(r.lo), hi.min(r.hi)),
+            });
+            continue;
+        };
+        let symbolic = match (&p.value, path.steps.as_slice()) {
+            (Some(r), [only]) if only.axis == Axis::Child && only.preds.is_empty() => {
+                let mut tagged = s
+                    .children_of(v)
+                    .iter()
+                    .copied()
+                    .filter(|&c| s.tag(c) == only.label);
+                match (tagged.next(), tagged.next()) {
+                    (Some(child), None) => Some((child, (r.lo, r.hi))),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        match symbolic {
+            Some((child, range)) => branch_values.push(BranchValue {
+                child,
+                range,
+                fallback: branch_fraction(s, v, p, opts),
+            }),
+            None => pred_fraction *= branch_fraction(s, v, p, opts),
+        }
+    }
+    ChainLink {
+        syn: v,
+        value_range,
+        pred_fraction,
+        branch_values,
+    }
+}
+
+/// The existence fraction of branch predicate `pred` at `from`, over its
+/// own expansion under a fresh meter built from `opts`.
+fn branch_fraction(s: &Synopsis, from: SynId, pred: &Pred, opts: &EstimateOptions) -> f64 {
+    let Some(path) = &pred.path else {
+        let Some(r) = pred.value else { return 1.0 };
+        return s.value_fraction(from, r.lo, r.hi);
+    };
+    let chains = expand_path_from(s, from, path, opts, &mut Meter::from_options(opts));
+    let mut miss_all = 1.0f64;
+    for chain in &chains {
+        let mut f = 1.0f64;
+        let mut prev = from;
+        for link in chain {
+            f *= s.exist_fraction(prev, link.syn);
+            f *= link.pred_fraction;
+            prev = link.syn;
+        }
+        if let Some(r) = pred.value {
+            f *= s.value_fraction(prev, r.lo, r.hi);
+        }
+        miss_all *= 1.0 - f.clamp(0.0, 1.0);
+    }
+    (1.0 - miss_all).clamp(0.0, 1.0)
+}
+
+/// Extends partial chains over the remaining steps, charging the meter
+/// one unit per chain extended.
+fn extend_chains(
+    s: &Synopsis,
+    mut chains: Vec<Vec<ChainLink>>,
+    steps: &[Step],
+    opts: &EstimateOptions,
+    meter: &mut Meter,
+) -> Vec<Vec<ChainLink>> {
+    for step in steps {
+        let mut next: Vec<Vec<ChainLink>> = Vec::new();
+        for chain in &chains {
+            if !meter.proceed(1) {
+                return next;
+            }
+            let Some(anchor) = chain.last().map(|l| l.syn) else {
+                continue;
+            };
+            match step.axis {
+                Axis::Child => {
+                    for &v in s.children_of(anchor) {
+                        if s.tag(v) == step.label {
+                            let mut c = chain.clone();
+                            c.push(resolve_link(s, v, step, opts));
+                            next.push(c);
+                        }
+                    }
+                }
+                Axis::Descendant => {
+                    for mut tail in descendant_paths(s, anchor, &step.label, opts, meter) {
+                        let Some(last) = tail.pop() else { continue };
+                        let mut c = chain.clone();
+                        c.extend(tail.into_iter().map(ChainLink::plain));
+                        c.push(resolve_link(s, last, step, opts));
+                        next.push(c);
+                    }
+                }
+            }
+            if next.len() > opts.max_embeddings {
+                next.truncate(opts.max_embeddings);
+                break;
+            }
+        }
+        chains = next;
+        if chains.is_empty() {
+            break;
+        }
+    }
+    chains
+}
+
+/// Downward synopsis paths `from → x1 → … → xk` (k ≥ 1, `from`
+/// excluded) ending at a node tagged `label`, bounded by the document
+/// depth (or the option override) and the embedding cap.
+fn descendant_paths(
+    s: &Synopsis,
+    from: SynId,
+    label: &str,
+    opts: &EstimateOptions,
+    meter: &mut Meter,
+) -> Vec<Vec<SynId>> {
+    let max_len = if opts.max_descendant_len > 0 {
+        opts.max_descendant_len
+    } else {
+        s.max_depth().max(1)
+    };
+    let mut out = Vec::new();
+    let mut stack = Vec::new();
+    descend(
+        s,
+        from,
+        label,
+        max_len,
+        opts.max_embeddings,
+        &mut stack,
+        &mut out,
+        meter,
+    );
+    out
+}
+
+#[allow(clippy::too_many_arguments)]
+fn descend(
+    s: &Synopsis,
+    at: SynId,
+    label: &str,
+    remaining: usize,
+    cap: usize,
+    stack: &mut Vec<SynId>,
+    out: &mut Vec<Vec<SynId>>,
+    meter: &mut Meter,
+) {
+    if remaining == 0 || out.len() >= cap {
+        return;
+    }
+    for &v in s.children_of(at) {
+        if out.len() >= cap || !meter.proceed(1) {
+            return;
+        }
+        stack.push(v);
+        if s.tag(v) == label {
+            out.push(stack.clone());
+        }
+        descend(s, v, label, remaining - 1, cap, stack, out, meter);
+        stack.pop();
+    }
 }
