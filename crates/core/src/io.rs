@@ -73,17 +73,6 @@ pub enum SnapshotError {
         /// Path involved.
         path: String,
     },
-    /// The snapshot is zero bytes long.
-    ///
-    /// Legacy variant: since the incremental-maintenance work, zero-length
-    /// and header-only inputs surface as [`SnapshotError::Truncated`] with
-    /// exact expected/actual lengths (a zero-length file at a snapshot
-    /// path is a torn write, not a distinct corruption mode). Kept so
-    /// existing matches keep compiling.
-    Empty {
-        /// Path involved, when reading from disk.
-        path: Option<String>,
-    },
     /// The magic bytes are wrong — this is not an XTWG snapshot at all.
     NotASnapshot,
     /// The version field names a format this reader does not know.
@@ -139,8 +128,6 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::IsDirectory { path } => {
                 write!(f, "snapshot path {path} is a directory")
             }
-            SnapshotError::Empty { path: Some(p) } => write!(f, "empty snapshot at {p}"),
-            SnapshotError::Empty { path: None } => write!(f, "empty snapshot"),
             SnapshotError::NotASnapshot => write!(f, "not an XTWG snapshot"),
             SnapshotError::UnsupportedVersion { version } => {
                 write!(f, "unsupported snapshot version {version}")

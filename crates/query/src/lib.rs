@@ -22,4 +22,4 @@ mod parser;
 
 pub use ast::{Axis, CmpOp, PathExpr, Pred, Step, TwigNodeRef, TwigQuery, ValueRange};
 pub use eval::{enumerate_bindings, eval_path, selectivity};
-pub use parser::{parse_path, parse_twig, ParseError, QueryParseError};
+pub use parser::{parse_path, parse_twig, ParseError};

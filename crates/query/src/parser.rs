@@ -155,9 +155,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Former name of [`ParseError`], kept for downstream code.
-pub type QueryParseError = ParseError;
-
 struct P<'a> {
     s: &'a [u8],
     pos: usize,

@@ -69,7 +69,9 @@ use xtwig_core::io::{
 use xtwig_core::telemetry;
 use xtwig_core::validate::{validate, FsckReport};
 use xtwig_core::{CatalogError, ServeTier, SnapshotCatalog, Synopsis};
-use xtwig_xml::{apply_delta, parse, write_xml, Delta, DeltaError, Document, DocumentBuilder};
+use xtwig_xml::{
+    apply_delta, parse, write_xml, Delta, DeltaError, Document, DocumentBuilder, StreamError,
+};
 
 use crate::guarded::GuardedCatalog;
 
@@ -154,14 +156,17 @@ pub enum IngestError {
         /// The underlying typed error.
         source: SnapshotError,
     },
-    /// A delta did not apply to the current document.
+    /// A delta did not apply to the current document (this includes an
+    /// insert that would nest elements past the parser's depth limit).
     Delta(DeltaError),
-    /// The checkpointed document failed to parse.
+    /// A document failed to parse under the parser's limits: the
+    /// checkpointed document on recovery, or the canonicalizing
+    /// round-trip at create or checkpoint time.
     Doc {
         /// The document path.
         path: PathBuf,
-        /// The parse error rendered.
-        message: String,
+        /// The parser's typed error.
+        source: StreamError,
     },
     /// The store directory or manifest is not a valid ingest store.
     Store(String),
@@ -175,7 +180,7 @@ impl fmt::Display for IngestError {
             IngestError::Io { path, source } => write!(f, "{}: {source}", path.display()),
             IngestError::Snapshot { path, source } => write!(f, "{}: {source}", path.display()),
             IngestError::Delta(e) => write!(f, "delta rejected: {e}"),
-            IngestError::Doc { path, message } => write!(f, "{}: {message}", path.display()),
+            IngestError::Doc { path, source } => write!(f, "{}: {source}", path.display()),
             IngestError::Store(msg) => write!(f, "not a valid ingest store: {msg}"),
             IngestError::Crash(p) => write!(f, "simulated crash at {p}"),
         }
@@ -377,6 +382,17 @@ fn refine_acceptable(refined: &Synopsis, options: &IngestOptions) -> bool {
     validate(refined).is_ok() && refined.size_bytes() <= cap
 }
 
+/// `doc` canonicalized through the serialize→parse roundtrip, with its
+/// text: exactly what recovery reconstructs from the document file at
+/// `path` (the parser drops non-leaf values; node ids renumber in
+/// document order). A document the parser refuses fails here, before it
+/// can be checkpointed.
+fn canonicalize(doc: &Document, path: PathBuf) -> Result<(String, Document), IngestError> {
+    let xml = write_xml(doc);
+    let canon = parse(&xml).map_err(|source| IngestError::Doc { path, source })?;
+    Ok((xml, canon))
+}
+
 /// A durable, crash-safe ingest store (see the module docs for the
 /// layout, commit protocol, and recovery contract).
 pub struct IngestStore {
@@ -428,6 +444,9 @@ impl IngestStore {
         doc: Document,
         options: IngestOptions,
     ) -> Result<IngestStore, IngestError> {
+        // Canonicalize before touching the disk, so a document the parser
+        // refuses (nested past its depth limit, say) writes nothing.
+        let (xml, doc) = canonicalize(&doc, doc_path(dir, 0))?;
         vfs.create_dir_all(dir).map_err(|source| IngestError::Io {
             path: dir.to_path_buf(),
             source,
@@ -451,15 +470,6 @@ impl IngestStore {
                 })
             }
         }
-        // Canonicalize through the serialize→parse roundtrip so the
-        // in-memory document is exactly what recovery will re-derive
-        // from (the parser drops non-leaf values; node ids renumber in
-        // document order).
-        let xml = write_xml(&doc);
-        let doc = parse(&xml).map_err(|e| IngestError::Doc {
-            path: doc_path(dir, 0),
-            message: e.to_string(),
-        })?;
         let (synopsis, _) = derive_synopsis(&doc, CheckpointKind::Coarse, &options);
         write_bytes_atomic_in(&*vfs, &doc_path(dir, 0), xml.as_bytes()).map_err(|source| {
             IngestError::Snapshot {
@@ -536,9 +546,9 @@ impl IngestStore {
 
         let dpath = doc_path(dir, generation);
         let xml = read_utf8(&dpath)?;
-        let doc = parse(&xml).map_err(|e| IngestError::Doc {
+        let doc = parse(&xml).map_err(|source| IngestError::Doc {
             path: dpath,
-            message: e.to_string(),
+            source,
         })?;
 
         let (synopsis, refine_fallback) = derive_synopsis(&doc, kind, &options);
@@ -692,7 +702,9 @@ impl IngestStore {
             source,
         })?;
         // Validate against the current document *before* the append so a
-        // malformed delta can never enter the durable log.
+        // malformed delta can never enter the durable log. That includes
+        // an insert nesting past the parser's depth limit: journaled, it
+        // would make every later checkpoint fail to parse its document.
         apply_delta(&self.doc, &delta)?;
 
         self.crash_if_armed(CrashPoint::BeforeWalAppend)?;
@@ -742,7 +754,7 @@ impl IngestStore {
             // Drift-triggered budgeted re-refinement: canonicalize,
             // derive, vet, install + checkpoint — or roll back
             // breaker-style (doc and synopsis untouched on rollback).
-            let (xml, canon) = self.canonical_doc()?;
+            let (xml, canon) = canonicalize(&self.doc, doc_path(&self.dir, self.generation + 1))?;
             let (candidate, fell_back) =
                 derive_synopsis(&canon, CheckpointKind::Refined, &self.options);
             if fell_back {
@@ -763,7 +775,7 @@ impl IngestStore {
         } else if self.options.checkpoint_every > 0
             && self.since_checkpoint >= self.options.checkpoint_every
         {
-            let (xml, canon) = self.canonical_doc()?;
+            let (xml, canon) = canonicalize(&self.doc, doc_path(&self.dir, self.generation + 1))?;
             let (rebuilt, _) = derive_synopsis(&canon, CheckpointKind::Coarse, &self.options);
             self.doc = canon;
             self.synopsis = rebuilt;
@@ -771,18 +783,6 @@ impl IngestStore {
             report.checkpoint = Some(CheckpointKind::Coarse);
         }
         Ok(report)
-    }
-
-    /// The document canonicalized through the serialize→parse roundtrip
-    /// (exactly what recovery reconstructs from the checkpoint file):
-    /// non-leaf values drop, node ids renumber in document order.
-    fn canonical_doc(&self) -> Result<(String, Document), IngestError> {
-        let xml = write_xml(&self.doc);
-        let canon = parse(&xml).map_err(|e| IngestError::Doc {
-            path: doc_path(&self.dir, self.generation + 1),
-            message: e.to_string(),
-        })?;
-        Ok((xml, canon))
     }
 
     /// Simulates a torn write: half a frame reaches the WAL file, as a
@@ -1271,6 +1271,93 @@ mod tests {
         }
         out.sort();
         out
+    }
+
+    /// A single-label chain `depth` elements deep.
+    fn chain(depth: usize) -> Document {
+        let mut b = DocumentBuilder::new();
+        for _ in 0..depth {
+            b.open("a", None);
+        }
+        for _ in 0..depth {
+            b.close();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn a_document_past_the_depth_limit_fails_typed_and_writes_nothing() {
+        // On a default test thread: writing, sizing and refusing a
+        // 100,000-deep chain must not recurse once per level.
+        let deep = chain(100_000);
+        let xml = write_xml(&deep);
+        assert_eq!(xml.len(), 3 * 99_999 + "<a/>".len() + 4 * 99_999);
+        let stats = xtwig_xml::DocStats::compute(&deep);
+        assert_eq!(stats.max_depth, 99_999);
+        assert_eq!(stats.text_bytes, xml.len());
+        let dir = tmp("too-deep");
+        match IngestStore::create(&dir, deep, small_opts()) {
+            Err(IngestError::Doc { source, .. }) => assert_eq!(
+                source.kind,
+                xtwig_xml::StreamErrorKind::DepthLimitExceeded {
+                    limit: xtwig_xml::StreamLimits::default().max_depth
+                }
+            ),
+            other => panic!("expected a typed parse refusal, got {other:?}"),
+        }
+        assert!(!dir.exists(), "a refused document writes nothing");
+    }
+
+    #[test]
+    fn an_insert_past_the_depth_limit_is_refused_before_the_wal() {
+        let limit = xtwig_xml::StreamLimits::default().max_depth;
+        let dir = tmp("deep-insert");
+        let opts = IngestOptions {
+            checkpoint_every: 1,
+            ..Default::default()
+        };
+        let mut store = IngestStore::create(&dir, chain(limit - 6), opts.clone()).unwrap();
+        let deepest = xtwig_xml::NodeId(limit as u32 - 7);
+        let pre_delta = write_xml(store.doc());
+        let wal = wal_path(&dir, store.generation());
+        let wal_before = fs::read(&wal).unwrap();
+
+        // 20 more levels would nest 270 open elements: refused with the
+        // limit named, and the journal is untouched.
+        let mut delta = Delta::new();
+        delta.insert(deepest, chain(20));
+        match store.ingest(&delta) {
+            Err(IngestError::Delta(DeltaError::DepthLimitExceeded { parent, limit: l })) => {
+                assert_eq!((parent, l), (deepest, limit));
+            }
+            other => panic!("expected a depth refusal, got {other:?}"),
+        }
+        assert_eq!(fs::read(&wal).unwrap(), wal_before);
+
+        // The store still checkpoints (a value edit that changes nothing)
+        // and reopens with the pre-delta document.
+        let mut delta = Delta::new();
+        delta.modify(store.doc().root(), None);
+        let report = store.ingest(&delta).unwrap();
+        assert_eq!(report.checkpoint, Some(CheckpointKind::Coarse));
+        drop(store);
+        let mut store = IngestStore::open(&dir, opts.clone()).unwrap();
+        assert!(store.last_recovery().unwrap().clean());
+        assert_eq!(write_xml(store.doc()), pre_delta);
+
+        // Six more levels reach exactly the limit: accepted, checkpointed
+        // and recovered.
+        let mut delta = Delta::new();
+        delta.insert(deepest, chain(6));
+        let report = store.ingest(&delta).unwrap();
+        assert_eq!(report.checkpoint, Some(CheckpointKind::Coarse));
+        let bytes = store.snapshot_bytes();
+        drop(store);
+        let store = IngestStore::open(&dir, opts).unwrap();
+        assert_eq!(store.doc().len(), limit);
+        assert!(store.last_recovery().unwrap().clean());
+        assert_eq!(store.snapshot_bytes(), bytes);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,9 +17,15 @@
 //! Operations in one delta are applied as a batch: deletions are resolved
 //! first, and an insert or modify aimed at a deleted element is an error
 //! rather than a silent drop.
+//!
+//! An inserted element may not end up nested deeper than the parser's
+//! default [`StreamLimits::max_depth`]: the result must parse back, since
+//! the ingest store writes it as its checkpoint document and reads it
+//! again on recovery. Deletes and value edits cannot deepen a document.
 
 use crate::builder::DocumentBuilder;
 use crate::document::{Document, NodeId};
+use crate::parser_stream::StreamLimits;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -107,6 +113,14 @@ pub enum DeltaError {
         /// The deleted target.
         node: NodeId,
     },
+    /// An inserted subtree would nest elements deeper than the parser's
+    /// default depth limit, so the document could not be parsed back.
+    DepthLimitExceeded {
+        /// The element receiving the insert.
+        parent: NodeId,
+        /// The limit on open elements ([`StreamLimits::max_depth`]).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for DeltaError {
@@ -119,6 +133,10 @@ impl fmt::Display for DeltaError {
             DeltaError::TargetDeleted { node } => {
                 write!(f, "delta targets {node}, deleted by the same delta")
             }
+            DeltaError::DepthLimitExceeded { parent, limit } => write!(
+                f,
+                "delta inserts under {parent} past the element nesting limit of {limit}"
+            ),
         }
     }
 }
@@ -138,6 +156,10 @@ pub struct AppliedDelta {
 
 /// Applies `delta` to `doc`, producing the rebuilt document and the
 /// old→new id mapping. `doc` itself is untouched.
+///
+/// Fails with [`DeltaError::DepthLimitExceeded`] when an inserted element
+/// would sit under more than `StreamLimits::default().max_depth - 1`
+/// ancestors (256 open elements pass and 257 fail, as in the parser).
 pub fn apply_delta(doc: &Document, delta: &Delta) -> Result<AppliedDelta, DeltaError> {
     let check = |n: NodeId| -> Result<(), DeltaError> {
         if n.index() >= doc.len() {
@@ -193,13 +215,19 @@ pub fn apply_delta(doc: &Document, delta: &Delta) -> Result<AppliedDelta, DeltaE
     enum Work<'d> {
         Enter(NodeId),
         Exit,
-        EnterNew { sub: &'d Document, node: NodeId },
-        ExitNew,
+        EnterNew {
+            sub: &'d Document,
+            node: NodeId,
+            parent: NodeId,
+        },
     }
+    let max_depth = StreamLimits::default().max_depth;
     let mut b = DocumentBuilder::new();
     let mut node_map: Vec<Option<NodeId>> = vec![None; doc.len()];
     let mut inserted: Vec<NodeId> = Vec::new();
     let mut stack: Vec<Work> = vec![Work::Enter(doc.root())];
+    // Elements open in the builder: the ancestors of the next one opened.
+    let mut open = 0usize;
     while let Some(w) = stack.pop() {
         match w {
             Work::Enter(n) => {
@@ -208,6 +236,7 @@ pub fn apply_delta(doc: &Document, delta: &Delta) -> Result<AppliedDelta, DeltaE
                 }
                 let value = values.get(&n.0).copied().unwrap_or_else(|| doc.value(n));
                 let new_id = b.open(doc.tag(n), value);
+                open += 1;
                 node_map[n.index()] = Some(new_id);
                 stack.push(Work::Exit);
                 if let Some(subs) = inserts.get(&n.0) {
@@ -215,6 +244,7 @@ pub fn apply_delta(doc: &Document, delta: &Delta) -> Result<AppliedDelta, DeltaE
                         stack.push(Work::EnterNew {
                             sub,
                             node: sub.root(),
+                            parent: n,
                         });
                     }
                 }
@@ -223,17 +253,30 @@ pub fn apply_delta(doc: &Document, delta: &Delta) -> Result<AppliedDelta, DeltaE
                     stack.push(Work::Enter(c));
                 }
             }
-            Work::Exit => b.close(),
-            Work::EnterNew { sub, node } => {
+            Work::EnterNew { sub, node, parent } => {
+                if open >= max_depth {
+                    return Err(DeltaError::DepthLimitExceeded {
+                        parent,
+                        limit: max_depth,
+                    });
+                }
                 let new_id = b.open(sub.tag(node), sub.value(node));
+                open += 1;
                 inserted.push(new_id);
-                stack.push(Work::ExitNew);
+                stack.push(Work::Exit);
                 let kids: Vec<NodeId> = sub.children(node).collect();
                 for &c in kids.iter().rev() {
-                    stack.push(Work::EnterNew { sub, node: c });
+                    stack.push(Work::EnterNew {
+                        sub,
+                        node: c,
+                        parent,
+                    });
                 }
             }
-            Work::ExitNew => b.close(),
+            Work::Exit => {
+                b.close();
+                open -= 1;
+            }
         }
     }
     Ok(AppliedDelta {
@@ -246,7 +289,7 @@ pub fn apply_delta(doc: &Document, delta: &Delta) -> Result<AppliedDelta, DeltaE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::parser_stream::parse;
     use crate::writer::write_xml;
 
     #[test]
@@ -346,5 +389,40 @@ mod tests {
         for n in doc.nodes() {
             assert_eq!(out.node_map[n.index()], Some(n));
         }
+    }
+
+    /// A single-label chain `depth` elements deep, and its deepest element.
+    fn chain(depth: usize) -> (Document, NodeId) {
+        let mut b = DocumentBuilder::new();
+        let mut last = NodeId(0);
+        for _ in 0..depth {
+            last = b.open("a", None);
+        }
+        for _ in 0..depth {
+            b.close();
+        }
+        (b.finish(), last)
+    }
+
+    #[test]
+    fn inserts_past_the_parser_depth_limit_are_refused() {
+        let limit = StreamLimits::default().max_depth;
+        let (doc, deepest) = chain(limit - 6);
+        // Six more levels reach exactly the limit: the result parses back.
+        let mut delta = Delta::new();
+        delta.insert(deepest, chain(6).0);
+        let out = apply_delta(&doc, &delta).unwrap();
+        assert_eq!(out.doc.len(), limit);
+        assert!(parse(&write_xml(&out.doc)).is_ok());
+        // Seven would nest 257 open elements: refused, naming the limit.
+        let mut delta = Delta::new();
+        delta.insert(deepest, chain(7).0);
+        assert_eq!(
+            apply_delta(&doc, &delta).unwrap_err(),
+            DeltaError::DepthLimitExceeded {
+                parent: deepest,
+                limit,
+            }
+        );
     }
 }

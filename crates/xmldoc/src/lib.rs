@@ -11,15 +11,18 @@
 //! pointers and node handles are plain `u32` newtypes. Labels (tags) are
 //! interned once in a [`LabelTable`].
 //!
-//! The crate also provides a minimal XML parser ([`parse`]) and writer
-//! ([`write_xml`]) sufficient for the datasets used in the paper's
-//! evaluation, plus document statistics ([`DocStats`]) used by Table 1.
+//! The crate also provides the XML parser ([`parse`], [`parse_stream`]),
+//! the one way a document enters the system: it streams under typed
+//! [`StreamLimits`] and fails with a typed [`StreamError`] on hostile input
+//! (over-deep nesting, DTDs, entity floods). The writer ([`write_xml`])
+//! walks the tree with an explicit stack, so no document depth can
+//! overflow the call stack. Document statistics ([`DocStats`]) feed
+//! Table 1.
 
 mod builder;
 mod delta;
 mod document;
 mod labels;
-mod parser;
 mod parser_stream;
 mod stats;
 mod writer;
@@ -28,9 +31,6 @@ pub use builder::DocumentBuilder;
 pub use delta::{apply_delta, AppliedDelta, Delta, DeltaError, DeltaOp};
 pub use document::{Document, ElementData, NodeId};
 pub use labels::{LabelId, LabelTable};
-pub use parser::{parse, ParseError};
-pub use parser_stream::{
-    parse_reader, parse_stream, StreamError, StreamErrorKind, StreamLimits, StreamParser, XmlEvent,
-};
+pub use parser_stream::{parse, parse_stream, StreamError, StreamErrorKind, StreamLimits};
 pub use stats::DocStats;
 pub use writer::write_xml;

@@ -1,22 +1,25 @@
-//! A streaming, SAX-style XML parser over any [`std::io::Read`].
+//! The XML parser: a streaming, SAX-style parser over any
+//! [`std::io::Read`], and the one way a document enters the system.
 //!
-//! The batch parser ([`crate::parse`]) needs the whole document in memory
-//! before it produces a single node; live ingest cannot afford that. This
-//! module pulls typed events ([`XmlEvent`]) out of a byte stream with
-//! constant memory: the only state that grows with the input is the open-tag
-//! stack (bounded by [`StreamLimits::max_depth`]) and the pending character
-//! data of the innermost element (bounded by
-//! [`StreamLimits::max_text_bytes`]). Every error is typed
+//! [`parse`] (text) and [`parse_stream`] (any reader) pull typed events
+//! out of the bytes and build a [`Document`]. The parser's own state is
+//! bounded whatever the input: it reads in fixed-size chunks, and the only
+//! state that grows is the open-tag stack (bounded by
+//! [`StreamLimits::max_depth`]), the name being read (bounded by
+//! [`StreamLimits::max_name_bytes`]) and the pending character data of the
+//! innermost element (bounded by [`StreamLimits::max_text_bytes`]). The
+//! document it builds grows with the input. Every error is typed
 //! ([`StreamError`]) and carries the absolute byte offset where it was
-//! detected, so a corrupted or hostile feed is a recoverable condition, not
-//! a panic or an OOM.
+//! detected, so a corrupted or hostile feed is a recoverable condition,
+//! not a panic, a stack overflow or an OOM.
 //!
-//! Semantics mirror the batch parser exactly: attributes materialize as
-//! `@name` leaf children, character data becomes an `i64` leaf value when it
-//! parses as an integer, mixed content drops interior text, only the five
-//! predefined entities expand, and DTDs are rejected.
-//! [`parse_stream`] over a full document produces a [`Document`] identical
-//! to [`crate::parse`] on the same bytes.
+//! Supported XML is the subset the paper's datasets need: nested
+//! elements, self-closing tags, attributes (materialized as `@name` leaf
+//! children, following the paper's convention that attributes are
+//! document nodes), character data (an `i64` leaf value when it trims to
+//! an integer; mixed content drops interior text), comments and the XML
+//! declaration. Only the five predefined entities expand; DTDs and
+//! processing instructions are rejected.
 
 use crate::builder::DocumentBuilder;
 use crate::document::Document;
@@ -178,7 +181,7 @@ impl std::error::Error for StreamError {}
 /// Events arrive in document order; for every element the sequence is
 /// `Open`, its `Attr`s, its children's events, then `Close`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XmlEvent {
+enum XmlEvent {
     /// A start tag opened an element.
     Open {
         /// The element's tag name.
@@ -291,7 +294,7 @@ enum State {
 
 /// The streaming parser: pull events with
 /// [`next_event`](StreamParser::next_event) until it returns `Ok(None)`.
-pub struct StreamParser<R: Read> {
+struct StreamParser<R: Read> {
     src: Source<R>,
     limits: StreamLimits,
     state: State,
@@ -302,13 +305,8 @@ pub struct StreamParser<R: Read> {
 }
 
 impl<R: Read> StreamParser<R> {
-    /// Wraps `reader` with the default [`StreamLimits`].
-    pub fn new(reader: R) -> StreamParser<R> {
-        StreamParser::with_limits(reader, StreamLimits::default())
-    }
-
     /// Wraps `reader` with explicit limits.
-    pub fn with_limits(reader: R, limits: StreamLimits) -> StreamParser<R> {
+    fn with_limits(reader: R, limits: StreamLimits) -> StreamParser<R> {
         StreamParser {
             src: Source::new(reader),
             limits,
@@ -320,13 +318,8 @@ impl<R: Read> StreamParser<R> {
         }
     }
 
-    /// Current element nesting depth (number of open elements).
-    pub fn depth(&self) -> usize {
-        self.open_tags.len()
-    }
-
     /// Absolute byte offset of the next unread input byte.
-    pub fn offset(&self) -> u64 {
+    fn offset(&self) -> u64 {
         self.src.offset()
     }
 
@@ -334,7 +327,7 @@ impl<R: Read> StreamParser<R> {
     ///
     /// After an error the parser stays failed: further calls return the
     /// same terminal condition rather than resuming mid-construct.
-    pub fn next_event(&mut self) -> Result<Option<XmlEvent>, StreamError> {
+    fn next_event(&mut self) -> Result<Option<XmlEvent>, StreamError> {
         loop {
             if let Some(ev) = self.pending.pop_front() {
                 return Ok(Some(ev));
@@ -681,10 +674,20 @@ impl<R: Read> StreamParser<R> {
     }
 }
 
-/// Parses a complete document from a byte stream with explicit limits.
+/// Parses a complete document from text with the default
+/// [`StreamLimits`].
 ///
-/// Produces a [`Document`] identical to [`crate::parse`] on the same
-/// bytes (the batch parser has no limits; inputs within `limits` agree).
+/// ```
+/// let doc = xtwig_xml::parse("<a><b>7</b><c/></a>").unwrap();
+/// assert_eq!(doc.len(), 3);
+/// let b = doc.children(doc.root()).next().unwrap();
+/// assert_eq!(doc.value(b), Some(7));
+/// ```
+pub fn parse(text: &str) -> Result<Document, StreamError> {
+    parse_stream(text.as_bytes(), StreamLimits::default())
+}
+
+/// Parses a complete document from a byte stream under `limits`.
 pub fn parse_stream<R: Read>(reader: R, limits: StreamLimits) -> Result<Document, StreamError> {
     let mut parser = StreamParser::with_limits(reader, limits);
     let mut b = DocumentBuilder::new();
@@ -713,52 +716,90 @@ pub fn parse_stream<R: Read>(reader: R, limits: StreamLimits) -> Result<Document
     Ok(b.finish())
 }
 
-/// Parses a complete document from a byte stream with default limits.
-pub fn parse_reader<R: Read>(reader: R) -> Result<Document, StreamError> {
-    parse_stream(reader, StreamLimits::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
-    use crate::writer::write_xml;
 
-    fn assert_same_as_batch(input: &str) {
-        let batch = parse(input).unwrap();
-        let stream = parse_reader(input.as_bytes()).unwrap();
-        stream.check_invariants().unwrap();
-        assert_eq!(batch.len(), stream.len(), "node count for {input:?}");
-        assert_eq!(
-            write_xml(&batch),
-            write_xml(&stream),
-            "round-trip disagreement for {input:?}"
-        );
-        for n in batch.nodes() {
-            assert_eq!(batch.tag(n), stream.tag(n));
-            assert_eq!(batch.value(n), stream.value(n));
-        }
+    #[test]
+    fn parses_nested_elements_and_values() {
+        let doc = parse("<a><b>42</b><c><d>-7</d></c></a>").unwrap();
+        doc.check_invariants().unwrap();
+        assert_eq!(doc.len(), 4);
+        let kids: Vec<_> = doc.children(doc.root()).collect();
+        assert_eq!(doc.tag(kids[0]), "b");
+        assert_eq!(doc.value(kids[0]), Some(42));
+        let d = doc.children(kids[1]).next().unwrap();
+        assert_eq!(doc.value(d), Some(-7));
     }
 
     #[test]
-    fn agrees_with_batch_parser() {
-        for input in [
-            "<a><b>42</b><c><d>-7</d></c></a>",
-            r#"<m year="1999" title="x"><a/></m>"#,
-            "<?xml version=\"1.0\"?>\n<!-- hi -->\n<a>\n  <b>1</b>\n</a>\n<!-- bye -->",
-            "<a><b>hello</b></a>",
-            "<a>&lt;&amp;&gt;</a>",
-            "<a>12<b/>34</a>",
-            "<r><x/><x/><x y='7'/></r>",
-            "<a>  7  </a>",
-        ] {
-            assert_same_as_batch(input);
-        }
+    fn parses_self_closing_and_attributes() {
+        let doc = parse(r#"<m year="1999" title="x"><a/></m>"#).unwrap();
+        let kids: Vec<_> = doc.children(doc.root()).collect();
+        assert_eq!(kids.len(), 3);
+        assert_eq!(doc.tag(kids[0]), "@year");
+        assert_eq!(doc.value(kids[0]), Some(1999));
+        assert_eq!(doc.tag(kids[1]), "@title");
+        assert_eq!(doc.value(kids[1]), None);
+        assert_eq!(doc.tag(kids[2]), "a");
+    }
+
+    #[test]
+    fn parses_prolog_comments_and_whitespace() {
+        let doc =
+            parse("<?xml version=\"1.0\"?>\n<!-- hi -->\n<a>\n  <b>1</b>\n</a>\n<!-- bye -->")
+                .unwrap();
+        assert_eq!(doc.len(), 2);
+    }
+
+    #[test]
+    fn non_integer_text_yields_no_value() {
+        let doc = parse("<a><b>hello</b></a>").unwrap();
+        let b = doc.children(doc.root()).next().unwrap();
+        assert_eq!(doc.value(b), None);
+    }
+
+    #[test]
+    fn entities_are_expanded() {
+        // The expanded text is not numeric, so no value, but parsing must
+        // succeed.
+        let doc = parse("<a>&lt;&amp;&gt;</a>").unwrap();
+        assert_eq!(doc.value(doc.root()), None);
+    }
+
+    #[test]
+    fn rejects_mismatched_tags() {
+        let e = parse("<a><b></a></b>").unwrap_err();
+        assert!(
+            matches!(e.kind, StreamErrorKind::MismatchedTag { .. }),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn rejects_trailing_garbage() {
+        assert!(parse("<a/><b/>").is_err());
+        assert!(parse("<a/>junk").is_err());
+    }
+
+    #[test]
+    fn rejects_unterminated() {
+        assert!(parse("<a><b>").is_err());
+        assert!(parse("<a attr=>").is_err());
+        assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn mixed_content_drops_text() {
+        let doc = parse("<a>12<b/>34</a>").unwrap();
+        // Text interleaved with elements is not a leaf value.
+        assert_eq!(doc.len(), 2);
     }
 
     #[test]
     fn events_arrive_in_document_order() {
-        let mut p = StreamParser::new(&b"<a k=\"3\"><b>5</b></a>"[..]);
+        let mut p =
+            StreamParser::with_limits(&b"<a k=\"3\"><b>5</b></a>"[..], StreamLimits::default());
         let mut evs = Vec::new();
         while let Some(ev) = p.next_event().unwrap() {
             evs.push(ev);
@@ -782,7 +823,7 @@ mod tests {
 
     #[test]
     fn typed_errors_carry_offsets() {
-        let e = parse_reader(&b"<a><b></a></b>"[..]).unwrap_err();
+        let e = parse("<a><b></a></b>").unwrap_err();
         match e.kind {
             StreamErrorKind::MismatchedTag { open, found } => {
                 assert_eq!(open, "b");
@@ -792,17 +833,17 @@ mod tests {
         }
         assert!(e.offset > 0);
 
-        let e = parse_reader(&b"<a><b>"[..]).unwrap_err();
+        let e = parse("<a><b>").unwrap_err();
         assert!(matches!(e.kind, StreamErrorKind::UnexpectedEof { .. }));
         assert_eq!(e.offset, 6);
 
-        let e = parse_reader(&b""[..]).unwrap_err();
+        let e = parse("").unwrap_err();
         assert_eq!(e.kind, StreamErrorKind::EmptyDocument);
 
-        let e = parse_reader(&b"<!DOCTYPE foo []><a/>"[..]).unwrap_err();
+        let e = parse("<!DOCTYPE foo []><a/>").unwrap_err();
         assert_eq!(e.kind, StreamErrorKind::DtdRejected);
 
-        let e = parse_reader(&b"<a/>junk"[..]).unwrap_err();
+        let e = parse("<a/>junk").unwrap_err();
         assert_eq!(e.kind, StreamErrorKind::TrailingContent);
         assert_eq!(e.offset, 4);
     }
@@ -845,7 +886,7 @@ mod tests {
 
     #[test]
     fn entity_errors_are_typed() {
-        let e = parse_reader(&b"<a>&bogus;</a>"[..]).unwrap_err();
+        let e = parse("<a>&bogus;</a>").unwrap_err();
         assert_eq!(
             e.kind,
             StreamErrorKind::UnsupportedEntity {
@@ -853,7 +894,7 @@ mod tests {
             }
         );
         assert_eq!(e.offset, 3);
-        let e = parse_reader(&b"<a>&ampersand-no-semi</a>"[..]).unwrap_err();
+        let e = parse("<a>&ampersand-no-semi</a>").unwrap_err();
         assert_eq!(e.kind, StreamErrorKind::UnterminatedEntity);
     }
 
@@ -875,7 +916,7 @@ mod tests {
             }
         }
         let input = r#"<?xml version="1.0"?><m year="1999"><t>7</t><!-- c --><u/>&amp;</m>"#;
-        let whole = parse_reader(input.as_bytes()).unwrap();
+        let whole = parse(input).unwrap();
         let trickled = parse_stream(OneByte(input.as_bytes()), StreamLimits::default()).unwrap();
         assert_eq!(whole.len(), trickled.len());
         for n in whole.nodes() {
@@ -892,7 +933,7 @@ mod tests {
                 Err(std::io::Error::other("wire cut"))
             }
         }
-        let e = parse_reader(Broken).unwrap_err();
+        let e = parse_stream(Broken, StreamLimits::default()).unwrap_err();
         match e.kind {
             StreamErrorKind::Io(msg) => assert!(msg.contains("wire cut")),
             k => panic!("wrong kind {k:?}"),

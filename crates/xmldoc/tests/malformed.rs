@@ -8,11 +8,12 @@
 
 use proptest::prelude::*;
 use std::io::Read;
-use xtwig_xml::{parse_reader, parse_stream, write_xml, DocumentBuilder, StreamErrorKind};
+use xtwig_xml::{parse, parse_stream, write_xml, DocumentBuilder, StreamErrorKind};
 use xtwig_xml::{Document, StreamLimits};
 
-fn parse_str(text: &str) -> Result<Document, xtwig_xml::StreamError> {
-    parse_reader(text.as_bytes())
+/// Bytes that need not be UTF-8, under the default limits.
+fn parse_bytes(bytes: &[u8]) -> Result<Document, xtwig_xml::StreamError> {
+    parse_stream(bytes, StreamLimits::default())
 }
 
 fn parse_str_with(text: &str, limits: StreamLimits) -> Result<Document, xtwig_xml::StreamError> {
@@ -21,7 +22,7 @@ fn parse_str_with(text: &str, limits: StreamLimits) -> Result<Document, xtwig_xm
 
 /// The error kind for `text`, asserting the offset is inside the input.
 fn kind_of(text: &str) -> StreamErrorKind {
-    let err = parse_str(text).expect_err("malformed input must not parse");
+    let err = parse(text).expect_err("malformed input must not parse");
     assert!(
         err.offset <= text.len() as u64,
         "offset {} past input length {} for {text:?}",
@@ -67,7 +68,7 @@ fn every_strict_prefix_of_a_document_errors_or_parses_without_panic() {
     let text = "<bib><paper year=\"2004\"><kw>twig</kw><cite/></paper></bib>";
     for cut in 0..text.len() {
         let prefix = &text[..cut];
-        if let Err(e) = parse_str(prefix) {
+        if let Err(e) = parse(prefix) {
             assert!(
                 e.offset <= cut as u64,
                 "{prefix:?}: offset {} > {cut}",
@@ -75,7 +76,7 @@ fn every_strict_prefix_of_a_document_errors_or_parses_without_panic() {
             );
         }
     }
-    assert!(parse_str(text).is_ok());
+    assert!(parse(text).is_ok());
 }
 
 #[test]
@@ -125,7 +126,7 @@ fn entity_reference_floods_hit_the_entity_budget() {
     assert_eq!(err.kind, StreamErrorKind::EntityLimitExceeded { limit: 8 });
     assert!(err.offset <= text.len() as u64);
     // Under the default (generous) budget the same stream is fine.
-    assert!(parse_str(&text).is_ok());
+    assert!(parse(&text).is_ok());
 }
 
 #[test]
@@ -161,7 +162,7 @@ fn nesting_past_the_depth_limit_is_cut_off() {
 
     // A document deeper than the *default* limit is also refused.
     let deep: String = "<x>".repeat(300) + &"</x>".repeat(300);
-    let err = parse_str(&deep).expect_err("300 levels over the default limit");
+    let err = parse(&deep).expect_err("300 levels over the default limit");
     assert!(matches!(
         err.kind,
         StreamErrorKind::DepthLimitExceeded { .. }
@@ -270,7 +271,8 @@ fn io_errors_from_the_reader_are_surfaced_not_panicked() {
         }
     }
     // Mid-element failure: the open tag parsed, then the link died.
-    let err = parse_reader(FailAfter(b"<a><b>")).expect_err("reader failure must surface");
+    let err = parse_stream(FailAfter(b"<a><b>"), StreamLimits::default())
+        .expect_err("reader failure must surface");
     assert!(matches!(err.kind, StreamErrorKind::Io(_)));
     assert!(err.offset >= 6, "failure happened after the durable prefix");
 }
@@ -296,7 +298,7 @@ proptest! {
     #[test]
     #[cfg_attr(miri, ignore)]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..512)) {
-        if let Err(e) = parse_reader(bytes.as_slice()) {
+        if let Err(e) = parse_bytes(&bytes) {
             prop_assert!(e.offset <= bytes.len() as u64);
         }
     }
@@ -311,7 +313,7 @@ proptest! {
             '<', '>', '/', '=', '"', '\'', 'a', 'b', 'c', ' ', '&', ';', '!', '[', ']', '-',
         ];
         let s: String = picks.iter().map(|&i| ALPHABET[i]).collect();
-        if let Err(e) = parse_reader(s.as_bytes()) {
+        if let Err(e) = parse(&s) {
             prop_assert!(e.offset <= s.len() as u64);
         }
     }
@@ -327,7 +329,7 @@ proptest! {
         let xml = small_doc_xml(&shape);
         let cut = ((xml.len() as f64) * cut_frac) as usize;
         let prefix = &xml.as_bytes()[..cut.min(xml.len())];
-        if let Err(e) = parse_reader(prefix) {
+        if let Err(e) = parse_bytes(prefix) {
             prop_assert!(e.offset <= prefix.len() as u64);
         }
     }
@@ -344,7 +346,7 @@ proptest! {
         let mut bytes = small_doc_xml(&shape).into_bytes();
         let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
         bytes[pos] = replacement;
-        if let Err(e) = parse_reader(bytes.as_slice()) {
+        if let Err(e) = parse_bytes(&bytes) {
             prop_assert!(e.offset <= bytes.len() as u64);
         }
     }

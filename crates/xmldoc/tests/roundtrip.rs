@@ -1,5 +1,8 @@
 //! Property tests: the writer and parser are inverse on the document
-//! model, and arena invariants hold for arbitrary build sequences.
+//! model, the parser agrees with the DOM reference on every generated
+//! document, and arena invariants hold for arbitrary build sequences.
+
+mod support;
 
 use proptest::prelude::*;
 use xtwig_xml::{parse, write_xml, Document, DocumentBuilder};
@@ -60,6 +63,22 @@ fn docs_equal(a: &Document, b: &Document) -> bool {
     })
 }
 
+#[test]
+fn agrees_with_dom_reference() {
+    for input in [
+        "<a><b>42</b><c><d>-7</d></c></a>",
+        r#"<m year="1999" title="x"><a/></m>"#,
+        "<?xml version=\"1.0\"?>\n<!-- hi -->\n<a>\n  <b>1</b>\n</a>\n<!-- bye -->",
+        "<a><b>hello</b></a>",
+        "<a>&lt;&amp;&gt;</a>",
+        "<a>12<b/>34</a>",
+        "<r><x/><x/><x y='7'/></r>",
+        "<a>  7  </a>",
+    ] {
+        support::assert_agrees_with_dom(input);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -68,6 +87,7 @@ proptest! {
         let doc = to_doc(&root);
         doc.check_invariants().unwrap();
         let text = write_xml(&doc);
+        support::assert_agrees_with_dom(&text);
         let reparsed = parse(&text).unwrap();
         reparsed.check_invariants().unwrap();
         // Values on internal elements are a model-only feature (XML mixed
@@ -88,6 +108,7 @@ proptest! {
         // document is a fixed point.
         let doc = to_doc(&root);
         let once = parse(&write_xml(&doc)).unwrap();
+        support::assert_agrees_with_dom(&write_xml(&once));
         let twice = parse(&write_xml(&once)).unwrap();
         prop_assert!(docs_equal(&once, &twice));
     }
@@ -95,6 +116,7 @@ proptest! {
     #[test]
     fn depth_and_paths_are_consistent(root in arb_node()) {
         let doc = to_doc(&root);
+        support::assert_agrees_with_dom(&write_xml(&doc));
         for n in doc.nodes() {
             let path = doc.label_path(n);
             prop_assert_eq!(path.len(), doc.depth(n) + 1);
@@ -106,6 +128,7 @@ proptest! {
     #[test]
     fn descendant_count_matches_subtree_sizes(root in arb_node()) {
         let doc = to_doc(&root);
+        support::assert_agrees_with_dom(&write_xml(&doc));
         // Σ over children subtree sizes + 1 == own subtree size.
         fn size(doc: &Document, n: xtwig_xml::NodeId) -> usize {
             1 + doc.children(n).map(|c| size(doc, c)).sum::<usize>()

@@ -1,4 +1,8 @@
-//! A minimal XML parser.
+//! A DOM parser: it takes the whole text as one slice and has no depth,
+//! name, text or entity limits. It is the reference the shipped streaming
+//! parser is checked against (`agrees_with_dom_reference` and the
+//! round-trip properties in `roundtrip.rs`); nothing outside the tests
+//! uses it.
 //!
 //! Supports the subset of XML the paper's datasets need: nested elements,
 //! self-closing tags, attributes (materialized as `@name` child elements,
@@ -7,9 +11,8 @@
 //! comments, and XML declarations. Entities other than the five predefined
 //! ones, DTDs and processing instructions are rejected.
 
-use crate::builder::DocumentBuilder;
-use crate::document::Document;
 use std::fmt;
+use xtwig_xml::{Document, DocumentBuilder};
 
 /// Error produced by [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,13 +46,6 @@ struct Parser<'a> {
 }
 
 /// Parses an XML document from text.
-///
-/// ```
-/// let doc = xtwig_xml::parse("<a><b>7</b><c/></a>").unwrap();
-/// assert_eq!(doc.len(), 3);
-/// let b = doc.children(doc.root()).next().unwrap();
-/// assert_eq!(doc.value(b), Some(7));
-/// ```
 pub fn parse(text: &str) -> Result<Document, ParseError> {
     let p = Parser {
         input: text.as_bytes(),
@@ -332,82 +328,4 @@ fn unescape(s: &str) -> Result<String, String> {
     }
     out.push_str(rest);
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_elements_and_values() {
-        let doc = parse("<a><b>42</b><c><d>-7</d></c></a>").unwrap();
-        doc.check_invariants().unwrap();
-        assert_eq!(doc.len(), 4);
-        let kids: Vec<_> = doc.children(doc.root()).collect();
-        assert_eq!(doc.tag(kids[0]), "b");
-        assert_eq!(doc.value(kids[0]), Some(42));
-        let d = doc.children(kids[1]).next().unwrap();
-        assert_eq!(doc.value(d), Some(-7));
-    }
-
-    #[test]
-    fn parses_self_closing_and_attributes() {
-        let doc = parse(r#"<m year="1999" title="x"><a/></m>"#).unwrap();
-        let kids: Vec<_> = doc.children(doc.root()).collect();
-        assert_eq!(kids.len(), 3);
-        assert_eq!(doc.tag(kids[0]), "@year");
-        assert_eq!(doc.value(kids[0]), Some(1999));
-        assert_eq!(doc.tag(kids[1]), "@title");
-        assert_eq!(doc.value(kids[1]), None);
-        assert_eq!(doc.tag(kids[2]), "a");
-    }
-
-    #[test]
-    fn parses_prolog_comments_and_whitespace() {
-        let doc =
-            parse("<?xml version=\"1.0\"?>\n<!-- hi -->\n<a>\n  <b>1</b>\n</a>\n<!-- bye -->")
-                .unwrap();
-        assert_eq!(doc.len(), 2);
-    }
-
-    #[test]
-    fn non_integer_text_yields_no_value() {
-        let doc = parse("<a><b>hello</b></a>").unwrap();
-        let b = doc.children(doc.root()).next().unwrap();
-        assert_eq!(doc.value(b), None);
-    }
-
-    #[test]
-    fn entities_are_expanded() {
-        // "1" after unescape trims to a parseable int only if purely numeric;
-        // here the text is not numeric so no value, but parsing must succeed.
-        let doc = parse("<a>&lt;&amp;&gt;</a>").unwrap();
-        assert_eq!(doc.value(doc.root()), None);
-    }
-
-    #[test]
-    fn rejects_mismatched_tags() {
-        let e = parse("<a><b></a></b>").unwrap_err();
-        assert!(e.message.contains("mismatched"), "{e}");
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        assert!(parse("<a/><b/>").is_err());
-        assert!(parse("<a/>junk").is_err());
-    }
-
-    #[test]
-    fn rejects_unterminated() {
-        assert!(parse("<a><b>").is_err());
-        assert!(parse("<a attr=>").is_err());
-        assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn mixed_content_drops_text() {
-        let doc = parse("<a>12<b/>34</a>").unwrap();
-        // Text interleaved with elements is not a leaf value.
-        assert_eq!(doc.len(), 2);
-    }
 }

@@ -36,7 +36,7 @@ use xtwig::workload::{
     GuardedCatalog, GuardedEstimator, IngestError, IngestOptions, IngestStore, SoakPlan,
     StorageChaosOptions, CRASH_POINTS,
 };
-use xtwig::xml::{parse, write_xml, DocStats, Document};
+use xtwig::xml::{parse_stream, write_xml, DocStats, Document, StreamLimits};
 
 /// How a command finished when it did not error.
 enum Outcome {
@@ -214,7 +214,9 @@ recover cleanly.
 
 EXIT CODES:
   0  success, full-fidelity estimate
-  1  failure (I/O, parse, build errors, violated soak invariant)
+  1  failure (I/O, build errors, violated soak invariant, or a document
+     the parser refuses: nested past 256 elements, a DTD, an entity
+     flood; the error names the byte offset and the limit)
   2  usage error (bad flags or arguments)
   3  degraded: answered by a fallback tier, a tripped deadline/work
      budget, shed by admission control, after rebuilding a corrupt
@@ -263,10 +265,16 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
+/// Streams the document at `path` through the XML parser under the
+/// default [`StreamLimits`]. Every command that reads a document comes
+/// through here, so a hostile one (nested too deep, a DTD, an entity
+/// flood) fails the command with the parser's typed error, which names
+/// the byte offset and the limit.
 fn load(path: &str) -> Result<Document, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Failure(format!("reading {path}: {e}")))?;
-    parse(&text).map_err(|e| CliError::Failure(format!("parsing {path}: {e}")))
+    let file =
+        std::fs::File::open(path).map_err(|e| CliError::Failure(format!("reading {path}: {e}")))?;
+    parse_stream(file, StreamLimits::default())
+        .map_err(|e| CliError::Failure(format!("parsing {path}: {e}")))
 }
 
 fn cmd_generate(args: &[String]) -> Result<Outcome, CliError> {

@@ -1,9 +1,10 @@
 //! Integration: the CLI exit-code contract under faults. Exit codes are
-//! part of the operational interface (ISSUE 2, extended by ISSUE 5):
-//! 0 = full fidelity, 1 = failure, 2 = usage, 3 = degraded service
-//! (fallback tier, tripped budget, snapshot recovery, or requests shed
-//! by admission control), 4 = corrupt snapshot (inspect/check, a
-//! rolled-back `serve --reload-on`, or a soak run's rollback phase).
+//! part of the operational interface: 0 = full fidelity, 1 = failure
+//! (including a hostile document refused by the parser), 2 = usage,
+//! 3 = degraded service (fallback tier, tripped budget, snapshot
+//! recovery, or requests shed by admission control), 4 = corrupt
+//! snapshot (inspect/check, a rolled-back `serve --reload-on`, or a soak
+//! run's rollback phase).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -542,4 +543,140 @@ fn one_ms_deadline_on_deep_twig_degrades() {
     let err = stderr(&out);
     assert!(err.contains("deadline exceeded"), "{err}");
     assert!(err.contains("served by tier"), "{err}");
+}
+
+/// A single-label chain `depth` elements deep, written to `dir/<name>`.
+fn write_chain(dir: &Path, name: &str, depth: usize) -> PathBuf {
+    let path = dir.join(name);
+    std::fs::write(&path, "<a>".repeat(depth) + &"</a>".repeat(depth)).expect("writing chain");
+    path
+}
+
+/// Every command that reads a document, pointed at `doc`. The query and
+/// plan files they need are written to `out`; their outputs (a snapshot,
+/// a catalog, a store) would go there too.
+fn document_commands(doc: &Path, out: &Path) -> Vec<Vec<String>> {
+    let queries = out.join("queries.txt");
+    let plan = out.join("plan.txt");
+    std::fs::write(&queries, "for $t0 in //a\n").expect("writing queries");
+    std::fs::write(&plan, "t0/main for $t0 in //a\n").expect("writing plan");
+    let doc = doc.to_str().unwrap();
+    let path = |name: &str| out.join(name).to_str().unwrap().to_string();
+    let q = "for $t0 in //a";
+    [
+        vec!["stats", doc],
+        vec!["eval", doc, q],
+        vec!["estimate", doc, q],
+        vec!["build", doc, "--out", &path("built.xtwg")],
+        vec!["check", doc],
+        vec![
+            "serve",
+            doc,
+            queries.to_str().unwrap(),
+            "--catalog",
+            &path("serve-cat"),
+        ],
+        vec![
+            "serve",
+            plan.to_str().unwrap(),
+            "--catalog",
+            &path("publish-cat"),
+            "--publish",
+            doc,
+        ],
+        vec!["ingest", &path("store"), "--init", doc],
+    ]
+    .into_iter()
+    .map(|args| args.into_iter().map(String::from).collect())
+    .collect()
+}
+
+#[test]
+fn hostile_documents_exit_one_from_every_document_command() {
+    let dir = temp_dir("hostile");
+    // An entity flood one reference over the default budget of 2^20,
+    // spread over many elements so no single text run nears its own limit.
+    let mut flood = String::from("<r>");
+    for _ in 0..1025 {
+        flood.push_str("<v>");
+        flood.push_str(&"&amp;".repeat(1024));
+        flood.push_str("</v>");
+    }
+    flood.push_str("</r>");
+    let flood_path = dir.join("flood.xml");
+    std::fs::write(&flood_path, flood).expect("writing flood");
+    let dtd_path = dir.join("dtd.xml");
+    std::fs::write(
+        &dtd_path,
+        concat!(
+            "<!DOCTYPE lolz [<!ENTITY lol \"lol\">",
+            "<!ENTITY lol2 \"&lol;&lol;&lol;&lol;&lol;&lol;&lol;&lol;\">]>",
+            "<lolz>&lol2;</lolz>"
+        ),
+    )
+    .expect("writing dtd");
+    // The 257th start tag trips the limit: 256 `<a>` are 768 bytes, and
+    // the error points just past the next `<`.
+    let cases = [
+        (
+            write_chain(&dir, "deep257.xml", 257),
+            "at byte 769: element nesting exceeds the depth limit of 256",
+        ),
+        (
+            write_chain(&dir, "deep50000.xml", 50_000),
+            "at byte 769: element nesting exceeds the depth limit of 256",
+        ),
+        (dtd_path, "at byte 0: DTDs are not supported"),
+        (
+            flood_path,
+            "document exceeds the entity-reference limit of 1048576",
+        ),
+    ];
+    for (doc, expected) in &cases {
+        let out_dir = dir.join(format!(
+            "out-{}",
+            doc.file_stem().unwrap().to_string_lossy()
+        ));
+        std::fs::create_dir_all(&out_dir).unwrap();
+        for args in document_commands(doc, &out_dir) {
+            let out = cli().args(&args).output().expect("spawning xtwig-cli");
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(err.contains("XML stream error at byte "), "{args:?}: {err}");
+            assert!(err.contains(expected), "{args:?}: {err}");
+        }
+        let mut left: Vec<_> = std::fs::read_dir(&out_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["plan.txt", "queries.txt"], "{}", doc.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_chain_at_the_depth_limit_passes_stats_eval_and_ingest() {
+    let dir = temp_dir("limit-chain");
+    let doc = write_chain(&dir, "deep256.xml", 256);
+    let doc = doc.to_str().unwrap();
+    let out = run(&["stats", doc]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("max depth:         255"),
+        "{}",
+        stdout(&out)
+    );
+    let out = run(&["eval", doc, "for $t0 in //a"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("selectivity: 256 "),
+        "{}",
+        stdout(&out)
+    );
+    let store = dir.join("store");
+    let out = run(&["ingest", store.to_str().unwrap(), "--init", doc]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(store.join("CURRENT").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
