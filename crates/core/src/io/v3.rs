@@ -318,8 +318,9 @@ fn decode_err(offset: usize, message: impl Into<String>) -> SnapshotError {
 }
 
 /// Validates the fixed header and section table of `bytes` (exact
-/// truncation/trailing accounting, table CRC, per-section bounds and
-/// 8-byte alignment, all seven sections present exactly once).
+/// truncation/trailing accounting, a zero reserved word, table CRC,
+/// per-section bounds and 8-byte alignment, all seven sections present
+/// exactly once).
 pub(crate) fn parse_arena(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
     if bytes.len() < 8 {
         let n = bytes.len().min(4);
@@ -352,8 +353,15 @@ pub(crate) fn parse_arena(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
     };
     let total_len = r.u64()? as usize;
     let section_count = r.u32()? as usize;
-    let _reserved = r.u32()?;
+    let reserved = r.u32()?;
     let table_crc = r.u64()?;
+    // No CRC covers the fixed header: every field must be checked.
+    if reserved != 0 {
+        return Err(decode_err(
+            20,
+            format!("reserved header word {reserved:#x}"),
+        ));
+    }
     if bytes.len() < total_len {
         return Err(SnapshotError::Truncated {
             expected: total_len,
@@ -1041,6 +1049,26 @@ mod tests {
             bad[pos] ^= 1;
             assert!(verify_snapshot_v3(&bad).is_err(), "flip at {pos}");
         }
+        // No CRC covers the fixed header, so each of its fields is
+        // checked on its own, the reserved word included, and both loads
+        // reject every bit flipped there.
+        for pos in 0..V3_HEADER_LEN {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 1 << bit;
+                assert!(
+                    load_compiled_snapshot(&bad).is_err(),
+                    "byte {pos} bit {bit}"
+                );
+                assert!(verify_snapshot_v3(&bad).is_err(), "byte {pos} bit {bit}");
+            }
+        }
+        let mut bad = bytes.clone();
+        bad[23] ^= 0x80;
+        assert!(matches!(
+            verify_snapshot_v3(&bad),
+            Err(SnapshotError::Decode { offset: 20, .. })
+        ));
     }
 
     #[test]

@@ -1,362 +1,33 @@
-//! A deterministic fault-injection harness for the estimation service.
+//! The fault harness: one seeded soak over the serving front door.
 //!
-//! A [`FaultPlan`] is a seeded, reproducible list of [`Fault`]s covering
-//! the failure modes an operator actually sees: torn and bit-flipped
-//! snapshot files, unreadable paths, pathological slow queries, and
-//! tiers that die mid-request. [`run_fault_plan`] drives a full
-//! load-or-recover + serve cycle under each fault and records what
-//! happened — the acceptance bar is *zero uncaught panics and every
-//! served estimate finite and non-negative*, with corruptions rejected
-//! by typed errors and recovered by rebuilding the synopsis from the
-//! document.
+//! [`run_catalog_soak`] publishes a document's synopsis into a
+//! [`GuardedCatalog`] (the tier `xtwig-cli serve` runs) and drives the
+//! phases of a [`SoakPlan`], each a request wave with one [`SoakFault`]
+//! in force: a tenant's panic burst and breaker recovery, hot and
+//! corrupt reloads, starved budgets, quota saturation, reloads under a
+//! crash-recovering ingest stream, damaged and unreadable snapshot
+//! files, and device faults under both the ingest store and catalog
+//! fault-in. Every request must end full (bit-identical to a fresh
+//! compile), degraded, or shed with a typed error, and no panic may
+//! escape.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::time::Duration;
 use xtwig_core::construct::DeltaBuildOptions;
 use xtwig_core::estimate::{EstimateRequest, Estimator};
 use xtwig_core::{
-    coarse_synopsis, load_synopsis, save_synopsis, BackoffPolicy, BatchServer, BreakerConfig,
-    BreakerState, CatalogError, CatalogOptions, CatalogStats, CompiledSynopsis, EstimateOptions,
-    FaultVfs, SnapshotCatalog, SnapshotError, StdVfs, Synopsis, Vfs, VfsFaultPlan,
+    coarse_synopsis, save_synopsis_v3, BackoffPolicy, BatchServer, BreakerConfig, BreakerState,
+    CatalogError, CatalogOptions, CatalogStats, CompiledSynopsis, EstimateOptions, FaultVfs,
+    RebuildHook, SnapshotCatalog, SnapshotError, StdVfs, VfsFaultPlan,
 };
 use xtwig_query::TwigQuery;
 use xtwig_xml::Document;
 
-use crate::guarded::{GuardPolicy, GuardedCatalog, GuardedEstimator, InjectedFault, Tier};
-use crate::ingest::{random_delta, run_ingest_soak, IngestOptions, IngestStore};
-
-/// One injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// The snapshot file is cut off after `keep` bytes (a torn write).
-    SnapshotTruncate {
-        /// Bytes kept.
-        keep: usize,
-    },
-    /// One bit of the snapshot is flipped (media corruption).
-    SnapshotBitFlip {
-        /// Byte position.
-        byte: usize,
-        /// Bit within the byte (0–7).
-        bit: u8,
-    },
-    /// The snapshot is replaced by seeded random garbage.
-    SnapshotGarbage {
-        /// Garbage length.
-        len: usize,
-        /// Garbage seed.
-        seed: u64,
-    },
-    /// The snapshot file is empty.
-    SnapshotEmpty,
-    /// The snapshot cannot be read at all (missing / unreadable path).
-    IoUnreadable,
-    /// The XSKETCH tier hits an artificial slow path under a deadline.
-    SlowEstimate,
-    /// Queries are served under a very tight wall-clock budget.
-    TightDeadline {
-        /// The budget, in microseconds.
-        micros: u64,
-    },
-    /// The named tier panics on every query.
-    PanicTier(Tier),
-}
-
-impl std::fmt::Display for Fault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Fault::SnapshotTruncate { keep } => write!(f, "truncate snapshot to {keep} bytes"),
-            Fault::SnapshotBitFlip { byte, bit } => {
-                write!(f, "flip bit {bit} of snapshot byte {byte}")
-            }
-            Fault::SnapshotGarbage { len, .. } => write!(f, "replace snapshot with {len}B garbage"),
-            Fault::SnapshotEmpty => write!(f, "empty snapshot"),
-            Fault::IoUnreadable => write!(f, "unreadable snapshot path"),
-            Fault::SlowEstimate => write!(f, "artificial slow path in xsketch tier"),
-            Fault::TightDeadline { micros } => write!(f, "tight deadline of {micros}us"),
-            Fault::PanicTier(t) => write!(f, "panic injected into {t} tier"),
-        }
-    }
-}
-
-/// A seeded, reproducible fault schedule.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    /// The generation seed (for reports).
-    pub seed: u64,
-    /// The faults, in injection order.
-    pub faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// Generates a plan of `n` faults against a snapshot of
-    /// `snapshot_len` bytes. The first eight slots cycle through every
-    /// fault kind so even short plans cover the full failure surface;
-    /// the remainder is seeded-random.
-    pub fn generate(seed: u64, snapshot_len: usize, n: usize) -> FaultPlan {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let len = snapshot_len.max(1);
-        let mut faults = Vec::with_capacity(n);
-        for i in 0..n {
-            let kind = if i < 8 {
-                i
-            } else {
-                rng.random_range(0..8usize)
-            };
-            faults.push(match kind {
-                0 => Fault::SnapshotTruncate {
-                    keep: rng.random_range(0..len),
-                },
-                1 => Fault::SnapshotBitFlip {
-                    byte: rng.random_range(0..len),
-                    bit: rng.random_range(0..8u32) as u8,
-                },
-                2 => Fault::SnapshotGarbage {
-                    len: rng.random_range(1..2 * len),
-                    seed: rng.random_range(0..u64::MAX),
-                },
-                3 => Fault::SnapshotEmpty,
-                4 => Fault::IoUnreadable,
-                5 => Fault::SlowEstimate,
-                6 => Fault::TightDeadline {
-                    micros: rng.random_range(100..2000u64),
-                },
-                _ => Fault::PanicTier(match rng.random_range(0..3u32) {
-                    0 => Tier::Xsketch,
-                    1 => Tier::Markov,
-                    _ => Tier::LabelCount,
-                }),
-            });
-        }
-        FaultPlan { seed, faults }
-    }
-}
-
-/// Applies a snapshot-corrupting fault to `bytes`, or returns `None`
-/// for faults that do not touch the snapshot image.
-pub fn apply_snapshot_fault(bytes: &[u8], fault: &Fault) -> Option<Vec<u8>> {
-    match *fault {
-        Fault::SnapshotTruncate { keep } => Some(bytes.get(..keep.min(bytes.len()))?.to_vec()),
-        Fault::SnapshotBitFlip { byte, bit } => {
-            let mut out = bytes.to_vec();
-            let i = byte.min(out.len().saturating_sub(1));
-            if let Some(b) = out.get_mut(i) {
-                *b ^= 1u8 << (bit % 8);
-            }
-            Some(out)
-        }
-        Fault::SnapshotGarbage { len, seed } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            Some(
-                (0..len)
-                    .map(|_| rng.random_range(0..=255u32) as u8)
-                    .collect(),
-            )
-        }
-        Fault::SnapshotEmpty => Some(Vec::new()),
-        _ => None,
-    }
-}
-
-/// What happened under one injected fault.
-#[derive(Debug, Clone)]
-pub struct FaultOutcome {
-    /// The fault injected.
-    pub fault: Fault,
-    /// A corrupted/unreadable snapshot was rejected with a typed error.
-    pub rejected: Option<SnapshotError>,
-    /// The service recovered by rebuilding the synopsis from the
-    /// document.
-    pub rebuilt: bool,
-    /// Queries served.
-    pub queries: usize,
-    /// Queries that degraded below full fidelity.
-    pub degraded: usize,
-    /// Uncaught panics observed while serving (must stay 0).
-    pub panics: usize,
-    /// Served estimates that were NaN, negative, or infinite (must stay
-    /// 0).
-    pub bad_estimates: usize,
-}
-
-/// The aggregate result of a fault plan run.
-#[derive(Debug, Clone)]
-pub struct FaultReport {
-    /// Per-fault outcomes, in plan order.
-    pub outcomes: Vec<FaultOutcome>,
-}
-
-impl FaultReport {
-    /// Total uncaught panics across the run (acceptance: 0).
-    pub fn total_panics(&self) -> usize {
-        self.outcomes.iter().map(|o| o.panics).sum()
-    }
-
-    /// Total non-finite/negative served estimates (acceptance: 0).
-    pub fn total_bad_estimates(&self) -> usize {
-        self.outcomes.iter().map(|o| o.bad_estimates).sum()
-    }
-
-    /// How many faults corrupted the snapshot and were rejected.
-    pub fn total_rejections(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.rejected.is_some())
-            .count()
-    }
-
-    /// How many faults forced a rebuild-from-document recovery.
-    pub fn total_rebuilds(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.rebuilt).count()
-    }
-
-    /// How many queries degraded below full fidelity overall.
-    pub fn total_degraded(&self) -> usize {
-        self.outcomes.iter().map(|o| o.degraded).sum()
-    }
-}
-
-impl std::fmt::Display for FaultReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "fault plan: {} faults, {} rejections, {} rebuilds, {} degraded queries, \
-             {} panics, {} bad estimates",
-            self.outcomes.len(),
-            self.total_rejections(),
-            self.total_rebuilds(),
-            self.total_degraded(),
-            self.total_panics(),
-            self.total_bad_estimates()
-        )?;
-        for o in &self.outcomes {
-            writeln!(
-                f,
-                "  {}: rejected={} rebuilt={} queries={} degraded={} panics={}",
-                o.fault,
-                o.rejected.is_some(),
-                o.rebuilt,
-                o.queries,
-                o.degraded,
-                o.panics
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Runs the full fault plan: for each fault, corrupt (or budget-squeeze)
-/// the serving path, recover if needed, serve every query through a
-/// [`GuardedEstimator`], and record the outcome.
-pub fn run_fault_plan(
-    doc: &Document,
-    queries: &[TwigQuery],
-    plan: &FaultPlan,
-    policy: &GuardPolicy,
-) -> FaultReport {
-    let pristine = coarse_synopsis(doc);
-    let snapshot = save_synopsis(&pristine);
-    let mut outcomes = Vec::with_capacity(plan.faults.len());
-    for fault in &plan.faults {
-        outcomes.push(run_one_fault(doc, queries, fault, policy, &snapshot));
-    }
-    FaultReport { outcomes }
-}
-
-fn run_one_fault(
-    doc: &Document,
-    queries: &[TwigQuery],
-    fault: &Fault,
-    policy: &GuardPolicy,
-    snapshot: &[u8],
-) -> FaultOutcome {
-    let mut outcome = FaultOutcome {
-        fault: *fault,
-        rejected: None,
-        rebuilt: false,
-        queries: 0,
-        degraded: 0,
-        panics: 0,
-        bad_estimates: 0,
-    };
-
-    // Resolve the synopsis to serve from: load the (possibly corrupted)
-    // snapshot, falling back to a rebuild from the document — the same
-    // recovery the CLI performs.
-    let synopsis: Synopsis = match apply_snapshot_fault(snapshot, fault) {
-        Some(corrupted) => match load_synopsis(&corrupted) {
-            Ok(s) => s,
-            Err(e) => {
-                outcome.rejected = Some(e);
-                outcome.rebuilt = true;
-                coarse_synopsis(doc)
-            }
-        },
-        None if *fault == Fault::IoUnreadable => {
-            let bogus = std::path::Path::new("/nonexistent/xtwig/fault/plan.xtwg");
-            match xtwig_core::read_snapshot(bogus) {
-                Ok(s) => s,
-                Err(e) => {
-                    outcome.rejected = Some(e);
-                    outcome.rebuilt = true;
-                    coarse_synopsis(doc)
-                }
-            }
-        }
-        None => match load_synopsis(snapshot) {
-            Ok(s) => s,
-            Err(_) => {
-                outcome.rebuilt = true;
-                coarse_synopsis(doc)
-            }
-        },
-    };
-
-    // Apply estimator-level faults / budget squeezes.
-    let mut fault_policy = *policy;
-    let injected = match *fault {
-        Fault::SlowEstimate => {
-            if fault_policy.time_budget.is_none() {
-                fault_policy.time_budget = Some(Duration::from_millis(2));
-            }
-            Some(InjectedFault::StallXsketch)
-        }
-        Fault::TightDeadline { micros } => {
-            fault_policy.time_budget = Some(Duration::from_micros(micros));
-            None
-        }
-        Fault::PanicTier(t) => Some(InjectedFault::PanicIn(t)),
-        _ => None,
-    };
-    let mut estimator = GuardedEstimator::new(&synopsis, fault_policy);
-    if let Some(injected) = injected {
-        estimator = estimator.with_fault(injected);
-    }
-
-    for q in queries {
-        outcome.queries += 1;
-        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Estimator::estimate(&estimator, &EstimateRequest::new(q))
-        }));
-        match served {
-            Err(_) => outcome.panics += 1,
-            Ok(report) => {
-                if report.provenance.degraded {
-                    outcome.degraded += 1;
-                }
-                if !report.estimate.is_finite() || report.estimate < 0.0 {
-                    outcome.bad_estimates += 1;
-                }
-            }
-        }
-    }
-    outcome
-}
-
-// ---------------------------------------------------------------------
-// Catalog fault soak
-// ---------------------------------------------------------------------
+use crate::guarded::{GuardPolicy, GuardedCatalog, GuardedEstimator};
+use crate::ingest::{run_ingest_soak, Failure, IngestOptions};
 
 /// The document name every soak tenant publishes under.
 const SOAK_DOCUMENT: &str = "main";
@@ -383,13 +54,14 @@ pub enum SoakFault {
     /// A corrupt snapshot reload is attempted mid-flight: verification
     /// must reject it and publish nothing (the rollback).
     CorruptReload,
-    /// Every request to the warm primary key but the last carries a
-    /// work limit of one unit, which tier 1 cannot meet: the guarded
-    /// chain must answer them from its fallback tiers. Neither the
-    /// key's cache nor its expansion memo may answer for free under a
-    /// work limit. The last request has no limit and must get tier 1:
-    /// exhausted budgets belong to their requests and never trip the
-    /// key's tier-1 breaker.
+    /// Two starved waves on the primary key, then one unbudgeted
+    /// request. The first wave carries a work limit of one unit and runs
+    /// on the warm key; the second carries an expired deadline and runs
+    /// on the key freshly faulted in. Tier 1 can meet neither budget, so
+    /// both waves must degrade through the fallback tiers. Neither the
+    /// key's cache nor its expansion memo may answer the work-limited
+    /// wave for free. The last request must get tier 1: exhausted budgets
+    /// belong to their requests and never trip the key's tier-1 breaker.
     Starve,
     /// The hook sleeps 2 ms while it holds each request's quota slot,
     /// and four times as many callers as the quota admits serve at
@@ -402,7 +74,67 @@ pub enum SoakFault {
         /// Simulated ingest crashes that must fire during the phase.
         kills: u32,
     },
+    /// The primary key's snapshot file is overwritten with a damaged
+    /// copy and its slot invalidated; requests then serve one at a time.
+    /// Without the rebuild hook, the first fault-in must quarantine the
+    /// key and every request end typed. With it, the first fault-in must
+    /// rebuild the key and every answer be full. The phase ends with a
+    /// republish.
+    Damage {
+        /// How the file is damaged.
+        kind: Damage,
+        /// Whether the rebuild hook is installed.
+        rebuild: bool,
+        /// Seeds the damage: the cut, the flipped bit, the garbage.
+        seed: u64,
+    },
+    /// The primary key's file can be neither read nor stat'ed. Every
+    /// request must end `Snapshot(Io)` after its retries, and nothing may
+    /// be quarantined or rebuilt, although the rebuild hook is
+    /// installed. Once the device heals, the key must serve
+    /// bit-identically with no republish.
+    Unreadable,
+    /// A device injecting `plan`'s faults under both sides of storage.
+    /// The ingest soak runs a store on it, and the primary key is faulted
+    /// in cold for every request, with stats failing as often as reads:
+    /// every request must end full and bit-identical, or typed. After the
+    /// phase the device heals, and a republish must serve
+    /// bit-identically.
+    Device {
+        /// The device's faults.
+        plan: VfsFaultPlan,
+        /// Whether the rebuild hook is installed for the read side.
+        rebuild: bool,
+    },
 }
+
+/// How a damage phase damages the primary key's snapshot file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Damage {
+    /// The file is cut short (a torn write).
+    Truncate,
+    /// One bit anywhere in the file is flipped (media corruption).
+    BitFlip,
+    /// One bit in the file's last eighth is flipped. v3 keeps bucket
+    /// columns there, which the fault-in's CRC sweep alone checks.
+    ColumnFlip,
+    /// The file is replaced by random garbage up to twice its length.
+    Garbage,
+    /// The file is emptied.
+    Empty,
+}
+
+/// Every damage kind, in plan order.
+const DAMAGE_KINDS: [Damage; 5] = [
+    Damage::Truncate,
+    Damage::BitFlip,
+    Damage::ColumnFlip,
+    Damage::Garbage,
+    Damage::Empty,
+];
+
+/// Device phases in the storage plan.
+const DEVICE_PHASES: usize = 50;
 
 /// One phase of a soak: a request wave with at most one fault in force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -419,8 +151,8 @@ pub struct SoakPhase {
 /// A seeded, reproducible soak schedule over `tenants` catalog keys
 /// (`tenant-0` is the primary; the last tenant is the breaker victim).
 /// The fixed phase *structure* guarantees every transition is
-/// exercised; the seed only varies wave sizes, so any seed produces a
-/// plan whose invariants are checkable.
+/// exercised; the seed only varies wave sizes and fault draws, so any
+/// seed produces a plan whose invariants are checkable.
 #[derive(Debug, Clone)]
 pub struct SoakPlan {
     /// The generation seed (for reports).
@@ -521,6 +253,55 @@ impl SoakPlan {
         }
     }
 
+    /// The storage plan over one key: each [`Damage`] kind without and
+    /// then with the rebuild hook, an unreadable file, and 50 device
+    /// phases. The device phases rotate five
+    /// fault emphases (write errors with short writes and ENOSPC, failed
+    /// renames, failed fsyncs, read errors, read bit flips), and every
+    /// other one installs the rebuild hook. Its sheds are the expected
+    /// outcome.
+    pub fn storage(seed: u64) -> SoakPlan {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut phases = Vec::new();
+        for kind in DAMAGE_KINDS {
+            for rebuild in [false, true] {
+                phases.push(SoakPhase {
+                    label: if rebuild {
+                        "damage-rebuilt"
+                    } else {
+                        "damage-quarantined"
+                    },
+                    requests: 6 + rng.random_range(0..4usize),
+                    fault: Some(SoakFault::Damage {
+                        kind,
+                        rebuild,
+                        seed: rng.random_range(0..u64::MAX),
+                    }),
+                });
+            }
+        }
+        phases.push(SoakPhase {
+            label: "unreadable",
+            requests: 6 + rng.random_range(0..4usize),
+            fault: Some(SoakFault::Unreadable),
+        });
+        for i in 0..DEVICE_PHASES {
+            phases.push(SoakPhase {
+                label: "device",
+                requests: 6,
+                fault: Some(SoakFault::Device {
+                    plan: device_plan(rng.random_range(0..u64::MAX), i),
+                    rebuild: i % 2 == 1,
+                }),
+            });
+        }
+        SoakPlan {
+            seed,
+            tenants: 1,
+            phases,
+        }
+    }
+
     /// Serve calls across all phases (a panic burst serves its
     /// `requests` on every tenant).
     pub fn total_requests(&self) -> usize {
@@ -559,6 +340,69 @@ fn saturation_phase(rng: &mut StdRng, options: &CatalogSoakOptions) -> SoakPhase
         label: "saturation",
         requests: saturation_callers(options) * 2 + rng.random_range(0..8usize),
         fault: Some(SoakFault::Saturate),
+    }
+}
+
+/// The faults of device phase `index`: its emphasis in turn, over a
+/// light stall.
+fn device_plan(seed: u64, index: usize) -> VfsFaultPlan {
+    let base = VfsFaultPlan {
+        seed,
+        stall: 50,
+        stall_micros: 10,
+        ..VfsFaultPlan::default()
+    };
+    match index % 5 {
+        0 => VfsFaultPlan {
+            write_error: 200,
+            short_write: 150,
+            enospc: true,
+            ..base
+        },
+        1 => VfsFaultPlan {
+            rename_error: 300,
+            ..base
+        },
+        2 => VfsFaultPlan {
+            fsync_error: 300,
+            ..base
+        },
+        3 => VfsFaultPlan {
+            read_error: 300,
+            ..base
+        },
+        _ => VfsFaultPlan {
+            read_flip: 300,
+            ..base
+        },
+    }
+}
+
+/// A damaged copy of `bytes`.
+fn damaged(bytes: &[u8], kind: Damage, seed: u64) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let len = bytes.len().max(1);
+    match kind {
+        Damage::Truncate => bytes
+            .get(..rng.random_range(0..len))
+            .unwrap_or_default()
+            .to_vec(),
+        Damage::BitFlip | Damage::ColumnFlip => {
+            let at = if kind == Damage::BitFlip {
+                rng.random_range(0..len)
+            } else {
+                len - 1 - rng.random_range(0..len.div_ceil(8))
+            };
+            let mut out = bytes.to_vec();
+            if let Some(b) = out.get_mut(at) {
+                *b ^= 1u8 << rng.random_range(0..8u32);
+            }
+            out
+        }
+        Damage::Garbage => (0..rng.random_range(1..2 * len))
+            .map(|_| rng.random_range(0..=255u32) as u8)
+            .collect(),
+        Damage::Empty => Vec::new(),
     }
 }
 
@@ -627,8 +471,9 @@ pub struct SoakReport {
     /// answers where the answer is known) not bit-identical to a fresh
     /// compile (must be 0).
     pub bad_estimates: u64,
-    /// Typed errors other than quota, breaker and contained-fault sheds
-    /// (must be 0).
+    /// Typed errors other than quota, breaker and contained-fault sheds,
+    /// and, in damage and device phases, quarantines and I/O errors. An
+    /// `UnknownDocument` for a published key is always one (must be 0).
     pub unexpected_errors: u64,
     /// Phases whose quota, breaker and fault sheds disagreed with the
     /// catalog's own counters (must be 0).
@@ -650,20 +495,39 @@ pub struct SoakReport {
     pub reload_rollbacks: u64,
     /// Ingest kill/recover cycles that fired during mutation phases.
     pub ingest_kills: u64,
-    /// Ingest invariant violations (failed recoveries, torn states,
-    /// fsck failures, rejected publishes — must be 0).
+    /// Ingest invariant violations in mutation and device phases (failed
+    /// recoveries, torn states, fsck failures, escaped panics, rejected
+    /// publishes — must be 0).
     pub ingest_failures: u64,
     /// Checkpoints committed by the mutation stream.
     pub ingest_checkpoints: u64,
     /// Drift-triggered refinements installed by the mutation stream.
     pub ingest_refinements: u64,
+    /// Faults the device phases' injectors fired. This and the device
+    /// counters below cover device phases only: damage and unreadable
+    /// phases check their own exact counts.
+    pub injected_faults: u64,
+    /// Device phases' ingests that a device fault failed.
+    pub write_faults: u64,
+    /// Requests the device phases answered, every one in full.
+    pub device_served: u64,
+    /// Requests the device phases shed as `Quarantined` or
+    /// `Snapshot(Io)`.
+    pub storage_sheds: u64,
+    /// Keys the device phases' catalogs quarantined.
+    pub quarantines: u64,
+    /// Corrupt keys the device phases' catalogs rebuilt through the hook.
+    pub rebuilds: u64,
+    /// Fault-in retries the device phases' catalogs made after transient
+    /// I/O errors.
+    pub load_retries: u64,
     /// Whether post-soak estimates on the primary key were
     /// bit-identical to a fresh [`GuardedEstimator`] over the surviving
-    /// snapshot.
+    /// synopsis.
     pub post_soak_bit_identical: bool,
     /// Phase invariants that did not hold (must be empty).
     pub violations: Vec<String>,
-    /// Final catalog counters.
+    /// Final counters of the soak's catalog.
     pub stats: CatalogStats,
 }
 
@@ -691,7 +555,8 @@ impl std::fmt::Display for SoakReport {
              {} stampede cold loads, breaker open={} shed={} reclose={}, \
              {} bystander errors, {} evictions, {} reloads, {} rollbacks, \
              {} ingest kills ({} failures, {} checkpoints, {} refinements), \
-             bit-identical={}",
+             device phases: {} injected faults, {} write faults, {} served, \
+             {} typed sheds, {} quarantines, {} rebuilds, {} retries, bit-identical={}",
             self.phases,
             self.tenants,
             self.requests,
@@ -714,6 +579,13 @@ impl std::fmt::Display for SoakReport {
             self.ingest_failures,
             self.ingest_checkpoints,
             self.ingest_refinements,
+            self.injected_faults,
+            self.write_faults,
+            self.device_served,
+            self.storage_sheds,
+            self.quarantines,
+            self.rebuilds,
+            self.load_retries,
             self.post_soak_bit_identical
         )?;
         if !self.violations.is_empty() {
@@ -732,7 +604,11 @@ struct Tally {
     shed: u64,
     /// Of those, breaker-open sheds.
     breaker_sheds: u64,
-    /// Of those, errors that are not quota, breaker or fault sheds.
+    /// Of those, quarantines and I/O errors where storage faults are in
+    /// force.
+    storage: u64,
+    /// Of those, errors that are not quota, breaker, fault or expected
+    /// storage sheds.
     unexpected: u64,
     bad: u64,
     escaped: u64,
@@ -744,6 +620,7 @@ impl Tally {
         self.degraded += o.degraded;
         self.shed += o.shed;
         self.breaker_sheds += o.breaker_sheds;
+        self.storage += o.storage;
         self.unexpected += o.unexpected;
         self.bad += o.bad;
         self.escaped += o.escaped;
@@ -756,13 +633,16 @@ impl Tally {
 }
 
 /// Issues one serve call for `q` and tallies its outcome. `want` is the
-/// known full-fidelity answer, when the phase expects one.
+/// known full-fidelity answer, when the phase expects one; `storage`
+/// marks a phase whose storage faults end requests `Quarantined` or
+/// `Snapshot(Io)`.
 fn serve_tallied(
     catalog: &GuardedCatalog,
     tenant: &str,
     q: &TwigQuery,
     opts: &EstimateOptions,
     want: Option<f64>,
+    storage: bool,
     t: &mut Tally,
 ) {
     let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -791,6 +671,12 @@ fn serve_tallied(
             match e {
                 CatalogError::BreakerOpen { .. } => t.breaker_sheds += 1,
                 CatalogError::QuotaExceeded { .. } | CatalogError::Faulted { .. } => {}
+                CatalogError::Quarantined { .. }
+                | CatalogError::Snapshot(SnapshotError::Io { .. })
+                    if storage =>
+                {
+                    t.storage += 1
+                }
                 _ => t.unexpected += 1,
             }
         }
@@ -822,7 +708,7 @@ fn drive(
                         let k = i % queries.len();
                         let want = reference.and_then(|r| r.get(k)).copied();
                         if let Some(q) = queries.get(k) {
-                            serve_tallied(catalog, tenant, q, opts, want, &mut t);
+                            serve_tallied(catalog, tenant, q, opts, want, false, &mut t);
                         }
                     }
                     t
@@ -837,6 +723,60 @@ fn drive(
         }
     });
     total
+}
+
+/// Issues `count` serve calls against `tenant` one at a time, on a key
+/// whose file is damaged or whose device is faulty: `Quarantined` and
+/// `Snapshot(Io)` are expected sheds. `cold` invalidates the key before
+/// each call, so every one faults the file in.
+fn drive_storage(
+    catalog: &GuardedCatalog,
+    tenant: &str,
+    queries: &[TwigQuery],
+    reference: &[f64],
+    count: usize,
+    cold: bool,
+) -> Tally {
+    let mut t = Tally::default();
+    for i in 0..count {
+        if cold {
+            catalog.invalidate(tenant, SOAK_DOCUMENT);
+        }
+        let k = i % queries.len();
+        if let Some(q) = queries.get(k) {
+            let want = reference.get(k).copied();
+            serve_tallied(
+                catalog,
+                tenant,
+                q,
+                &EstimateOptions::default(),
+                want,
+                true,
+                &mut t,
+            );
+        }
+    }
+    t
+}
+
+/// Whether one batch of `queries` on `tenant` is served bit-identical
+/// to `reference`.
+fn serves_reference(
+    catalog: &GuardedCatalog,
+    tenant: &str,
+    queries: &[TwigQuery],
+    reference: &[f64],
+) -> bool {
+    match catalog.serve(tenant, SOAK_DOCUMENT, queries, &EstimateOptions::default()) {
+        Ok(reports) => {
+            reports.len() == reference.len()
+                && reports
+                    .iter()
+                    .zip(reference)
+                    .all(|(r, want)| r.estimate.to_bits() == want.to_bits())
+        }
+        Err(_) => false,
+    }
 }
 
 /// Runs `wave` on a scoped thread while `side` runs on this one.
@@ -875,7 +815,13 @@ fn counted_sheds(s: &CatalogStats) -> u64 {
 /// with a typed error, panic containment is total, the phase
 /// transitions are forced by plan construction, and the post-soak
 /// estimates must be bit-identical to a fresh [`GuardedEstimator`] on
-/// the surviving snapshot.
+/// the surviving synopsis.
+///
+/// Unreadable and device phases serve through a catalog of their own,
+/// opened at `dir` over the faulty device: it reads the same files, and
+/// its counters are the phase's. It never trips its breaker (these
+/// phases count typed errors, not admission) and retries transient
+/// fault-in errors four times.
 pub fn run_catalog_soak(
     doc: &Document,
     queries: &[TwigQuery],
@@ -885,9 +831,23 @@ pub fn run_catalog_soak(
 ) -> SoakReport {
     let tenants = plan.tenants.max(1);
     let synopsis = coarse_synopsis(doc);
-    let pristine = save_synopsis(&synopsis);
+    let pristine = save_synopsis_v3(&synopsis);
     let catalog: GuardedCatalog =
-        SnapshotCatalog::open_tier(dir, options.catalog, std::sync::Arc::new(StdVfs));
+        SnapshotCatalog::open_tier(dir, options.catalog, Arc::new(StdVfs));
+    let device_options = options
+        .catalog
+        .to_builder()
+        .load_retries(4)
+        .backoff(BackoffPolicy {
+            base: Duration::from_micros(5),
+            cap: Duration::from_micros(100),
+            seed: plan.seed,
+        })
+        .breaker(BreakerConfig {
+            failure_threshold: u32::MAX,
+            cooldown: Duration::from_millis(1),
+        })
+        .build();
     let tenant = |i: usize| format!("tenant-{i}");
     let primary = tenant(0);
     let victim = tenant(tenants - 1);
@@ -922,6 +882,13 @@ pub fn run_catalog_soak(
         ingest_failures: 0,
         ingest_checkpoints: 0,
         ingest_refinements: 0,
+        injected_faults: 0,
+        write_faults: 0,
+        device_served: 0,
+        storage_sheds: 0,
+        quarantines: 0,
+        rebuilds: 0,
+        load_retries: 0,
         post_soak_bit_identical: false,
         violations: Vec::new(),
         stats: catalog.stats(),
@@ -946,14 +913,47 @@ pub fn run_catalog_soak(
         .iter()
         .map(|r| r.estimate)
         .collect();
-    // The snapshot the primary key should end on.
-    let mut surviving = pristine.clone();
+    // Storage phases rebuild a corrupt key from the document's synopsis.
+    let rebuild_hook: RebuildHook = {
+        let source = synopsis.clone();
+        Arc::new(move |_: &str, _: &str| Some(source.clone()))
+    };
+    // The synopsis the primary key should end on.
+    let mut surviving = synopsis.clone();
 
-    for phase in &plan.phases {
-        let before = catalog.stats();
+    for (index, phase) in plan.phases.iter().enumerate() {
+        let device = match phase.fault {
+            Some(SoakFault::Unreadable) => Some(VfsFaultPlan {
+                read_error: 1000,
+                metadata_error: 1000,
+                ..VfsFaultPlan::default()
+            }),
+            Some(SoakFault::Device { plan, .. }) => Some(VfsFaultPlan {
+                metadata_error: plan.read_error,
+                ..plan
+            }),
+            _ => None,
+        }
+        .map(|faults| {
+            let vfs = Arc::new(FaultVfs::over_std(faults));
+            vfs.arm(false);
+            vfs
+        });
+        let device_catalog: Option<GuardedCatalog> = device
+            .as_ref()
+            .map(|vfs| SnapshotCatalog::open_tier(dir, device_options, vfs.clone()));
+        let cat = device_catalog.as_ref().unwrap_or(&catalog);
+        let arm = |on: bool| {
+            if let Some(vfs) = &device {
+                vfs.arm(on);
+            }
+        };
+        let before = cat.stats();
         let mut check = |ok: bool, what: &str| {
             if !ok {
-                report.violations.push(format!("{}: {what}", phase.label));
+                report
+                    .violations
+                    .push(format!("phase {index} ({}): {what}", phase.label));
             }
         };
         let n = phase.requests;
@@ -1056,7 +1056,7 @@ pub fn run_catalog_soak(
                 match (valid, outcome) {
                     (true, Ok(_)) => {
                         report.reloads += 1;
-                        surviving = bytes;
+                        surviving = synopsis.clone();
                     }
                     (false, Err(_)) => report.reload_rollbacks += 1,
                     (true, Err(_)) => check(false, "a verified reload was rejected"),
@@ -1065,17 +1065,37 @@ pub fn run_catalog_soak(
                 t
             }
             Some(SoakFault::Starve) => {
+                let waves = n.saturating_sub(1);
                 let starved = EstimateOptions::builder().work_limit(1).build();
                 let mut t = drive(
                     &catalog,
                     &primary,
                     queries,
                     None,
-                    n.saturating_sub(1),
+                    waves / 2,
                     callers,
                     &starved,
                 );
-                check(t.degraded > 0, "no request fell back");
+                check(t.degraded > 0, "no work-limited request fell back");
+                // A deadline does not bypass the key's cache, so the
+                // expired wave runs on the key freshly faulted in, whose
+                // cache is empty.
+                catalog.invalidate(&primary, SOAK_DOCUMENT);
+                let expired = EstimateOptions::builder().deadline(Instant::now()).build();
+                let late = drive(
+                    &catalog,
+                    &primary,
+                    queries,
+                    None,
+                    waves - waves / 2,
+                    callers,
+                    &expired,
+                );
+                check(
+                    late.degraded > 0 && late.full == 0,
+                    "an expired deadline was answered at full fidelity",
+                );
+                t.merge(late);
                 let after = drive(
                     &catalog,
                     &primary,
@@ -1130,38 +1150,142 @@ pub fn run_catalog_soak(
                     || drive(&catalog, &primary, queries, None, n, callers, &healthy),
                     || {
                         let key = (&catalog, primary.as_str(), SOAK_DOCUMENT);
-                        run_ingest_soak(
-                            doc,
-                            &ingest_dir,
-                            plan.seed,
-                            u64::from(kills),
-                            &opts,
-                            Some(key),
-                        )
+                        let kills = Failure::Crash {
+                            kills: u64::from(kills),
+                        };
+                        run_ingest_soak(doc, &ingest_dir, plan.seed, kills, &opts, Some(key))
                     },
                 );
-                // lint:allow(vfs-direct): soak-harness scratch-dir wipe
                 let _ = std::fs::remove_dir_all(&ingest_dir);
                 match outcome {
                     Ok(rep) => {
                         report.ingest_kills += rep.kills;
                         report.ingest_checkpoints += rep.checkpoints;
                         report.ingest_refinements += rep.refinements;
-                        report.ingest_failures += rep.recovery_failures
-                            + rep.state_mismatches
-                            + rep.fsck_failures
-                            + rep.publish_failures;
+                        report.ingest_failures += rep.failures();
                         check(rep.kills >= u64::from(kills), "too few kill/recover cycles");
                         check(rep.checkpoints > 0, "no checkpoint committed");
-                        surviving = rep.final_snapshot;
+                        check(rep.torn_tails > 0, "no torn WAL tail was recovered");
+                        surviving = rep.final_synopsis;
                     }
                     Err(_) => report.ingest_failures += 1,
                 }
                 t
             }
+            Some(SoakFault::Damage {
+                kind,
+                rebuild,
+                seed,
+            }) => {
+                let path = catalog.path_for(&primary, SOAK_DOCUMENT);
+                let written = std::fs::read(&path)
+                    .and_then(|bytes| std::fs::write(&path, damaged(&bytes, kind, seed)));
+                check(written.is_ok(), "the snapshot file could not be damaged");
+                catalog.invalidate(&primary, SOAK_DOCUMENT);
+                if rebuild {
+                    catalog.set_rebuild_hook(Some(rebuild_hook.clone()));
+                }
+                let t = drive_storage(&catalog, &primary, queries, &reference, n, false);
+                catalog.set_rebuild_hook(None);
+                let s = catalog.stats();
+                let counts = (
+                    s.quarantined - before.quarantined,
+                    s.rebuilds - before.rebuilds,
+                );
+                if rebuild {
+                    check(counts == (0, 1), "the damaged file was not rebuilt once");
+                    check(t.full == t.issued(), "a rebuilt key did not answer in full");
+                } else {
+                    check(
+                        counts == (1, 0),
+                        "the damaged file was not quarantined once",
+                    );
+                    check(
+                        t.full + t.degraded == 0,
+                        "a request was answered from a damaged file",
+                    );
+                }
+                check(
+                    catalog.publish(&primary, SOAK_DOCUMENT, &synopsis).is_ok(),
+                    "the republish failed",
+                );
+                surviving = synopsis.clone();
+                if catalog.breaker_state(&primary) != Some(BreakerState::Closed) {
+                    std::thread::sleep(cooldown);
+                }
+                t
+            }
+            Some(SoakFault::Unreadable) => {
+                cat.set_rebuild_hook(Some(rebuild_hook.clone()));
+                arm(true);
+                let t = drive_storage(cat, &primary, queries, &reference, n, false);
+                arm(false);
+                let s = cat.stats();
+                // No quarantine means no request can be `Quarantined`:
+                // every storage shed was a typed I/O error.
+                check(
+                    t.storage == t.issued() && s.quarantined == before.quarantined,
+                    "a request to an unreadable file did not end Snapshot(Io)",
+                );
+                check(
+                    s.rebuilds == before.rebuilds,
+                    "an unreadable file was rebuilt",
+                );
+                check(
+                    serves_reference(cat, &primary, queries, &reference),
+                    "the healed key did not serve bit-identically without a republish",
+                );
+                t
+            }
+            Some(SoakFault::Device {
+                plan: faults,
+                rebuild,
+            }) => {
+                let ingest_dir = dir.join("ingest");
+                let opts = IngestOptions {
+                    checkpoint_every: 2,
+                    ..Default::default()
+                };
+                let failure = Failure::Device(faults);
+                match run_ingest_soak(doc, &ingest_dir, faults.seed, failure, &opts, None) {
+                    Ok(rep) => {
+                        report.write_faults += rep.kills;
+                        report.injected_faults += rep.injected_faults;
+                        report.ingest_failures += rep.failures();
+                    }
+                    Err(_) => report.ingest_failures += 1,
+                }
+                let _ = std::fs::remove_dir_all(&ingest_dir);
+                if rebuild {
+                    cat.set_rebuild_hook(Some(rebuild_hook.clone()));
+                }
+                arm(true);
+                let t = drive_storage(cat, &primary, queries, &reference, n, true);
+                arm(false);
+                // No request carries a budget, so tier 1 answers every one
+                // that faults in: each ends full (and bit-checked) or typed.
+                check(
+                    t.degraded == 0,
+                    "a device phase answered below full fidelity",
+                );
+                let s = cat.stats();
+                report.device_served += t.full;
+                report.storage_sheds += t.storage;
+                report.quarantines += s.quarantined - before.quarantined;
+                report.rebuilds += s.rebuilds - before.rebuilds;
+                report.load_retries += s.load_retries - before.load_retries;
+                report.injected_faults += device.as_ref().map_or(0, |vfs| vfs.injected());
+                check(
+                    cat.publish(&primary, SOAK_DOCUMENT, &synopsis).is_ok()
+                        && serves_reference(cat, &primary, queries, &reference),
+                    "the healed, republished key did not serve bit-identically",
+                );
+                surviving = synopsis.clone();
+                t
+            }
         };
-        let after = catalog.stats();
-        if counted_sheds(&after) - counted_sheds(&before) != t.shed - t.unexpected {
+        let after = cat.stats();
+        if counted_sheds(&after) - counted_sheds(&before) != t.shed - t.unexpected - t.storage {
             report.stat_mismatches += 1;
         }
         report.requests += t.issued();
@@ -1175,22 +1299,20 @@ pub fn run_catalog_soak(
     catalog.set_fault_hook(None);
 
     // Post-soak bit-identity: the primary key must answer exactly like
-    // a fresh chain over the snapshot that should have survived — the
+    // a fresh chain over the synopsis that should have survived — the
     // soak left no residue in the serving state.
     std::thread::sleep(cooldown);
-    report.post_soak_bit_identical = match (
-        load_synopsis(&surviving),
-        catalog.serve(&primary, SOAK_DOCUMENT, queries, &healthy),
-    ) {
-        (Ok(fresh_syn), Ok(served)) => {
-            let fresh = GuardedEstimator::new(&fresh_syn, GuardPolicy::default());
+    report.post_soak_bit_identical = match catalog.serve(&primary, SOAK_DOCUMENT, queries, &healthy)
+    {
+        Ok(served) => {
+            let fresh = GuardedEstimator::new(&surviving, GuardPolicy::default());
             served.len() == queries.len()
                 && queries.iter().zip(&served).all(|(q, r)| {
                     let want = Estimator::estimate(&fresh, &EstimateRequest::new(q)).estimate;
                     want.to_bits() == r.estimate.to_bits()
                 })
         }
-        _ => false,
+        Err(_) => false,
     };
     report.stats = catalog.stats();
     let max_resident = options.catalog.max_resident;
@@ -1198,417 +1320,6 @@ pub fn run_catalog_soak(
         report
             .violations
             .push("more tenants than resident slots, yet nothing was evicted".into());
-    }
-    report
-}
-
-// ---------------------------------------------------------------------
-// Storage chaos soak (device-level fault injection through the VFS)
-// ---------------------------------------------------------------------
-
-/// Knobs for the storage-chaos soak. Defaults match the CI acceptance
-/// bar: 50 seeded fault plans cycling write-error/ENOSPC, torn-rename,
-/// fsync-failure, transient-read, and bit-rot emphasis.
-#[derive(Debug, Clone, Copy)]
-pub struct StorageChaosOptions {
-    /// Seeded fault plans to run (each gets a write phase and a read
-    /// phase).
-    pub plans: usize,
-    /// The master seed; plan `i` derives its own `VfsFaultPlan` seed.
-    pub seed: u64,
-    /// Deltas ingested under write-side faults per plan.
-    pub deltas_per_plan: usize,
-    /// Cold fault-ins served under read-side faults per plan.
-    pub serves_per_plan: usize,
-}
-
-impl Default for StorageChaosOptions {
-    fn default() -> StorageChaosOptions {
-        StorageChaosOptions {
-            plans: 50,
-            seed: 0xC4A05,
-            deltas_per_plan: 6,
-            serves_per_plan: 6,
-        }
-    }
-}
-
-/// The fault emphasis a chaos plan injects (one of five, cycled by plan
-/// index so every category fires many times across a default run).
-fn chaos_fault_plan(seed: u64, index: u64) -> VfsFaultPlan {
-    let s = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let base = VfsFaultPlan {
-        seed: s,
-        stall: 50,
-        stall_micros: 10,
-        ..VfsFaultPlan::default()
-    };
-    match index % 5 {
-        0 => VfsFaultPlan {
-            write_error: 200,
-            short_write: 150,
-            enospc: true,
-            ..base
-        },
-        1 => VfsFaultPlan {
-            rename_error: 300,
-            ..base
-        },
-        2 => VfsFaultPlan {
-            fsync_error: 300,
-            ..base
-        },
-        3 => VfsFaultPlan {
-            read_error: 300,
-            ..base
-        },
-        _ => VfsFaultPlan {
-            read_flip: 300,
-            ..base
-        },
-    }
-}
-
-/// The aggregate result of [`run_storage_chaos`]. The invariants are
-/// the storage fault model's acceptance bar: panics never escape, a
-/// faulted commit never publishes torn state (recovery on a clean
-/// device is fsck-clean and bit-identical to an observed durable
-/// state), and every read-side request ends correct or typed.
-#[derive(Debug, Clone, Default)]
-pub struct StorageChaosReport {
-    /// Fault plans executed.
-    pub plans: u64,
-    /// Deltas attempted under write-side faults.
-    pub write_attempts: u64,
-    /// Write-side attempts rejected with a typed error (the injector
-    /// fired inside the commit protocol).
-    pub write_faults: u64,
-    /// Panics that escaped any faulted operation (must be 0).
-    pub escaped_panics: u64,
-    /// Clean-device reopens after write chaos that failed outright
-    /// (must be 0 — the atomic commit protocol guarantees a complete
-    /// generation).
-    pub recovery_failures: u64,
-    /// Recovered stores that failed the structural fsck (must be 0).
-    pub fsck_failures: u64,
-    /// Recovered states bit-identical to no observed durable state
-    /// (must be 0 — pre- or post-delta, never a torn hybrid).
-    pub state_mismatches: u64,
-    /// Cold fault-ins attempted under read-side faults.
-    pub serves: u64,
-    /// Read-side serves that succeeded.
-    pub serve_ok: u64,
-    /// Successful serves whose estimates were not bit-identical to the
-    /// pristine reference (must be 0 — never serve garbage).
-    pub serve_mismatches: u64,
-    /// Read-side serves rejected with a typed [`CatalogError`].
-    pub serve_typed_errors: u64,
-    /// Serves rejected because the tenant was quarantined.
-    pub quarantines: u64,
-    /// Serves of the published key answered
-    /// [`CatalogError::UnknownDocument`] (must be 0 — a failed stat is
-    /// transient I/O, not a missing file).
-    pub lost_documents: u64,
-    /// Post-chaos serves (device healthy again) that failed or
-    /// mismatched (must be 0 — quarantine lifts on republish/invalidate
-    /// and recovery is bit-identical).
-    pub post_recovery_failures: u64,
-    /// Transient-read retries the catalog performed.
-    pub load_retries: u64,
-    /// Corrupt snapshots rebuilt in place from the source document.
-    pub rebuilds: u64,
-    /// Faults the injector actually fired across both phases.
-    pub injected_faults: u64,
-}
-
-impl StorageChaosReport {
-    /// Whether every storage-fault invariant held.
-    pub fn passed(&self) -> bool {
-        self.escaped_panics == 0
-            && self.recovery_failures == 0
-            && self.fsck_failures == 0
-            && self.state_mismatches == 0
-            && self.serve_mismatches == 0
-            && self.lost_documents == 0
-            && self.post_recovery_failures == 0
-    }
-}
-
-impl std::fmt::Display for StorageChaosReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "storage chaos: {} plans, {} injected faults, write {}/{} faulted, \
-             {} escaped panics, {} recovery failures, {} fsck failures, \
-             {} state mismatches, read {}/{} ok ({} typed, {} quarantines, \
-             {} retries, {} rebuilds), {} serve mismatches, {} lost documents, \
-             {} post-recovery failures",
-            self.plans,
-            self.injected_faults,
-            self.write_faults,
-            self.write_attempts,
-            self.escaped_panics,
-            self.recovery_failures,
-            self.fsck_failures,
-            self.state_mismatches,
-            self.serve_ok,
-            self.serves,
-            self.serve_typed_errors,
-            self.quarantines,
-            self.load_retries,
-            self.rebuilds,
-            self.serve_mismatches,
-            self.lost_documents,
-            self.post_recovery_failures,
-        )
-    }
-}
-
-/// Runs the storage-chaos soak: for each seeded plan, (a) drive an
-/// [`IngestStore`] commit protocol through a [`FaultVfs`] injecting
-/// write/rename/fsync faults, reopen it once with every stat failing,
-/// and prove a clean-device reopen then recovers fsck-clean and
-/// bit-identical to a state the protocol made durable — the last
-/// acknowledged one, or what a faulted ingest may have left — then (b)
-/// drive [`SnapshotCatalog`] cold fault-ins through transient read and
-/// stat failures and bit-rot injection and prove every request ends
-/// bit-identical or typed (retried, rebuilt, or quarantined — never
-/// garbage). Scratch state lives under `dir` (wiped per plan).
-pub fn run_storage_chaos(
-    doc: &Document,
-    queries: &[TwigQuery],
-    dir: &std::path::Path,
-    options: &StorageChaosOptions,
-) -> StorageChaosReport {
-    let synopsis = coarse_synopsis(doc);
-    let mut report = StorageChaosReport::default();
-    if queries.is_empty() {
-        return report;
-    }
-
-    // The bit-identity reference for read-side serves.
-    let compiled = CompiledSynopsis::compile(&synopsis);
-    let opts = EstimateOptions::default();
-    let reference: Vec<f64> = BatchServer::new(&compiled)
-        .with_options(opts)
-        .serve(queries)
-        .iter()
-        .map(|r| r.estimate)
-        .collect();
-    let check_batch = |reports: &[xtwig_core::EstimateReport]| -> u64 {
-        let mut bad = 0u64;
-        for (r, want) in reports.iter().zip(&reference) {
-            if !r.estimate.is_finite() || r.estimate.to_bits() != want.to_bits() {
-                bad += 1;
-            }
-        }
-        bad
-    };
-
-    let ingest_opts = IngestOptions {
-        checkpoint_every: 2,
-        ..Default::default()
-    };
-
-    for i in 0..options.plans as u64 {
-        report.plans += 1;
-        let fault_plan = chaos_fault_plan(options.seed, i);
-
-        // -- Phase A: write-side chaos on the ingest commit protocol.
-        let store_dir = dir.join(format!("chaos-store-{i}"));
-        let _ = std::fs::remove_dir_all(&store_dir);
-        let vfs = std::sync::Arc::new(FaultVfs::over_std(fault_plan));
-        vfs.arm(false);
-        let created = IngestStore::create_in(
-            std::sync::Arc::clone(&vfs) as std::sync::Arc<dyn Vfs>,
-            &store_dir,
-            doc.clone(),
-            ingest_opts.clone(),
-        );
-        if let Ok(mut store) = created {
-            // Every state the protocol could legitimately recover to.
-            // An acknowledged delta retires every older state, so this
-            // holds the last acknowledged state (the seed before any)
-            // plus, after a faulted ingest, what that ingest may have
-            // made durable.
-            let mut durable = vec![store.snapshot_bytes()];
-            let mut rng = StdRng::seed_from_u64(options.seed ^ i);
-            vfs.arm(true);
-            for _ in 0..options.deltas_per_plan {
-                let delta = random_delta(store.doc(), &mut rng);
-                if delta.is_empty() {
-                    continue;
-                }
-                // Shadow-apply the WAL-canonical form to know the
-                // post-delta bytes a replay would reconstruct if the
-                // append reached the log before the fault.
-                let delta = match xtwig_core::io::wal::decode_delta(
-                    &xtwig_core::io::wal::encode_delta(&delta),
-                ) {
-                    Ok(d) => d,
-                    Err(_) => continue,
-                };
-                let mut shadow = store.synopsis().clone();
-                let mut shadow_drift = xtwig_core::construct::DriftMeter::new();
-                let post_bytes = match xtwig_core::delta_xbuild(
-                    &mut shadow,
-                    store.doc(),
-                    &delta,
-                    &mut shadow_drift,
-                    &ingest_opts.delta,
-                ) {
-                    Ok(_) => save_synopsis(&shadow),
-                    Err(_) => continue, // delta does not apply; skip
-                };
-                report.write_attempts += 1;
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.ingest(&delta)));
-                match outcome {
-                    Err(_) => {
-                        report.escaped_panics += 1;
-                        break;
-                    }
-                    Ok(Err(_)) => {
-                        // Three durable states are legitimate here:
-                        // pre-delta (append rejected or torn — the last
-                        // acknowledged state), post-delta (append landed, a
-                        // later commit step faulted — the shadow), or
-                        // the rebuilt checkpoint itself (the manifest
-                        // rename landed but its directory fsync faulted:
-                        // the flip is on disk even though the call
-                        // errored — the store's memory, which holds the
-                        // rebuilt synopsis). Memory may have diverged
-                        // from the durable chain, so stop tracking here.
-                        report.write_faults += 1;
-                        durable.push(post_bytes);
-                        durable.push(store.snapshot_bytes());
-                        break;
-                    }
-                    Ok(Ok(_)) => durable = vec![store.snapshot_bytes()],
-                }
-            }
-            vfs.arm(false);
-            drop(store);
-            // A reopen whose every stat fails must leave the store as it
-            // was: a failed stat is not a missing journal, and
-            // re-creating the journal would drop acknowledged deltas,
-            // which the clean reopen below would then miss.
-            let stat_faults = std::sync::Arc::new(FaultVfs::over_std(VfsFaultPlan {
-                seed: fault_plan.seed,
-                metadata_error: 1000,
-                ..VfsFaultPlan::default()
-            }));
-            let reopened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                IngestStore::open_in(
-                    std::sync::Arc::clone(&stat_faults) as std::sync::Arc<dyn Vfs>,
-                    &store_dir,
-                    ingest_opts.clone(),
-                )
-            }));
-            if reopened.is_err() {
-                report.escaped_panics += 1;
-            }
-            report.injected_faults += stat_faults.injected();
-            // The device heals; recovery must land on a durable state.
-            match IngestStore::open(&store_dir, ingest_opts.clone()) {
-                Err(_) => report.recovery_failures += 1,
-                Ok(recovered) => {
-                    if recovered.fsck().is_err() {
-                        report.fsck_failures += 1;
-                    }
-                    let bytes = recovered.snapshot_bytes();
-                    if !durable.contains(&bytes) {
-                        report.state_mismatches += 1;
-                    }
-                }
-            }
-        } else {
-            // Creation runs disarmed; a failure here is a harness bug
-            // surfaced as a recovery failure.
-            report.recovery_failures += 1;
-        }
-        report.injected_faults += vfs.injected();
-        let _ = std::fs::remove_dir_all(&store_dir);
-
-        // -- Phase B: read-side chaos on catalog fault-in. The
-        // read-error emphasis fails stats as often as reads.
-        let cat_dir = dir.join(format!("chaos-catalog-{i}"));
-        let _ = std::fs::remove_dir_all(&cat_dir);
-        let read_plan = VfsFaultPlan {
-            metadata_error: fault_plan.read_error,
-            ..fault_plan
-        };
-        let vfs = std::sync::Arc::new(FaultVfs::over_std(read_plan));
-        vfs.arm(false);
-        let catalog_opts = CatalogOptions::builder()
-            .load_retries(4)
-            .backoff(BackoffPolicy {
-                base: Duration::from_micros(5),
-                cap: Duration::from_micros(100),
-                seed: options.seed ^ i,
-            })
-            .breaker(BreakerConfig {
-                // High threshold: the soak asserts on typed errors, not
-                // breaker admission (covered by the catalog soak).
-                failure_threshold: u32::MAX,
-                cooldown: Duration::from_millis(1),
-            })
-            .build();
-        let catalog = SnapshotCatalog::open_in(
-            &cat_dir,
-            catalog_opts,
-            std::sync::Arc::clone(&vfs) as std::sync::Arc<dyn Vfs>,
-        );
-        if catalog.publish("tenant", "main", &synopsis).is_err() {
-            report.post_recovery_failures += 1;
-            report.injected_faults += vfs.injected();
-            let _ = std::fs::remove_dir_all(&cat_dir);
-            continue;
-        }
-        if i % 2 == 1 {
-            // Odd plans recover corruption in place from the document.
-            let source = synopsis.clone();
-            catalog.set_rebuild_hook(Some(std::sync::Arc::new(move |_, _| Some(source.clone()))));
-        }
-        vfs.arm(true);
-        for _ in 0..options.serves_per_plan {
-            catalog.invalidate("tenant", "main");
-            report.serves += 1;
-            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                catalog.serve("tenant", "main", queries, &opts)
-            }));
-            match served {
-                Err(_) => report.escaped_panics += 1,
-                Ok(Ok(reports)) => {
-                    report.serve_ok += 1;
-                    report.serve_mismatches += check_batch(&reports);
-                }
-                Ok(Err(e)) => {
-                    report.serve_typed_errors += 1;
-                    match e {
-                        CatalogError::Quarantined { .. } => report.quarantines += 1,
-                        CatalogError::UnknownDocument { .. } => report.lost_documents += 1,
-                        _ => {}
-                    }
-                }
-            }
-        }
-        vfs.arm(false);
-        // The device heals: a republish must lift any quarantine and
-        // the next serve must be bit-identical.
-        if catalog.publish("tenant", "main", &synopsis).is_err() {
-            report.post_recovery_failures += 1;
-        } else {
-            match catalog.serve("tenant", "main", queries, &opts) {
-                Ok(reports) => report.post_recovery_failures += check_batch(&reports),
-                Err(_) => report.post_recovery_failures += 1,
-            }
-        }
-        let stats = catalog.stats();
-        report.load_retries += stats.load_retries;
-        report.rebuilds += stats.rebuilds;
-        report.injected_faults += vfs.injected();
-        let _ = std::fs::remove_dir_all(&cat_dir);
     }
     report
 }
@@ -1628,47 +1339,28 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn plans_are_deterministic() {
-        let a = FaultPlan::generate(7, 500, 24);
-        let b = FaultPlan::generate(7, 500, 24);
-        assert_eq!(a.faults, b.faults);
-        let c = FaultPlan::generate(8, 500, 24);
-        assert_ne!(a.faults, c.faults);
+    fn queries() -> Vec<TwigQuery> {
+        [
+            "for $t0 in //author, $t1 in $t0/paper",
+            "for $t0 in //paper, $t1 in $t0/kw",
+            "for $t0 in //kw",
+        ]
+        .iter()
+        .map(|t| parse_twig(t).unwrap())
+        .collect()
     }
 
-    #[test]
-    fn short_plans_cover_every_fault_kind() {
-        let plan = FaultPlan::generate(1, 500, 8);
-        assert!(plan
-            .faults
-            .iter()
-            .any(|f| matches!(f, Fault::SnapshotTruncate { .. })));
-        assert!(plan
-            .faults
-            .iter()
-            .any(|f| matches!(f, Fault::SnapshotBitFlip { .. })));
-        assert!(plan.faults.contains(&Fault::SnapshotEmpty));
-        assert!(plan.faults.contains(&Fault::IoUnreadable));
-        assert!(plan.faults.contains(&Fault::SlowEstimate));
-        assert!(plan
-            .faults
-            .iter()
-            .any(|f| matches!(f, Fault::TightDeadline { .. })));
-        assert!(plan.faults.iter().any(|f| matches!(f, Fault::PanicTier(_))));
-    }
-
-    #[test]
-    fn snapshot_faults_change_the_bytes() {
-        let d = doc();
-        let bytes = save_synopsis(&coarse_synopsis(&d));
-        let cut = apply_snapshot_fault(&bytes, &Fault::SnapshotTruncate { keep: 10 }).unwrap();
-        assert_eq!(cut.len(), 10);
-        let flip =
-            apply_snapshot_fault(&bytes, &Fault::SnapshotBitFlip { byte: 30, bit: 3 }).unwrap();
-        assert_ne!(flip, bytes);
-        assert_eq!(flip.len(), bytes.len());
-        assert!(apply_snapshot_fault(&bytes, &Fault::SlowEstimate).is_none());
+    /// Runs `plan` in a scratch directory with the log kept quiet: the
+    /// injected panics are expected.
+    fn soak(tag: &str, plan: &SoakPlan, options: &CatalogSoakOptions) -> SoakReport {
+        let dir = std::env::temp_dir().join(format!("xtwig-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = run_catalog_soak(&doc(), &queries(), &dir, plan, options);
+        std::panic::set_hook(prev);
+        let _ = std::fs::remove_dir_all(&dir);
+        report
     }
 
     #[test]
@@ -1709,82 +1401,75 @@ mod tests {
             iso.total_requests(),
             iso.phases[0].requests + iso.phases[1].requests * iso.tenants + iso.phases[2].requests
         );
-    }
 
-    #[test]
-    fn full_plan_runs_clean_on_a_small_doc() {
-        let d = doc();
-        let queries: Vec<TwigQuery> = [
-            "for $t0 in //author, $t1 in $t0/paper",
-            "for $t0 in //paper, $t1 in $t0/kw",
-            "for $t0 in //kw",
-        ]
-        .iter()
-        .map(|t| parse_twig(t).unwrap())
-        .collect();
-        let plan = FaultPlan::generate(42, save_synopsis(&coarse_synopsis(&d)).len(), 16);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = run_fault_plan(&d, &queries, &plan, &GuardPolicy::default());
-        std::panic::set_hook(prev);
-        assert_eq!(report.total_panics(), 0, "{report}");
-        assert_eq!(report.total_bad_estimates(), 0, "{report}");
-        assert!(report.total_rejections() > 0, "{report}");
-        assert_eq!(report.total_rebuilds(), report.total_rejections());
-        assert!(report.total_degraded() > 0, "{report}");
-    }
-
-    #[test]
-    fn storage_chaos_passes_and_covers_both_phases() {
-        let d = doc();
-        let queries: Vec<TwigQuery> = ["for $t0 in //author, $t1 in $t0/paper", "for $t0 in //kw"]
+        // The storage plan: every damage kind without and with the
+        // rebuild hook, the unreadable file, and all five device
+        // emphases, each with and without the hook.
+        let s = SoakPlan::storage(9);
+        assert_eq!(s.phases, SoakPlan::storage(9).phases);
+        assert_ne!(s.phases, SoakPlan::storage(10).phases, "seed varies draws");
+        for kind in DAMAGE_KINDS {
+            for hook in [false, true] {
+                assert!(s.phases.iter().any(|p| matches!(
+                    p.fault,
+                    Some(SoakFault::Damage { kind: k, rebuild, .. }) if k == kind && rebuild == hook
+                )));
+            }
+        }
+        assert!(s
+            .phases
             .iter()
-            .map(|t| parse_twig(t).unwrap())
+            .any(|p| p.fault == Some(SoakFault::Unreadable)));
+        let devices: Vec<(VfsFaultPlan, bool)> = s
+            .phases
+            .iter()
+            .filter_map(|p| match p.fault {
+                Some(SoakFault::Device { plan, rebuild }) => Some((plan, rebuild)),
+                _ => None,
+            })
             .collect();
-        let dir = std::env::temp_dir().join(format!("xtwig-storage-chaos-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = StorageChaosOptions {
-            plans: 10, // one full cycle of every fault category, twice
-            ..Default::default()
-        };
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = run_storage_chaos(&d, &queries, &dir, &options);
-        std::panic::set_hook(prev);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(devices.len() >= 50, "the device floor is 50 phases");
+        let emphases: [fn(&VfsFaultPlan) -> bool; 5] = [
+            |p| p.write_error > 0 && p.short_write > 0 && p.enospc,
+            |p| p.rename_error > 0,
+            |p| p.fsync_error > 0,
+            |p| p.read_error > 0,
+            |p| p.read_flip > 0,
+        ];
+        for emphasis in emphases {
+            for hook in [false, true] {
+                assert!(devices.iter().any(|(p, r)| emphasis(p) && *r == hook));
+            }
+        }
+    }
+
+    #[test]
+    fn storage_plan_runs_clean_through_its_first_device_phase() {
+        // Every damage phase, the unreadable phase, and one device phase.
+        let phases = 2 * DAMAGE_KINDS.len() + 2;
+        let mut plan = SoakPlan::storage(42);
+        plan.phases.truncate(phases);
+        assert!(matches!(
+            plan.phases.last().and_then(|p| p.fault),
+            Some(SoakFault::Device { .. })
+        ));
+        let report = soak("storage-plan", &plan, &CatalogSoakOptions::default());
         assert!(report.passed(), "{report}");
-        assert_eq!(report.plans, 10, "{report}");
-        assert!(report.injected_faults > 0, "chaos must fire: {report}");
-        assert!(report.write_faults > 0, "write-side faults: {report}");
-        assert!(
-            report.serve_typed_errors > 0,
-            "read-side typed errors: {report}"
-        );
-        assert!(report.load_retries > 0, "transient retries: {report}");
-        assert!(report.quarantines + report.rebuilds > 0, "{report}");
+        assert_eq!(report.phases, phases, "{report}");
+        assert_eq!(report.requests, plan.total_requests() as u64, "{report}");
+        // The damage phases shed without the hook and answered in full
+        // with it (each checks its own quarantine or rebuild); the
+        // write-error device fired and failed an ingest.
+        assert!(report.shed > 0 && report.full > 0, "{report}");
+        assert!(report.injected_faults > 0, "{report}");
+        assert!(report.write_faults > 0, "{report}");
     }
 
     #[test]
     fn catalog_soak_isolation_plan_passes() {
-        let d = doc();
-        let queries: Vec<TwigQuery> = [
-            "for $t0 in //author, $t1 in $t0/paper",
-            "for $t0 in //paper, $t1 in $t0/kw",
-            "for $t0 in //kw",
-        ]
-        .iter()
-        .map(|t| parse_twig(t).unwrap())
-        .collect();
-        let dir = std::env::temp_dir().join(format!("xtwig-catalog-soak-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let options = CatalogSoakOptions::isolation();
         let plan = SoakPlan::isolation(3, &options);
-        // The victim's injected panics are expected; keep the log quiet.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = run_catalog_soak(&d, &queries, &dir, &plan, &options);
-        std::panic::set_hook(prev);
-        let _ = std::fs::remove_dir_all(&dir);
+        let report = soak("catalog-soak", &plan, &options);
         assert_eq!(report.stampede_cold_loads, 1, "{report}");
         assert_eq!(report.bystander_errors, 0, "{report}");
         assert_eq!(report.bad_estimates, 0, "{report}");

@@ -61,7 +61,7 @@ use xtwig_core::construct::{
     delta_xbuild, xbuild_from, BuildOptions, DeltaBuildOptions, DeltaBuildReport, DriftMeter,
     TruthSource,
 };
-use xtwig_core::io::vfs::{StdVfs, Vfs};
+use xtwig_core::io::vfs::{FaultVfs, StdVfs, Vfs, VfsFaultPlan};
 use xtwig_core::io::wal::{decode_delta, encode_delta, read_wal_in, WalWriter};
 use xtwig_core::io::{
     save_synopsis, write_bytes_atomic_in, write_snapshot_atomic_in, SnapshotError,
@@ -436,8 +436,8 @@ impl IngestStore {
     }
 
     /// [`create`](IngestStore::create) with every disk touch routed
-    /// through `vfs` — the hook the storage-chaos soak uses to inject
-    /// write/fsync/rename faults into the commit protocol.
+    /// through `vfs` — the hook the storage soak's device phases use to
+    /// inject write/fsync/rename faults into the commit protocol.
     pub fn create_in(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
@@ -1008,223 +1008,270 @@ pub fn random_delta(doc: &Document, rng: &mut StdRng) -> Delta {
     delta
 }
 
-/// The aggregate result of a kill-and-recover ingest soak
-/// ([`run_ingest_soak`]). [`passed`](IngestSoakReport::passed) is the
-/// acceptance bar.
+/// What ends each round of [`run_ingest_soak`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Failure {
+    /// A simulated kill at the next [`CrashPoint`] in turn; the soak runs
+    /// until `kills` of them have fired.
+    Crash {
+        /// Kills that must fire.
+        kills: u64,
+    },
+    /// A device that injects `plan`'s faults while each round's delta is
+    /// ingested; the soak runs until one of them fails an ingest, or for
+    /// [`DEVICE_ROUNDS`] rounds.
+    Device(VfsFaultPlan),
+}
+
+/// Rounds a device soak runs when no fault fails an ingest.
+const DEVICE_ROUNDS: u64 = 6;
+
+/// The aggregate result of [`run_ingest_soak`].
 #[derive(Debug, Clone)]
-pub struct IngestSoakReport {
-    /// Simulated kills that actually fired.
-    pub kills: u64,
-    /// Deltas applied cleanly (no kill).
-    pub clean_deltas: u64,
-    /// Recoveries where `open` failed outright (must be 0).
-    pub recovery_failures: u64,
-    /// Recoveries whose synopsis was neither the pre-delta nor the
-    /// post-delta state (must be 0).
-    pub state_mismatches: u64,
-    /// Recoveries whose synopsis failed fsck (must be 0).
-    pub fsck_failures: u64,
-    /// Torn WAL tails detected and truncated across recoveries.
-    pub torn_tails: u64,
-    /// WAL records replayed across recoveries.
-    pub replayed: u64,
+pub(crate) struct IngestSoakReport {
+    /// Rounds that ended in their failure (a kill, or a device fault that
+    /// failed the ingest), each followed by a restart.
+    pub(crate) kills: u64,
+    /// Restarts whose reopen on the healed device failed outright.
+    pub(crate) recovery_failures: u64,
+    /// Restarts that recovered a state the failure could not have left
+    /// durable.
+    pub(crate) state_mismatches: u64,
+    /// Restarts whose recovered synopsis failed fsck.
+    pub(crate) fsck_failures: u64,
+    /// Ingests and stat-failing reopens that panicked.
+    pub(crate) escaped_panics: u64,
+    /// Publications the catalog rejected (every recovered synopsis is
+    /// fsck-clean and the catalog directory is healthy).
+    pub(crate) publish_failures: u64,
+    /// Torn WAL tails detected and truncated across restarts.
+    pub(crate) torn_tails: u64,
     /// Checkpoints committed across the run.
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Drift-triggered refinements installed across the run.
-    pub refinements: u64,
-    /// Refinements rolled back across the run.
-    pub refine_rollbacks: u64,
-    /// Publications the catalog rejected (must be 0 — every recovered
-    /// synopsis is fsck-clean and the catalog directory is healthy).
-    pub publish_failures: u64,
-    /// The last recovered/maintained snapshot bytes (the serving
-    /// reference for post-soak bit-identity).
-    pub final_snapshot: Vec<u8>,
+    pub(crate) refinements: u64,
+    /// Faults the device injectors fired.
+    pub(crate) injected_faults: u64,
+    /// The final maintained synopsis (the serving reference for
+    /// post-soak bit-identity).
+    pub(crate) final_synopsis: Synopsis,
 }
 
 impl IngestSoakReport {
-    /// Whether every crash-safety invariant held.
-    pub fn passed(&self) -> bool {
-        self.recovery_failures == 0
-            && self.state_mismatches == 0
-            && self.fsck_failures == 0
-            && self.publish_failures == 0
+    /// Violated crash-safety invariants (must be 0).
+    pub(crate) fn failures(&self) -> u64 {
+        self.recovery_failures
+            + self.state_mismatches
+            + self.fsck_failures
+            + self.escaped_panics
+            + self.publish_failures
     }
 }
 
-impl fmt::Display for IngestSoakReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ingest soak: {} kills, {} clean deltas, {} recovery failures, \
-             {} state mismatches, {} fsck failures, {} torn tails truncated, \
-             {} replayed, {} checkpoints, {} refinements ({} rolled back), \
-             {} publish failures",
-            self.kills,
-            self.clean_deltas,
-            self.recovery_failures,
-            self.state_mismatches,
-            self.fsck_failures,
-            self.torn_tails,
-            self.replayed,
-            self.checkpoints,
-            self.refinements,
-            self.refine_rollbacks,
-            self.publish_failures,
-        )
-    }
-}
-
-/// Runs a kill-and-recover soak: seeds a store with `doc` in `dir`
-/// (wiped first), then repeatedly ingests seeded random deltas with a
-/// simulated kill armed at a cycling [`CrashPoint`], recovering after
-/// every kill until `kills` of them have fired. After each recovery the
-/// store must be fsck-clean and byte-identical to the pre-delta or
-/// post-delta synopsis (kills at a checkpoint's commit point instead
-/// verify the recovered checkpoint against its own re-derivation — the
-/// `snapshot_verified` cross-check). When `publish_to` names a catalog
-/// key, every recovered synopsis is also published there, so queries
-/// keep serving concurrently with the kill/recover cycle.
-pub fn run_ingest_soak(
+/// Runs the ingest soak: seeds a store with `doc` in `dir` (wiped first)
+/// and ingests seeded random deltas in rounds, a few clean ones and then
+/// one with `failure` armed. A round whose failure fires [`restart`]s the
+/// store, which must recover a state the failure could have left durable:
+///
+/// * after a kill, the pre-delta or post-delta state, or, for a kill at a
+///   checkpoint's commit point, that checkpoint verified against its own
+///   re-derivation (the `snapshot_verified` cross-check);
+/// * after a device fault, the last acknowledged state (the pre-delta
+///   one: an acknowledged delta retires every older state), the
+///   post-delta state (the append landed, a later commit step faulted),
+///   or the store's memory at the fault (a checkpoint whose manifest
+///   rename landed before its directory fsync faulted).
+///
+/// A soak whose rounds run out before its last failure fires ends with
+/// one more restart, which must recover the last state exactly. When
+/// `publish_to` names a catalog key, every acknowledged and every
+/// recovered synopsis is published there, so queries keep serving
+/// through the failures.
+pub(crate) fn run_ingest_soak(
     doc: &Document,
     dir: &Path,
     seed: u64,
-    kills: u64,
+    failure: Failure,
     options: &IngestOptions,
     publish_to: Option<(&GuardedCatalog, &str, &str)>,
 ) -> Result<IngestSoakReport, IngestError> {
     // lint:allow(vfs-direct): soak-harness scratch-dir wipe, not store I/O
     let _ = std::fs::remove_dir_all(dir);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut store = IngestStore::create(dir, doc.clone(), options.clone())?;
+    let (plan, target, max_rounds) = match failure {
+        // Checkpoint crash points only fire when a checkpoint actually
+        // runs, so some armed kills pass through cleanly.
+        Failure::Crash { kills } => (
+            VfsFaultPlan::default(),
+            kills,
+            kills.saturating_mul(8).max(64),
+        ),
+        Failure::Device(plan) => (plan, 1, DEVICE_ROUNDS),
+    };
+    let vfs = Arc::new(FaultVfs::over_std(plan));
+    vfs.arm(false);
+    let mut store = IngestStore::create_in(vfs.clone(), dir, doc.clone(), options.clone())?;
     let mut report = IngestSoakReport {
         kills: 0,
-        clean_deltas: 0,
         recovery_failures: 0,
         state_mismatches: 0,
         fsck_failures: 0,
+        escaped_panics: 0,
+        publish_failures: 0,
         torn_tails: 0,
-        replayed: 0,
         checkpoints: 0,
         refinements: 0,
-        refine_rollbacks: 0,
-        publish_failures: 0,
-        final_snapshot: store.snapshot_bytes(),
+        injected_faults: 0,
+        final_synopsis: store.synopsis().clone(),
     };
-    let mut point_cursor = 0usize;
-    // Safety bound: checkpoint crash points only fire when a checkpoint
-    // actually runs, so some armed kills pass through cleanly.
-    let max_rounds = kills.saturating_mul(8).max(64);
-    let tally_store = |report: &mut IngestSoakReport, store: &IngestStore| {
-        let s = store.stats();
-        report.checkpoints += s.checkpoints;
-        report.refinements += s.refinements;
-        report.refine_rollbacks += s.refine_rollbacks;
+    let publish = |store: &IngestStore, report: &mut IngestSoakReport| {
+        if let Some((catalog, tenant, document)) = publish_to {
+            if store.publish_to_catalog(catalog, tenant, document).is_err() {
+                report.publish_failures += 1;
+            }
+        }
     };
-    for _ in 0..max_rounds {
-        if report.kills >= kills {
+    for (round, _) in (0..max_rounds).enumerate() {
+        if report.kills >= target {
             break;
         }
-        // A few clean deltas between kills keep the WAL non-trivial.
+        // A few clean deltas between failures keep the WAL non-trivial.
         for _ in 0..rng.random_range(0..2u32) {
             let delta = random_delta(store.doc(), &mut rng);
-            if delta.is_empty() {
-                continue;
-            }
-            if store.ingest(&delta).is_ok() {
-                report.clean_deltas += 1;
+            if !delta.is_empty() {
+                let _ = store.ingest(&delta);
             }
         }
 
-        let point = CRASH_POINTS[point_cursor % CRASH_POINTS.len()];
-        point_cursor += 1;
+        let point = CRASH_POINTS[round % CRASH_POINTS.len()];
         let delta = random_delta(store.doc(), &mut rng);
         if delta.is_empty() {
             continue;
         }
         // Shadow-apply the WAL-canonical form (what ingest and replay
         // both apply) to know the would-be post-delta synopsis bytes.
-        let delta = match decode_delta(&encode_delta(&delta)) {
-            Ok(d) => d,
-            Err(_) => continue,
+        let Ok(delta) = decode_delta(&encode_delta(&delta)) else {
+            continue;
         };
-        // Shadow-apply to know the would-be post-delta synopsis bytes.
         let pre_bytes = store.snapshot_bytes();
         let mut shadow_syn = store.synopsis().clone();
         let mut shadow_drift = DriftMeter::new();
-        let post_bytes = match delta_xbuild(
+        if delta_xbuild(
             &mut shadow_syn,
             store.doc(),
             &delta,
             &mut shadow_drift,
             &options.delta,
-        ) {
-            Ok(_) => save_synopsis(&shadow_syn),
-            Err(_) => continue, // delta does not apply; skip this round
-        };
-        store.set_crash(Some(point));
-        match store.ingest(&delta) {
-            Err(IngestError::Crash(_)) => {
-                report.kills += 1;
-                tally_store(&mut report, &store);
-                drop(store);
-                store = match IngestStore::open(dir, options.clone()) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        report.recovery_failures += 1;
-                        // Re-seed so the soak can continue measuring.
-                        // lint:allow(vfs-direct): soak-harness reseed wipe
-                        let _ = std::fs::remove_dir_all(dir);
-                        IngestStore::create(dir, doc.clone(), options.clone())?
-                    }
-                };
-                if let Some(rec) = store.last_recovery() {
-                    report.torn_tails += u64::from(rec.torn_tail);
-                    report.replayed += rec.replayed as u64;
-                    if store.fsck().is_err() {
-                        report.fsck_failures += 1;
-                    }
-                    let recovered = store.snapshot_bytes();
-                    let at_commit_point = rec.replayed == 0 && rec.generation > 0;
-                    let ok = recovered == pre_bytes
-                        || recovered == post_bytes
-                        || (at_commit_point && rec.snapshot_verified);
-                    if !ok {
-                        report.state_mismatches += 1;
-                    }
-                }
-                if let Some((catalog, tenant, document)) = publish_to {
-                    if store.publish_to_catalog(catalog, tenant, document).is_err() {
-                        report.publish_failures += 1;
-                    }
-                }
-            }
-            Ok(_) => {
-                // The armed point was not reached (e.g. a checkpoint
-                // kill with no checkpoint due): a clean delta.
-                store.set_crash(None);
-                report.clean_deltas += 1;
-                if let Some((catalog, tenant, document)) = publish_to {
-                    if store.publish_to_catalog(catalog, tenant, document).is_err() {
-                        report.publish_failures += 1;
-                    }
-                }
-            }
-            Err(_) => {
-                store.set_crash(None);
-            }
+        )
+        .is_err()
+        {
+            continue; // delta does not apply; skip this round
         }
+        let post_bytes = save_synopsis(&shadow_syn);
+        match failure {
+            Failure::Crash { .. } => store.set_crash(Some(point)),
+            Failure::Device(_) => vfs.arm(true),
+        }
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.ingest(&delta)));
+        vfs.arm(false);
+        store.set_crash(None);
+        match (outcome, failure) {
+            (Err(_), _) => {
+                // The store's state is unknown; the soak has failed.
+                report.escaped_panics += 1;
+                break;
+            }
+            // Acknowledged (a crash point may not have been reached: a
+            // checkpoint kill with no checkpoint due).
+            (Ok(Ok(_)), _) => {
+                publish(&store, &mut report);
+                continue;
+            }
+            (Ok(Err(IngestError::Crash(_))), _) | (Ok(Err(_)), Failure::Device(_)) => {}
+            // The delta was refused before anything was armed to fire.
+            (Ok(Err(_)), Failure::Crash { .. }) => continue,
+        }
+        report.kills += 1;
+        let memory = store.snapshot_bytes();
+        store = restart(store, doc, options, &mut report, |recovered, rec| {
+            recovered == pre_bytes
+                || recovered == post_bytes
+                || match failure {
+                    Failure::Crash { .. } => {
+                        rec.replayed == 0 && rec.generation > 0 && rec.snapshot_verified
+                    }
+                    Failure::Device(_) => recovered == memory,
+                }
+        })?;
+        publish(&store, &mut report);
     }
-    tally_store(&mut report, &store);
-    report.final_snapshot = store.snapshot_bytes();
+    // Rounds ran out before the last failure fired: one more restart,
+    // which must recover the last state exactly.
+    if report.kills < target {
+        let last = store.snapshot_bytes();
+        store = restart(store, doc, options, &mut report, |recovered, _| {
+            recovered == last
+        })?;
+    }
+    report.final_synopsis = store.synopsis().clone();
+    report.injected_faults += vfs.injected();
     // Leave the key serving exactly the final maintained state so
     // callers can bit-compare post-soak queries against it.
-    if let Some((catalog, tenant, document)) = publish_to {
-        if store.publish_to_catalog(catalog, tenant, document).is_err() {
-            report.publish_failures += 1;
+    publish(&store, &mut report);
+    Ok(report)
+}
+
+/// Restarts `store` after a failure. One reopen runs with every stat
+/// failing: it must neither panic nor re-create the journal it has just
+/// replayed into memory, or the next reopen would miss acknowledged
+/// deltas. Then the store reopens on its own (healed) device: recovery
+/// must succeed, pass fsck, and land on a state `durable` accepts. A
+/// failed recovery re-seeds the store so the soak can go on measuring.
+fn restart(
+    store: IngestStore,
+    doc: &Document,
+    options: &IngestOptions,
+    report: &mut IngestSoakReport,
+    durable: impl Fn(&[u8], &RecoveryReport) -> bool,
+) -> Result<IngestStore, IngestError> {
+    let stats = store.stats();
+    report.checkpoints += stats.checkpoints;
+    report.refinements += stats.refinements;
+    let vfs = Arc::clone(&store.vfs);
+    let dir = store.dir.clone();
+    drop(store);
+    let stat_faults = Arc::new(FaultVfs::over_std(VfsFaultPlan {
+        metadata_error: 1000,
+        ..VfsFaultPlan::default()
+    }));
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        IngestStore::open_in(stat_faults.clone(), &dir, options.clone())
+    }))
+    .is_err();
+    if panicked {
+        report.escaped_panics += 1;
+    }
+    report.injected_faults += stat_faults.injected();
+    let store = match IngestStore::open_in(Arc::clone(&vfs), &dir, options.clone()) {
+        Ok(store) => store,
+        Err(_) => {
+            report.recovery_failures += 1;
+            // lint:allow(vfs-direct): soak-harness reseed wipe
+            let _ = std::fs::remove_dir_all(&dir);
+            return IngestStore::create_in(vfs, &dir, doc.clone(), options.clone());
+        }
+    };
+    if let Some(rec) = store.last_recovery() {
+        report.torn_tails += u64::from(rec.torn_tail);
+        if store.fsck().is_err() {
+            report.fsck_failures += 1;
+        }
+        if !durable(&store.snapshot_bytes(), rec) {
+            report.state_mismatches += 1;
         }
     }
-    Ok(report)
+    Ok(store)
 }
 
 #[cfg(test)]
@@ -1568,10 +1615,11 @@ mod tests {
             checkpoint_every: 3,
             ..Default::default()
         };
-        let report = run_ingest_soak(&bib(), &dir, 0xFEED, 20, &opts, None).unwrap();
-        assert!(report.passed(), "{report}");
-        assert_eq!(report.kills, 20, "{report}");
-        assert!(report.torn_tails > 0, "torn point must fire: {report}");
+        let kills = Failure::Crash { kills: 20 };
+        let report = run_ingest_soak(&bib(), &dir, 0xFEED, kills, &opts, None).unwrap();
+        assert_eq!(report.failures(), 0, "{report:?}");
+        assert_eq!(report.kills, 20, "{report:?}");
+        assert!(report.torn_tails > 0, "torn point must fire: {report:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -27,17 +27,15 @@ mod sweep;
 pub use error::{avg_relative_error, ErrorReport};
 pub use estimator::{CstEstimator, MarkovEstimator, SummaryEstimator};
 pub use faults::{
-    apply_snapshot_fault, run_catalog_soak, run_fault_plan, run_storage_chaos, CatalogSoakOptions,
-    Fault, FaultOutcome, FaultPlan, FaultReport, SoakFault, SoakPhase, SoakPlan, SoakReport,
-    StorageChaosOptions, StorageChaosReport,
+    run_catalog_soak, CatalogSoakOptions, Damage, SoakFault, SoakPhase, SoakPlan, SoakReport,
 };
 pub use generator::{
     generate_workload, negative_workload, workload_stats, Workload, WorkloadKind, WorkloadSpec,
     WorkloadStats,
 };
 pub use ingest::{
-    random_delta, run_ingest_soak, CheckpointKind, CrashPoint, IngestError, IngestOptions,
-    IngestReport, IngestSoakReport, IngestStats, IngestStore, RecoveryReport, CRASH_POINTS,
+    random_delta, CheckpointKind, CrashPoint, IngestError, IngestOptions, IngestReport,
+    IngestStats, IngestStore, RecoveryReport, CRASH_POINTS,
 };
 
 pub use guarded::{

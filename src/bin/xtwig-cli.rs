@@ -32,9 +32,8 @@ use xtwig::core::{
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 use xtwig::query::{parse_twig, selectivity, TwigQuery};
 use xtwig::workload::{
-    random_delta, run_catalog_soak, run_storage_chaos, CatalogSoakOptions, CrashPoint, GuardPolicy,
-    GuardedCatalog, GuardedEstimator, IngestError, IngestOptions, IngestStore, SoakPlan,
-    StorageChaosOptions, CRASH_POINTS,
+    random_delta, run_catalog_soak, CatalogSoakOptions, CrashPoint, GuardPolicy, GuardedCatalog,
+    GuardedEstimator, IngestError, IngestOptions, IngestStore, SoakPlan, CRASH_POINTS,
 };
 use xtwig::xml::{parse_stream, write_xml, DocStats, Document, StreamLimits};
 
@@ -57,26 +56,37 @@ enum CliError {
     Corrupt(String),
 }
 
+/// A subcommand's handler: its arguments after the command name.
+type Command = fn(&[String]) -> Result<Outcome, CliError>;
+
 const EXIT_DEGRADED: u8 = 3;
 const EXIT_CORRUPT: u8 = 4;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("eval") => cmd_eval(&args[1..]),
-        Some("estimate") => cmd_estimate(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("build") => cmd_build(&args[1..]),
-        Some("ingest") => cmd_ingest(&args[1..]),
-        Some("inspect") => cmd_inspect(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
             Ok(Outcome::Full)
         }
-        Some(other) => Err(CliError::Usage(format!("unknown command `{other}`"))),
+        Some(name) => {
+            let run: Option<Command> = match name {
+                "generate" => Some(cmd_generate),
+                "stats" => Some(cmd_stats),
+                "eval" => Some(cmd_eval),
+                "estimate" => Some(cmd_estimate),
+                "serve" => Some(cmd_serve),
+                "build" => Some(cmd_build),
+                "ingest" => Some(cmd_ingest),
+                "inspect" => Some(cmd_inspect),
+                "check" => Some(cmd_check),
+                _ => None,
+            };
+            match run {
+                Some(run) => check_flags(name, &args[1..]).and_then(|()| run(&args[1..])),
+                None => Err(CliError::Usage(format!("unknown command `{name}`"))),
+            }
+        }
     };
     match result {
         Ok(Outcome::Full) => ExitCode::SUCCESS,
@@ -159,9 +169,7 @@ degraded exit 3; a key quarantined over a corrupt snapshot exits 4
 (the snapshot was rejected and never served; republishing lifts the
 quarantine). `--metrics-out` writes the process-wide metrics registry
 in Prometheus text format on exit; read it back with
-`xtwig-cli stats --metrics <file.prom>`. --max-inflight N and
---queue-depth N are accepted as the older names of --threads N and
---tenant-quota N.
+`xtwig-cli stats --metrics <file.prom>`.
 
 `--reload-on <snap>` hot-reloads that snapshot into every key while
 the requests are in flight: the bytes are verified first and published
@@ -180,13 +188,18 @@ tenant-isolation plan: a cold stampede of 8 callers that must collapse
 to one disk load (the profile's tenant quota defaults to unlimited, so
 no stampede caller is shed), a panic burst that must open only the victim tenant's breaker
 while healthy tenants serve bit-identical estimates, and post-cooldown
-recovery (exit 0). `--soak-profile storage` runs the storage-chaos
-soak: seeded device-fault plans (write errors, ENOSPC, short writes,
-torn renames, fsync failures, transient read errors, bit-rot) injected
-through the storage VFS into the ingest commit protocol and catalog
-fault-in, asserting zero escaped panics, no torn state ever published,
-and every request ending bit-identical or typed. Exit 1 from a soak
-run means a resilience invariant was violated.
+recovery (exit 0). `--soak-profile storage` runs the storage plan on
+the same catalog: the key's snapshot file truncated, bit-flipped
+(anywhere, and in its bucket columns), replaced by garbage and emptied (each quarantined without a rebuild
+hook and rebuilt with one), an unreadable file (typed I/O errors, no
+quarantine, bit-identical once the device heals), and 50 seeded
+device-fault phases (write errors, ENOSPC, short writes, failed
+renames and fsyncs, read errors, bit-rot) under both the ingest store's
+commit protocol and cold fault-ins. Every request must end
+bit-identical or typed and every recovery land on a durable state; its
+sheds are expected (exit 0). All four profiles honour --catalog,
+--threads and --tenant-quota. Exit 1 from a soak run means a
+resilience invariant was violated.
 
 `check --catalog <dir>` is the deep fsck for a catalog directory: it
 sweeps every `<tenant>/<document>.xtwg`, verifies every section CRC of
@@ -226,6 +239,49 @@ EXIT CODES:
      rollback phase, or an ingest store whose recovered synopsis fails
      fsck)
 ";
+
+/// The flags `command`'s USAGE lines list, each with whether it takes
+/// a value: `[--flag]` alone is bare. USAGE is the one list of flags.
+fn usage_flags(command: &str) -> Vec<(&'static str, bool)> {
+    let mut current = "";
+    let mut flags = Vec::new();
+    let block = USAGE.lines().skip_while(|l| *l != "USAGE:").skip(1);
+    for line in block.take_while(|l| !l.is_empty()) {
+        if let Some(rest) = line.trim_start().strip_prefix("xtwig-cli ") {
+            current = rest.split_whitespace().next().unwrap_or_default();
+        }
+        if current != command {
+            continue;
+        }
+        for token in line.split_whitespace() {
+            let token = token.trim_start_matches('[');
+            if token.starts_with("--") {
+                let flag = token.trim_end_matches(']');
+                flags.push((flag, flag.len() == token.len()));
+            }
+        }
+    }
+    flags
+}
+
+/// Refuses any `--flag` the command's USAGE lines do not list.
+fn check_flags(command: &str, args: &[String]) -> Result<(), CliError> {
+    let flags = usage_flags(command);
+    let mut i = 0;
+    while let Some(a) = args.get(i) {
+        i += match flags.iter().find(|(flag, _)| flag == a) {
+            Some((_, true)) => 2,
+            Some((_, false)) => 1,
+            None if !a.starts_with("--") => 1,
+            None => {
+                return Err(CliError::Usage(format!(
+                    "unknown flag `{a}` for `{command}`"
+                )))
+            }
+        };
+    }
+    Ok(())
+}
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -711,41 +767,22 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
     Ok(Outcome::Full)
 }
 
-/// The flags that take no value.
-const BARE_FLAGS: [&str; 2] = ["--soak", "--explain"];
-
-/// The positional arguments: everything that is neither a flag nor a
-/// flag's value.
+/// The positional arguments of `serve`: everything that is neither a
+/// flag nor a flag's value.
 fn positionals(args: &[String]) -> Vec<&str> {
+    let flags = usage_flags("serve");
     let mut out = Vec::new();
     let mut i = 0;
     while let Some(a) = args.get(i) {
         if a.starts_with("--") {
-            i += if BARE_FLAGS.contains(&a.as_str()) {
-                1
-            } else {
-                2
-            };
+            let bare = flags.iter().any(|(flag, valued)| flag == a && !valued);
+            i += if bare { 1 } else { 2 };
         } else {
             out.push(a.as_str());
             i += 1;
         }
     }
     out
-}
-
-/// A flag with a legacy alias: `name` wins when both are given.
-fn parse_flag_or<T: std::str::FromStr>(
-    args: &[String],
-    name: &str,
-    alias: &str,
-    default: T,
-) -> Result<T, CliError> {
-    if flag(args, name).is_some() {
-        parse_flag(args, name, default)
-    } else {
-        parse_flag(args, alias, default)
-    }
 }
 
 /// Reads one twig query per non-comment line of `path`.
@@ -857,8 +894,8 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
     let default_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let threads: usize = parse_flag_or(args, "--threads", "--max-inflight", default_threads)?;
-    let tenant_quota: usize = parse_flag_or(args, "--tenant-quota", "--queue-depth", 0)?;
+    let threads: usize = parse_flag(args, "--threads", default_threads)?;
+    let tenant_quota: usize = parse_flag(args, "--tenant-quota", 0)?;
     let max_resident: usize = parse_flag(args, "--max-resident", 64)?;
     let deadline_ms: u64 = parse_flag(args, "--deadline-ms", 0)?;
     let work_limit: u64 = parse_flag(args, "--work-limit", 0)?;
@@ -1090,15 +1127,14 @@ fn serve_plan(
     Ok((shed, degraded))
 }
 
-/// `serve --soak` / `--soak-profile`: the seeded soak plans on the same
-/// guarded catalog (`full`, `saturation`, `catalog`) or the storage
-/// chaos soak (`storage`).
+/// `serve --soak` / `--soak-profile`: the seeded soak plans (`full`,
+/// `saturation`, `catalog`, `storage`) on the same guarded catalog.
 ///
 /// Exit-code mapping (deterministic, scripts rely on it): a reload
 /// rollback — the corrupt-reload phase of the full plan — exits 4 and
-/// takes precedence; shed or degraded requests exit 3 (the `catalog`
-/// plan's victim sheds are its expected outcome and exit 0); a violated
-/// soak invariant exits 1.
+/// takes precedence; shed or degraded requests exit 3 (the sheds of the
+/// `catalog` and `storage` plans are their expected outcome and exit 0);
+/// a violated soak invariant exits 1.
 fn cmd_soak(args: &[String]) -> Result<Outcome, CliError> {
     let pos = positionals(args);
     let path = pos
@@ -1111,43 +1147,19 @@ fn cmd_soak(args: &[String]) -> Result<Outcome, CliError> {
     let doc = load(path)?;
     let seed: u64 = parse_flag(args, "--soak-seed", 0xD0C5_0AB5)?;
     let profile = flag(args, "--soak-profile").unwrap_or_else(|| "full".to_string());
-    if profile == "storage" {
-        // The storage-chaos soak: seeded device-fault plans driven
-        // through the VFS injector against the ingest commit protocol
-        // and catalog fault-in.
-        let dir = std::env::temp_dir().join(format!("xtwig-storage-chaos-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let chaos = StorageChaosOptions {
-            seed,
-            ..Default::default()
-        };
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = run_storage_chaos(&doc, &queries, &dir, &chaos);
-        std::panic::set_hook(prev);
-        let _ = std::fs::remove_dir_all(&dir);
-        println!("{report}");
-        if !report.passed() {
-            return Err(CliError::Failure(format!(
-                "storage chaos invariants violated: {report}"
-            )));
-        }
-        return Ok(Outcome::Full);
-    }
     let defaults = if profile == "catalog" {
         CatalogSoakOptions::isolation()
     } else {
         CatalogSoakOptions::default()
     };
     let options = CatalogSoakOptions {
-        threads: parse_flag_or(args, "--threads", "--max-inflight", defaults.threads)?,
+        threads: parse_flag(args, "--threads", defaults.threads)?,
         catalog: defaults
             .catalog
             .to_builder()
-            .tenant_quota(parse_flag_or(
+            .tenant_quota(parse_flag(
                 args,
                 "--tenant-quota",
-                "--queue-depth",
                 defaults.catalog.tenant_quota,
             )?)
             .build(),
@@ -1156,6 +1168,7 @@ fn cmd_soak(args: &[String]) -> Result<Outcome, CliError> {
         "full" => SoakPlan::generate(seed, &options),
         "saturation" => SoakPlan::saturation_only(seed, &options),
         "catalog" => SoakPlan::isolation(seed, &options),
+        "storage" => SoakPlan::storage(seed),
         other => {
             return Err(CliError::Usage(format!(
                 "unknown --soak-profile `{other}` (full|saturation|catalog|storage)"
@@ -1184,7 +1197,8 @@ fn cmd_soak(args: &[String]) -> Result<Outcome, CliError> {
             report.reload_rollbacks
         )));
     }
-    if profile != "catalog" && (report.shed > 0 || report.degraded > 0) {
+    let sheds_expected = profile == "catalog" || profile == "storage";
+    if !sheds_expected && (report.shed > 0 || report.degraded > 0) {
         eprintln!(
             "{} of {} requests shed, {} degraded",
             report.shed, report.requests, report.degraded

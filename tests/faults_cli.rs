@@ -176,19 +176,20 @@ fn check_on_corrupt_snapshot_exits_four() {
 fn usage_errors_exit_two() {
     let dir = temp_dir("usage");
     let doc = write_small_doc(&dir);
+    let doc = doc.to_str().unwrap();
+    let queries = write_queries(&dir);
+    let queries = queries.to_str().unwrap();
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let snap = dir.join("x.xtwg");
+    let snap = snap.to_str().unwrap();
 
     let cases: Vec<Vec<&str>> = vec![
         vec!["estimate"],
-        vec!["estimate", doc.to_str().unwrap()],
-        vec![
-            "estimate",
-            doc.to_str().unwrap(),
-            QUERY,
-            "--deadline-ms",
-            "soon",
-        ],
+        vec!["estimate", doc],
+        vec!["estimate", doc, QUERY, "--deadline-ms", "soon"],
         vec!["frobnicate"],
-        vec!["build", doc.to_str().unwrap()],
+        vec!["build", doc],
     ];
     for args in cases {
         let out = run(&args);
@@ -199,6 +200,56 @@ fn usage_errors_exit_two() {
             stderr(&out)
         );
     }
+
+    // A flag the subcommand's USAGE lines do not list is refused by
+    // name before any work: one misspelling per subcommand, and the
+    // retired aliases of --threads and --tenant-quota.
+    let unknown: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["generate", "xmark", "--scael", "0.01"], "--scael"),
+        (vec!["stats", doc, "--metrcs", "m.prom"], "--metrcs"),
+        (vec!["eval", doc, QUERY, "--explain"], "--explain"),
+        (
+            vec!["estimate", doc, QUERY, "--deadlne-ms", "1"],
+            "--deadlne-ms",
+        ),
+        (
+            vec!["serve", doc, queries, "--tenant-qouta", "2"],
+            "--tenant-qouta",
+        ),
+        (
+            vec!["build", doc, "--out", snap, "--budgte", "9"],
+            "--budgte",
+        ),
+        (vec!["ingest", store, "--mutat", "3"], "--mutat"),
+        (vec!["inspect", snap, "--verbose"], "--verbose"),
+        (vec!["check", doc, "--catalgo", "cat"], "--catalgo"),
+        (
+            vec!["serve", doc, queries, "--max-inflight", "2"],
+            "--max-inflight",
+        ),
+        (
+            vec!["serve", doc, queries, "--queue-depth", "2"],
+            "--queue-depth",
+        ),
+    ];
+    for (args, flag) in unknown {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("usage error"), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(
+        !dir.join("x.xtwg").exists(),
+        "a refused build wrote nothing"
+    );
+    assert!(
+        !dir.join("store").exists(),
+        "a refused ingest wrote nothing"
+    );
 }
 
 #[test]
@@ -256,7 +307,7 @@ fn runtime_serve_with_healthy_reload_exits_zero() {
         queries.to_str().unwrap(),
         "--reload-on",
         snap.to_str().unwrap(),
-        "--max-inflight",
+        "--threads",
         "2",
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
@@ -329,9 +380,9 @@ fn saturation_soak_sheds_and_exits_three() {
         queries.to_str().unwrap(),
         "--soak-profile",
         "saturation",
-        "--queue-depth",
+        "--tenant-quota",
         "2",
-        "--max-inflight",
+        "--threads",
         "1",
         "--soak-seed",
         "7",
@@ -497,10 +548,12 @@ fn storage_chaos_soak_profile_exits_zero() {
         stderr(&out)
     );
     let report = stdout(&out);
-    assert!(report.contains("storage chaos: 50 plans"), "{report}");
+    assert!(report.contains("soak: 61 phases over 1 keys"), "{report}");
     assert!(report.contains("0 escaped panics"), "{report}");
-    assert!(report.contains("0 state mismatches"), "{report}");
-    assert!(report.contains("0 serve mismatches"), "{report}");
+    assert!(report.contains("0 bad estimates"), "{report}");
+    assert!(report.contains("0 unexpected errors"), "{report}");
+    assert!(report.contains("(0 failures"), "{report}");
+    assert!(report.contains("bit-identical=true"), "{report}");
 }
 
 #[test]

@@ -16,19 +16,33 @@
 //! * the tenant breaker is observed to open *and* re-close;
 //! * at least one verified reload publishes and exactly one corrupt
 //!   reload rolls back;
-//! * starved requests degrade through the fallback chain;
+//! * starved requests (a work limit, an expired deadline) degrade
+//!   through the fallback chain;
 //! * the `reload-under-mutation` phase runs ≥ 50 kill/recover cycles:
 //!   every recovery is fsck-clean and lands on the pre- or post-delta
 //!   state (never torn), and each recovered synopsis is published into
 //!   the serving key;
 //! * post-soak estimates are bit-identical to a fresh
-//!   `GuardedEstimator` on the surviving snapshot.
+//!   `GuardedEstimator` on the surviving synopsis.
+//!
+//! The storage plan runs on the same driver: the key's snapshot file
+//! damaged (quarantined without a rebuild hook, rebuilt with one) and
+//! unreadable (typed I/O errors, bit-identical once healed), then ≥ 50
+//! seeded [`FaultVfs`] device phases rotating write errors / ENOSPC,
+//! failed renames, fsync failures, read errors, and read-path bit
+//! flips. Under each device, the ingest store's commit protocol must
+//! recover (after one reopen with every stat failing) fsck-clean to a
+//! state it legitimately made durable, every cold fault-in must answer
+//! bit-identically or fail typed, and once the device heals a
+//! republish must serve bit-identically.
+//!
+//! [`FaultVfs`]: xtwig::core::FaultVfs
 
 use std::path::PathBuf;
 
 use xtwig::core::telemetry;
 use xtwig::query::{parse_twig, TwigQuery};
-use xtwig::workload::{run_catalog_soak, CatalogSoakOptions, SoakPlan, SoakReport};
+use xtwig::workload::{run_catalog_soak, CatalogSoakOptions, SoakFault, SoakPlan, SoakReport};
 use xtwig::xml::Document;
 
 fn doc() -> Document {
@@ -186,4 +200,46 @@ fn saturation_profile_sheds_but_never_rolls_back() {
     assert_eq!(report.shed, report.stats.quota_sheds, "{report}");
     assert_eq!(report.reload_rollbacks, 0);
     assert!(report.passed(), "{report}");
+}
+
+#[test]
+fn storage_plan_holds_every_invariant() {
+    let plan = SoakPlan::storage(0xC4A05);
+    let devices = plan
+        .phases
+        .iter()
+        .filter(|p| matches!(p.fault, Some(SoakFault::Device { .. })))
+        .count();
+    assert!(devices >= 50, "the acceptance floor is 50 device phases");
+
+    let report = soak("storage", &plan, &soak_options());
+    assert!(report.passed(), "storage invariants violated: {report}");
+    assert_eq!(report.requests, plan.total_requests() as u64, "{report}");
+
+    // Every answer was full and bit-checked: the plan has no budgeted
+    // request, so nothing may degrade.
+    assert_eq!(report.degraded, 0, "{report}");
+    // The device phases must have exercised the fault surface, not
+    // passed vacuously: faults injected, write attempts failed, reads
+    // ended typed, corruption quarantined, transient reads retried, and
+    // requests still served in full. These counters cover the device
+    // phases alone; the damage and unreadable phases check their own.
+    assert!(report.injected_faults > 0, "no faults injected: {report}");
+    assert!(
+        report.write_faults > 0,
+        "write faults never fired: {report}"
+    );
+    assert!(
+        report.storage_sheds > 0,
+        "storage faults never surfaced a typed error: {report}"
+    );
+    assert!(report.quarantines > 0, "nothing was quarantined: {report}");
+    assert!(
+        report.load_retries > 0,
+        "transient-read retry never engaged: {report}"
+    );
+    assert!(
+        report.device_served > 0,
+        "nothing was served in full: {report}"
+    );
 }
