@@ -838,8 +838,9 @@ impl<'a> CompiledSynopsis<'a> {
 
     /// Rebuilds an estimation-only [`Synopsis`] from the columns: graph,
     /// edge counts, edge histograms and value summaries — every fact a
-    /// v2 snapshot carries, so `save_synopsis` of the result equals
-    /// `save_synopsis` of the original byte for byte.
+    /// synopsis holds besides its extents, so the v2 yardstick
+    /// `save_synopsis` of the result equals that of the original byte
+    /// for byte.
     pub(crate) fn to_synopsis(&self) -> Synopsis {
         let c = &self.cols;
         let mut labels = LabelTable::new();

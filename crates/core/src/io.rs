@@ -8,53 +8,41 @@
 //! answer estimates but cannot be refined further (see
 //! [`Synopsis::has_extents`]).
 //!
-//! Format v2 (little-endian):
+//! There is one snapshot format, v3 ([`v3`]): a flat little-endian arena
+//! with one 8-byte-aligned section per
+//! [`CompiledSynopsis`](crate::CompiledSynopsis) column, each section
+//! under its own CRC-64/ECMA, so a load is a `META` walk plus one bulk
+//! decode per column, in a fixed number of allocations. Every writer
+//! ([`write_snapshot_atomic`], the catalog's publish, the ingest store's
+//! checkpoints) emits it, and every reader ([`load_synopsis`],
+//! [`read_snapshot`], the catalog fault-in) runs the full per-section
+//! CRC sweep before it decodes, so corruption surfaces as a typed
+//! [`SnapshotError`] instead of a silently wrong estimate. The retired
+//! formats v1 and v2 fail with [`SnapshotError::UnsupportedVersion`].
+//! [`write_snapshot_atomic`] persists via a temporary sibling file plus
+//! `rename`, so a crash mid-write never leaves a torn snapshot at the
+//! destination path; [`pod`] holds the byte buffer a snapshot file is
+//! read into.
 //!
-//! ```text
-//! magic "XTWG" | version u32 = 2 | payload_len u64 | checksum u64
-//! payload (the v1 body, unchanged):
-//!   label table | root u32 | max_depth u32
-//!   nodes: count u32, then per node: label u16, extent count u64
-//!   edges: count u32, then per edge: u u32, v u32, child u64, parent u64
-//!   per node: edge histogram (scope dims, buckets, value bucketizations,
-//!             budget, distinct), then optional value summary
-//! ```
-//!
-//! The checksum is CRC-64/ECMA over the payload; CRC detects **every**
-//! single-bit flip, so corruption surfaces as a typed
-//! [`SnapshotError::ChecksumMismatch`] instead of a silently wrong
-//! estimate. Version-1 snapshots (no length/checksum header) remain
-//! readable. [`write_snapshot_atomic`] persists via a temporary sibling
-//! file plus `rename`, so a crash mid-write never leaves a torn snapshot
-//! at the destination path.
-//!
-//! Format v3 (the serving-tier arena layout — one flat section per
-//! [`CompiledSynopsis`](crate::CompiledSynopsis) histogram column, so a
-//! load is a `META` walk plus one bulk decode per column, in a fixed
-//! number of allocations) lives in [`v3`]; [`pod`] holds the byte
-//! buffer a snapshot file is read into.
+//! [`save_synopsis`] still encodes the retired v2 layout (a CRC-framed
+//! serialization of the pointer-rich [`Synopsis`]) as a size yardstick
+//! for v3; no reader accepts its output.
 
 pub mod pod;
 pub mod v3;
 pub mod vfs;
 pub mod wal;
 
-use crate::synopsis::{
-    DimKind, EdgeHistogram, ScopeDim, SynId, Synopsis, SynopsisEdge, SynopsisNode, ValueBuckets,
-    ValueSummary,
-};
-use std::collections::BTreeMap;
+use crate::synopsis::{DimKind, EdgeHistogram, Synopsis};
 use std::path::Path;
-use xtwig_histogram::{Bucket, MdHistogram, ValueHistogram};
-use xtwig_xml::{LabelId, LabelTable};
 
 pub(crate) const MAGIC: &[u8; 4] = b"XTWG";
-const VERSION: u32 = 2;
-const LEGACY_VERSION: u32 = 1;
+/// The retired format [`save_synopsis`] still writes.
+const V2_VERSION: u32 = 2;
 pub(crate) const V3_VERSION: u32 = 3;
-/// Bytes before the payload: magic (4) + version (4) + payload_len (8) +
-/// checksum (8).
-pub const HEADER_LEN: usize = 24;
+/// Bytes of a v2 image before its payload: magic (4) + version (4) +
+/// payload_len (8) + checksum (8).
+const V2_HEADER_LEN: usize = 24;
 
 /// Error produced by snapshot reading and writing — every corruption
 /// mode maps to a distinct variant so callers (fsck, the CLI recovery
@@ -345,22 +333,24 @@ impl W {
     }
 }
 
-/// Serializes `s` to a version-2 binary snapshot (checksummed header +
-/// payload).
+/// Serializes `s` in the retired v2 layout (checksummed header +
+/// payload): a size yardstick for [`v3::save_synopsis_v3`]. No reader
+/// accepts the output; [`load_synopsis`] refuses it with
+/// [`SnapshotError::UnsupportedVersion`].
 pub fn save_synopsis(s: &Synopsis) -> Vec<u8> {
     let payload = save_payload(s);
     let mut w = W {
-        buf: Vec::with_capacity(HEADER_LEN + payload.len()),
+        buf: Vec::with_capacity(V2_HEADER_LEN + payload.len()),
     };
     w.buf.extend_from_slice(MAGIC);
-    w.u32(VERSION);
+    w.u32(V2_VERSION);
     w.u64(payload.len() as u64);
     w.u64(snapshot_checksum(&payload));
     w.buf.extend_from_slice(&payload);
     w.buf
 }
 
-/// Serializes the body shared by format versions 1 and 2.
+/// Serializes the v2 payload (the body v1 stored without a header).
 fn save_payload(s: &Synopsis) -> Vec<u8> {
     let mut w = W {
         buf: Vec::with_capacity(4096),
@@ -456,8 +446,8 @@ fn write_edge_hist(w: &mut W, h: &EdgeHistogram) {
 struct R<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// Added to reported offsets so payload errors cite absolute file
-    /// positions even though the payload is decoded as a sub-slice.
+    /// Added to reported offsets so section errors cite absolute file
+    /// positions even though a section is decoded as a sub-slice.
     base: usize,
 }
 
@@ -494,287 +484,36 @@ impl<'a> R<'a> {
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
-    fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
     fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_le_bytes(self.array()?))
     }
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Decode {
-            offset: self.base + self.pos,
-            message: "invalid UTF-8 in label".into(),
-        })
-    }
 }
 
-/// Deserializes a snapshot produced by [`save_synopsis`] (either format
-/// version). The returned synopsis is estimation-only (no extents).
+/// Deserializes a v3 snapshot into an estimation-only synopsis (no
+/// extents): the full per-section CRC sweep, the carve, and a rebuild
+/// from the columns. Any other version fails with
+/// [`SnapshotError::UnsupportedVersion`].
 pub fn load_synopsis(bytes: &[u8]) -> Result<Synopsis, SnapshotError> {
-    if bytes.len() < 8 {
-        // Too short to even carry magic + version. A prefix of the magic
-        // (including zero bytes) is a torn write of our own format —
-        // report exact lengths; anything else is foreign data.
-        let n = bytes.len().min(4);
-        return if bytes[..n] == MAGIC[..n] {
-            Err(SnapshotError::Truncated {
-                expected: HEADER_LEN,
-                actual: bytes.len(),
-            })
-        } else {
-            Err(SnapshotError::NotASnapshot)
-        };
-    }
-    if &bytes[..4] != MAGIC {
-        return Err(SnapshotError::NotASnapshot);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    match version {
-        VERSION => {
-            if bytes.len() < HEADER_LEN {
-                return Err(SnapshotError::Truncated {
-                    expected: HEADER_LEN,
-                    actual: bytes.len(),
-                });
-            }
-            let mut hdr = R {
-                buf: bytes,
-                pos: 8,
-                base: 0,
-            };
-            let payload_len = hdr.u64()? as usize;
-            let stored = hdr.u64()?;
-            let expected = HEADER_LEN.saturating_add(payload_len);
-            if bytes.len() < expected {
-                return Err(SnapshotError::Truncated {
-                    expected,
-                    actual: bytes.len(),
-                });
-            }
-            if bytes.len() > expected {
-                return Err(SnapshotError::TrailingBytes {
-                    extra: bytes.len() - expected,
-                });
-            }
-            let payload = &bytes[HEADER_LEN..];
-            let computed = snapshot_checksum(payload);
-            if computed != stored {
-                return Err(SnapshotError::ChecksumMismatch { stored, computed });
-            }
-            decode_payload(payload, HEADER_LEN)
-        }
-        LEGACY_VERSION => {
-            if bytes.len() == 8 {
-                // Header-only v1 file: a torn write stopped before the
-                // first payload byte (the 4-byte label count).
-                return Err(SnapshotError::Truncated {
-                    expected: 12,
-                    actual: 8,
-                });
-            }
-            decode_payload(&bytes[8..], 8)
-        }
-        V3_VERSION => v3::load_synopsis_v3(bytes),
-        other => Err(SnapshotError::UnsupportedVersion { version: other }),
-    }
-}
-
-/// Decodes the body shared by format versions 1 and 2; `base` is the
-/// payload's offset within the full snapshot, for error reporting.
-fn decode_payload(bytes: &[u8], base: usize) -> Result<Synopsis, SnapshotError> {
-    let mut r = R {
-        buf: bytes,
-        pos: 0,
-        base,
-    };
-    let label_count = r.u32()? as usize;
-    let mut labels = LabelTable::new();
-    for _ in 0..label_count {
-        let name = r.string()?;
-        labels.intern(&name);
-    }
-    let root = SynId(r.u32()?);
-    let max_depth = r.u32()? as usize;
-    let node_count = r.u32()? as usize;
-    let mut nodes = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
-        let label = LabelId(r.u16()?);
-        if label.index() >= labels.len() {
-            return r.err("node label out of range");
-        }
-        let count = r.u64()?;
-        nodes.push(SynopsisNode {
-            label,
-            extent: Vec::new(),
-            count,
-        });
-    }
-    let edge_count = r.u32()? as usize;
-    let mut edges = BTreeMap::new();
-    for _ in 0..edge_count {
-        let u = SynId(r.u32()?);
-        let v = SynId(r.u32()?);
-        if u.index() >= node_count || v.index() >= node_count {
-            return r.err("edge endpoint out of range");
-        }
-        let child_count = r.u64()?;
-        let parent_count = r.u64()?;
-        edges.insert(
-            (u, v),
-            SynopsisEdge {
-                child_count,
-                parent_count,
-            },
-        );
-    }
-    let mut edge_hists = Vec::with_capacity(node_count);
-    let mut value_summaries = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
-        edge_hists.push(read_edge_hist(&mut r, node_count)?);
-        let present = r.u8()?;
-        if present == 0 {
-            value_summaries.push(None);
-        } else {
-            let budget_bytes = r.u32()? as usize;
-            let total = r.u64()?;
-            let bcount = r.u32()? as usize;
-            let mut parts = Vec::with_capacity(bcount);
-            for _ in 0..bcount {
-                let lo = r.i64()?;
-                let hi = r.i64()?;
-                let count = r.u64()?;
-                let distinct = r.u64()?;
-                parts.push((lo, hi, count, distinct));
-            }
-            value_summaries.push(Some(ValueSummary {
-                hist: ValueHistogram::from_parts(parts, total),
-                budget_bytes,
-            }));
-        }
-    }
-    if r.pos != bytes.len() {
-        return r.err("trailing bytes after snapshot");
-    }
-    if root.index() >= node_count {
-        return r.err("root out of range");
-    }
-    Ok(Synopsis::from_raw_parts(
-        labels,
-        nodes,
-        edges,
-        root,
-        max_depth,
-        edge_hists,
-        value_summaries,
-    ))
-}
-
-fn read_edge_hist(r: &mut R<'_>, node_count: usize) -> Result<EdgeHistogram, SnapshotError> {
-    let dims = r.u16()? as usize;
-    let mut scope = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let parent = SynId(r.u32()?);
-        let child = SynId(r.u32()?);
-        if parent.index() >= node_count || child.index() >= node_count {
-            return r.err("scope dim endpoint out of range");
-        }
-        let kind = match r.u8()? {
-            0 => DimKind::Forward,
-            1 => DimKind::Backward,
-            2 => DimKind::Value,
-            k => return r.err(format!("unknown dim kind {k}")),
-        };
-        scope.push(ScopeDim {
-            parent,
-            child,
-            kind,
-        });
-    }
-    let budget_bytes = r.u32()? as usize;
-    let distinct_points = r.u32()? as usize;
-    let bcount = r.u32()? as usize;
-    let mut buckets = Vec::with_capacity(bcount);
-    for _ in 0..bcount {
-        let fraction = r.f64()?;
-        let mut lo = Vec::with_capacity(dims);
-        let mut hi = Vec::with_capacity(dims);
-        let mut mean = Vec::with_capacity(dims);
-        for _ in 0..dims {
-            lo.push(r.u32()?);
-            hi.push(r.u32()?);
-            mean.push(r.f64()?);
-        }
-        if !fraction.is_finite() || fraction < 0.0 {
-            return r.err("invalid bucket fraction");
-        }
-        buckets.push(Bucket {
-            fraction,
-            lo,
-            hi,
-            mean,
-        });
-    }
-    let mut value_buckets = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        if r.u8()? == 0 {
-            value_buckets.push(None);
-        } else {
-            let n = r.u32()? as usize;
-            let mut lo = Vec::with_capacity(n);
-            let mut hi = Vec::with_capacity(n);
-            for _ in 0..n {
-                lo.push(r.i64()?);
-                hi.push(r.i64()?);
-            }
-            value_buckets.push(Some(ValueBuckets { lo, hi }));
-        }
-    }
-    Ok(EdgeHistogram {
-        scope,
-        hist: MdHistogram::from_parts(dims, buckets),
-        value_buckets,
-        budget_bytes,
-        distinct_points,
-    })
+    Ok(v3::load_verified(bytes)?.to_synopsis())
 }
 
 // ---------------------------------------------------------------------
 // Files.
 // ---------------------------------------------------------------------
 
-/// Reads and decodes a snapshot file, mapping every filesystem failure
-/// mode (missing, directory, empty, unreadable) to a precise typed
-/// error.
+/// Reads and decodes a snapshot file through the verified load (see
+/// [`load_synopsis`]), mapping every filesystem failure mode (missing,
+/// directory, unreadable) to a precise typed error; a zero-length or
+/// header-only file is a typed [`SnapshotError::Truncated`].
 pub fn read_snapshot(path: &Path) -> Result<Synopsis, SnapshotError> {
-    read_snapshot_in(&vfs::StdVfs, path)
+    Ok(v3::read_compiled_snapshot_in(&vfs::StdVfs, path, true)?.to_synopsis())
 }
 
-/// [`read_snapshot`] through an explicit [`vfs::Vfs`].
-pub fn read_snapshot_in(fs: &dyn vfs::Vfs, path: &Path) -> Result<Synopsis, SnapshotError> {
-    let shown = path.display().to_string();
-    let meta = fs.metadata(path).map_err(|e| SnapshotError::Io {
-        path: shown.clone(),
-        cause: e.to_string(),
-    })?;
-    if meta.is_dir {
-        return Err(SnapshotError::IsDirectory { path: shown });
-    }
-    let bytes = fs.read(path).map_err(|e| SnapshotError::Io {
-        path: shown.clone(),
-        cause: e.to_string(),
-    })?;
-    // Zero-length and header-only files surface as `Truncated` with the
-    // exact expected/actual byte counts (see `load_synopsis`).
-    load_synopsis(&bytes)
-}
-
-/// Serializes `s` and writes it to `path` crash-safely: the bytes go to
-/// a temporary sibling file which is fsynced and then renamed over the
-/// destination, so a crash at any point leaves either the old snapshot
-/// or the new one — never a torn file. Returns the snapshot size in
-/// bytes.
+/// Serializes `s` as a v3 snapshot and writes it to `path`
+/// crash-safely: the bytes go to a temporary sibling file which is
+/// fsynced and then renamed over the destination, so a crash at any
+/// point leaves either the old snapshot or the new one — never a torn
+/// file. Returns the snapshot size in bytes.
 pub fn write_snapshot_atomic(path: &Path, s: &Synopsis) -> Result<usize, SnapshotError> {
     write_snapshot_atomic_in(&vfs::StdVfs, path, s)
 }
@@ -785,7 +524,7 @@ pub fn write_snapshot_atomic_in(
     path: &Path,
     s: &Synopsis,
 ) -> Result<usize, SnapshotError> {
-    let bytes = save_synopsis(s);
+    let bytes = v3::save_synopsis_v3(s);
     write_bytes_atomic_in(fs, path, &bytes)?;
     Ok(bytes.len())
 }
@@ -849,6 +588,7 @@ mod tests {
     use crate::compiled::CompiledSynopsis;
     use crate::construct::{xbuild, BuildOptions, TruthSource};
     use crate::estimate::EstimateOptions;
+    use v3::{save_synopsis_v3, V3_HEADER_LEN};
     use xtwig_query::parse_twig;
     use xtwig_xml::parse;
 
@@ -872,10 +612,20 @@ mod tests {
         (doc, s)
     }
 
+    /// The retired images of `s`: v1 (magic, version 1, then the v2
+    /// payload without its length and checksum) and v2.
+    fn retired_images(s: &Synopsis) -> [(u32, Vec<u8>); 2] {
+        let v2 = save_synopsis(s);
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&v2[V2_HEADER_LEN..]);
+        [(1, v1), (2, v2)]
+    }
+
     #[test]
     fn snapshot_roundtrip_preserves_estimates() {
         let (_doc, s) = built_synopsis();
-        let bytes = save_synopsis(&s);
+        let bytes = save_synopsis_v3(&s);
         let loaded = load_synopsis(&bytes).unwrap();
         assert!(!loaded.has_extents());
         assert!(s.has_extents());
@@ -896,23 +646,23 @@ mod tests {
             let b = CompiledSynopsis::compile(&loaded)
                 .estimate_report(&q, &opts)
                 .estimate;
-            assert!((a - b).abs() < 1e-12, "{text}: {a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{text}: {a} vs {b}");
         }
     }
 
     #[test]
     fn snapshot_roundtrip_is_stable() {
         let (_doc, s) = built_synopsis();
-        let bytes = save_synopsis(&s);
+        let bytes = save_synopsis_v3(&s);
         let loaded = load_synopsis(&bytes).unwrap();
-        let bytes2 = save_synopsis(&loaded);
+        let bytes2 = save_synopsis_v3(&loaded);
         assert_eq!(bytes, bytes2);
     }
 
     #[test]
     fn corrupted_snapshots_are_rejected() {
         let (_doc, s) = built_synopsis();
-        let bytes = save_synopsis(&s);
+        let bytes = save_synopsis_v3(&s);
         // Truncations at every eighth position must error, never panic.
         for cut in (0..bytes.len()).step_by(8) {
             assert!(load_synopsis(&bytes[..cut]).is_err(), "cut at {cut}");
@@ -943,7 +693,7 @@ mod tests {
         assert!(matches!(
             load_synopsis(&[]),
             Err(SnapshotError::Truncated {
-                expected: HEADER_LEN,
+                expected: V3_HEADER_LEN,
                 actual: 0
             })
         ));
@@ -952,7 +702,7 @@ mod tests {
         assert!(matches!(
             load_synopsis(b"XTW"),
             Err(SnapshotError::Truncated {
-                expected: HEADER_LEN,
+                expected: V3_HEADER_LEN,
                 actual: 3
             })
         ));
@@ -960,26 +710,56 @@ mod tests {
             load_synopsis(b"nope"),
             Err(SnapshotError::NotASnapshot)
         ));
-        // Header-only v1 file.
-        let mut v1_hdr = MAGIC.to_vec();
-        v1_hdr.extend_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            load_synopsis(&v1_hdr),
-            Err(SnapshotError::Truncated {
-                expected: 12,
-                actual: 8
-            })
-        ));
+    }
+
+    #[test]
+    fn retired_versions_fail_typed() {
+        let (_doc, s) = built_synopsis();
+        let dir = std::env::temp_dir().join(format!("xtwig-io-retired-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (version, image) in retired_images(&s) {
+            // Whole images, and header-only ones (a torn write stopped
+            // right after the version word).
+            for bytes in [&image[..], &image[..8]] {
+                assert_eq!(
+                    load_synopsis(bytes).err(),
+                    Some(SnapshotError::UnsupportedVersion { version })
+                );
+            }
+            let path = dir.join(format!("v{version}.xtwg"));
+            std::fs::write(&path, &image).unwrap();
+            let err = read_snapshot(&path).unwrap_err();
+            assert_eq!(err, SnapshotError::UnsupportedVersion { version });
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported snapshot version {version}")
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v2_encoding_is_unchanged() {
+        // The v2 writer stays only as a size yardstick; its layout must
+        // not drift: magic, version 2, payload length, payload CRC.
+        let (_doc, s) = built_synopsis();
+        let v2 = save_synopsis(&s);
+        assert_eq!(&v2[..4], MAGIC);
+        assert_eq!(v2[4..8], 2u32.to_le_bytes());
+        let payload = &v2[V2_HEADER_LEN..];
+        assert_eq!(v2[8..16], (payload.len() as u64).to_le_bytes());
+        assert_eq!(v2[16..24], snapshot_checksum(payload).to_le_bytes());
+        assert_eq!(payload, save_payload(&s));
     }
 
     #[test]
     fn every_single_bit_flip_is_detected() {
         let (_doc, s) = built_synopsis();
-        let bytes = save_synopsis(&s);
-        // CRC-64 catches any single-bit payload flip; header flips hit
-        // the magic/version/length/checksum checks instead. Either way a
-        // corrupted snapshot must never load cleanly as a different
-        // synopsis without at least a typed error.
+        let bytes = save_synopsis_v3(&s);
+        // Every section has its own CRC-64, which catches any single-bit
+        // flip; the fixed header is checked field by field and the
+        // padding must be zero. Either way a corrupted snapshot must
+        // never load cleanly as a different synopsis.
         for pos in 0..bytes.len() {
             for bit in 0..8u8 {
                 let mut bad = bytes.clone();
@@ -1012,7 +792,7 @@ mod tests {
         assert_eq!(snapshot_checksum(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(reference(b"123456789"), 0x995D_C9BB_DF19_39FA);
         let (_doc, s) = built_synopsis();
-        let bytes = save_synopsis(&s);
+        let bytes = save_synopsis_v3(&s);
         // Every prefix length exercises both the word loop and the
         // remainder tail at each phase.
         for n in (0..bytes.len().min(64)).chain([bytes.len()]) {
@@ -1055,41 +835,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_snapshots_still_load() {
-        let (_doc, s) = built_synopsis();
-        let v2 = save_synopsis(&s);
-        // Reconstruct the v1 layout: magic | version=1 | payload.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&v2[HEADER_LEN..]);
-        let loaded = load_synopsis(&v1).unwrap();
-        assert_eq!(loaded.node_count(), s.node_count());
-        let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let opts = EstimateOptions::default();
-        let a = CompiledSynopsis::compile(&s)
-            .estimate_report(&q, &opts)
-            .estimate;
-        let b = CompiledSynopsis::compile(&loaded)
-            .estimate_report(&q, &opts)
-            .estimate;
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
     fn checksum_detects_payload_swaps() {
-        // Swapping two differing payload bytes keeps the length but must
-        // break the checksum.
+        // Swapping two differing bytes of a section keeps every length
+        // but must break that section's checksum.
         let (_doc, s) = built_synopsis();
-        let mut bytes = save_synopsis(&s);
-        let (i, j) = (HEADER_LEN + 3, HEADER_LEN + 11);
-        if bytes[i] != bytes[j] {
-            bytes.swap(i, j);
-            assert!(matches!(
-                load_synopsis(&bytes),
-                Err(SnapshotError::ChecksumMismatch { .. })
-            ));
-        }
+        let mut bytes = save_synopsis_v3(&s);
+        let meta = v3::parse_arena(&bytes).unwrap().get(v3::section::META);
+        let i = meta.off;
+        let j = (i + 1..i + meta.len)
+            .find(|&j| bytes[j] != bytes[i])
+            .unwrap();
+        bytes.swap(i, j);
+        assert!(matches!(
+            load_synopsis(&bytes),
+            Err(SnapshotError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]
@@ -1100,6 +860,8 @@ mod tests {
         let path = dir.join("atomic.xtwg");
         let n = write_snapshot_atomic(&path, &s).unwrap();
         assert_eq!(n as u64, std::fs::metadata(&path).unwrap().len());
+        // The one format: magic and version 3.
+        assert_eq!(std::fs::read(&path).unwrap(), save_synopsis_v3(&s));
         let loaded = read_snapshot(&path).unwrap();
         assert_eq!(loaded.node_count(), s.node_count());
         // No temporary residue.
@@ -1122,7 +884,7 @@ mod tests {
         assert!(matches!(
             read_snapshot(&empty),
             Err(SnapshotError::Truncated {
-                expected: HEADER_LEN,
+                expected: V3_HEADER_LEN,
                 actual: 0
             })
         ));

@@ -1,15 +1,12 @@
-//! Snapshot format v3: a flat little-endian arena a compiled synopsis
-//! is **bulk-decoded** from, standing alone.
+//! Snapshot format v3, the one snapshot format: a flat little-endian
+//! arena a compiled synopsis is **bulk-decoded** from, standing alone.
 //!
-//! Formats v1/v2 serialize the pointer-rich [`Synopsis`] and force every
-//! load to decode bucket-by-bucket and then recompile into
-//! [`CompiledSynopsis`] form. At catalog scale (thousands of cold
-//! tenants paging synopses in and out) that per-bucket work dominates
-//! cold-start latency. v3 instead serializes the *compiled* layout: each
-//! flat histogram column is one 8-byte-aligned section, so a load is
-//! header + CRC validation, one O(nodes + edges + dims + value buckets)
-//! walk of `META`, and one bulk decode per column — a fixed number of
-//! allocations, however many nodes the synopsis has.
+//! v3 serializes the *compiled* layout rather than the pointer-rich
+//! [`Synopsis`]: each flat histogram column is one 8-byte-aligned
+//! section, so a load is header + CRC validation, one O(nodes + edges +
+//! dims + value buckets) walk of `META`, and one bulk decode per column
+//! — a fixed number of allocations, however many nodes the synopsis
+//! has, and no per-bucket decode or recompile on a cold fault-in.
 //!
 //! ```text
 //! offset  0: magic "XTWG" | version u32 = 3
@@ -45,7 +42,7 @@
 //!   value-summary buckets: lo i64 | hi i64 | count u64 | distinct u64
 //! ```
 //!
-//! `META` holds every fact of a v2 snapshot that is not a bucket column:
+//! `META` holds every fact of a synopsis that is not a bucket column:
 //! the CSR adjacency with per-edge counts and precomputed Forward
 //! Uniformity averages, per-node labels and the label-name table, per
 //! histogram its dimension table, bucket count, value-bucket spans,
@@ -70,15 +67,20 @@
 //! checksumming them. [`verify_snapshot_v3`] checks every section's CRC
 //! and the zero padding between sections, and
 //! [`load_compiled_arena_verified`] — the catalog fault-in — runs that
-//! full sweep before the carve, so a flipped bit anywhere in the file
-//! fails typed before a single estimate is computed from it.
+//! full sweep before the carve, as do [`load_synopsis`](super::load_synopsis),
+//! [`read_snapshot`](super::read_snapshot) and the catalog's hot reload,
+//! so a flipped bit anywhere in the file fails typed before a single
+//! estimate is computed from it. A prefix too short to hold the header
+//! reports [`Truncated`](SnapshotError::Truncated) against
+//! [`V3_HEADER_LEN`], and any version but 3 (the retired v1 and v2
+//! included) [`UnsupportedVersion`](SnapshotError::UnsupportedVersion).
 
 use std::path::Path;
 use std::sync::Arc;
 
 use super::pod::AlignedBytes;
 use super::vfs::{Vfs, VfsMetadata};
-use super::{snapshot_checksum, SnapshotError, HEADER_LEN, MAGIC, V3_VERSION, W};
+use super::{snapshot_checksum, SnapshotError, MAGIC, V3_VERSION, W};
 use crate::compiled::{
     Columns, CompiledSynopsis, HistColumns, HistHead, LabelNames, ValueColumns, ValueSpan,
 };
@@ -264,24 +266,6 @@ fn assemble(bodies: &[(u32, Vec<u8>)]) -> Vec<u8> {
     out.buf
 }
 
-/// Serializes `s` as v3 and writes it crash-safely (tmp + fsync +
-/// rename, like [`write_snapshot_atomic`](super::write_snapshot_atomic)).
-/// Returns the snapshot size in bytes.
-pub fn write_snapshot_v3(path: &Path, s: &Synopsis) -> Result<usize, SnapshotError> {
-    write_snapshot_v3_in(&super::vfs::StdVfs, path, s)
-}
-
-/// [`write_snapshot_v3`] through an explicit [`Vfs`](super::vfs::Vfs).
-pub fn write_snapshot_v3_in(
-    fs: &dyn super::vfs::Vfs,
-    path: &Path,
-    s: &Synopsis,
-) -> Result<usize, SnapshotError> {
-    let bytes = save_synopsis_v3(s);
-    super::write_bytes_atomic_in(fs, path, &bytes)?;
-    Ok(bytes.len())
-}
-
 // ---------------------------------------------------------------------
 // Loader.
 // ---------------------------------------------------------------------
@@ -323,10 +307,13 @@ fn decode_err(offset: usize, message: impl Into<String>) -> SnapshotError {
 /// exactly once).
 pub(crate) fn parse_arena(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
     if bytes.len() < 8 {
+        // Too short to carry magic + version. A prefix of the magic
+        // (including zero bytes) is a torn write of our own format and
+        // promises the v3 header; anything else is foreign data.
         let n = bytes.len().min(4);
         return if bytes[..n] == MAGIC[..n] {
             Err(SnapshotError::Truncated {
-                expected: HEADER_LEN,
+                expected: V3_HEADER_LEN,
                 actual: bytes.len(),
             })
         } else {
@@ -487,13 +474,6 @@ fn verified_index(bytes: &[u8]) -> Result<ArenaIndex, SnapshotError> {
         pos = pos.max(end);
     }
     Ok(idx)
-}
-
-/// Decodes a v3 snapshot into an estimation-only [`Synopsis`] — the v3
-/// arm of [`load_synopsis`](super::load_synopsis): a full CRC sweep, a
-/// carve, and a rebuild from the columns.
-pub(crate) fn load_synopsis_v3(bytes: &[u8]) -> Result<Synopsis, SnapshotError> {
-    Ok(load_verified(bytes)?.to_synopsis())
 }
 
 /// Decodes `count` little-endian `N`-byte elements off the cursor: one
@@ -788,20 +768,18 @@ pub fn load_compiled_arena_verified(
     load_verified(arena.bytes())
 }
 
-/// The full CRC sweep, then the carve.
-fn load_verified(bytes: &[u8]) -> Result<CompiledSynopsis<'static>, SnapshotError> {
+/// The full CRC sweep, then the carve: what every reader that does not
+/// hold an arena runs ([`load_synopsis`](super::load_synopsis), the
+/// catalog's hot reload).
+pub(crate) fn load_verified(bytes: &[u8]) -> Result<CompiledSynopsis<'static>, SnapshotError> {
     let idx = verified_index(bytes)?;
     carve(bytes, &idx)
 }
 
-/// Reads and loads a v3 snapshot file, mapping filesystem failures
-/// exactly like [`read_snapshot`](super::read_snapshot).
-pub fn read_compiled_snapshot(path: &Path) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    read_compiled_snapshot_in(&super::vfs::StdVfs, path, false)
-}
-
-/// [`read_compiled_snapshot`] through an explicit [`Vfs`], optionally
-/// running the full per-section CRC sweep (`verified`) before the carve.
+/// Reads and loads a v3 snapshot file through `fs`, mapping every
+/// filesystem failure (missing, directory, unreadable) to a typed
+/// error, and optionally running the full per-section CRC sweep
+/// (`verified`) before the carve.
 pub fn read_compiled_snapshot_in(
     fs: &dyn Vfs,
     path: &Path,

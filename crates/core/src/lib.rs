@@ -55,17 +55,15 @@ pub use estimate::{
 pub use io::pod::AlignedBytes;
 pub use io::v3::{
     load_compiled_arena, load_compiled_arena_verified, load_compiled_snapshot,
-    read_compiled_snapshot, read_compiled_snapshot_in, save_synopsis_v3, verify_snapshot_v3,
-    write_snapshot_v3, write_snapshot_v3_in,
+    read_compiled_snapshot_in, save_synopsis_v3, verify_snapshot_v3,
 };
 pub use io::vfs::{FaultVfs, StdVfs, Vfs, VfsFaultPlan, VfsFile, VfsMetadata, INJECTED_PREFIX};
 pub use io::wal::{
     decode_delta, encode_delta, parse_wal, read_wal, read_wal_in, TornTail, WalReplay, WalWriter,
 };
 pub use io::{
-    load_synopsis, read_snapshot, read_snapshot_in, save_synopsis, snapshot_checksum,
-    write_bytes_atomic, write_bytes_atomic_in, write_snapshot_atomic, write_snapshot_atomic_in,
-    SnapshotError,
+    load_synopsis, read_snapshot, save_synopsis, snapshot_checksum, write_bytes_atomic,
+    write_bytes_atomic_in, write_snapshot_atomic, write_snapshot_atomic_in, SnapshotError,
 };
 pub use serve::breaker::{BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker};
 pub use serve::{

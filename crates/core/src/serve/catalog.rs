@@ -66,9 +66,9 @@ use super::cache::EstimateCache;
 use super::BatchServer;
 use crate::compiled::CompiledSynopsis;
 use crate::estimate::{EstimateOptions, EstimateReport};
-use crate::io::v3::{read_after_stat, write_snapshot_v3_in};
+use crate::io::v3::{load_verified, read_after_stat, save_synopsis_v3};
 use crate::io::vfs::{StdVfs, Vfs};
-use crate::io::SnapshotError;
+use crate::io::{write_bytes_atomic_in, write_snapshot_atomic_in, SnapshotError};
 use crate::synopsis::Synopsis;
 use crate::telemetry;
 use xtwig_query::TwigQuery;
@@ -557,6 +557,35 @@ impl<T: ServeTier> SnapshotCatalog<T> {
     /// any resident copy so the next request faults the new bytes in.
     /// Returns the snapshot size in bytes.
     pub fn publish(&self, tenant: &str, document: &str, s: &Synopsis) -> Result<u64, CatalogError> {
+        self.publish_bytes(tenant, document, &save_synopsis_v3(s))
+    }
+
+    /// A hot reload: runs the full verified load over `bytes` (every
+    /// section CRC, the padding, the carve) and publishes them
+    /// unchanged. Bytes that fail verification — corrupt, or any format
+    /// but v3 — publish nothing: the key keeps serving what it served,
+    /// which is the rollback, and the error comes back as
+    /// [`CatalogError::Snapshot`]. Requests already in flight finish on
+    /// the document they hold.
+    pub fn reload(&self, tenant: &str, document: &str, bytes: &[u8]) -> Result<u64, CatalogError> {
+        let tg = telemetry::global();
+        if let Err(e) = load_verified(bytes) {
+            tg.runtime_reload_rollbacks.incr();
+            return Err(CatalogError::Snapshot(e));
+        }
+        let n = self.publish_bytes(tenant, document, bytes)?;
+        tg.runtime_reloads.incr();
+        Ok(n)
+    }
+
+    /// Atomically installs snapshot `bytes` at the key's path and
+    /// invalidates any resident copy.
+    fn publish_bytes(
+        &self,
+        tenant: &str,
+        document: &str,
+        bytes: &[u8],
+    ) -> Result<u64, CatalogError> {
         self.check_keys(tenant, document)?;
         let dir = self.root.join(tenant);
         self.vfs.create_dir_all(&dir).map_err(|e| {
@@ -565,30 +594,9 @@ impl<T: ServeTier> SnapshotCatalog<T> {
                 cause: e.to_string(),
             })
         })?;
-        let n = write_snapshot_v3_in(&*self.vfs, &self.path_for(tenant, document), s)?;
+        write_bytes_atomic_in(&*self.vfs, &self.path_for(tenant, document), bytes)?;
         self.invalidate(tenant, document);
-        Ok(n as u64)
-    }
-
-    /// A hot reload: verifies `bytes` as a snapshot (CRCs, framing and
-    /// decode, any format version) and publishes the synopsis they
-    /// hold. Bytes that fail verification publish nothing — the key
-    /// keeps serving what it served, which is the rollback — and come
-    /// back as [`CatalogError::Snapshot`]. Requests already in flight
-    /// finish on the document they hold.
-    pub fn reload(&self, tenant: &str, document: &str, bytes: &[u8]) -> Result<u64, CatalogError> {
-        let tg = telemetry::global();
-        match crate::io::load_synopsis(bytes) {
-            Ok(s) => {
-                let n = self.publish(tenant, document, &s)?;
-                tg.runtime_reloads.incr();
-                Ok(n)
-            }
-            Err(e) => {
-                tg.runtime_reload_rollbacks.incr();
-                Err(CatalogError::Snapshot(e))
-            }
-        }
+        Ok(bytes.len() as u64)
     }
 
     /// Drops the resident copy of a document, if any, and lifts any
@@ -949,14 +957,15 @@ impl<T: ServeTier> SnapshotCatalog<T> {
                 // otherwise quarantine so garbage is never served.
                 if let Some(hook) = rebuild.as_ref() {
                     if let Some(s) = hook(tenant, document) {
-                        let rebuilt = write_snapshot_v3_in(&*self.vfs, &path, &s).and_then(|_| {
-                            self.load_verified_with_retry(&path, stamp)?.ok_or_else(|| {
-                                SnapshotError::Io {
-                                    path: path.display().to_string(),
-                                    cause: "rebuilt snapshot not found".into(),
-                                }
-                            })
-                        });
+                        let rebuilt =
+                            write_snapshot_atomic_in(&*self.vfs, &path, &s).and_then(|_| {
+                                self.load_verified_with_retry(&path, stamp)?.ok_or_else(|| {
+                                    SnapshotError::Io {
+                                        path: path.display().to_string(),
+                                        cause: "rebuilt snapshot not found".into(),
+                                    }
+                                })
+                            });
                         match rebuilt {
                             Ok(compiled) => {
                                 // lint:allow(atomic-ordering): monotonic stats counter
@@ -1117,16 +1126,17 @@ mod tests {
         let served = |c: &SnapshotCatalog| c.serve("t", "d", &q, &opts).unwrap()[0].estimate;
         let before = served(&catalog);
         // A corrupt image publishes nothing: the key keeps serving.
-        let mut bytes = crate::io::save_synopsis(&new);
+        let mut bytes = save_synopsis_v3(&new);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         let err = catalog.reload("t", "d", &bytes).unwrap_err();
         assert!(matches!(err, CatalogError::Snapshot(_)), "{err}");
         assert_eq!(served(&catalog).to_bits(), before.to_bits());
-        // Verified bytes publish, and the next request serves them.
-        catalog
-            .reload("t", "d", &crate::io::save_synopsis(&new))
-            .unwrap();
+        // Verified bytes publish unchanged, and the next request serves
+        // them.
+        let image = save_synopsis_v3(&new);
+        catalog.reload("t", "d", &image).unwrap();
+        assert_eq!(std::fs::read(catalog.path_for("t", "d")).unwrap(), image);
         let cs = CompiledSynopsis::compile(&new);
         let want = BatchServer::new(&cs).serve(&q)[0].estimate;
         assert_eq!(served(&catalog).to_bits(), want.to_bits());

@@ -23,12 +23,13 @@
 //!   [`DimKind::Value`] dimensions, sorted and disjoint.
 //!
 //! [`fsck`] additionally checks serialized-snapshot round-trip integrity
-//! (`save → load → save` must reproduce the bytes and the reload must
-//! itself validate). XBUILD calls [`validate`] after every refinement
+//! (a v3 `save → load → save` must reproduce the bytes and the reload
+//! must itself validate). XBUILD calls [`validate`] after every refinement
 //! round under `debug_assertions`; the CLI exposes [`fsck`] as
 //! `xtwig-cli check`.
 
-use crate::io::{load_synopsis, save_synopsis};
+use crate::io::load_synopsis;
+use crate::io::v3::save_synopsis_v3;
 use crate::synopsis::{DimKind, EdgeHistogram, SynId, Synopsis};
 use crate::tsn::b_stable_ancestors;
 use std::fmt;
@@ -109,21 +110,21 @@ pub fn validate(s: &Synopsis) -> Result<(), FsckReport> {
 }
 
 /// [`validate`] plus serialized round-trip integrity: the synopsis must
-/// survive `save → load → save` byte-identically, and the reloaded copy
+/// survive a v3 `save → load → save` byte-identically, and the reloaded copy
 /// must itself validate. This is the full check behind `xtwig-cli check`.
 pub fn fsck(s: &Synopsis) -> Result<(), FsckReport> {
     let mut c = Checker { issues: Vec::new() };
     if let Err(report) = validate(s) {
         c.issues.extend(report.issues);
     }
-    let bytes = save_synopsis(s);
+    let bytes = save_synopsis_v3(s);
     match load_synopsis(&bytes) {
         Err(e) => c.push(
             "snapshot".into(),
             format!("own serialization does not load back: {e}"),
         ),
         Ok(reloaded) => {
-            let again = save_synopsis(&reloaded);
+            let again = save_synopsis_v3(&reloaded);
             if again != bytes {
                 c.push(
                     "snapshot".into(),
@@ -591,7 +592,7 @@ mod tests {
     #[test]
     fn reloaded_snapshot_validates() {
         let s = coarse_synopsis(&doc());
-        let reloaded = load_synopsis(&save_synopsis(&s)).unwrap();
+        let reloaded = load_synopsis(&save_synopsis_v3(&s)).unwrap();
         assert!(!reloaded.has_extents());
         validate(&reloaded).unwrap();
         fsck(&reloaded).unwrap();

@@ -9,7 +9,7 @@
 //! ```text
 //! CURRENT              manifest: "xtwig-store v1\ngen <g> <coarse|refined>"
 //! doc-<g>.xml          the checkpointed document (atomic tmp+rename+fsync)
-//! synopsis-<g>.xtwg    the checkpointed synopsis snapshot (CRC-framed)
+//! synopsis-<g>.xtwg    the checkpointed synopsis image (snapshot format v3)
 //! deltas-<g>.wal       CRC-framed delta records appended since <g>
 //! ```
 //!
@@ -26,8 +26,11 @@
 //! truncated, not an error: the store recovers to the last durable
 //! delta — pre- or post-delta, never a torn hybrid. Because every step
 //! is deterministic, the recovered synopsis is *bit-identical* to the
-//! pre-kill in-memory state (the checkpoint snapshot is byte-compared
-//! against the re-derivation as an integrity cross-check).
+//! pre-kill in-memory state. The checkpoint image is byte-compared
+//! against the v3 image of the re-derivation as an integrity
+//! cross-check; an image that is unreadable or does not match (corrupt,
+//! or written in a retired format) degrades the recovery report and is
+//! rewritten from the re-derivation, so the next open is clean again.
 //!
 //! ## Drift-triggered budgeted re-refinement
 //!
@@ -61,11 +64,10 @@ use xtwig_core::construct::{
     delta_xbuild, xbuild_from, BuildOptions, DeltaBuildOptions, DeltaBuildReport, DriftMeter,
     TruthSource,
 };
+use xtwig_core::io::v3::save_synopsis_v3;
 use xtwig_core::io::vfs::{FaultVfs, StdVfs, Vfs, VfsFaultPlan};
 use xtwig_core::io::wal::{decode_delta, encode_delta, read_wal_in, WalWriter};
-use xtwig_core::io::{
-    save_synopsis, write_bytes_atomic_in, write_snapshot_atomic_in, SnapshotError,
-};
+use xtwig_core::io::{write_bytes_atomic_in, write_snapshot_atomic_in, SnapshotError};
 use xtwig_core::telemetry;
 use xtwig_core::validate::{validate, FsckReport};
 use xtwig_core::{CatalogError, ServeTier, SnapshotCatalog, Synopsis};
@@ -268,10 +270,16 @@ pub struct RecoveryReport {
     pub replayed: usize,
     /// A torn WAL tail was detected and truncated.
     pub torn_tail: bool,
-    /// The checkpoint snapshot byte-matched the re-derived synopsis.
+    /// The checkpoint image byte-matched the v3 image of the re-derived
+    /// synopsis.
     pub snapshot_verified: bool,
-    /// The checkpoint snapshot was unreadable or corrupt; the
-    /// re-derivation (which is authoritative) served as recovery.
+    /// The checkpoint image could not be read (missing, or an I/O
+    /// error). When neither this nor `snapshot_verified` is set, the
+    /// image was read but did not match: corrupt, or a retired format.
+    pub snapshot_unreadable: bool,
+    /// The checkpoint image failed the cross-check and was rewritten
+    /// from the re-derivation (which is authoritative either way). False
+    /// when that rewrite failed: the next open meets the bad image again.
     pub rebuilt_snapshot: bool,
     /// The refined re-derivation fell back to coarse (should not happen
     /// for a store written by this code; counted as degraded).
@@ -553,15 +561,18 @@ impl IngestStore {
 
         let (synopsis, refine_fallback) = derive_synopsis(&doc, kind, &options);
 
-        // Integrity cross-check: the checkpoint snapshot must be byte-
-        // identical to the re-derivation. The re-derivation is
-        // authoritative either way — a corrupt or torn snapshot file
-        // degrades the recovery report, never the recovered state.
+        // Integrity cross-check: the checkpoint image must be byte-
+        // identical to the re-derivation's. The re-derivation is
+        // authoritative either way — a bad image degrades the recovery
+        // report, never the recovered state — and repairs the image, so
+        // the fault is reported once. A failed rewrite is reported too.
         let spath = snap_path(dir, generation);
-        let (snapshot_verified, rebuilt_snapshot) = match vfs.read(&spath) {
-            Ok(bytes) => (bytes == save_synopsis(&synopsis), false),
-            Err(_) => (false, true),
-        };
+        let image = save_synopsis_v3(&synopsis);
+        let read = vfs.read(&spath);
+        let snapshot_verified = read.as_ref().is_ok_and(|bytes| *bytes == image);
+        let snapshot_unreadable = read.is_err();
+        let rebuilt_snapshot =
+            !snapshot_verified && write_bytes_atomic_in(&*vfs, &spath, &image).is_ok();
 
         let wpath = wal_path(dir, generation);
         let replay = read_wal_in(&*vfs, &wpath).map_err(|source| IngestError::Snapshot {
@@ -633,6 +644,7 @@ impl IngestStore {
             replayed,
             torn_tail,
             snapshot_verified,
+            snapshot_unreadable,
             rebuilt_snapshot,
             refine_fallback,
         });
@@ -870,9 +882,9 @@ impl IngestStore {
         catalog.publish(tenant, document, &self.synopsis)
     }
 
-    /// The maintained synopsis serialized as CRC-framed snapshot bytes.
+    /// The maintained synopsis serialized as a v3 snapshot image.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        save_synopsis(&self.synopsis)
+        save_synopsis_v3(&self.synopsis)
     }
 
     /// Runs the full structural fsck over the maintained synopsis.
@@ -1073,9 +1085,11 @@ impl IngestSoakReport {
 /// one with `failure` armed. A round whose failure fires [`restart`]s the
 /// store, which must recover a state the failure could have left durable:
 ///
-/// * after a kill, the pre-delta or post-delta state, or, for a kill at a
-///   checkpoint's commit point, that checkpoint verified against its own
-///   re-derivation (the `snapshot_verified` cross-check);
+/// * after a kill, the pre-delta or post-delta state, or, for a kill
+///   after a checkpoint's commit point, that checkpoint with nothing
+///   replayed, verified against its own re-derivation (the
+///   `snapshot_verified` cross-check) and equal to the store's memory
+///   at the kill (the re-derived synopsis the checkpoint installed);
 /// * after a device fault, the last acknowledged state (the pre-delta
 ///   one: an acknowledged delta retires every older state), the
 ///   post-delta state (the append landed, a later commit step faulted),
@@ -1167,7 +1181,7 @@ pub(crate) fn run_ingest_soak(
         {
             continue; // delta does not apply; skip this round
         }
-        let post_bytes = save_synopsis(&shadow_syn);
+        let post_bytes = save_synopsis_v3(&shadow_syn);
         match failure {
             Failure::Crash { .. } => store.set_crash(Some(point)),
             Failure::Device(_) => vfs.arm(true),
@@ -1199,7 +1213,10 @@ pub(crate) fn run_ingest_soak(
                 || recovered == post_bytes
                 || match failure {
                     Failure::Crash { .. } => {
-                        rec.replayed == 0 && rec.generation > 0 && rec.snapshot_verified
+                        rec.replayed == 0
+                            && rec.generation > 0
+                            && rec.snapshot_verified
+                            && recovered == memory
                     }
                     Failure::Device(_) => recovered == memory,
                 }
@@ -1446,6 +1463,68 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Damages generation 0's checkpoint image with `damage`, then opens
+    /// the store twice: the first open must report the bad image (not
+    /// clean, the state still exact) and rewrite it, the second must be
+    /// clean.
+    fn bad_image_is_reported_then_repaired(name: &str, damage: impl Fn(&Path), unreadable: bool) {
+        let dir = tmp(name);
+        let store = IngestStore::create(&dir, bib(), small_opts()).unwrap();
+        let before = store.snapshot_bytes();
+        drop(store);
+        let image = snap_path(&dir, 0);
+        damage(&image);
+        let store = IngestStore::open(&dir, small_opts()).unwrap();
+        let rec = store.last_recovery().unwrap().clone();
+        assert!(!rec.clean(), "{name}: {rec:?}");
+        assert!(!rec.snapshot_verified, "{name}: {rec:?}");
+        assert_eq!(rec.snapshot_unreadable, unreadable, "{name}: {rec:?}");
+        assert!(rec.rebuilt_snapshot, "{name}: {rec:?}");
+        assert_eq!(
+            store.snapshot_bytes(),
+            before,
+            "{name}: state must be exact"
+        );
+        assert_eq!(
+            fs::read(&image).unwrap(),
+            before,
+            "{name}: image rewritten as v3"
+        );
+        drop(store);
+        let store = IngestStore::open(&dir, small_opts()).unwrap();
+        let rec = store.last_recovery().unwrap();
+        assert!(rec.clean() && !rec.rebuilt_snapshot, "{name}: {rec:?}");
+        assert_eq!(store.snapshot_bytes(), before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_checkpoint_byte_is_reported_then_repaired() {
+        let flip = |path: &Path| {
+            let mut bytes = fs::read(path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
+            fs::write(path, bytes).unwrap();
+        };
+        bad_image_is_reported_then_repaired("flipped-image", flip, false);
+    }
+
+    #[test]
+    fn a_missing_checkpoint_image_is_reported_then_repaired() {
+        let remove = |path: &Path| fs::remove_file(path).unwrap();
+        bad_image_is_reported_then_repaired("missing-image", remove, true);
+    }
+
+    #[test]
+    fn a_v2_checkpoint_image_migrates_to_v3() {
+        // A store written before checkpoints were v3 holds a v2 image.
+        let downgrade = |path: &Path| {
+            let s = xtwig_core::load_synopsis(&fs::read(path).unwrap()).unwrap();
+            fs::write(path, xtwig_core::save_synopsis(&s)).unwrap();
+        };
+        bad_image_is_reported_then_repaired("v2-image", downgrade, false);
+    }
+
     #[test]
     fn wal_replay_reconstructs_the_maintained_state() {
         let dir = tmp("replay");
@@ -1512,7 +1591,7 @@ mod tests {
             &small_opts().delta,
         )
         .unwrap();
-        let post = save_synopsis(&shadow);
+        let post = save_synopsis_v3(&shadow);
         store.set_crash(Some(CrashPoint::AfterWalAppend));
         assert!(matches!(
             store.ingest(&delta),

@@ -23,9 +23,8 @@
 //! a lost vectorization or an accidental O(n²) in expansion/evaluation
 //! (p95 explodes), or a cold fault-in that decodes more than it needs
 //! (the first answer from a fresh verified v3 read slows down).
-//! `v2_first_answer_us` is reported beside it for the record and is not
-//! gated. Ratchet the baseline *up* after a real improvement
-//! with `--update-baseline`, which copies the current report over it.
+//! Ratchet the baseline *up* after a real improvement with
+//! `--update-baseline`, which copies the current report over it.
 //!
 //! The JSON "parser" below is a field extractor for the flat schema
 //! `estimation_serve` emits (no external deps by policy); it is not a
@@ -355,7 +354,7 @@ mod tests {
     const SAMPLE: &str = r#"{
   "bench": "estimation_serve",
   "datasets": [
-    {"name": "XMark", "queries": 50, "expand_us_p95": 3.10, "eval_us_p95": 12.00, "batch_cold_qps": 42000.5, "multi_tenant_qps": 91000.0, "cold_first_answer_us": 210.25, "v2_first_answer_us": 260.50, "mismatches": 0},
+    {"name": "XMark", "queries": 50, "expand_us_p95": 3.10, "eval_us_p95": 12.00, "batch_cold_qps": 42000.5, "multi_tenant_qps": 91000.0, "cold_first_answer_us": 210.25, "mismatches": 0},
     {"name": "IMDB", "queries": 50, "expand_us_p95": 2.20, "eval_us_p95": 18.40, "batch_cold_qps": 68501.5, "mismatches": 0}
   ],
   "available_parallelism": 2,

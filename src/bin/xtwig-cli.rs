@@ -23,17 +23,17 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
-use xtwig::core::estimate::{EstimateOptions, EstimateRequest, Estimator};
+use xtwig::core::estimate::{EstimateOptions, EstimateOptionsBuilder};
 use xtwig::core::telemetry::{self, Span, Stage};
 use xtwig::core::{
-    coarse_synopsis, load_synopsis, read_snapshot, verify_snapshot_v3, write_snapshot_atomic,
-    CatalogError, CatalogOptions, SnapshotCatalog, StdVfs, Synopsis,
+    coarse_synopsis, load_synopsis, read_snapshot, write_snapshot_atomic, CatalogError,
+    CatalogOptions, EstimateReport, SnapshotCatalog, SnapshotError, StdVfs, Synopsis,
 };
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 use xtwig::query::{parse_twig, selectivity, TwigQuery};
 use xtwig::workload::{
-    random_delta, run_catalog_soak, CatalogSoakOptions, CrashPoint, GuardPolicy, GuardedCatalog,
-    GuardedEstimator, IngestError, IngestOptions, IngestStore, SoakPlan, CRASH_POINTS,
+    random_delta, run_catalog_soak, CatalogSoakOptions, CrashPoint, GuardedCatalog, IngestError,
+    IngestOptions, IngestStore, SoakPlan, CRASH_POINTS,
 };
 use xtwig::xml::{parse_stream, write_xml, DocStats, Document, StreamLimits};
 
@@ -137,11 +137,15 @@ USAGE:
 
 Twig query notation: for $t0 in //movie[type = 1], $t1 in $t0/actor
 
-`estimate` serves through a guarded fallback chain (XSKETCH -> Markov ->
-label-count bound) under the optional per-query deadline/work budget;
-the serving tier is reported on stderr whenever it is not full-fidelity
-XSKETCH. A corrupt --synopsis snapshot is recovered by rebuilding from
-the document (and exits 3 so scripts notice). `--explain` additionally
+`estimate` serves through the same front door as `serve`: the synopsis
+(--synopsis, or a fresh XBUILD under --budget) is published as the one
+key of a snapshot catalog in a temporary directory, removed on exit,
+and the query is served through that key's guarded fallback chain
+(XSKETCH -> Markov -> label-count bound) under the optional deadline/work
+budget; the serving tier is reported on stderr whenever it is not
+full-fidelity XSKETCH. A corrupt --synopsis snapshot, or one in a retired
+format, is recovered by rebuilding from the document (and exits 3 so
+scripts notice). `--explain` additionally
 prints every embedding's contribution to the sum (they add up to the
 estimate), the assumption-application counts, and the tier trail.
 
@@ -153,7 +157,7 @@ published as the one key `default/main` of a catalog in a temporary
 directory (or --catalog) and every query line is served against it.
 With <plan.txt> --catalog <dir> the plan holds one request per line,
 `tenant/document <twig-query>`, against snapshots stored as
-`<dir>/<tenant>/<document>.xtwg` (format v3, faulted in on
+`<dir>/<tenant>/<document>.xtwg` (snapshot format v3, faulted in on
 first use and CRC-verified); `--publish <file.xml>` builds a synopsis
 from the document and publishes it under every plan key first. Each
 tenant is admitted through its own in-flight quota (`--tenant-quota`,
@@ -201,12 +205,14 @@ sheds are expected (exit 0). All four profiles honour --catalog,
 --threads and --tenant-quota. Exit 1 from a soak run means a
 resilience invariant was violated.
 
+`build` writes the synopsis as a v3 snapshot, the one format every
+command reads; `inspect` and `check` refuse any other version (the
+retired v1 and v2 included) as a corrupt snapshot.
+
 `check --catalog <dir>` is the deep fsck for a catalog directory: it
 sweeps every `<tenant>/<document>.xtwg`, verifies every section CRC of
-the v3 snapshot (the fast load only checksums the header,
-table, and META section), rebuilds the synopsis from the snapshot's
-columns, and runs the structural fsck, printing one report line per
-key. Exits 4 if any
+the v3 snapshot, rebuilds the synopsis from the snapshot's columns, and
+runs the structural fsck, printing one report line per key. Exits 4 if any
 snapshot is corrupt (after completing the sweep), 1 if any is
 unreadable or the catalog is empty.
 
@@ -216,9 +222,10 @@ the delta WAL onto the committed checkpoint, truncating torn tails),
 then applies `--mutate N` seeded random deltas through the incremental
 delta-XBUILD path with drift-triggered refined checkpoints. The
 recovery outcome maps onto the exit codes: 0 when the recovered state
-byte-matched the checkpoint snapshot and fsck passes, 3 when recovery
-had to rebuild from the document or a refinement fell back to coarse,
-4 when the recovered synopsis fails fsck. `--crash-after K` arms a
+byte-matched the checkpoint image and fsck passes, 3 when the image was
+unreadable or did not match (recovery rewrites it from the document, so
+the next open is clean) or a refinement fell back to coarse, 4 when the
+recovered synopsis fails fsck. `--crash-after K` arms a
 simulated kill at the K-th delta's `--crash-point` site (one of
 before-wal-append, after-wal-append, torn-wal-append,
 after-checkpoint-files, after-current-flip); the process stops there
@@ -233,7 +240,7 @@ EXIT CODES:
   2  usage error (bad flags or arguments)
   3  degraded: answered by a fallback tier, a tripped deadline/work
      budget, shed by admission control, after rebuilding a corrupt
-     snapshot, or an ingest recovery that had to rebuild
+     snapshot, or an ingest recovery that rewrote a bad checkpoint image
   4  corrupt snapshot (inspect/check, a quarantined catalog key, a
      rolled-back serve --reload-on, a soak run that exercised its
      rollback phase, or an ingest store whose recovered synopsis fails
@@ -548,18 +555,30 @@ fn cmd_ingest(args: &[String]) -> Result<Outcome, CliError> {
     })?;
     let recovery = store.last_recovery().cloned();
     if let Some(rec) = &recovery {
+        let image = if rec.snapshot_verified {
+            String::new()
+        } else {
+            format!(
+                ", checkpoint image {} ({})",
+                if rec.snapshot_unreadable {
+                    "unreadable"
+                } else {
+                    "did not match the re-derived synopsis"
+                },
+                if rec.rebuilt_snapshot {
+                    "rewritten from the document"
+                } else {
+                    "rewrite failed"
+                },
+            )
+        };
         println!(
-            "recovered generation {} ({} checkpoint): {} WAL record(s) replayed{}{}{}",
+            "recovered generation {} ({} checkpoint): {} WAL record(s) replayed{}{image}{}",
             rec.generation,
             rec.kind,
             rec.replayed,
             if rec.torn_tail {
                 ", torn tail truncated"
-            } else {
-                ""
-            },
-            if rec.rebuilt_snapshot {
-                ", snapshot rebuilt from document"
             } else {
                 ""
             },
@@ -624,14 +643,20 @@ fn cmd_ingest(args: &[String]) -> Result<Outcome, CliError> {
     Ok(Outcome::Full)
 }
 
+/// Reads a snapshot file: an I/O failure exits 1, a corrupt snapshot
+/// (or one in a retired format) exits 4.
+fn read_synopsis(path: &str) -> Result<Synopsis, CliError> {
+    read_snapshot(Path::new(path)).map_err(|e| match e {
+        SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
+        _ => CliError::Corrupt(format!("{path}: {e}")),
+    })
+}
+
 fn cmd_inspect(args: &[String]) -> Result<Outcome, CliError> {
     let path = args
         .first()
         .ok_or_else(|| CliError::Usage("inspect needs a snapshot file".into()))?;
-    let synopsis = read_snapshot(Path::new(path)).map_err(|e| match e {
-        xtwig::core::SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
-        _ => CliError::Corrupt(format!("{path}: {e}")),
-    })?;
+    let synopsis = read_synopsis(path)?;
     print!("{}", xtwig::core::describe(&synopsis));
     Ok(Outcome::Full)
 }
@@ -648,10 +673,7 @@ fn cmd_check(args: &[String]) -> Result<Outcome, CliError> {
     let synopsis = if path.ends_with(".xml") {
         build_synopsis(args, &load(path)?)?.0
     } else {
-        read_snapshot(Path::new(path)).map_err(|e| match e {
-            xtwig::core::SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
-            _ => CliError::Corrupt(format!("{path}: {e}")),
-        })?
+        read_synopsis(path)?
     };
     xtwig::core::fsck(&synopsis)
         .map_err(|report| CliError::Corrupt(format!("{path}: {report}")))?;
@@ -715,13 +737,10 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
                     continue;
                 }
             };
-            // Depth 1: every section CRC (the fast load only checksums
-            // header + table + META). Depth 2: carve the snapshot,
-            // rebuild the synopsis from its columns, and run the
-            // structural fsck.
-            let deep = verify_snapshot_v3(&bytes)
+            // Every section CRC and the carve (the verified load), the
+            // synopsis rebuilt from the columns, then the structural fsck.
+            let deep = load_synopsis(&bytes)
                 .map_err(|e| e.to_string())
-                .and_then(|()| load_synopsis(&bytes).map_err(|e| e.to_string()))
                 .and_then(|s| {
                     xtwig::core::fsck(&s)
                         .map(|()| s)
@@ -857,6 +876,16 @@ fn build_synopsis(args: &[String], doc: &Document) -> Result<(Synopsis, usize), 
     Ok((synopsis, trace.rounds.len()))
 }
 
+/// Request options under `--deadline-ms` (from now; 0 = none) and
+/// `--work-limit` (0 = unlimited).
+fn budget(deadline_ms: u64, work_limit: u64) -> EstimateOptionsBuilder {
+    let deadline =
+        (deadline_ms > 0).then(|| std::time::Instant::now() + Duration::from_millis(deadline_ms));
+    EstimateOptions::builder()
+        .work_limit(work_limit)
+        .deadline_opt(deadline)
+}
+
 /// A catalog directory: `--catalog` when given, else a fresh temporary
 /// directory the caller removes (`true`).
 fn catalog_dir(args: &[String], tag: &str) -> (std::path::PathBuf, bool) {
@@ -957,23 +986,14 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
                 .ok_or_else(|| CliError::Usage("serve needs an XML file".into()))?;
             let doc = load(path)?;
             let synopsis = match flag(args, "--synopsis") {
-                Some(snap) => read_snapshot(Path::new(&snap)).map_err(|e| match e {
-                    xtwig::core::SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
-                    _ => CliError::Corrupt(format!("{snap}: {e}")),
-                })?,
+                Some(snap) => read_synopsis(&snap)?,
                 None => build_synopsis(args, &doc)?.0,
             };
             publish(&synopsis)?;
         } else if let Some(xml) = flag(args, "--publish") {
             publish(&build_synopsis(args, &load(&xml)?)?.0)?;
         }
-        let opts = {
-            let mut b = EstimateOptions::builder().work_limit(work_limit);
-            if deadline_ms > 0 {
-                b = b.deadline(std::time::Instant::now() + Duration::from_millis(deadline_ms));
-            }
-            b.build()
-        };
+        let opts = budget(deadline_ms, work_limit).build();
         serve_plan(
             &catalog,
             &batches,
@@ -1065,21 +1085,8 @@ fn serve_plan(
                         }
                     }
                 }
-                Err(CatalogError::Snapshot(e)) => {
-                    result = Err(match e {
-                        xtwig::core::SnapshotError::Io { .. } => CliError::Failure(e.to_string()),
-                        _ => CliError::Corrupt(format!("{tenant}/{document}: {e}")),
-                    });
-                    break;
-                }
-                Err(e @ CatalogError::Quarantined { .. }) => {
-                    // A quarantined key is a corruption outcome: the
-                    // snapshot was rejected and never served.
-                    result = Err(CliError::Corrupt(e.to_string()));
-                    break;
-                }
                 Err(e) => {
-                    result = Err(CliError::Failure(format!("serve {tenant}/{document}: {e}")));
+                    result = Err(serve_error(tenant, document, e));
                     break;
                 }
             }
@@ -1125,6 +1132,18 @@ fn serve_plan(
         }
     }
     Ok((shed, degraded))
+}
+
+/// The exit a failed catalog serve maps to: a corrupt snapshot or a
+/// quarantined key (the snapshot was rejected and never served) exits
+/// 4, anything else 1.
+fn serve_error(tenant: &str, document: &str, e: CatalogError) -> CliError {
+    match e {
+        CatalogError::Snapshot(e @ SnapshotError::Io { .. }) => CliError::Failure(e.to_string()),
+        CatalogError::Snapshot(e) => CliError::Corrupt(format!("{tenant}/{document}: {e}")),
+        e @ CatalogError::Quarantined { .. } => CliError::Corrupt(e.to_string()),
+        e => CliError::Failure(format!("serve {tenant}/{document}: {e}")),
+    }
 }
 
 /// `serve --soak` / `--soak-profile`: the seeded soak plans (`full`,
@@ -1208,6 +1227,46 @@ fn cmd_soak(args: &[String]) -> Result<Outcome, CliError> {
     Ok(Outcome::Full)
 }
 
+/// Serves `q` the way `serve <file.xml>` serves each query line:
+/// `synopsis` is published as the one key `default/main` of a guarded
+/// catalog in a temporary directory, which is removed before returning.
+/// The budget starts when the request does, after the publish. Returns
+/// the report and the time the serve took (fault-in included).
+fn serve_one(
+    args: &[String],
+    synopsis: &Synopsis,
+    q: &TwigQuery,
+    deadline_ms: u64,
+    work_limit: u64,
+) -> Result<(EstimateReport, Duration), CliError> {
+    let (dir, ephemeral) = catalog_dir(args, "estimate");
+    let catalog: GuardedCatalog =
+        SnapshotCatalog::open_tier(&dir, CatalogOptions::default(), std::sync::Arc::new(StdVfs));
+    let (tenant, document) = ("default", "main");
+    let served = catalog
+        .publish(tenant, document, synopsis)
+        .map_err(|e| CliError::Failure(format!("publish {tenant}/{document}: {e}")))
+        .and_then(|_| {
+            // Always request an explain: the tier trail drives the
+            // degradation report, and the report is bit-identical
+            // either way.
+            let opts = budget(deadline_ms, work_limit).explain(true).build();
+            let t0 = std::time::Instant::now();
+            let reports = catalog
+                .serve(tenant, document, std::slice::from_ref(q), &opts)
+                .map_err(|e| serve_error(tenant, document, e))?;
+            Ok((reports, t0.elapsed()))
+        });
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let (mut reports, took) = served?;
+    let report = reports
+        .pop()
+        .ok_or_else(|| CliError::Failure("the catalog returned no report".into()))?;
+    Ok((report, took))
+}
+
 fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
     let path = args
         .first()
@@ -1242,18 +1301,7 @@ fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
     };
     let built_in = t0.elapsed();
 
-    let policy = GuardPolicy {
-        time_budget: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
-        work_limit,
-        ..Default::default()
-    };
-    let guarded = GuardedEstimator::new(&synopsis, policy);
-    let t1 = std::time::Instant::now();
-    // Always request an explain internally: the tier trail drives the
-    // degradation report, and the report is bit-identical either way.
-    let req_opts = EstimateOptions::builder().explain(true).build();
-    let report = Estimator::estimate(&guarded, &EstimateRequest::with_options(&q, req_opts));
-    let est_in = t1.elapsed();
+    let (report, est_in) = serve_one(args, &synopsis, &q, deadline_ms, work_limit)?;
     let truth = selectivity(&doc, &q);
 
     println!(
@@ -1288,7 +1336,7 @@ fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
 
 /// Renders the `--explain` section: per-embedding contributions (which
 /// sum to the estimate), assumption counts, provenance, and timings.
-fn print_explain(report: &xtwig::core::EstimateReport) {
+fn print_explain(report: &EstimateReport) {
     let Some(e) = &report.explain else {
         println!("explain: unavailable on this serving path");
         return;

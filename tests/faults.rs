@@ -1,6 +1,6 @@
 //! Integration: snapshot corruption and the guarded estimation chain.
-//! Every truncation and every bit flip of a snapshot is rejected with a
-//! typed error; across all three data generators, the storage soak plan
+//! Every truncation and every bit flip of a v3 snapshot is rejected with
+//! a typed error; across all three data generators, the storage soak plan
 //! serves each document's own workload through the catalog with zero
 //! escaped panics, every full answer bit-identical and every other one
 //! typed; a 1 ms deadline on a pathologically deep twig degrades to a
@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 use xtwig::core::{
-    coarse_synopsis, load_synopsis, save_synopsis, BatchServer, CompiledSynopsis, EstimateOptions,
-    EstimateRequest, Estimator,
+    coarse_synopsis, load_synopsis, save_synopsis_v3, BatchServer, CompiledSynopsis,
+    EstimateOptions, EstimateRequest, Estimator,
 };
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 use xtwig::query::{parse_twig, TwigQuery};
@@ -58,7 +58,7 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
 
 #[test]
 fn corruption_corpus_truncate_every_position() {
-    let bytes = save_synopsis(&coarse_synopsis(&small_doc()));
+    let bytes = save_synopsis_v3(&coarse_synopsis(&small_doc()));
     for cut in 0..bytes.len() {
         assert!(
             load_synopsis(&bytes[..cut]).is_err(),
@@ -69,7 +69,7 @@ fn corruption_corpus_truncate_every_position() {
 
 #[test]
 fn corruption_corpus_flip_every_bit() {
-    let bytes = save_synopsis(&coarse_synopsis(&small_doc()));
+    let bytes = save_synopsis_v3(&coarse_synopsis(&small_doc()));
     for byte in 0..bytes.len() {
         for bit in 0..8u8 {
             let mut corrupted = bytes.clone();

@@ -4,7 +4,8 @@
 //! 3 = degraded service (fallback tier, tripped budget, snapshot
 //! recovery, or requests shed by admission control), 4 = corrupt
 //! snapshot (inspect/check, a rolled-back `serve --reload-on`, or a soak
-//! run's rollback phase).
+//! run's rollback phase). Snapshots in the retired v1/v2 formats take
+//! the corrupt-snapshot paths at every entry point.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -170,6 +171,63 @@ fn check_on_corrupt_snapshot_exits_four() {
     // A missing file is an I/O failure (1), not corruption (4).
     let out = run(&["check", dir.join("no-such.xtwg").to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+}
+
+/// Writes `doc`'s coarse synopsis in the retired v1 and v2 formats:
+/// v1 is the magic, version 1, then the v2 payload (no length or
+/// checksum); v2 is `save_synopsis`'s output.
+fn write_retired_snapshots(dir: &Path, doc: &Path) -> [(u32, PathBuf); 2] {
+    let doc = xtwig::xml::parse(&std::fs::read_to_string(doc).unwrap()).unwrap();
+    let v2 = xtwig::core::save_synopsis(&xtwig::core::coarse_synopsis(&doc));
+    let mut v1 = b"XTWG".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&v2[24..]);
+    [(1, v1), (2, v2)].map(|(version, bytes)| {
+        let path = dir.join(format!("bib.v{version}.xtwg"));
+        std::fs::write(&path, bytes).expect("writing retired snapshot");
+        (version, path)
+    })
+}
+
+#[test]
+fn retired_snapshot_versions_fail_typed_at_every_cli_entry_point() {
+    let dir = temp_dir("retired");
+    let doc = write_small_doc(&dir);
+    let queries = write_queries(&dir);
+    let doc = doc.to_str().unwrap();
+    for (version, snap) in write_retired_snapshots(&dir, Path::new(doc)) {
+        let snap = snap.to_str().unwrap();
+        let named = format!("unsupported snapshot version {version}");
+        for cmd in ["inspect", "check"] {
+            let out = run(&[cmd, snap]);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(4), "{cmd} v{version}: {err}");
+            assert!(
+                err.contains("corrupt snapshot") && err.contains(&named),
+                "{err}"
+            );
+        }
+
+        // estimate warns, rebuilds from the document and exits 3.
+        let out = run(&["estimate", doc, QUERY, "--synopsis", snap]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(3), "estimate v{version}: {err}");
+        assert!(err.contains(&named), "{err}");
+        assert!(err.contains("rebuilding synopsis from"), "{err}");
+        assert!(stdout(&out).contains("estimate:"), "{}", stdout(&out));
+
+        // A hot reload of it rolls back, and every query still answers.
+        let out = run(&["serve", doc, queries.to_str().unwrap(), "--reload-on", snap]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(4), "serve v{version}: {err}");
+        assert!(err.contains("rolled back") && err.contains(&named), "{err}");
+        let answers = stdout(&out)
+            .lines()
+            .filter(|l| l.contains("for $t0"))
+            .count();
+        assert_eq!(answers, 2, "{}", stdout(&out));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

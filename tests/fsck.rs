@@ -5,7 +5,8 @@
 
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::{
-    coarse_synopsis, fsck, load_synopsis, save_synopsis, snapshot_checksum, validate, SnapshotError,
+    coarse_synopsis, fsck, load_synopsis, save_synopsis_v3, snapshot_checksum, validate,
+    SnapshotError,
 };
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 use xtwig::xml::Document;
@@ -42,9 +43,37 @@ fn xbuild_synopses_pass_fsck_on_all_generators() {
         assert!(!trace.rounds.is_empty(), "{name}: no refinement happened");
         fsck(&built).unwrap_or_else(|r| panic!("{name} built: {r}"));
 
-        let loaded = load_synopsis(&save_synopsis(&built)).expect("snapshot loads");
+        let loaded = load_synopsis(&save_synopsis_v3(&built)).expect("snapshot loads");
         fsck(&loaded).unwrap_or_else(|r| panic!("{name} reloaded: {r}"));
     }
+}
+
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
+}
+
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+}
+
+/// The first section-table entry of a v3 image, which is `META` (id 1).
+const META_ENTRY: usize = 32;
+
+/// The byte offset of a v3 image's `META` section.
+fn meta_offset(b: &[u8]) -> usize {
+    assert_eq!(u32_at(b, META_ENTRY), 1, "the first table entry is META");
+    u64_at(b, META_ENTRY + 8) as usize
+}
+
+/// Re-stamps the `META` CRC and the section-table CRC of a v3 image,
+/// so an edit inside `META` passes every checksum.
+fn restamp_meta(b: &mut [u8]) {
+    let (off, len) = (meta_offset(b), u64_at(b, META_ENTRY + 16) as usize);
+    let crc = snapshot_checksum(&b[off..off + len]);
+    b[META_ENTRY + 24..META_ENTRY + 32].copy_from_slice(&crc.to_le_bytes());
+    let table_end = META_ENTRY + 32 * u32_at(b, 16) as usize;
+    let table_crc = snapshot_checksum(&b[META_ENTRY..table_end]);
+    b[24..32].copy_from_slice(&table_crc.to_le_bytes());
 }
 
 #[test]
@@ -59,7 +88,7 @@ fn corrupted_snapshot_fails_descriptively() {
             ..Default::default()
         },
     );
-    let bytes = save_synopsis(&built);
+    let bytes = save_synopsis_v3(&built);
 
     // Wrong magic: refused before any decoding.
     let mut garbled = bytes.clone();
@@ -88,36 +117,26 @@ fn corrupted_snapshot_fails_descriptively() {
         "{err}"
     );
 
-    // Payload corruption without a checksum to catch it (legacy v1
-    // framing): the decode error carries the byte offset where it died.
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(&bytes[..4]); // magic
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&bytes[24..]); // payload sans v2 header
-    let cut = &v1[..v1.len() / 2];
-    let err = load_synopsis(cut).unwrap_err();
-    assert!(err.offset().is_some_and(|o| o <= cut.len()), "{err}");
+    // An inconsistent `META` under valid checksums (the root pushed out
+    // of range, every CRC re-stamped): the carve refuses it, and the
+    // decode error carries the byte offset where it died.
+    let meta = meta_offset(&bytes);
+    let mut rootless = bytes.clone();
+    rootless[meta + 8..meta + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+    restamp_meta(&mut rootless);
+    let err = load_synopsis(&rootless).unwrap_err();
+    assert!(err.offset().is_some_and(|o| o <= bytes.len()), "{err}");
     assert!(err.to_string().contains("snapshot error at byte"), "{err}");
 
-    // Semantic corruption: bump a node's extent count inside the node
-    // table (and re-stamp the checksum so only fsck can catch it). The
-    // snapshot still decodes, but the fsck must reject it with a report
-    // naming the broken invariant. Walk to the first node record:
-    // header(24) label_count(4), then each label as u32 length + bytes,
-    // then root(4) depth(4) node_count(4), then per node u16 label +
-    // u64 count.
-    let u32_at = |b: &[u8], at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
-    let label_count = u32_at(&bytes, 24) as usize;
-    let mut pos = 28;
-    for _ in 0..label_count {
-        pos += 4 + u32_at(&bytes, pos) as usize;
-    }
-    pos += 12; // root, max_depth, node_count
-    let first_count_at = pos + 2; // skip the u16 label id
+    // Semantic corruption: bump a node's extent count inside `META`
+    // (after its four u32 header words, one u64 count per node) and
+    // re-stamp the checksums so only fsck can catch it. The snapshot
+    // still decodes, but the fsck must reject it with a report naming
+    // the broken invariant.
+    let first_count_at = meta + 16;
     let mut corrupted = bytes.clone();
     corrupted[first_count_at + 6] = 0x7F; // count += 2^55: way past any extent
-    let sum = snapshot_checksum(&corrupted[24..]).to_le_bytes();
-    corrupted[16..24].copy_from_slice(&sum);
+    restamp_meta(&mut corrupted);
     let s = load_synopsis(&corrupted).expect("count corruption still decodes");
     let report = fsck(&s).expect_err("corrupted count must fail fsck");
     assert!(!report.issues.is_empty());

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
-use xtwig::core::{coarse_synopsis, load_synopsis, save_synopsis, validate};
+use xtwig::core::{coarse_synopsis, load_synopsis, save_synopsis_v3, validate};
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 
 proptest! {
@@ -38,7 +38,7 @@ proptest! {
             prop_assert!(false, "built synopsis failed fsck: {report}");
         }
 
-        let reloaded = load_synopsis(&save_synopsis(&built)).expect("snapshot loads");
+        let reloaded = load_synopsis(&save_synopsis_v3(&built)).expect("snapshot loads");
         if let Err(report) = validate(&reloaded) {
             prop_assert!(false, "reloaded synopsis failed fsck: {report}");
         }

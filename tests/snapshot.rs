@@ -1,22 +1,23 @@
 //! Integration: a built synopsis survives a save/load cycle and keeps
 //! answering workloads identically — the build-once / estimate-anywhere
 //! deployment an optimizer needs. Torn-write coverage rides along:
-//! every strict prefix of a v2 snapshot, a v1 snapshot, or a delta WAL
-//! must surface as [`SnapshotError::Truncated`] with exact lengths (or,
-//! for the WAL, as replayable data with a located torn tail) — never a
-//! panic and never a silently half-loaded synopsis.
+//! every strict prefix of a v3 snapshot or a delta WAL must surface as
+//! [`SnapshotError::Truncated`] with exact lengths (or, for the WAL, as
+//! replayable data with a located torn tail) — never a panic and never
+//! a silently half-loaded synopsis. Images in the retired formats v1
+//! and v2, whole or torn, fail typed at every library entry point.
 
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::estimate::EstimateOptions;
 use xtwig::core::io::v3::V3_HEADER_LEN;
 use xtwig::core::io::wal::{WAL_FRAME_LEN, WAL_HEADER_LEN};
-use xtwig::core::io::HEADER_LEN;
 use xtwig::core::{
-    encode_delta, load_compiled_snapshot, load_synopsis, parse_wal, save_synopsis,
-    save_synopsis_v3, verify_snapshot_v3, CompiledSynopsis, EstimateRequest, Estimator,
-    SnapshotError, WalWriter,
+    encode_delta, load_compiled_snapshot, load_synopsis, parse_wal, read_snapshot, save_synopsis,
+    save_synopsis_v3, telemetry, verify_snapshot_v3, CatalogError, CatalogOptions,
+    CompiledSynopsis, EstimateRequest, Estimator, SnapshotCatalog, SnapshotError, WalWriter,
 };
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
+use xtwig::query::parse_twig;
 use xtwig::workload::{generate_workload, WorkloadKind, WorkloadSpec};
 use xtwig::xml::{Delta, Document, NodeId};
 
@@ -34,7 +35,7 @@ fn snapshot_preserves_workload_estimates() {
         ..Default::default()
     };
     let (synopsis, _) = xbuild(&doc, TruthSource::Exact, &build);
-    let bytes = save_synopsis(&synopsis);
+    let bytes = save_synopsis_v3(&synopsis);
     let loaded = load_synopsis(&bytes).expect("snapshot loads");
     assert!(!loaded.has_extents());
 
@@ -73,74 +74,133 @@ fn snapshot_preserves_workload_estimates() {
     );
 }
 
-/// A small built synopsis serialized to v2 snapshot bytes.
-fn v2_bytes() -> Vec<u8> {
+/// The retired images of `s`: v1 (magic, version 1, then the v2 payload
+/// without its length and checksum) and v2, each with its version.
+fn retired_images(s: &xtwig::core::Synopsis) -> [(u32, Vec<u8>); 2] {
+    let v2 = save_synopsis(s);
+    let mut v1 = b"XTWG".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&v2[24..]);
+    [(1, v1), (2, v2)]
+}
+
+#[test]
+fn retired_v1_and_v2_images_fail_typed_at_every_entry_point() {
     let doc = imdb(ImdbConfig {
         movies: 20,
         seed: 7,
     });
-    let (synopsis, _) = xbuild(
-        &doc,
-        TruthSource::Exact,
-        &BuildOptions {
-            budget_bytes: 2000,
-            max_rounds: 10,
-            ..Default::default()
-        },
-    );
-    save_synopsis(&synopsis)
-}
+    let (old, new) = (build_small(&doc), xtwig::core::coarse_synopsis(&doc));
+    let dir = std::env::temp_dir().join(format!("xtwig-snapshot-retired-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let catalog = SnapshotCatalog::open(&dir, CatalogOptions::default());
+    catalog.publish("t", "live", &old).expect("publish");
+    let q = vec![parse_twig("for $t0 in //movie, $t1 in $t0/actor").unwrap()];
+    let opts = EstimateOptions::default();
+    let serve = |key: &str| catalog.serve("t", key, &q, &opts);
+    let before = serve("live").expect("serves")[0].estimate;
+    for (version, image) in retired_images(&new) {
+        let unsupported = SnapshotError::UnsupportedVersion { version };
+        // The decoder and the file reader.
+        assert_eq!(load_synopsis(&image).err(), Some(unsupported.clone()));
+        let path = dir.join(format!("v{version}.xtwg"));
+        std::fs::write(&path, &image).unwrap();
+        assert_eq!(read_snapshot(&path).err(), Some(unsupported.clone()));
 
-#[test]
-fn every_v2_prefix_reports_truncated_with_exact_lengths() {
-    let bytes = v2_bytes();
-    for cut in 0..bytes.len() {
-        let err = load_synopsis(&bytes[..cut]).expect_err("a strict prefix must not load");
-        match err {
-            SnapshotError::Truncated { expected, actual } => {
-                assert_eq!(actual, cut, "actual must be the bytes present");
-                // Short cuts are measured against the header; past the
-                // header, against the full header+payload promise.
-                let promised = if cut < HEADER_LEN {
-                    HEADER_LEN
-                } else {
-                    bytes.len()
-                };
-                assert_eq!(expected, promised, "cut at {cut}");
+        // A hot reload rolls back: nothing is published and the key
+        // keeps serving bit-identically.
+        let rollbacks = telemetry::global().runtime_reload_rollbacks.get();
+        match catalog.reload("t", "live", &image) {
+            Err(CatalogError::Snapshot(e)) => assert_eq!(e, unsupported),
+            other => panic!("v{version} reload: {other:?}"),
+        }
+        assert_eq!(
+            telemetry::global().runtime_reload_rollbacks.get(),
+            rollbacks + 1
+        );
+        let after = serve("live").expect("still serves")[0].estimate;
+        assert_eq!(after.to_bits(), before.to_bits(), "v{version} reload");
+
+        // A retired image at a key's path: the fault-in quarantines the
+        // key with the typed error instead of serving or panicking.
+        let key = format!("v{version}");
+        std::fs::create_dir_all(catalog.path_for("t", &key).parent().unwrap()).unwrap();
+        std::fs::write(catalog.path_for("t", &key), &image).unwrap();
+        match serve(&key) {
+            Err(CatalogError::Quarantined { reason, .. }) => {
+                assert_eq!(reason, unsupported.to_string(), "v{version}")
             }
-            other => panic!("prefix of {cut} bytes: expected Truncated, got {other:?}"),
+            other => panic!("v{version} fault-in: {other:?}"),
         }
     }
-    assert!(load_synopsis(&bytes).is_ok(), "the full image still loads");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every prefix of a retired v2 image fails typed through both loaders
+/// and never half-loads. A cut short of magic + version (8 bytes) is a
+/// torn write of the one format: `Truncated` with exact lengths against
+/// the v3 header. From the version word on, the image names version 2.
 #[test]
-fn v1_header_only_and_payload_truncations_are_typed() {
-    // The v1 format is magic + version + the same payload, without the
-    // length/checksum header — synthesize one from a v2 image.
-    let v2 = v2_bytes();
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(b"XTWG");
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&v2[HEADER_LEN..]);
-    assert!(load_synopsis(&v1).is_ok(), "synthesized v1 image loads");
-
-    // Header-only: the torn write stopped before the label count.
-    assert!(matches!(
-        load_synopsis(&v1[..8]),
-        Err(SnapshotError::Truncated {
-            expected: 12,
-            actual: 8
-        })
-    ));
-    // Mid-payload cuts have no length header to compare against, but
-    // must still fail with a typed error — never load partially.
-    for cut in [9, 12, v1.len() / 2, v1.len() - 1] {
-        assert!(
-            load_synopsis(&v1[..cut]).is_err(),
-            "v1 prefix of {cut} bytes must not load"
+fn every_v2_prefix_reports_truncated_with_exact_lengths() {
+    let doc = imdb(ImdbConfig {
+        movies: 20,
+        seed: 7,
+    });
+    let [_, (version, v2)] = retired_images(&build_small(&doc));
+    for cut in 0..=v2.len() {
+        let want = if cut < 8 {
+            SnapshotError::Truncated {
+                expected: V3_HEADER_LEN,
+                actual: cut,
+            }
+        } else {
+            SnapshotError::UnsupportedVersion { version }
+        };
+        assert_eq!(
+            load_synopsis(&v2[..cut]).err(),
+            Some(want.clone()),
+            "cut at {cut}"
+        );
+        assert_eq!(
+            load_compiled_snapshot(&v2[..cut]).err(),
+            Some(want),
+            "cut at {cut}"
         );
     }
+}
+
+/// A retired v1 image fails typed however it was torn: whole,
+/// header-only (the write stopped before the label count) or cut
+/// anywhere in its payload, it names version 1 — v1 has no length
+/// header, so nothing else can say how much is missing. A cut inside
+/// the magic is a torn write of the one format.
+#[test]
+fn v1_header_only_and_payload_truncations_are_typed() {
+    let doc = imdb(ImdbConfig {
+        movies: 20,
+        seed: 7,
+    });
+    let [(version, v1), _] = retired_images(&build_small(&doc));
+    let unsupported = SnapshotError::UnsupportedVersion { version };
+    for cut in [8, 9, 12, v1.len() / 2, v1.len() - 1, v1.len()] {
+        assert_eq!(
+            load_synopsis(&v1[..cut]).err(),
+            Some(unsupported.clone()),
+            "v1 prefix of {cut} bytes"
+        );
+        assert_eq!(
+            load_compiled_snapshot(&v1[..cut]).err(),
+            Some(unsupported.clone()),
+            "v1 prefix of {cut} bytes"
+        );
+    }
+    assert_eq!(
+        load_synopsis(&v1[..4]).err(),
+        Some(SnapshotError::Truncated {
+            expected: V3_HEADER_LEN,
+            actual: 4
+        })
+    );
 }
 
 /// The three paper datasets at toy scale — the format coverage must
@@ -186,47 +246,41 @@ fn build_small(doc: &Document) -> xtwig::core::Synopsis {
     synopsis
 }
 
+/// The one format's round trip, for the coarse and the XBUILD synopsis
+/// of every generator: save → load → save reproduces the image, and
+/// the reloaded synopsis answers a workload bit-identically.
 #[test]
-fn v1_v2_v3_round_trip_identically_for_every_generator() {
+fn v3_round_trips_byte_stably_for_every_generator() {
     for (name, doc) in generator_docs() {
-        let synopsis = build_small(&doc);
-        let v2 = save_synopsis(&synopsis);
-        let v3 = save_synopsis_v3(&synopsis);
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"XTWG");
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&v2[HEADER_LEN..]);
-
-        verify_snapshot_v3(&v3).expect("full-CRC fsck of the v3 image");
-        let from_v1 = load_synopsis(&v1).expect("v1 loads");
-        let from_v2 = load_synopsis(&v2).expect("v2 loads");
-        let from_v3 = load_synopsis(&v3).expect("v3 loads");
-
-        let spec = WorkloadSpec {
-            queries: 25,
-            kind: WorkloadKind::Branching,
-            seed: 5,
-            ..Default::default()
-        };
-        let w = generate_workload(&doc, &spec);
-        let e1 = CompiledSynopsis::compile(&from_v1);
-        let e2 = CompiledSynopsis::compile(&from_v2);
-        let e3 = CompiledSynopsis::compile(&from_v3);
-        for q in &w.queries {
-            let req = EstimateRequest::new(q);
-            let a = e1.estimate(&req).estimate;
-            let b = e2.estimate(&req).estimate;
-            let c = e3.estimate(&req).estimate;
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{name}: v1 vs v2 diverged for {q}: {a} vs {b}"
+        let coarse = xtwig::core::coarse_synopsis(&doc);
+        for (kind, synopsis) in [("coarse", coarse), ("xbuild", build_small(&doc))] {
+            let v3 = save_synopsis_v3(&synopsis);
+            verify_snapshot_v3(&v3).expect("full-CRC fsck of the v3 image");
+            let loaded = load_synopsis(&v3).expect("v3 loads");
+            assert!(
+                save_synopsis_v3(&loaded) == v3,
+                "{name}/{kind}: save -> load -> save changed the image"
             );
-            assert_eq!(
-                b.to_bits(),
-                c.to_bits(),
-                "{name}: v2 vs v3 diverged for {q}: {b} vs {c}"
-            );
+
+            let spec = WorkloadSpec {
+                queries: 25,
+                kind: WorkloadKind::Branching,
+                seed: 5,
+                ..Default::default()
+            };
+            let w = generate_workload(&doc, &spec);
+            let built = CompiledSynopsis::compile(&synopsis);
+            let reloaded = CompiledSynopsis::compile(&loaded);
+            for q in &w.queries {
+                let req = EstimateRequest::new(q);
+                let a = built.estimate(&req).estimate;
+                let b = reloaded.estimate(&req).estimate;
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{name}/{kind}: reload diverged for {q}: {a} vs {b}"
+                );
+            }
         }
     }
 }
@@ -301,13 +355,10 @@ fn every_v3_prefix_reports_truncated_with_exact_lengths() {
         match err {
             SnapshotError::Truncated { expected, actual } => {
                 assert_eq!(actual, cut, "actual must be the bytes present");
-                // Before the version is readable the loader can only
-                // promise the generic header; with the version known it
-                // promises the v3 header; with the header present it
-                // promises the arena's own total length.
-                let promised = if cut < 8 {
-                    HEADER_LEN
-                } else if cut < V3_HEADER_LEN {
+                // Short of the header the loader promises the v3
+                // header; with the header present it promises the
+                // arena's own total length.
+                let promised = if cut < V3_HEADER_LEN {
                     V3_HEADER_LEN
                 } else {
                     bytes.len()
