@@ -10,13 +10,13 @@
 
 use xtwig_bench::{kb, row, BenchConfig};
 use xtwig_core::construct::{xbuild_from, BuildOptions, TruthSource};
-use xtwig_core::{coarse_synopsis, CompiledSynopsis};
+use xtwig_core::{coarse_synopsis, CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig_cst::{Cst, CstOptions};
 use xtwig_datagen::Dataset;
 use xtwig_markov::{MarkovOptions, MarkovPaths};
 use xtwig_workload::{
-    avg_relative_error, generate_workload, CstEstimator, MarkovEstimator, SummaryEstimator,
-    WorkloadKind, WorkloadSpec,
+    avg_relative_error, generate_workload, CstEstimator, MarkovEstimator, WorkloadKind,
+    WorkloadSpec,
 };
 
 fn main() {
@@ -75,22 +75,30 @@ fn main() {
             let xs = CompiledSynopsis::compile(&synopsis);
             let ce = CstEstimator { cst: &cst };
             let me = MarkovEstimator { model: &markov };
-            let techniques: [&dyn SummaryEstimator; 3] = [&xs, &ce, &me];
-            for tech in techniques {
-                let estimates: Vec<f64> = w.queries.iter().map(|q| tech.estimate(q)).collect();
+            let techniques: [(&str, usize, &dyn Estimator); 3] = [
+                ("XSKETCH", synopsis.size_bytes(), &xs),
+                ("CST", cst.size_bytes(), &ce),
+                ("Markov", markov.size_bytes(), &me),
+            ];
+            for (name, footprint, tech) in techniques {
+                let estimates: Vec<f64> = w
+                    .queries
+                    .iter()
+                    .map(|q| tech.estimate(&EstimateRequest::new(q)).estimate)
+                    .collect();
                 let r = avg_relative_error(&estimates, &truths);
                 println!(
                     "{:<10}{:>12}{:>12.3}{:>12.3}",
-                    tech.name(),
-                    kb(tech.size_bytes()),
+                    name,
+                    kb(footprint),
                     r.avg_rel_error,
                     r.p90
                 );
                 row(&[
                     ds.name().to_string(),
                     wname.to_string(),
-                    tech.name().to_string(),
-                    kb(tech.size_bytes()),
+                    name.to_string(),
+                    kb(footprint),
                     format!("{:.4}", r.avg_rel_error),
                     format!("{:.4}", r.p90),
                 ]);

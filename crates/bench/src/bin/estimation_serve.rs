@@ -15,9 +15,9 @@
 //! * **multi-tenant throughput** — four resident tenants served
 //!   concurrently through `SnapshotCatalog::serve`;
 //! * **cold first answer** — the median, over repeated fresh loads, of
-//!   a verified v3 read (`read_compiled_snapshot_in(.., true)`, the
-//!   catalog's fault-in) followed by the first `estimate_report` on its
-//!   cold memo (`cold_first_answer_us`).
+//!   a verified v3 read (`read_compiled_snapshot_in`, the read behind
+//!   the catalog's fault-in) followed by the first `estimate_report` on
+//!   its cold memo (`cold_first_answer_us`).
 //!
 //! Correctness: every query's estimate from a v3 snapshot loaded with
 //! `load_compiled_arena` must equal the in-memory
@@ -241,7 +241,7 @@ fn main() {
             let q = &w.queries[i % w.queries.len()];
             let expect = cs.estimate_report(q, &opts).estimate;
             let t = Instant::now();
-            let loaded = read_compiled_snapshot_in(&StdVfs, &v3_path, true).expect("v3 read");
+            let loaded = read_compiled_snapshot_in(&StdVfs, &v3_path).expect("v3 read");
             let a = loaded.estimate_report(q, &opts).estimate;
             cold_us.push(t.elapsed().as_secs_f64() * 1e6);
             if a.to_bits() != expect.to_bits() {

@@ -7,7 +7,7 @@
 //! We compare, on single-path workloads, the twig estimator
 //! (`CompiledSynopsis` through the `Estimator` trait) against the
 //! dedicated single-path estimator (`single_path::estimate_path_count`)
-//! over the same synopsis.
+//! over the same compiled synopsis.
 
 use xtwig_bench::{pct, row, BenchConfig};
 use xtwig_core::construct::{xbuild, BuildOptions, TruthSource};
@@ -55,7 +55,7 @@ fn main() {
         let sp_est: Vec<f64> = chains
             .iter()
             .map(|q| {
-                estimate_path_count(&synopsis, q.path(q.root()), &Default::default(), &mut arena)
+                estimate_path_count(&compiled, q.path(q.root()), &Default::default(), &mut arena)
             })
             .collect();
         let twig_err = avg_relative_error(&twig_est, &truths).avg_rel_error;

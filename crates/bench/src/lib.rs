@@ -19,8 +19,6 @@
 //! default 0.25; the paper's sizes are scale 1.0) and `XTWIG_QUERIES`
 //! (workload size, default 250; the paper uses 1000/500).
 
-use xtwig_workload::{avg_relative_error, SummaryEstimator, Workload};
-
 /// Run-scale configuration read from the environment.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
@@ -64,14 +62,6 @@ impl BenchConfig {
             self.scale, self.queries, self.budgets_bytes
         );
     }
-}
-
-/// Scores an estimator over a workload, returning the paper's error
-/// metric.
-pub fn score<E: SummaryEstimator>(est: &E, w: &Workload) -> f64 {
-    let estimates: Vec<f64> = w.queries.iter().map(|q| est.estimate(q)).collect();
-    let truths: Vec<f64> = w.truths.iter().map(|&t| t as f64).collect();
-    avg_relative_error(&estimates, &truths).avg_rel_error
 }
 
 /// Prints one CSV row (comma-joined) after a `data,` prefix so series are

@@ -17,8 +17,8 @@
 //!   with the label-name table, per-edge `child_count`/`parent_count`,
 //!   per-label element totals, and the per-node value summaries
 //!   flattened into one bucket column: everything expansion, branch
-//!   fractions, value-summary fallbacks, [`coarse_count_bound`] and
-//!   explain rendering read, through [`SynopsisView`]. A v3 snapshot
+//!   fractions, value-summary fallbacks, [`coarse_count_bound`],
+//!   explain rendering and the Markov derivation read. A v3 snapshot
 //!   stores exactly these columns, so a loaded synopsis serves without
 //!   ever building a [`Synopsis`]; [`CompiledSynopsis::source`] rebuilds
 //!   one from the columns only for the cold consumers that ask (fsck,
@@ -34,7 +34,7 @@
 //!   owns no heap memory. A v3 load fills the same columns in a fixed
 //!   number of allocations, whatever the node count.
 //! * **Memoized maximal-twig expansion** — one flat plan per
-//!   `(query signature, expansion options)`: every embedding as a range
+//!   `(query signature, embedding cap)`: every embedding as a range
 //!   of plan nodes over shared node, children, branch-value and `needs`
 //!   columns ([`ExpandedQuery`]), so repeated queries skip expansion and
 //!   embedding enumeration entirely. A miss enumerates in the thread's
@@ -92,7 +92,7 @@ use crate::estimate::embedding::{
 };
 use crate::estimate::guard::{EvalStats, Meter};
 use crate::estimate::kernel;
-use crate::estimate::{coarse_count_bound, EstimateOptions, SynopsisView};
+use crate::estimate::{coarse_count_bound, EstimateOptions};
 use crate::synopsis::{
     DimKind, EdgeHistogram, ScopeDim, SynId, Synopsis, SynopsisEdge, SynopsisNode, ValueBuckets,
     ValueSource, ValueSummary,
@@ -726,8 +726,8 @@ enum SourceRef<'a> {
 /// The compiled synopsis: flat arrays that answer every question the
 /// estimation path asks — expansion, branch fractions, value-summary
 /// fallbacks, the coarse count bound and explain rendering read the
-/// structural columns through [`SynopsisView`]; TREEPARSE reads the
-/// histograms.
+/// structural columns through the accessors below; TREEPARSE reads the
+/// histograms. It is the only synopsis view estimation reads.
 ///
 /// Two provenances share this one type: [`CompiledSynopsis::compile`]
 /// lowers a live synopsis into owned arrays (`'a` borrows the source),
@@ -743,7 +743,7 @@ pub struct CompiledSynopsis<'a> {
     label_total: Vec<f64>,
     /// Every node's edge histogram, in flat columns.
     pub(crate) hists: HistColumns,
-    /// Memoized expansions keyed by `(query, expansion options)`.
+    /// Memoized expansions keyed by `(query, embedding cap)`.
     memo: Mutex<HashMap<String, Arc<ExpandedQuery>>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
@@ -898,9 +898,88 @@ impl<'a> CompiledSynopsis<'a> {
         self.epoch
     }
 
-    /// Number of synopsis nodes.
+    /// Number of synopsis nodes; node ids are `0..node_count()`.
     pub fn node_count(&self) -> usize {
         self.cols.counts.len()
+    }
+
+    /// The node containing the document root.
+    pub fn root(&self) -> SynId {
+        self.cols.root
+    }
+
+    /// Maximum document depth (bounds `//` expansion).
+    pub fn max_depth(&self) -> usize {
+        self.cols.max_depth
+    }
+
+    /// The tag name of node `n`.
+    pub fn tag(&self, n: SynId) -> &str {
+        self.cols
+            .node_label
+            .get(n.index())
+            .map_or("", |&l| self.cols.labels.name(usize::from(l)))
+    }
+
+    /// The label id of node `n`: its tag is `label_name(node_label(n))`.
+    pub fn node_label(&self, n: SynId) -> usize {
+        self.cols
+            .node_label
+            .get(n.index())
+            .map_or(usize::MAX, |&l| usize::from(l))
+    }
+
+    /// Child nodes of `u`, in ascending id order.
+    pub fn children_of(&self, u: SynId) -> &[SynId] {
+        self.edge_row(u)
+            .and_then(|(start, end)| self.cols.edge_child.get(start..end))
+            .unwrap_or(&[])
+    }
+
+    /// Fraction of `u`'s elements with at least one child in `v`. Same
+    /// operands and operation as `Synopsis::exist_fraction`.
+    pub fn exist_fraction(&self, u: SynId, v: SynId) -> f64 {
+        match (self.edge_index(u, v), self.cols.counts.get(u.index())) {
+            (Some(i), Some(&cu)) if cu > 0 => {
+                self.cols.edge_parent_count.get(i).copied().unwrap_or(0) as f64 / cu as f64
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// Estimated fraction of `n`'s elements whose value lies in
+    /// `[lo, hi]` (0 for a node without a value summary).
+    pub fn value_fraction(&self, n: SynId, lo: i64, hi: i64) -> f64 {
+        self.cols.values.range_fraction(n.index(), lo, hi)
+    }
+
+    /// Total number of document elements carrying `tag`, summed in node
+    /// id order (0.0 when the tag does not occur).
+    pub fn tag_total(&self, tag: &str) -> f64 {
+        self.cols
+            .labels
+            .position(tag)
+            .and_then(|l| self.label_total.get(l))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
+    /// Number of labels in the label table.
+    pub fn label_count(&self) -> usize {
+        self.cols.labels.len()
+    }
+
+    /// The name of label id `label`, in table order (`""` out of range).
+    pub fn label_name(&self, label: usize) -> &str {
+        self.cols.labels.name(label)
+    }
+
+    /// Elements of `v` with a parent in `u` (0 when `u→v` is no edge).
+    pub fn child_count(&self, u: SynId, v: SynId) -> u64 {
+        self.edge_index(u, v)
+            .and_then(|i| self.cols.edge_child_count.get(i))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The compiled histogram of node `n`.
@@ -1006,11 +1085,7 @@ impl<'a> CompiledSynopsis<'a> {
         use std::fmt::Write as _;
         key_buf.clear();
         // Writing into a String is infallible.
-        let _ = write!(
-            key_buf,
-            "{query}\u{1}{}\u{1}{}",
-            opts.max_embeddings, opts.max_descendant_len
-        );
+        let _ = write!(key_buf, "{query}\u{1}{}", opts.max_embeddings);
         {
             let memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(hit) = memo.get(key_buf.as_str()) {
@@ -1593,78 +1668,6 @@ struct Frame<'c> {
     mean: &'c [f64],
 }
 
-impl SynopsisView for CompiledSynopsis<'_> {
-    fn root(&self) -> SynId {
-        self.cols.root
-    }
-
-    fn max_depth(&self) -> usize {
-        self.cols.max_depth
-    }
-
-    fn tag(&self, n: SynId) -> &str {
-        self.cols
-            .node_label
-            .get(n.index())
-            .map_or("", |&l| self.cols.labels.name(usize::from(l)))
-    }
-
-    fn node_label(&self, n: SynId) -> usize {
-        self.cols
-            .node_label
-            .get(n.index())
-            .map_or(usize::MAX, |&l| usize::from(l))
-    }
-
-    fn children_of(&self, u: SynId) -> &[SynId] {
-        self.edge_row(u)
-            .and_then(|(start, end)| self.cols.edge_child.get(start..end))
-            .unwrap_or(&[])
-    }
-
-    /// Same operands and operation as `Synopsis::exist_fraction`.
-    fn exist_fraction(&self, u: SynId, v: SynId) -> f64 {
-        match (self.edge_index(u, v), self.cols.counts.get(u.index())) {
-            (Some(i), Some(&cu)) if cu > 0 => {
-                self.cols.edge_parent_count.get(i).copied().unwrap_or(0) as f64 / cu as f64
-            }
-            _ => 0.0,
-        }
-    }
-
-    fn value_fraction(&self, n: SynId, lo: i64, hi: i64) -> f64 {
-        self.cols.values.range_fraction(n.index(), lo, hi)
-    }
-
-    fn tag_total(&self, tag: &str) -> f64 {
-        self.cols
-            .labels
-            .position(tag)
-            .and_then(|l| self.label_total.get(l))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    fn node_count(&self) -> usize {
-        CompiledSynopsis::node_count(self)
-    }
-
-    fn label_count(&self) -> usize {
-        self.cols.labels.len()
-    }
-
-    fn label_name(&self, label: usize) -> &str {
-        self.cols.labels.name(label)
-    }
-
-    fn child_count(&self, u: SynId, v: SynId) -> u64 {
-        self.edge_index(u, v)
-            .and_then(|i| self.cols.edge_child_count.get(i))
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
 impl Estimator for CompiledSynopsis<'_> {
     fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport {
         self.estimate_report(req.query, &req.options)
@@ -2234,7 +2237,7 @@ mod tests {
                     assert_eq!(render(&a), render(&b), "{text}");
                 }
                 assert_eq!(
-                    coarse_count_bound(s, &q).to_bits(),
+                    coarse_count_bound(&owned, &q).to_bits(),
                     coarse_count_bound(&loaded, &q).to_bits(),
                     "{text}"
                 );

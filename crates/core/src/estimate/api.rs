@@ -1,5 +1,5 @@
 //! The estimation API: one request/report surface over the compiled
-//! evaluator and the guarded fallback chain.
+//! evaluator, the guarded fallback chain and the baselines.
 //!
 //! Every estimator implements the single [`Estimator`] trait:
 //!
@@ -18,7 +18,8 @@
 
 use super::embedding::EmbeddingView;
 use super::guard::{EvalStats, Exhaustion};
-use super::{EstimateOptions, SynopsisView};
+use super::EstimateOptions;
+use crate::compiled::CompiledSynopsis;
 use crate::telemetry;
 use std::time::Instant;
 use xtwig_query::TwigQuery;
@@ -51,7 +52,8 @@ impl<'q> EstimateRequest<'q> {
 /// Where an estimate came from and how trustworthy it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Provenance {
-    /// The serving path: `"xsketch-compiled"` or `"guarded"`.
+    /// The serving path: `"xsketch-compiled"`, `"guarded"`, or a
+    /// baseline's `"cst"` or `"markov"`.
     pub source: &'static str,
     /// Why evaluation stopped early, if it did.
     pub exhaustion: Option<Exhaustion>,
@@ -184,8 +186,9 @@ pub struct EstimateReport {
 }
 
 /// The estimation surface: implemented by the compiled synopsis
-/// ([`crate::CompiledSynopsis`]) and the guarded fallback chain
-/// (`xtwig-workload`'s `GuardedEstimator`).
+/// ([`crate::CompiledSynopsis`]), the guarded fallback chain and the
+/// CST and Markov baselines (`xtwig-workload`'s `GuardedEstimator`,
+/// `CstEstimator` and `MarkovEstimator`).
 pub trait Estimator {
     /// Estimates the selectivity of `req.query` under `req.options`,
     /// reporting value + provenance + telemetry (+ explain on demand).
@@ -282,9 +285,9 @@ pub(crate) fn sum_embeddings(
 
 /// Renders an embedding over the synopsis's tag names, nested as
 /// `root(child,child(grandchild))`.
-pub(crate) fn render_embedding<S: SynopsisView + ?Sized>(s: &S, emb: EmbeddingView<'_>) -> String {
-    fn render_node<S: SynopsisView + ?Sized>(
-        s: &S,
+pub(crate) fn render_embedding(s: &CompiledSynopsis<'_>, emb: EmbeddingView<'_>) -> String {
+    fn render_node(
+        s: &CompiledSynopsis<'_>,
         emb: EmbeddingView<'_>,
         i: usize,
         depth: usize,
@@ -430,7 +433,7 @@ mod tests {
         let cs = CompiledSynopsis::compile(&s);
         let plan = cs.expand_metered(&q, &EstimateOptions::default(), &mut Meter::unlimited());
         assert!(!plan.is_empty());
-        let rendered = render_embedding(&s, plan.embedding(0).unwrap());
+        let rendered = render_embedding(&cs, plan.embedding(0).unwrap());
         assert!(rendered.contains("conf"), "{rendered}");
         assert!(rendered.contains("paper(kw)"), "{rendered}");
     }

@@ -1,4 +1,4 @@
-//! Path expansion against the synopsis graph.
+//! Path expansion against the compiled synopsis's structural columns.
 //!
 //! Expands a path expression into the concrete synopsis chains it can
 //! traverse: `/label` steps follow synopsis edges to nodes with the tag,
@@ -25,9 +25,10 @@
 
 use std::ops::Range;
 
+use crate::compiled::CompiledSynopsis;
 use crate::estimate::arena::ExpandScratch;
 use crate::estimate::guard::Meter;
-use crate::estimate::{EstimateOptions, SynopsisView};
+use crate::estimate::EstimateOptions;
 use crate::single_path::branch_fraction_in;
 use crate::synopsis::SynId;
 use xtwig_query::{Axis, PathExpr, Step};
@@ -85,8 +86,8 @@ pub(crate) fn chain_links(sc: &ExpandScratch, chain: usize) -> &[Link] {
 /// equals it, pushed onto `step_sets`; returns the index of the first
 /// step's set. Every matching id is marked, so a label table with a
 /// repeated name matches exactly the nodes a string compare would.
-pub(crate) fn resolve_steps<S: SynopsisView + ?Sized>(
-    s: &S,
+pub(crate) fn resolve_steps(
+    s: &CompiledSynopsis<'_>,
     steps: &[Step],
     sc: &mut ExpandScratch,
 ) -> usize {
@@ -104,7 +105,7 @@ pub(crate) fn resolve_steps<S: SynopsisView + ?Sized>(
 }
 
 /// Whether synopsis node `v` carries a label in resolved set `set`.
-fn matches<S: SynopsisView + ?Sized>(s: &S, sc: &ExpandScratch, set: usize, v: SynId) -> bool {
+fn matches(s: &CompiledSynopsis<'_>, sc: &ExpandScratch, set: usize, v: SynId) -> bool {
     let label = s.node_label(v);
     sc.step_sets
         .get(set)
@@ -118,8 +119,8 @@ fn matches<S: SynopsisView + ?Sized>(s: &S, sc: &ExpandScratch, set: usize, v: S
 /// Every chain starts at the synopsis root node. Returns the range of
 /// the new chains in [`ExpandScratch::chains`]; on meter exhaustion the
 /// chains expanded so far.
-pub(crate) fn expand_absolute<S: SynopsisView + ?Sized>(
-    s: &S,
+pub(crate) fn expand_absolute(
+    s: &CompiledSynopsis<'_>,
     path: &PathExpr,
     set: usize,
     opts: &EstimateOptions,
@@ -148,8 +149,8 @@ pub(crate) fn expand_absolute<S: SynopsisView + ?Sized>(
 /// Expands a relative path, steps resolved from `set`, from context node
 /// `from`. The chains do not include `from` itself. Returns the range of
 /// the new chains; on meter exhaustion the chains expanded so far.
-pub(crate) fn expand_from<S: SynopsisView + ?Sized>(
-    s: &S,
+pub(crate) fn expand_from(
+    s: &CompiledSynopsis<'_>,
     from: SynId,
     path: &PathExpr,
     set: usize,
@@ -169,8 +170,8 @@ pub(crate) fn expand_from<S: SynopsisView + ?Sized>(
 /// `anchor` that `step` (label set `set`) matches: a child for
 /// `/label`, any downward path for `//label`.
 #[allow(clippy::too_many_arguments)]
-fn step_chains<S: SynopsisView + ?Sized>(
-    s: &S,
+fn step_chains(
+    s: &CompiledSynopsis<'_>,
     anchor: SynId,
     step: &Step,
     set: usize,
@@ -205,8 +206,8 @@ fn push_chain(sc: &mut ExpandScratch, prefix: (usize, usize), between: Range<usi
 }
 
 /// Resolves a step's predicates at synopsis node `v`.
-fn resolve_link<S: SynopsisView + ?Sized>(
-    s: &S,
+fn resolve_link(
+    s: &CompiledSynopsis<'_>,
     v: SynId,
     step: &Step,
     opts: &EstimateOptions,
@@ -265,8 +266,8 @@ fn resolve_link<S: SynopsisView + ?Sized>(
 /// step 1; step `k`'s label set is `set + k`), charging the meter one
 /// unit per chain extended. Each step's chains are pushed above the
 /// previous step's; the returned range is the last step's.
-fn extend_chains<S: SynopsisView + ?Sized>(
-    s: &S,
+fn extend_chains(
+    s: &CompiledSynopsis<'_>,
     heads: Range<usize>,
     path: &PathExpr,
     set: usize,
@@ -303,12 +304,12 @@ fn extend_chains<S: SynopsisView + ?Sized>(
 
 /// Pushes one chain `links[prefix] → x1 → … → xk` per downward synopsis
 /// path from `from` (`from` excluded, k ≥ 1) whose final node carries a
-/// label in `set`. Bounded by the synopsis' recorded document depth (or
-/// the option override) and by the embedding cap, so synopsis cycles
-/// (recursive document structures) terminate.
+/// label in `set`. Bounded by the synopsis' recorded document depth and
+/// by the embedding cap, so synopsis cycles (recursive document
+/// structures) terminate.
 #[allow(clippy::too_many_arguments)]
-fn descend_from<S: SynopsisView + ?Sized>(
-    s: &S,
+fn descend_from(
+    s: &CompiledSynopsis<'_>,
     from: SynId,
     step: &Step,
     set: usize,
@@ -317,11 +318,7 @@ fn descend_from<S: SynopsisView + ?Sized>(
     meter: &mut Meter,
     sc: &mut ExpandScratch,
 ) {
-    let max_len = if opts.max_descendant_len > 0 {
-        opts.max_descendant_len
-    } else {
-        s.max_depth().max(1)
-    };
+    let max_len = s.max_depth().max(1);
     let mut search = Search {
         step,
         set,
@@ -344,8 +341,8 @@ struct Search<'q> {
     found: usize,
 }
 
-fn descend<S: SynopsisView + ?Sized>(
-    s: &S,
+fn descend(
+    s: &CompiledSynopsis<'_>,
     at: SynId,
     remaining: usize,
     search: &mut Search<'_>,
@@ -385,9 +382,10 @@ mod tests {
         parse("<bib><author><name/><paper><title/><keyword/></paper></author><journal><paper><title/></paper></journal></bib>").unwrap()
     }
 
-    /// Expands `path` (absolute, or relative to `from`) and copies the
-    /// chains out of the lanes.
+    /// Expands `path` (absolute, or relative to `from`) over the
+    /// compiled `s` and copies the chains out of the lanes.
     fn expand(s: &Synopsis, from: Option<SynId>, path: &PathExpr) -> Vec<Vec<Link>> {
+        let s = &CompiledSynopsis::compile(s);
         let mut sc = ExpandScratch::default();
         let opts = EstimateOptions::default();
         let mut meter = Meter::from_options(&opts);
@@ -474,7 +472,8 @@ mod tests {
     #[test]
     fn nested_expansion_leaves_the_lanes_as_it_found_them() {
         let d = parse("<r><m><t>1</t><a/></m><m><t>2</t></m></r>").unwrap();
-        let s = coarse_synopsis(&d);
+        let syn = coarse_synopsis(&d);
+        let s = CompiledSynopsis::compile(&syn);
         let mut sc = ExpandScratch::default();
         let opts = EstimateOptions::default();
         let path = parse_path("//m[t = 1][a]/t").unwrap();
@@ -505,11 +504,12 @@ mod branch_value_tests {
     /// branch values.
     fn last_link(doc: &str, path: &str) -> (crate::synopsis::Synopsis, Link, Vec<BranchValue>) {
         let s = coarse_synopsis(&parse(doc).unwrap());
+        let cs = CompiledSynopsis::compile(&s);
         let mut sc = ExpandScratch::default();
         let opts = EstimateOptions::default();
         let p = parse_path(path).unwrap();
-        let set = resolve_steps(&s, &p.steps, &mut sc);
-        let chains = expand_absolute(&s, &p, set, &opts, &mut Meter::unlimited(), &mut sc);
+        let set = resolve_steps(&cs, &p.steps, &mut sc);
+        let chains = expand_absolute(&cs, &p, set, &opts, &mut Meter::unlimited(), &mut sc);
         assert_eq!(chains.len(), 1);
         let link = *chain_links(&sc, chains.start).last().unwrap();
         let values = sc.link_values[link.values.0..link.values.1].to_vec();

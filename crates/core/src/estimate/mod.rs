@@ -38,85 +38,8 @@ pub use arena::EvalArena;
 pub use embedding::{EmbNode, Embedding, EmbeddingView, ExpandedQuery};
 pub use guard::{EvalStats, Exhaustion, Meter};
 
-use crate::synopsis::{SynId, Synopsis};
+use crate::compiled::CompiledSynopsis;
 use xtwig_query::TwigQuery;
-
-/// The read-only structural facts of a synopsis that expansion,
-/// embedding enumeration, branch fractions, [`coarse_count_bound`],
-/// explain rendering and the guarded chain's Markov fallback read. The construction-side [`Synopsis`] answers
-/// from its graph; the serving-side [`crate::CompiledSynopsis`] answers
-/// from its flat columns, so one generic expansion path serves both and
-/// a snapshot load never needs the graph.
-pub trait SynopsisView {
-    /// The node containing the document root.
-    fn root(&self) -> SynId;
-    /// Maximum document depth (bounds `//` expansion).
-    fn max_depth(&self) -> usize;
-    /// The tag name of node `n`.
-    fn tag(&self, n: SynId) -> &str;
-    /// The label id of node `n`: its tag is `label_name(node_label(n))`.
-    fn node_label(&self, n: SynId) -> usize;
-    /// Child nodes of `u`, in ascending id order.
-    fn children_of(&self, u: SynId) -> &[SynId];
-    /// Fraction of `u`'s elements with at least one child in `v`.
-    fn exist_fraction(&self, u: SynId, v: SynId) -> f64;
-    /// Estimated fraction of `n`'s elements whose value lies in
-    /// `[lo, hi]` (0 for a node without a value summary).
-    fn value_fraction(&self, n: SynId, lo: i64, hi: i64) -> f64;
-    /// Total number of document elements carrying `tag`, summed in node
-    /// id order (0.0 when the tag does not occur).
-    fn tag_total(&self, tag: &str) -> f64;
-    /// Number of synopsis nodes; node ids are `0..node_count()`.
-    fn node_count(&self) -> usize;
-    /// Number of labels in the label table.
-    fn label_count(&self) -> usize;
-    /// The name of label id `label`, in table order (`""` out of range).
-    fn label_name(&self, label: usize) -> &str;
-    /// Elements of `v` with a parent in `u` (0 when `u→v` is no edge).
-    fn child_count(&self, u: SynId, v: SynId) -> u64;
-}
-
-impl SynopsisView for Synopsis {
-    fn root(&self) -> SynId {
-        Synopsis::root(self)
-    }
-    fn max_depth(&self) -> usize {
-        Synopsis::max_depth(self)
-    }
-    fn tag(&self, n: SynId) -> &str {
-        Synopsis::tag(self, n)
-    }
-    fn node_label(&self, n: SynId) -> usize {
-        usize::from(self.label(n).0)
-    }
-    fn children_of(&self, u: SynId) -> &[SynId] {
-        Synopsis::children_of(self, u)
-    }
-    fn exist_fraction(&self, u: SynId, v: SynId) -> f64 {
-        Synopsis::exist_fraction(self, u, v)
-    }
-    fn value_fraction(&self, n: SynId, lo: i64, hi: i64) -> f64 {
-        Synopsis::value_fraction(self, n, lo, hi)
-    }
-    fn tag_total(&self, tag: &str) -> f64 {
-        Synopsis::tag_total(self, tag)
-    }
-    fn node_count(&self) -> usize {
-        Synopsis::node_count(self)
-    }
-    fn label_count(&self) -> usize {
-        self.labels().len()
-    }
-    fn label_name(&self, label: usize) -> &str {
-        match u16::try_from(label) {
-            Ok(id) if label < self.labels().len() => self.labels().name(xtwig_xml::LabelId(id)),
-            _ => "",
-        }
-    }
-    fn child_count(&self, u: SynId, v: SynId) -> u64 {
-        self.edge(u, v).map_or(0, |e| e.child_count)
-    }
-}
 
 /// Tunables for expansion, embedding enumeration, budget guarding, and
 /// introspection.
@@ -131,9 +54,6 @@ pub struct EstimateOptions {
     /// Hard cap on the number of embeddings evaluated per query (the sum
     /// over embeddings is truncated beyond it).
     pub max_embeddings: usize,
-    /// Maximum length of a synopsis chain a single `//` step may expand to
-    /// (0 = use the document depth recorded in the synopsis).
-    pub max_descendant_len: usize,
     /// Wall-clock deadline for the whole estimation; once passed, the
     /// pipeline unwinds cooperatively and the partial result is returned
     /// with [`Exhaustion::Deadline`]. `None` = no deadline.
@@ -151,7 +71,6 @@ impl Default for EstimateOptions {
     fn default() -> Self {
         EstimateOptions {
             max_embeddings: 4096,
-            max_descendant_len: 0,
             deadline: None,
             work_limit: 0,
             explain: false,
@@ -198,12 +117,6 @@ impl EstimateOptionsBuilder {
         self
     }
 
-    /// Sets the maximum `//`-expansion chain length (0 = document depth).
-    pub fn max_descendant_len(mut self, n: usize) -> Self {
-        self.opts.max_descendant_len = n;
-        self
-    }
-
     /// Sets the wall-clock deadline.
     pub fn deadline(mut self, at: std::time::Instant) -> Self {
         self.opts.deadline = Some(at);
@@ -241,7 +154,7 @@ impl EstimateOptionsBuilder {
 /// as the last-resort degradation tier and as the clamp target for
 /// infinite intermediate results. Returns 0.0 when some queried tag does
 /// not occur in the document, and saturates at `f64::MAX`.
-pub fn coarse_count_bound<S: SynopsisView + ?Sized>(s: &S, query: &TwigQuery) -> f64 {
+pub fn coarse_count_bound(s: &CompiledSynopsis<'_>, query: &TwigQuery) -> f64 {
     let mut bound = 1.0f64;
     for t in query.node_refs() {
         let Some(step) = query.path(t).steps.last() else {
@@ -260,7 +173,7 @@ pub fn coarse_count_bound<S: SynopsisView + ?Sized>(s: &S, query: &TwigQuery) ->
 mod tests {
     use super::*;
     use crate::coarse::coarse_synopsis;
-    use crate::compiled::CompiledSynopsis;
+    use crate::synopsis::Synopsis;
     use xtwig_query::{parse_twig, selectivity};
     use xtwig_xml::parse;
 
@@ -293,7 +206,6 @@ mod tests {
     fn options_default_caps_are_sane() {
         let opts = EstimateOptions::default();
         assert!(opts.max_embeddings >= 1024);
-        assert_eq!(opts.max_descendant_len, 0); // document depth
     }
 
     /// Rebuilds `s` with every edge histogram's buckets passed through

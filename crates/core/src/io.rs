@@ -506,7 +506,7 @@ pub fn load_synopsis(bytes: &[u8]) -> Result<Synopsis, SnapshotError> {
 /// directory, unreadable) to a precise typed error; a zero-length or
 /// header-only file is a typed [`SnapshotError::Truncated`].
 pub fn read_snapshot(path: &Path) -> Result<Synopsis, SnapshotError> {
-    Ok(v3::read_compiled_snapshot_in(&vfs::StdVfs, path, true)?.to_synopsis())
+    Ok(v3::read_compiled_snapshot_in(&vfs::StdVfs, path)?.to_synopsis())
 }
 
 /// Serializes `s` as a v3 snapshot and writes it to `path`

@@ -66,8 +66,8 @@
 //! the `META` CRC, then carve; they decode the column sections without
 //! checksumming them. [`verify_snapshot_v3`] checks every section's CRC
 //! and the zero padding between sections, and
-//! [`load_compiled_arena_verified`] — the catalog fault-in — runs that
-//! full sweep before the carve, as do [`load_synopsis`](super::load_synopsis),
+//! [`read_compiled_snapshot_in`] — behind the catalog fault-in — runs
+//! that full sweep before the carve, as do [`load_synopsis`](super::load_synopsis),
 //! [`read_snapshot`](super::read_snapshot) and the catalog's hot reload,
 //! so a flipped bit anywhere in the file fails typed before a single
 //! estimate is computed from it. A prefix too short to hold the header
@@ -748,29 +748,17 @@ fn carve(bytes: &[u8], idx: &ArenaIndex) -> Result<CompiledSynopsis<'static>, Sn
 /// the structural columns and validates every id serving indexes with,
 /// then one bulk decode per histogram column and one pass rebuilding
 /// the bound transposes. The column sections are decoded but not
-/// checksummed; [`load_compiled_arena_verified`] adds the full sweep.
+/// checksummed; [`read_compiled_snapshot_in`] adds the full sweep.
 pub fn load_compiled_snapshot(bytes: &[u8]) -> Result<CompiledSynopsis<'static>, SnapshotError> {
     let idx = parse_arena(bytes)?;
     check_section(bytes, section::META, idx.get(section::META))?;
     carve(bytes, &idx)
 }
 
-/// [`load_compiled_arena`] preceded by a full per-section CRC sweep.
-///
-/// Serving surfaces that fault in snapshots from disk they do not trust
-/// (the multi-tenant catalog) use this variant, so a flipped bit in
-/// *any* section surfaces as a typed [`SnapshotError`] before a single
-/// estimate is computed from it. The sweep covers `META`, so the carve
-/// does not checksum it a second time.
-pub fn load_compiled_arena_verified(
-    arena: Arc<AlignedBytes>,
-) -> Result<CompiledSynopsis<'static>, SnapshotError> {
-    load_verified(arena.bytes())
-}
-
-/// The full CRC sweep, then the carve: what every reader that does not
-/// hold an arena runs ([`load_synopsis`](super::load_synopsis), the
-/// catalog's hot reload).
+/// The full CRC sweep, then the carve: what every shipped reader runs
+/// ([`load_synopsis`](super::load_synopsis), the file reads, the
+/// catalog's fault-in and hot reload). The sweep covers `META`, so the
+/// carve does not checksum it a second time.
 pub(crate) fn load_verified(bytes: &[u8]) -> Result<CompiledSynopsis<'static>, SnapshotError> {
     let idx = verified_index(bytes)?;
     carve(bytes, &idx)
@@ -778,18 +766,17 @@ pub(crate) fn load_verified(bytes: &[u8]) -> Result<CompiledSynopsis<'static>, S
 
 /// Reads and loads a v3 snapshot file through `fs`, mapping every
 /// filesystem failure (missing, directory, unreadable) to a typed
-/// error, and optionally running the full per-section CRC sweep
-/// (`verified`) before the carve.
+/// error, and running the full per-section CRC sweep before the carve,
+/// so a flipped bit anywhere in the file fails typed.
 pub fn read_compiled_snapshot_in(
     fs: &dyn Vfs,
     path: &Path,
-    verified: bool,
 ) -> Result<CompiledSynopsis<'static>, SnapshotError> {
     let meta = fs.metadata(path).map_err(|e| SnapshotError::Io {
         path: path.display().to_string(),
         cause: e.to_string(),
     })?;
-    read_after_stat(fs, path, meta, verified)
+    read_after_stat(fs, path, meta)
 }
 
 /// [`read_compiled_snapshot_in`] for a caller that already stat'ed
@@ -799,7 +786,6 @@ pub(crate) fn read_after_stat(
     fs: &dyn Vfs,
     path: &Path,
     meta: VfsMetadata,
-    verified: bool,
 ) -> Result<CompiledSynopsis<'static>, SnapshotError> {
     if meta.is_dir {
         return Err(SnapshotError::IsDirectory {
@@ -810,11 +796,7 @@ pub(crate) fn read_after_stat(
         path: path.display().to_string(),
         cause: e.to_string(),
     })?;
-    if verified {
-        load_verified(arena.bytes())
-    } else {
-        load_compiled_snapshot(arena.bytes())
-    }
+    load_verified(arena.bytes())
 }
 
 /// v3 images of a built synopsis, each with exactly one id or row
@@ -1073,8 +1055,7 @@ mod tests {
                 for bit in 0..8 {
                     let mut bad = bytes.clone();
                     bad[pos] ^= 1 << bit;
-                    let arena = Arc::new(AlignedBytes::from_bytes(&bad));
-                    match load_compiled_arena_verified(arena) {
+                    match load_verified(&bad) {
                         Err(_) => rejected += 1,
                         Ok(_) => panic!("section {id}: flip at byte {pos} bit {bit} served"),
                     }
@@ -1106,14 +1087,13 @@ mod tests {
         let path = dir.join("rot.xtwg");
         std::fs::write(&path, &bad).unwrap();
         let fs = super::super::vfs::StdVfs;
-        assert!(read_compiled_snapshot_in(&fs, &path, false).is_ok());
         assert!(matches!(
-            read_compiled_snapshot_in(&fs, &path, true),
+            read_compiled_snapshot_in(&fs, &path),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
         // The pristine file passes the verified read.
         std::fs::write(&path, &bytes).unwrap();
-        read_compiled_snapshot_in(&fs, &path, true).unwrap();
+        read_compiled_snapshot_in(&fs, &path).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -50,12 +50,12 @@ pub use describe::describe;
 pub use estimate::{
     coarse_count_bound, AssumptionCounts, EmbeddingContribution, EstimateOptions,
     EstimateOptionsBuilder, EstimateReport, EstimateRequest, Estimator, Exhaustion, Explain,
-    Provenance, QueryTelemetry, SynopsisView,
+    Provenance, QueryTelemetry,
 };
 pub use io::pod::AlignedBytes;
 pub use io::v3::{
-    load_compiled_arena, load_compiled_arena_verified, load_compiled_snapshot,
-    read_compiled_snapshot_in, save_synopsis_v3, verify_snapshot_v3,
+    load_compiled_arena, load_compiled_snapshot, read_compiled_snapshot_in, save_synopsis_v3,
+    verify_snapshot_v3,
 };
 pub use io::vfs::{FaultVfs, StdVfs, Vfs, VfsFaultPlan, VfsFile, VfsMetadata, INJECTED_PREFIX};
 pub use io::wal::{

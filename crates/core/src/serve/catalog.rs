@@ -842,7 +842,7 @@ impl<T: ServeTier> SnapshotCatalog<T> {
         let mut attempt = 0u32;
         loop {
             let loaded = match self.vfs.metadata(path) {
-                Ok(meta) => read_after_stat(&*self.vfs, path, meta, true),
+                Ok(meta) => read_after_stat(&*self.vfs, path, meta),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
                 Err(e) => Err(SnapshotError::Io {
                     path: path.display().to_string(),

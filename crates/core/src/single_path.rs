@@ -10,29 +10,12 @@
 //! is reachable, then `child_count(u→v) · f` elements of `v` are reachable
 //! (children are assumed uniformly distributed over parents).
 
+use crate::compiled::CompiledSynopsis;
 use crate::estimate::arena::ExpandScratch;
 use crate::estimate::expand::{chain_links, expand_absolute, expand_from, resolve_steps};
-use crate::estimate::{EstimateOptions, EvalArena, Meter, SynopsisView};
-use crate::synopsis::{SynId, Synopsis};
+use crate::estimate::{EstimateOptions, EvalArena, Meter};
+use crate::synopsis::SynId;
 use xtwig_query::{PathExpr, Pred};
-
-/// Estimated number of elements at the end of the synopsis chain
-/// `chain[0] → … → chain[k]`, starting from `start_count` elements of
-/// `chain[0]` (uniformity at every step).
-pub fn chain_count(s: &Synopsis, chain: &[SynId], start_count: f64) -> f64 {
-    let mut count = start_count;
-    for w in chain.windows(2) {
-        let (u, v) = (w[0], w[1]);
-        let size_u = s.extent_size(u) as f64;
-        if size_u == 0.0 {
-            return 0.0;
-        }
-        let frac = (count / size_u).min(1.0);
-        let child_count = s.edge(u, v).map_or(0, |e| e.child_count) as f64;
-        count = child_count * frac;
-    }
-    count
-}
 
 /// Estimated fraction of `from`'s elements satisfying the existential
 /// branch predicate `[path]` (with optional value restriction), combining
@@ -40,8 +23,8 @@ pub fn chain_count(s: &Synopsis, chain: &[SynId], start_count: f64) -> f64 {
 /// synopsis expansions as disjoint-ish alternatives
 /// (`1 − Π(1 − f_alt)`). The branch path expands in `ar`'s lanes under
 /// its own meter, built from `opts`.
-pub fn branch_fraction<S: SynopsisView + ?Sized>(
-    s: &S,
+pub fn branch_fraction(
+    s: &CompiledSynopsis<'_>,
     from: SynId,
     pred: &Pred,
     opts: &EstimateOptions,
@@ -53,8 +36,8 @@ pub fn branch_fraction<S: SynopsisView + ?Sized>(
 /// [`branch_fraction`] over the expansion lanes an expansion already
 /// holds: the branch path's chains are pushed above the caller's and
 /// released before returning.
-pub(crate) fn branch_fraction_in<S: SynopsisView + ?Sized>(
-    s: &S,
+pub(crate) fn branch_fraction_in(
+    s: &CompiledSynopsis<'_>,
     from: SynId,
     pred: &Pred,
     opts: &EstimateOptions,
@@ -92,9 +75,10 @@ pub(crate) fn branch_fraction_in<S: SynopsisView + ?Sized>(
 /// Estimates the result count of a single (absolute) path expression over
 /// the synopsis — the single-path XSKETCH estimator used by the §6.2
 /// comparison bench. Branch and value predicates multiply in as fractions.
-/// The path expands in `ar`'s lanes.
+/// The path expands in `ar`'s lanes; node counts come from the `counts`
+/// column and edge counts from [`CompiledSynopsis::child_count`].
 pub fn estimate_path_count(
-    s: &Synopsis,
+    s: &CompiledSynopsis<'_>,
     path: &PathExpr,
     opts: &EstimateOptions,
     ar: &mut EvalArena,
@@ -115,13 +99,13 @@ pub fn estimate_path_count(
         let mut prev = head.syn;
         count *= head.pred_fraction;
         for link in links {
-            let size_prev = s.extent_size(prev) as f64;
+            let size_prev = s.cols.counts.get(prev.index()).copied().unwrap_or(0) as f64;
             let frac = if size_prev > 0.0 {
                 (count / size_prev).min(1.0)
             } else {
                 0.0
             };
-            let child_count = s.edge(prev, link.syn).map_or(0, |e| e.child_count) as f64;
+            let child_count = s.child_count(prev, link.syn) as f64;
             count = child_count * frac * link.pred_fraction;
             prev = link.syn;
         }
@@ -129,13 +113,6 @@ pub fn estimate_path_count(
     }
     sc.release(mark);
     total
-}
-
-/// Convenience: the `|u→v|` estimate of the paper — the number of elements
-/// of `v` with a parent in `u`, which our synopsis stores exactly; equals
-/// `|v|` when the edge is B-stable, as the paper notes.
-pub fn edge_reach(s: &Synopsis, u: SynId, v: SynId) -> f64 {
-    s.edge(u, v).map_or(0, |e| e.child_count) as f64
 }
 
 #[cfg(test)]
@@ -162,26 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn chain_count_is_exact_on_stable_chains() {
-        let d = doc();
-        let s = coarse_synopsis(&d);
-        let bib = s.root();
-        let author = s.nodes_with_tag("author")[0];
-        let paper = s.nodes_with_tag("paper")[0];
-        let keyword = s.nodes_with_tag("keyword")[0];
-        // /bib/author/paper/keyword: all edges B-stable in this document;
-        // chain from the root (1 element) reaches all 4 keywords.
-        let c = chain_count(&s, &[bib, author, paper, keyword], 1.0);
-        assert!((c - 4.0).abs() < 1e-9, "{c}");
-        // Starting from a fraction of authors scales linearly.
-        let c2 = chain_count(&s, &[author, paper], 1.0);
-        assert!((c2 - 1.5).abs() < 1e-9, "{c2}");
-    }
-
-    #[test]
     fn estimate_path_count_simple() {
         let d = doc();
-        let s = coarse_synopsis(&d);
+        let syn = coarse_synopsis(&d);
+        let s = CompiledSynopsis::compile(&syn);
         let opts = EstimateOptions::default();
         let p = parse_path("/bib/author/paper").unwrap();
         let mut ar = EvalArena::new();
@@ -195,9 +156,10 @@ mod tests {
     #[test]
     fn branch_fraction_single_step() {
         let d = doc();
-        let s = coarse_synopsis(&d);
+        let syn = coarse_synopsis(&d);
+        let s = CompiledSynopsis::compile(&syn);
         let opts = EstimateOptions::default();
-        let author = s.nodes_with_tag("author")[0];
+        let author = syn.nodes_with_tag("author")[0];
         // [book]: one of two authors has a book.
         let pred = Pred::branch(PathExpr::child("book"));
         let mut ar = EvalArena::new();
@@ -212,22 +174,14 @@ mod tests {
     #[test]
     fn branch_fraction_with_value() {
         let d = doc();
-        let s = coarse_synopsis(&d);
+        let syn = coarse_synopsis(&d);
+        let s = CompiledSynopsis::compile(&syn);
         let opts = EstimateOptions::default();
-        let paper = s.nodes_with_tag("paper")[0];
+        let paper = syn.nodes_with_tag("paper")[0];
         // [year > 2000]: 2 of 3 years qualify; every paper has a year, so
         // fraction ≈ 2/3 (value histogram approximation).
         let pred = xtwig_query::parse_path("/x[year > 2000]").unwrap().steps[0].preds[0].clone();
         let f = branch_fraction(&s, paper, &pred, &opts, &mut EvalArena::new());
         assert!(f > 0.3 && f <= 1.0, "{f}");
-    }
-
-    #[test]
-    fn edge_reach_equals_child_count() {
-        let d = doc();
-        let s = coarse_synopsis(&d);
-        let author = s.nodes_with_tag("author")[0];
-        let book = s.nodes_with_tag("book")[0];
-        assert_eq!(edge_reach(&s, author, book), 1.0);
     }
 }

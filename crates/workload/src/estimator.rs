@@ -1,44 +1,16 @@
-//! A common interface over the summarization techniques.
+//! The CST and Markov baselines behind the one [`Estimator`] trait, so
+//! the comparison harnesses score every technique the way the compiled
+//! synopsis and the guarded chain are served.
 
-use xtwig_core::estimate::EstimateOptions;
-use xtwig_core::CompiledSynopsis;
+use std::time::Instant;
+
+use xtwig_core::estimate::{
+    EstimateReport, EstimateRequest, Estimator, Provenance, QueryTelemetry,
+};
 use xtwig_cst::Cst;
 use xtwig_markov::MarkovPaths;
-use xtwig_query::TwigQuery;
 
-/// A selectivity estimator backed by some summary structure.
-///
-/// This is the *comparison-harness* abstraction (one number per query,
-/// plus the summary's footprint) used by the error sweeps and baseline
-/// benches. It is deliberately narrower than the serving-path
-/// [`xtwig_core::Estimator`] trait, which returns a full
-/// [`xtwig_core::EstimateReport`] with provenance and telemetry.
-pub trait SummaryEstimator {
-    /// Estimated number of binding tuples for `q`.
-    fn estimate(&self, q: &TwigQuery) -> f64;
-    /// Storage footprint of the summary.
-    fn size_bytes(&self) -> usize;
-    /// Technique name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Twig XSKETCH: the compiled synopsis under default
-/// [`EstimateOptions`]; the footprint is the source synopsis' charged
-/// size.
-impl SummaryEstimator for CompiledSynopsis<'_> {
-    fn estimate(&self, q: &TwigQuery) -> f64 {
-        self.estimate_report(q, &EstimateOptions::default())
-            .estimate
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.source().size_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "XSKETCH"
-    }
-}
+use crate::guarded::elapsed_ns;
 
 /// A Correlated Suffix Tree estimator.
 pub struct CstEstimator<'a> {
@@ -46,17 +18,13 @@ pub struct CstEstimator<'a> {
     pub cst: &'a Cst,
 }
 
-impl SummaryEstimator for CstEstimator<'_> {
-    fn estimate(&self, q: &TwigQuery) -> f64 {
-        xtwig_cst::estimate_twig(self.cst, q)
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.cst.size_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "CST"
+/// Answers with `estimate_twig`'s value under provenance `"cst"`; the
+/// baseline has no budgets and no embeddings to explain.
+impl Estimator for CstEstimator<'_> {
+    fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport {
+        let started = Instant::now();
+        let estimate = xtwig_cst::estimate_twig(self.cst, req.query);
+        baseline_report(estimate, "cst", started)
     }
 }
 
@@ -66,23 +34,34 @@ pub struct MarkovEstimator<'a> {
     pub model: &'a MarkovPaths,
 }
 
-impl SummaryEstimator for MarkovEstimator<'_> {
-    fn estimate(&self, q: &TwigQuery) -> f64 {
-        self.model.estimate_twig(q)
+/// Answers with `estimate_twig`'s value under provenance `"markov"`;
+/// the baseline has no budgets and no embeddings to explain.
+impl Estimator for MarkovEstimator<'_> {
+    fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport {
+        let started = Instant::now();
+        let estimate = self.model.estimate_twig(req.query);
+        baseline_report(estimate, "markov", started)
     }
+}
 
-    fn size_bytes(&self) -> usize {
-        self.model.size_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "Markov"
+/// A baseline's report: its value unchanged, full-fidelity provenance
+/// for `source`, and the wall-clock since `started`.
+fn baseline_report(estimate: f64, source: &'static str, started: Instant) -> EstimateReport {
+    EstimateReport {
+        estimate,
+        provenance: Provenance::new(source),
+        telemetry: QueryTelemetry {
+            total_ns: elapsed_ns(started),
+            ..QueryTelemetry::default()
+        },
+        explain: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtwig_core::CompiledSynopsis;
     use xtwig_query::parse_twig;
 
     #[test]
@@ -94,17 +73,29 @@ mod tests {
         let s = xtwig_core::coarse_synopsis(&doc);
         let cst = Cst::build(&doc, xtwig_cst::CstOptions::default());
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper/keyword").unwrap();
+        let req = EstimateRequest::new(&q);
         let xs = CompiledSynopsis::compile(&s);
         let ce = CstEstimator { cst: &cst };
         let model = xtwig_markov::MarkovPaths::build(&doc, xtwig_markov::MarkovOptions::default());
         let me = MarkovEstimator { model: &model };
-        assert!((xs.estimate(&q) - 3.0).abs() < 1e-9);
-        assert!((ce.estimate(&q) - 3.0).abs() < 1e-9);
-        assert!((me.estimate(&q) - 3.0).abs() < 1e-9);
-        assert_eq!(me.name(), "Markov");
-        assert!(xs.size_bytes() > 0);
-        assert!(ce.size_bytes() > 0);
-        assert_eq!(xs.name(), "XSKETCH");
-        assert_eq!(ce.name(), "CST");
+        let techniques: [(&str, &dyn Estimator); 3] =
+            [("xsketch-compiled", &xs), ("cst", &ce), ("markov", &me)];
+        for (source, tech) in techniques {
+            let rep = tech.estimate(&req);
+            assert!((rep.estimate - 3.0).abs() < 1e-9, "{source}");
+            assert_eq!(rep.provenance.source, source);
+            assert!(!rep.provenance.degraded, "{source}");
+            assert!(rep.explain.is_none(), "{source}");
+        }
+        assert_eq!(
+            ce.estimate(&req).estimate.to_bits(),
+            xtwig_cst::estimate_twig(&cst, &q).to_bits()
+        );
+        assert_eq!(
+            me.estimate(&req).estimate.to_bits(),
+            model.estimate_twig(&q).to_bits()
+        );
+        assert!(s.size_bytes() > 0);
+        assert!(cst.size_bytes() > 0);
     }
 }

@@ -26,7 +26,7 @@ use xtwig_core::{
 use xtwig_query::TwigQuery;
 use xtwig_xml::Document;
 
-use crate::guarded::{GuardPolicy, GuardedCatalog, GuardedEstimator};
+use crate::guarded::{GuardedCatalog, GuardedEstimator};
 use crate::ingest::{run_ingest_soak, Failure, IngestOptions};
 
 /// The document name every soak tenant publishes under.
@@ -1305,7 +1305,7 @@ pub fn run_catalog_soak(
     report.post_soak_bit_identical = match catalog.serve(&primary, SOAK_DOCUMENT, queries, &healthy)
     {
         Ok(served) => {
-            let fresh = GuardedEstimator::new(&surviving, GuardPolicy::default());
+            let fresh = GuardedEstimator::new(CompiledSynopsis::compile(&surviving));
             served.len() == queries.len()
                 && queries.iter().zip(&served).all(|(q, r)| {
                     let want = Estimator::estimate(&fresh, &EstimateRequest::new(q)).estimate;

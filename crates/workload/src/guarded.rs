@@ -25,21 +25,23 @@
 //! of the chain to operators. Deterministic [`InjectedFault`]s let the
 //! fault-injection harness (and tests) exercise each degradation path.
 //!
-//! The chain serves two callers. The [`Estimator`] trait answers one
-//! query under the estimator's own [`GuardPolicy`] budgets. As a
-//! catalog [`ServeTier`] — [`GuardedCatalog`] — a resident key answers a
-//! whole batch: tier 1 is the default tier's batch (its cache, plan
-//! reuse and work splitting) under the request's [`EstimateOptions`],
-//! each tier is gated by the key's own circuit breaker, and only the
-//! members tier 1 could not answer at full fidelity walk down the chain.
+//! The chain has one entry point, a batch served under the request's
+//! [`EstimateOptions`]: tier 1 is the default tier's batch (its cache,
+//! plan reuse and work splitting), and only the members tier 1 could
+//! not answer at full fidelity walk down the chain. As a catalog
+//! [`ServeTier`] — [`GuardedCatalog`] — each resident key answers whole
+//! batches through a cache partition, with each tier gated by the key's
+//! own circuit breaker. The [`Estimator`] trait serves a one-query batch
+//! through the same code, on a standalone chain
+//! ([`GuardedEstimator::new`]) with neither a cache nor breakers.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use xtwig_core::estimate::{
     EstimateOptions, EstimateReport, EstimateRequest, Estimator, Exhaustion, Explain, Provenance,
-    QueryTelemetry, SynopsisView,
+    QueryTelemetry,
 };
 use xtwig_core::serve::breaker::{BreakerConfig, CircuitBreaker};
 use xtwig_core::sync::atomic::{AtomicU64, Ordering};
@@ -47,13 +49,11 @@ use xtwig_core::sync::OnceLock;
 use xtwig_core::telemetry::{self, Span, Stage};
 use xtwig_core::{
     coarse_count_bound, CatalogOptions, CompiledSynopsis, Resident, ServeTier, SnapshotCatalog,
-    SynId, Synopsis,
+    SynId,
 };
 use xtwig_markov::{MarkovOptions, MarkovPaths};
 use xtwig_query::TwigQuery;
 use xtwig_xml::LabelTable;
-
-use crate::estimator::SummaryEstimator;
 
 /// A snapshot catalog whose resident keys serve through the guarded
 /// fallback chain — the front door every shipped serve path uses.
@@ -120,34 +120,6 @@ struct TierAttempt {
     tier: Tier,
     /// `None` if this tier produced the served estimate.
     failure: Option<TierFailure>,
-}
-
-/// Budgets applied to every query the [`Estimator`] trait serves
-/// through a [`GuardedEstimator`]; a catalog batch takes its budgets
-/// from the request's [`EstimateOptions`] instead.
-#[derive(Debug, Clone, Copy)]
-pub struct GuardPolicy {
-    /// Per-query wall-clock budget for the XSKETCH tier (`None` = no
-    /// deadline).
-    pub time_budget: Option<Duration>,
-    /// Per-query abstract work budget for the XSKETCH tier (0 =
-    /// unlimited).
-    pub work_limit: u64,
-    /// Embedding cap and descendant-expansion options for tier 1.
-    pub estimate: EstimateOptions,
-    /// Byte budget for the derived Markov fallback model.
-    pub markov_budget_bytes: usize,
-}
-
-impl Default for GuardPolicy {
-    fn default() -> Self {
-        GuardPolicy {
-            time_budget: None,
-            work_limit: 0,
-            estimate: EstimateOptions::default(),
-            markov_budget_bytes: MarkovOptions::default().budget_bytes,
-        }
-    }
 }
 
 /// Monotonic counters describing the health of the fallback chain.
@@ -253,10 +225,11 @@ impl TierBreakers {
 /// Derives the first-order Markov model implied by a synopsis: label ids
 /// in table order, per-label element totals as the tag table, and
 /// per-edge child counts summed per label pair as the transition table —
-/// exactly what a document scan would produce. Reads only
-/// [`SynopsisView`], so a compiled synopsis loaded from a snapshot
-/// derives the same model as the synopsis it was saved from.
-pub fn markov_from_synopsis<S: SynopsisView + ?Sized>(s: &S, budget_bytes: usize) -> MarkovPaths {
+/// exactly what a document scan would produce. Reads only the compiled
+/// structural columns, so a synopsis loaded from a snapshot derives the
+/// same model as the in-memory compile of the synopsis it was saved
+/// from.
+pub fn markov_from_synopsis(s: &CompiledSynopsis<'_>, budget_bytes: usize) -> MarkovPaths {
     let mut labels = LabelTable::new();
     for l in 0..s.label_count() {
         labels.intern(s.label_name(l));
@@ -291,28 +264,18 @@ pub struct GuardedEstimator<'a> {
     tier1: Resident<'a>,
     /// Tier 2, derived from the compiled columns on first fallback.
     markov: OnceLock<MarkovPaths>,
-    policy: GuardPolicy,
     counters: DegradationCounters,
     fault: Option<InjectedFault>,
     breakers: Option<TierBreakers>,
 }
 
 impl<'a> GuardedEstimator<'a> {
-    /// Wraps `synopsis` in the fallback chain (compiling it for tier 1).
-    pub fn new(synopsis: &'a Synopsis, policy: GuardPolicy) -> GuardedEstimator<'a> {
-        GuardedEstimator::from_compiled(CompiledSynopsis::compile(synopsis), policy)
-    }
-
-    /// Wraps an already compiled synopsis — typically the `'static`
-    /// v3 load of a snapshot — in the fallback chain.
-    pub fn from_compiled(
-        compiled: CompiledSynopsis<'a>,
-        policy: GuardPolicy,
-    ) -> GuardedEstimator<'a> {
+    /// Wraps `compiled` in a standalone fallback chain: no cache
+    /// partition and no breakers. Budgets come from each request.
+    pub fn new(compiled: CompiledSynopsis<'a>) -> GuardedEstimator<'a> {
         GuardedEstimator {
             tier1: Resident::new(compiled, 0),
             markov: OnceLock::new(),
-            policy,
             counters: DegradationCounters::default(),
             fault: None,
             breakers: None,
@@ -330,11 +293,6 @@ impl<'a> GuardedEstimator<'a> {
         self.tier1.compiled()
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> &GuardPolicy {
-        &self.policy
-    }
-
     /// A snapshot of the degradation counters.
     pub fn counters(&self) -> DegradationSnapshot {
         self.counters.snapshot()
@@ -343,7 +301,7 @@ impl<'a> GuardedEstimator<'a> {
     /// The Markov tier, derived on first use.
     fn markov(&self) -> &MarkovPaths {
         self.markov.get_or_init(|| {
-            markov_from_synopsis(self.tier1.compiled(), self.policy.markov_budget_bytes)
+            markov_from_synopsis(self.tier1.compiled(), MarkovOptions::default().budget_bytes)
         })
     }
 
@@ -367,27 +325,6 @@ impl<'a> GuardedEstimator<'a> {
             .zip(tier1)
             .map(|(q, r)| self.finish(q, r, opts.explain, started))
             .collect()
-    }
-
-    /// Serves one query under the policy's budgets.
-    fn serve_one(&self, q: &TwigQuery, explain: bool) -> EstimateReport {
-        let started = Instant::now();
-        let deadline = self.policy.time_budget.map(|b| started + b);
-        let opts = self
-            .policy
-            .estimate
-            .to_builder()
-            .deadline_opt(deadline)
-            .work_limit(self.policy.work_limit)
-            .explain(explain)
-            .build();
-        let tier1 = self
-            .run_tier1(1, deadline, || {
-                vec![self.tier1.compiled().estimate_report(q, &opts)]
-            })
-            .pop()
-            .unwrap_or(Err(TierFailure::Panicked));
-        self.finish(q, tier1, explain, started)
     }
 
     /// Runs tier 1 for `n` queries behind its breaker and `catch_unwind`,
@@ -608,7 +545,7 @@ fn full_fidelity(rep: EstimateReport) -> Result<EstimateReport, TierFailure> {
 }
 
 /// Wall-clock nanoseconds since `since`, saturating.
-fn elapsed_ns(since: Instant) -> u64 {
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -681,26 +618,20 @@ fn fallback_report(
 }
 
 impl Estimator for GuardedEstimator<'_> {
-    /// Serves the request through the fallback chain. Budgets come from
-    /// the estimator's [`GuardPolicy`], not the request — the request
-    /// contributes only its `explain` flag, so one policy governs every
-    /// caller uniformly.
+    /// Serves the request as a one-query batch through the chain, under
+    /// `req.options` — the code a catalog key runs.
     fn estimate(&self, req: &EstimateRequest<'_>) -> EstimateReport {
-        self.serve_one(req.query, req.options.explain)
-    }
-}
-
-impl SummaryEstimator for GuardedEstimator<'_> {
-    fn estimate(&self, q: &TwigQuery) -> f64 {
-        self.serve_one(q, false).estimate
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.compiled().source().size_bytes() + self.markov().size_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "Guarded"
+        let served = self.serve_batch(std::slice::from_ref(req.query), &req.options, 1);
+        // A batch answers every member; a missing report falls back as
+        // a lost tier-1 answer would.
+        served.into_iter().next().unwrap_or_else(|| {
+            self.finish(
+                req.query,
+                Err(TierFailure::Panicked),
+                req.options.explain,
+                Instant::now(),
+            )
+        })
     }
 }
 
@@ -713,7 +644,6 @@ impl ServeTier for GuardedEstimator<'static> {
         GuardedEstimator {
             tier1: Resident::new(compiled, options.cache_entries),
             markov: OnceLock::new(),
-            policy: GuardPolicy::default(),
             counters: DegradationCounters::default(),
             fault: None,
             breakers: Some(TierBreakers::new(options.breaker)),
@@ -733,7 +663,11 @@ impl ServeTier for GuardedEstimator<'static> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtwig_core::{coarse_synopsis, load_compiled_snapshot, save_synopsis_v3, BreakerState};
+    use std::time::Duration;
+    use xtwig_core::estimate::EstimateOptionsBuilder;
+    use xtwig_core::{
+        coarse_synopsis, load_compiled_snapshot, save_synopsis_v3, BreakerState, Synopsis,
+    };
     use xtwig_query::parse_twig;
 
     fn setup() -> (xtwig_xml::Document, Synopsis) {
@@ -748,9 +682,19 @@ mod tests {
         (doc, s)
     }
 
-    /// The chain's report for `q` with the tier trail rendered.
-    fn explained(g: &GuardedEstimator<'_>, q: &TwigQuery) -> EstimateReport {
-        let opts = EstimateOptions::builder().explain(true).build();
+    /// A standalone chain over the in-memory compile of `s`.
+    fn chain(s: &Synopsis) -> GuardedEstimator<'_> {
+        GuardedEstimator::new(CompiledSynopsis::compile(s))
+    }
+
+    /// The chain's report for `q` under `opts`, with the tier trail
+    /// rendered.
+    fn explained(
+        g: &GuardedEstimator<'_>,
+        q: &TwigQuery,
+        opts: EstimateOptionsBuilder,
+    ) -> EstimateReport {
+        let opts = opts.explain(true).build();
         Estimator::estimate(g, &EstimateRequest::with_options(q, opts))
     }
 
@@ -772,9 +716,9 @@ mod tests {
     #[test]
     fn healthy_chain_serves_tier_one() {
         let (_d, s) = setup();
-        let g = GuardedEstimator::new(&s, GuardPolicy::default());
+        let g = chain(&s);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let rep = explained(&g, &q);
+        let rep = explained(&g, &q, EstimateOptions::builder());
         assert_eq!(rep.provenance.tier, Some("xsketch"));
         assert!(!rep.provenance.degraded);
         assert!((rep.estimate - 3.0).abs() < 1e-9);
@@ -795,7 +739,10 @@ mod tests {
     fn derived_markov_matches_document_markov() {
         let (d, s) = setup();
         let built = MarkovPaths::build(&d, MarkovOptions::default());
-        let derived = markov_from_synopsis(&s, MarkovOptions::default().budget_bytes);
+        let derived = markov_from_synopsis(
+            &CompiledSynopsis::compile(&s),
+            MarkovOptions::default().budget_bytes,
+        );
         for text in [
             "for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/kw",
             "for $t0 in //paper, $t1 in $t0/kw",
@@ -810,10 +757,9 @@ mod tests {
     #[test]
     fn panic_in_tier_one_falls_back_to_markov() {
         let (_d, s) = setup();
-        let g = GuardedEstimator::new(&s, GuardPolicy::default())
-            .with_fault(InjectedFault::PanicIn(Tier::Xsketch));
+        let g = chain(&s).with_fault(InjectedFault::PanicIn(Tier::Xsketch));
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let rep = quietly(|| explained(&g, &q));
+        let rep = quietly(|| explained(&g, &q, EstimateOptions::builder()));
         assert_eq!(rep.provenance.tier, Some("markov"));
         assert!(rep.provenance.degraded);
         assert!(rep.estimate.is_finite() && rep.estimate >= 0.0);
@@ -827,9 +773,8 @@ mod tests {
         let (_d, s) = setup();
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         for tier in [Tier::Xsketch, Tier::Markov, Tier::LabelCount] {
-            let g = GuardedEstimator::new(&s, GuardPolicy::default())
-                .with_fault(InjectedFault::PanicIn(tier));
-            let rep = quietly(|| explained(&g, &q));
+            let g = chain(&s).with_fault(InjectedFault::PanicIn(tier));
+            let rep = quietly(|| explained(&g, &q, EstimateOptions::builder()));
             assert!(rep.estimate.is_finite() && rep.estimate >= 0.0, "{tier}");
         }
     }
@@ -838,9 +783,8 @@ mod tests {
     fn poison_falls_through_to_finite_tier() {
         let (_d, s) = setup();
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let g = GuardedEstimator::new(&s, GuardPolicy::default())
-            .with_fault(InjectedFault::PoisonIn(Tier::Xsketch));
-        let rep = explained(&g, &q);
+        let g = chain(&s).with_fault(InjectedFault::PoisonIn(Tier::Xsketch));
+        let rep = explained(&g, &q, EstimateOptions::builder());
         assert_eq!(rep.provenance.tier, Some("markov"));
         assert_eq!(trail(&rep)[0], "xsketch: non-finite result");
         assert!(rep.estimate.is_finite());
@@ -849,14 +793,11 @@ mod tests {
     #[test]
     fn stalled_tier_one_degrades_within_budget() {
         let (_d, s) = setup();
-        let policy = GuardPolicy {
-            time_budget: Some(Duration::from_millis(1)),
-            ..Default::default()
-        };
-        let g = GuardedEstimator::new(&s, policy).with_fault(InjectedFault::StallXsketch);
+        let g = chain(&s).with_fault(InjectedFault::StallXsketch);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
         let start = Instant::now();
-        let rep = explained(&g, &q);
+        let budget = EstimateOptions::builder().deadline(start + Duration::from_millis(1));
+        let rep = explained(&g, &q, budget);
         let elapsed = start.elapsed();
         assert!(rep.provenance.degraded);
         assert_ne!(rep.provenance.tier, Some("xsketch"));
@@ -871,13 +812,9 @@ mod tests {
     #[test]
     fn work_limit_degrades_to_markov_with_its_tier_path() {
         let (_d, s) = setup();
-        let policy = GuardPolicy {
-            work_limit: 1,
-            ..Default::default()
-        };
-        let g = GuardedEstimator::new(&s, policy);
+        let g = chain(&s);
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper, $t2 in $t1/kw").unwrap();
-        let rep = explained(&g, &q);
+        let rep = explained(&g, &q, EstimateOptions::builder().work_limit(1));
         assert_eq!(rep.provenance.tier, Some("markov"));
         assert!(rep.provenance.degraded);
         assert_eq!(rep.provenance.exhaustion, Some(Exhaustion::Work));
@@ -895,11 +832,10 @@ mod tests {
     #[test]
     fn estimator_trait_is_wired() {
         let (_d, s) = setup();
-        let g = GuardedEstimator::new(&s, GuardPolicy::default());
+        let g = chain(&s);
         let q = parse_twig("for $t0 in //kw").unwrap();
-        assert!((SummaryEstimator::estimate(&g, &q) - 4.0).abs() < 1e-9);
-        assert!(g.size_bytes() > s.size_bytes());
-        assert_eq!(g.name(), "Guarded");
+        let rep = Estimator::estimate(&g, &EstimateRequest::new(&q));
+        assert!((rep.estimate - 4.0).abs() < 1e-9);
     }
 
     fn batch() -> Vec<TwigQuery> {
@@ -924,12 +860,12 @@ mod tests {
     fn healthy_batch_matches_the_single_query_chain_bit_for_bit() {
         let (_d, s) = setup();
         let g = tier(&s, BreakerConfig::default());
-        let single = GuardedEstimator::new(&s, GuardPolicy::default());
+        let single = chain(&s);
         let qs = batch();
         let reports = g.serve(&qs, &EstimateOptions::default(), 2);
         assert_eq!(reports.len(), qs.len());
         for (q, r) in qs.iter().zip(&reports) {
-            let want = explained(&single, q);
+            let want = explained(&single, q, EstimateOptions::builder());
             assert_eq!(r.estimate.to_bits(), want.estimate.to_bits(), "{q}");
             assert_eq!(r.provenance.tier, Some("xsketch"));
             assert!(!r.provenance.degraded);

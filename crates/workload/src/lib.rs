@@ -11,10 +11,12 @@
 //! * **Error metric** ([`avg_relative_error`]): average absolute relative
 //!   error `|r − c| / max(s, c)` with the sanity bound `s` set to the
 //!   10th percentile of the true counts.
-//! * **Estimator abstraction** ([`SummaryEstimator`]) over compiled Twig
-//!   XSKETCHes, CSTs and Markov path models, and **budget sweeps**
-//!   ([`sweep_xsketch`], [`sweep_cst`]) that regenerate the Figure 9
-//!   series.
+//! * **One estimator trait**: the CST and Markov baselines
+//!   ([`CstEstimator`], [`MarkovEstimator`]) and the guarded fallback
+//!   chain ([`GuardedEstimator`]) implement the core's
+//!   [`Estimator`](xtwig_core::Estimator), as the compiled Twig XSKETCH
+//!   does, and **budget sweeps** ([`sweep_xsketch`], [`sweep_cst`])
+//!   regenerate the Figure 9 series.
 
 mod error;
 mod estimator;
@@ -25,7 +27,7 @@ pub mod ingest;
 mod sweep;
 
 pub use error::{avg_relative_error, ErrorReport};
-pub use estimator::{CstEstimator, MarkovEstimator, SummaryEstimator};
+pub use estimator::{CstEstimator, MarkovEstimator};
 pub use faults::{
     run_catalog_soak, CatalogSoakOptions, Damage, SoakFault, SoakPhase, SoakPlan, SoakReport,
 };
@@ -39,7 +41,7 @@ pub use ingest::{
 };
 
 pub use guarded::{
-    markov_from_synopsis, DegradationSnapshot, GuardPolicy, GuardedCatalog, GuardedEstimator,
-    InjectedFault, Tier, TierFailure,
+    markov_from_synopsis, DegradationSnapshot, GuardedCatalog, GuardedEstimator, InjectedFault,
+    Tier, TierFailure,
 };
 pub use sweep::{sweep_cst, sweep_xsketch, SweepOptions, SweepPoint};

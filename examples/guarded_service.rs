@@ -4,9 +4,10 @@
 //!
 //!   XSKETCH (full fidelity) → Markov paths (derived) → label-count bound
 //!
-//! under a per-query deadline, with panics contained per tier and
-//! crash-safe snapshot persistence underneath. The example walks the
-//! three operational scenarios end to end:
+//! under a per-query deadline carried by each request's options, with
+//! panics contained per tier and crash-safe snapshot persistence
+//! underneath. The example walks the three operational scenarios end to
+//! end:
 //!
 //! 1. a healthy query served at full fidelity,
 //! 2. a pathological deep twig tripping a 1 ms deadline and degrading,
@@ -29,13 +30,12 @@ fn main() {
     let synopsis = coarse_synopsis(&doc);
 
     // --- 1. Healthy serving: tier 1 answers, exit path is full fidelity.
-    let policy = GuardPolicy {
-        time_budget: Some(Duration::from_millis(50)),
-        ..Default::default()
-    };
-    let guarded = GuardedEstimator::new(&synopsis, policy);
+    let guarded = GuardedEstimator::new(CompiledSynopsis::compile(&synopsis));
     let q = parse_twig("for $t0 in //open_auction, $t1 in $t0/bidder").unwrap();
-    let out = guarded.estimate(&EstimateRequest::new(&q));
+    let healthy = EstimateOptions::builder()
+        .deadline(Instant::now() + Duration::from_millis(50))
+        .build();
+    let out = guarded.estimate(&EstimateRequest::with_options(&q, healthy));
     let truth = selectivity(&doc, &q);
     let tier = out.provenance.tier.unwrap_or("-");
     println!(
@@ -58,18 +58,15 @@ fn main() {
     }
     let deep = b.finish();
     let deep_syn = coarse_synopsis(&deep);
-    let tight = GuardPolicy {
-        time_budget: Some(Duration::from_millis(1)),
-        estimate: EstimateOptions::builder()
-            .max_embeddings(usize::MAX)
-            .build(),
-        ..Default::default()
-    };
-    let guarded = GuardedEstimator::new(&deep_syn, tight);
+    let guarded = GuardedEstimator::new(CompiledSynopsis::compile(&deep_syn));
     let deep_q = parse_twig("for $t0 in //a, $t1 in $t0//a, $t2 in $t1//a").unwrap();
     let t0 = Instant::now();
-    let explain = EstimateOptions::builder().explain(true).build();
-    let out = guarded.estimate(&EstimateRequest::with_options(&deep_q, explain));
+    let tight = EstimateOptions::builder()
+        .deadline(t0 + Duration::from_millis(1))
+        .max_embeddings(usize::MAX)
+        .explain(true)
+        .build();
+    let out = guarded.estimate(&EstimateRequest::with_options(&deep_q, tight));
     let elapsed = t0.elapsed();
     println!("\ndeep twig under a 1 ms deadline ({elapsed:?} wall):");
     for step in out.explain.iter().flat_map(|e| &e.tier_path) {
@@ -105,7 +102,7 @@ fn main() {
         Err(e) => println!("corrupted snapshot rejected: {e}"),
     }
     let recovered = coarse_synopsis(&doc); // rebuild, as the CLI does
-    let after = GuardedEstimator::new(&recovered, GuardPolicy::default())
+    let after = GuardedEstimator::new(CompiledSynopsis::compile(&recovered))
         .estimate(&EstimateRequest::new(&q));
     println!(
         "recovered estimate {:.1} (exact {truth}) — service never observed a bad synopsis",

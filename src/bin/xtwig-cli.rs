@@ -1232,7 +1232,7 @@ fn cmd_soak(args: &[String]) -> Result<Outcome, CliError> {
 /// catalog in a temporary directory, which is removed before returning.
 /// The budget starts when the request does, after the publish. Returns
 /// the report and the time the serve took (fault-in included).
-fn serve_one(
+fn serve_through_catalog(
     args: &[String],
     synopsis: &Synopsis,
     q: &TwigQuery,
@@ -1301,7 +1301,7 @@ fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
     };
     let built_in = t0.elapsed();
 
-    let (report, est_in) = serve_one(args, &synopsis, &q, deadline_ms, work_limit)?;
+    let (report, est_in) = serve_through_catalog(args, &synopsis, &q, deadline_ms, work_limit)?;
     let truth = selectivity(&doc, &q);
 
     println!(

@@ -87,6 +87,6 @@ pub mod prelude {
         SnapshotError, Synopsis,
     };
     pub use xtwig_query::{parse_path, parse_twig, selectivity, PathExpr, TwigQuery};
-    pub use xtwig_workload::{GuardPolicy, GuardedEstimator};
+    pub use xtwig_workload::GuardedEstimator;
     pub use xtwig_xml::{parse, Document, DocumentBuilder};
 }

@@ -212,7 +212,7 @@ fn fault_in_phase() {
             let path = dir.join(format!("{}-{form}.xtwg", ds.name()));
             std::fs::write(&path, save_synopsis_v3(s)).unwrap();
             let before = ACQUISITIONS.load(Ordering::SeqCst);
-            let loaded = read_compiled_snapshot_in(&StdVfs, &path, true);
+            let loaded = read_compiled_snapshot_in(&StdVfs, &path);
             let acquired = ACQUISITIONS.load(Ordering::SeqCst).saturating_sub(before);
             let loaded = loaded.expect("verified v3 load");
             assert!(

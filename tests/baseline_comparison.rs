@@ -2,12 +2,11 @@
 //! correlated data, Twig XSKETCHes beat CSTs at matched storage budgets.
 
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
-use xtwig::core::CompiledSynopsis;
+use xtwig::core::{CompiledSynopsis, EstimateRequest, Estimator};
 use xtwig::cst::{Cst, CstOptions};
 use xtwig::datagen::{imdb, ImdbConfig};
 use xtwig::workload::{
-    avg_relative_error, generate_workload, CstEstimator, SummaryEstimator, WorkloadKind,
-    WorkloadSpec,
+    avg_relative_error, generate_workload, CstEstimator, WorkloadKind, WorkloadSpec,
 };
 
 #[test]
@@ -45,12 +44,14 @@ fn xsketch_beats_cst_on_correlated_data() {
 
     let xs = CompiledSynopsis::compile(&synopsis);
     let ce = CstEstimator { cst: &cst };
-    let xs_est: Vec<f64> = w
-        .queries
-        .iter()
-        .map(|q| SummaryEstimator::estimate(&xs, q))
-        .collect();
-    let cst_est: Vec<f64> = w.queries.iter().map(|q| ce.estimate(q)).collect();
+    let estimates = |tech: &dyn Estimator| -> Vec<f64> {
+        w.queries
+            .iter()
+            .map(|q| tech.estimate(&EstimateRequest::new(q)).estimate)
+            .collect()
+    };
+    let xs_est = estimates(&xs);
+    let cst_est = estimates(&ce);
     let xs_err = avg_relative_error(&xs_est, &truths).avg_rel_error;
     let cst_err = avg_relative_error(&cst_est, &truths).avg_rel_error;
 
@@ -60,8 +61,8 @@ fn xsketch_beats_cst_on_correlated_data() {
     );
     // Both summaries honour the budget (CST strictly; XBUILD may overshoot
     // by at most one refinement).
-    assert!(ce.size_bytes() <= budget);
-    assert!(xs.size_bytes() <= budget + 2048);
+    assert!(cst.size_bytes() <= budget);
+    assert!(synopsis.size_bytes() <= budget + 2048);
 }
 
 #[test]
@@ -80,7 +81,9 @@ fn both_techniques_are_exact_on_unambiguous_single_paths() {
             ..Default::default()
         },
     );
-    let xs = SummaryEstimator::estimate(&CompiledSynopsis::compile(&s), &q);
+    let xs = CompiledSynopsis::compile(&s)
+        .estimate(&EstimateRequest::new(&q))
+        .estimate;
     let ce = xtwig::cst::estimate_twig(&cst, &q);
     assert!((xs - truth).abs() < 1e-6, "xsketch {xs} vs {truth}");
     assert!((ce - truth).abs() < 1e-6, "cst {ce} vs {truth}");

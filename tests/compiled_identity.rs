@@ -719,21 +719,16 @@ fn flat_plans_equal_the_reference_enumeration() {
             assert_same_plan(s, &what, &plan, &reference);
             matched += usize::from(!reference.is_empty());
             multi += usize::from(reference.len() > 1);
-            // The embedding cap and the `//` length cap truncate at the
-            // same points.
+            // The embedding cap truncates at the same points.
             for capped in [
                 plain.to_builder().max_embeddings(1).build(),
                 plain.to_builder().max_embeddings(3).build(),
-                plain.to_builder().max_descendant_len(2).build(),
             ] {
                 let mut want = Meter::unlimited();
                 let reference = oracle::enumerate_embeddings_metered(s, q, &capped, &mut want);
                 let mut got = Meter::unlimited();
                 let plan = cs.expand_metered(q, &capped, &mut got);
-                let at = format!(
-                    "{what} (caps {} / {})",
-                    capped.max_embeddings, capped.max_descendant_len
-                );
+                let at = format!("{what} (cap {})", capped.max_embeddings);
                 assert_eq!(got.work_done(), want.work_done(), "{at}: work");
                 assert_same_plan(s, &at, &plan, &reference);
             }

@@ -12,7 +12,7 @@ fn workload_error(s: &xtwig::core::Synopsis, w: &xtwig::workload::Workload) -> f
     let estimates: Vec<f64> = w
         .queries
         .iter()
-        .map(|q| xtwig::workload::SummaryEstimator::estimate(&est, q))
+        .map(|q| est.estimate(&EstimateRequest::new(q)).estimate)
         .collect();
     let truths: Vec<f64> = w.truths.iter().map(|&t| t as f64).collect();
     avg_relative_error(&estimates, &truths).avg_rel_error

@@ -16,8 +16,8 @@ use xtwig::core::{
 use xtwig::datagen::{imdb, sprot, xmark, ImdbConfig, SprotConfig, XMarkConfig};
 use xtwig::query::{parse_twig, TwigQuery};
 use xtwig::workload::{
-    generate_workload, run_catalog_soak, CatalogSoakOptions, GuardPolicy, GuardedEstimator,
-    InjectedFault, SoakFault, SoakPlan, Tier, WorkloadKind, WorkloadSpec,
+    generate_workload, run_catalog_soak, CatalogSoakOptions, GuardedEstimator, InjectedFault,
+    SoakFault, SoakPlan, Tier, WorkloadKind, WorkloadSpec,
 };
 use xtwig::xml::Document;
 
@@ -170,16 +170,13 @@ fn one_ms_deadline_on_deep_twig_degrades_within_budget() {
     let s = coarse_synopsis(&doc);
     let q = parse_twig("for $t0 in //a, $t1 in $t0//a, $t2 in $t1//a").unwrap();
 
-    let policy = GuardPolicy {
-        time_budget: Some(Duration::from_millis(1)),
-        estimate: xtwig::core::EstimateOptions::builder()
-            .max_embeddings(usize::MAX)
-            .build(),
-        ..Default::default()
-    };
-    let g = GuardedEstimator::new(&s, policy);
+    let g = GuardedEstimator::new(CompiledSynopsis::compile(&s));
     let start = Instant::now();
-    let out = g.estimate(&EstimateRequest::new(&q));
+    let opts = EstimateOptions::builder()
+        .deadline(start + Duration::from_millis(1))
+        .max_embeddings(usize::MAX)
+        .build();
+    let out = g.estimate(&EstimateRequest::with_options(&q, opts));
     let elapsed = start.elapsed();
 
     assert!(
@@ -216,7 +213,7 @@ fn unbudgeted_deep_twig_still_terminates_exactly() {
     let doc = b.finish();
     let s = coarse_synopsis(&doc);
     let q = parse_twig("for $t0 in //a, $t1 in $t0//a").unwrap();
-    let g = GuardedEstimator::new(&s, GuardPolicy::default());
+    let g = GuardedEstimator::new(CompiledSynopsis::compile(&s));
     let out = g.estimate(&EstimateRequest::new(&q));
     assert_eq!(out.provenance.tier, Some(Tier::Xsketch.name()));
     assert!(!out.provenance.degraded);
@@ -232,27 +229,25 @@ fn injected_panics_never_escape_the_chain() {
     let doc = small_doc();
     let s = coarse_synopsis(&doc);
     let qs = queries();
-    // Pair each injected panic with a policy that actually reaches the
-    // poisoned tier: tier 1 is always reached; tier 2 only after tier 1
-    // exhausts (work_limit 1); tier 3 is unreachable with a single fault,
-    // so its injection must be a no-op when tier 1 answers.
+    // Pair each injected panic with request options that actually reach
+    // the poisoned tier: tier 1 is always reached; tier 2 only after
+    // tier 1 exhausts (work_limit 1); tier 3 is unreachable with a single
+    // fault, so its injection must be a no-op when tier 1 answers.
     let cases = [
-        (Tier::Xsketch, GuardPolicy::default(), true),
+        (Tier::Xsketch, EstimateOptions::default(), true),
         (
             Tier::Markov,
-            GuardPolicy {
-                work_limit: 1,
-                ..Default::default()
-            },
+            EstimateOptions::builder().work_limit(1).build(),
             true,
         ),
-        (Tier::LabelCount, GuardPolicy::default(), false),
+        (Tier::LabelCount, EstimateOptions::default(), false),
     ];
     quietly(|| {
-        for (tier, policy, expect_panics) in cases {
-            let g = GuardedEstimator::new(&s, policy).with_fault(InjectedFault::PanicIn(tier));
+        for (tier, opts, expect_panics) in cases {
+            let g = GuardedEstimator::new(CompiledSynopsis::compile(&s))
+                .with_fault(InjectedFault::PanicIn(tier));
             for q in &qs {
-                let out = g.estimate(&EstimateRequest::new(q));
+                let out = g.estimate(&EstimateRequest::with_options(q, opts));
                 assert!(
                     out.estimate.is_finite() && out.estimate >= 0.0,
                     "panic in {tier} leaked a bad estimate"
@@ -285,48 +280,25 @@ proptest! {
         let doc = small_doc();
         let s = coarse_synopsis(&doc);
         let tier = [Tier::Xsketch, Tier::Markov, Tier::LabelCount][tier_pick];
-        let (policy, fault) = match fault_kind {
-            0 => (GuardPolicy::default(), Some(InjectedFault::PanicIn(tier))),
-            1 => (GuardPolicy::default(), Some(InjectedFault::PoisonIn(tier))),
-            2 => (
-                GuardPolicy {
-                    time_budget: Some(Duration::from_micros(micros)),
-                    ..Default::default()
-                },
-                Some(InjectedFault::StallXsketch),
-            ),
-            3 => (
-                GuardPolicy {
-                    time_budget: Some(Duration::from_micros(micros)),
-                    ..Default::default()
-                },
-                None,
-            ),
-            4 => (
-                GuardPolicy {
-                    work_limit: micros, // reuse as a small work budget
-                    ..Default::default()
-                },
-                None,
-            ),
-            5 => (
-                GuardPolicy {
-                    estimate: xtwig::core::EstimateOptions::builder().max_embeddings(1).build(),
-                    ..Default::default()
-                },
-                None,
-            ),
-            _ => (GuardPolicy::default(), None),
+        let fault = match fault_kind {
+            0 => Some(InjectedFault::PanicIn(tier)),
+            1 => Some(InjectedFault::PoisonIn(tier)),
+            2 => Some(InjectedFault::StallXsketch),
+            _ => None,
         };
-        let mut g = GuardedEstimator::new(&s, policy);
+        let mut g = GuardedEstimator::new(CompiledSynopsis::compile(&s));
         if let Some(fault) = fault {
             g = g.with_fault(fault);
         }
         let q = &queries()[qpick];
-        let req = EstimateRequest::with_options(
-            q,
-            EstimateOptions::builder().explain(true).build(),
-        );
+        let explain = EstimateOptions::builder().explain(true);
+        let opts = match fault_kind {
+            2 | 3 => explain.deadline(Instant::now() + Duration::from_micros(micros)),
+            4 => explain.work_limit(micros), // reuse as a small work budget
+            5 => explain.max_embeddings(1),
+            _ => explain,
+        };
+        let req = EstimateRequest::with_options(q, opts.build());
         let out = quietly(|| g.estimate(&req));
         prop_assert!(
             out.estimate.is_finite() && out.estimate >= 0.0,

@@ -41,8 +41,7 @@
 
 use xtwig::core::estimate::expand::BranchValue;
 use xtwig::core::estimate::{
-    coarse_count_bound, Embedding, EstimateOptions, EstimateReport, Meter, Provenance,
-    QueryTelemetry,
+    Embedding, EstimateOptions, EstimateReport, Meter, Provenance, QueryTelemetry,
 };
 use xtwig::core::synopsis::{DimKind, SynId, Synopsis, ValueSource};
 use xtwig::histogram::Bucket;
@@ -100,6 +99,24 @@ pub fn estimate(s: &Synopsis, query: &TwigQuery, opts: &EstimateOptions) -> Esti
         telemetry: QueryTelemetry::default(),
         explain: None,
     }
+}
+
+/// The label-count bound over the synopsis graph: the product over twig
+/// nodes of [`Synopsis::tag_total`] of the node's terminal tag, 0.0 when
+/// a tag does not occur, saturating at `f64::MAX`.
+fn coarse_count_bound(s: &Synopsis, query: &TwigQuery) -> f64 {
+    let mut bound = 1.0f64;
+    for t in query.node_refs() {
+        let Some(step) = query.path(t).steps.last() else {
+            continue;
+        };
+        let total = s.tag_total(&step.label);
+        if total <= 0.0 {
+            return 0.0;
+        }
+        bound = (bound * total).min(f64::MAX);
+    }
+    bound
 }
 
 /// Estimates one maximal twig embedding, charging `meter`. On
@@ -608,7 +625,7 @@ fn extend_chains(
 
 /// Downward synopsis paths `from → x1 → … → xk` (k ≥ 1, `from`
 /// excluded) ending at a node tagged `label`, bounded by the document
-/// depth (or the option override) and the embedding cap.
+/// depth and the embedding cap.
 fn descendant_paths(
     s: &Synopsis,
     from: SynId,
@@ -616,11 +633,7 @@ fn descendant_paths(
     opts: &EstimateOptions,
     meter: &mut Meter,
 ) -> Vec<Vec<SynId>> {
-    let max_len = if opts.max_descendant_len > 0 {
-        opts.max_descendant_len
-    } else {
-        s.max_depth().max(1)
-    };
+    let max_len = s.max_depth().max(1);
     let mut out = Vec::new();
     let mut stack = Vec::new();
     descend(
