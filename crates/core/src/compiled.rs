@@ -97,7 +97,7 @@ use crate::synopsis::{
     DimKind, EdgeHistogram, ScopeDim, SynId, Synopsis, SynopsisEdge, SynopsisNode, ValueBuckets,
     ValueSource, ValueSummary,
 };
-use crate::telemetry::{self, Span, Stage};
+use crate::telemetry;
 use std::time::Instant;
 use xtwig_histogram::{Bucket, MdHistogram, ValueHistogram};
 use xtwig_query::TwigQuery;
@@ -279,8 +279,8 @@ fn rows<T>(col: &[T], start: usize, len: usize) -> &[T] {
         .unwrap_or(&[])
 }
 
-/// One node's edge histogram: its [`HistHead`] plus a reference to the
-/// synopsis' [`HistColumns`]. Copying it copies two pointers. Each
+/// One node's edge histogram: its `HistHead` plus a reference to the
+/// synopsis' `HistColumns`. Copying it copies two pointers. Each
 /// accessor slices the node's rows out of one column, so an evaluator
 /// frame fetches the slices it reads once and then indexes them.
 #[derive(Debug, Clone, Copy)]
@@ -745,8 +745,6 @@ pub struct CompiledSynopsis<'a> {
     pub(crate) hists: HistColumns,
     /// Memoized expansions keyed by `(query, embedding cap)`.
     memo: Mutex<HashMap<String, Arc<ExpandedQuery>>>,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
 }
 
 impl<'a> CompiledSynopsis<'a> {
@@ -821,8 +819,6 @@ impl<'a> CompiledSynopsis<'a> {
             label_total,
             hists,
             memo: Mutex::new(HashMap::new()),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
         }
     }
 
@@ -990,14 +986,6 @@ impl<'a> CompiledSynopsis<'a> {
         })
     }
 
-    /// `(hits, misses)` of the expansion memo so far.
-    pub fn expansion_memo_stats(&self) -> (u64, u64) {
-        (
-            self.memo_hits.load(Ordering::Relaxed),
-            self.memo_misses.load(Ordering::Relaxed),
-        )
-    }
-
     /// Node `u`'s CSR row `[start, end)` in the edge columns.
     #[inline]
     fn edge_row(&self, u: SynId) -> Option<(usize, usize)> {
@@ -1096,13 +1084,11 @@ impl<'a> CompiledSynopsis<'a> {
                     }
                 };
                 if answered {
-                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
                     telemetry::global().expansion_memo_hits.incr();
                     return (Arc::clone(hit), true);
                 }
             }
         }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
         telemetry::global().expansion_memo_misses.incr();
         let expanded = Arc::new(enumerate_plan(self, query, opts, meter, sc));
         if meter.exhaustion().is_none() {
@@ -1117,9 +1103,9 @@ impl<'a> CompiledSynopsis<'a> {
 
     /// Estimates the selectivity (number of binding tuples) of `query`:
     /// the sum of the TREEPARSE estimates of its maximal twig embeddings.
-    /// Memoized expansion and flat-array TREEPARSE run under spans and
-    /// one shared [`Meter`] built from the options' deadline/work-limit
-    /// fields, followed by one telemetry flush. The estimate is always
+    /// Memoized expansion and flat-array TREEPARSE run under one shared
+    /// [`Meter`] built from the options' deadline/work-limit fields,
+    /// followed by one telemetry flush. The estimate is always
     /// finite and ≥ 0: NaN/negative per-embedding contributions drop,
     /// `+∞` ones (and a non-finite total) clamp to
     /// [`coarse_count_bound`]. This is also what the [`Estimator`] trait
@@ -1128,14 +1114,10 @@ impl<'a> CompiledSynopsis<'a> {
         arena::with_scratch(|ar| {
             let t_total = Instant::now();
             let mut meter = Meter::from_options(opts);
-
-            let mut expand_span = Span::enter(Stage::Expand);
             let (expanded, memo_hit) =
                 self.expand_inner(query, opts, &mut meter, &mut ar.key_buf, &mut ar.expand);
             let expand_ns = api::elapsed_ns(t_total);
             let expand_work = meter.work_done();
-            expand_span.add_work(expand_work);
-            expand_span.exit();
 
             self.report_from_plan(
                 query,
@@ -1190,7 +1172,6 @@ impl<'a> CompiledSynopsis<'a> {
         ar: &mut EvalArena,
     ) -> EstimateReport {
         let t_eval = Instant::now();
-        let mut eval_span = Span::enter(Stage::TreeParse);
         let acc = api::sum_embeddings(
             expanded.len(),
             opts.explain,
@@ -1210,8 +1191,6 @@ impl<'a> CompiledSynopsis<'a> {
         );
         let eval_ns = api::elapsed_ns(t_eval);
         let eval_work = meter.work_done().saturating_sub(expand_work);
-        eval_span.add_work(eval_work);
-        eval_span.exit();
 
         let exhaustion = meter.exhaustion();
         let mut provenance = Provenance::new("xsketch-compiled");
@@ -2141,12 +2120,11 @@ mod tests {
         let cs = CompiledSynopsis::compile(&s);
         let opts = EstimateOptions::default();
         let q = parse_twig("for $t0 in //author, $t1 in $t0/paper").unwrap();
-        let a = cs.estimate_report(&q, &opts).estimate;
-        let b = cs.estimate_report(&q, &opts).estimate;
-        assert_eq!(a.to_bits(), b.to_bits());
-        let (hits, misses) = cs.expansion_memo_stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 1);
+        let a = cs.estimate_report(&q, &opts);
+        let b = cs.estimate_report(&q, &opts);
+        assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
+        assert_eq!(a.provenance.memo_hit, Some(false));
+        assert_eq!(b.provenance.memo_hit, Some(true));
     }
 
     #[test]

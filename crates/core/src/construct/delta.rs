@@ -15,19 +15,21 @@
 //! Accuracy erodes as deltas accumulate: an edge whose count distribution
 //! shifts makes the histograms conditioned on it stale even though they
 //! are rebuilt at the same budget (the *scope* no longer matches where
-//! the mass went). The per-edge **drift meter** quantifies that erosion —
-//! each delta adds the relative change of every affected edge's
+//! the mass went). The **drift meter** quantifies that erosion — each
+//! delta adds the relative change of every affected edge's
 //! `child_count` — and once accumulated drift crosses the configured
 //! threshold, [`DeltaBuildReport::needs_refine`] asks the caller to
-//! schedule a *budgeted* re-refinement ([`drift_refine`], a bounded
-//! [`xbuild_from`] pass whose scoring runs under the usual
-//! [`Meter`](crate::estimate::Meter) deadline/work guards) instead of a
-//! full rebuild. Deltas that empty a group entirely fall back to a
-//! partition rebuild (`from_partition` at the surviving granularity) and
-//! force `needs_refine`.
+//! schedule a *budgeted* re-refinement instead of a full rebuild: the
+//! ingest store re-derives the document's synopsis through a bounded
+//! [`xbuild_from`](crate::construct::xbuild_from) pass, whose scoring
+//! runs under the usual [`Meter`](crate::estimate::Meter)
+//! deadline/work guards, installs it with a checkpoint, and
+//! [`reset`](DriftMeter::reset)s the meter at every checkpoint. Deltas
+//! that empty a group entirely fall back to a partition rebuild
+//! (`from_partition` at the surviving granularity) and force
+//! `needs_refine`.
 
 use crate::coarse::{initialize_summaries, CoarseOptions};
-use crate::construct::xbuild::{xbuild_from, BuildOptions, BuildTrace, TruthSource};
 use crate::synopsis::{DimKind, ScopeDim, SynId, Synopsis, SynopsisEdge};
 use crate::tsn::b_stable_ancestors;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -58,7 +60,7 @@ impl Default for DeltaBuildOptions {
     }
 }
 
-/// Accumulated per-edge distribution drift since the last refinement.
+/// Accumulated edge-distribution drift since the last refinement.
 ///
 /// Drift is dimensionless: one unit means "some edge's child count has
 /// changed by 100% in aggregate". The meter latches across deltas and is
@@ -66,7 +68,6 @@ impl Default for DeltaBuildOptions {
 /// histograms to the current document.
 #[derive(Debug, Clone, Default)]
 pub struct DriftMeter {
-    per_edge: HashMap<(SynId, SynId), f64>,
     total: f64,
 }
 
@@ -76,12 +77,11 @@ impl DriftMeter {
         DriftMeter::default()
     }
 
-    /// Records `amount` drift units against `edge`.
-    pub fn observe(&mut self, edge: (SynId, SynId), amount: f64) {
+    /// Records `amount` drift units.
+    pub fn observe(&mut self, amount: f64) {
         if amount <= 0.0 || !amount.is_finite() {
             return;
         }
-        *self.per_edge.entry(edge).or_insert(0.0) += amount;
         self.total += amount;
     }
 
@@ -90,19 +90,8 @@ impl DriftMeter {
         self.total
     }
 
-    /// Largest single-edge drift accumulated since the last reset.
-    pub fn max_edge(&self) -> f64 {
-        self.per_edge.values().fold(0.0, |a, &b| a.max(b))
-    }
-
-    /// Number of edges with non-zero drift.
-    pub fn edges_drifted(&self) -> usize {
-        self.per_edge.len()
-    }
-
     /// Clears all accumulated drift (call after a refinement pass).
     pub fn reset(&mut self) {
-        self.per_edge.clear();
         self.total = 0.0;
     }
 }
@@ -123,7 +112,7 @@ pub struct DeltaBuildReport {
     /// Meter total after this delta.
     pub drift_total: f64,
     /// The drift threshold was crossed — the caller should schedule a
-    /// budgeted [`drift_refine`] pass.
+    /// budgeted re-refinement.
     pub needs_refine: bool,
     /// The delta emptied a group; the partition was rebuilt from scratch
     /// at the surviving granularity (implies `needs_refine`).
@@ -273,7 +262,7 @@ pub fn delta_xbuild(
         );
         // The refinement investment is gone; saturate the meter so the
         // caller re-refines under budget.
-        drift.observe((s.root(), s.root()), opts.drift_threshold.max(1.0));
+        drift.observe(opts.drift_threshold.max(1.0));
         let report = DeltaBuildReport {
             groups_touched: affected.len(),
             groups_created,
@@ -322,7 +311,7 @@ pub fn delta_xbuild(
             continue;
         }
         let rel = (new_c.abs_diff(old_c)) as f64 / (old_c.max(1)) as f64;
-        drift.observe(key, rel);
+        drift.observe(rel);
         drift_added += rel;
     }
 
@@ -413,24 +402,6 @@ pub fn delta_xbuild(
         doc: new_doc,
         report,
     })
-}
-
-/// Budgeted re-refinement after drift: a bounded [`xbuild_from`] pass
-/// whose candidate scoring runs under the deadline/work-limit `Meter`
-/// carried by `opts.estimate`. Resets `drift` — the refined synopsis is
-/// fit to the current document. Returns the refined synopsis and the
-/// round trace; the caller decides whether to install it (and rolls back
-/// by keeping its previous synopsis otherwise).
-pub fn drift_refine(
-    s: Synopsis,
-    doc: &Document,
-    truth: TruthSource<'_>,
-    opts: &BuildOptions,
-    drift: &mut DriftMeter,
-) -> (Synopsis, BuildTrace) {
-    let (refined, trace) = xbuild_from(s, doc, truth, opts);
-    drift.reset();
-    (refined, trace)
 }
 
 #[cfg(test)]
@@ -594,16 +565,6 @@ mod tests {
             needs,
             "repeated inserts must eventually cross the threshold"
         );
-        // Budgeted refinement resets the meter.
-        let build = BuildOptions {
-            budget_bytes: s.size_bytes() + 256,
-            max_rounds: 4,
-            ..Default::default()
-        };
-        let (refined, _trace) = drift_refine(s, &cur, TruthSource::Exact, &build, &mut drift);
-        assert_eq!(drift.total(), 0.0);
-        validate(&refined).unwrap();
-        refined.check_invariants(&cur).unwrap();
     }
 
     #[test]

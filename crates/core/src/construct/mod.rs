@@ -6,9 +6,7 @@ pub mod refine;
 pub mod sample;
 pub mod xbuild;
 
-pub use delta::{
-    delta_xbuild, drift_refine, DeltaBuildOptions, DeltaBuildOutcome, DeltaBuildReport, DriftMeter,
-};
+pub use delta::{delta_xbuild, DeltaBuildOptions, DeltaBuildOutcome, DeltaBuildReport, DriftMeter};
 pub use refine::Refinement;
 pub use xbuild::{
     workload_error, workload_error_compiled, xbuild, xbuild_from, xbuild_from_with_workload,

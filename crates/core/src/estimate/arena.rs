@@ -23,7 +23,7 @@
 //! backtracks over, and the plan columns it fills before copying them
 //! out once, exact-size.
 //!
-//! The arena is reached through a thread-local ([`with_scratch`]), so
+//! The arena is reached through a thread-local (`with_scratch`), so
 //! steady-state serving reuses one warmed arena per worker thread. The
 //! rare re-entrant caller (an estimator invoked from inside another
 //! estimator's evaluation) falls back to a fresh arena rather than

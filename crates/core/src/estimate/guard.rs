@@ -84,7 +84,7 @@ impl EvalStats {
 ///
 /// Work is counted in abstract units (roughly one synopsis-node visit,
 /// chain extension, or histogram-bucket term each). The deadline is
-/// polled every [`DEADLINE_STRIDE`] units. Once exhausted, the meter
+/// polled every `DEADLINE_STRIDE` units. Once exhausted, the meter
 /// stays exhausted: every subsequent [`Meter::proceed`] returns `false`,
 /// so deeply nested recursions unwind without re-checking the clock.
 #[derive(Debug, Clone)]
@@ -100,7 +100,7 @@ pub struct Meter {
 impl Meter {
     /// A meter with the given deadline and work limit (`0` = unlimited).
     /// An already-expired deadline trips immediately — small queries may
-    /// finish in fewer than [`DEADLINE_STRIDE`] units and would otherwise
+    /// finish in fewer than `DEADLINE_STRIDE` units and would otherwise
     /// never poll the clock.
     pub fn new(deadline: Option<Instant>, work_limit: u64) -> Meter {
         let exhausted = match deadline {

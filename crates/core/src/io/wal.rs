@@ -7,7 +7,7 @@
 //!
 //! * The journal starts with a fixed header (`"XWAL"` magic + version).
 //!   Header creation and [`WalWriter::reset`] go through
-//!   [`write_bytes_atomic`], the same tmp+rename+fsync discipline as
+//!   [`write_bytes_atomic_in`], the same tmp+rename+fsync discipline as
 //!   snapshots.
 //! * Each record is framed `len u32 | crc u64 | payload`, with the CRC
 //!   (CRC-64/ECMA, shared with snapshots via [`snapshot_checksum`])

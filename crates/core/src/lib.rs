@@ -43,8 +43,8 @@ pub mod validate;
 pub use coarse::coarse_synopsis;
 pub use compiled::{CompiledHistogram, CompiledSynopsis};
 pub use construct::{
-    delta_xbuild, drift_refine, xbuild, BuildOptions, BuildTrace, DeltaBuildOptions,
-    DeltaBuildOutcome, DeltaBuildReport, DriftMeter, Refinement, TruthSource,
+    delta_xbuild, xbuild, BuildOptions, BuildTrace, DeltaBuildOptions, DeltaBuildOutcome,
+    DeltaBuildReport, DriftMeter, Refinement, TruthSource,
 };
 pub use describe::describe;
 pub use estimate::{

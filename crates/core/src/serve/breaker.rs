@@ -127,7 +127,7 @@ impl CircuitBreaker {
                 } else {
                     // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
                     self.short_circuits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::global().runtime_breaker_short_circuits.incr();
+                    telemetry::global().breaker_short_circuits.incr();
                     false
                 }
             }
@@ -135,7 +135,7 @@ impl CircuitBreaker {
                 if inner.probe_in_flight {
                     // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
                     self.short_circuits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::global().runtime_breaker_short_circuits.incr();
+                    telemetry::global().breaker_short_circuits.incr();
                     false
                 } else {
                     inner.probe_in_flight = true;
@@ -156,7 +156,7 @@ impl CircuitBreaker {
             inner.opened_at = None;
             // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
             self.closes.fetch_add(1, Ordering::Relaxed);
-            telemetry::global().runtime_breaker_close.incr();
+            telemetry::global().breaker_reclosed.incr();
         }
     }
 
@@ -173,7 +173,7 @@ impl CircuitBreaker {
                     inner.opened_at = Some(Instant::now());
                     // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
                     self.opens.fetch_add(1, Ordering::Relaxed);
-                    telemetry::global().runtime_breaker_open.incr();
+                    telemetry::global().breaker_opened.incr();
                 }
             }
             BreakerState::HalfOpen => {
@@ -182,7 +182,7 @@ impl CircuitBreaker {
                 inner.probe_in_flight = false;
                 // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
                 self.opens.fetch_add(1, Ordering::Relaxed);
-                telemetry::global().runtime_breaker_open.incr();
+                telemetry::global().breaker_opened.incr();
             }
             BreakerState::Open => {}
         }

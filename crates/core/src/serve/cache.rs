@@ -3,10 +3,14 @@
 //! Entries are keyed by the query *fingerprint* — its canonical
 //! [`Display`](std::fmt::Display) rendering, which round-trips through
 //! the parser — and stamped with the
-//! [`CompiledSynopsis::epoch`](crate::CompiledSynopsis::epoch) they
-//! were computed under. A lookup presents the current epoch; an entry
-//! stamped with any other epoch is treated as a miss and evicted on
-//! sight. Because epochs are process-unique and monotone, refining the
+//! [`CompiledSynopsis::epoch`](crate::CompiledSynopsis::epoch) and the
+//! embedding cap
+//! ([`EstimateOptions::max_embeddings`](crate::estimate::EstimateOptions::max_embeddings))
+//! they were computed under. A lookup presents the current epoch and
+//! its request's cap; an entry stamped with any other epoch is treated
+//! as a miss and evicted on sight, and one stamped with another cap is
+//! a miss (a capped sum is a different number, not a cheaper one).
+//! Because epochs are process-unique and monotone, refining the
 //! synopsis and recompiling invalidates every cached estimate at once
 //! without a flush protocol, and an entry can never be served across
 //! synopsis generations. The same property gives the multi-tenant
@@ -37,6 +41,8 @@ pub(crate) const SHARD_COUNT: usize = 16;
 struct Entry {
     /// Synopsis epoch this estimate was computed under.
     epoch: u64,
+    /// Embedding cap of the request this estimate answered.
+    max_embeddings: usize,
     /// The cached full-fidelity estimate.
     estimate: f64,
     /// The provenance of the original computation (embeddings, work,
@@ -163,11 +169,13 @@ impl EstimateCache {
         (h as usize) & (self.shards.len() - 1)
     }
 
-    /// Looks up `key` at `epoch`, returning the cached estimate together
-    /// with the provenance of the computation that produced it. A hit
-    /// refreshes the entry's LRU stamp; an entry stamped with a
-    /// different epoch is evicted and counted as both stale and a miss.
-    pub fn get(&self, key: &str, epoch: u64) -> Option<(f64, Provenance)> {
+    /// Looks up `key` at `epoch` for a request capped at
+    /// `max_embeddings`, returning the cached estimate together with the
+    /// provenance of the computation that produced it. A hit refreshes
+    /// the entry's LRU stamp; an entry stamped with a different epoch is
+    /// evicted and counted as both stale and a miss, and one computed
+    /// under a different cap is a miss.
+    pub fn get(&self, key: &str, epoch: u64, max_embeddings: usize) -> Option<(f64, Provenance)> {
         if !self.is_enabled() {
             return None;
         }
@@ -178,14 +186,14 @@ impl EstimateCache {
         shard.tick += 1;
         let tick = shard.tick;
         match shard.entries.get_mut(key) {
-            Some(e) if e.epoch == epoch => {
+            Some(e) if e.epoch == epoch && e.max_embeddings == max_embeddings => {
                 e.last_used = tick;
                 // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 tg.cache_hits.incr();
                 Some((e.estimate, e.provenance))
             }
-            Some(_) => {
+            Some(e) if e.epoch != epoch => {
                 shard.entries.remove(key);
                 // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
                 self.stale.fetch_add(1, Ordering::Relaxed);
@@ -195,7 +203,7 @@ impl EstimateCache {
                 tg.cache_misses.incr();
                 None
             }
-            None => {
+            _ => {
                 // lint:allow(atomic-ordering): monotonic stats counter; nothing is ordered against it
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 tg.cache_misses.incr();
@@ -205,11 +213,19 @@ impl EstimateCache {
     }
 
     /// Inserts `estimate` (with the `provenance` of its computation)
-    /// under `key` at `epoch`, evicting the shard's least-recently-used
-    /// entry if it is full. The O(shard-size) LRU scan is deliberate:
-    /// shards are small (capacity/16) and an intrusive list is not worth
-    /// the complexity at this scale.
-    pub fn insert(&self, key: &str, epoch: u64, estimate: f64, provenance: Provenance) {
+    /// under `key` at `epoch` for requests capped at `max_embeddings`,
+    /// evicting the shard's least-recently-used entry if it is full.
+    /// The O(shard-size) LRU scan is deliberate: shards are small
+    /// (capacity/16) and an intrusive list is not worth the complexity
+    /// at this scale.
+    pub fn insert(
+        &self,
+        key: &str,
+        epoch: u64,
+        max_embeddings: usize,
+        estimate: f64,
+        provenance: Provenance,
+    ) {
         if !self.is_enabled() {
             return;
         }
@@ -237,6 +253,7 @@ impl EstimateCache {
             key.to_owned(),
             Entry {
                 epoch,
+                max_embeddings,
                 estimate,
                 provenance,
                 last_used: tick,
@@ -291,6 +308,8 @@ mod tests {
     use crate::compiled::CompiledSynopsis;
     use xtwig_xml::parse;
 
+    const CAP: usize = 4096;
+
     #[test]
     fn stale_epoch_is_never_served() {
         let doc = parse("<bib><paper><kw/></paper></bib>").unwrap();
@@ -301,13 +320,20 @@ mod tests {
         cache.insert(
             "q",
             old.epoch(),
+            CAP,
             1234.5,
             Provenance::new("xsketch-compiled"),
         );
-        assert!(cache.get("q", old.epoch()).is_some());
+        assert!(cache.get("q", old.epoch(), CAP).is_some());
+        // Another embedding cap misses without evicting the entry.
+        assert!(cache.get("q", old.epoch(), 1).is_none());
+        assert!(cache.get("q", old.epoch(), CAP).is_some());
         // Same key at the fresh epoch: stale entry evicted, not served.
-        assert!(cache.get("q", new.epoch()).is_none());
-        assert!(cache.get("q", old.epoch()).is_none(), "evicted on sight");
+        assert!(cache.get("q", new.epoch(), CAP).is_none());
+        assert!(
+            cache.get("q", old.epoch(), CAP).is_none(),
+            "evicted on sight"
+        );
         let stats = cache.stats();
         assert_eq!(stats.stale_evictions, 1);
     }
@@ -332,10 +358,10 @@ mod tests {
         }
         let (k1, k2) = (k1.unwrap(), k2.unwrap());
         let prov = Provenance::new("xsketch-compiled");
-        cache.insert(&k1, 1, b, prov);
-        cache.insert(&k2, 1, b, prov);
-        assert!(cache.get(&k1, 1).is_none(), "LRU victim");
-        assert!(cache.get(&k2, 1).is_some());
+        cache.insert(&k1, 1, CAP, b, prov);
+        cache.insert(&k2, 1, CAP, b, prov);
+        assert!(cache.get(&k1, 1, CAP).is_none(), "LRU victim");
+        assert!(cache.get(&k2, 1, CAP).is_some());
         assert_eq!(cache.stats().lru_evictions, 1);
     }
 
@@ -343,8 +369,8 @@ mod tests {
     fn disabled_cache_is_a_universal_miss() {
         let cache = EstimateCache::with_shards(0, 16);
         assert!(!cache.is_enabled());
-        cache.insert("q", 1, 1.0, Provenance::new("xsketch-compiled"));
-        assert!(cache.get("q", 1).is_none());
+        cache.insert("q", 1, CAP, 1.0, Provenance::new("xsketch-compiled"));
+        assert!(cache.get("q", 1, CAP).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 }

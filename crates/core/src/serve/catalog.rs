@@ -570,11 +570,11 @@ impl<T: ServeTier> SnapshotCatalog<T> {
     pub fn reload(&self, tenant: &str, document: &str, bytes: &[u8]) -> Result<u64, CatalogError> {
         let tg = telemetry::global();
         if let Err(e) = load_verified(bytes) {
-            tg.runtime_reload_rollbacks.incr();
+            tg.catalog_reload_rollbacks.incr();
             return Err(CatalogError::Snapshot(e));
         }
         let n = self.publish_bytes(tenant, document, bytes)?;
-        tg.runtime_reloads.incr();
+        tg.catalog_reloads.incr();
         Ok(n)
     }
 
@@ -654,7 +654,7 @@ impl<T: ServeTier> SnapshotCatalog<T> {
         if quota != 0 && inflight > quota {
             // lint:allow(atomic-ordering): monotonic stats counter
             self.quota_sheds.fetch_add(1, Ordering::Relaxed);
-            telemetry::global().runtime_shed_reject_new.incr();
+            telemetry::global().catalog_quota_sheds.incr();
             return Err(CatalogError::QuotaExceeded {
                 tenant: tenant.to_owned(),
             });

@@ -12,8 +12,8 @@
 //! * [`cache`] — the fingerprint-keyed, epoch-stamped estimate cache.
 //! * [`BatchServer`] (this module) — fans a batch of queries out over
 //!   scoped worker threads with every member still running under its
-//!   own [`Meter`](crate::estimate::Meter) deadline/work-budget guard,
-//!   with per-fingerprint plan reuse and heavy-plan work splitting.
+//!   own [`Meter`] deadline/work-budget guard, with per-fingerprint
+//!   plan reuse and heavy-plan work splitting.
 //! * [`breaker`] — the circuit breaker and the jittered backoff the
 //!   catalog and the guarded fallback chain share.
 //! * [`catalog`] — `(tenant, document)`-keyed verified fault-in, per-tenant quotas and breakers, cold-key eviction,
@@ -149,7 +149,7 @@ impl<'a, 'syn> BatchServer<'a, 'syn> {
     }
 
     /// Serves under `options` — each batch member gets its own
-    /// [`Meter`](crate::estimate::Meter) built from them.
+    /// [`Meter`] built from them.
     pub fn with_options(self, options: EstimateOptions) -> BatchServer<'a, 'syn> {
         BatchServer { options, ..self }
     }
@@ -188,7 +188,7 @@ impl<'a, 'syn> BatchServer<'a, 'syn> {
     /// With multiple workers and *unguarded* options (no deadline, no
     /// work limit — the meter provably never trips, so per-embedding
     /// evaluations are independent), a group whose plan has at least
-    /// [`SPLIT_THRESHOLD_DEFAULT`] embeddings is deferred: its
+    /// `SPLIT_THRESHOLD_DEFAULT` embeddings is deferred: its
     /// embeddings are ticket-drawn across every worker, then folded
     /// through the same sequential clamping loop in embedding order,
     /// which keeps the total bit-identical to the single-threaded
@@ -209,7 +209,9 @@ impl<'a, 'syn> BatchServer<'a, 'syn> {
     /// alone decides, exactly as on a cold synopsis (the expansion memo
     /// charges the work it skips for the same reason). A deadline does
     /// not bypass the cache: wall-clock budgets already depend on
-    /// timing, and a hit counts as within any deadline.
+    /// timing, and a hit counts as within any deadline. An embedding cap
+    /// does change the number, so a cached answer serves only requests
+    /// under the cap it was computed under.
     pub fn serve(&self, queries: &[TwigQuery]) -> Vec<EstimateReport> {
         serve_batch(self.cs, queries, &self.options, self.cache, self.threads)
     }
@@ -254,12 +256,13 @@ fn serve_batch(
         if opts.explain || opts.work_limit > 0 {
             return None;
         }
-        c.get(fp, epoch).map(|(hit, prov)| cached_report(hit, prov))
+        c.get(fp, epoch, opts.max_embeddings)
+            .map(|(hit, prov)| cached_report(hit, prov))
     };
     let cache_insert = |fp: &str, rep: &EstimateReport| {
         if let Some(c) = cache {
             if rep.provenance.exhaustion.is_none() {
-                c.insert(fp, epoch, rep.estimate, rep.provenance);
+                c.insert(fp, epoch, opts.max_embeddings, rep.estimate, rep.provenance);
             }
         }
     };

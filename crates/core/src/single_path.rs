@@ -21,21 +21,10 @@ use xtwig_query::{PathExpr, Pred};
 /// branch predicate `[path]` (with optional value restriction), combining
 /// per-step existence fractions under independence and summing alternative
 /// synopsis expansions as disjoint-ish alternatives
-/// (`1 − Π(1 − f_alt)`). The branch path expands in `ar`'s lanes under
-/// its own meter, built from `opts`.
-pub fn branch_fraction(
-    s: &CompiledSynopsis<'_>,
-    from: SynId,
-    pred: &Pred,
-    opts: &EstimateOptions,
-    ar: &mut EvalArena,
-) -> f64 {
-    branch_fraction_in(s, from, pred, opts, &mut ar.expand)
-}
-
-/// [`branch_fraction`] over the expansion lanes an expansion already
-/// holds: the branch path's chains are pushed above the caller's and
-/// released before returning.
+/// (`1 − Π(1 − f_alt)`). Runs over the expansion lanes an expansion
+/// already holds: the branch path's chains are pushed above the caller's,
+/// expand under their own meter built from `opts`, and are released
+/// before returning.
 pub(crate) fn branch_fraction_in(
     s: &CompiledSynopsis<'_>,
     from: SynId,
@@ -163,11 +152,11 @@ mod tests {
         // [book]: one of two authors has a book.
         let pred = Pred::branch(PathExpr::child("book"));
         let mut ar = EvalArena::new();
-        let f = branch_fraction(&s, author, &pred, &opts, &mut ar);
+        let f = branch_fraction_in(&s, author, &pred, &opts, &mut ar.expand);
         assert!((f - 0.5).abs() < 1e-9, "{f}");
         // [paper]: F-stable, every author qualifies.
         let pred2 = Pred::branch(PathExpr::child("paper"));
-        let f2 = branch_fraction(&s, author, &pred2, &opts, &mut ar);
+        let f2 = branch_fraction_in(&s, author, &pred2, &opts, &mut ar.expand);
         assert!((f2 - 1.0).abs() < 1e-9, "{f2}");
     }
 
@@ -181,7 +170,7 @@ mod tests {
         // [year > 2000]: 2 of 3 years qualify; every paper has a year, so
         // fraction ≈ 2/3 (value histogram approximation).
         let pred = xtwig_query::parse_path("/x[year > 2000]").unwrap().steps[0].preds[0].clone();
-        let f = branch_fraction(&s, paper, &pred, &opts, &mut EvalArena::new());
+        let f = branch_fraction_in(&s, paper, &pred, &opts, &mut EvalArena::new().expand);
         assert!(f > 0.3 && f <= 1.0, "{f}");
     }
 }

@@ -214,14 +214,6 @@ impl EdgeHistogram {
             .position(|d| d.parent == parent && d.child == child && d.kind == kind)
     }
 
-    /// Index of any scope dimension over edge `(parent, child)` regardless
-    /// of kind.
-    pub fn dim_of_edge(&self, parent: SynId, child: SynId) -> Option<usize> {
-        self.scope
-            .iter()
-            .position(|d| d.parent == parent && d.child == child)
-    }
-
     /// Index of the value dimension drawing from `source`, if recorded.
     pub fn value_dim_of(&self, owner: SynId, source: ValueSource) -> Option<usize> {
         let child = match source {

@@ -46,7 +46,7 @@ use xtwig_core::estimate::{
 use xtwig_core::serve::breaker::{BreakerConfig, CircuitBreaker};
 use xtwig_core::sync::atomic::{AtomicU64, Ordering};
 use xtwig_core::sync::OnceLock;
-use xtwig_core::telemetry::{self, Span, Stage};
+use xtwig_core::telemetry;
 use xtwig_core::{
     coarse_count_bound, CatalogOptions, CompiledSynopsis, Resident, ServeTier, SnapshotCatalog,
     SynId,
@@ -404,7 +404,6 @@ impl<'a> GuardedEstimator<'a> {
     ) -> EstimateReport {
         let tg = telemetry::global();
         let t_fallback = Instant::now();
-        let span = Span::enter(Stage::Fallback);
         let mut attempts = vec![TierAttempt {
             tier: Tier::Xsketch,
             failure: Some(tier1_failure),
@@ -446,7 +445,6 @@ impl<'a> GuardedEstimator<'a> {
                 (value, Tier::LabelCount)
             }
         };
-        span.exit();
         tg.fallback_latency.record_ns(elapsed_ns(t_fallback));
         self.note_degraded();
         fallback_report(value, tier, tier1_failure, &attempts, explain, started)

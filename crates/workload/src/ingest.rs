@@ -21,7 +21,7 @@
 //! synopsis exactly as the checkpoint did (coarse label-split, plus the
 //! seeded budgeted XBUILD pass when the manifest says `refined`), then
 //! replay the WAL's durable prefix through
-//! [`delta_xbuild`](xtwig_core::construct::delta_xbuild). A torn WAL
+//! [`delta_xbuild`]. A torn WAL
 //! tail (partial frame or CRC failure from a mid-write kill) is
 //! truncated, not an error: the store recovers to the last durable
 //! delta — pre- or post-delta, never a torn hybrid. Because every step
@@ -35,7 +35,7 @@
 //! ## Drift-triggered budgeted re-refinement
 //!
 //! Each applied delta feeds the
-//! [`DriftMeter`](xtwig_core::construct::DriftMeter); once accumulated
+//! [`DriftMeter`]; once accumulated
 //! drift crosses the threshold, the store re-derives a refined synopsis
 //! under the bounded [`BuildOptions`] budget (the same work/deadline
 //! `Meter` machinery the estimator uses). A refined synopsis that fails

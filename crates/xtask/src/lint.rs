@@ -21,7 +21,7 @@
 //! | `sync-direct` | `std::sync` instead of the `xtwig-core::sync` façade | sync-façade modules |
 //! | `wal-fsync`   | bare `File::create` / `OpenOptions` instead of the atomic write helpers | durable-I/O modules |
 //! | `vfs-direct`  | raw `std::fs` instead of the `Vfs` abstraction | durable-I/O + catalog + ingest modules, minus `io/vfs.rs` |
-//! | `metric-producer` | a `Telemetry` metric nothing outside `telemetry.rs` writes | the registry, against all shipped code (libraries and binaries) |
+//! | `metric-producer` | a `metrics!` row nothing outside `telemetry.rs` writes, or a table the rule cannot read | the registry, against all shipped code (libraries and binaries) |
 //!
 //! "Library code" excludes `tests/`, `benches/`, `examples/`, `src/bin/`,
 //! binary roots (`main.rs`), the vendored dependency stand-ins under
@@ -312,7 +312,7 @@ fn is_shipped_code(rel: &str) -> bool {
 const TELEMETRY_PATH: &str = "crates/core/src/telemetry.rs";
 
 /// The registry methods that write a metric.
-const METRIC_WRITES: [&str; 6] = ["incr", "add", "inc", "dec", "set", "record_ns"];
+const METRIC_WRITES: [&str; 4] = ["incr", "add", "set", "record_ns"];
 
 /// Reads the registry source and every other shipped file, masked
 /// (comments, strings and `#[cfg(test)]` regions blanked).
@@ -330,24 +330,37 @@ fn read_shipped(root: &Path, shipped: &[String]) -> Result<(String, Vec<String>)
     Ok((telemetry, producers))
 }
 
-/// The metric fields of `pub struct Telemetry` with their 1-based lines.
-fn telemetry_fields(source: &str) -> Vec<(String, usize)> {
+/// The rows of the registry's `metrics!` table with their 1-based
+/// lines. A row is `Counter name,`, `Gauge name,` or
+/// `LatencyHistogram name,`, under its doc comment. Any other line
+/// inside the table is an error carrying its line, so a table the rule
+/// cannot read fails rather than passing on the rows it did read.
+fn telemetry_fields(source: &str) -> Result<Vec<(String, usize)>, usize> {
     let mut out = Vec::new();
     let mut inside = false;
     for (i, line) in source.lines().enumerate() {
         let t = line.trim();
-        if t.starts_with("pub struct Telemetry") {
-            inside = true;
-        } else if inside && t.starts_with('}') {
+        if !inside {
+            inside = t == "metrics! {";
+            continue;
+        }
+        if t.starts_with('}') {
             break;
-        } else if let Some((name, ty)) = t.strip_prefix("pub ").and_then(|r| r.split_once(':')) {
-            let ty = ty.trim().trim_end_matches(',');
-            if inside && matches!(ty, "Counter" | "Gauge" | "LatencyHistogram") {
-                out.push((name.trim().to_string(), i + 1));
+        }
+        if t.is_empty() || t.starts_with("///") {
+            continue;
+        }
+        match t.strip_suffix(',').and_then(|r| r.split_once(' ')) {
+            Some(("Counter" | "Gauge" | "LatencyHistogram", name))
+                if !name.is_empty()
+                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') =>
+            {
+                out.push((name.to_string(), i + 1));
             }
+            _ => return Err(i + 1),
         }
     }
-    out
+    Ok(out)
 }
 
 /// Whether `masked` writes metric `field`: `.field`, then any
@@ -380,25 +393,28 @@ fn writes_metric(masked: &str, field: &str) -> bool {
 /// writes: the export would print a zero forever, and a dashboard or a
 /// CI grep on its name would pass on a metric nothing produces.
 fn scan_metric_producers(telemetry: &str, producers: &[String], findings: &mut Vec<Finding>) {
-    let fields = telemetry_fields(telemetry);
+    let finding = |line: usize, snippet: String| Finding {
+        rule: "metric-producer",
+        file: TELEMETRY_PATH.to_string(),
+        line,
+        snippet,
+    };
+    let fields = match telemetry_fields(telemetry) {
+        Ok(fields) => fields,
+        Err(line) => {
+            findings.push(finding(line, "unparseable `metrics!` row".to_string()));
+            return;
+        }
+    };
     if fields.is_empty() {
-        // The parser no longer recognizes the registry: fail loudly
-        // rather than pass on an empty field list.
-        findings.push(Finding {
-            rule: "metric-producer",
-            file: TELEMETRY_PATH.to_string(),
-            line: 1,
-            snippet: "no `pub struct Telemetry` metric fields found".to_string(),
-        });
+        // The parser no longer finds the table: fail loudly rather
+        // than pass on an empty row list.
+        findings.push(finding(1, "no `metrics!` table rows found".to_string()));
     }
     for (field, line) in fields {
         if !producers.iter().any(|src| writes_metric(src, &field)) {
-            findings.push(Finding {
-                rule: "metric-producer",
-                file: TELEMETRY_PATH.to_string(),
-                line,
-                snippet: format!("`{field}` has no producer outside telemetry.rs"),
-            });
+            let snippet = format!("`{field}` has no producer outside telemetry.rs");
+            findings.push(finding(line, snippet));
         }
     }
 }
@@ -1447,15 +1463,16 @@ mod tests {
 
     #[test]
     fn metric_producer_requires_a_write_outside_the_registry() {
-        let registry = "pub struct Telemetry {\n    /// Hits.\n    pub hits: Counter,\n    \
-                        pub depth: Gauge,\n    pub lat: LatencyHistogram,\n}\n";
+        let registry =
+            "macro_rules! metrics {\n}\nmetrics! {\n    /// Hits.\n    Counter hits,\n    \
+                        Gauge depth,\n    LatencyHistogram lat,\n}\n";
         assert_eq!(
             telemetry_fields(registry),
-            vec![
-                ("hits".to_string(), 3),
-                ("depth".to_string(), 4),
-                ("lat".to_string(), 5)
-            ]
+            Ok(vec![
+                ("hits".to_string(), 5),
+                ("depth".to_string(), 6),
+                ("lat".to_string(), 7)
+            ])
         );
         let one_line = "fn f() { tg.hits.incr(); }".to_string();
         let split =
@@ -1464,7 +1481,18 @@ mod tests {
         scan_metric_producers(registry, &[one_line, split], &mut findings);
         let dead: Vec<&str> = findings.iter().map(|f| f.snippet.as_str()).collect();
         assert_eq!(dead, vec!["`lat` has no producer outside telemetry.rs"]);
-        assert_eq!(findings[0].line, 5);
+        assert_eq!(findings[0].line, 7);
+        // A table the rule cannot read fails instead of passing.
+        for (bad, line) in [
+            ("metrics! {\n    Countr hits,\n}\n", 2),
+            ("metrics! {\n    Counter hits\n}\n", 2),
+            ("pub struct Telemetry {\n    pub hits: Counter,\n}\n", 1),
+        ] {
+            let mut findings = Vec::new();
+            scan_metric_producers(bad, &[], &mut findings);
+            assert_eq!(findings.len(), 1, "{bad}");
+            assert_eq!(findings[0].line, line, "{bad}");
+        }
         // A read, or a longer identifier, is not a write.
         assert!(!writes_metric("let n = tg.hits.get();", "hits"));
         assert!(!writes_metric("tg.hits_total.incr();", "hits"));

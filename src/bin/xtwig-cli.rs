@@ -24,7 +24,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 use xtwig::core::construct::{xbuild, BuildOptions, TruthSource};
 use xtwig::core::estimate::{EstimateOptions, EstimateOptionsBuilder};
-use xtwig::core::telemetry::{self, Span, Stage};
+use xtwig::core::telemetry;
 use xtwig::core::{
     coarse_synopsis, load_synopsis, read_snapshot, write_snapshot_atomic, CatalogError,
     CatalogOptions, EstimateReport, SnapshotCatalog, SnapshotError, StdVfs, Synopsis,
@@ -302,13 +302,10 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// Parses a twig query under a [`Stage::Parse`] span, reporting its
-/// latency to the metrics registry.
-fn parse_twig_traced(text: &str) -> Result<TwigQuery, xtwig::query::ParseError> {
+/// Parses a twig query, reporting its latency to the metrics registry.
+fn parse_twig_timed(text: &str) -> Result<TwigQuery, xtwig::query::ParseError> {
     let t0 = std::time::Instant::now();
-    let span = Span::enter(Stage::Parse);
     let q = parse_twig(text);
-    span.exit();
     telemetry::global()
         .parse_latency
         .record_ns(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -814,7 +811,7 @@ fn read_queries(path: &str) -> Result<Vec<TwigQuery>, CliError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let q = parse_twig_traced(line)
+        let q = parse_twig_timed(line)
             .map_err(|e| CliError::Usage(format!("{path}:{}: {e}", lineno + 1)))?;
         queries.push(q);
     }
@@ -848,7 +845,7 @@ fn read_plan(path: &str) -> Result<(Vec<KeyedBatch>, usize), CliError> {
         };
         let (key, qtext) = line.split_once(char::is_whitespace).ok_or_else(bad)?;
         let (tenant, document) = key.split_once('/').ok_or_else(bad)?;
-        let q = parse_twig_traced(qtext.trim())
+        let q = parse_twig_timed(qtext.trim())
             .map_err(|e| CliError::Usage(format!("{path}:{}: {e}", lineno + 1)))?;
         let key = (tenant.to_string(), document.to_string());
         match batches.iter_mut().find(|(k, _)| *k == key) {
@@ -1281,7 +1278,7 @@ fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
     let work_limit: u64 = parse_flag(args, "--work-limit", 0)?;
     let explain = has_flag(args, "--explain");
     let doc = load(path)?;
-    let q = parse_twig_traced(qtext).map_err(|e| CliError::Usage(e.to_string()))?;
+    let q = parse_twig_timed(qtext).map_err(|e| CliError::Usage(e.to_string()))?;
 
     let t0 = std::time::Instant::now();
     let mut recovered = false;

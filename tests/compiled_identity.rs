@@ -8,10 +8,8 @@
 //! 2. **Epoch invalidation** — refining a synopsis and recompiling bumps
 //!    the epoch, so an estimate cache never serves entries computed
 //!    under the stale generation.
-//! 3. **Observability is free** — requesting an `Explain` report, and
-//!    compiling with or without the `trace` feature, never changes a
-//!    single bit of any estimate (the whole suite runs under
-//!    `--features trace` in CI to prove the latter).
+//! 3. **Observability is free** — requesting an `Explain` report never
+//!    changes a single bit of any estimate.
 //! 4. **The loaded form is the same computation** — a synopsis served
 //!    from its v3 snapshot (`load_compiled_snapshot`), whose expansion
 //!    reads the snapshot's columns instead of a synopsis graph, matches
@@ -356,7 +354,7 @@ fn warm_memo_under_a_work_limit_matches_a_fresh_compile() {
         );
         let warm = CompiledSynopsis::compile(&s);
         BatchServer::new(&warm).serve(&w.queries);
-        let (hits_before, _) = warm.expansion_memo_stats();
+        let mut warm_hits = 0;
         for limit in [8u64, 40, 83, 200, 600] {
             let tight = EstimateOptions::builder().work_limit(limit).build();
             let got = BatchServer::new(&warm)
@@ -367,6 +365,7 @@ fn warm_memo_under_a_work_limit_matches_a_fresh_compile() {
                 .with_options(tight)
                 .serve(&w.queries);
             for ((q, g), f) in w.queries.iter().zip(&got).zip(&want) {
+                warm_hits += usize::from(g.provenance.memo_hit == Some(true));
                 assert!(
                     same_answer(g, f),
                     "{name}: warm memo diverged on {q} (work limit {limit}): {:?} vs {:?}",
@@ -381,11 +380,7 @@ fn warm_memo_under_a_work_limit_matches_a_fresh_compile() {
                 );
             }
         }
-        let (hits_after, _) = warm.expansion_memo_stats();
-        assert!(
-            hits_after > hits_before,
-            "{name}: the warm memo answered nothing"
-        );
+        assert!(warm_hits > 0, "{name}: the warm memo answered nothing");
     }
 }
 

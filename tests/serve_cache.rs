@@ -1,11 +1,16 @@
-//! Regression: [`EstimateCache`] edge-case configurations (ISSUE 5
-//! satellites). Zero capacity and zero shards must *disable* caching —
-//! universal miss, dropped inserts — rather than panic or divide by
-//! zero; `CacheStats::hit_rate` must be 0.0 (never NaN) with no
-//! lookups; and merged stats must saturate instead of overflowing.
+//! Regression: [`EstimateCache`] edge-case configurations. Zero
+//! capacity and zero shards must *disable* caching — universal miss,
+//! dropped inserts — rather than panic or divide by zero;
+//! `CacheStats::hit_rate` must be 0.0 (never NaN) with no lookups;
+//! merged stats must saturate instead of overflowing; and a cached
+//! answer serves only requests under the embedding cap it was computed
+//! under.
 
-use xtwig::core::estimate::{EstimateOptions, Provenance};
-use xtwig::core::{coarse_synopsis, BatchServer, CacheStats, CompiledSynopsis, EstimateCache};
+use xtwig::core::estimate::{EstimateOptions, EstimateReport, Provenance};
+use xtwig::core::{
+    coarse_synopsis, BatchServer, CacheStats, CatalogOptions, CompiledSynopsis, EstimateCache,
+    SnapshotCatalog,
+};
 use xtwig::query::{parse_twig, TwigQuery};
 
 fn setup() -> (xtwig::xml::Document, Vec<TwigQuery>) {
@@ -27,10 +32,13 @@ fn zero_capacity_cache_disables_instead_of_panicking() {
     let cache = EstimateCache::new(0);
     assert!(!cache.is_enabled());
     // Lookups miss, inserts drop, stats stay quiet — and nothing panics.
-    assert!(cache.get("q", 1).is_none());
+    assert!(cache.get("q", 1, 4096).is_none());
     let prov = Provenance::new("xsketch-compiled");
-    cache.insert("q", 1, 1.0, prov);
-    assert!(cache.get("q", 1).is_none(), "disabled cache never stores");
+    cache.insert("q", 1, 4096, 1.0, prov);
+    assert!(
+        cache.get("q", 1, 4096).is_none(),
+        "disabled cache never stores"
+    );
     let stats = cache.stats();
     assert_eq!(stats.entries, 0);
     assert_eq!(stats.hit_rate(), 0.0, "no NaN from 0/0");
@@ -40,7 +48,7 @@ fn zero_capacity_cache_disables_instead_of_panicking() {
 fn zero_shard_cache_is_also_disabled() {
     let cache = EstimateCache::with_shards(64, 0);
     assert!(!cache.is_enabled());
-    assert!(cache.get("q", 1).is_none());
+    assert!(cache.get("q", 1, 4096).is_none());
     assert_eq!(cache.stats().entries, 0);
     // And a normal with_shards configuration still works.
     let enabled = EstimateCache::with_shards(64, 3); // rounds up to 4 shards
@@ -113,4 +121,66 @@ fn merged_stats_saturate_instead_of_overflowing() {
     assert_eq!(m.entries, usize::MAX);
     // hit_rate survives pegged counters without NaN/panic.
     assert!(m.hit_rate() > 0.0 && m.hit_rate() <= 1.0);
+}
+
+/// A capped sum is a different number, not a cheaper one: once a
+/// request under `max_embeddings(1)` has filled the cache, a default
+/// request must still get the full sum, and the capped request must
+/// not be served the full sum back — through a cached `BatchServer` and
+/// through a catalog key. Repeats under one cap still hit.
+#[test]
+fn cached_answers_serve_only_their_embedding_cap() {
+    let doc = xtwig::xml::parse("<r><x><b/><b/></x><y><b/></y></r>").unwrap();
+    let s = coarse_synopsis(&doc);
+    let q = vec![parse_twig("for $t0 in //b").unwrap()];
+    let capped = EstimateOptions::builder().max_embeddings(1).build();
+    let full = EstimateOptions::default();
+    let fresh = |opts: EstimateOptions| {
+        let cs = CompiledSynopsis::compile(&s);
+        let rep = BatchServer::new(&cs).with_options(opts).serve(&q).remove(0);
+        (rep.estimate, rep.provenance.embeddings)
+    };
+    let (want_full, want_capped) = (fresh(full), fresh(capped));
+    assert_eq!(want_full, (3.0, 2));
+    assert_eq!(want_capped, (2.0, 1));
+
+    let check = |path: &str, serve: &dyn Fn(EstimateOptions) -> EstimateReport| {
+        for (step, (opts, want, cached)) in [
+            (capped, want_capped, false),
+            (full, want_full, false),
+            (full, want_full, true),
+            (capped, want_capped, false),
+            (capped, want_capped, true),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let got = serve(opts);
+            assert_eq!(
+                (got.estimate.to_bits(), got.provenance.embeddings),
+                (want.0.to_bits(), want.1),
+                "{path} step {step}: {got:?}"
+            );
+            assert_eq!(got.provenance.cached, cached, "{path} step {step}");
+        }
+    };
+
+    let cs = CompiledSynopsis::compile(&s);
+    let cache = EstimateCache::new(64);
+    check("batch", &|opts| {
+        BatchServer::new(&cs)
+            .with_cache(&cache)
+            .with_options(opts)
+            .serve(&q)
+            .remove(0)
+    });
+
+    let dir = std::env::temp_dir().join(format!("xtwig-serve-cache-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let catalog = SnapshotCatalog::open(&dir, CatalogOptions::default());
+    catalog.publish("t", "main", &s).unwrap();
+    check("catalog", &|opts| {
+        catalog.serve("t", "main", &q, &opts).unwrap().remove(0)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -109,13 +109,13 @@ fn retired_v1_and_v2_images_fail_typed_at_every_entry_point() {
 
         // A hot reload rolls back: nothing is published and the key
         // keeps serving bit-identically.
-        let rollbacks = telemetry::global().runtime_reload_rollbacks.get();
+        let rollbacks = telemetry::global().catalog_reload_rollbacks.get();
         match catalog.reload("t", "live", &image) {
             Err(CatalogError::Snapshot(e)) => assert_eq!(e, unsupported),
             other => panic!("v{version} reload: {other:?}"),
         }
         assert_eq!(
-            telemetry::global().runtime_reload_rollbacks.get(),
+            telemetry::global().catalog_reload_rollbacks.get(),
             rollbacks + 1
         );
         let after = serve("live").expect("still serves")[0].estimate;

@@ -158,11 +158,11 @@ fn concurrent_soak_holds_every_invariant() {
     // registry).
     let counters: std::collections::HashMap<&str, u64> =
         telemetry::global().counters().into_iter().collect();
-    assert!(counters["runtime_breaker_open"] >= 1);
-    assert!(counters["runtime_breaker_close"] >= 1);
-    assert!(counters["runtime_reloads"] >= report.reloads);
-    assert!(counters["runtime_reload_rollbacks"] >= report.reload_rollbacks);
-    assert!(counters["runtime_shed_reject_new"] >= report.stats.quota_sheds);
+    assert!(counters["breaker_opened"] >= 1);
+    assert!(counters["breaker_reclosed"] >= 1);
+    assert!(counters["catalog_reloads"] >= report.reloads);
+    assert!(counters["catalog_reload_rollbacks"] >= report.reload_rollbacks);
+    assert!(counters["catalog_quota_sheds"] >= report.stats.quota_sheds);
     assert!(counters["tier_markov_served"] >= 1);
 }
 
