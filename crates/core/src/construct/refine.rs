@@ -9,6 +9,7 @@
 //!   histogram's scope, lifting an independence assumption.
 
 use crate::synopsis::{DimKind, ScopeDim, SynId, Synopsis, ValueSource};
+use std::collections::HashMap;
 use xtwig_xml::Document;
 
 /// A localized synopsis transformation considered by XBUILD.
@@ -255,13 +256,9 @@ pub fn best_value_expand(s: &Synopsis, doc: &Document, node: SynId) -> Option<Va
 /// Proposes an `edge-expand` dimension for `node`: the TSN candidate whose
 /// counts correlate most with the product of the counts already in scope
 /// (§3.2: "the construction algorithm includes in `H_i` the most highly
-/// correlated path counts"). Returns `None` when nothing qualifies.
-pub fn best_expand_dim(s: &Synopsis, doc: &Document, node: SynId) -> Option<ScopeDim> {
-    best_expand_dim_with(s, doc, node, false)
-}
-
-/// [`best_expand_dim`] with the strict-TSN candidate rule toggled (see
-/// [`candidate_dims_with`](crate::tsn::candidate_dims_with)).
+/// correlated path counts"). `strict_tsn` toggles the strict candidate
+/// rule (see [`candidate_dims_with`](crate::tsn::candidate_dims_with)).
+/// Returns `None` when nothing qualifies.
 pub fn best_expand_dim_with(
     s: &Synopsis,
     doc: &Document,
@@ -286,18 +283,23 @@ pub fn best_expand_dim_with(
     let stride = (extent.len() / 256).max(1);
     let sample: Vec<_> = extent.iter().step_by(stride).copied().collect();
     let existing = &hist.scope;
+    let mut counts = DimCounts::default();
+    // The product of the in-scope counts does not depend on the candidate.
+    let ys: Vec<f64> = sample
+        .iter()
+        .map(|&e| {
+            existing
+                .iter()
+                .map(|d| counts.get(s, doc, e, d))
+                .product::<f64>()
+        })
+        .collect();
     let mut best: Option<(f64, ScopeDim)> = None;
     for cand in candidates {
-        let mut xs: Vec<f64> = Vec::with_capacity(sample.len());
-        let mut ys: Vec<f64> = Vec::with_capacity(sample.len());
-        for &e in &sample {
-            xs.push(count_for_dim(s, doc, e, &cand));
-            let y: f64 = existing
-                .iter()
-                .map(|d| count_for_dim(s, doc, e, d))
-                .product::<f64>();
-            ys.push(y);
-        }
+        let xs: Vec<f64> = sample
+            .iter()
+            .map(|&e| counts.get(s, doc, e, &cand))
+            .collect();
         let score = if existing.is_empty() {
             // No scope yet: prefer the dimension with the most variance.
             variance(&xs)
@@ -311,35 +313,45 @@ pub fn best_expand_dim_with(
     best.map(|(_, d)| d)
 }
 
-fn count_for_dim(s: &Synopsis, doc: &Document, e: xtwig_xml::NodeId, dim: &ScopeDim) -> f64 {
-    let anchor = match dim.kind {
-        DimKind::Forward => Some(e),
-        DimKind::Value => {
-            let Some(source) = dim.value_source() else {
-                return 0.0;
-            };
-            return s.source_value(doc, e, source).unwrap_or(0) as f64;
-        }
-        DimKind::Backward => {
-            let mut cur = e;
-            let mut found = None;
-            while let Some(p) = doc.parent(cur) {
-                if s.node_of(p) == dim.parent {
-                    found = Some(p);
-                    break;
-                }
-                cur = p;
+/// Per-element dimension counts for edge-expand scoring. Backward counts
+/// are memoized per (anchor element, child node): every sampled element
+/// under one anchor shares the count, and an anchor such as a root with
+/// a thousand children would otherwise be rescanned for each of them.
+#[derive(Default)]
+struct DimCounts {
+    backward: HashMap<(xtwig_xml::NodeId, SynId), f64>,
+}
+
+impl DimCounts {
+    fn get(&mut self, s: &Synopsis, doc: &Document, e: xtwig_xml::NodeId, dim: &ScopeDim) -> f64 {
+        match dim.kind {
+            DimKind::Forward => child_count(s, doc, e, dim.child),
+            DimKind::Value => {
+                let Some(source) = dim.value_source() else {
+                    return 0.0;
+                };
+                s.source_value(doc, e, source).unwrap_or(0) as f64
             }
-            found
+            DimKind::Backward => {
+                let mut cur = e;
+                while let Some(p) = doc.parent(cur) {
+                    if s.node_of(p) == dim.parent {
+                        return *self
+                            .backward
+                            .entry((p, dim.child))
+                            .or_insert_with(|| child_count(s, doc, p, dim.child));
+                    }
+                    cur = p;
+                }
+                0.0
+            }
         }
-    };
-    match anchor {
-        Some(a) => doc
-            .children(a)
-            .filter(|&c| s.node_of(c) == dim.child)
-            .count() as f64,
-        None => 0.0,
     }
+}
+
+/// Children of element `a` in synopsis node `child`.
+fn child_count(s: &Synopsis, doc: &Document, a: xtwig_xml::NodeId, child: SynId) -> f64 {
+    doc.children(a).filter(|&c| s.node_of(c) == child).count() as f64
 }
 
 fn variance(xs: &[f64]) -> f64 {
@@ -555,7 +567,7 @@ mod tests {
         let d = doc();
         let s = coarse_synopsis(&d);
         let paper = s.nodes_with_tag("paper")[0];
-        let dim = best_expand_dim(&s, &d, paper);
+        let dim = best_expand_dim_with(&s, &d, paper, false);
         assert!(dim.is_some());
         let dim = dim.unwrap();
         // Must be a fresh dim not already in scope.

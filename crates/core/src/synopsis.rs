@@ -615,15 +615,34 @@ impl Synopsis {
         // Cache: children counts of the most recent ancestor looked up,
         // keyed by ancestor element; backward dims often share ancestors.
         let mut anc_cache: HashMap<(NodeId, u32), u32> = HashMap::new();
+        // Forward dims as (position, child node): one pass over each
+        // element's children fills all of them.
+        let forward: Vec<(usize, SynId)> = scope
+            .iter()
+            .enumerate()
+            .filter(|(_, dim)| dim.kind == DimKind::Forward)
+            .map(|(d, dim)| {
+                debug_assert_eq!(dim.parent, n, "forward dim must start at the node");
+                (d, dim.child)
+            })
+            .collect();
         for &e in self.extent(n) {
+            for &(d, _) in &forward {
+                point[d] = 0;
+            }
+            if !forward.is_empty() {
+                for c in doc.children(e) {
+                    let z = self.node_of(c);
+                    for &(d, child) in &forward {
+                        if child == z {
+                            point[d] += 1;
+                        }
+                    }
+                }
+            }
             for (d, dim) in scope.iter().enumerate() {
                 point[d] = match dim.kind {
-                    DimKind::Forward => {
-                        debug_assert_eq!(dim.parent, n, "forward dim must start at the node");
-                        doc.children(e)
-                            .filter(|&c| self.node_of(c) == dim.child)
-                            .count() as u32
-                    }
+                    DimKind::Forward => continue,
                     DimKind::Backward => match self.nearest_ancestor_in(doc, e, dim.parent) {
                         Some(anc) => *anc_cache.entry((anc, dim.child.0)).or_insert_with(|| {
                             doc.children(anc)
@@ -661,9 +680,20 @@ impl Synopsis {
         &mut self,
         doc: &Document,
         n: SynId,
-        mut scope: Vec<ScopeDim>,
+        scope: Vec<ScopeDim>,
         budget_bytes: usize,
     ) {
+        self.edge_hists[n.index()] = self.build_edge_hist(doc, n, scope, budget_bytes);
+    }
+
+    /// The histogram [`set_edge_hist`](Self::set_edge_hist) installs.
+    fn build_edge_hist(
+        &self,
+        doc: &Document,
+        n: SynId,
+        mut scope: Vec<ScopeDim>,
+        budget_bytes: usize,
+    ) -> EdgeHistogram {
         let mut maps = self.value_bucketizations(doc, n, &scope, VALUE_DIM_BUCKETS);
         // Drop unusable value dims (no element has a source value).
         let mut d = 0;
@@ -678,13 +708,13 @@ impl Synopsis {
         let dist = self.edge_distribution_with(doc, n, &scope, &maps);
         let distinct = dist.distinct();
         let hist = MdHistogram::build(&dist, budget_bytes.max(8));
-        self.edge_hists[n.index()] = EdgeHistogram {
+        EdgeHistogram {
             scope,
             hist,
             value_buckets: maps,
             budget_bytes,
             distinct_points: distinct,
-        };
+        }
     }
 
     /// Collects the values of `n`'s extent (elements without values are
@@ -734,7 +764,8 @@ impl Synopsis {
     /// recomputed; histograms whose scopes reference edges touching `v`
     /// are re-scoped (the split edge is replaced by whichever of the two
     /// resulting edges exist) and rebuilt from the document at their
-    /// existing byte budgets.
+    /// existing byte budgets. A neighbour's histogram whose inputs the
+    /// split left unchanged is kept as it is.
     pub fn split_node(
         &mut self,
         doc: &Document,
@@ -805,6 +836,23 @@ impl Synopsis {
             let old = &self.edge_hists[n.index()];
             let budget = old.budget_bytes;
             let new_scope = self.remap_scope(n, &old.scope, v, new_id);
+            // A histogram is rebuilt only when the split changed one of
+            // its inputs. One whose owner is neither split node, whose
+            // scope names neither, and whose scope the remap leaves as it
+            // was reads the same owner extent and the same membership of
+            // every node and edge it names, so a rebuild would reproduce
+            // it bit for bit.
+            let unchanged = n != v
+                && n != new_id
+                && new_scope == old.scope
+                && !old.scope.iter().any(|d| d.parent == v || d.child == v);
+            if unchanged {
+                debug_assert!(
+                    *old == self.build_edge_hist(doc, n, new_scope, budget),
+                    "split of {v} skipped the rebuild of {n}'s histogram, which changed"
+                );
+                continue;
+            }
             self.set_edge_hist(doc, n, new_scope, budget);
         }
         // A split can break the B-stable path that justified a backward

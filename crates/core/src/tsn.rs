@@ -50,14 +50,10 @@ pub fn b_stable_ancestors(s: &Synopsis, n: SynId) -> HashSet<SynId> {
 /// histograms represent it directly, so every child edge is a candidate.
 /// The coarse synopsis still seeds scopes with F-stable children only, as
 /// in §5.
-pub fn candidate_dims(s: &Synopsis, n: SynId) -> Vec<ScopeDim> {
-    candidate_dims_with(s, n, false)
-}
-
-/// [`candidate_dims`] with the paper's strict TSN rule optionally
-/// enforced for forward dimensions too (`strict = true` keeps only
-/// F-stable children, exactly as §3.2 words it). Used by the ablation
-/// bench.
+///
+/// `strict = true` enforces the paper's strict TSN rule for forward
+/// dimensions too, keeping only F-stable children exactly as §3.2 words
+/// it. Used by the ablation bench.
 pub fn candidate_dims_with(s: &Synopsis, n: SynId, strict: bool) -> Vec<ScopeDim> {
     let mut ancestors: Vec<SynId> = b_stable_ancestors(s, n).into_iter().collect();
     ancestors.sort_unstable(); // deterministic proposal order
@@ -147,7 +143,7 @@ mod tests {
         let s = coarse_synopsis(&doc);
         let paper = s.nodes_with_tag("paper")[0];
         let author = s.nodes_with_tag("author")[0];
-        let dims = candidate_dims(&s, paper);
+        let dims = candidate_dims_with(&s, paper, false);
         let has = |parent: SynId, child_tag: &str, kind: DimKind| {
             dims.iter()
                 .any(|d| d.parent == parent && s.tag(d.child) == child_tag && d.kind == kind)

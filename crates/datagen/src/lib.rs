@@ -73,3 +73,31 @@ impl Dataset {
     /// All three datasets in the paper's column order.
     pub const ALL: [Dataset; 3] = [Dataset::XMark, Dataset::Imdb, Dataset::SProt];
 }
+
+#[cfg(test)]
+mod tests {
+    use super::Dataset;
+    use xtwig_xml::{Document, NodeId};
+
+    /// The descendants of `n` in document order, by recursion over the
+    /// children.
+    fn recursive_descendants(doc: &Document, n: NodeId, out: &mut Vec<NodeId>) {
+        for c in doc.children(n) {
+            out.push(c);
+            recursive_descendants(doc, c, out);
+        }
+    }
+
+    #[test]
+    fn descendants_match_a_recursive_walk_on_every_generator() {
+        for ds in Dataset::ALL {
+            let doc = ds.generate(0.01);
+            for n in doc.nodes() {
+                let mut expected = Vec::new();
+                recursive_descendants(&doc, n, &mut expected);
+                let walked: Vec<NodeId> = doc.descendants(n).collect();
+                assert_eq!(walked, expected, "{} below {n}", ds.name());
+            }
+        }
+    }
+}

@@ -37,7 +37,13 @@ impl ExactDistribution {
     /// Records `weight` elements with count vector `point`.
     pub fn add_weighted(&mut self, point: &[u32], weight: u64) {
         assert_eq!(point.len(), self.dims, "dimension mismatch");
-        *self.points.entry(point.to_vec()).or_insert(0) += weight;
+        // Allocate a key only for a point not seen before.
+        match self.points.get_mut(point) {
+            Some(freq) => *freq += weight,
+            None => {
+                self.points.insert(point.to_vec(), weight);
+            }
+        }
         self.total += weight;
     }
 

@@ -10,8 +10,11 @@
 //!
 //! Compression is greedy agglomerative merging: repeatedly merge the bucket
 //! pair whose merge increases the (mass-weighted) sum of squared deviations
-//! of the means the least, until the byte budget is met. For large exact
-//! distributions a lexicographic pre-merge bounds the O(n²) pair scan.
+//! of the means the least, until the byte budget is met. Each bucket
+//! caches its cheapest partner, so a merge costs O(n) cost evaluations
+//! rather than a rescan of all O(n²) pairs, and picks the pair the full
+//! scan would. For large exact distributions a lexicographic pre-merge
+//! bounds the greedy phase's input.
 
 use crate::cast::count_f64;
 use crate::exact::ExactDistribution;
@@ -256,18 +259,27 @@ impl MdHistogram {
                 self.buckets = next;
             }
         }
-        // Quadratic greedy phase on the reduced set.
+        // Greedy phase on the reduced set. `partner[k]` caches bucket k's
+        // cheapest merge with a later bucket (first on ties). The first
+        // row holding the lowest cached cost names the same pair as a
+        // full lexicographic scan with strict `<`, so only the rows a
+        // merge touched are rescanned: the two merged positions, and rows
+        // whose partner was one of them or the slot `swap_remove` emptied.
+        // Every other row is offered the two new buckets.
+        let mut partner: Vec<Option<(f64, usize)>> = (0..self.buckets.len())
+            .map(|k| cheapest_partner(&self.buckets, k))
+            .collect();
         while self.buckets.len() > max_buckets {
             let mut best = (f64::INFINITY, 0usize, 1usize);
-            for (i, a) in self.buckets.iter().enumerate() {
-                for (j, b) in self.buckets.iter().enumerate().skip(i + 1) {
-                    let c = a.merge_cost(b);
+            for (i, p) in partner.iter().enumerate() {
+                if let Some((c, j)) = *p {
                     if c < best.0 {
                         best = (c, i, j);
                     }
                 }
             }
             let (_, i, j) = best;
+            let last = self.buckets.len() - 1;
             let merged = match (self.buckets.get(i), self.buckets.get(j)) {
                 (Some(a), Some(b)) => a.merge_with(b),
                 // Unreachable: best always names two live buckets.
@@ -276,6 +288,20 @@ impl MdHistogram {
             self.buckets.swap_remove(j);
             if let Some(slot) = self.buckets.get_mut(i) {
                 *slot = merged;
+            }
+            partner.swap_remove(j);
+            let buckets = &self.buckets;
+            for (k, p) in partner.iter_mut().enumerate() {
+                if k == i || k == j || p.is_some_and(|(_, q)| q == i || q == j || q == last) {
+                    *p = cheapest_partner(buckets, k);
+                    continue;
+                }
+                let Some(a) = buckets.get(k) else { continue };
+                for pos in [i, j].into_iter().filter(|&pos| pos > k) {
+                    if let Some(b) = buckets.get(pos) {
+                        offer(p, a.merge_cost(b), pos);
+                    }
+                }
             }
         }
     }
@@ -481,6 +507,32 @@ impl MdHistogram {
             })
             .map(|b| b.fraction)
             .sum()
+    }
+}
+
+/// Bucket `k`'s cheapest merge with a later bucket: `(cost, position)`,
+/// the first position on ties; `None` when no cost is below infinity.
+fn cheapest_partner(buckets: &[Bucket], k: usize) -> Option<(f64, usize)> {
+    let a = buckets.get(k)?;
+    let mut best: Option<(f64, usize)> = None;
+    for (j, b) in buckets.iter().enumerate().skip(k + 1) {
+        let c = a.merge_cost(b);
+        if c < best.map_or(f64::INFINITY, |(bc, _)| bc) {
+            best = Some((c, j));
+        }
+    }
+    best
+}
+
+/// Replaces a cached partner with `(cost, pos)` when that pair comes
+/// first in `(cost, position)` order.
+fn offer(slot: &mut Option<(f64, usize)>, cost: f64, pos: usize) {
+    let better = match *slot {
+        Some((c, q)) => cost < c || (cost == c && pos < q),
+        None => cost < f64::INFINITY,
+    };
+    if better {
+        *slot = Some((cost, pos));
     }
 }
 

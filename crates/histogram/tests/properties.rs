@@ -1,9 +1,12 @@
 //! Property tests for the histogram substrate: mass conservation,
 //! exactness with sufficient budget, marginal/conditional consistency,
-//! and wavelet reconstruction.
+//! wavelet reconstruction, and a differential check of the greedy
+//! merge against the full pair scan it replaced.
 
 use proptest::prelude::*;
-use xtwig_histogram::{ExactDistribution, MdHistogram, ValueHistogram, WaveletSummary};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use xtwig_histogram::{Bucket, ExactDistribution, MdHistogram, ValueHistogram, WaveletSummary};
 
 fn arb_dist(dims: usize) -> impl Strategy<Value = ExactDistribution> {
     prop::collection::vec(
@@ -168,6 +171,138 @@ proptest! {
                 h.buckets().iter().all(|b| b.fraction.is_finite() && b.fraction >= 0.0),
                 "target {target}: invalid fraction"
             );
+        }
+    }
+}
+
+/// Distributions rich in tied merge costs: integer points on a grid with
+/// masses drawn from {1, 2, 4}, over 1–3 dims. One in six holds more than
+/// 512 distinct points, so the pre-merge runs before the greedy phase.
+fn arb_tied_dist() -> impl Strategy<Value = ExactDistribution> {
+    (1usize..4, 0u64..u64::MAX).prop_map(|(dims, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let large = rng.random_range(0..6u32) == 0;
+        let (distinct, side) = if large {
+            (rng.random_range(513..641usize), [4096u32, 64, 16][dims - 1])
+        } else {
+            (rng.random_range(1..61usize), [64u32, 8, 4][dims - 1])
+        };
+        // Each grid holds at least 64 cells, so the loop below ends.
+        let mut d = ExactDistribution::new(dims);
+        while d.distinct() < distinct {
+            let point: Vec<u32> = (0..dims).map(|_| rng.random_range(0..side)).collect();
+            d.add_weighted(&point, [1u64, 2, 4][rng.random_range(0..3usize)]);
+        }
+        d
+    })
+}
+
+/// The greedy merge before each bucket cached its cheapest partner: the
+/// same pre-merge, then a scan of every pair for each merge, taking the
+/// first pair in lexicographic order on ties (strict `<`).
+fn full_scan_compress(h: &MdHistogram, max_buckets: usize) -> Vec<Bucket> {
+    fn merge_cost(a: &Bucket, b: &Bucket) -> f64 {
+        let f = a.fraction + b.fraction;
+        if f <= 0.0 {
+            return 0.0;
+        }
+        let w = a.fraction * b.fraction / f;
+        let sse: f64 = a
+            .mean
+            .iter()
+            .zip(&b.mean)
+            .map(|(&x, &y)| (x - y) * (x - y))
+            .sum();
+        w * sse
+    }
+    fn merge(a: &Bucket, b: &Bucket) -> Bucket {
+        let fraction = a.fraction + b.fraction;
+        Bucket {
+            fraction,
+            lo: a.lo.iter().zip(&b.lo).map(|(&x, &y)| x.min(y)).collect(),
+            hi: a.hi.iter().zip(&b.hi).map(|(&x, &y)| x.max(y)).collect(),
+            mean: a
+                .mean
+                .iter()
+                .zip(&b.mean)
+                .map(|(&m1, &m2)| {
+                    if fraction > 0.0 {
+                        (a.fraction * m1 + b.fraction * m2) / fraction
+                    } else {
+                        (m1 + m2) / 2.0
+                    }
+                })
+                .collect(),
+        }
+    }
+    let max_buckets = max_buckets.max(1);
+    let mut buckets = h.buckets().to_vec();
+    if buckets.len() <= max_buckets {
+        return buckets;
+    }
+    let target = 512usize.max(4 * max_buckets);
+    if buckets.len() > target {
+        buckets.sort_by(|a, b| {
+            a.mean
+                .iter()
+                .zip(&b.mean)
+                .map(|(x, y)| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal))
+                .find(|o| *o != std::cmp::Ordering::Equal)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        while buckets.len() > target {
+            buckets = buckets
+                .chunks(2)
+                .map(|pair| match pair {
+                    [a, b] => merge(a, b),
+                    [a] => a.clone(),
+                    _ => unreachable!(),
+                })
+                .collect();
+        }
+    }
+    while buckets.len() > max_buckets {
+        let mut best = (f64::INFINITY, 0usize, 1usize);
+        for (i, a) in buckets.iter().enumerate() {
+            for (j, b) in buckets.iter().enumerate().skip(i + 1) {
+                let c = merge_cost(a, b);
+                if c < best.0 {
+                    best = (c, i, j);
+                }
+            }
+        }
+        let (_, i, j) = best;
+        let merged = merge(&buckets[i], &buckets[j]);
+        buckets.swap_remove(j);
+        buckets[i] = merged;
+    }
+    buckets
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `compress_to_buckets` merges the pairs the full pair scan merges:
+    /// the same buckets in the same positions, bit for bit.
+    #[test]
+    fn greedy_merge_matches_the_full_pair_scan(d in arb_tied_dist(), pick in 0.0f64..1.0) {
+        let exact = MdHistogram::exact(&d);
+        let n = exact.buckets().len();
+        // Large inputs compress to at most 128 buckets, so the pre-merge
+        // (target max(512, 4 · max_buckets)) always runs on them.
+        let cap = if n > 512 { 128 } else { n };
+        let max_buckets = 1 + (pick * cap as f64) as usize;
+        let want = full_scan_compress(&exact, max_buckets);
+        let mut got = exact.clone();
+        got.compress_to_buckets(max_buckets);
+        prop_assert_eq!(got.buckets().len(), want.len());
+        for (k, (g, w)) in got.buckets().iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.fraction.to_bits(), w.fraction.to_bits(), "bucket {} fraction", k);
+            prop_assert_eq!(&g.lo, &w.lo, "bucket {} lo", k);
+            prop_assert_eq!(&g.hi, &w.hi, "bucket {} hi", k);
+            let gm: Vec<u64> = g.mean.iter().map(|m| m.to_bits()).collect();
+            let wm: Vec<u64> = w.mean.iter().map(|m| m.to_bits()).collect();
+            prop_assert_eq!(gm, wm, "bucket {} mean", k);
         }
     }
 }

@@ -4,9 +4,9 @@
 //! document element `e` bound to twig node `t`,
 //! `tuples(t, e) = Π_{child c of t} Σ_{e' ∈ eval(path(c), e)} tuples(c, e')`.
 //! The selectivity of the query is `Σ_{e ∈ eval(path(root))} tuples(root, e)`.
-//! No tuple is ever materialized, so exact counts on 100k-element documents
-//! and 1000-query workloads are cheap — this is the ground-truth oracle for
-//! the paper's error metric.
+//! No tuple is ever materialized, and a path of child steps is walked
+//! depth-first without building its node set. This is the ground-truth
+//! oracle for the paper's error metric.
 
 use crate::ast::{Axis, PathExpr, Pred, Step, TwigNodeRef, TwigQuery};
 use xtwig_xml::{Document, LabelId, NodeId};
@@ -21,11 +21,30 @@ use xtwig_xml::{Document, LabelId, NodeId};
 ///
 /// Returns the matched node set in document order, deduplicated.
 pub fn eval_path(doc: &Document, ctx: Option<NodeId>, path: &PathExpr) -> Vec<NodeId> {
+    match resolve_labels(doc, path) {
+        Some(labels) => eval_resolved(doc, ctx, path, &labels),
+        None => Vec::new(),
+    }
+}
+
+/// The label of each step of `path`, or `None` when a step names a tag
+/// the document does not hold (the path then matches nothing).
+fn resolve_labels(doc: &Document, path: &PathExpr) -> Option<Vec<LabelId>> {
+    path.steps
+        .iter()
+        .map(|step| doc.labels().get(&step.label))
+        .collect()
+}
+
+/// [`eval_path`] with the step labels already resolved.
+fn eval_resolved(
+    doc: &Document,
+    ctx: Option<NodeId>,
+    path: &PathExpr,
+    labels: &[LabelId],
+) -> Vec<NodeId> {
     let mut current: Vec<NodeId> = Vec::new();
-    for (i, step) in path.steps.iter().enumerate() {
-        let Some(label) = doc.labels().get(&step.label) else {
-            return Vec::new();
-        };
+    for (i, (step, &label)) in path.steps.iter().zip(labels).enumerate() {
         let mut next: Vec<NodeId> = Vec::new();
         if i == 0 && ctx.is_none() {
             // Absolute first step.
@@ -72,6 +91,13 @@ pub fn eval_path(doc: &Document, ctx: Option<NodeId>, path: &PathExpr) -> Vec<No
     current
 }
 
+/// Whether a path has at least one step and only child steps. Such a
+/// path reaches each element once, in document order, from one context
+/// element, so it can be walked without materializing a node set.
+fn is_child_chain(path: &PathExpr) -> bool {
+    !path.steps.is_empty() && path.steps.iter().all(|step| step.axis == Axis::Child)
+}
+
 /// Whether all predicates of `step` hold for element `e`.
 fn step_predicates_hold(doc: &Document, e: NodeId, step: &Step) -> bool {
     step.preds.iter().all(|p| pred_holds(doc, e, p))
@@ -87,15 +113,35 @@ pub(crate) fn pred_holds(doc: &Document, e: NodeId, pred: &Pred) -> bool {
             None => true,
         },
         Some(branch) => {
-            let targets = eval_path(doc, Some(e), branch);
-            match pred.value {
-                None => !targets.is_empty(),
-                Some(range) => targets
-                    .iter()
-                    .any(|&t| doc.value(t).is_some_and(|v| range.contains(v))),
+            let hit = |t: NodeId| match pred.value {
+                None => true,
+                Some(range) => doc.value(t).is_some_and(|v| range.contains(v)),
+            };
+            if is_child_chain(branch) {
+                any_on_child_chain(doc, &branch.steps, e, &hit)
+            } else {
+                eval_path(doc, Some(e), branch).into_iter().any(hit)
             }
         }
     }
+}
+
+/// Whether some element the child steps `steps` reach from `from`
+/// satisfies `hit`; stops at the first that does.
+fn any_on_child_chain(
+    doc: &Document,
+    steps: &[Step],
+    from: NodeId,
+    hit: &dyn Fn(NodeId) -> bool,
+) -> bool {
+    let Some((step, rest)) = steps.split_first() else {
+        return hit(from);
+    };
+    let Some(label) = doc.labels().get(&step.label) else {
+        return false;
+    };
+    doc.children_labeled(from, label)
+        .any(|c| step_predicates_hold(doc, c, step) && any_on_child_chain(doc, rest, c, hit))
 }
 
 fn collect_descendants_self(doc: &Document, from: NodeId, label: LabelId, out: &mut Vec<NodeId>) {
@@ -118,28 +164,79 @@ fn collect_descendants_self(doc: &Document, from: NodeId, label: LabelId, out: &
 /// assert_eq!(selectivity(&doc, &q), 2);
 /// ```
 pub fn selectivity(doc: &Document, twig: &TwigQuery) -> u64 {
-    let roots = eval_path(doc, None, twig.path(twig.root()));
-    roots
-        .into_iter()
-        .map(|e| tuples_below(doc, twig, twig.root(), e))
-        .sum()
+    // Step labels are resolved once per twig node, not once per bound
+    // element.
+    let labels: Vec<Option<Vec<LabelId>>> = twig
+        .node_refs()
+        .map(|t| resolve_labels(doc, twig.path(t)))
+        .collect();
+    let counter = Counter { doc, twig, labels };
+    counter.sum_reached(twig.root(), None)
 }
 
-/// Number of binding tuples for the subtree of `t` with `t` bound to `e`.
-fn tuples_below(doc: &Document, twig: &TwigQuery, t: TwigNodeRef, e: NodeId) -> u64 {
-    let mut product: u64 = 1;
-    for &c in twig.children(t) {
-        let matches = eval_path(doc, Some(e), twig.path(c));
-        let sum: u64 = matches
-            .into_iter()
-            .map(|e2| tuples_below(doc, twig, c, e2))
-            .sum();
-        if sum == 0 {
+/// The exact counter of [`selectivity`] over one twig.
+struct Counter<'a> {
+    doc: &'a Document,
+    twig: &'a TwigQuery,
+    /// Resolved step labels per twig node (`None`: matches nothing).
+    labels: Vec<Option<Vec<LabelId>>>,
+}
+
+impl Counter<'_> {
+    /// `Σ tuples_below(t, e')` over the elements `e'` that twig node
+    /// `t`'s path reaches from `ctx` (the document root when `None`).
+    fn sum_reached(&self, t: TwigNodeRef, ctx: Option<NodeId>) -> u64 {
+        let Some(Some(labels)) = self.labels.get(t) else {
             return 0;
+        };
+        let path = self.twig.path(t);
+        match ctx {
+            Some(e) if is_child_chain(path) => self.sum_child_chain(t, &path.steps, labels, e),
+            // A `//` step can reach one element along several paths, so
+            // its deduplicated node set is materialized; so is the root
+            // path, which runs once per twig.
+            _ => eval_resolved(self.doc, ctx, path, labels)
+                .into_iter()
+                .map(|e| self.tuples_below(t, e))
+                .sum(),
         }
-        product = product.saturating_mul(sum);
     }
-    product
+
+    /// `Σ tuples_below(t, e')` over the elements `e'` the child steps
+    /// `steps` (labelled `labels`) reach from `from`, walked depth-first
+    /// without a node set.
+    fn sum_child_chain(
+        &self,
+        t: TwigNodeRef,
+        steps: &[Step],
+        labels: &[LabelId],
+        from: NodeId,
+    ) -> u64 {
+        let (Some((step, steps)), Some((&label, labels))) =
+            (steps.split_first(), labels.split_first())
+        else {
+            return self.tuples_below(t, from);
+        };
+        self.doc
+            .children_labeled(from, label)
+            .filter(|&c| step_predicates_hold(self.doc, c, step))
+            .map(|c| self.sum_child_chain(t, steps, labels, c))
+            .sum()
+    }
+
+    /// Number of binding tuples for the subtree of `t` with `t` bound to
+    /// `e`.
+    fn tuples_below(&self, t: TwigNodeRef, e: NodeId) -> u64 {
+        let mut product: u64 = 1;
+        for &c in self.twig.children(t) {
+            let sum = self.sum_reached(c, Some(e));
+            if sum == 0 {
+                return 0;
+            }
+            product = product.saturating_mul(sum);
+        }
+        product
+    }
 }
 
 /// Materializes all binding tuples (element assignment per twig node, in

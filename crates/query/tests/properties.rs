@@ -41,36 +41,74 @@ fn arb_doc() -> impl Strategy<Value = Document> {
     })
 }
 
-/// A random small twig over the same alphabet.
+/// A random tag of the alphabet.
+fn tag(rng: &mut StdRng) -> &'static str {
+    TAGS[rng.random_range(0..TAGS.len())]
+}
+
+/// A random step: a child step, or now and then a `//` step, carrying
+/// value and branch predicates at any position of its path. Branch paths
+/// run one or two child steps, or a `//` step.
+fn arb_step(rng: &mut StdRng, descendant: f64) -> Step {
+    let mut step = if rng.random_bool(descendant) {
+        Step::descendant(tag(rng))
+    } else {
+        Step::child(tag(rng))
+    };
+    if rng.random_bool(0.25) {
+        step = step.with_pred(Pred::self_value(ValueRange {
+            lo: 0,
+            hi: rng.random_range(0..10),
+        }));
+    }
+    if rng.random_bool(0.2) {
+        let branch = match rng.random_range(0..3u32) {
+            0 => PathExpr::child(tag(rng)),
+            1 => PathExpr::child_chain([tag(rng), tag(rng)]),
+            _ => PathExpr::new(vec![Step::descendant(tag(rng))]),
+        };
+        step = step.with_pred(if rng.random_bool(0.5) {
+            Pred::branch(branch)
+        } else {
+            Pred::branch_value(
+                branch,
+                ValueRange {
+                    lo: rng.random_range(0..5),
+                    hi: rng.random_range(5..10),
+                },
+            )
+        });
+    }
+    step
+}
+
+/// A random small twig over the same alphabet. Paths below the root run
+/// one to three steps, so the exact counter takes both its routes: a
+/// path of child steps (`$t0/a/b`) streams, and a path with a `//` step
+/// materializes through `eval_path`.
 fn arb_twig() -> impl Strategy<Value = TwigQuery> {
     (1u64..10_000).prop_map(|seed| {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E3779B9));
         let root_tag = if rng.random_bool(0.5) {
             "r"
         } else {
-            TAGS[rng.random_range(0..TAGS.len())]
+            tag(&mut rng)
         };
-        let first = if rng.random_bool(0.5) {
+        let mut root = vec![if rng.random_bool(0.5) {
             Step::descendant(root_tag)
         } else {
             Step::child("r")
-        };
-        let mut q = TwigQuery::new(PathExpr::new(vec![first]));
+        }];
+        if rng.random_bool(0.25) {
+            root.push(arb_step(&mut rng, 0.0));
+        }
+        let mut q = TwigQuery::new(PathExpr::new(root));
         for _ in 0..rng.random_range(0..4u32) {
             let parent = rng.random_range(0..q.len());
-            let mut step = Step::child(TAGS[rng.random_range(0..TAGS.len())]);
-            if rng.random_bool(0.25) {
-                step = step.with_pred(Pred::self_value(ValueRange {
-                    lo: 0,
-                    hi: rng.random_range(0..10),
-                }));
-            }
-            if rng.random_bool(0.2) {
-                step = step.with_pred(Pred::branch(PathExpr::child(
-                    TAGS[rng.random_range(0..TAGS.len())],
-                )));
-            }
-            q.add_child(parent, PathExpr::new(vec![step]));
+            let steps = (0..rng.random_range(1..4u32))
+                .map(|_| arb_step(&mut rng, 0.2))
+                .collect();
+            q.add_child(parent, PathExpr::new(steps));
         }
         q
     })

@@ -153,16 +153,14 @@ impl Document {
         path
     }
 
-    /// Iterates over all descendants of `n` (excluding `n`) in document order.
+    /// Iterates over all descendants of `n` (excluding `n`) in document
+    /// order. The walk follows the first-child, next-sibling and parent
+    /// links, so it allocates nothing.
     pub fn descendants(&self, n: NodeId) -> Descendants<'_> {
         Descendants {
             doc: self,
-            stack: self
-                .children(n)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .rev()
-                .collect(),
+            top: n.0,
+            next: self.elems[n.index()].first_child,
         }
     }
 
@@ -224,17 +222,31 @@ impl Iterator for Children<'_> {
 /// Iterator over the descendants of a node in document order.
 pub struct Descendants<'a> {
     doc: &'a Document,
-    stack: Vec<NodeId>,
+    /// The node whose descendants are walked.
+    top: u32,
+    /// The next node to yield, or `NodeId::NONE` once the walk is done.
+    next: u32,
 }
 
 impl Iterator for Descendants<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let n = self.stack.pop()?;
-        let children: Vec<NodeId> = self.doc.children(n).collect();
-        self.stack.extend(children.into_iter().rev());
-        Some(n)
+        if self.next == NodeId::NONE {
+            return None;
+        }
+        let cur = self.next;
+        // Pre-order successor: the first child, else the next sibling of
+        // the nearest node on the way back up to `top` that has one.
+        let elems = &self.doc.elems;
+        let mut n = cur;
+        self.next = elems[n as usize].first_child;
+        while self.next == NodeId::NONE && n != self.top {
+            let e = &elems[n as usize];
+            self.next = e.next_sibling;
+            n = e.parent;
+        }
+        Some(NodeId(cur))
     }
 }
 

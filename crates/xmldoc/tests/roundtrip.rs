@@ -5,7 +5,7 @@
 mod support;
 
 use proptest::prelude::*;
-use xtwig_xml::{parse, write_xml, Document, DocumentBuilder};
+use xtwig_xml::{parse, write_xml, Document, DocumentBuilder, NodeId};
 
 /// Strategy: a random tree as a nested structure of (tag index, value,
 /// children).
@@ -137,4 +137,27 @@ proptest! {
         let listed = doc.descendants(doc.root()).count();
         prop_assert_eq!(listed + 1, doc.len());
     }
+
+    #[test]
+    fn descendants_match_a_recursive_walk(root in arb_node()) {
+        let doc = to_doc(&root);
+        for n in doc.nodes() {
+            let walked: Vec<NodeId> = doc.descendants(n).collect();
+            prop_assert_eq!(walked, recursive_descendants(&doc, n), "below {}", n);
+        }
+    }
+}
+
+/// The descendants of `n` in document order, by recursion over the
+/// children: the reference `Document::descendants` must reproduce.
+fn recursive_descendants(doc: &Document, n: NodeId) -> Vec<NodeId> {
+    fn walk(doc: &Document, n: NodeId, out: &mut Vec<NodeId>) {
+        for c in doc.children(n) {
+            out.push(c);
+            walk(doc, c, out);
+        }
+    }
+    let mut out = Vec::new();
+    walk(doc, n, &mut out);
+    out
 }

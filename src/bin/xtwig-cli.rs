@@ -19,6 +19,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -56,6 +57,26 @@ enum CliError {
     Corrupt(String),
 }
 
+/// Writes command output to stdout like `print!`. A failed write, a
+/// closed pipe included, ends the command with exit 1 and a one-line
+/// message instead of a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(stdout_failed)?
+    };
+}
+
+/// [`out!`] with a trailing newline, like `println!`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_failed)?
+    };
+}
+
+fn stdout_failed(e: std::io::Error) -> CliError {
+    CliError::Failure(format!("writing to stdout: {e}"))
+}
+
 /// A subcommand's handler: its arguments after the command name.
 type Command = fn(&[String]) -> Result<Outcome, CliError>;
 
@@ -65,10 +86,7 @@ const EXIT_CORRUPT: u8 = 4;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(Outcome::Full)
-        }
+        Some("help") | Some("--help") | Some("-h") | None => cmd_help(),
         Some(name) => {
             let run: Option<Command> = match name {
                 "generate" => Some(cmd_generate),
@@ -104,6 +122,11 @@ fn main() -> ExitCode {
             ExitCode::from(EXIT_CORRUPT)
         }
     }
+}
+
+fn cmd_help() -> Result<Outcome, CliError> {
+    out!("{USAGE}");
+    Ok(Outcome::Full)
 }
 
 const USAGE: &str = "\
@@ -353,7 +376,7 @@ fn cmd_generate(args: &[String]) -> Result<Outcome, CliError> {
             )))
         }
     };
-    println!("{}", write_xml(&doc));
+    outln!("{}", write_xml(&doc));
     Ok(Outcome::Full)
 }
 
@@ -369,13 +392,13 @@ fn cmd_stats(args: &[String]) -> Result<Outcome, CliError> {
     let doc = load(path)?;
     let s = DocStats::compute(&doc);
     let synopsis = coarse_synopsis(&doc);
-    println!("elements:          {}", s.element_count);
-    println!("distinct tags:     {}", s.label_count);
-    println!("max depth:         {}", s.max_depth);
-    println!("avg fanout:        {:.2}", s.avg_fanout);
-    println!("valued elements:   {}", s.valued_count);
-    println!("text size:         {:.2} MB", s.text_mb());
-    println!(
+    outln!("elements:          {}", s.element_count);
+    outln!("distinct tags:     {}", s.label_count);
+    outln!("max depth:         {}", s.max_depth);
+    outln!("avg fanout:        {:.2}", s.avg_fanout);
+    outln!("valued elements:   {}", s.valued_count);
+    outln!("text size:         {:.2} MB", s.text_mb());
+    outln!(
         "coarsest synopsis: {} nodes, {} edges, {:.1} KB",
         synopsis.node_count(),
         synopsis.edge_count(),
@@ -426,16 +449,16 @@ fn cmd_stats_metrics(args: &[String]) -> Result<Outcome, CliError> {
     if counters.is_empty() && histograms.is_empty() {
         return Err(CliError::Failure(format!("{path}: no metrics found")));
     }
-    println!("metrics from {path}:");
+    outln!("metrics from {path}:");
     for (name, value) in &counters {
-        println!("  {name:<42} {value}");
+        outln!("  {name:<42} {value}");
     }
     for (base, count, sum) in &histograms {
         let mean_us = match (count.parse::<f64>(), sum.parse::<f64>()) {
             (Ok(c), Ok(s)) if c > 0.0 => format!("{:.1} us mean", s / c * 1e6),
             _ => "-".to_string(),
         };
-        println!("  {base:<42} {count} obs, {mean_us}");
+        outln!("  {base:<42} {count} obs, {mean_us}");
     }
     Ok(Outcome::Full)
 }
@@ -451,7 +474,7 @@ fn cmd_eval(args: &[String]) -> Result<Outcome, CliError> {
     let q = parse_twig(qtext).map_err(|e| CliError::Usage(e.to_string()))?;
     let t0 = std::time::Instant::now();
     let count = selectivity(&doc, &q);
-    println!("selectivity: {count} binding tuples ({:?})", t0.elapsed());
+    outln!("selectivity: {count} binding tuples ({:?})", t0.elapsed());
     Ok(Outcome::Full)
 }
 
@@ -466,7 +489,7 @@ fn cmd_build(args: &[String]) -> Result<Outcome, CliError> {
     let (synopsis, rounds) = build_synopsis(args, &doc)?;
     let written = write_snapshot_atomic(Path::new(&out), &synopsis)
         .map_err(|e| CliError::Failure(format!("writing {out}: {e}")))?;
-    println!(
+    outln!(
         "built {} nodes / {} edges / {:.1} KB in {} rounds ({:?}); snapshot {written} bytes -> {out}",
         synopsis.node_count(),
         synopsis.edge_count(),
@@ -534,7 +557,7 @@ fn cmd_ingest(args: &[String]) -> Result<Outcome, CliError> {
         store
             .fsck()
             .map_err(|r| CliError::Corrupt(format!("{}: {r}", dir.display())))?;
-        println!(
+        outln!(
             "store created at {}: generation {}, {} elements, synopsis {} bytes",
             dir.display(),
             store.generation(),
@@ -569,7 +592,7 @@ fn cmd_ingest(args: &[String]) -> Result<Outcome, CliError> {
                 },
             )
         };
-        println!(
+        outln!(
             "recovered generation {} ({} checkpoint): {} WAL record(s) replayed{}{image}{}",
             rec.generation,
             rec.kind,
@@ -600,7 +623,7 @@ fn cmd_ingest(args: &[String]) -> Result<Outcome, CliError> {
             match store.ingest(&delta) {
                 Ok(report) => {
                     if let Some(kind) = report.checkpoint {
-                        println!("delta {i}/{mutate}: {kind} checkpoint committed");
+                        outln!("delta {i}/{mutate}: {kind} checkpoint committed");
                     }
                 }
                 Err(IngestError::Crash(point)) => {
@@ -614,17 +637,20 @@ fn cmd_ingest(args: &[String]) -> Result<Outcome, CliError> {
             }
         }
         let stats = store.stats();
-        println!(
+        outln!(
             "applied {mutate} delta(s): {} WAL append(s), {} checkpoint(s), \
              {} refinement(s), {} rollback(s)",
-            stats.wal_appends, stats.checkpoints, stats.refinements, stats.refine_rollbacks,
+            stats.wal_appends,
+            stats.checkpoints,
+            stats.refinements,
+            stats.refine_rollbacks,
         );
     }
 
     store
         .fsck()
         .map_err(|r| CliError::Corrupt(format!("{}: {r}", dir.display())))?;
-    println!(
+    outln!(
         "generation {}, {} delta(s) since checkpoint, drift {:.3}, \
          {} elements, synopsis {} bytes — fsck clean",
         store.generation(),
@@ -654,7 +680,7 @@ fn cmd_inspect(args: &[String]) -> Result<Outcome, CliError> {
         .first()
         .ok_or_else(|| CliError::Usage("inspect needs a snapshot file".into()))?;
     let synopsis = read_synopsis(path)?;
-    print!("{}", xtwig::core::describe(&synopsis));
+    out!("{}", xtwig::core::describe(&synopsis));
     Ok(Outcome::Full)
 }
 
@@ -674,7 +700,7 @@ fn cmd_check(args: &[String]) -> Result<Outcome, CliError> {
     };
     xtwig::core::fsck(&synopsis)
         .map_err(|report| CliError::Corrupt(format!("{path}: {report}")))?;
-    println!(
+    outln!(
         "ok: {} nodes / {} edges / {:.1} KB — all invariants hold",
         synopsis.node_count(),
         synopsis.edge_count(),
@@ -713,7 +739,7 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
                 .filter(|p| p.extension().is_some_and(|x| x == "xtwg"))
                 .collect(),
             Err(e) => {
-                println!("{tenant}: unreadable tenant directory: {e}");
+                outln!("{tenant}: unreadable tenant directory: {e}");
                 unreadable.push(tenant.clone());
                 continue;
             }
@@ -729,7 +755,7 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
             let bytes = match std::fs::read(&snap) {
                 Ok(b) => b,
                 Err(e) => {
-                    println!("{key}: unreadable: {e}");
+                    outln!("{key}: unreadable: {e}");
                     unreadable.push(key);
                     continue;
                 }
@@ -744,20 +770,20 @@ fn cmd_check_catalog(dir: &str) -> Result<Outcome, CliError> {
                         .map_err(|report| report.to_string())
                 });
             match deep {
-                Ok(s) => println!(
+                Ok(s) => outln!(
                     "{key}: ok ({} bytes, {} nodes / {} edges, all section CRCs verified)",
                     bytes.len(),
                     s.node_count(),
                     s.edge_count()
                 ),
                 Err(e) => {
-                    println!("{key}: CORRUPT: {e}");
+                    outln!("{key}: CORRUPT: {e}");
                     corrupt.push(key);
                 }
             }
         }
     }
-    println!(
+    outln!(
         "checked {keys} snapshots across {} tenants: {} corrupt, {} unreadable",
         tenants.len(),
         corrupt.len(),
@@ -1096,7 +1122,7 @@ fn serve_plan(
     served?;
     let elapsed = t0.elapsed();
     for line in lines.into_iter().flatten() {
-        println!("{line}");
+        outln!("{line}");
     }
     let stats = catalog.stats();
     eprintln!(
@@ -1201,7 +1227,7 @@ fn cmd_soak(args: &[String]) -> Result<Outcome, CliError> {
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     }
-    println!("{report}");
+    outln!("{report}");
     if !report.passed() {
         return Err(CliError::Failure(format!(
             "soak invariants violated: {report}"
@@ -1301,18 +1327,18 @@ fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
     let (report, est_in) = serve_through_catalog(args, &synopsis, &q, deadline_ms, work_limit)?;
     let truth = selectivity(&doc, &q);
 
-    println!(
+    outln!(
         "synopsis: {} nodes / {} edges / {:.1} KB ({rounds} refinement rounds, {built_in:?})",
         synopsis.node_count(),
         synopsis.edge_count(),
         synopsis.size_bytes() as f64 / 1024.0,
     );
-    println!("estimate: {:.1} ({est_in:?})", report.estimate);
-    println!("exact:    {truth}");
+    outln!("estimate: {:.1} ({est_in:?})", report.estimate);
+    outln!("exact:    {truth}");
     let err = (report.estimate - truth as f64).abs() / (truth as f64).max(1.0);
-    println!("relative error: {:.1}%", err * 100.0);
+    outln!("relative error: {:.1}%", err * 100.0);
     if explain {
-        print_explain(&report);
+        print_explain(&report)?;
     }
     let tier = report.provenance.tier.unwrap_or("xsketch");
     if tier != "xsketch" || report.provenance.degraded {
@@ -1333,15 +1359,16 @@ fn cmd_estimate(args: &[String]) -> Result<Outcome, CliError> {
 
 /// Renders the `--explain` section: per-embedding contributions (which
 /// sum to the estimate), assumption counts, provenance, and timings.
-fn print_explain(report: &EstimateReport) {
+fn print_explain(report: &EstimateReport) -> Result<(), CliError> {
     let Some(e) = &report.explain else {
-        println!("explain: unavailable on this serving path");
-        return;
+        outln!("explain: unavailable on this serving path");
+        return Ok(());
     };
-    println!("explain:");
-    println!(
+    outln!("explain:");
+    outln!(
         "  maximal-twig embeddings expanded: {} ({} evaluated)",
-        e.expanded, report.provenance.embeddings
+        e.expanded,
+        report.provenance.embeddings
     );
     for c in &e.embeddings {
         let clamp = if c.clamped {
@@ -1349,25 +1376,28 @@ fn print_explain(report: &EstimateReport) {
         } else {
             String::new()
         };
-        println!(
+        outln!(
             "    #{:<3} {:<40} {:+.4}{clamp}",
-            c.index, c.rendered, c.contribution
+            c.index,
+            c.rendered,
+            c.contribution
         );
     }
     let sum: f64 = e.embeddings.iter().map(|c| c.contribution).sum();
-    println!("  contribution sum: {sum:.4}");
+    outln!("  contribution sum: {sum:.4}");
     if e.final_clamp {
-        println!("  final clamp: non-finite total replaced by coarse bound");
+        outln!("  final clamp: non-finite total replaced by coarse bound");
     }
-    println!(
+    outln!(
         "  assumptions: forward-uniformity x{}, conditioning x{}",
-        e.assumptions.forward_uniformity, e.assumptions.conditioning
+        e.assumptions.forward_uniformity,
+        e.assumptions.conditioning
     );
     if !e.tier_path.is_empty() {
-        println!("  tier path: {}", e.tier_path.join(" -> "));
+        outln!("  tier path: {}", e.tier_path.join(" -> "));
     }
     let p = &report.provenance;
-    println!(
+    outln!(
         "  provenance: source={}, tier={}, cached={}, memo-hit={}, work={}",
         p.source,
         p.tier.unwrap_or("-"),
@@ -1376,11 +1406,12 @@ fn print_explain(report: &EstimateReport) {
         p.work,
     );
     let t = &report.telemetry;
-    println!(
+    outln!(
         "  timing: expand {:.1} us, eval {:.1} us, total {:.1} us, {} buckets visited",
         t.expand_ns as f64 / 1e3,
         t.eval_ns as f64 / 1e3,
         t.total_ns as f64 / 1e3,
         t.buckets_visited,
     );
+    Ok(())
 }

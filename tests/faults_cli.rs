@@ -631,6 +631,36 @@ fn help_documents_the_exit_code_contract() {
 }
 
 #[test]
+fn a_closed_stdout_exits_one_without_a_panic() {
+    let dir = temp_dir("closed-stdout");
+    let doc = write_small_doc(&dir);
+    let doc = doc.to_str().expect("utf-8 temp path");
+    for args in [
+        vec!["stats", doc],
+        vec!["generate", "xmark", "--scale", "0.05"],
+    ] {
+        // The read end is closed before the CLI starts, so its first write
+        // to stdout fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("creating a pipe");
+        drop(reader);
+        let out = cli()
+            .args(&args)
+            .stdout(writer)
+            .output()
+            .expect("spawning xtwig-cli");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(
+            err.starts_with("error: writing to stdout:"),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn one_ms_deadline_on_deep_twig_degrades() {
     let dir = temp_dir("deadline");
     let doc_path = write_deep_doc(&dir);
